@@ -1,15 +1,19 @@
-//! Tree-walking interpreter for minilang with built-in profiling.
+//! Tree-walking interpreter for minilang — the *reference* semantics.
 //!
-//! The interpreter serves two roles from the paper:
+//! This module defines what a minilang run means: every run collects a
+//! [`Profile`] (per-branch arm frequencies, per-loop trip and
+//! break/continue statistics, dynamic operation counts, library call
+//! counts — the paper's gcov run, Section III-B) and streams every
+//! operation and memory access to a [`Tracer`]. It also owns the types
+//! both engines share ([`Profile`], [`Tracer`], [`Limits`],
+//! [`RuntimeError`], [`InputSpec`]).
 //!
-//! 1. **Branch profiler (gcov substitute, Section III-B):** every run
-//!    collects a [`Profile`] — per-branch arm frequencies, per-loop trip and
-//!    break/continue statistics, dynamic operation counts, and library call
-//!    counts. The translator folds these into the generated skeleton.
-//! 2. **Execution driver for the ground-truth simulator:** a [`Tracer`]
-//!    receives every operation and memory access (with flat addresses) as it
-//!    happens, attributed to the source statement, which `xflow-sim` turns
-//!    into per-block "measured" cycles.
+//! Production runs use the fused bytecode VM ([`crate::vm`]): the profiled
+//! run ([`crate::profile`]) and the simulator's replay. The interpreter is
+//! kept as the oracle they are checked against — `simulate_reference`,
+//! the differential validator's three-way check, the fuzzer, and the
+//! equivalence suites call [`run`] and friends, and the VM must match it
+//! bit for bit.
 //!
 //! Operation accounting rules (the translator's static counts mirror these):
 //! arithmetic in *value* position counts as flops (divides also count as
@@ -332,18 +336,6 @@ pub struct Interp<'p, T: Tracer> {
 /// seeds observe identical branch outcomes and visit counts — the property
 /// the differential validator (`xflow-validate`) relies on.
 pub const DEFAULT_SEED: u64 = 0x5EED_1234_ABCD_0001;
-
-/// Profile a program without tracing (the "local profiled run").
-pub fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
-    let (p, _, _) = run(prog, inputs, NullTracer)?;
-    Ok(p)
-}
-
-/// [`profile`] with an explicit `rnd()` seed.
-pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<Profile, RuntimeError> {
-    let (p, _, _) = run_with_limits_seeded(prog, inputs, NullTracer, Limits::default(), seed)?;
-    Ok(p)
-}
 
 /// Run a program with a tracer; returns the profile, the tracer, and main's
 /// return value.
@@ -827,6 +819,10 @@ impl<'p, T: Tracer> Interp<'p, T> {
 mod tests {
     use super::*;
     use crate::parser::parse;
+
+    fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
+        run(prog, inputs, NullTracer).map(|(p, _, _)| p)
+    }
 
     fn run_src(src: &str) -> Profile {
         let p = parse(src).unwrap();

@@ -5,11 +5,15 @@
 //! paper's workflow (Figure 1):
 //!
 //! * a parser for the small C-like language ([`parse`]),
-//! * a profiling interpreter ([`interp::profile`], [`interp::run`]) that
-//!   plays the role of one local gcov-instrumented run — collecting branch
-//!   outcome frequencies, loop trip counts, and dynamic instruction mixes —
-//!   and that streams operation/memory events to a [`Tracer`] for the
-//!   ground-truth simulator,
+//! * two execution engines with bit-identical results, profiles, errors,
+//!   and [`Tracer`] event streams:
+//!   - the bytecode VM ([`vm`], superinstruction-fused by [`fuse`]) — the
+//!     production engine. [`profile`] runs it as the paper's one local
+//!     gcov-instrumented run, collecting branch outcome frequencies, loop
+//!     trip counts, and dynamic instruction mixes; the ground-truth
+//!     simulator replays programs on it with a tracer attached;
+//!   - the tree-walking interpreter ([`interp`], [`run`]) — the reference
+//!     semantics, kept as the oracle the VM is checked against;
 //! * the source-to-skeleton translator ([`translate()`]), the ROSE-engine
 //!   substitute that statically characterizes instruction mixes, array
 //!   accesses, and control structure, and folds the profile into the
@@ -46,15 +50,15 @@ pub use fuse::{
     NUM_FUSED_KINDS,
 };
 pub use interp::{
-    profile, profile_seeded, run, run_with_limits, run_with_limits_seeded, BranchStats, InputSpec, Limits, LoopStats,
-    NullTracer, OpCounts, Profile, RuntimeError, Tracer, DEFAULT_SEED,
+    run, run_with_limits, run_with_limits_seeded, BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts,
+    Profile, RuntimeError, Tracer, DEFAULT_SEED,
 };
 pub use parser::parse;
 pub use printer::print;
 pub use translate::{translate, TranslateError, Translation};
 pub use vm::{
-    compile, run_vm, run_vm_observed, run_vm_profiled, run_vm_with_limits, run_vm_with_limits_seeded, InstrProfile,
-    VmProgram, NUM_OP_KINDS, OP_KIND_NAMES,
+    compile, profile, profile_seeded, run_vm, run_vm_observed, run_vm_profiled, run_vm_with_limits,
+    run_vm_with_limits_seeded, InstrProfile, VmProgram, NUM_OP_KINDS, OP_KIND_NAMES,
 };
 
 /// Wire-format version of this crate's serializable artifacts

@@ -924,8 +924,8 @@ impl<'p> Translator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{profile, InputSpec};
     use crate::parser::parse;
+    use crate::{profile, InputSpec};
 
     fn xlate(src: &str) -> Translation {
         xlate_with(src, &[])

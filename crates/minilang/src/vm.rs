@@ -1,19 +1,23 @@
-//! Bytecode VM for minilang — the fast execution engine.
+//! Bytecode VM for minilang — the production execution engine.
 //!
 //! The tree-walking interpreter ([`crate::interp`]) is the *reference*
 //! semantics; this module compiles a program once into a flat instruction
 //! stream with resolved variable slots and runs it on a value stack. Both
-//! engines produce **bit-identical** results, profiles, and tracer event
-//! streams: every op-accounting rule, evaluation order, RNG draw, and array
-//! base address matches the reference (enforced by the equivalence tests in
-//! `tests/vm_equivalence.rs`). The VM exists because the ground-truth
-//! simulator interprets every dynamic operation of a workload — at
-//! evaluation scale that is tens of millions of events, where the
-//! tree-walker's per-node dispatch and name lookups dominate.
+//! engines produce **bit-identical** results, profiles, errors, and tracer
+//! event streams: every op-accounting rule, evaluation order, RNG draw,
+//! and array base address matches the reference (enforced by the
+//! equivalence tests in `tests/vm_equivalence.rs` and the validator's
+//! `engines_agree` suite).
+//!
+//! Fused by [`crate::fuse`], the VM runs every production execution: the
+//! profiled run behind [`profile`] (the paper's one local gcov run) and
+//! the ground-truth simulator's replay in `xflow-sim`. The tree-walker's
+//! per-node dispatch and name lookups made it several times slower on
+//! both.
 
 use crate::ast::*;
 use crate::interp::{
-    ArrRef, BranchStats, InputSpec, Lcg, Limits, LoopStats, OpCounts, Profile, RuntimeError, Tracer, Val,
+    ArrRef, BranchStats, InputSpec, Lcg, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, Val,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -45,7 +49,7 @@ pub(crate) struct VmFunc {
 /// VM instructions. The stack holds [`Val`]s; arithmetic ops pop their
 /// operands right-then-left.
 ///
-/// The variants after [`Op::Pop`] are *superinstructions*: fused digrams
+/// The variants after [`Op::Trap`] are *superinstructions*: fused digrams
 /// the peephole pass in [`crate::fuse`] rewrites from the base stream.
 /// The compiler never emits them directly; each executes its constituents'
 /// exact semantics in one dispatch.
@@ -147,6 +151,10 @@ pub(crate) enum Op {
     Print,
     /// Pop and discard.
     Pop,
+    /// Raise the boxed error: a call site to an unknown function or with
+    /// the wrong argument count. Compiled after the arguments, so the
+    /// error surfaces exactly when the reference's call would fail.
+    Trap(Box<RuntimeError>),
 
     // --- superinstructions (see `crate::fuse`) ---
     /// `LoadScalar(idx); LoadElem(arr)` — indexed read through a scalar.
@@ -261,7 +269,7 @@ pub(crate) mod kind {
 // ---------------------------------------------------------------------------
 
 /// Number of distinct opcode kinds (one per `Op` variant).
-pub const NUM_OP_KINDS: usize = 39;
+pub const NUM_OP_KINDS: usize = 40;
 
 /// Opcode kind names, indexed by the dense kind index `op_kind` yields
 /// (declaration order of `Op`). These are the names `xflow profile`
@@ -306,6 +314,7 @@ pub const OP_KIND_NAMES: [&str; NUM_OP_KINDS] = [
     "Ret",
     "Print",
     "Pop",
+    "Trap",
 ];
 
 /// Dense kind index of a *base* instruction (its [`Op`] variant).
@@ -352,6 +361,7 @@ fn op_kind(op: &Op) -> usize {
         Op::Ret => 36,
         Op::Print => 37,
         Op::Pop => 38,
+        Op::Trap(_) => 39,
         fused => unreachable!("op_kind on superinstruction {fused:?} — use fuse::fused_parts"),
     }
 }
@@ -524,8 +534,10 @@ impl InstrSink for InstrProfile {
 
 /// Compile a program to bytecode.
 ///
-/// Call-graph errors the reference reports at call time (unknown functions,
-/// arity mismatches) surface here at compile time instead.
+/// Only a missing `main` fails here. A call to an unknown function or with
+/// the wrong argument count compiles to a trap op, which fails at run
+/// time exactly where the reference's call does — dead call sites never
+/// fail a run.
 pub fn compile(prog: &Program) -> Result<VmProgram, RuntimeError> {
     let fn_ids: HashMap<&str, usize> = prog.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
     let entry = *fn_ids.get("main").ok_or_else(|| RuntimeError::UnknownFunction("main".into()))?;
@@ -788,11 +800,7 @@ impl<'p> FnCompiler<'p> {
     }
 
     fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), RuntimeError> {
-        let &func = self.fn_ids.get(name).ok_or_else(|| RuntimeError::UnknownFunction(name.to_string()))?;
-        let expected = self.prog.functions[func].params.len();
-        if expected != args.len() {
-            return Err(RuntimeError::ArityMismatch { func: name.to_string(), expected, got: args.len() });
-        }
+        // the reference evaluates the arguments before resolving the callee
         for a in args {
             match a {
                 // bare names pass the value (array by reference)
@@ -803,7 +811,22 @@ impl<'p> FnCompiler<'p> {
                 other => self.expr(other, false)?,
             }
         }
-        self.code.push(Op::Call { func, argc: args.len() });
+        let op = match self.fn_ids.get(name) {
+            None => Op::Trap(Box::new(RuntimeError::UnknownFunction(name.to_string()))),
+            Some(&func) => {
+                let expected = self.prog.functions[func].params.len();
+                if expected == args.len() {
+                    Op::Call { func, argc: args.len() }
+                } else {
+                    Op::Trap(Box::new(RuntimeError::ArityMismatch {
+                        func: name.to_string(),
+                        expected,
+                        got: args.len(),
+                    }))
+                }
+            }
+        };
+        self.code.push(op);
         Ok(())
     }
 
@@ -994,6 +1017,20 @@ struct Frame {
     pc: usize,
     slots: Vec<Val>,
     saved_cur: MStmtId,
+}
+
+/// Profile a program without tracing — the "local profiled run" whose
+/// branch and loop statistics the translator folds into the skeleton.
+/// Runs on the fused VM with default limits and [`crate::DEFAULT_SEED`].
+pub fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
+    profile_seeded(prog, inputs, crate::DEFAULT_SEED)
+}
+
+/// [`profile`] with an explicit `rnd()` seed.
+pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<Profile, RuntimeError> {
+    let vm = crate::fuse::compile_fused(prog)?;
+    let (p, _, _) = run_vm_with_limits_seeded(&vm, inputs, NullTracer, Limits::default(), seed)?;
+    Ok(p)
 }
 
 /// Run a compiled program (see [`crate::run`] for the reference engine).
@@ -1584,6 +1621,7 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
             Op::Pop => {
                 stack.pop();
             }
+            Op::Trap(e) => return Err((**e).clone()),
         }
     }
 }
@@ -1647,7 +1685,6 @@ impl VmProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::NullTracer;
     use crate::parser::parse;
 
     #[test]
@@ -1661,15 +1698,27 @@ mod tests {
     }
 
     #[test]
-    fn compile_rejects_unknown_function() {
-        let p = parse("fn main() { ghost(); }").unwrap();
-        assert!(matches!(compile(&p), Err(RuntimeError::UnknownFunction(_))));
+    fn compile_rejects_missing_main() {
+        // the parser rejects such programs; build one by renaming `main`
+        let mut p = parse("fn main() { }").unwrap();
+        p.functions[0].name = "helper".into();
+        assert!(matches!(compile(&p), Err(RuntimeError::UnknownFunction(n)) if n == "main"));
     }
 
     #[test]
-    fn compile_rejects_arity_mismatch() {
+    fn unknown_function_fails_at_call_time() {
+        let p = parse("fn main() { ghost(); }").unwrap();
+        let vm = compile(&p).expect("unknown callees compile to a trap");
+        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        assert_eq!(err, RuntimeError::UnknownFunction("ghost".into()));
+    }
+
+    #[test]
+    fn arity_mismatch_fails_at_call_time() {
         let p = parse("fn main() { f(1, 2); } fn f(x) { }").unwrap();
-        assert!(matches!(compile(&p), Err(RuntimeError::ArityMismatch { .. })));
+        let vm = compile(&p).expect("arity mismatches compile to a trap");
+        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        assert_eq!(err, RuntimeError::ArityMismatch { func: "f".into(), expected: 1, got: 2 });
     }
 
     #[test]
@@ -1799,6 +1848,7 @@ fn main() {
         assert_eq!(op_kind(&Op::Num(0.0)), 0);
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::Ret)], "Ret");
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::Pop)], "Pop");
+        assert_eq!(OP_KIND_NAMES[op_kind(&Op::Trap(Box::new(RuntimeError::UnknownFunction("f".into()))))], "Trap");
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::JumpIfGeRaw { cur: 0, hi: 0, target: 0 })], "JumpIfGeRaw");
         let mut seen = std::collections::HashSet::new();
         for n in OP_KIND_NAMES {

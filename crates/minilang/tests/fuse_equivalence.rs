@@ -7,7 +7,8 @@
 
 use xflow_minilang::fuse::{fuse, fuse_with_report, FUSED_KIND_NAMES, NUM_FUSED_KINDS};
 use xflow_minilang::{
-    compile, parse, run, run_vm_profiled, InputSpec, InstrProfile, Limits, NullTracer, Profile, DEFAULT_SEED,
+    compile, parse, run, run_vm, run_vm_profiled, InputSpec, InstrProfile, Limits, NullTracer, Profile, VmProgram,
+    DEFAULT_SEED,
 };
 
 /// Run one source three ways (interp, VM, fused VM) and assert the full
@@ -175,6 +176,32 @@ fn fusion_preserves_step_limit_errors() {
     let e1 = xflow_minilang::vm::run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, limits).unwrap_err();
     let e2 = xflow_minilang::vm::run_vm_with_limits(&fused, &InputSpec::new(), NullTracer, limits).unwrap_err();
     assert_eq!(e1.to_string(), e2.to_string());
+}
+
+#[test]
+fn call_traps_stay_unfused_and_fail_like_the_reference() {
+    // A call to an unknown function or with the wrong arity compiles to a
+    // `Trap` after its arguments. No digram contains a trap, so fusion
+    // leaves each one standing alone and it fires where the reference's
+    // call fails.
+    let sources = [
+        "fn main() { let x = 2; let y = nosuch(x + 1.0, 2.0); print(y); }",
+        "fn main() { let a = zeros(4); let i = 1; a[i] = f(a[i] * 2.0); } fn f(x, y) { return x; }",
+        "fn main() { let x = 1; if x > 0 { g(x); } print(x); } fn g() { }",
+    ];
+    let traps = |vm: &VmProgram| vm.disasm().matches("Trap(").count();
+    for src in sources {
+        let prog = parse(src).unwrap();
+        let vm = compile(&prog).expect("bad call sites compile");
+        let fused = fuse(&vm);
+        assert_eq!(traps(&vm), 1, "{src}");
+        assert_eq!(traps(&fused), 1, "{src}");
+        let e_ref = run(&prog, &InputSpec::new(), NullTracer).unwrap_err();
+        let e_fz = run_vm(&fused, &InputSpec::new(), NullTracer).unwrap_err();
+        assert_eq!(e_ref, e_fz, "{src}");
+    }
+    // a trap that never runs changes nothing
+    check_three_way("fn main() { let x = 1; if x < 0 { nosuch(x); } print(x); }");
 }
 
 #[test]

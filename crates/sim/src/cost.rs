@@ -1,6 +1,6 @@
 //! Execution-driven cost model — the "measured profile" ground truth.
 //!
-//! A [`SimTracer`] subscribes to the minilang interpreter's event stream and
+//! A [`SimTracer`] subscribes to the minilang VM's event stream and
 //! charges cycles per statement using an in-order approximation of the
 //! target core:
 //!

@@ -2,7 +2,7 @@
 //!
 //! The reproduction's substitute for the paper's *measured* baselines
 //! (native profilers plus hand-instrumented timers on BG/Q and Xeon,
-//! Section VI). The minilang interpreter executes the program for real; the
+//! Section VI). The fused minilang VM executes the program for real; the
 //! simulator consumes its operation and memory-address stream and charges
 //! cycles per source statement with:
 //!

@@ -325,7 +325,7 @@ fn combo_records(
     seed: u64,
 ) -> Result<Vec<CorpusRecord>, PipelineError> {
     let prog = ml::parse(&p.source)?;
-    let (prof, _, _) = ml::run_with_limits_seeded(&prog, inputs, ml::NullTracer, ml::Limits::default(), seed)?;
+    let prof = ml::profile_seeded(&prog, inputs, seed)?;
     let tr = ml::translate(&prog, &prof).map_err(PipelineError::Translate)?;
     let env = initial_env(&tr, inputs);
     let bet = xflow_bet::build(&tr.skeleton, &env)?;

@@ -1,9 +1,9 @@
 //! Incremental modeling sessions: key derivation and stage coordination
 //! over the concurrent [`ArtifactStore`].
 //!
-//! [`ModeledApp::from_source`] runs six stages — parse, profiled
-//! interpretation, translation, BET construction, projection-plan
-//! compilation, SoA-kernel compilation — and a co-design service replays
+//! [`ModeledApp::from_source`] runs six stages — parse, the profiled run
+//! (on the fused bytecode VM), translation, BET construction,
+//! projection-plan compilation, SoA-kernel compilation — and a co-design service replays
 //! that chain for every query even when the source and inputs are
 //! byte-identical to the last one. A [`Session`] turns each stage output
 //! into a cache-keyed artifact:
