@@ -7,8 +7,9 @@
 //! * `kernel_scratch` — the fast path: pre-resolved [`xflow_hw::MachineSpec`]
 //!   constants driven through [`xflow_hotspot::PlanKernel::evaluate_spec_into`]
 //!   with one warm [`xflow_hotspot::Scratch`] (zero allocations per point),
-//! * `kernel_batch` — [`xflow_hotspot::PlanKernel::evaluate_batch`], which
-//!   still materializes an owned `Projection` per point, and
+//! * `kernel_batch` — the scratch path plus
+//!   [`xflow_hotspot::Scratch::projection`], which materializes an owned
+//!   `Projection` per point, and
 //! * `spec_resolve` — the once-per-machine constant folding, to show it is
 //!   negligible against even a single evaluation.
 //!
@@ -63,7 +64,16 @@ fn bench_evaluate_kernel(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("kernel_batch", |b| b.iter(|| kernel.evaluate_batch(black_box(&specs)).len()));
+    g.bench_function("kernel_batch", |b| {
+        b.iter(|| {
+            let mut batch = Vec::with_capacity(specs.len());
+            for spec in &specs {
+                kernel.evaluate_spec_into(black_box(spec), &mut scratch);
+                batch.push(scratch.projection(&kernel));
+            }
+            batch.len()
+        })
+    });
 
     g.bench_function("spec_resolve", |b| {
         b.iter(|| {

@@ -1,7 +1,7 @@
 //! Batched SoA evaluation kernel benchmark: scalar plan evaluation vs the
 //! machine-specialized kernel (pre-resolved [`xflow_hw::MachineSpec`]
-//! constants + reusable [`xflow_hotspot::Scratch`] buffers) vs the batch
-//! entry point vs the columnar lane-vectorized batch
+//! constants + reusable [`xflow_hotspot::Scratch`] buffers) vs a batch that
+//! materializes one `Projection` per spec vs the columnar lane-vectorized batch
 //! ([`xflow_hotspot::PlanKernel::evaluate_columns`]), plus work-stealing
 //! sweep throughput on the same grid.
 //!
@@ -58,9 +58,21 @@ fn main() {
     let kernel = plan.kernel();
     let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
 
+    // the batch arm: one warm scratch across the specs, materializing an
+    // owned Projection per point
+    let evaluate_batch = |scratch: &mut xflow_hotspot::Scratch| -> Vec<xflow_hotspot::Projection> {
+        specs
+            .iter()
+            .map(|spec| {
+                kernel.evaluate_spec_into(spec, scratch);
+                scratch.projection(&kernel)
+            })
+            .collect()
+    };
+
     // correctness first: every kernel path must be bit-identical to the
     // scalar evaluator before any of its timings mean anything
-    let batch = kernel.evaluate_batch(&specs);
+    let batch = evaluate_batch(&mut kernel.make_scratch());
     let columns = kernel.evaluate_columns(&specs);
     let mut scratch = kernel.make_scratch();
     for (i, ((machine, spec), from_batch)) in machines.iter().zip(&specs).zip(&batch).enumerate() {
@@ -112,10 +124,10 @@ fn main() {
         }
     }) / n as f64;
 
-    // batch entry point: includes materializing a Projection per machine —
-    // the per-point overhead vs the kernel arm is pure materialization
+    // batch: includes materializing a Projection per machine — the
+    // per-point overhead vs the kernel arm is pure materialization
     let batch_point_s = time_n(reps, || {
-        std::hint::black_box(kernel.evaluate_batch(&specs).len());
+        std::hint::black_box(evaluate_batch(&mut kernel.make_scratch()).len());
     }) / n as f64;
     let batch_materialize_overhead_s = (batch_point_s - kernel_point_s).max(0.0);
 
@@ -131,7 +143,7 @@ fn main() {
 
     println!("scalar evaluate (per point):        {eval_point_s:>12.3e} s");
     println!("kernel + warm scratch (per point):  {kernel_point_s:>12.3e} s  ({speedup_kernel_vs_evaluate:.1}x)");
-    println!("evaluate_batch (per point):         {batch_point_s:>12.3e} s  ({speedup_batch_vs_evaluate:.1}x)");
+    println!("batch + Projection (per point):     {batch_point_s:>12.3e} s  ({speedup_batch_vs_evaluate:.1}x)");
     println!("  of which materialization:         {batch_materialize_overhead_s:>12.3e} s");
     println!("columnar SoA batch (per point):     {batch_soa_point_s:>12.3e} s  ({speedup_batch_soa_vs_evaluate:.1}x)");
 
@@ -146,7 +158,7 @@ fn main() {
         std::hint::black_box(space.sweep_opts(&app, SweepOptions::with_threads(sweep_threads)).points.len());
     });
     let sweep_points_per_sec = n as f64 / sweep_s;
-    println!("\nwork-stealing sweep ({sweep_threads} worker(s), {cores} core(s) available):");
+    println!("\nwork-stealing sweep (up to {sweep_threads} worker(s), {cores} core(s) available):");
     println!("{n}-point sweep:                      {sweep_s:>12.3e} s  ({sweep_points_per_sec:.0} points/sec)");
 
     #[derive(serde::Serialize)]

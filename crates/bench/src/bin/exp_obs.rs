@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::time::Instant;
-use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline};
+use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline, SweepOptions};
 use xflow_bench::opts;
 use xflow_hotspot::{NodeCost, Projection, ProjectionPlan, StmtCosts};
 use xflow_hw::{MachineModel, PerfModel};
@@ -108,12 +108,13 @@ fn main() {
     // sweep-level sanity: the public sweep path (noop) vs a traced sweep
     let sweep_noop_s = min_of_k(samples, passes.min(40) / 4 + 1, || {
         let space = DesignSpace::from_machines(machines.iter().cloned());
-        std::hint::black_box(space.sweep(&app, 1).points.len());
+        std::hint::black_box(space.sweep_opts(&app, SweepOptions::with_threads(1)).points.len());
     });
     let sweep_traced_s = min_of_k(samples, passes.min(40) / 4 + 1, || {
         let space = DesignSpace::from_machines(machines.iter().cloned());
         let rec = CollectingRecorder::new();
-        std::hint::black_box(space.sweep_observed(&app, &Roofline, 1, &rec).points.len());
+        let opts = SweepOptions { recorder: &rec, ..SweepOptions::with_threads(1) };
+        std::hint::black_box(space.sweep_opts(&app, opts).points.len());
     });
     println!("\nsweep, noop recorder:                   {sweep_noop_s:>12.3e} s");
     println!("sweep, collecting recorder:             {sweep_traced_s:>12.3e} s");

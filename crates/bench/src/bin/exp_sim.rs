@@ -437,9 +437,12 @@ fn main() {
         }
     }
     let validate_with_jobs = |jobs: usize| {
-        let reports = run_chunked(&combos, jobs, |_, (w, m)| {
-            xflow_validate::validate_workload(w, xflow::Scale::Test, m, libs, &vcfg).expect("validate")
-        });
+        let reports = run_chunked(
+            &combos,
+            jobs,
+            || (),
+            |_, _, (w, m)| xflow_validate::validate_workload(w, xflow::Scale::Test, m, libs, &vcfg).expect("validate"),
+        );
         assert!(reports.iter().all(|r| r.passed), "every validation combo must pass");
         reports.len()
     };

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::time::Instant;
-use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline};
+use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
 use xflow_bench::opts;
 use xflow_hotspot::{project_single_pass, ProjectionPlan};
 
@@ -105,7 +105,7 @@ fn main() {
             continue;
         }
         let dt = time_n(reps.min(10), || {
-            std::hint::black_box(big.sweep(&app, threads).points.len());
+            std::hint::black_box(big.sweep_opts(&app, SweepOptions::with_threads(threads)).points.len());
         });
         let pps = big.len() as f64 / dt;
         if base_pps == 0.0 {

@@ -56,11 +56,9 @@ pub(crate) struct SlotLayout {
     pub(crate) slot_of: Vec<u32>,
     /// Kernel block index → slot index ([`NO_SLOT`] for blocks that
     /// aggregate into no statement).
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) block_slot: Vec<u32>,
     /// Slot index of every predicted-participating statement, in
     /// first-touch order — the rows a predicted lane writes back.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) touched: Vec<u32>,
 }
 
@@ -351,8 +349,26 @@ pub struct ColumnsChunk {
 }
 
 impl ColumnsChunk {
-    pub(crate) fn zeroed(start: usize, len: usize, slots: usize) -> Self {
-        Self { start, len, slots, data: vec![0.0; len * 5 + len * slots * 4], flags: vec![false; len + len * slots] }
+    /// Zeroed chunk for the point range `range` of `cols`.
+    pub fn new(cols: &ProjectionColumns, range: std::ops::Range<usize>) -> Self {
+        let (len, slots) = (range.len(), cols.slot_count());
+        Self {
+            start: range.start,
+            len,
+            slots,
+            data: vec![0.0; len * 5 + len * slots * 4],
+            flags: vec![false; len + len * slots],
+        }
+    }
+
+    /// Fill point `i` (an index into `cols`, inside this chunk's range)
+    /// from a scratch holding a completed evaluation of `cols.specs()[i]`
+    /// through the kernel `cols` was built from — the scalar-oracle route
+    /// for rows evaluated one at a time (e.g. under a telemetry recorder).
+    pub fn fill_from_scratch(&mut self, cols: &ProjectionColumns, i: usize, scratch: &Scratch) {
+        assert!((self.start..self.start + self.len).contains(&i), "point {i} outside the chunk");
+        let r = i - self.start;
+        self.target().fill_from_scratch(r, &cols.layout.slot_of, scratch);
     }
 
     /// First point index of the range this chunk covers.
@@ -411,7 +427,6 @@ pub(crate) struct ColumnsLayout<'a> {
     pub(crate) maps: &'a SlotLayout,
     pub(crate) specs: &'a [MachineSpec],
     pub(crate) fingerprint: u64,
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) slots: usize,
 }
 
@@ -419,7 +434,6 @@ pub(crate) struct ColumnsLayout<'a> {
 /// directly (serial path) or a [`ColumnsChunk`]'s buffers (parallel
 /// path). Rows are relative to the target's own range.
 pub(crate) struct ColumnsTarget<'a> {
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     pub(crate) len: usize,
     pub(crate) slots: usize,
     pub(crate) total: &'a mut [f64],
@@ -437,8 +451,8 @@ pub(crate) struct ColumnsTarget<'a> {
 
 impl ColumnsTarget<'_> {
     /// Fill target-relative row `r` from a scratch holding a completed
-    /// scalar evaluation — the fill path for lane remainders, degenerate
-    /// machines, and `simd`-less builds. The block-level aggregates sum
+    /// scalar evaluation — the fill path for degenerate machines and
+    /// observed sweeps. The block-level aggregates sum
     /// the node costs in node order, which is bit-identical to the lane
     /// path's block-order accumulation because structural nodes carry
     /// exact zeros.

@@ -19,12 +19,11 @@
 //! block time computed by [`MachineSpec::block_time`] (itself bit-identical
 //! to `Roofline.project_block`), so every `f64` of the resulting
 //! [`Projection`] matches the scalar path to the bit. Models that cannot
-//! specialize evaluate through [`PlanKernel::evaluate_into`], which falls
-//! back to the virtual-dispatch loop over the retained [`BlockSummary`]
-//! rows — same arithmetic as the scalar path, still allocation-free warm.
+//! specialize have no kernel path; they evaluate through
+//! [`ProjectionPlan::evaluate`].
 
 use serde::{Deserialize, Serialize};
-use xflow_hw::{BlockMetrics, BlockSummary, MachineModel, MachineSpec, PerfModel};
+use xflow_hw::{BlockMetrics, BlockSummary, MachineSpec};
 use xflow_obs::{AttrValue, BlockProvenance, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
 
@@ -35,20 +34,17 @@ use crate::plan::ProjectionPlan;
 /// Column sentinel for "block aggregates into no statement".
 const NO_STMT: u32 = u32::MAX;
 
-/// Number of machines evaluated per pass by the columnar batch loop: 4
-/// with the `simd` feature (f64x4 lanes), 1 when the feature is off (the
-/// scalar per-point loop). Output bits are identical either way.
+/// Machines evaluated per pass by the columnar fill (f64x4 lanes).
+const LANES: usize = 4;
+
+/// Number of machines evaluated per pass by the columnar batch loop.
 pub fn lane_width() -> usize {
-    if cfg!(feature = "simd") {
-        4
-    } else {
-        1
-    }
+    LANES
 }
 
 /// Structure-of-arrays compilation of a [`ProjectionPlan`], built once and
-/// evaluated per machine via [`PlanKernel::evaluate_spec_into`] or
-/// [`PlanKernel::evaluate_batch`].
+/// evaluated per machine via [`PlanKernel::evaluate_spec_into`] or per
+/// batch via [`PlanKernel::evaluate_columns`].
 #[derive(Debug, Clone)]
 pub struct PlanKernel {
     /// BET arena index of each block (`PlanBlock::node`).
@@ -71,8 +67,8 @@ pub struct PlanKernel {
     thread_cap: Vec<f64>,
     /// Precomputed overlap fraction δ = 1 − 1/max(1, flops).
     delta: Vec<f64>,
-    /// Full block summaries, kept for the non-specialized fallback path
-    /// and for telemetry provenance (cold: not touched by the fast loop).
+    /// Full block summaries, kept for telemetry provenance (cold: not
+    /// touched by the fast loop).
     summaries: Vec<BlockSummary>,
     /// Metrics charged to the statement aggregate (cold).
     stmt_metrics: Vec<BlockMetrics>,
@@ -428,65 +424,10 @@ impl PlanKernel {
         warm
     }
 
-    /// Evaluate on one machine under any performance model, reusing
-    /// `scratch`. Dispatches to the specialized SoA loop when the model
-    /// provides a [`MachineSpec`], otherwise runs the virtual-dispatch
-    /// fallback over the retained summaries (same arithmetic and order as
-    /// [`ProjectionPlan::evaluate`]). Returns `true` when the specialized
-    /// path ran.
-    pub fn evaluate_into(&self, machine: &MachineModel, model: &dyn PerfModel, scratch: &mut Scratch) -> bool {
-        match model.specialize(machine) {
-            Some(spec) => {
-                self.evaluate_spec_into(&spec, scratch);
-                true
-            }
-            None => {
-                self.prime(scratch);
-                scratch.per_stmt.clear();
-                scratch.stmt_adopted = false;
-                let mut total_time = 0.0;
-                for i in 0..self.summaries.len() {
-                    let time = model.project_block(machine, &self.summaries[i]);
-                    let e = self.enr[i];
-                    let total = time.total * e;
-                    total_time += total;
-                    scratch.node_costs[self.node[i] as usize] = NodeCost { per_invocation: time, enr: e, total };
-                    let stmt = self.stmt[i];
-                    if stmt != NO_STMT && time.total > 0.0 {
-                        let s = scratch.per_stmt.entry_mut(StmtId(stmt));
-                        s.total += total;
-                        s.tc += time.tc * e;
-                        s.tm += time.tm * e;
-                        s.overlap += time.overlap * e;
-                        s.metrics.add_scaled(&self.stmt_metrics[i], e);
-                    }
-                }
-                scratch.total_time = total_time;
-                false
-            }
-        }
-    }
-
-    /// Evaluate the kernel on a batch of pre-resolved machines, reusing one
-    /// scratch across the whole batch (one allocation set total). Each
-    /// returned [`Projection`] is bit-identical to
-    /// [`ProjectionPlan::evaluate`] on the corresponding machine.
-    pub fn evaluate_batch(&self, specs: &[MachineSpec]) -> Vec<Projection> {
-        let mut scratch = self.make_scratch();
-        specs
-            .iter()
-            .map(|spec| {
-                self.evaluate_spec_into(spec, &mut scratch);
-                scratch.projection(self)
-            })
-            .collect()
-    }
-
     /// Columnar batch evaluation: evaluate every spec and return the dense
     /// [`ProjectionColumns`] arena — no per-point `Projection`
-    /// materialization. With the `simd` feature the machines are processed
-    /// in lanes of [`lane_width`] with a scalar remainder loop; every
-    /// stored value is bit-identical to the scalar evaluator either way.
+    /// materialization. Machines are processed in lanes of [`lane_width`];
+    /// every stored value is bit-identical to the scalar evaluator.
     pub fn evaluate_columns(&self, specs: &[MachineSpec]) -> ProjectionColumns {
         let mut cols = ProjectionColumns::new(self, specs.to_vec());
         let mut scratch = self.make_scratch();
@@ -504,20 +445,19 @@ impl PlanKernel {
     /// of work: workers share the read-only arena layout and each fills
     /// disjoint ranges with a private scratch.
     ///
-    /// With the `simd` feature, full groups of [`lane_width`] machines run
-    /// through the lane-packed [`xflow_hw::SpecLanes`] loop; the group
-    /// remainder — and any lane whose machine turns out degenerate
-    /// (observed block participation diverging from the prediction, e.g.
-    /// underflowed or infinite times) — replays through the scalar
-    /// [`PlanKernel::evaluate_spec_into`] path, which is the bit-exact
-    /// oracle by construction.
+    /// Groups of [`lane_width`] machines run through the lane-packed
+    /// [`xflow_hw::SpecLanes`] loop; any lane whose machine turns out
+    /// degenerate (observed block participation diverging from the
+    /// prediction, e.g. underflowed or infinite times) replays through the
+    /// scalar [`PlanKernel::evaluate_spec_into`] path, which is the
+    /// bit-exact oracle by construction.
     pub fn evaluate_columns_chunk(
         &self,
         cols: &ProjectionColumns,
         range: std::ops::Range<usize>,
         scratch: &mut Scratch,
     ) -> ColumnsChunk {
-        let mut chunk = ColumnsChunk::zeroed(range.start, range.len(), cols.slot_count());
+        let mut chunk = ColumnsChunk::new(cols, range.clone());
         let layout = cols.layout();
         let mut target = chunk.target();
         self.fill_columns(range.start, &layout, &mut target, scratch);
@@ -543,176 +483,166 @@ impl PlanKernel {
         let len = target.len;
         let mut rel = 0usize;
 
-        #[cfg(feature = "simd")]
-        {
-            const W: usize = 4;
-            let k = layout.slots;
-            /// Per-slot lane accumulator, fused so one slot touch hits one
-            /// contiguous struct instead of four scattered vectors.
-            #[derive(Clone, Copy)]
-            struct LaneAcc {
-                total: [f64; W],
-                tc: [f64; W],
-                tm: [f64; W],
-                ov: [f64; W],
-            }
-            // Lane accumulators. Never rezeroed between groups: the
-            // first-touch column assigns (not adds) each slot's first
-            // contribution, exactly like the scalar fast path, so stale
-            // lanes from the previous group are overwritten before they are
-            // read. Slots outside `pre_touched` are never written nor read.
-            let mut st = vec![LaneAcc { total: [0.0; W], tc: [0.0; W], tm: [0.0; W], ov: [0.0; W] }; k];
-            // slot index of every predicted-participating statement —
-            // writeback touches only these rows (the rest of the arena row
-            // is pre-zeroed)
-            let touched = &layout.maps.touched;
+        const W: usize = LANES;
+        let k = layout.slots;
+        /// Per-slot lane accumulator, fused so one slot touch hits one
+        /// contiguous struct instead of four scattered vectors.
+        #[derive(Clone, Copy)]
+        struct LaneAcc {
+            total: [f64; W],
+            tc: [f64; W],
+            tm: [f64; W],
+            ov: [f64; W],
+        }
+        // Lane accumulators. Never rezeroed between groups: the
+        // first-touch column assigns (not adds) each slot's first
+        // contribution, exactly like the scalar fast path, so stale
+        // lanes from the previous group are overwritten before they are
+        // read. Slots outside `pre_touched` are never written nor read.
+        let mut st = vec![LaneAcc { total: [0.0; W], tc: [0.0; W], tm: [0.0; W], ov: [0.0; W] }; k];
+        // slot index of every predicted-participating statement —
+        // writeback touches only these rows (the rest of the arena row
+        // is pre-zeroed)
+        let touched = &layout.maps.touched;
 
-            let n = self.node.len();
-            let stmt_col = &self.stmt[..n];
-            let (flops, iops) = (&self.flops[..n], &self.iops[..n]);
-            let (accesses, bytes) = (&self.accesses[..n], &self.bytes[..n]);
-            let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
-            let participates = &self.stmt_participates[..n];
-            let first_touch = &self.first_touch[..n];
-            let block_slot = &layout.maps.block_slot[..n];
+        let n = self.node.len();
+        let stmt_col = &self.stmt[..n];
+        let (flops, iops) = (&self.flops[..n], &self.iops[..n]);
+        let (accesses, bytes) = (&self.accesses[..n], &self.bytes[..n]);
+        let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
+        let participates = &self.stmt_participates[..n];
+        let first_touch = &self.first_touch[..n];
+        let block_slot = &layout.maps.block_slot[..n];
 
-            while rel < len {
-                // the tail group pads its trailing lanes with copies of the
-                // window's first spec: full lane arithmetic, writeback only
-                // of the `valid` real lanes — no scalar remainder loop, so
-                // the scratch stays cold unless a lane is degenerate
-                let valid = (len - rel).min(W);
-                let window = &layout.specs[start + rel..start + rel + valid];
-                let lanes = if valid == W {
-                    xflow_hw::SpecLanes::<W>::pack(window)
-                } else {
-                    let mut padded = [window[0]; W];
-                    padded[..valid].copy_from_slice(window);
-                    xflow_hw::SpecLanes::<W>::pack(&padded)
-                };
-                let mut acc_total = [0.0f64; W];
-                let mut acc_tc = [0.0f64; W];
-                let mut acc_tm = [0.0f64; W];
-                let mut acc_ov = [0.0f64; W];
-                let mut pred = [true; W];
+        while rel < len {
+            // the tail group pads its trailing lanes with copies of the
+            // window's first spec: full lane arithmetic, writeback only
+            // of the `valid` real lanes — no scalar remainder loop, so
+            // the scratch stays cold unless a lane is degenerate
+            let valid = (len - rel).min(W);
+            let window = &layout.specs[start + rel..start + rel + valid];
+            let lanes = if valid == W {
+                xflow_hw::SpecLanes::<W>::pack(window)
+            } else {
+                let mut padded = [window[0]; W];
+                padded[..valid].copy_from_slice(window);
+                xflow_hw::SpecLanes::<W>::pack(&padded)
+            };
+            let mut acc_total = [0.0f64; W];
+            let mut acc_tc = [0.0f64; W];
+            let mut acc_tm = [0.0f64; W];
+            let mut acc_ov = [0.0f64; W];
+            let mut pred = [true; W];
 
-                for i in 0..n {
-                    let t = lanes.block_time(flops[i], iops[i], accesses[i], bytes[i], thread_cap[i], delta[i]);
-                    let e = enr[i];
-                    for w in 0..W {
-                        acc_total[w] += t.total[w] * e;
-                    }
-                    for w in 0..W {
-                        acc_tc[w] += t.tc[w] * e;
-                    }
-                    for w in 0..W {
-                        acc_tm[w] += t.tm[w] * e;
-                    }
-                    for w in 0..W {
-                        acc_ov[w] += t.overlap[w] * e;
-                    }
-                    if stmt_col[i] != NO_STMT {
-                        let p = participates[i];
-                        let mut uniform = true;
-                        let mut active = [false; W];
-                        for w in 0..W {
-                            active[w] = t.total[w] > 0.0;
-                            uniform &= active[w] == p;
-                        }
-                        if uniform {
-                            // every lane matches the prediction: one branch
-                            // for the whole group, branch-free lane writes
-                            if p {
-                                let a = &mut st[block_slot[i] as usize];
-                                if first_touch[i] {
-                                    for w in 0..W {
-                                        a.total[w] = t.total[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.tc[w] = t.tc[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.tm[w] = t.tm[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.ov[w] = t.overlap[w] * e;
-                                    }
-                                } else {
-                                    for w in 0..W {
-                                        a.total[w] += t.total[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.tc[w] += t.tc[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.tm[w] += t.tm[w] * e;
-                                    }
-                                    for w in 0..W {
-                                        a.ov[w] += t.overlap[w] * e;
-                                    }
-                                }
-                            }
-                        } else {
-                            // some lane diverged from the prediction
-                            // (degenerate machine): fold the mismatch into
-                            // `pred` and keep the surviving lanes exact
-                            let a = &mut st[block_slot[i] as usize];
-                            for w in 0..W {
-                                pred[w] &= active[w] == p;
-                                if active[w] {
-                                    if first_touch[i] {
-                                        a.total[w] = t.total[w] * e;
-                                        a.tc[w] = t.tc[w] * e;
-                                        a.tm[w] = t.tm[w] * e;
-                                        a.ov[w] = t.overlap[w] * e;
-                                    } else {
-                                        a.total[w] += t.total[w] * e;
-                                        a.tc[w] += t.tc[w] * e;
-                                        a.tm[w] += t.tm[w] * e;
-                                        a.ov[w] += t.overlap[w] * e;
-                                    }
-                                }
-                            }
-                        }
-                    }
+            for i in 0..n {
+                let t = lanes.block_time(flops[i], iops[i], accesses[i], bytes[i], thread_cap[i], delta[i]);
+                let e = enr[i];
+                for w in 0..W {
+                    acc_total[w] += t.total[w] * e;
                 }
-
-                for w in 0..valid {
-                    let r = rel + w;
-                    if pred[w] {
-                        target.total[r] = acc_total[w];
-                        target.tc[r] = acc_tc[w];
-                        target.tm[r] = acc_tm[w];
-                        target.overlap[r] = acc_ov[w];
-                        target.delta[r] = crate::columns::achieved_delta(acc_tc[w], acc_tm[w], acc_ov[w]);
-                        target.memory_bound[r] = acc_tm[w] > acc_tc[w];
-                        // predicted participation held: presence is the
-                        // precomputed set, same as the scalar fast path
-                        let base = r * k;
-                        for &slot in touched {
-                            let s = slot as usize;
-                            let a = &st[s];
-                            target.stmt_total[base + s] = a.total[w];
-                            target.stmt_tc[base + s] = a.tc[w];
-                            target.stmt_tm[base + s] = a.tm[w];
-                            target.stmt_overlap[base + s] = a.ov[w];
-                            target.stmt_present[base + s] = true;
+                for w in 0..W {
+                    acc_tc[w] += t.tc[w] * e;
+                }
+                for w in 0..W {
+                    acc_tm[w] += t.tm[w] * e;
+                }
+                for w in 0..W {
+                    acc_ov[w] += t.overlap[w] * e;
+                }
+                if stmt_col[i] != NO_STMT {
+                    let p = participates[i];
+                    let mut uniform = true;
+                    let mut active = [false; W];
+                    for w in 0..W {
+                        active[w] = t.total[w] > 0.0;
+                        uniform &= active[w] == p;
+                    }
+                    if uniform {
+                        // every lane matches the prediction: one branch
+                        // for the whole group, branch-free lane writes
+                        if p {
+                            let a = &mut st[block_slot[i] as usize];
+                            if first_touch[i] {
+                                for w in 0..W {
+                                    a.total[w] = t.total[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.tc[w] = t.tc[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.tm[w] = t.tm[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.ov[w] = t.overlap[w] * e;
+                                }
+                            } else {
+                                for w in 0..W {
+                                    a.total[w] += t.total[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.tc[w] += t.tc[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.tm[w] += t.tm[w] * e;
+                                }
+                                for w in 0..W {
+                                    a.ov[w] += t.overlap[w] * e;
+                                }
+                            }
                         }
                     } else {
-                        // degenerate lane: replay through the scalar oracle
-                        self.evaluate_spec_into(&layout.specs[start + r], scratch);
-                        target.fill_from_scratch(r, &layout.maps.slot_of, scratch);
+                        // some lane diverged from the prediction
+                        // (degenerate machine): fold the mismatch into
+                        // `pred` and keep the surviving lanes exact
+                        let a = &mut st[block_slot[i] as usize];
+                        for w in 0..W {
+                            pred[w] &= active[w] == p;
+                            if active[w] {
+                                if first_touch[i] {
+                                    a.total[w] = t.total[w] * e;
+                                    a.tc[w] = t.tc[w] * e;
+                                    a.tm[w] = t.tm[w] * e;
+                                    a.ov[w] = t.overlap[w] * e;
+                                } else {
+                                    a.total[w] += t.total[w] * e;
+                                    a.tc[w] += t.tc[w] * e;
+                                    a.tm[w] += t.tm[w] * e;
+                                    a.ov[w] += t.overlap[w] * e;
+                                }
+                            }
+                        }
                     }
                 }
-                rel += valid;
             }
-        }
 
-        // scalar remainder (the whole target when `simd` is off)
-        while rel < len {
-            self.evaluate_spec_into(&layout.specs[start + rel], scratch);
-            target.fill_from_scratch(rel, &layout.maps.slot_of, scratch);
-            rel += 1;
+            for w in 0..valid {
+                let r = rel + w;
+                if pred[w] {
+                    target.total[r] = acc_total[w];
+                    target.tc[r] = acc_tc[w];
+                    target.tm[r] = acc_tm[w];
+                    target.overlap[r] = acc_ov[w];
+                    target.delta[r] = crate::columns::achieved_delta(acc_tc[w], acc_tm[w], acc_ov[w]);
+                    target.memory_bound[r] = acc_tm[w] > acc_tc[w];
+                    // predicted participation held: presence is the
+                    // precomputed set, same as the scalar fast path
+                    let base = r * k;
+                    for &slot in touched {
+                        let s = slot as usize;
+                        let a = &st[s];
+                        target.stmt_total[base + s] = a.total[w];
+                        target.stmt_tc[base + s] = a.tc[w];
+                        target.stmt_tm[base + s] = a.tm[w];
+                        target.stmt_overlap[base + s] = a.ov[w];
+                        target.stmt_present[base + s] = true;
+                    }
+                } else {
+                    // degenerate lane: replay through the scalar oracle
+                    self.evaluate_spec_into(&layout.specs[start + r], scratch);
+                    target.fill_from_scratch(r, &layout.maps.slot_of, scratch);
+                }
+            }
+            rel += valid;
         }
     }
 }
@@ -828,7 +758,7 @@ impl Scratch {
 mod tests {
     use super::*;
     use xflow_bet::{build, Bet};
-    use xflow_hw::{bgq, generic, knl, xeon, ClassicRoofline, LibraryRegistry, Roofline};
+    use xflow_hw::{bgq, generic, knl, xeon, ClassicRoofline, LibraryRegistry, PerfModel, Roofline};
     use xflow_skeleton::expr::env_from;
     use xflow_skeleton::parse;
 
@@ -905,29 +835,30 @@ func main() {
     }
 
     #[test]
-    fn evaluate_batch_matches_per_machine_evaluate() {
+    fn one_scratch_across_machines_matches_per_machine_evaluate() {
+        // one scratch across a batch of specs, one Projection per machine
         let bet = bet_for(SRC);
         let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
-        let machines = [bgq(), xeon(), knl(), generic()];
-        let specs: Vec<MachineSpec> = machines.iter().map(|m| Roofline.specialize(m).unwrap()).collect();
-        let batch = plan.kernel().evaluate_batch(&specs);
-        assert_eq!(batch.len(), machines.len());
-        for (projection, machine) in batch.iter().zip(&machines) {
-            assert_projection_bits(projection, &plan.evaluate(machine, &Roofline));
+        let kernel = plan.kernel();
+        let mut scratch = kernel.make_scratch();
+        for machine in [bgq(), xeon(), knl(), generic()] {
+            kernel.evaluate_spec_into(&Roofline.specialize(&machine).unwrap(), &mut scratch);
+            assert_projection_bits(&scratch.projection(&kernel), &plan.evaluate(&machine, &Roofline));
         }
     }
 
     #[test]
     fn fallback_path_matches_scalar_for_non_specializing_models() {
+        // a model without a spec has no kernel path: the plan's scalar
+        // evaluator is its only route, and it matches the single-pass
+        // reference bit for bit
         let bet = bet_for(SRC);
-        let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
-        let kernel = plan.kernel();
-        let mut scratch = kernel.make_scratch();
+        let libs = LibraryRegistry::with_defaults();
+        let plan = ProjectionPlan::new(&bet, &libs);
         for machine in [bgq(), generic()] {
-            assert!(!kernel.evaluate_into(&machine, &ClassicRoofline, &mut scratch));
-            assert_projection_bits(&scratch.projection(&kernel), &plan.evaluate(&machine, &ClassicRoofline));
-            assert!(kernel.evaluate_into(&machine, &Roofline, &mut scratch), "roofline takes the specialized path");
-            assert_projection_bits(&scratch.projection(&kernel), &plan.evaluate(&machine, &Roofline));
+            assert!(ClassicRoofline.specialize(&machine).is_none());
+            let reference = crate::project_single_pass(&bet, &machine, &ClassicRoofline, &libs);
+            assert_projection_bits(&plan.evaluate(&machine, &ClassicRoofline), &reference);
         }
     }
 
@@ -1087,7 +1018,7 @@ func main() {
             );
         }
         assert_eq!(cols.top_k(2).len(), 2);
-        assert_eq!(lane_width(), if cfg!(feature = "simd") { 4 } else { 1 });
+        assert_eq!(lane_width(), 4);
     }
 
     #[test]

@@ -265,26 +265,6 @@ impl ProjectionPlan {
     pub fn kernel(&self) -> crate::PlanKernel {
         crate::PlanKernel::new(self)
     }
-
-    /// Evaluate the plan on a batch of machines, sharing one kernel and
-    /// one scratch across the batch. Machines the model can
-    /// [`PerfModel::specialize`] for go through the SoA kernel; the rest
-    /// fall back to the scalar [`ProjectionPlan::evaluate`]. Every
-    /// projection is bit-identical to evaluating that machine alone.
-    pub fn evaluate_batch(&self, machines: &[MachineModel], model: &dyn PerfModel) -> Vec<Projection> {
-        let kernel = self.kernel();
-        let mut scratch = kernel.make_scratch();
-        machines
-            .iter()
-            .map(|machine| match model.specialize(machine) {
-                Some(spec) => {
-                    kernel.evaluate_spec_into(&spec, &mut scratch);
-                    scratch.projection(&kernel)
-                }
-                None => self.evaluate(machine, model),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use xflow::{generic, Axis, DesignSpace, ModeledApp, Scale};
+use xflow::{generic, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
 
 fn main() {
     let w = xflow_workloads::cfd();
@@ -29,7 +29,7 @@ fn main() {
 
     // one plan, 25 machines, all available worker threads
     let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&bw_points), Axis::mlp(&mlp_points)]);
-    let sweep = space.sweep(&app, 0);
+    let sweep = space.sweep_opts(&app, SweepOptions::default());
 
     println!("workload: {} — projected total seconds per design point", w.name);
     println!("(rows: GB/s per core; columns: memory-level parallelism)\n");

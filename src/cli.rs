@@ -112,7 +112,7 @@ struct Invocation {
     scale: Scale,
     seed: Option<u64>,
     axes: Vec<Axis>,
-    sweep_opts: SweepOptions,
+    sweep_opts: SweepOptions<'static>,
     /// `serve`: bind address.
     addr: Option<String>,
     /// Machines directory as given (the registry pre-scan also reads it).
@@ -463,7 +463,7 @@ fn run_validate(inv: &Invocation) -> Result<String, String> {
 }
 
 /// `validate --all`: every built-in workload × target machine, fanned over
-/// the oracle's work-stealing pool. One failed combo fails the whole run
+/// the shared work-stealing pool. One failed combo fails the whole run
 /// (→ exit code 1) with every report still rendered.
 fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
     let libs = xflow_validate::default_library();
@@ -479,9 +479,12 @@ fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<Stri
             combos.push((w, m));
         }
     }
-    let results = crate::oracle::run_chunked(&combos, inv.jobs, |_, &(w, m)| {
-        xflow_validate::validate_workload(w, inv.scale, m, libs, &cfg).map_err(|e| e.to_string())
-    });
+    let results = crate::run_chunked(
+        &combos,
+        inv.jobs,
+        || (),
+        |_, _, &(w, m)| xflow_validate::validate_workload(w, inv.scale, m, libs, &cfg).map_err(|e| e.to_string()),
+    );
     let mut out = String::new();
     let mut passed = 0usize;
     let mut failed = Vec::new();
@@ -903,7 +906,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             let app = modeled(inv, src, session_out)?;
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
             let sweep = match &inv.recorder {
-                Some(rec) => space.sweep_opts_observed(&app, &crate::Roofline, inv.sweep_opts, rec.as_ref()),
+                Some(rec) => space.sweep_opts(&app, SweepOptions { recorder: rec.as_ref(), ..inv.sweep_opts }),
                 None => space.sweep_opts(&app, inv.sweep_opts),
             };
             let mut out = format!("base machine: {}   points: {}\n\n", inv.machine.name, space.len());
@@ -986,7 +989,11 @@ fn main() {
 "#;
 
     fn with_demo_file(f: impl FnOnce(&str)) {
-        let dir = std::env::temp_dir().join(format!("xflow-cli-test-{}", std::process::id()));
+        // one directory per call: tests run in parallel and each removes
+        // its directory when done
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("xflow-cli-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("demo.ml");
         std::fs::write(&path, DEMO).unwrap();

@@ -52,6 +52,7 @@ pub mod explain;
 pub mod multirank;
 pub mod oracle;
 pub mod pipeline;
+mod pool;
 pub mod serve;
 pub mod session;
 pub mod store;
@@ -62,13 +63,14 @@ pub use compare::{compare, evaluate, Comparison};
 pub use explain::{explain, explain_observed, ChainStep, Explain, ExplainBlock, ExplainUnit};
 pub use multirank::{format_scaling, project_scaling, BspSpec, RankPoint, ScalingKind};
 pub use oracle::{
-    build_corpus, builtin_programs, dir_programs, generated_programs, run_chunked, Corpus, CorpusRecord, OracleOptions,
+    build_corpus, builtin_programs, dir_programs, generated_programs, Corpus, CorpusRecord, OracleOptions,
     OracleProgram,
 };
 pub use pipeline::{
     default_library, fold_projection, initial_env, lib_time_by_function, MachineProjection, Measured, ModeledApp,
     PipelineError,
 };
+pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
 pub use session::{default_session, CacheStats, Session, SessionConfig, StageKeys, StageStats};
 pub use store::{ArtifactStore, DiskCacheReport, StoreConfig};

@@ -3,8 +3,8 @@
 //! ROADMAP item 2 (learning corrections to the first-order projection
 //! model) needs a *corpus*: many `(analytic, simulated)` pairs per program
 //! block across programs, machines, and input scales. This module fans
-//! program × machine × scale combos over the same chunked work-stealing
-//! pool shape as [`crate::sweep`], caches every ground-truth
+//! program × machine × scale combos over the work-stealing pool
+//! [`run_chunked`] that design-space sweeps use, caches every ground-truth
 //! [`SimReport`](xflow_sim::SimReport) as a content-addressed stage in the
 //! [`ArtifactStore`](crate::ArtifactStore) (via [`Session::sim_report`], so
 //! a re-run with a `--cache-dir` pays zero simulation), and emits a
@@ -29,9 +29,7 @@
 //! which are exactly the features a learned correction model consumes.
 
 use std::collections::HashMap;
-use std::panic::resume_unwind;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use xflow_hotspot::ProjectionPlan;
@@ -42,70 +40,8 @@ use xflow_skeleton as sk;
 use xflow_workloads::{Scale, Workload};
 
 use crate::pipeline::{default_library, initial_env, PipelineError};
+use crate::pool::run_chunked;
 use crate::session::Session;
-
-// ---------------------------------------------------------------------------
-// Work-stealing pool
-// ---------------------------------------------------------------------------
-
-/// Run `f` over every item on a chunked work-stealing pool and return the
-/// results in item order (scheduling-independent, like
-/// [`DesignSpace::sweep`](crate::DesignSpace::sweep)): workers claim
-/// contiguous chunks from a shared atomic cursor and results merge back by
-/// index. `jobs = 0` uses the host's available parallelism; `1` runs
-/// serially on the calling thread. Worker panics are re-raised intact.
-pub fn run_chunked<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = match jobs {
-        0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-        t => t,
-    }
-    .min(n);
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let chunk = (n / (threads * 4)).clamp(1, 64);
-    let n_chunks = n.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let scope_result = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|_| {
-                    let mut out = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let hi = ((c + 1) * chunk).min(n);
-                        for (i, item) in items.iter().enumerate().take(hi).skip(c * chunk) {
-                            out.push((i, f(i, item)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload))).collect::<Vec<Vec<_>>>()
-    });
-    let per_worker = match scope_result {
-        Ok(v) => v,
-        Err(payload) => resume_unwind(payload),
-    };
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|r| r.expect("chunked task not executed")).collect()
-}
 
 // ---------------------------------------------------------------------------
 // Oracle inputs
@@ -296,9 +232,12 @@ pub fn build_corpus(
         }
     }
 
-    let results = run_chunked(&combos, opts.jobs, |_, &(p, m, label, inputs)| {
-        combo_records(session, p, m, label, inputs, opts.seed)
-    });
+    let results = run_chunked(
+        &combos,
+        opts.jobs,
+        || (),
+        |_, _, &(p, m, label, inputs)| combo_records(session, p, m, label, inputs, opts.seed),
+    );
     let mut records = Vec::new();
     for r in results {
         records.extend(r?);
@@ -405,12 +344,12 @@ mod tests {
     #[test]
     fn run_chunked_preserves_item_order_and_scales() {
         let items: Vec<usize> = (0..137).collect();
-        let serial = run_chunked(&items, 1, |i, &x| (i, x * 2));
+        let serial = run_chunked(&items, 1, || (), |_, i, &x| (i, x * 2));
         for jobs in [0, 2, 3, 8] {
-            let par = run_chunked(&items, jobs, |i, &x| (i, x * 2));
+            let par = run_chunked(&items, jobs, || (), |_, i, &x| (i, x * 2));
             assert_eq!(par, serial, "jobs={jobs}");
         }
-        assert!(run_chunked::<usize, usize, _>(&[], 4, |_, &x| x).is_empty());
+        assert!(run_chunked(&[] as &[usize], 4, || (), |_, _, &x| x).is_empty());
     }
 
     #[test]

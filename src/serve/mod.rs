@@ -20,4 +20,4 @@ pub mod server;
 pub use protocol::{
     AxisSpec, ErrorBody, HealthBody, ProjectResponse, ProjectUnit, SweepPointBody, SweepResponse, WorkloadRequest,
 };
-pub use server::{render_prometheus, RunningServer, ServeConfig, Server};
+pub use server::{render_prometheus, RunningServer, ServeConfig, Server, MAX_SWEEP_POINTS};

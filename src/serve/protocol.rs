@@ -129,6 +129,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        422 => "Unprocessable Entity",
         500 => "Internal Server Error",
         _ => "Unknown",
     }

@@ -42,6 +42,11 @@ use super::protocol::{
     SweepResponse, WorkloadRequest,
 };
 
+/// Most design-space points one `/v1/sweep` request may ask for (the
+/// product of its axis value counts); larger grids get a 422 before any
+/// machine is built.
+pub const MAX_SWEEP_POINTS: usize = 16_384;
+
 /// Configuration for [`Server::bind`].
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
@@ -442,6 +447,11 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
     };
     if r.axes.is_empty() {
         return HttpResponse::error(400, "sweep needs at least one axis: {\"axes\":[{\"name\":...,\"values\":[...]}]}");
+    }
+    let points = r.axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len()));
+    if points.is_none_or(|n| n > MAX_SWEEP_POINTS) {
+        let asked = points.map_or_else(|| "more than usize::MAX".to_string(), |n| n.to_string());
+        return HttpResponse::error(422, &format!("sweep asks for {asked} points; the limit is {MAX_SWEEP_POINTS}"));
     }
     let app = match model(inner, &r) {
         Ok(app) => app,

@@ -9,35 +9,35 @@
 //!
 //! [`DesignSpace`] enumerates the candidate machines (an explicit list via
 //! [`DesignSpace::from_machines`], or the cartesian product of parameter
-//! [`Axis`] values via [`DesignSpace::grid`]); [`DesignSpace::sweep`] fans
-//! the points across a scoped worker pool and returns a [`Sweep`] holding
-//! one lightweight [`SweepPoint`] summary per point plus the columnar
+//! [`Axis`] values via [`DesignSpace::grid`]); [`DesignSpace::sweep_opts`]
+//! fans the points across the shared work-stealing pool
+//! ([`run_chunked`]) and returns a [`Sweep`] holding one lightweight
+//! [`SweepPoint`] summary per point plus the columnar
 //! [`ProjectionColumns`] arena behind them.
 //!
-//! Sweep output is **columnar**: when the model specializes (the default
-//! roofline always does) the engine never materializes a per-point
-//! [`Projection`](xflow_hotspot::Projection). Workers fill disjoint ranges
-//! of one structure-of-arrays arena through the lane-vectorized
+//! Sweep output is **columnar**: the engine never materializes a per-point
+//! [`Projection`](xflow_hotspot::Projection). Workers fill disjoint point
+//! ranges of one structure-of-arrays arena through the lane-vectorized
 //! [`xflow_hotspot::PlanKernel::evaluate_columns_chunk`] — total time,
 //! block Tc/Tm/To, achieved δ, and the dense per-statement cost matrix as
 //! columns. A full projection is *hydrated* on demand with
-//! [`Sweep::hydrate`] only when a caller drills into one point. Models
-//! that do not specialize (ablations, custom [`PerfModel`]s) and sweeps
-//! under an enabled telemetry recorder take the legacy per-point path,
-//! with identical arithmetic.
+//! [`Sweep::hydrate`] only when a caller drills into one point. Under an
+//! enabled telemetry recorder the rows are filled one at a time through
+//! the kernel's scalar oracle instead, which emits per-point spans and
+//! block provenance; the arena's bits are the same either way.
 //!
-//! Scheduling is a chunked work-stealing queue: workers claim contiguous
-//! chunks of grid points from a shared atomic cursor, each with a
-//! per-thread [`xflow_hotspot::Scratch`]. Grid traversal is row-major
-//! (last axis fastest), so adjacent points within a chunk differ in one
-//! axis. Results are deterministic and independent of the worker-thread
+//! Scheduling: the points split into contiguous chunks (64 points unless
+//! [`SweepOptions::chunk`] says otherwise) that workers claim from a
+//! shared atomic cursor, each worker keeping one warm
+//! [`xflow_hotspot::Scratch`]. No more workers run than there are chunks,
+//! and a single worker stays on the calling thread. Grid traversal is
+//! row-major (last axis fastest), so adjacent points within a chunk differ
+//! in one axis. Results are deterministic and independent of the thread
 //! count and the chunk size: chunks install into the arena at their point
-//! range, and the lane kernel is bit-identical to the scalar evaluator, so
-//! the output never depends on scheduling. Tune both knobs with
-//! [`SweepOptions`] via [`DesignSpace::sweep_opts`].
+//! range, and the lane kernel is bit-identical to the scalar evaluator.
 //!
 //! ```
-//! use xflow::{bgq, Axis, DesignSpace, ModeledApp, Scale};
+//! use xflow::{bgq, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
 //!
 //! let w = xflow::xflow_workloads::cfd();
 //! let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
@@ -48,7 +48,7 @@
 //!         Axis::new("mlp", &[2.0, 4.0], |m, v| m.mlp = v),
 //!     ],
 //! );
-//! let sweep = space.sweep(&app, 2);
+//! let sweep = space.sweep_opts(&app, SweepOptions::with_threads(2));
 //! assert_eq!(sweep.points.len(), 4);
 //! let best = sweep.best().unwrap();
 //! assert!(best.total <= sweep.points[0].total);
@@ -58,32 +58,43 @@
 //! ```
 
 use crate::pipeline::{fold_projection, MachineProjection, ModeledApp};
+use crate::pool::{run_chunked, workers};
 use crate::units::Units;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use xflow_hotspot::{ProjectionColumns, Scratch, SlotCost};
-use xflow_hw::{MachineModel, MachineSpec, PerfModel, Roofline};
+use xflow_hotspot::{ColumnsChunk, ProjectionColumns, SlotCost};
+use xflow_hw::{MachineModel, MachineSpec};
 use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
 
-/// Scheduling knobs for a design-space sweep.
+/// Points per work-stealing chunk when [`SweepOptions::chunk`] is `0`.
+const AUTO_CHUNK: usize = 64;
+
+/// Knobs for a design-space sweep: scheduling and telemetry.
 ///
-/// Both default to `0` = automatic: the thread count follows the host's
-/// available parallelism (clamped to the point count) and the chunk size
-/// targets ~4 chunks per worker (clamped to 1..=64) so stealing stays
-/// cheap without starving the queue.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepOptions {
+/// `threads = 0` follows the host's available parallelism and `chunk = 0`
+/// claims 64 points at a time; a sweep never runs more workers than it has
+/// chunks. The recorder defaults to [`NoopRecorder`].
+#[derive(Clone, Copy)]
+pub struct SweepOptions<'a> {
     /// Worker threads; `0` = available parallelism, `1` = serial.
     pub threads: usize,
     /// Points per work-stealing chunk; `0` = automatic.
     pub chunk: usize,
+    /// Telemetry sink. When enabled, every point emits a `sweep.point`
+    /// span and the kernel's per-block provenance.
+    pub recorder: &'a dyn Recorder,
 }
 
-impl SweepOptions {
-    /// Options with an explicit thread count and automatic chunking.
+impl SweepOptions<'_> {
+    /// Options with an explicit thread count, automatic chunking and no
+    /// telemetry.
     pub fn with_threads(threads: usize) -> Self {
-        Self { threads, chunk: 0 }
+        Self { threads, chunk: 0, recorder: &NoopRecorder }
+    }
+}
+
+impl Default for SweepOptions<'_> {
+    fn default() -> Self {
+        Self::with_threads(0)
     }
 }
 
@@ -211,166 +222,28 @@ impl DesignSpace {
         self.machines.is_empty()
     }
 
-    /// Sweep with the extended roofline model and the app's cached plan.
+    /// Project `app` on every point with the extended roofline model.
     ///
-    /// `threads = 0` uses the machine's available parallelism; `1` runs
-    /// serially. Output is identical for every thread count.
-    pub fn sweep(&self, app: &ModeledApp, threads: usize) -> Sweep {
-        self.sweep_with(app, &Roofline, threads)
-    }
-
-    /// Model `src` through a [`Session`](crate::Session) and sweep the
-    /// result — the repeated-query shape of a co-design service: the second
-    /// sweep of the same source + inputs reuses every cached stage artifact
-    /// and pays only the per-point roofline evaluations.
-    pub fn sweep_source(
-        &self,
-        session: &crate::Session,
-        src: &str,
-        inputs: &xflow_minilang::InputSpec,
-        threads: usize,
-    ) -> Result<Sweep, crate::PipelineError> {
-        let app = session.model(src, inputs)?;
-        Ok(self.sweep(&app, threads))
-    }
-
-    /// Sweep with an explicit (thread-safe) performance model.
-    pub fn sweep_with(&self, app: &ModeledApp, model: &(dyn PerfModel + Sync), threads: usize) -> Sweep {
-        self.sweep_observed(app, model, threads, &NoopRecorder)
-    }
-
-    /// Sweep with explicit scheduling knobs (thread count and
-    /// work-stealing chunk size) and the extended roofline model.
-    pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions) -> Sweep {
-        self.sweep_opts_observed(app, &Roofline, opts, &NoopRecorder)
-    }
-
-    /// [`DesignSpace::sweep_with`] under a telemetry recorder, with
-    /// automatic chunking.
-    pub fn sweep_observed<R: Recorder + Sync + ?Sized>(
-        &self,
-        app: &ModeledApp,
-        model: &(dyn PerfModel + Sync),
-        threads: usize,
-        rec: &R,
-    ) -> Sweep {
-        self.sweep_opts_observed(app, model, SweepOptions::with_threads(threads), rec)
-    }
-
-    /// The sweep engine: chunked work-stealing over the points, per-thread
-    /// scratch buffers, columnar SoA output when the model specializes.
-    ///
-    /// Identical arithmetic for every knob setting — the plain entry
-    /// points delegate here. Two paths share the chunked scheduler:
-    ///
-    /// * **Columnar** (no telemetry requested and every machine yields a
-    ///   [`MachineSpec`] via [`PerfModel::specialize`]): workers fill
-    ///   disjoint ranges of one [`ProjectionColumns`] arena through the
-    ///   lane-vectorized
-    ///   [`evaluate_columns_chunk`](xflow_hotspot::PlanKernel::evaluate_columns_chunk)
-    ///   — 4 machines per pass with the `simd` feature — and no per-point
-    ///   [`Projection`](xflow_hotspot::Projection) is ever materialized.
-    ///   Point summaries fold the arena's dense statement rows into units.
-    /// * **Legacy** (non-specializing models, or an enabled [`Recorder`]):
-    ///   the per-point scalar path, with a `sweep` span, per-point
-    ///   `sweep.point` spans carrying index and machine name (for grid
-    ///   spaces the name embeds the point's full `axis=value`
-    ///   coordinates), and three counters: `sweep.points` once per
-    ///   completed point (hook an [`xflow_obs::ProgressTicker`] on it for
-    ///   a live ticker), `sweep.steals` once per chunk a worker claims
-    ///   beyond its first, and `sweep.scratch_reuse` once per point
-    ///   evaluated into an already-warm scratch. A point that panics is
-    ///   re-raised with its index and coordinates prepended, so a failed
-    ///   point names its `(axis=value, …)` binding.
-    ///
-    /// Results merge back into point order (chunks install at their point
-    /// range), so the output is independent of the thread count and chunk
-    /// size — and of which path ran (enforced by `to_bits` tests).
-    pub fn sweep_opts_observed<R: Recorder + Sync + ?Sized>(
-        &self,
-        app: &ModeledApp,
-        model: &(dyn PerfModel + Sync),
-        opts: SweepOptions,
-        rec: &R,
-    ) -> Sweep {
-        let plan = app.plan();
+    /// Every sweep fills the columnar arena; output is `to_bits`-identical
+    /// for every thread count, chunk size and recorder. With an enabled
+    /// recorder the sweep emits a `sweep` span (`points`, `threads` and
+    /// `chunk` attrs), one `sweep.point` span per point carrying its index
+    /// and machine name (for grid spaces the name embeds the point's full
+    /// `axis=value` coordinates) around the kernel's `kernel.evaluate` span
+    /// and block provenance, and three counters: `sweep.points` once per
+    /// completed point (hook an [`xflow_obs::ProgressTicker`] on it for a
+    /// live ticker), `sweep.steals` once per chunk a worker claims beyond
+    /// its first, and `sweep.scratch_reuse` once per point evaluated into
+    /// an already-warm scratch.
+    pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions<'_>) -> Sweep {
         let kernel = app.kernel();
-        let units = &app.units;
+        let rec = opts.recorder;
         let n = self.machines.len();
-        let threads = match opts.threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            t => t,
-        }
-        .min(n.max(1));
-        let chunk = match opts.chunk {
-            0 => (n / (threads * 4)).clamp(1, 64),
-            c => c,
-        };
+        let chunk = if opts.chunk == 0 { AUTO_CHUNK } else { opts.chunk };
+        let ranges: Vec<std::ops::Range<usize>> = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n)).collect();
+        let threads = workers(opts.threads, ranges.len());
+        let mut cols = ProjectionColumns::new(kernel, self.machines.iter().map(MachineSpec::resolve).collect());
 
-        // Columnar fast path: fill one SoA arena, no per-point Projection.
-        if !rec.enabled() {
-            let specs: Option<Vec<MachineSpec>> = self.machines.iter().map(|m| model.specialize(m)).collect();
-            if let Some(specs) = specs {
-                let mut cols = ProjectionColumns::new(kernel, specs);
-                if threads <= 1 {
-                    let mut scratch = kernel.make_scratch();
-                    let filled = kernel.evaluate_columns_chunk(&cols, 0..n, &mut scratch);
-                    cols.install(filled);
-                } else {
-                    let n_chunks = n.div_ceil(chunk);
-                    let cursor = AtomicUsize::new(0);
-                    let scope_result = crossbeam::thread::scope(|s| {
-                        let handles: Vec<_> = (0..threads)
-                            .map(|_| {
-                                s.spawn(|_| {
-                                    let mut scratch = kernel.make_scratch();
-                                    let mut out = Vec::new();
-                                    loop {
-                                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                        if c >= n_chunks {
-                                            break;
-                                        }
-                                        let lo = c * chunk;
-                                        let hi = ((c + 1) * chunk).min(n);
-                                        out.push(kernel.evaluate_columns_chunk(&cols, lo..hi, &mut scratch));
-                                    }
-                                    out
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                            .collect::<Vec<Vec<_>>>()
-                    });
-                    let per_worker = match scope_result {
-                        Ok(v) => v,
-                        Err(payload) => resume_unwind(payload),
-                    };
-                    // install in any order: chunks cover disjoint ranges
-                    for filled in per_worker.into_iter().flatten() {
-                        cols.install(filled);
-                    }
-                }
-                rec.add("sweep.points", n as u64);
-                let fold = UnitFold::new(units, &cols);
-                let points = (0..n)
-                    .map(|i| {
-                        let (top_unit, memory_bound) = fold.summarize(cols.stmt_row(i));
-                        SweepPoint {
-                            index: i,
-                            machine: self.machines[i].name.clone(),
-                            total: cols.total(i),
-                            top_unit,
-                            memory_bound,
-                        }
-                    })
-                    .collect();
-                return Sweep { points, machines: self.machines.clone(), columns: Some(cols), fallback: None, fold };
-            }
-        }
-
-        // Legacy per-point path: full telemetry, eager projections.
         let sweep_span = if rec.enabled() {
             rec.span_start(
                 "sweep",
@@ -383,122 +256,57 @@ impl DesignSpace {
         } else {
             SpanId::NONE
         };
-
-        let eval = |i: usize, scratch: &mut Scratch| -> (SweepPoint, MachineProjection) {
-            let machine = &self.machines[i];
-            let span = if rec.enabled() {
-                rec.span_start(
-                    "sweep.point",
-                    &[("index", AttrValue::U64(i as u64)), ("machine", AttrValue::Str(&machine.name))],
-                )
-            } else {
-                SpanId::NONE
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let projection = match model.specialize(machine) {
-                    Some(spec) => {
-                        let warm = kernel.evaluate_spec_observed_into(&spec, scratch, rec);
-                        if warm {
-                            rec.add("sweep.scratch_reuse", 1);
-                        }
-                        scratch.projection(kernel)
+        let chunks = run_chunked(
+            &ranges,
+            threads,
+            || (kernel.make_scratch(), 0usize),
+            |(scratch, claimed), _, range| {
+                if !rec.enabled() {
+                    return kernel.evaluate_columns_chunk(&cols, range.clone(), scratch);
+                }
+                *claimed += 1;
+                // a lone worker steals from no one
+                if threads > 1 && *claimed > 1 {
+                    rec.add("sweep.steals", 1);
+                }
+                let mut filled = ColumnsChunk::new(&cols, range.clone());
+                for i in range.clone() {
+                    let span = rec.span_start(
+                        "sweep.point",
+                        &[("index", AttrValue::U64(i as u64)), ("machine", AttrValue::Str(&self.machines[i].name))],
+                    );
+                    if kernel.evaluate_spec_observed_into(&cols.specs()[i], scratch, rec) {
+                        rec.add("sweep.scratch_reuse", 1);
                     }
-                    None => plan.evaluate_observed(machine, model, rec),
-                };
-                summarize(i, fold_projection(units, machine, projection))
-            }));
-            match result {
-                Ok(point) => {
-                    if rec.enabled() {
-                        rec.span_end(span, &[("outcome", AttrValue::Str("ok"))]);
-                    }
+                    filled.fill_from_scratch(&cols, i, scratch);
+                    rec.span_end(span, &[("outcome", AttrValue::Str("ok"))]);
                     rec.add("sweep.points", 1);
-                    point
                 }
-                Err(payload) => {
-                    if rec.enabled() {
-                        rec.span_end(span, &[("outcome", AttrValue::Str("panic"))]);
-                    }
-                    panic!("sweep point {i} ({}) failed: {}", machine.name, panic_message(payload.as_ref()));
-                }
-            }
-        };
-
-        let pairs: Vec<(SweepPoint, MachineProjection)> = if threads <= 1 {
-            let mut scratch = kernel.make_scratch();
-            (0..n).map(|i| eval(i, &mut scratch)).collect()
-        } else {
-            let n_chunks = n.div_ceil(chunk);
-            let cursor = AtomicUsize::new(0);
-            let scope_result = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|_| {
-                            let mut scratch = kernel.make_scratch();
-                            let mut out = Vec::new();
-                            let mut claimed = 0usize;
-                            loop {
-                                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                if c >= n_chunks {
-                                    break;
-                                }
-                                claimed += 1;
-                                if claimed > 1 {
-                                    rec.add("sweep.steals", 1);
-                                }
-                                for i in c * chunk..((c + 1) * chunk).min(n) {
-                                    out.push((i, eval(i, &mut scratch)));
-                                }
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                // re-raise a worker's panic payload intact, so the enriched
-                // per-point message (index + axis=value coordinates) survives
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                    .collect::<Vec<Vec<(usize, (SweepPoint, MachineProjection))>>>()
-            });
-            let per_worker = match scope_result {
-                Ok(v) => v,
-                Err(payload) => resume_unwind(payload),
-            };
-
-            // merge into point order so results are scheduling-independent
-            let mut slots: Vec<Option<(SweepPoint, MachineProjection)>> = (0..n).map(|_| None).collect();
-            for (i, p) in per_worker.into_iter().flatten() {
-                slots[i] = Some(p);
-            }
-            slots.into_iter().map(|p| p.expect("sweep point not evaluated")).collect()
-        };
-
+                filled
+            },
+        );
+        for filled in chunks {
+            cols.install(filled);
+        }
         if rec.enabled() {
             rec.span_end(sweep_span, &[("outcome", AttrValue::Str("ok"))]);
         }
-        let (points, mps): (Vec<SweepPoint>, Vec<MachineProjection>) = pairs.into_iter().unzip();
-        Sweep { points, machines: self.machines.clone(), columns: None, fallback: Some(mps), fold: UnitFold::empty() }
-    }
-}
 
-/// Best-effort text of a panic payload (`&str` and `String` payloads; the
-/// common cases from `panic!` and `assert!`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
+        let fold = UnitFold::new(&app.units, &cols);
+        let points = (0..n)
+            .map(|i| {
+                let (top_unit, memory_bound) = fold.summarize(cols.stmt_row(i));
+                SweepPoint {
+                    index: i,
+                    machine: self.machines[i].name.clone(),
+                    total: cols.total(i),
+                    top_unit,
+                    memory_bound,
+                }
+            })
+            .collect();
+        Sweep { points, machines: self.machines.clone(), columns: cols, fold }
     }
-}
-
-fn summarize(index: usize, mp: MachineProjection) -> (SweepPoint, MachineProjection) {
-    let top_unit = mp.ranking().first().copied();
-    let memory_bound = top_unit.and_then(|u| mp.unit_breakdown.get(&u)).map(|b| b.tm > b.tc).unwrap_or(false);
-    let point = SweepPoint { index, machine: mp.machine.name.clone(), total: mp.total, top_unit, memory_bound };
-    (point, mp)
 }
 
 /// Compact statement-slot → unit fold layout for columnar sweeps.
@@ -508,7 +316,7 @@ fn summarize(index: usize, mp: MachineProjection) -> (SweepPoint, MachineProject
 /// appearance over the ascending statement slots rather than densely by
 /// id. Folding a dense row accumulates slot costs in ascending-statement
 /// order — the same order [`fold_projection`] visits the per-statement
-/// table, so the per-unit sums are bit-identical to the eager path's.
+/// table, so the per-unit sums are bit-identical to a hydrated point's.
 struct UnitFold {
     unit_ids: Vec<StmtId>,
     slot_unit: Vec<u32>,
@@ -527,10 +335,6 @@ impl UnitFold {
             slot_unit.push(idx as u32);
         }
         Self { unit_ids, slot_unit }
-    }
-
-    fn empty() -> Self {
-        Self { unit_ids: Vec::new(), slot_unit: Vec::new() }
     }
 
     /// Fold one dense statement row into `(top unit, top unit is
@@ -623,14 +427,12 @@ pub struct SweepDelta {
 }
 
 /// Result of sweeping a design space: lightweight per-point summaries in
-/// point order, backed by either the columnar arena (specializing models)
-/// or eagerly folded projections (legacy path).
+/// point order, backed by the columnar arena.
 pub struct Sweep {
     /// One entry per design-space point, in point order.
     pub points: Vec<SweepPoint>,
     machines: Vec<MachineModel>,
-    columns: Option<ProjectionColumns>,
-    fallback: Option<Vec<MachineProjection>>,
+    columns: ProjectionColumns,
     fold: UnitFold,
 }
 
@@ -662,35 +464,23 @@ impl Sweep {
         &self.machines
     }
 
-    /// The columnar result arena, when the sweep ran the columnar path
-    /// (specializing model, no telemetry).
-    pub fn columns(&self) -> Option<&ProjectionColumns> {
-        self.columns.as_ref()
+    /// The columnar result arena.
+    pub fn columns(&self) -> &ProjectionColumns {
+        &self.columns
     }
 
-    /// Materialize the full per-machine projection of one point.
-    ///
-    /// Columnar sweeps re-evaluate the point's stored spec through the
-    /// app's kernel (bit-identical to what the eager path would have
-    /// stored); legacy sweeps re-fold their retained projection. `app`
-    /// must be the application the sweep was run on.
+    /// Materialize the full per-machine projection of one point by
+    /// re-evaluating its stored spec through the app's kernel
+    /// (bit-identical to [`ModeledApp::project_on`]). `app` must be the
+    /// application the sweep was run on.
     pub fn hydrate(&self, app: &ModeledApp, i: usize) -> MachineProjection {
-        match &self.columns {
-            Some(cols) => fold_projection(&app.units, &self.machines[i], cols.hydrate(app.kernel(), i)),
-            None => {
-                let mp = &self.fallback.as_ref().expect("sweep holds no results")[i];
-                fold_projection(&app.units, &self.machines[i], mp.projection.clone())
-            }
-        }
+        fold_projection(&app.units, &self.machines[i], self.columns.hydrate(app.kernel(), i))
     }
 
     /// Unit ranking of one point (time desc, id asc) without hydrating its
     /// projection.
     pub fn unit_ranking(&self, i: usize) -> Vec<StmtId> {
-        match &self.columns {
-            Some(cols) => self.fold.ranking(cols.stmt_row(i)),
-            None => self.fallback.as_ref().expect("sweep holds no results")[i].ranking(),
-        }
+        self.fold.ranking(self.columns.stmt_row(i))
     }
 
     /// Per-point deltas against the baseline (point 0): speedup, hot-spot
@@ -788,9 +578,9 @@ mod tests {
     fn sweep_results_independent_of_thread_count() {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
-        let serial = space.sweep(&app, 1);
+        let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         for threads in [2, 4, 8] {
-            let par = space.sweep(&app, threads);
+            let par = space.sweep_opts(&app, SweepOptions::with_threads(threads));
             assert_eq!(par.points.len(), serial.points.len());
             for (a, b) in par.points.iter().zip(&serial.points) {
                 assert_eq!(a.index, b.index);
@@ -805,9 +595,9 @@ mod tests {
     fn sweep_results_independent_of_chunk_size() {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
-        let serial = space.sweep(&app, 1);
+        let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         for (threads, chunk) in [(2, 1), (2, 3), (4, 2), (3, 64), (1, 2), (2, 7)] {
-            let par = space.sweep_opts(&app, SweepOptions { threads, chunk });
+            let par = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });
             assert_eq!(par.points.len(), serial.points.len());
             for (a, b) in par.points.iter().zip(&serial.points) {
                 assert_eq!(a.index, b.index);
@@ -821,8 +611,8 @@ mod tests {
     fn plain_sweep_is_columnar_and_matches_project_on() {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
-        let sweep = space.sweep(&app, 2);
-        let cols = sweep.columns().expect("roofline sweep should take the columnar path");
+        let sweep = space.sweep_opts(&app, SweepOptions::with_threads(2));
+        let cols = sweep.columns();
         assert_eq!(cols.points(), 6);
         for (i, machine) in space.machines().iter().enumerate() {
             let direct = app.project_on(machine);
@@ -843,7 +633,7 @@ mod tests {
     fn ranked_top_comes_from_the_totals_column() {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::cores(&[1.0, 2.0, 4.0, 8.0])]);
-        let sweep = space.sweep(&app, 1);
+        let sweep = space.sweep_opts(&app, SweepOptions::with_threads(1));
         let top = sweep.top(2);
         assert_eq!(top.len(), 2);
         assert!(top[0].total <= top[1].total);
@@ -862,7 +652,7 @@ mod tests {
 
         // serial: one scratch, first point cold, the rest warm, no stealing
         let rec = CollectingRecorder::new();
-        space.sweep_opts_observed(&app, &Roofline, SweepOptions { threads: 1, chunk: 1 }, &rec);
+        space.sweep_opts(&app, SweepOptions { threads: 1, chunk: 1, recorder: &rec });
         assert_eq!(rec.counter_value("sweep.points"), 4);
         assert_eq!(rec.counter_value("sweep.scratch_reuse"), 3);
         assert_eq!(rec.counter_value("sweep.steals"), 0);
@@ -870,35 +660,17 @@ mod tests {
         // two workers over four 1-point chunks: every chunk beyond a
         // worker's first is a steal, and at most one cold point per worker
         let rec = CollectingRecorder::new();
-        space.sweep_opts_observed(&app, &Roofline, SweepOptions { threads: 2, chunk: 1 }, &rec);
+        space.sweep_opts(&app, SweepOptions { threads: 2, chunk: 1, recorder: &rec });
         assert_eq!(rec.counter_value("sweep.points"), 4);
         assert!(rec.counter_value("sweep.scratch_reuse") >= 2);
         assert!(rec.counter_value("sweep.steals") >= 2);
     }
 
     #[test]
-    fn non_specializing_model_sweeps_through_the_fallback_path() {
-        use xflow_hw::ClassicRoofline;
-        let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0]), Axis::mlp(&[2.0, 4.0])]);
-        let sweep = space.sweep_with(&app, &ClassicRoofline, 3);
-        assert!(sweep.columns().is_none(), "non-specializing model cannot fill columns");
-        for (i, (p, machine)) in sweep.points.iter().zip(space.machines()).enumerate() {
-            let direct = fold_projection(&app.units, machine, app.plan().evaluate(machine, &ClassicRoofline));
-            assert_eq!(p.total.to_bits(), direct.total.to_bits());
-            // fallback hydration re-folds the retained projection
-            let hydrated = sweep.hydrate(&app, i);
-            assert_eq!(hydrated.total.to_bits(), direct.total.to_bits());
-            assert_eq!(hydrated.ranking(), direct.ranking());
-            assert_eq!(sweep.unit_ranking(i), direct.ranking());
-        }
-    }
-
-    #[test]
     fn sweep_matches_project_on() {
         let app = cfd_app();
         let machines = [bgq(), xeon()];
-        let sweep = DesignSpace::from_machines(machines.clone()).sweep(&app, 2);
+        let sweep = DesignSpace::from_machines(machines.clone()).sweep_opts(&app, SweepOptions::with_threads(2));
         for (p, m) in sweep.points.iter().zip(&machines) {
             let direct = app.project_on(m);
             assert_eq!(p.total.to_bits(), direct.total.to_bits());
@@ -910,7 +682,7 @@ mod tests {
     fn faster_clock_never_slower() {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::freq_ghz(&[0.8, 1.6, 3.2])]);
-        let sweep = space.sweep(&app, 0);
+        let sweep = space.sweep_opts(&app, SweepOptions::with_threads(0));
         for w in sweep.points.windows(2) {
             assert!(w[1].total < w[0].total, "{} vs {}", w[1].total, w[0].total);
         }
@@ -921,7 +693,8 @@ mod tests {
     #[test]
     fn deltas_report_speedup_vs_baseline() {
         let app = cfd_app();
-        let sweep = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 40.0])]).sweep(&app, 1);
+        let sweep = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 40.0])])
+            .sweep_opts(&app, SweepOptions::with_threads(1));
         let deltas = sweep.deltas();
         assert_eq!(deltas.len(), 2);
         assert!((deltas[0].speedup - 1.0).abs() < 1e-12);
@@ -933,66 +706,87 @@ mod tests {
     fn observed_sweep_traces_points_and_matches_plain() {
         use xflow_obs::CollectingRecorder;
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0]), Axis::mlp(&[2.0, 4.0])]);
-        let plain = space.sweep(&app, 2);
-        let rec = CollectingRecorder::new();
-        // the observed sweep runs the legacy per-point path; its output
-        // must match the columnar path bit-for-bit
-        let observed = space.sweep_observed(&app, &Roofline, 2, &rec);
-        for (a, b) in observed.points.iter().zip(&plain.points) {
-            assert_eq!(a.total.to_bits(), b.total.to_bits());
-            assert_eq!(a.top_unit, b.top_unit);
-            assert_eq!(a.memory_bound, b.memory_bound);
-        }
-        assert_eq!(rec.counter_value("sweep.points"), 4);
-        let snap = rec.snapshot();
-        assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep.point").count(), 4);
-        let sweep_span = snap.spans.iter().find(|s| s.name == "sweep").unwrap();
-        assert!(sweep_span.attrs.iter().any(|(k, _)| k == "points"));
-        // every point span names its full axis=value coordinates
-        for s in snap.spans.iter().filter(|s| s.name == "sweep.point") {
-            let machine = s.attrs.iter().find(|(k, _)| k == "machine").unwrap();
-            match &machine.1 {
-                xflow_obs::OwnedAttr::Str(name) => {
-                    assert!(name.contains("dram_bw_gbs=") && name.contains("mlp="), "{name}");
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0]), Axis::cores(&[8.0, 16.0])],
+        );
+        let n = space.len();
+        let plain = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        for threads in [1, 2, 4] {
+            for chunk in [1, 3, 64] {
+                let ctx = format!("threads={threads} chunk={chunk}");
+                let rec = CollectingRecorder::new();
+                let observed = space.sweep_opts(&app, SweepOptions { threads, chunk, recorder: &rec });
+                // the recorded sweep fills the same arena, bit for bit
+                assert_eq!(observed.columns().points(), n, "{ctx}");
+                for i in 0..n {
+                    let (a, b) = (&observed.points[i], &plain.points[i]);
+                    assert_eq!(a.total.to_bits(), b.total.to_bits(), "{ctx}");
+                    assert_eq!((a.top_unit, a.memory_bound), (b.top_unit, b.memory_bound), "{ctx}");
+                    let row = |s: &Sweep| -> Vec<_> {
+                        s.columns()
+                            .stmt_row(i)
+                            .map(|c| (c.slot, c.total.to_bits(), c.tc.to_bits(), c.tm.to_bits(), c.overlap.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(row(&observed), row(&plain), "{ctx} point {i}");
+                    assert_eq!(observed.unit_ranking(i), plain.unit_ranking(i), "{ctx}");
+                    let (ha, hb) = (observed.hydrate(&app, i), plain.hydrate(&app, i));
+                    assert_eq!(ha.total.to_bits(), hb.total.to_bits(), "{ctx}");
+                    assert_eq!(ha.ranking(), hb.ranking(), "{ctx}");
                 }
-                other => panic!("machine attr should be a string, got {other:?}"),
+                assert_eq!(rec.counter_value("sweep.points"), n as u64, "{ctx}");
+                assert_eq!(rec.counter_value("plan.blocks"), (n * app.kernel().len()) as u64, "{ctx}");
+                assert_eq!(rec.block_provenance().len(), n * app.kernel().len(), "{ctx}");
+                let snap = rec.snapshot();
+                assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep.point").count(), n, "{ctx}");
+                assert_eq!(snap.spans.iter().filter(|s| s.name == "kernel.evaluate").count(), n, "{ctx}");
+                let sweep_span = snap.spans.iter().find(|s| s.name == "sweep").unwrap();
+                assert!(sweep_span.attrs.iter().any(|(k, _)| k == "points"));
+                // every point span names its full axis=value coordinates
+                for s in snap.spans.iter().filter(|s| s.name == "sweep.point") {
+                    let machine = s.attrs.iter().find(|(k, _)| k == "machine").unwrap();
+                    match &machine.1 {
+                        xflow_obs::OwnedAttr::Str(name) => {
+                            assert!(name.contains("dram_bw_gbs=") && name.contains("mlp="), "{name}");
+                        }
+                        other => panic!("machine attr should be a string, got {other:?}"),
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn failed_point_names_its_coordinates() {
-        struct PanicAt40;
-        impl PerfModel for PanicAt40 {
-            fn project(&self, machine: &MachineModel, m: &xflow_hw::BlockMetrics) -> xflow_hw::BlockTime {
-                if machine.dram_bw_gbs == 40.0 {
-                    panic!("synthetic model failure");
-                }
-                Roofline.project(machine, m)
-            }
-            fn name(&self) -> &str {
-                "panic-at-40"
-            }
-        }
+    fn small_auto_sweeps_stay_on_one_worker() {
+        use xflow_obs::{CollectingRecorder, OwnedAttr};
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
-        for threads in [1, 2] {
-            let err = match catch_unwind(AssertUnwindSafe(|| space.sweep_with(&app, &PanicAt40, threads))) {
-                Err(payload) => payload,
-                Ok(_) => panic!("sweep should have panicked"),
-            };
-            let msg = panic_message(err.as_ref()).to_string();
-            assert!(msg.contains("sweep point"), "{msg}");
-            assert!(msg.contains("dram_bw_gbs=40"), "failure must name its axis=value binding: {msg}");
-            assert!(msg.contains("synthetic model failure"), "{msg}");
-        }
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]), Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0])],
+        );
+        let threads_attr = |opts: SweepOptions<'_>, rec: &CollectingRecorder| {
+            space.sweep_opts(&app, opts);
+            let snap = rec.snapshot();
+            let span = snap.spans.iter().find(|s| s.name == "sweep").unwrap();
+            span.attrs.iter().find(|(k, _)| k == "threads").map(|(_, v)| v.clone()).unwrap()
+        };
+        // 25 points fit one 64-point chunk: no worker threads are spawned
+        let rec = CollectingRecorder::new();
+        assert_eq!(
+            threads_attr(SweepOptions { threads: 4, recorder: &rec, ..Default::default() }, &rec),
+            OwnedAttr::U64(1)
+        );
+        assert_eq!(rec.counter_value("sweep.steals"), 0);
+        // an explicit chunk is honoured: 25 one-point chunks feed 4 workers
+        let rec = CollectingRecorder::new();
+        assert_eq!(threads_attr(SweepOptions { threads: 4, chunk: 1, recorder: &rec }, &rec), OwnedAttr::U64(4));
     }
 
     #[test]
     fn format_sweep_renders() {
         let app = cfd_app();
-        let sweep = DesignSpace::from_machines([bgq()]).sweep(&app, 1);
+        let sweep = DesignSpace::from_machines([bgq()]).sweep_opts(&app, SweepOptions::with_threads(1));
         let text = format_sweep(&sweep, &app.units);
         assert!(text.contains("machine"));
         assert!(text.contains("speedup"));

@@ -1,9 +1,9 @@
 //! Bit-identity guarantee of the columnar sweep arena.
 //!
 //! [`xflow_hotspot::ProjectionColumns`] stores every sweep point as dense
-//! columns and hydrates a full [`Projection`] only on demand; with the
-//! `simd` feature the arena is filled in machine lanes of
-//! [`xflow_hotspot::lane_width`]. Both properties are only sound if every
+//! columns and hydrates a full [`Projection`] only on demand, and the
+//! arena is filled in machine lanes of [`xflow_hotspot::lane_width`].
+//! Both properties are only sound if every
 //! stored value — and every hydrated projection — is `f64::to_bits`-
 //! identical to the scalar `ProjectionPlan::evaluate`, for *any* plan,
 //! *any* machine list (including lengths that are not lane multiples and

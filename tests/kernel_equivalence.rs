@@ -3,14 +3,16 @@
 //! [`xflow_hotspot::PlanKernel`] (flat column layout + pre-resolved
 //! [`xflow_hw::MachineSpec`] constants) is a pure re-layout of
 //! [`xflow_hotspot::ProjectionPlan::evaluate`]: for every workload and
-//! every machine, every path through the kernel — scratch reuse, batch
-//! evaluation, the non-specializing fallback, and the work-stealing sweep
-//! scheduler — must produce `f64::to_bits`-identical projections to the
-//! scalar evaluator, for any thread count and chunk size.
+//! every machine, every path through the kernel — scratch reuse, batches
+//! through one scratch, and the work-stealing sweep scheduler — must
+//! produce `f64::to_bits`-identical projections to the scalar evaluator,
+//! for any thread count and chunk size. Models that cannot specialize
+//! have no kernel path; their scalar evaluation must match the single-pass
+//! reference.
 
 use proptest::prelude::*;
 use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
-use xflow_hotspot::{Projection, ProjectionPlan};
+use xflow_hotspot::{project_single_pass, Projection, ProjectionPlan};
 use xflow_hw::{ClassicRoofline, MachineModel, MachineSpec, PerfModel, Roofline};
 
 fn machines() -> Vec<MachineModel> {
@@ -56,25 +58,25 @@ fn kernel_matches_evaluate_on_all_workloads_and_machines() {
             kernel.evaluate_spec_into(&spec, &mut scratch);
             assert_projection_bits(&scratch.projection(&kernel), &scalar, &format!("spec path: {ctx}"));
 
-            // generic evaluate_into resolves the same spec internally
+            // a cold scratch and a directly resolved spec give the same bits
             let mut fresh = kernel.make_scratch();
-            kernel.evaluate_into(&machine, &Roofline, &mut fresh);
-            assert_projection_bits(&fresh.projection(&kernel), &scalar, &format!("evaluate_into: {ctx}"));
+            kernel.evaluate_spec_into(&MachineSpec::resolve(&machine), &mut fresh);
+            assert_projection_bits(&fresh.projection(&kernel), &scalar, &format!("cold scratch: {ctx}"));
         }
 
-        // batch path: one call, all machines, same bits
+        // batch: one scratch across all specs, one Projection per machine
         let specs: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
-        let batch = kernel.evaluate_batch(&specs);
+        let mut batch_scratch = kernel.make_scratch();
+        let batch: Vec<Projection> = specs
+            .iter()
+            .map(|spec| {
+                kernel.evaluate_spec_into(spec, &mut batch_scratch);
+                batch_scratch.projection(&kernel)
+            })
+            .collect();
         for (projection, machine) in batch.iter().zip(machines()) {
             let scalar = plan.evaluate(&machine, &Roofline);
             assert_projection_bits(projection, &scalar, &format!("batch: {} on {}", w.name, machine.name));
-        }
-
-        // the plan-level convenience wrapper agrees too
-        let via_plan = plan.evaluate_batch(&machines(), &Roofline);
-        for (projection, machine) in via_plan.iter().zip(machines()) {
-            let scalar = plan.evaluate(&machine, &Roofline);
-            assert_projection_bits(projection, &scalar, &format!("plan batch: {} on {}", w.name, machine.name));
         }
     }
 }
@@ -85,14 +87,12 @@ fn non_specializing_models_fall_back_bit_identically() {
     for w in [xflow_workloads::cfd(), xflow_workloads::srad()] {
         let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
         let plan = ProjectionPlan::new(&app.bet, libs);
-        let kernel = plan.kernel();
-        let mut scratch = kernel.make_scratch();
         for machine in machines() {
             assert!(ClassicRoofline.specialize(&machine).is_none(), "ablation model must not specialize");
-            kernel.evaluate_into(&machine, &ClassicRoofline, &mut scratch);
             let scalar = plan.evaluate(&machine, &ClassicRoofline);
+            let reference = project_single_pass(&app.bet, &machine, &ClassicRoofline, libs);
             let ctx = format!("fallback: {} on {}", w.name, machine.name);
-            assert_projection_bits(&scratch.projection(&kernel), &scalar, &ctx);
+            assert_projection_bits(&scalar, &reference, &ctx);
         }
     }
 }
@@ -138,8 +138,8 @@ proptest! {
         let mlps: Vec<f64> = (0..mlp_steps).map(|i| 2.0 * (1 << i) as f64).collect();
         let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&bws), Axis::mlp(&mlps)]);
 
-        let serial = space.sweep(&app, 1);
-        let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk });
+        let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });
 
         prop_assert_eq!(serial.points.len(), scheduled.points.len());
         for (a, b) in serial.points.iter().zip(&scheduled.points) {

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use xflow::xflow_workloads::cfd;
 use xflow::{
     explain, explain_observed, Axis, CollectingRecorder, DesignSpace, InputSpec, ModeledApp, Scale, Session,
-    SessionConfig,
+    SessionConfig, SweepOptions,
 };
-use xflow_hw::{bgq, generic, Roofline};
+use xflow_hw::{bgq, generic};
 
 const SRC: &str = r#"
 fn main() {
@@ -94,7 +94,7 @@ fn collected_totals_are_thread_count_invariant() {
     let mut baseline: Option<(u64, u64, Vec<u64>, Vec<u64>)> = None;
     for threads in [1, 2, 4] {
         let rec = CollectingRecorder::new();
-        let sweep = space.sweep_observed(&app, &Roofline, threads, &rec);
+        let sweep = space.sweep_opts(&app, SweepOptions { recorder: &rec, ..SweepOptions::with_threads(threads) });
         assert_eq!(sweep.points.len(), 9);
 
         let points = rec.counter_value("sweep.points");

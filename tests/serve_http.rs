@@ -8,7 +8,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use xflow::serve::{RunningServer, ServeConfig, Server};
+use xflow::serve::{RunningServer, ServeConfig, Server, MAX_SWEEP_POINTS};
 use xflow::{CollectingRecorder, Recorder, StoreConfig};
 
 fn start_server(recorder: Option<Arc<CollectingRecorder>>) -> RunningServer {
@@ -197,5 +197,35 @@ fn sweep_endpoint_ranks_points_and_validates_axes() {
     let (status, _, resp) = request(server.addr(), "POST", "/v1/sweep", bad);
     assert_eq!(status, 400);
     assert!(resp.contains("unknown axis parameter"), "{resp}");
+    server.stop();
+}
+
+#[test]
+fn sweep_endpoint_rejects_oversized_grids_before_building_them() {
+    let server = start_server(None);
+    let axis = |name: &str, n: usize| {
+        let values = vec!["1"; n].join(",");
+        format!(r#"{{"name":"{name}","values":[{values}]}}"#)
+    };
+    let sweep = |axes: &[String]| format!(r#"{{"workload":"cfd","axes":[{}]}}"#, axes.join(","));
+
+    // two 50k-value axes: 2.5e9 points, far past the cap
+    let (status, _, resp) =
+        request(server.addr(), "POST", "/v1/sweep", &sweep(&[axis("dram_bw_gbs", 50_000), axis("mlp", 50_000)]));
+    assert_eq!(status, 422, "{resp}");
+    assert!(resp.contains("2500000000 points") && resp.contains(&MAX_SWEEP_POINTS.to_string()), "{resp}");
+
+    // five 10k-value axes: 1e20 points, a product that overflows usize
+    let names = ["dram_bw_gbs", "mlp", "cores", "freq_ghz", "vector_lanes"];
+    let huge: Vec<String> = names.iter().map(|n| axis(n, 10_000)).collect();
+    let (status, _, resp) = request(server.addr(), "POST", "/v1/sweep", &sweep(&huge));
+    assert_eq!(status, 422, "{resp}");
+    assert!(resp.contains("more than usize::MAX"), "{resp}");
+
+    // exactly at the cap is served, and the server is still healthy
+    let (status, _, resp) =
+        request(server.addr(), "POST", "/v1/sweep", &sweep(&[axis("dram_bw_gbs", 128), axis("mlp", 128)]));
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains(&format!("\"points\":{MAX_SWEEP_POINTS}")), "{resp}");
     server.stop();
 }

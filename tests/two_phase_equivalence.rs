@@ -8,7 +8,7 @@
 //! that results are independent of the worker-thread count.
 
 use proptest::prelude::*;
-use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale};
+use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
 use xflow_hotspot::{project_single_pass, ProjectionPlan};
 use xflow_hw::{MachineModel, Roofline};
 
@@ -94,8 +94,8 @@ proptest! {
         base.freq_ghz = freq_centi as f64 / 100.0;
         let space = DesignSpace::grid(base, vec![Axis::dram_bw(&bws), Axis::mlp(&mlps)]);
 
-        let serial = space.sweep(&app, 1);
-        let parallel = space.sweep(&app, threads);
+        let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        let parallel = space.sweep_opts(&app, SweepOptions::with_threads(threads));
 
         prop_assert_eq!(serial.points.len(), parallel.points.len());
         for (a, b) in serial.points.iter().zip(&parallel.points) {
