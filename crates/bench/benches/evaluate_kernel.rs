@@ -4,16 +4,14 @@
 //!
 //! * `plan_evaluate` — the scalar path: one [`xflow_hotspot::ProjectionPlan::evaluate`]
 //!   per machine, allocating a fresh `Projection` each point,
-//! * `kernel_scratch` — the fast path: pre-resolved [`xflow_hw::MachineSpec`]
-//!   constants driven through [`xflow_hotspot::PlanKernel::evaluate_spec_into`]
-//!   with one warm [`xflow_hotspot::Scratch`] (zero allocations per point),
-//! * `kernel_batch` — the scratch path plus
-//!   [`xflow_hotspot::Scratch::projection`], which materializes an owned
-//!   `Projection` per point, and
+//! * `evaluate_columns` — the fast path: pre-resolved
+//!   [`xflow_hw::MachineSpec`] constants driven through the lane-vectorized
+//!   [`xflow_hotspot::PlanKernel::evaluate_columns`] into one dense
+//!   columnar arena (no per-point `Projection`), and
 //! * `spec_resolve` — the once-per-machine constant folding, to show it is
 //!   negligible against even a single evaluation.
 //!
-//! The `exp_kernel` binary records the measured scratch-path speedup in
+//! The `exp_kernel` binary records the measured columnar speedup in
 //! `results/BENCH_kernel.json` and asserts the ≥3× acceptance bound; this
 //! benchmark exists for interactive profiling of the same arms.
 
@@ -52,26 +50,10 @@ fn bench_evaluate_kernel(c: &mut Criterion) {
         })
     });
 
-    let mut scratch = kernel.make_scratch();
-    g.bench_function("kernel_scratch", |b| {
+    g.bench_function("evaluate_columns", |b| {
         b.iter(|| {
-            let mut acc = 0.0;
-            for spec in &specs {
-                kernel.evaluate_spec_into(black_box(spec), &mut scratch);
-                acc += scratch.total_time();
-            }
-            acc
-        })
-    });
-
-    g.bench_function("kernel_batch", |b| {
-        b.iter(|| {
-            let mut batch = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                kernel.evaluate_spec_into(black_box(spec), &mut scratch);
-                batch.push(scratch.projection(&kernel));
-            }
-            batch.len()
+            let cols = kernel.evaluate_columns(black_box(&specs));
+            cols.totals().iter().sum::<f64>()
         })
     });
 

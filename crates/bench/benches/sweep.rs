@@ -18,7 +18,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, Scale, SweepOptions};
-use xflow_hotspot::{project_single_pass, ProjectionPlan};
+use xflow_hotspot::reference::project_single_pass;
+use xflow_hotspot::ProjectionPlan;
 
 fn grid_machines() -> Vec<xflow::MachineModel> {
     DesignSpace::grid(

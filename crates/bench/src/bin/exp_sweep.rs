@@ -9,7 +9,8 @@ use std::collections::HashMap;
 use std::time::Instant;
 use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
 use xflow_bench::opts;
-use xflow_hotspot::{project_single_pass, ProjectionPlan};
+use xflow_hotspot::reference::project_single_pass;
+use xflow_hotspot::ProjectionPlan;
 
 fn time_n<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let t0 = Instant::now();

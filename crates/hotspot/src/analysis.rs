@@ -6,17 +6,16 @@
 //! the granularity at which hot spots are selected and compared against
 //! measured profiles.
 //!
-//! Since this PR the projection runs in two phases (see [`crate::plan`]):
-//! [`project`] builds a machine-independent [`crate::ProjectionPlan`] and
-//! evaluates it, so repeated projections of the same application — the
-//! co-design sweep case — pay the tree walk only once.
-//! [`project_single_pass`] keeps the original fused walk as the reference
-//! implementation; an equivalence test asserts both produce bit-identical
-//! results.
+//! The projection runs in two phases (see [`crate::plan`]): [`project`]
+//! builds a machine-independent [`crate::ProjectionPlan`] and evaluates
+//! it, so repeated projections of the same application — the co-design
+//! sweep case — pay the tree walk only once.
+//! [`crate::reference::project_single_pass`] keeps the original fused walk
+//! as the reference implementation; equivalence tests assert both produce
+//! bit-identical results.
 
-use std::collections::HashSet;
 use std::ops::Index;
-use xflow_bet::{Bet, BetKind};
+use xflow_bet::Bet;
 use xflow_hw::{BlockMetrics, BlockTime, LibraryRegistry, MachineModel, PerfModel};
 use xflow_skeleton::StmtId;
 
@@ -60,9 +59,8 @@ pub struct StmtCost {
 pub struct StmtCosts {
     costs: Vec<StmtCost>,
     present: Vec<bool>,
-    /// IDs of present slots in first-touch order: makes [`StmtCosts::clear`]
-    /// and the batched kernel's metrics resolution O(recorded) with no
-    /// O(capacity) scan (the scan dominated warm-scratch evaluations).
+    /// IDs of present slots in first-touch order (their count is
+    /// [`StmtCosts::len`]).
     touched: Vec<u32>,
 }
 
@@ -112,62 +110,9 @@ impl StmtCosts {
         &mut self.costs[i]
     }
 
-    /// Clear all recorded costs, keeping the allocated capacity (the
-    /// scratch-reuse path of the batched kernel). Only slots that were
-    /// present are rezeroed, so clearing is O(recorded), not O(capacity).
-    pub fn clear(&mut self) {
-        for &i in &self.touched {
-            self.costs[i as usize] = StmtCost::default();
-            self.present[i as usize] = false;
-        }
-        self.touched.clear();
-    }
-
     /// Iterate recorded costs in ascending statement-ID order.
     pub fn iter(&self) -> impl Iterator<Item = (StmtId, &StmtCost)> + '_ {
         self.costs.iter().enumerate().filter(|(i, _)| self.present[*i]).map(|(i, c)| (StmtId(i as u32), c))
-    }
-
-    /// Overwrite the metrics of every recorded statement from a dense
-    /// table indexed by statement ID (the batched kernel's post-loop
-    /// resolution of precomputed metrics). O(recorded).
-    pub fn set_metrics_from(&mut self, table: &[BlockMetrics]) {
-        for &i in &self.touched {
-            self.costs[i as usize].metrics = table[i as usize];
-        }
-    }
-
-    /// Raw slot access with **no** presence bookkeeping: the batched
-    /// kernel's hot loop writes time fields through this and installs the
-    /// precomputed presence set afterwards via [`StmtCosts::adopt`].
-    /// Callers must guarantee `i` is within the primed capacity and ends
-    /// up either adopted or wiped.
-    #[inline]
-    pub(crate) fn slot_mut(&mut self, i: u32) -> &mut StmtCost {
-        &mut self.costs[i as usize]
-    }
-
-    /// Install a precomputed presence set (statement IDs in first-touch
-    /// order), replacing any previous bookkeeping. Slots must already hold
-    /// their final values.
-    pub(crate) fn adopt(&mut self, ids: &[u32]) {
-        for &i in ids {
-            self.present[i as usize] = true;
-        }
-        self.touched.clear();
-        self.touched.extend_from_slice(ids);
-    }
-
-    /// Full O(capacity) reset of every slot and all bookkeeping, for
-    /// recovery paths where the touched list may not cover all writes.
-    pub(crate) fn wipe(&mut self) {
-        for c in &mut self.costs {
-            *c = StmtCost::default();
-        }
-        for p in &mut self.present {
-            *p = false;
-        }
-        self.touched.clear();
     }
 }
 
@@ -213,78 +158,6 @@ pub struct Projection {
 /// build the plan once and call [`ProjectionPlan::evaluate`] per machine.
 pub fn project(bet: &Bet, machine: &MachineModel, model: &dyn PerfModel, libs: &LibraryRegistry) -> Projection {
     ProjectionPlan::new(bet, libs).evaluate(machine, model)
-}
-
-/// Original fused single-pass projection, kept as the reference
-/// implementation the two-phase engine is equivalence-tested against.
-pub fn project_single_pass(
-    bet: &Bet,
-    machine: &MachineModel,
-    model: &dyn PerfModel,
-    libs: &LibraryRegistry,
-) -> Projection {
-    let enr = bet.enr();
-    let avail_par = bet.available_parallelism();
-    let mut node_costs = Vec::with_capacity(bet.len());
-    let mut per_stmt = StmtCosts::default();
-    let mut total_time = 0.0;
-    let mut unknown_libs = Vec::new();
-    let mut unknown_seen: HashSet<String> = HashSet::new();
-
-    for node in bet.iter() {
-        let e = enr[node.id.0 as usize];
-        // effective concurrency of this block: the machine cannot use more
-        // threads than it has cores, nor more than the enclosing parallel
-        // loops provide iterations
-        let threads = avail_par[node.id.0 as usize].min(machine.cores as f64).max(1.0);
-        let (time, metrics) = match &node.kind {
-            BetKind::Comp { ops } => {
-                let m = BlockMetrics {
-                    flops: ops.flops,
-                    iops: ops.iops,
-                    loads: ops.loads,
-                    stores: ops.stores,
-                    divs: ops.divs,
-                    elem_bytes: ops.elem_bytes,
-                };
-                let t = if threads > 1.0 {
-                    model.project_parallel(machine, &m, threads)
-                } else {
-                    model.project(machine, &m)
-                };
-                (t, m)
-            }
-            BetKind::Lib { func, calls, work } => match libs.project(func, *calls, *work, machine, model) {
-                Ok(t) => {
-                    let m = libs.get(func).map(|mix| mix.expand(*calls, *work)).unwrap_or_default();
-                    (t, m)
-                }
-                Err(err) => {
-                    if unknown_seen.insert(err.name.clone()) {
-                        unknown_libs.push(err.name.clone());
-                    }
-                    (err.fallback_time, BlockMetrics::default())
-                }
-            },
-            _ => (BlockTime::default(), BlockMetrics::default()),
-        };
-        let total = time.total * e;
-        total_time += total;
-        node_costs.push(NodeCost { per_invocation: time, enr: e, total });
-
-        if let Some(stmt) = node.stmt {
-            if time.total > 0.0 {
-                let s = per_stmt.entry_mut(stmt);
-                s.total += total;
-                s.tc += time.tc * e;
-                s.tm += time.tm * e;
-                s.overlap += time.overlap * e;
-                s.metrics.add_scaled(&metrics, e);
-            }
-        }
-    }
-
-    Projection { node_costs, per_stmt, total_time, unknown_libs }
 }
 
 impl Projection {

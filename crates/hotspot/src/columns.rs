@@ -1,15 +1,13 @@
 //! Columnar (structure-of-arrays) sweep output.
 //!
-//! A design-space sweep used to materialize a full [`Projection`] per
-//! point — a `node_costs` clone plus a per-statement table clone per
-//! machine — which dominated the per-point cost once the evaluation
-//! itself went through the batched kernel. [`ProjectionColumns`] is the
-//! columnar replacement: one arena per sweep holding, for every point,
+//! A design-space sweep never materializes a per-point [`crate::Projection`]
+//! (a `node_costs` vector plus a per-statement table per machine).
+//! [`ProjectionColumns`] holds one arena per sweep with, for every point,
 //! the total time, the block-level Tc/Tm/To aggregates, the achieved
 //! overlap fraction δ, the compute-vs-memory verdict, and a dense
 //! per-(point × statement) cost matrix. Nothing is heap-allocated per
-//! point, and a full [`Projection`] is *hydrated* lazily — only when a
-//! caller drills into one specific point.
+//! point. A caller that needs the full projection of one point evaluates
+//! the plan on that machine ([`crate::ProjectionPlan::evaluate`]).
 //!
 //! The arena is two allocations: one `f64` buffer holding the five
 //! per-point columns followed by the four row-major `[point][slot]`
@@ -18,26 +16,20 @@
 //! depend only on the kernel, so they are computed once per kernel and
 //! shared into every arena by reference count.
 //!
-//! Hydration is re-evaluation: [`ProjectionColumns::hydrate`] re-runs the
-//! kernel's scalar spec path for the stored [`MachineSpec`] of that point.
-//! By the kernel's bit-identity contract this reproduces exactly the
-//! projection the eager path would have stored, at roughly the cost of
-//! one kernel evaluation — far cheaper than having cloned every point's
-//! projection up front on the off chance someone asks.
-//!
 //! Filling is chunked so the work-stealing sweep scheduler can evaluate
 //! disjoint point ranges concurrently: workers produce [`ColumnsChunk`]
-//! buffers via [`crate::PlanKernel::evaluate_columns_chunk`] and the
-//! merged arena installs them in index order, keeping the output
-//! independent of scheduling.
+//! buffers via [`crate::PlanKernel::evaluate_columns_chunk`] (the lane
+//! fill) or [`ColumnsChunk::fill_point`] (the scalar row loop, one traced
+//! point at a time), and the merged arena installs them in index order,
+//! keeping the output independent of scheduling.
 
 use std::sync::Arc;
 
 use xflow_hw::MachineSpec;
+use xflow_obs::Recorder;
 use xflow_skeleton::StmtId;
 
-use crate::analysis::Projection;
-use crate::kernel::{PlanKernel, Scratch};
+use crate::kernel::PlanKernel;
 
 /// Sentinel slot index for "block aggregates into no statement".
 pub(crate) const NO_SLOT: u32 = u32::MAX;
@@ -51,9 +43,6 @@ pub(crate) struct SlotLayout {
     /// Statement IDs with at least one cost block, ascending — the column
     /// slots of the dense per-point statement matrix.
     pub(crate) slots: Vec<u32>,
-    /// Statement ID → slot index ([`NO_SLOT`] when the statement carries
-    /// no cost blocks), dense over the kernel's statement bound.
-    pub(crate) slot_of: Vec<u32>,
     /// Kernel block index → slot index ([`NO_SLOT`] for blocks that
     /// aggregate into no statement).
     pub(crate) block_slot: Vec<u32>,
@@ -74,7 +63,7 @@ impl SlotLayout {
         }
         let block_slot = stmt_col.iter().map(|&s| if s == u32::MAX { NO_SLOT } else { slot_of[s as usize] }).collect();
         let touched = pre_touched.iter().map(|&s| slot_of[s as usize]).collect();
-        Self { slots, slot_of, block_slot, touched }
+        Self { slots, block_slot, touched }
     }
 }
 
@@ -102,8 +91,9 @@ pub struct SlotCost {
 /// [`crate::PlanKernel::evaluate_columns`] (serial) or by installing
 /// per-range [`ColumnsChunk`]s (parallel). Every stored value is
 /// bit-identical to what the scalar evaluator produces for that point —
-/// the per-statement rows match the hydrated projection's `per_stmt`
-/// table and the totals match its `total_time`, `to_bits` for `to_bits`.
+/// the per-statement rows match [`crate::ProjectionPlan::evaluate`]'s
+/// `per_stmt` table and the totals match its `total_time`, `to_bits` for
+/// `to_bits`.
 #[derive(Debug, Clone)]
 pub struct ProjectionColumns {
     /// Shared slot maps of the kernel the arena was built from.
@@ -116,11 +106,10 @@ pub struct ProjectionColumns {
     data: Vec<f64>,
     /// `[memory_bound n][stmt_present nk]`.
     flags: Vec<bool>,
-    /// The machine spec of every point, retained for lazy hydration.
+    /// The machine spec of every point, in point order.
     specs: Vec<MachineSpec>,
-    /// Fingerprint of the kernel the layout was built from; hydration and
-    /// chunk evaluation check it so a columns arena is never mixed with a
-    /// foreign kernel.
+    /// Fingerprint of the kernel the layout was built from; every fill
+    /// checks it so a columns arena is never mixed with a foreign kernel.
     fingerprint: u64,
 }
 
@@ -175,8 +164,8 @@ impl ProjectionColumns {
         &self.data[..self.n]
     }
 
-    /// Total projected seconds of one point (bit-identical to the
-    /// hydrated projection's `total_time`).
+    /// Total projected seconds of one point (bit-identical to the scalar
+    /// projection's `total_time`).
     pub fn total(&self, i: usize) -> f64 {
         self.data[i]
     }
@@ -220,8 +209,8 @@ impl ProjectionColumns {
     }
 
     /// Point indices ranked by ascending total time (ties keep point
-    /// order), truncated to `k` — the sweep's top-k without hydrating
-    /// anything.
+    /// order), truncated to `k` — the sweep's top-k without evaluating
+    /// any projection.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         let totals = self.totals();
         let mut idx: Vec<usize> = (0..self.points()).collect();
@@ -276,22 +265,6 @@ impl ProjectionColumns {
             fingerprint: self.fingerprint,
             slots: self.layout.slots.len(),
         }
-    }
-
-    /// Materialize the full [`Projection`] of one point by re-evaluating
-    /// its stored spec through the kernel (fresh scratch).
-    pub fn hydrate(&self, kernel: &PlanKernel, i: usize) -> Projection {
-        let mut scratch = kernel.make_scratch();
-        self.hydrate_into(kernel, i, &mut scratch)
-    }
-
-    /// [`ProjectionColumns::hydrate`] reusing a caller scratch (warm:
-    /// allocation-free). Bit-identical to the projection the eager batch
-    /// path would have stored for this point.
-    pub fn hydrate_into(&self, kernel: &PlanKernel, i: usize, scratch: &mut Scratch) -> Projection {
-        assert_eq!(kernel.fingerprint(), self.fingerprint, "columns hydrated through a foreign kernel");
-        kernel.evaluate_spec_into(&self.specs[i], scratch);
-        scratch.projection(kernel)
     }
 }
 
@@ -361,14 +334,23 @@ impl ColumnsChunk {
         }
     }
 
-    /// Fill point `i` (an index into `cols`, inside this chunk's range)
-    /// from a scratch holding a completed evaluation of `cols.specs()[i]`
-    /// through the kernel `cols` was built from — the scalar-oracle route
-    /// for rows evaluated one at a time (e.g. under a telemetry recorder).
-    pub fn fill_from_scratch(&mut self, cols: &ProjectionColumns, i: usize, scratch: &Scratch) {
+    /// Evaluate point `i` of `cols` (inside this chunk's range) on
+    /// `kernel`, the kernel `cols` was built from, through the scalar row
+    /// loop — the route for rows filled one at a time under a telemetry
+    /// recorder. When `rec` is enabled the point emits a `kernel.evaluate`
+    /// span, one [`xflow_obs::BlockProvenance`] per block and the
+    /// `plan.blocks` counter; the stored bits are those of the lane fill.
+    pub fn fill_point<R: Recorder + ?Sized>(
+        &mut self,
+        kernel: &PlanKernel,
+        cols: &ProjectionColumns,
+        i: usize,
+        rec: &R,
+    ) {
+        assert_eq!(kernel.fingerprint(), cols.fingerprint, "columns arena filled by a foreign kernel");
         assert!((self.start..self.start + self.len).contains(&i), "point {i} outside the chunk");
         let r = i - self.start;
-        self.target().fill_from_scratch(r, &cols.layout.slot_of, scratch);
+        kernel.fill_row(&cols.specs[i], &cols.layout.block_slot, &mut self.target(), r, rec);
     }
 
     /// First point index of the range this chunk covers.
@@ -447,38 +429,6 @@ pub(crate) struct ColumnsTarget<'a> {
     pub(crate) stmt_tm: &'a mut [f64],
     pub(crate) stmt_overlap: &'a mut [f64],
     pub(crate) stmt_present: &'a mut [bool],
-}
-
-impl ColumnsTarget<'_> {
-    /// Fill target-relative row `r` from a scratch holding a completed
-    /// scalar evaluation — the fill path for degenerate machines and
-    /// observed sweeps. The block-level aggregates sum
-    /// the node costs in node order, which is bit-identical to the lane
-    /// path's block-order accumulation because structural nodes carry
-    /// exact zeros.
-    pub(crate) fn fill_from_scratch(&mut self, r: usize, slot_of: &[u32], scratch: &Scratch) {
-        self.total[r] = scratch.total_time();
-        let (mut tc, mut tm, mut ov) = (0.0, 0.0, 0.0);
-        for nc in scratch.node_costs() {
-            tc += nc.per_invocation.tc * nc.enr;
-            tm += nc.per_invocation.tm * nc.enr;
-            ov += nc.per_invocation.overlap * nc.enr;
-        }
-        self.tc[r] = tc;
-        self.tm[r] = tm;
-        self.overlap[r] = ov;
-        self.delta[r] = achieved_delta(tc, tm, ov);
-        self.memory_bound[r] = tm > tc;
-        let base = r * self.slots;
-        for (stmt, cost) in scratch.per_stmt().iter() {
-            let slot = slot_of[stmt.0 as usize] as usize;
-            self.stmt_total[base + slot] = cost.total;
-            self.stmt_tc[base + slot] = cost.tc;
-            self.stmt_tm[base + slot] = cost.tm;
-            self.stmt_overlap[base + slot] = cost.overlap;
-            self.stmt_present[base + slot] = true;
-        }
-    }
 }
 
 /// Achieved overlap fraction of a point: `To / min(Tc, Tm)`, 0 when the

@@ -15,7 +15,7 @@
 //! model — no tree traversal, no hashing, no string work.
 //!
 //! `evaluate` is bit-identical to the legacy single pass
-//! ([`crate::analysis::project_single_pass`]): structural nodes contribute
+//! ([`crate::reference::project_single_pass`]): structural nodes contribute
 //! exactly `+0.0` to the total (f64 identity for the non-negative totals
 //! produced here), so skipping them changes no bits, and blocks are
 //! evaluated in the same node order so every floating-point accumulation
@@ -175,8 +175,8 @@ impl ProjectionPlan {
     /// [`ProjectionPlan::evaluate`] under a telemetry recorder.
     ///
     /// Identical arithmetic — `evaluate` itself delegates here with the
-    /// [`NoopRecorder`], so there is exactly one evaluation loop in the
-    /// workspace. When the recorder is enabled, the loop runs inside a
+    /// [`NoopRecorder`], so this is the one loop that produces a
+    /// [`Projection`]. When the recorder is enabled, the loop runs inside a
     /// `plan.evaluate` span (machine name, block count; projected total as
     /// an exit attribute) and emits one [`BlockProvenance`] per block via
     /// [`Recorder::block_cost`], in plan (BET node) order, carrying the
@@ -259,9 +259,8 @@ impl ProjectionPlan {
     }
 
     /// Compile the structure-of-arrays evaluation kernel for this plan
-    /// (see [`crate::PlanKernel`]). Build once per application; the kernel
-    /// plus a reusable [`crate::Scratch`] is the fast path for evaluating
-    /// many machines.
+    /// (see [`crate::PlanKernel`]). Build once per application; its
+    /// columnar fill is the fast path for evaluating many machines.
     pub fn kernel(&self) -> crate::PlanKernel {
         crate::PlanKernel::new(self)
     }
@@ -270,7 +269,7 @@ impl ProjectionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::project_single_pass;
+    use crate::reference::project_single_pass;
     use xflow_bet::build;
     use xflow_hw::{bgq, generic, xeon, Roofline};
     use xflow_skeleton::expr::env_from;

@@ -710,27 +710,22 @@ fn profile_report(iprof: &crate::xflow_minilang::InstrProfile, inv: &Invocation)
 }
 
 /// Model the source honoring the cache flags: `--no-cache` forces a cold
-/// build, `--cache-dir` warm-starts from (and persists to) disk, and the
-/// default path shares the process-wide in-memory session. Cache traffic is
-/// reported on stderr so stdout stays byte-identical between warm and cold
-/// runs.
+/// build through a fresh memory-only session, `--cache-dir` warm-starts
+/// from (and persists to) disk, and the default path shares the
+/// process-wide in-memory session. Cache traffic is reported on stderr so
+/// stdout stays byte-identical between warm and cold runs.
 fn modeled(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Result<ModeledApp, String> {
-    if inv.no_cache {
-        let prog = crate::xflow_minilang::parse(src).map_err(|e| e.to_string())?;
-        return ModeledApp::from_program(prog, &inv.inputs).map_err(|e| e.to_string());
-    }
-    if let Some(rec) = inv.session_recorder() {
-        // a traced run gets its own session so the stage spans land in the
-        // recorder; the session outlives the command so `run` can fold its
-        // cache counters into the exported trace
-        let config = SessionConfig {
-            cache_dir: inv.cache_dir.clone().map(Into::into),
-            recorder: Some(rec),
-            ..SessionConfig::default()
-        };
+    let recorder = inv.session_recorder();
+    if inv.no_cache || recorder.is_some() {
+        // a fresh memory-only session is cold by construction; a traced
+        // run gets its own session so the stage spans land in the
+        // recorder, and the session outlives the command so `run` can fold
+        // its cache counters into the exported trace
+        let cache_dir = if inv.no_cache { None } else { inv.cache_dir.as_ref() };
+        let config = SessionConfig { cache_dir: cache_dir.map(Into::into), recorder, ..SessionConfig::default() };
         let session = Session::with_config(config);
         let app = session.model(src, &inv.inputs).map_err(|e| e.to_string())?;
-        if let Some(dir) = &inv.cache_dir {
+        if let Some(dir) = cache_dir {
             eprintln!("[xflow cache] {} ({dir})", session.stats());
         }
         *session_out = Some(session);
@@ -1186,6 +1181,37 @@ fn main() {
             assert!(text.contains("plan.evaluate"), "trace must cover the explain evaluation");
             assert!(text.contains("session.parse.misses"), "trace must carry the session cache counters");
         });
+    }
+
+    #[test]
+    fn no_cache_trace_spans_every_stage_as_a_miss() {
+        use serde::Content;
+        fn get<'a>(c: &'a Content, key: &str) -> Option<&'a Content> {
+            match c {
+                Content::Map(m) => m.iter().find(|(k, _)| *k == Content::Str(key.to_string())).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("xflow-cli-nocache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.json");
+        let out = run(&args(&["explain", "cfd", "--no-cache", "--trace-out", trace.to_str().unwrap()])).unwrap();
+        assert!(out.contains("context:"), "{out}");
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let doc: Content = serde_json::from_str(&text).unwrap();
+        let Some(Content::Seq(events)) = get(&doc, "traceEvents") else { panic!("no trace events: {text}") };
+        let named = |name: &str| -> Vec<&Content> {
+            events.iter().filter(|e| get(e, "name") == Some(&Content::Str(name.to_string()))).collect()
+        };
+        for stage in ["parse", "profile", "translate", "bet", "plan", "kernel"] {
+            let name = format!("session.{stage}");
+            let spans = named(&name);
+            assert_eq!(spans.len(), 1, "one {name} span: {text}");
+            let outcome = get(spans[0], "args").and_then(|a| get(a, "outcome"));
+            assert_eq!(outcome, Some(&Content::Str("miss".to_string())), "{name} must be a cold build");
+        }
+        assert!(!named("plan.evaluate").is_empty(), "trace must cover the explain evaluation");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use xflow_validate;
 pub use xflow_workloads;
 
 // …and the most common types at the top level.
-pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Scratch, Selection};
+pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Selection};
 pub use xflow_hw::{bgq, generic, knl, xeon, MachineBuilder, MachineModel, MachineSpec, PerfModel, Roofline};
 pub use xflow_minilang::InputSpec;
 pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, ProgressTicker, Recorder, TraceSnapshot};

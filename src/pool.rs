@@ -22,7 +22,7 @@ pub(crate) fn workers(jobs: usize, items: usize) -> usize {
 /// shared atomic cursor, so callers batch cheap work into coarser items (a
 /// sweep passes contiguous point ranges). Every worker builds its state
 /// once with `init` and hands it to each item it runs — a sweep worker
-/// keeps one warm scratch across its chunks. `jobs = 0` uses the host's
+/// counts the chunks it claims. `jobs = 0` uses the host's
 /// available parallelism, no more workers run than there are items, and a
 /// single worker runs on the calling thread. Results merge back by
 /// index, so the output never depends on scheduling, and a worker's panic

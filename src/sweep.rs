@@ -20,21 +20,21 @@
 //! ranges of one structure-of-arrays arena through the lane-vectorized
 //! [`xflow_hotspot::PlanKernel::evaluate_columns_chunk`] — total time,
 //! block Tc/Tm/To, achieved δ, and the dense per-statement cost matrix as
-//! columns. A full projection is *hydrated* on demand with
-//! [`Sweep::hydrate`] only when a caller drills into one point. Under an
-//! enabled telemetry recorder the rows are filled one at a time through
-//! the kernel's scalar oracle instead, which emits per-point spans and
-//! block provenance; the arena's bits are the same either way.
+//! columns. Under an enabled telemetry recorder the rows are filled one
+//! at a time through the kernel's scalar row loop
+//! ([`xflow_hotspot::ColumnsChunk::fill_point`]) instead, which emits
+//! per-point spans and block provenance; the arena's bits are the same
+//! either way. When a caller drills into one point, [`Sweep::hydrate`]
+//! projects the app on that machine with [`ModeledApp::project_on`].
 //!
 //! Scheduling: the points split into contiguous chunks (64 points unless
 //! [`SweepOptions::chunk`] says otherwise) that workers claim from a
-//! shared atomic cursor, each worker keeping one warm
-//! [`xflow_hotspot::Scratch`]. No more workers run than there are chunks,
-//! and a single worker stays on the calling thread. Grid traversal is
-//! row-major (last axis fastest), so adjacent points within a chunk differ
-//! in one axis. Results are deterministic and independent of the thread
-//! count and the chunk size: chunks install into the arena at their point
-//! range, and the lane kernel is bit-identical to the scalar evaluator.
+//! shared atomic cursor. No more workers run than there are chunks, and a
+//! single worker stays on the calling thread. Grid traversal is row-major
+//! (last axis fastest), so adjacent points within a chunk differ in one
+//! axis. Results are deterministic and independent of the thread count
+//! and the chunk size: chunks install into the arena at their point
+//! range, and both kernel loops are bit-identical to the scalar evaluator.
 //!
 //! ```
 //! use xflow::{bgq, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
@@ -52,12 +52,12 @@
 //! assert_eq!(sweep.points.len(), 4);
 //! let best = sweep.best().unwrap();
 //! assert!(best.total <= sweep.points[0].total);
-//! // drill into the winning point: hydrate its full projection
+//! // drill into the winning point: project the app on its machine
 //! let mp = sweep.hydrate(&app, best.index);
 //! assert_eq!(mp.total.to_bits(), best.total.to_bits());
 //! ```
 
-use crate::pipeline::{fold_projection, MachineProjection, ModeledApp};
+use crate::pipeline::{MachineProjection, ModeledApp};
 use crate::pool::{run_chunked, workers};
 use crate::units::Units;
 use xflow_hotspot::{ColumnsChunk, ProjectionColumns, SlotCost};
@@ -233,8 +233,7 @@ impl DesignSpace {
     /// and block provenance, and three counters: `sweep.points` once per
     /// completed point (hook an [`xflow_obs::ProgressTicker`] on it for a
     /// live ticker), `sweep.steals` once per chunk a worker claims beyond
-    /// its first, and `sweep.scratch_reuse` once per point evaluated into
-    /// an already-warm scratch.
+    /// its first, and the kernel's `plan.blocks`.
     pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions<'_>) -> Sweep {
         let kernel = app.kernel();
         let rec = opts.recorder;
@@ -259,10 +258,10 @@ impl DesignSpace {
         let chunks = run_chunked(
             &ranges,
             threads,
-            || (kernel.make_scratch(), 0usize),
-            |(scratch, claimed), _, range| {
+            || 0usize,
+            |claimed, _, range| {
                 if !rec.enabled() {
-                    return kernel.evaluate_columns_chunk(&cols, range.clone(), scratch);
+                    return kernel.evaluate_columns_chunk(&cols, range.clone());
                 }
                 *claimed += 1;
                 // a lone worker steals from no one
@@ -275,10 +274,7 @@ impl DesignSpace {
                         "sweep.point",
                         &[("index", AttrValue::U64(i as u64)), ("machine", AttrValue::Str(&self.machines[i].name))],
                     );
-                    if kernel.evaluate_spec_observed_into(&cols.specs()[i], scratch, rec) {
-                        rec.add("sweep.scratch_reuse", 1);
-                    }
-                    filled.fill_from_scratch(&cols, i, scratch);
+                    filled.fill_point(kernel, &cols, i, rec);
                     rec.span_end(span, &[("outcome", AttrValue::Str("ok"))]);
                     rec.add("sweep.points", 1);
                 }
@@ -315,8 +311,8 @@ impl DesignSpace {
 /// ([`crate::units::LIB_UNIT_BASE`]), so units are indexed by first
 /// appearance over the ascending statement slots rather than densely by
 /// id. Folding a dense row accumulates slot costs in ascending-statement
-/// order — the same order [`fold_projection`] visits the per-statement
-/// table, so the per-unit sums are bit-identical to a hydrated point's.
+/// order — the same order [`crate::pipeline::fold_projection`] visits the per-statement
+/// table, so the per-unit sums are bit-identical to a projected point's.
 struct UnitFold {
     unit_ids: Vec<StmtId>,
     slot_unit: Vec<u32>,
@@ -376,7 +372,7 @@ impl UnitFold {
     }
 
     /// Full unit ranking of one dense statement row (time desc, id asc) —
-    /// matches [`MachineProjection::ranking`] of the hydrated point.
+    /// matches [`MachineProjection::ranking`] of the projected point.
     fn ranking(&self, row: impl Iterator<Item = SlotCost>) -> Vec<StmtId> {
         let k = self.unit_ids.len();
         let mut total = vec![0.0f64; k];
@@ -394,8 +390,7 @@ impl UnitFold {
 
 /// Summary of one design-space point — a few scalars, no projection.
 ///
-/// The full [`MachineProjection`] of a point is hydrated on demand with
-/// [`Sweep::hydrate`].
+/// The full [`MachineProjection`] of a point comes from [`Sweep::hydrate`].
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Index into [`DesignSpace::machines`].
@@ -452,7 +447,7 @@ impl Sweep {
     }
 
     /// The `k` fastest points, ranked — straight off the totals column, no
-    /// hydration.
+    /// projection.
     pub fn top(&self, k: usize) -> Vec<&SweepPoint> {
         let mut v = self.ranked();
         v.truncate(k);
@@ -469,16 +464,21 @@ impl Sweep {
         &self.columns
     }
 
-    /// Materialize the full per-machine projection of one point by
-    /// re-evaluating its stored spec through the app's kernel
-    /// (bit-identical to [`ModeledApp::project_on`]). `app` must be the
-    /// application the sweep was run on.
+    /// The full per-machine projection of one point:
+    /// [`ModeledApp::project_on`] its machine, whose totals and statement
+    /// costs match the arena row to the bit.
+    ///
+    /// # Panics
+    ///
+    /// If `app` is not the application the sweep was run on (its kernel
+    /// fingerprint differs from the arena's).
     pub fn hydrate(&self, app: &ModeledApp, i: usize) -> MachineProjection {
-        fold_projection(&app.units, &self.machines[i], self.columns.hydrate(app.kernel(), i))
+        assert_eq!(app.kernel().fingerprint(), self.columns.fingerprint(), "sweep hydrated through a foreign app");
+        app.project_on(&self.machines[i])
     }
 
-    /// Unit ranking of one point (time desc, id asc) without hydrating its
-    /// projection.
+    /// Unit ranking of one point (time desc, id asc) without projecting
+    /// it.
     pub fn unit_ranking(&self, i: usize) -> Vec<StmtId> {
         self.fold.ranking(self.columns.stmt_row(i))
     }
@@ -540,7 +540,7 @@ pub fn format_sweep(sweep: &Sweep, units: &crate::units::Units) -> String {
 
 /// Render the `k` fastest points of a sweep as an aligned table, best
 /// first — the `xflow sweep --top` view, ranked straight off the totals
-/// column without hydrating any point.
+/// column without projecting any point.
 pub fn format_sweep_ranked(sweep: &Sweep, units: &crate::units::Units, k: usize) -> String {
     let mut out = String::new();
     write_sweep_header(&mut out);
@@ -618,15 +618,24 @@ mod tests {
             let direct = app.project_on(machine);
             assert_eq!(sweep.points[i].total.to_bits(), direct.total.to_bits());
             assert_eq!(sweep.unit_ranking(i), direct.ranking());
-            // lazy hydration reproduces the eager projection bit-for-bit
+            // the drilled-into projection agrees with the arena row
             let hydrated = sweep.hydrate(&app, i);
             assert_eq!(hydrated.total.to_bits(), direct.total.to_bits());
-            assert_eq!(hydrated.ranking(), direct.ranking());
-            assert_eq!(hydrated.projection.per_stmt.len(), direct.projection.per_stmt.len());
-            for (stmt, cost) in &hydrated.projection.per_stmt {
-                assert_eq!(cost.total.to_bits(), direct.projection.per_stmt[&stmt].total.to_bits());
+            assert_eq!(cols.stmt_row(i).count(), hydrated.projection.per_stmt.len());
+            for sc in cols.stmt_row(i) {
+                let cost = hydrated.projection.per_stmt[&sc.stmt];
+                assert_eq!(sc.total.to_bits(), cost.total.to_bits());
+                assert_eq!(sc.tm.to_bits(), cost.tm.to_bits());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "foreign app")]
+    fn hydrating_through_a_foreign_app_panics() {
+        let sweep = DesignSpace::from_machines([bgq()]).sweep_opts(&cfd_app(), SweepOptions::with_threads(1));
+        let sord = ModeledApp::from_workload(&xflow_workloads::sord(), Scale::Test).unwrap();
+        sweep.hydrate(&sord, 0);
     }
 
     #[test]
@@ -650,19 +659,17 @@ mod tests {
         let app = cfd_app();
         let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0]), Axis::mlp(&[2.0, 4.0])]);
 
-        // serial: one scratch, first point cold, the rest warm, no stealing
+        // serial: no stealing
         let rec = CollectingRecorder::new();
         space.sweep_opts(&app, SweepOptions { threads: 1, chunk: 1, recorder: &rec });
         assert_eq!(rec.counter_value("sweep.points"), 4);
-        assert_eq!(rec.counter_value("sweep.scratch_reuse"), 3);
         assert_eq!(rec.counter_value("sweep.steals"), 0);
 
         // two workers over four 1-point chunks: every chunk beyond a
-        // worker's first is a steal, and at most one cold point per worker
+        // worker's first is a steal
         let rec = CollectingRecorder::new();
         space.sweep_opts(&app, SweepOptions { threads: 2, chunk: 1, recorder: &rec });
         assert_eq!(rec.counter_value("sweep.points"), 4);
-        assert!(rec.counter_value("sweep.scratch_reuse") >= 2);
         assert!(rec.counter_value("sweep.steals") >= 2);
     }
 
@@ -731,9 +738,6 @@ mod tests {
                     };
                     assert_eq!(row(&observed), row(&plain), "{ctx} point {i}");
                     assert_eq!(observed.unit_ranking(i), plain.unit_ranking(i), "{ctx}");
-                    let (ha, hb) = (observed.hydrate(&app, i), plain.hydrate(&app, i));
-                    assert_eq!(ha.total.to_bits(), hb.total.to_bits(), "{ctx}");
-                    assert_eq!(ha.ranking(), hb.ranking(), "{ctx}");
                 }
                 assert_eq!(rec.counter_value("sweep.points"), n as u64, "{ctx}");
                 assert_eq!(rec.counter_value("plan.blocks"), (n * app.kernel().len()) as u64, "{ctx}");
@@ -752,6 +756,102 @@ mod tests {
                         }
                         other => panic!("machine attr should be a string, got {other:?}"),
                     }
+                }
+            }
+        }
+    }
+
+    /// Block provenance grouped by the `sweep.point` span open on the
+    /// emitting thread, so a multi-worker trace splits back into points.
+    #[derive(Default)]
+    struct PointProvenance {
+        open: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, usize>>,
+        blocks: std::sync::Mutex<std::collections::BTreeMap<usize, Vec<xflow_obs::BlockProvenance>>>,
+    }
+
+    impl Recorder for PointProvenance {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn span_start(&self, name: &str, attrs: &[xflow_obs::Attr<'_>]) -> SpanId {
+            if name == "sweep.point" {
+                let Some((_, AttrValue::U64(i))) = attrs.iter().find(|(k, _)| *k == "index") else {
+                    panic!("sweep.point span without an index")
+                };
+                self.open.lock().unwrap().insert(std::thread::current().id(), *i as usize);
+            }
+            SpanId::NONE
+        }
+        fn span_end(&self, _: SpanId, _: &[xflow_obs::Attr<'_>]) {}
+        fn add(&self, _: &str, _: u64) {}
+        fn observe(&self, _: &str, _: f64) {}
+        fn event(&self, _: &str, _: &[xflow_obs::Attr<'_>]) {}
+        fn block_cost(&self, block: &xflow_obs::BlockProvenance) {
+            let i = self.open.lock().unwrap()[&std::thread::current().id()];
+            self.blocks.lock().unwrap().entry(i).or_default().push(*block);
+        }
+    }
+
+    #[test]
+    fn traced_sweep_with_degenerate_machines_matches_plain_and_the_plan() {
+        use xflow_obs::CollectingRecorder;
+        let app = cfd_app();
+        // infinite frequency underflows every cycle time: the lane fill
+        // replays those points, the traced fill runs them like any other
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![Axis::freq_ghz(&[1.6, f64::INFINITY]), Axis::dram_bw(&[10.0, 40.0]), Axis::mlp(&[2.0, 4.0])],
+        );
+        let n = space.len();
+        let plain = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        // the second half of the grid breaks the participation prediction:
+        // statements that carry time on a finite clock drop out
+        for i in n / 2..n {
+            let cols = plain.columns();
+            assert!(cols.stmt_row(i).count() < cols.stmt_row(i - n / 2).count(), "point {i} is not degenerate");
+        }
+        let reference: Vec<Vec<xflow_obs::BlockProvenance>> = space
+            .machines()
+            .iter()
+            .map(|m| {
+                let rec = CollectingRecorder::new();
+                app.plan().evaluate_observed(m, &xflow_hw::Roofline, &rec);
+                rec.block_provenance()
+            })
+            .collect();
+        let bits = |b: &xflow_obs::BlockProvenance| {
+            let f = [b.enr, b.tc, b.tm, b.overlap, b.delta, b.total, b.threads, b.flops, b.iops, b.loads, b.stores];
+            (b.node, b.stmt, f.map(f64::to_bits), b.bytes.to_bits())
+        };
+        for threads in [1, 2, 4] {
+            for chunk in [1, 3, 64] {
+                let ctx = format!("threads={threads} chunk={chunk}");
+                let rec = PointProvenance::default();
+                let traced = space.sweep_opts(&app, SweepOptions { threads, chunk, recorder: &rec });
+                let (a, b) = (traced.columns(), plain.columns());
+                for i in 0..n {
+                    assert_eq!(a.total(i).to_bits(), b.total(i).to_bits(), "{ctx} point {i}");
+                    let (ta, tb) = (a.block_totals(i), b.block_totals(i));
+                    assert_eq!(
+                        (ta.0.to_bits(), ta.1.to_bits(), ta.2.to_bits()),
+                        (tb.0.to_bits(), tb.1.to_bits(), tb.2.to_bits()),
+                        "{ctx} point {i}"
+                    );
+                    assert_eq!(a.delta(i).to_bits(), b.delta(i).to_bits(), "{ctx} point {i}");
+                    assert_eq!(a.memory_bound(i), b.memory_bound(i), "{ctx} point {i}");
+                    let row = |c: &ProjectionColumns| -> Vec<_> {
+                        c.stmt_row(i)
+                            .map(|s| (s.slot, s.total.to_bits(), s.tc.to_bits(), s.tm.to_bits(), s.overlap.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(row(a), row(b), "{ctx} point {i}");
+                }
+                let blocks = rec.blocks.into_inner().unwrap();
+                assert_eq!(blocks.len(), n, "{ctx}");
+                for (i, stream) in &blocks {
+                    let got: Vec<_> = stream.iter().map(bits).collect();
+                    let want: Vec<_> = reference[*i].iter().map(bits).collect();
+                    assert_eq!(got, want, "{ctx} point {i}");
                 }
             }
         }

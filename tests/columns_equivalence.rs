@@ -1,10 +1,10 @@
 //! Bit-identity guarantee of the columnar sweep arena.
 //!
 //! [`xflow_hotspot::ProjectionColumns`] stores every sweep point as dense
-//! columns and hydrates a full [`Projection`] only on demand, and the
-//! arena is filled in machine lanes of [`xflow_hotspot::lane_width`].
-//! Both properties are only sound if every
-//! stored value — and every hydrated projection — is `f64::to_bits`-
+//! columns instead of a [`Projection`], and the arena is filled in machine
+//! lanes of [`xflow_hotspot::lane_width`], with a scalar row loop replaying
+//! degenerate lanes. Both are only sound if every stored value — total,
+//! block aggregates, δ, verdict and statement row — is `f64::to_bits`-
 //! identical to the scalar `ProjectionPlan::evaluate`, for *any* plan,
 //! *any* machine list (including lengths that are not lane multiples and
 //! degenerate machines that defeat the participation prediction), and
@@ -59,6 +59,19 @@ fn machine_list(n: usize, degenerate_mask: u32) -> Vec<MachineModel> {
 
 fn assert_point_matches_scalar(cols: &ProjectionColumns, i: usize, scalar: &Projection, ctx: &str) {
     assert_eq!(cols.total(i).to_bits(), scalar.total_time.to_bits(), "total: {ctx}");
+    // block aggregates: the node costs summed in node order (structural
+    // nodes add exact zeros)
+    let (mut tc, mut tm, mut ov) = (0.0f64, 0.0f64, 0.0f64);
+    for nc in &scalar.node_costs {
+        tc += nc.per_invocation.tc * nc.enr;
+        tm += nc.per_invocation.tm * nc.enr;
+        ov += nc.per_invocation.overlap * nc.enr;
+    }
+    let (ctc, ctm, cov) = cols.block_totals(i);
+    assert_eq!(ctc.to_bits(), tc.to_bits(), "block tc: {ctx}");
+    assert_eq!(ctm.to_bits(), tm.to_bits(), "block tm: {ctx}");
+    assert_eq!(cov.to_bits(), ov.to_bits(), "block overlap: {ctx}");
+    assert_eq!(cols.memory_bound(i), tm > tc, "verdict: {ctx}");
     let row: Vec<_> = cols.stmt_row(i).collect();
     assert_eq!(row.len(), scalar.per_stmt.len(), "row arity: {ctx}");
     for sc in row {
@@ -67,22 +80,6 @@ fn assert_point_matches_scalar(cols: &ProjectionColumns, i: usize, scalar: &Proj
         assert_eq!(sc.tc.to_bits(), s.tc.to_bits(), "{:?} tc: {ctx}", sc.stmt);
         assert_eq!(sc.tm.to_bits(), s.tm.to_bits(), "{:?} tm: {ctx}", sc.stmt);
         assert_eq!(sc.overlap.to_bits(), s.overlap.to_bits(), "{:?} overlap: {ctx}", sc.stmt);
-    }
-}
-
-fn assert_hydrated_matches_scalar(fast: &Projection, slow: &Projection, ctx: &str) {
-    assert_eq!(fast.total_time.to_bits(), slow.total_time.to_bits(), "hydrated total: {ctx}");
-    assert_eq!(fast.node_costs.len(), slow.node_costs.len(), "node count: {ctx}");
-    for (j, (f, s)) in fast.node_costs.iter().zip(&slow.node_costs).enumerate() {
-        assert_eq!(f.total.to_bits(), s.total.to_bits(), "node {j} total: {ctx}");
-        assert_eq!(f.enr.to_bits(), s.enr.to_bits(), "node {j} enr: {ctx}");
-        assert_eq!(f.per_invocation.tc.to_bits(), s.per_invocation.tc.to_bits(), "node {j} tc: {ctx}");
-        assert_eq!(f.per_invocation.tm.to_bits(), s.per_invocation.tm.to_bits(), "node {j} tm: {ctx}");
-    }
-    assert_eq!(fast.per_stmt.len(), slow.per_stmt.len(), "stmt count: {ctx}");
-    for (stmt, s) in slow.per_stmt.iter() {
-        let f = fast.per_stmt.get(&stmt).unwrap_or_else(|| panic!("missing {stmt:?}: {ctx}"));
-        assert_eq!(f.total.to_bits(), s.total.to_bits(), "{stmt:?} total: {ctx}");
     }
 }
 
@@ -109,13 +106,9 @@ proptest! {
         let cols = kernel.evaluate_columns(&specs);
         prop_assert!(check_columns(&cols).is_empty(), "invariants: {:?}", check_columns(&cols));
 
-        let mut scratch = kernel.make_scratch();
         for (i, machine) in machines.iter().enumerate() {
             let ctx = format!("seed {plan_seed}, point {i}/{n_machines} on {}", machine.name);
-            let scalar = plan.evaluate(machine, &Roofline);
-            assert_point_matches_scalar(&cols, i, &scalar, &ctx);
-            let hydrated = cols.hydrate_into(&kernel, i, &mut scratch);
-            assert_hydrated_matches_scalar(&hydrated, &scalar, &ctx);
+            assert_point_matches_scalar(&cols, i, &plan.evaluate(machine, &Roofline), &ctx);
         }
 
         // chunked fill with arbitrary boundaries must be bit-stable too
@@ -123,7 +116,7 @@ proptest! {
         let mut start = 0;
         while start < specs.len() {
             let end = (start + chunk).min(specs.len());
-            let part = kernel.evaluate_columns_chunk(&chunked, start..end, &mut scratch);
+            let part = kernel.evaluate_columns_chunk(&chunked, start..end);
             chunked.install(part);
             start = end;
         }
@@ -153,6 +146,5 @@ fn degenerate_lanes_inside_full_groups_replay_exactly() {
     for (i, machine) in machines.iter().enumerate() {
         let scalar = plan.evaluate(machine, &Roofline);
         assert_point_matches_scalar(&cols, i, &scalar, &format!("point {i} on {}", machine.name));
-        assert_hydrated_matches_scalar(&cols.hydrate(&kernel, i), &scalar, &format!("point {i}"));
     }
 }

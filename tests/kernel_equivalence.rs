@@ -3,16 +3,17 @@
 //! [`xflow_hotspot::PlanKernel`] (flat column layout + pre-resolved
 //! [`xflow_hw::MachineSpec`] constants) is a pure re-layout of
 //! [`xflow_hotspot::ProjectionPlan::evaluate`]: for every workload and
-//! every machine, every path through the kernel — scratch reuse, batches
-//! through one scratch, and the work-stealing sweep scheduler — must
-//! produce `f64::to_bits`-identical projections to the scalar evaluator,
-//! for any thread count and chunk size. Models that cannot specialize
-//! have no kernel path; their scalar evaluation must match the single-pass
-//! reference.
+//! every machine, every path through the kernel — the columnar fill, one
+//! arena across workloads and machines, and the work-stealing sweep
+//! scheduler — must store `f64::to_bits`-identical values to the scalar
+//! evaluator's totals, block aggregates and statement rows, for any thread
+//! count and chunk size. Models that cannot specialize have no kernel
+//! path; their scalar evaluation must match the single-pass reference.
 
 use proptest::prelude::*;
 use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
-use xflow_hotspot::{project_single_pass, Projection, ProjectionPlan};
+use xflow_hotspot::reference::project_single_pass;
+use xflow_hotspot::{Projection, ProjectionColumns, ProjectionPlan};
 use xflow_hw::{ClassicRoofline, MachineModel, MachineSpec, PerfModel, Roofline};
 
 fn machines() -> Vec<MachineModel> {
@@ -41,6 +42,31 @@ fn assert_projection_bits(fast: &Projection, slow: &Projection, ctx: &str) {
     assert_eq!(fast.unknown_libs, slow.unknown_libs, "unknown libs: {ctx}");
 }
 
+/// Every value the arena stores for point `i` equals the scalar
+/// evaluation: total, block aggregates (node costs summed in node order)
+/// and the statement row.
+fn assert_row_bits(cols: &ProjectionColumns, i: usize, scalar: &Projection, ctx: &str) {
+    assert_eq!(cols.total(i).to_bits(), scalar.total_time.to_bits(), "total: {ctx}");
+    let (mut tc, mut tm, mut ov) = (0.0f64, 0.0f64, 0.0f64);
+    for nc in &scalar.node_costs {
+        tc += nc.per_invocation.tc * nc.enr;
+        tm += nc.per_invocation.tm * nc.enr;
+        ov += nc.per_invocation.overlap * nc.enr;
+    }
+    let (ctc, ctm, cov) = cols.block_totals(i);
+    assert_eq!((ctc.to_bits(), ctm.to_bits(), cov.to_bits()), (tc.to_bits(), tm.to_bits(), ov.to_bits()), "{ctx}");
+    assert_eq!(cols.memory_bound(i), tm > tc, "verdict: {ctx}");
+    let row: Vec<_> = cols.stmt_row(i).collect();
+    assert_eq!(row.len(), scalar.per_stmt.len(), "stmt count: {ctx}");
+    for sc in row {
+        let s = scalar.per_stmt.get(&sc.stmt).unwrap_or_else(|| panic!("missing {:?}: {ctx}", sc.stmt));
+        assert_eq!(sc.total.to_bits(), s.total.to_bits(), "{:?} total: {ctx}", sc.stmt);
+        assert_eq!(sc.tc.to_bits(), s.tc.to_bits(), "{:?} tc: {ctx}", sc.stmt);
+        assert_eq!(sc.tm.to_bits(), s.tm.to_bits(), "{:?} tm: {ctx}", sc.stmt);
+        assert_eq!(sc.overlap.to_bits(), s.overlap.to_bits(), "{:?} overlap: {ctx}", sc.stmt);
+    }
+}
+
 #[test]
 fn kernel_matches_evaluate_on_all_workloads_and_machines() {
     let libs = xflow::default_library();
@@ -48,35 +74,17 @@ fn kernel_matches_evaluate_on_all_workloads_and_machines() {
         let app = ModeledApp::from_workload(&w, Scale::Test).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let plan = ProjectionPlan::new(&app.bet, libs);
         let kernel = plan.kernel();
-        let mut scratch = kernel.make_scratch();
-        for machine in machines() {
-            let ctx = format!("{} on {}", w.name, machine.name);
-            let scalar = plan.evaluate(&machine, &Roofline);
-
-            // spec fast path, reusing one scratch across machines
-            let spec = Roofline.specialize(&machine).expect("extended roofline specializes");
-            kernel.evaluate_spec_into(&spec, &mut scratch);
-            assert_projection_bits(&scratch.projection(&kernel), &scalar, &format!("spec path: {ctx}"));
-
-            // a cold scratch and a directly resolved spec give the same bits
-            let mut fresh = kernel.make_scratch();
-            kernel.evaluate_spec_into(&MachineSpec::resolve(&machine), &mut fresh);
-            assert_projection_bits(&fresh.projection(&kernel), &scalar, &format!("cold scratch: {ctx}"));
-        }
-
-        // batch: one scratch across all specs, one Projection per machine
-        let specs: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
-        let mut batch_scratch = kernel.make_scratch();
-        let batch: Vec<Projection> = specs
-            .iter()
-            .map(|spec| {
-                kernel.evaluate_spec_into(spec, &mut batch_scratch);
-                batch_scratch.projection(&kernel)
-            })
-            .collect();
-        for (projection, machine) in batch.iter().zip(machines()) {
-            let scalar = plan.evaluate(&machine, &Roofline);
-            assert_projection_bits(projection, &scalar, &format!("batch: {} on {}", w.name, machine.name));
+        // specs from the model's specialization and from direct resolution
+        // fill the same bits
+        let specialized: Vec<MachineSpec> =
+            machines().iter().map(|m| Roofline.specialize(m).expect("extended roofline specializes")).collect();
+        let resolved: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
+        for (label, specs) in [("specialized", specialized), ("resolved", resolved)] {
+            let cols = kernel.evaluate_columns(&specs);
+            for (i, machine) in machines().iter().enumerate() {
+                let ctx = format!("{label}: {} on {}", w.name, machine.name);
+                assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline), &ctx);
+            }
         }
     }
 }
@@ -93,30 +101,6 @@ fn non_specializing_models_fall_back_bit_identically() {
             let reference = project_single_pass(&app.bet, &machine, &ClassicRoofline, libs);
             let ctx = format!("fallback: {} on {}", w.name, machine.name);
             assert_projection_bits(&scalar, &reference, &ctx);
-        }
-    }
-}
-
-#[test]
-fn alternating_hot_and_cold_scratch_never_changes_bits() {
-    // a scratch warmed on one machine, reused on another, then handed to a
-    // different kernel (forcing a cold rebuild) must stay exact throughout
-    let libs = xflow::default_library();
-    let cfd = ModeledApp::from_workload(&xflow_workloads::cfd(), Scale::Test).unwrap();
-    let sord = ModeledApp::from_workload(&xflow_workloads::sord(), Scale::Test).unwrap();
-    let plan_a = ProjectionPlan::new(&cfd.bet, libs);
-    let plan_b = ProjectionPlan::new(&sord.bet, libs);
-    let (ka, kb) = (plan_a.kernel(), plan_b.kernel());
-    let mut scratch = ka.make_scratch();
-    for round in 0..3 {
-        for machine in machines() {
-            for (kernel, plan, name) in [(&ka, &plan_a, "cfd"), (&kb, &plan_b, "sord")] {
-                let spec = MachineSpec::resolve(&machine);
-                kernel.evaluate_spec_into(&spec, &mut scratch);
-                let scalar = plan.evaluate(&machine, &Roofline);
-                let ctx = format!("round {round}: {name} on {}", machine.name);
-                assert_projection_bits(&scratch.projection(kernel), &scalar, &ctx);
-            }
         }
     }
 }

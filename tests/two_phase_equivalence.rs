@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
-use xflow_hotspot::{project_single_pass, ProjectionPlan};
+use xflow_hotspot::reference::project_single_pass;
+use xflow_hotspot::ProjectionPlan;
 use xflow_hw::{MachineModel, Roofline};
 
 fn machines() -> Vec<MachineModel> {
