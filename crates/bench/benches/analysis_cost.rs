@@ -81,7 +81,10 @@ fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     g.bench_function("tree_walker", |b| {
-        b.iter(|| xflow_minilang::run(black_box(&prog), &inputs, xflow_minilang::NullTracer).unwrap())
+        b.iter(|| {
+            let (limits, seed) = (xflow_minilang::Limits::default(), xflow_minilang::DEFAULT_SEED);
+            xflow_minilang::reference::run(black_box(&prog), &inputs, xflow_minilang::NullTracer, limits, seed).unwrap()
+        })
     });
     g.bench_function("bytecode_vm", |b| {
         b.iter(|| xflow_minilang::run_vm(black_box(&vm), &inputs, xflow_minilang::NullTracer).unwrap())

@@ -1,17 +1,17 @@
 //! Criterion benchmark for the incremental `Session` layer: cold modeling
-//! (every stage from scratch, the `ModeledApp::from_program` path) vs a
-//! warm `Session` load (every stage served from the in-memory
-//! content-addressed cache) for all five benchmark workloads.
+//! (every stage from scratch on a fresh memory-only `Session`) vs a warm
+//! `Session` load (every stage served from the in-memory content-addressed
+//! cache) for all five benchmark workloads.
 //!
 //! The warm arm still pays for cloning the cached artifacts out of their
 //! `Arc`s and rebuilding the unit table, so it is not free — but it skips
-//! the profiled interpretation, translation, and BET build, which dominate
+//! the profiled run, translation, and BET build, which dominate
 //! cold modeling. The `exp_session` binary records the measured ratio in
 //! `results/BENCH_session.json` and asserts the ≥5× suite-level win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use xflow::{ModeledApp, Scale, Session};
+use xflow::{Scale, Session};
 
 fn bench_session_warm_start(c: &mut Criterion) {
     let scale = Scale::Test;
@@ -20,10 +20,7 @@ fn bench_session_warm_start(c: &mut Criterion) {
         let inputs = w.inputs(scale);
 
         g.bench_with_input(BenchmarkId::new("cold", w.name), &w, |b, w| {
-            b.iter(|| {
-                let prog = xflow_minilang::parse(black_box(w.source)).unwrap();
-                ModeledApp::from_program(prog, &inputs).unwrap().bet.len()
-            })
+            b.iter(|| Session::new().model(black_box(w.source), &inputs).unwrap().bet.len())
         });
 
         let session = Session::new();

@@ -9,26 +9,10 @@
 //! one. Writes `results/BENCH_kernel.json` for the CI regression gate.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
-use xflow_bench::opts;
+use xflow_bench::{min_of_k, opts};
 use xflow_hotspot::ProjectionPlan;
 use xflow_hw::MachineSpec;
-
-/// Best-of-5 average: each trial averages `reps` calls, and the minimum
-/// trial is reported — the least-interrupted run is the closest estimate
-/// of the true cost on a shared host.
-fn time_n<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
-    }
-    best
-}
 
 fn main() {
     let o = opts();
@@ -74,7 +58,7 @@ fn main() {
     println!("bit-identity: the columnar path matches scalar evaluate on all {n} points");
 
     // scalar baseline: the per-machine plan evaluation the kernel replaces
-    let eval_point_s = time_n(reps, || {
+    let eval_point_s = min_of_k(5, reps, || {
         for m in &machines {
             std::hint::black_box(plan.evaluate(m, &Roofline).total_time);
         }
@@ -82,7 +66,7 @@ fn main() {
 
     // columnar SoA batch: lane-vectorized across machines, dense column
     // output, no per-point Projection
-    let batch_soa_point_s = time_n(reps, || {
+    let batch_soa_point_s = min_of_k(5, reps, || {
         std::hint::black_box(kernel.evaluate_columns(&specs).totals().len());
     }) / n as f64;
 
@@ -98,7 +82,7 @@ fn main() {
     let sweep_threads = cores.min(8);
     app.plan();
     app.kernel();
-    let sweep_s = time_n(reps.min(10), || {
+    let sweep_s = min_of_k(5, reps.min(10), || {
         std::hint::black_box(space.sweep_opts(&app, SweepOptions::with_threads(sweep_threads)).points.len());
     });
     let sweep_points_per_sec = n as f64 / sweep_s;

@@ -11,9 +11,8 @@
 //! Writes `results/BENCH_obs.json`.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline, SweepOptions};
-use xflow_bench::opts;
+use xflow_bench::{min_of_k, opts};
 use xflow_hotspot::{NodeCost, Projection, ProjectionPlan, StmtCosts};
 use xflow_hw::{MachineModel, PerfModel};
 
@@ -45,19 +44,6 @@ fn evaluate_baseline(plan: &ProjectionPlan, machine: &MachineModel, model: &dyn 
         }
     }
     Projection { node_costs, per_stmt, total_time, unknown_libs: plan.unknown_libs().to_vec() }
-}
-
-/// Minimum seconds per grid pass over `samples` samples of `passes` passes.
-fn min_of_k<F: FnMut()>(samples: usize, passes: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / passes as f64);
-    }
-    best
 }
 
 fn main() {

@@ -3,10 +3,11 @@
 //!
 //! Three arms per workload:
 //!
-//! * **cold** — `ModeledApp::from_program`: parse + profiled run +
-//!   translation + BET build + plan build, no caching anywhere;
+//! * **cold** — `Session::model` on a fresh memory-only session per
+//!   repetition: parse + profiled run + translation + BET build + plan
+//!   and kernel builds, every stage a miss;
 //! * **warm (memory)** — `Session::model` with primed in-memory caches:
-//!   five key derivations, five LRU hits, artifact clones;
+//!   six key derivations, six LRU hits, artifact clones;
 //! * **warm (disk)** — a *fresh* `Session::with_cache_dir` per repetition,
 //!   so every stage deserializes its persisted artifact (the CLI
 //!   warm-start shape).
@@ -14,17 +15,8 @@
 //! Writes `results/BENCH_session.json` and asserts the suite-level
 //! in-memory warm-start win is ≥ 5×.
 
-use std::time::Instant;
-use xflow::{ModeledApp, Session};
-use xflow_bench::opts;
-
-fn time_n<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
+use xflow::Session;
+use xflow_bench::{min_of_k, opts};
 
 fn main() {
     let o = opts();
@@ -52,14 +44,13 @@ fn main() {
         mem_session.model(w.source, &inputs).expect("prime memory session");
         disk_seed.model(w.source, &inputs).expect("prime disk cache");
 
-        let cold = time_n(cold_reps, || {
-            let prog = xflow_minilang::parse(w.source).expect("parse");
-            std::hint::black_box(ModeledApp::from_program(prog, &inputs).expect("cold model").bet.len());
+        let cold = min_of_k(1, cold_reps, || {
+            std::hint::black_box(Session::new().model(w.source, &inputs).expect("cold model").bet.len());
         });
-        let warm_mem = time_n(warm_reps, || {
+        let warm_mem = min_of_k(1, warm_reps, || {
             std::hint::black_box(mem_session.model(w.source, &inputs).expect("warm model").bet.len());
         });
-        let warm_disk = time_n(warm_reps.min(10), || {
+        let warm_disk = min_of_k(1, warm_reps.min(10), || {
             let s = Session::with_cache_dir(&cache_dir);
             std::hint::black_box(s.model(w.source, &inputs).expect("disk model").bet.len());
         });

@@ -6,19 +6,10 @@
 //! claims are recorded alongside the other experiment outputs.
 
 use std::collections::HashMap;
-use std::time::Instant;
 use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
-use xflow_bench::opts;
+use xflow_bench::{min_of_k, opts};
 use xflow_hotspot::reference::project_single_pass;
 use xflow_hotspot::ProjectionPlan;
-
-fn time_n<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / reps as f64
-}
 
 fn main() {
     let o = opts();
@@ -35,27 +26,27 @@ fn main() {
     println!("=== two-phase projection: {}-point grid on {} ===\n", machines.len(), w.name);
 
     // phase 1: plan build (once per application)
-    let plan_build_s = time_n(reps, || {
+    let plan_build_s = min_of_k(1, reps, || {
         std::hint::black_box(ProjectionPlan::new(&app.bet, &libs));
     });
     let plan = ProjectionPlan::new(&app.bet, &libs);
 
     // phase 2: one roofline-only evaluation per machine
-    let eval_point_s = time_n(reps, || {
+    let eval_point_s = min_of_k(1, reps, || {
         for m in &machines {
             std::hint::black_box(plan.evaluate(m, &Roofline).total_time);
         }
     }) / machines.len() as f64;
 
     // the legacy public path: per-point library calibration + fused walk
-    let legacy_grid_s = time_n(reps.min(10), || {
+    let legacy_grid_s = min_of_k(1, reps.min(10), || {
         for m in &machines {
             let libs = xflow_sim::calibrate_library(512);
             std::hint::black_box(project_single_pass(&app.bet, m, &Roofline, &libs).total_time);
         }
     });
     // fused walk with calibration hoisted — the walk-only baseline
-    let single_pass_grid_s = time_n(reps, || {
+    let single_pass_grid_s = min_of_k(1, reps, || {
         for m in &machines {
             std::hint::black_box(project_single_pass(&app.bet, m, &Roofline, &libs).total_time);
         }
@@ -105,7 +96,7 @@ fn main() {
             println!("{:>8} {:>41}", want, format!("(clamped to {threads}, already measured)"));
             continue;
         }
-        let dt = time_n(reps.min(10), || {
+        let dt = min_of_k(1, reps.min(10), || {
             std::hint::black_box(big.sweep_opts(&app, SweepOptions::with_threads(threads)).points.len());
         });
         let pps = big.len() as f64 / dt;

@@ -13,6 +13,7 @@ pub mod gate;
 
 use serde::Serialize;
 use std::collections::HashMap;
+use std::time::Instant;
 use xflow::{bgq, compare, xeon, Comparison, MachineModel, Measured, ModeledApp, Scale, Workload};
 use xflow_skeleton::StmtId;
 
@@ -47,6 +48,44 @@ pub fn opts() -> Opts {
         i += 1;
     }
     Opts { scale, json_dir }
+}
+
+/// Minimum seconds per call of each arm over `samples` rounds of `passes`
+/// calls, sampled *interleaved*: every round times all arms back-to-back,
+/// so a slow stretch of the machine (frequency drop, a neighbor burning
+/// the core) hits all arms alike instead of biasing whichever arm happened
+/// to run during it. Sequential per-arm sampling on a single shared core
+/// was measured to swing a noop/baseline ratio by ±20%; interleaving
+/// bounds it. With `samples = 1` this is the mean of one `passes`-call run.
+pub fn min_of_k_interleaved(samples: usize, passes: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for _ in 0..samples {
+        for (i, arm) in arms.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            for _ in 0..passes {
+                arm();
+            }
+            best[i] = best[i].min(t0.elapsed().as_secs_f64() / passes as f64);
+        }
+    }
+    best
+}
+
+/// [`min_of_k_interleaved`] for a single arm: the least-interrupted of
+/// `samples` runs of `passes` calls is the closest estimate of the true
+/// cost on a shared host. Generic rather than `dyn`, so `f` is inlined
+/// into the timing loop and no indirect call is timed on microsecond
+/// arms.
+pub fn min_of_k<F: FnMut()>(samples: usize, passes: usize, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        for _ in 0..passes {
+            f();
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / passes as f64);
+    }
+    best
 }
 
 /// A complete evaluation of one workload on one machine.

@@ -227,8 +227,8 @@ pub(crate) fn fused_parts(op: &Op) -> Option<(usize, usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::NullTracer;
     use crate::parser::parse;
+    use crate::runtime::NullTracer;
     use crate::vm::{compile, run_vm};
     use crate::InputSpec;
 

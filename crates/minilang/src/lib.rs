@@ -5,15 +5,17 @@
 //! paper's workflow (Figure 1):
 //!
 //! * a parser for the small C-like language ([`parse`]),
-//! * two execution engines with bit-identical results, profiles, errors,
-//!   and [`Tracer`] event streams:
-//!   - the bytecode VM ([`vm`], superinstruction-fused by [`fuse`]) — the
-//!     production engine. [`profile`] runs it as the paper's one local
-//!     gcov-instrumented run, collecting branch outcome frequencies, loop
-//!     trip counts, and dynamic instruction mixes; the ground-truth
-//!     simulator replays programs on it with a tracer attached;
-//!   - the tree-walking interpreter ([`interp`], [`run`]) — the reference
-//!     semantics, kept as the oracle the VM is checked against;
+//! * one production execution engine, the bytecode VM ([`vm`],
+//!   superinstruction-fused by [`fuse`]). [`profile`] runs it as the
+//!   paper's one local gcov-instrumented run, collecting branch outcome
+//!   frequencies, loop trip counts, and dynamic instruction mixes; the
+//!   ground-truth simulator replays programs on it with a tracer attached.
+//!   The types every run shares — [`InputSpec`], [`Profile`], [`Tracer`],
+//!   [`Limits`], [`RuntimeError`] — live in [`runtime`];
+//! * the tree-walking interpreter ([`reference::run`]) — the reference
+//!   semantics, kept only as the oracle the VM is checked against: both
+//!   engines produce bit-identical results, profiles, errors, and
+//!   [`Tracer`] event streams;
 //! * the source-to-skeleton translator ([`translate()`]), the ROSE-engine
 //!   substitute that statically characterizes instruction mixes, array
 //!   accesses, and control structure, and folds the profile into the
@@ -37,10 +39,11 @@
 
 pub mod ast;
 pub mod fuse;
-pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
+pub mod reference;
+pub mod runtime;
 pub mod translate;
 pub mod vm;
 
@@ -49,12 +52,15 @@ pub use fuse::{
     compile_fused, fuse as fuse_program, fuse_with_report as fuse_program_with_report, FuseReport, FUSED_KIND_NAMES,
     NUM_FUSED_KINDS,
 };
-pub use interp::{
-    run, run_with_limits, run_with_limits_seeded, BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts,
-    Profile, RuntimeError, Tracer, DEFAULT_SEED,
-};
 pub use parser::parse;
 pub use printer::print;
+// perfbench's oracle replay is the only user of this crate-root alias;
+// everything else calls `reference::run`.
+#[doc(hidden)]
+pub use reference::run as run_with_limits_seeded;
+pub use runtime::{
+    BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, DEFAULT_SEED,
+};
 pub use translate::{translate, TranslateError, Translation};
 pub use vm::{
     compile, profile, profile_seeded, run_vm, run_vm_observed, run_vm_profiled, run_vm_with_limits,

@@ -9,8 +9,8 @@
 //!
 //! * Runs of simple statements become one `comp` block whose operation
 //!   counts are derived statically using the same accounting rules as the
-//!   interpreter (flops/divs in value position, iops in index position,
-//!   loads/stores for element accesses).
+//!   execution engines ([`crate::runtime`]: flops/divs in value position,
+//!   iops in index position, loads/stores for element accesses).
 //! * `for` loops with *modelable* bounds (arithmetic over tracked scalars)
 //!   become skeleton `loop`s with symbolic bounds; loops with data-dependent
 //!   bounds and all `while` loops become `while trips(...)` with the
@@ -29,7 +29,7 @@
 //! model-projected hot spots with simulator-measured ones.
 
 use crate::ast as ml;
-use crate::interp::Profile;
+use crate::runtime::Profile;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -718,7 +718,7 @@ impl<'p> Translator<'p> {
     }
 
     /// Count the static cost of evaluating `e` once, mirroring the
-    /// interpreter's accounting.
+    /// engines' dynamic accounting.
     #[allow(clippy::only_used_in_recursion)] // ctx is threaded for future per-fn cost rules
     fn count_expr(&mut self, e: &ml::Expr, idx_ctx: bool, ops: &mut StaticOps, ctx: &FnCtx) {
         match e {

@@ -1,6 +1,6 @@
 //! Bytecode VM for minilang — the production execution engine.
 //!
-//! The tree-walking interpreter ([`crate::interp`]) is the *reference*
+//! The tree-walking interpreter ([`crate::reference`]) is the *reference*
 //! semantics; this module compiles a program once into a flat instruction
 //! stream with resolved variable slots and runs it on a value stack. Both
 //! engines produce **bit-identical** results, profiles, errors, and tracer
@@ -16,7 +16,7 @@
 //! both.
 
 use crate::ast::*;
-use crate::interp::{
+use crate::runtime::{
     ArrRef, BranchStats, InputSpec, Lcg, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, Val,
 };
 use std::cell::RefCell;
@@ -1033,7 +1033,7 @@ pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<P
     Ok(p)
 }
 
-/// Run a compiled program (see [`crate::run`] for the reference engine).
+/// Run a compiled program (see [`crate::reference::run`] for the reference engine).
 pub fn run_vm<T: Tracer>(vm: &VmProgram, inputs: &InputSpec, tracer: T) -> Result<(Profile, T, f64), RuntimeError> {
     run_vm_with_limits(vm, inputs, tracer, Limits::default())
 }

@@ -7,8 +7,8 @@
 
 use xflow_minilang::fuse::{fuse, fuse_with_report, FUSED_KIND_NAMES, NUM_FUSED_KINDS};
 use xflow_minilang::{
-    compile, parse, run, run_vm, run_vm_profiled, InputSpec, InstrProfile, Limits, NullTracer, Profile, VmProgram,
-    DEFAULT_SEED,
+    compile, parse, reference, run_vm, run_vm_profiled, InputSpec, InstrProfile, Limits, NullTracer, Profile,
+    VmProgram, DEFAULT_SEED,
 };
 
 /// Run one source three ways (interp, VM, fused VM) and assert the full
@@ -17,7 +17,7 @@ use xflow_minilang::{
 fn check_three_way(src: &str) -> (InstrProfile, xflow_minilang::FuseReport) {
     let prog = parse(src).expect("parse");
     let spec = InputSpec::new();
-    let (p_ref, _, r_ref) = run(&prog, &spec, NullTracer).expect("interp");
+    let (p_ref, _, r_ref) = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("interp");
 
     let vm = compile(&prog).expect("compile");
     let (fused, report) = fuse_with_report(&vm);
@@ -196,7 +196,7 @@ fn call_traps_stay_unfused_and_fail_like_the_reference() {
         let fused = fuse(&vm);
         assert_eq!(traps(&vm), 1, "{src}");
         assert_eq!(traps(&fused), 1, "{src}");
-        let e_ref = run(&prog, &InputSpec::new(), NullTracer).unwrap_err();
+        let e_ref = reference::run(&prog, &InputSpec::new(), NullTracer, Limits::default(), DEFAULT_SEED).unwrap_err();
         let e_fz = run_vm(&fused, &InputSpec::new(), NullTracer).unwrap_err();
         assert_eq!(e_ref, e_fz, "{src}");
     }

@@ -7,7 +7,9 @@
 //! same results, same `Profile`, same observed opcode/digram stream.
 
 use proptest::prelude::*;
-use xflow_minilang::{compile, fuse_program, parse, run, run_vm_profiled, InputSpec, Limits, NullTracer};
+use xflow_minilang::{
+    compile, fuse_program, parse, reference, run_vm_profiled, InputSpec, Limits, NullTracer, DEFAULT_SEED,
+};
 
 /// A runnable program family with random constants and structure knobs:
 /// an array fill (rnd + arithmetic), a filter loop with a branch, an
@@ -52,7 +54,7 @@ proptest! {
         let prog = parse(&src).unwrap();
         let spec = InputSpec::new();
 
-        let (p_ref, _, r_ref) = run(&prog, &spec, NullTracer).unwrap();
+        let (p_ref, _, r_ref) = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
         let vm = compile(&prog).unwrap();
         let (p_vm, _, r_vm, iprof) =
             run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();

@@ -3,7 +3,9 @@
 //! library calls, execution counts), and the same tracer event stream
 //! (operation bundles, load/store addresses, library calls in order).
 
-use xflow_minilang::{compile, parse, run, run_vm, InputSpec, MStmtId, Profile, Tracer};
+use xflow_minilang::{
+    compile, parse, reference, run_vm, InputSpec, Limits, MStmtId, NullTracer, Profile, Tracer, DEFAULT_SEED,
+};
 
 /// Records every tracer event in order.
 #[derive(Debug, Default, PartialEq)]
@@ -38,7 +40,8 @@ fn assert_profiles_equal(a: &Profile, b: &Profile, what: &str) {
 fn check(src: &str, inputs: &[(&str, f64)]) {
     let prog = parse(src).unwrap();
     let spec = InputSpec::from_pairs(inputs.iter().copied());
-    let (p_ref, t_ref, r_ref) = run(&prog, &spec, EventLog::default()).unwrap();
+    let (p_ref, t_ref, r_ref) =
+        reference::run(&prog, &spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
     let vm = compile(&prog).unwrap();
     let (p_vm, t_vm, r_vm) = run_vm(&vm, &spec, EventLog::default()).unwrap();
     assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "return value");
@@ -209,7 +212,8 @@ fn all_workloads_match_at_test_scale() {
     for w in xflow_workloads::all() {
         let prog = w.program();
         let spec = w.inputs(xflow_workloads::Scale::Test);
-        let (p_ref, t_ref, r_ref) = run(&prog, &spec, EventLog::default()).unwrap();
+        let (p_ref, t_ref, r_ref) =
+            reference::run(&prog, &spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
         let vm = compile(&prog).unwrap();
         let (p_vm, t_vm, r_vm) = run_vm(&vm, &spec, EventLog::default()).unwrap();
         assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "{}", w.name);
@@ -230,7 +234,7 @@ fn runtime_errors_match() {
     ] {
         let prog = parse(src).unwrap();
         let spec = InputSpec::new();
-        let r = run(&prog, &spec, xflow_minilang::NullTracer).map(|_| ());
+        let r = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).map(|_| ());
         let v = compile(&prog).and_then(|vm| run_vm(&vm, &spec, xflow_minilang::NullTracer).map(|_| ()));
         assert_eq!(std::mem::discriminant(&r.unwrap_err()), std::mem::discriminant(&v.unwrap_err()), "{what}");
     }
@@ -244,7 +248,7 @@ fn vm_is_faster_on_heavy_workloads() {
     let prog = w.program();
     let spec = w.inputs(xflow_workloads::Scale::Test);
     let t0 = std::time::Instant::now();
-    let _ = run(&prog, &spec, xflow_minilang::NullTracer).unwrap();
+    let _ = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
     let tree = t0.elapsed();
     let vm = compile(&prog).unwrap();
     let t1 = std::time::Instant::now();

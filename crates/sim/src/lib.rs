@@ -19,14 +19,16 @@
 pub mod cache;
 pub mod calibrate;
 pub mod cost;
-#[cfg(test)]
-mod reference;
+pub mod reference;
 
 pub use cache::{AccessLevel, CacheArray, Hierarchy};
 pub use calibrate::{
     calibrate_library, hardware_lib_mix, hardware_lib_mix_slot, lib_slot, LibMix, LIB_NAMES, LIB_SLOT_NAMES,
 };
 pub use cost::{SimConfig, SimTracer, TracerMaps};
+// perfbench imports the tree-walking reference simulation from the crate
+// root; everything else reaches it through `reference`.
+pub use reference::simulate_reference;
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -153,19 +155,11 @@ pub fn simulate_with_seed(
     finish_report(machine, profile, tracer)
 }
 
-/// [`simulate`] on the tree-walking reference engine (for cross-checks).
-pub fn simulate_reference(
-    prog: &Program,
-    inputs: &InputSpec,
+pub(crate) fn finish_report(
     machine: &MachineModel,
-    cfg: SimConfig,
+    profile: Profile,
+    tracer: SimTracer,
 ) -> Result<SimReport, RuntimeError> {
-    let tracer = SimTracer::for_program(prog, machine, cfg);
-    let (profile, tracer, _ret) = xflow_minilang::run(prog, inputs, tracer)?;
-    finish_report(machine, profile, tracer)
-}
-
-fn finish_report(machine: &MachineModel, profile: Profile, tracer: SimTracer) -> Result<SimReport, RuntimeError> {
     let l1_hit = tracer.caches().l1.hit_rate();
     let llc_hit = tracer.caches().llc.hit_rate();
     let dram_bytes = tracer.caches().dram_bytes();
@@ -306,40 +300,5 @@ fn main() {
     fn runtime_errors_propagate() {
         let p = parse("fn main() { let a = zeros(1); a[5] = 0; }").unwrap();
         assert!(simulate(&p, &InputSpec::new(), &generic(), SimConfig::default()).is_err());
-    }
-}
-
-#[cfg(test)]
-mod engine_tests {
-    use super::*;
-    use xflow_hw::bgq;
-    use xflow_minilang::parse;
-
-    #[test]
-    fn vm_and_reference_engines_agree_end_to_end() {
-        let src = r#"
-fn main() {
-    let n = input("N", 800);
-    let a = zeros(n);
-    for i in 0 .. n { a[i] = rnd(); }
-    let s = 0;
-    for i in 1 .. n - 1 {
-        if a[i] > 0.5 { s = s + exp(a[i]); }
-        else { a[i] = 0.5 * (a[i - 1] + a[i + 1]); }
-    }
-    print(s);
-}
-"#;
-        let prog = parse(src).unwrap();
-        let m = bgq();
-        let fast = simulate(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
-        let refr = simulate_reference(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
-        assert_eq!(fast.total_cycles, refr.total_cycles);
-        assert_eq!(fast.stmt_cycles, refr.stmt_cycles);
-        assert_eq!(fast.stmt_l1_misses, refr.stmt_l1_misses);
-        assert_eq!(fast.lib_cycles, refr.lib_cycles);
-        assert_eq!(fast.l1_hit_rate, refr.l1_hit_rate);
-        assert_eq!(fast.dram_bytes, refr.dram_bytes);
-        assert_eq!(fast.profile.printed, refr.profile.printed);
     }
 }

@@ -1,22 +1,48 @@
-//! The pre-dense `SimTracer` — kept verbatim as a test-only oracle.
+//! The simulator's reference paths — kept as oracles, never on a
+//! production path. Each item names the production component it checks:
 //!
-//! [`ReferenceTracer`] is the old HashMap-per-event accounting path: one
-//! `entry` upsert per dynamic operation, a `String` allocation per library
-//! call, and cross-block reuse tracked through a side `last_toucher` map
-//! keyed by cache line. It is slow and that is the point: the dense
-//! [`SimTracer`](crate::SimTracer) must reproduce its `SimReport`
-//! *bit-for-bit* (`f64::to_bits` on every cycle account, exact equality on
-//! every count), which the proptests below check over generated programs
-//! and all paper workloads on both evaluation machines.
+//! * [`simulate_reference`] — the **tree-walking engine**: the dense
+//!   [`SimTracer`] driven by `xflow_minilang::reference::run` instead of
+//!   the fused VM, so the VM's event stream is checked end to end
+//!   (`simulate` must report the same bits).
+//! * [`ReferenceTracer`] and [`tracer_report`] — the **HashMap tracer**:
+//!   the pre-dense cost tracer, one `entry` upsert per dynamic operation,
+//!   a `String` allocation per library call, and cross-block reuse
+//!   tracked through a side `last_toucher` map keyed by cache line. It is
+//!   slow and that is the point: the dense [`SimTracer`] must reproduce
+//!   its `SimReport` *bit-for-bit* (`f64::to_bits` on every cycle
+//!   account, exact equality on every count). The proptests below check
+//!   that over generated programs and all paper workloads on both
+//!   evaluation machines; `exp_sim` checks it on CFD before timing the
+//!   two tracers against each other on the same cache.
+//! * [`assert_reports_bit_equal`] — the bit-equality assertion both
+//!   checks use.
 
 use crate::cache::{AccessLevel, Hierarchy};
 use crate::calibrate::hardware_lib_mix;
 use crate::cost::SimConfig;
+use crate::{finish_report, SimReport, SimTracer};
 use std::collections::HashMap;
 use xflow_hw::MachineModel;
-use xflow_minilang::{MStmtId, Tracer};
+use xflow_minilang::{
+    compile, run_vm_with_limits_seeded, InputSpec, Limits, MStmtId, Program, RuntimeError, Tracer, DEFAULT_SEED,
+};
 
-/// The old HashMap-path cost tracer, unchanged.
+/// [`crate::simulate`] on the tree-walking reference engine (for
+/// cross-checks of the VM's event stream).
+pub fn simulate_reference(
+    prog: &Program,
+    inputs: &InputSpec,
+    machine: &MachineModel,
+    cfg: SimConfig,
+) -> Result<SimReport, RuntimeError> {
+    let tracer = SimTracer::for_program(prog, machine, cfg);
+    let (profile, tracer, _ret) =
+        xflow_minilang::reference::run(prog, inputs, tracer, Limits::default(), DEFAULT_SEED)?;
+    finish_report(machine, profile, tracer)
+}
+
+/// The pre-dense HashMap-path cost tracer, unchanged.
 #[derive(Debug)]
 pub struct ReferenceTracer {
     machine: MachineModel,
@@ -130,89 +156,107 @@ impl Tracer for ReferenceTracer {
     }
 }
 
+/// Run a program through the (unfused) VM with the [`ReferenceTracer`] and
+/// package the result exactly like the dense path does.
+pub fn tracer_report(
+    prog: &Program,
+    inputs: &InputSpec,
+    machine: &MachineModel,
+    cfg: SimConfig,
+    seed: u64,
+) -> Result<SimReport, RuntimeError> {
+    let tracer = ReferenceTracer::new(machine, cfg);
+    let vm = compile(prog)?;
+    let (profile, tracer, _ret) = run_vm_with_limits_seeded(&vm, inputs, tracer, Limits::default(), seed)?;
+    Ok(SimReport {
+        l1_hit_rate: tracer.caches().l1.hit_rate(),
+        llc_hit_rate: tracer.caches().llc.hit_rate(),
+        dram_bytes: tracer.caches().dram_bytes(),
+        stmt_cycles: tracer.stmt_cycles,
+        stmt_instrs: tracer.stmt_instrs,
+        stmt_l1_misses: tracer.stmt_l1_misses,
+        stmt_cross_hits: tracer.stmt_cross_hits,
+        stmt_self_hits: tracer.stmt_self_hits,
+        lib_cycles: tracer.lib_cycles,
+        lib_instrs: tracer.lib_instrs,
+        total_cycles: tracer.total_cycles,
+        profile,
+        freq_ghz: machine.freq_ghz,
+    })
+}
+
+/// Assert two reports are bit-equal: cycle accounts compared by
+/// `f64::to_bits`, counts exactly — sorted key-by-key so a mismatch names
+/// the statement it happened on. Panics naming `ctx` and the field.
+pub fn assert_reports_bit_equal(dense: &SimReport, reference: &SimReport, ctx: &str) {
+    fn sorted_f64(m: &HashMap<MStmtId, f64>) -> Vec<(MStmtId, u64)> {
+        let mut v: Vec<(MStmtId, u64)> = m.iter().map(|(&k, &x)| (k, x.to_bits())).collect();
+        v.sort();
+        v
+    }
+    fn sorted_u64(m: &HashMap<MStmtId, u64>) -> Vec<(MStmtId, u64)> {
+        let mut v: Vec<(MStmtId, u64)> = m.iter().map(|(&k, &x)| (k, x)).collect();
+        v.sort();
+        v
+    }
+    assert_eq!(dense.total_cycles.to_bits(), reference.total_cycles.to_bits(), "{ctx}: total_cycles");
+    assert_eq!(sorted_f64(&dense.stmt_cycles), sorted_f64(&reference.stmt_cycles), "{ctx}: stmt_cycles");
+    assert_eq!(sorted_u64(&dense.stmt_instrs), sorted_u64(&reference.stmt_instrs), "{ctx}: stmt_instrs");
+    assert_eq!(sorted_u64(&dense.stmt_l1_misses), sorted_u64(&reference.stmt_l1_misses), "{ctx}: stmt_l1_misses");
+    assert_eq!(sorted_u64(&dense.stmt_cross_hits), sorted_u64(&reference.stmt_cross_hits), "{ctx}: stmt_cross_hits");
+    assert_eq!(sorted_u64(&dense.stmt_self_hits), sorted_u64(&reference.stmt_self_hits), "{ctx}: stmt_self_hits");
+    let lib_bits = |m: &HashMap<String, f64>| {
+        let mut v: Vec<(String, u64)> = m.iter().map(|(k, &x)| (k.clone(), x.to_bits())).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(lib_bits(&dense.lib_cycles), lib_bits(&reference.lib_cycles), "{ctx}: lib_cycles");
+    assert_eq!(dense.lib_instrs, reference.lib_instrs, "{ctx}: lib_instrs");
+    assert_eq!(dense.l1_hit_rate.to_bits(), reference.l1_hit_rate.to_bits(), "{ctx}: l1_hit_rate");
+    assert_eq!(dense.llc_hit_rate.to_bits(), reference.llc_hit_rate.to_bits(), "{ctx}: llc_hit_rate");
+    assert_eq!(dense.dram_bytes, reference.dram_bytes, "{ctx}: dram_bytes");
+    assert_eq!(dense.profile.printed, reference.profile.printed, "{ctx}: printed");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_with_seed, SimReport};
+    use crate::simulate_with_seed;
     use proptest::prelude::*;
     use xflow_hw::{bgq, xeon};
-    use xflow_minilang::{compile, run_vm_with_limits_seeded, InputSpec, Limits, Program};
-
-    /// Run a program through the VM with the reference tracer and package
-    /// the result exactly like `finish_report` does for the dense path.
-    fn reference_report(
-        prog: &Program,
-        inputs: &InputSpec,
-        machine: &MachineModel,
-        cfg: SimConfig,
-        seed: u64,
-    ) -> Result<SimReport, xflow_minilang::RuntimeError> {
-        let tracer = ReferenceTracer::new(machine, cfg);
-        let vm = compile(prog)?;
-        let (profile, tracer, _ret) = run_vm_with_limits_seeded(&vm, inputs, tracer, Limits::default(), seed)?;
-        Ok(SimReport {
-            l1_hit_rate: tracer.caches().l1.hit_rate(),
-            llc_hit_rate: tracer.caches().llc.hit_rate(),
-            dram_bytes: tracer.caches().dram_bytes(),
-            stmt_cycles: tracer.stmt_cycles,
-            stmt_instrs: tracer.stmt_instrs,
-            stmt_l1_misses: tracer.stmt_l1_misses,
-            stmt_cross_hits: tracer.stmt_cross_hits,
-            stmt_self_hits: tracer.stmt_self_hits,
-            lib_cycles: tracer.lib_cycles,
-            lib_instrs: tracer.lib_instrs,
-            total_cycles: tracer.total_cycles,
-            profile,
-            freq_ghz: machine.freq_ghz,
-        })
-    }
-
-    /// Bit-equal cycles, exactly equal counts — sorted key-by-key so a
-    /// mismatch names the statement it happened on.
-    fn assert_reports_bit_equal(dense: &SimReport, reference: &SimReport, ctx: &str) {
-        fn sorted_f64(m: &HashMap<MStmtId, f64>) -> Vec<(MStmtId, u64)> {
-            let mut v: Vec<(MStmtId, u64)> = m.iter().map(|(&k, &x)| (k, x.to_bits())).collect();
-            v.sort();
-            v
-        }
-        fn sorted_u64(m: &HashMap<MStmtId, u64>) -> Vec<(MStmtId, u64)> {
-            let mut v: Vec<(MStmtId, u64)> = m.iter().map(|(&k, &x)| (k, x)).collect();
-            v.sort();
-            v
-        }
-        assert_eq!(dense.total_cycles.to_bits(), reference.total_cycles.to_bits(), "{ctx}: total_cycles");
-        assert_eq!(sorted_f64(&dense.stmt_cycles), sorted_f64(&reference.stmt_cycles), "{ctx}: stmt_cycles");
-        assert_eq!(sorted_u64(&dense.stmt_instrs), sorted_u64(&reference.stmt_instrs), "{ctx}: stmt_instrs");
-        assert_eq!(sorted_u64(&dense.stmt_l1_misses), sorted_u64(&reference.stmt_l1_misses), "{ctx}: stmt_l1_misses");
-        assert_eq!(
-            sorted_u64(&dense.stmt_cross_hits),
-            sorted_u64(&reference.stmt_cross_hits),
-            "{ctx}: stmt_cross_hits"
-        );
-        assert_eq!(sorted_u64(&dense.stmt_self_hits), sorted_u64(&reference.stmt_self_hits), "{ctx}: stmt_self_hits");
-        let lib_bits = |m: &HashMap<String, f64>| {
-            let mut v: Vec<(String, u64)> = m.iter().map(|(k, &x)| (k.clone(), x.to_bits())).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(lib_bits(&dense.lib_cycles), lib_bits(&reference.lib_cycles), "{ctx}: lib_cycles");
-        assert_eq!(dense.lib_instrs, reference.lib_instrs, "{ctx}: lib_instrs");
-        assert_eq!(dense.l1_hit_rate.to_bits(), reference.l1_hit_rate.to_bits(), "{ctx}: l1_hit_rate");
-        assert_eq!(dense.llc_hit_rate.to_bits(), reference.llc_hit_rate.to_bits(), "{ctx}: llc_hit_rate");
-        assert_eq!(dense.dram_bytes, reference.dram_bytes, "{ctx}: dram_bytes");
-        assert_eq!(dense.profile.printed, reference.profile.printed, "{ctx}: printed");
-    }
 
     fn check_program(prog: &Program, inputs: &InputSpec, cfg: &SimConfig, seed: u64, ctx: &str) {
         for machine in [bgq(), xeon()] {
             let dense = simulate_with_seed(prog, inputs, &machine, cfg.clone(), seed);
-            let reference = reference_report(prog, inputs, &machine, cfg.clone(), seed);
+            let reference = tracer_report(prog, inputs, &machine, cfg.clone(), seed);
             match (dense, reference) {
                 (Ok(d), Ok(r)) => assert_reports_bit_equal(&d, &r, &format!("{ctx} on {}", machine.name)),
                 (Err(_), Err(_)) => {} // both reject (limits) — still equivalent
                 (d, r) => panic!("{ctx} on {}: engines disagree on failure: {d:?} vs {r:?}", machine.name),
             }
         }
+    }
+
+    #[test]
+    fn vm_and_reference_engines_agree_end_to_end() {
+        let src = r#"
+fn main() {
+    let n = input("N", 800);
+    let a = zeros(n);
+    for i in 0 .. n { a[i] = rnd(); }
+    let s = 0;
+    for i in 1 .. n - 1 {
+        if a[i] > 0.5 { s = s + exp(a[i]); }
+        else { a[i] = 0.5 * (a[i - 1] + a[i + 1]); }
+    }
+    print(s);
+}
+"#;
+        let prog = xflow_minilang::parse(src).unwrap();
+        let m = bgq();
+        let fast = crate::simulate(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
+        let refr = simulate_reference(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
+        assert_reports_bit_equal(&fast, &refr, "VM vs tree-walker");
     }
 
     #[test]
@@ -229,7 +273,7 @@ mod tests {
                 cfg.vector_overrides.extend(w.sim_config(&prog, &machine).vector_overrides);
                 let dense =
                     simulate_with_seed(&prog, &inputs, &machine, cfg.clone(), xflow_minilang::DEFAULT_SEED).unwrap();
-                let reference = reference_report(&prog, &inputs, &machine, cfg, xflow_minilang::DEFAULT_SEED).unwrap();
+                let reference = tracer_report(&prog, &inputs, &machine, cfg, xflow_minilang::DEFAULT_SEED).unwrap();
                 assert_reports_bit_equal(&dense, &reference, &format!("{} on {}", w.name, machine.name));
             }
         }

@@ -178,7 +178,7 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
     let inputs = InputSpec::new();
     let limits = fuzz_limits();
     let seed = ml::DEFAULT_SEED;
-    let (prof, _, ret) = match ml::run_with_limits_seeded(&prog, &inputs, ml::NullTracer, limits, seed) {
+    let (prof, _, ret) = match ml::reference::run(&prog, &inputs, ml::NullTracer, limits, seed) {
         Ok(r) => r,
         Err(_) => return Outcome::Rejected,
     };
@@ -194,7 +194,7 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
         }
         Err(e) => return Outcome::Failed(format!("VM errored where interpreter ran: {e}")),
     }
-    match ml::run_with_limits_seeded(&reparsed, &inputs, ml::NullTracer, limits, seed) {
+    match ml::reference::run(&reparsed, &inputs, ml::NullTracer, limits, seed) {
         Ok((rprof, _, rret)) => {
             if !profiles_agree(&prof, &rprof) || ret.to_bits() != rret.to_bits() {
                 return Outcome::Failed("print/re-parse round-trip changed dynamic behavior".to_string());

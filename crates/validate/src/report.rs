@@ -373,7 +373,7 @@ pub fn validate_program(
     // 1. oracle runs on all three engines, same seed: the reference
     // interpreter, the bytecode VM, and the superinstruction-fused VM
     // (whose peephole rewrite must be observationally invisible).
-    let (prof, _, ret) = ml::run_with_limits_seeded(prog, inputs, ml::NullTracer, limits, cfg.seed)?;
+    let (prof, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, limits, cfg.seed)?;
     let vm = ml::compile(prog)?;
     let (vm_prof, _, vm_ret) = ml::run_vm_with_limits_seeded(&vm, inputs, ml::NullTracer, limits, cfg.seed)?;
     let fused = ml::fuse_program(&vm);

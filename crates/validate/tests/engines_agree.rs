@@ -20,7 +20,7 @@ fn check_engines(seed: u64, escapes: bool) {
     let limits = ml::Limits { max_steps: 2_000_000, max_depth: 64 };
 
     let (pi, _, ri) =
-        ml::run_with_limits_seeded(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("interpreter runs");
+        ml::reference::run(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("interpreter runs");
     let vm = ml::compile(&prog).expect("compiles");
     let (pv, _, rv) =
         ml::run_vm_with_limits_seeded(&vm, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("VM runs");
@@ -78,7 +78,7 @@ fn reference_profile(
     inputs: &ml::InputSpec,
     limits: ml::Limits,
 ) -> Result<ml::Profile, ml::RuntimeError> {
-    ml::run_with_limits_seeded(prog, inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).map(|(p, _, _)| p)
+    ml::reference::run(prog, inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).map(|(p, _, _)| p)
 }
 
 fn assert_profiler_matches_reference(src: &str, inputs: &ml::InputSpec, what: &str) {

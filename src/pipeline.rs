@@ -92,12 +92,12 @@ pub struct ModeledApp {
     pub units: Units,
     /// The input binding used for profiling and BET construction.
     pub inputs: InputSpec,
-    /// Lazily-built machine-independent projection plan (phase 1 of the
-    /// two-phase engine), shared by every [`ModeledApp::project_on`] call.
-    plan: OnceLock<ProjectionPlan>,
-    /// Lazily-built SoA evaluation kernel compiled from the plan, shared by
-    /// every design-space sweep over this app.
-    kernel: OnceLock<PlanKernel>,
+    /// The machine-independent projection plan (phase 1 of the two-phase
+    /// engine), shared by every [`ModeledApp::project_on`] call.
+    plan: ProjectionPlan,
+    /// The SoA evaluation kernel compiled from the plan, shared by every
+    /// design-space sweep over this app.
+    kernel: PlanKernel,
 }
 
 impl ModeledApp {
@@ -115,52 +115,30 @@ impl ModeledApp {
         Self::from_source(w.source, &w.inputs(scale))
     }
 
-    /// Model an already-parsed program. This is the cold, uncached path:
-    /// every stage runs from scratch.
-    pub fn from_program(program: ml::Program, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
-        let profile = ml::profile(&program, inputs)?;
-        let translation = ml::translate(&program, &profile).map_err(PipelineError::Translate)?;
-        let env = initial_env(&translation, inputs);
-        let bet = xflow_bet::build(&translation.skeleton, &env)?;
-        Ok(Self::assemble(program, profile, translation, bet, inputs.clone(), None, None))
-    }
-
-    /// Assemble a modeled app from already-built stage artifacts (the
-    /// session layer's entry point). When `plan` (and `kernel`) are
-    /// provided they seed the lazy slots, so the first `project_on` /
-    /// sweep skips those builds too.
+    /// Assemble a modeled app from the session's six stage artifacts.
     pub(crate) fn assemble(
         program: ml::Program,
         profile: ml::Profile,
         translation: Translation,
         bet: Bet,
         inputs: InputSpec,
-        plan: Option<ProjectionPlan>,
-        kernel: Option<PlanKernel>,
+        plan: ProjectionPlan,
+        kernel: PlanKernel,
     ) -> ModeledApp {
         let units = build_units(&program, &translation);
-        let slot = OnceLock::new();
-        if let Some(p) = plan {
-            let _ = slot.set(p);
-        }
-        let kernel_slot = OnceLock::new();
-        if let Some(k) = kernel {
-            let _ = kernel_slot.set(k);
-        }
-        ModeledApp { program, profile, translation, bet, units, inputs, plan: slot, kernel: kernel_slot }
+        ModeledApp { program, profile, translation, bet, units, inputs, plan, kernel }
     }
 
-    /// The machine-independent projection plan (phase 1), built on first
-    /// use against the calibrated default library and reused by every
-    /// subsequent [`ModeledApp::project_on`] and design-space sweep.
+    /// The machine-independent projection plan (phase 1), reused by every
+    /// [`ModeledApp::project_on`] and design-space sweep.
     pub fn plan(&self) -> &ProjectionPlan {
-        self.plan.get_or_init(|| ProjectionPlan::new(&self.bet, default_library()))
+        &self.plan
     }
 
-    /// The SoA evaluation kernel compiled from [`ModeledApp::plan`], built
-    /// on first use and reused by every design-space sweep over this app.
+    /// The SoA evaluation kernel compiled from [`ModeledApp::plan`], reused
+    /// by every design-space sweep over this app.
     pub fn kernel(&self) -> &PlanKernel {
-        self.kernel.get_or_init(|| self.plan().kernel())
+        &self.kernel
     }
 
     /// Project the application on a target machine (extended roofline,

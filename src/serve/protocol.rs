@@ -10,11 +10,42 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on accepted request bodies; a projection request is a few
 /// hundred bytes of JSON, so anything near this is abuse, not traffic.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Upper bound on a request head: the request line plus every header
+/// line, terminators included.
+pub const MAX_HEAD_BYTES: usize = 16 << 10;
+
+/// Upper bound on the number of header lines in one request.
+pub const MAX_HEADERS: usize = 100;
+
+/// Error payload marking a request head over [`MAX_HEAD_BYTES`] or
+/// [`MAX_HEADERS`]; the server answers it with 431.
+#[derive(Debug)]
+pub struct HeadTooLarge;
+
+impl std::fmt::Display for HeadTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes or {MAX_HEADERS} headers")
+    }
+}
+
+impl std::error::Error for HeadTooLarge {}
+
+impl HeadTooLarge {
+    /// Whether `e` is a [`read_request`] rejection of an oversized head.
+    pub fn is(e: &io::Error) -> bool {
+        e.get_ref().is_some_and(|inner| inner.is::<HeadTooLarge>())
+    }
+
+    fn error() -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, HeadTooLarge)
+    }
+}
 
 // ---------------------------------------------------------------------------
 // HTTP framing
@@ -46,10 +77,22 @@ impl HttpRequest {
 
 /// Read one request off a buffered connection. `Ok(None)` is a clean EOF
 /// before any bytes (the client hung up between keep-alive requests);
-/// malformed framing is an `InvalidData` error.
+/// malformed framing is an `InvalidData` error, and a head over
+/// [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`] is one carrying [`HeadTooLarge`].
+/// The head is read through a reader capped at [`MAX_HEAD_BYTES`], so a
+/// line that never ends costs at most the cap plus one buffer fill.
 pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Option<HttpRequest>> {
+    let mut head = Read::take(&mut *stream, MAX_HEAD_BYTES as u64);
+    // one head line; a line cut short by the cap is over budget
+    let mut read_line = |line: &mut String| -> io::Result<usize> {
+        let n = head.read_line(line)?;
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Err(HeadTooLarge::error());
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+    if read_line(&mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -61,12 +104,15 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<Option<HttpRequest
     let mut content_length = 0usize;
     loop {
         let mut h = String::new();
-        if stream.read_line(&mut h)? == 0 {
+        if read_line(&mut h)? == 0 {
             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof inside headers"));
         }
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HeadTooLarge::error());
         }
         let Some((name, value)) = h.split_once(':') else {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad header: {h}")));
@@ -130,6 +176,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         422 => "Unprocessable Entity",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         _ => "Unknown",
     }
@@ -283,6 +330,45 @@ mod tests {
         let raw = format!("POST /v1/project HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         let mut r = BufReader::new(raw.as_bytes());
         assert!(read_request(&mut r).is_err());
+    }
+
+    /// Counts the bytes pulled from the underlying source.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_endless_request_line_is_rejected_within_the_head_cap() {
+        let raw = vec![b'A'; 1 << 20];
+        let mut r = BufReader::new(Counting { inner: &raw[..], read: 0 });
+        let err = read_request(&mut r).unwrap_err();
+        assert!(HeadTooLarge::is(&err), "{err}");
+        assert!(r.get_ref().read <= MAX_HEAD_BYTES + r.capacity(), "read {} bytes", r.get_ref().read);
+    }
+
+    #[test]
+    fn too_many_headers_are_rejected() {
+        let head = |n: usize| {
+            let mut raw = String::from("GET /healthz HTTP/1.1\r\n");
+            for i in 0..n {
+                raw.push_str(&format!("x-h{i}: v\r\n"));
+            }
+            raw + "\r\n"
+        };
+        let ok = head(MAX_HEADERS);
+        assert_eq!(read_request(&mut BufReader::new(ok.as_bytes())).unwrap().unwrap().headers.len(), MAX_HEADERS);
+        let over = head(MAX_HEADERS + 1);
+        let err = read_request(&mut BufReader::new(over.as_bytes())).unwrap_err();
+        assert!(HeadTooLarge::is(&err), "{err}");
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! | `GET /debug/flight` | —                                | Chrome-trace JSON snapshot of the always-on flight ring |
 //! | `GET /debug/flight/last` | —                           | the flight dump frozen by the most recent failed request (404 if none) |
 
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::session::Session;
 use crate::store::{install_process_store, ArtifactStore, StoreConfig};
@@ -38,8 +39,8 @@ use xflow_workloads::Scale;
 
 use super::middleware::{request_id, RequestObs};
 use super::protocol::{
-    read_request, write_response, HealthBody, HttpRequest, HttpResponse, ProjectResponse, ProjectUnit, SweepPointBody,
-    SweepResponse, WorkloadRequest,
+    read_request, write_response, HeadTooLarge, HealthBody, HttpRequest, HttpResponse, ProjectResponse, ProjectUnit,
+    SweepPointBody, SweepResponse, WorkloadRequest,
 };
 
 /// Most design-space points one `/v1/sweep` request may ask for (the
@@ -204,7 +205,7 @@ fn worker_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 /// head in one syscall, so idle timeouts land between requests.)
 fn handle_connection(stream: TcpStream, inner: &Inner) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
@@ -219,8 +220,13 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
                 continue;
             }
             Err(e) => {
-                let resp = HttpResponse::error(400, &format!("malformed request: {e}"));
+                let resp = if HeadTooLarge::is(&e) {
+                    HttpResponse::error(431, &e.to_string())
+                } else {
+                    HttpResponse::error(400, &format!("malformed request: {e}"))
+                };
                 let _ = write_response(&mut writer, &resp, true);
+                linger(&mut reader, &writer);
                 return;
             }
         };
@@ -233,6 +239,17 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
             return;
         }
     }
+}
+
+/// Lingering close after an error response: closing with unread request
+/// bytes resets the connection, which can discard the response before the
+/// client reads it. Half-close, then drain what the client still sends
+/// for at most about a second.
+fn linger(reader: &mut impl Read, writer: &TcpStream) {
+    let _ = writer.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut buf = [0u8; 8192];
+    while Instant::now() < deadline && matches!(reader.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 fn route(inner: &Inner, req: &HttpRequest) -> HttpResponse {

@@ -330,8 +330,9 @@ impl Session {
 
     /// Model an application, reusing every stage artifact whose content key
     /// matches a previous query (the store's memory, or the cache
-    /// directory). Equivalent to a cold [`ModeledApp::from_program`] — the
-    /// round-trip tests assert bit-identical projections.
+    /// directory). A fresh memory-only session is the cold path: every
+    /// stage runs from scratch, and the round-trip tests assert warm and
+    /// disk loads project bit-identically to it.
     pub fn model(&self, src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
         self.model_with_library(src, inputs, default_library())
     }
@@ -372,8 +373,8 @@ impl Session {
             (*translation).clone(),
             (*bet).clone(),
             inputs.clone(),
-            Some((*plan).clone()),
-            Some((*kernel).clone()),
+            (*plan).clone(),
+            (*kernel).clone(),
         ))
     }
 

@@ -30,7 +30,7 @@ fn bet_for_seed(seed: u64, escapes: bool) -> Option<xflow_bet::Bet> {
     let prog = ml::parse(&src).ok()?;
     let inputs = ml::InputSpec::new();
     let limits = ml::Limits { max_steps: 2_000_000, max_depth: 64 };
-    let (prof, _, _) = ml::run_with_limits_seeded(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).ok()?;
+    let (prof, _, _) = ml::reference::run(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).ok()?;
     let tr = ml::translate(&prog, &prof).ok()?;
     let env = xflow_validate::report::initial_env(&tr, &inputs);
     xflow_bet::build(&tr.skeleton, &env).ok()

@@ -9,7 +9,8 @@
 //! `UPDATE_GOLDEN=1 cargo test --test dead_call_sites`
 
 use xflow::xflow_minilang as ml;
-use xflow::xflow_sim::{simulate, simulate_reference, SimConfig, SimReport};
+use xflow::xflow_sim::reference::{assert_reports_bit_equal, simulate_reference};
+use xflow::xflow_sim::{simulate, SimConfig};
 use xflow::{bgq, InputSpec, Session};
 
 const PROGRAMS: [&str; 2] = ["tests/golden/dead_unknown_call", "tests/golden/dead_arity_mismatch"];
@@ -20,18 +21,14 @@ fn source(stem: &str) -> String {
 
 fn reference_profile(src: &str) -> ml::Profile {
     let prog = ml::parse(src).expect("parses");
-    ml::run(&prog, &InputSpec::new(), ml::NullTracer).expect("reference run succeeds").0
+    ml::reference::run(&prog, &InputSpec::new(), ml::NullTracer, ml::Limits::default(), ml::DEFAULT_SEED)
+        .expect("reference run succeeds")
+        .0
 }
 
 fn assert_profiles_equal(a: &ml::Profile, b: &ml::Profile, what: &str) {
     assert_eq!(a.stmt_ops, b.stmt_ops, "{what}: stmt_ops");
     assert!(xflow::xflow_validate::profiles_agree(a, b), "{what}: profiles diverge");
-}
-
-fn sorted_bits(r: &SimReport) -> Vec<(ml::MStmtId, u64)> {
-    let mut v: Vec<_> = r.stmt_cycles.iter().map(|(&k, &c)| (k, c.to_bits())).collect();
-    v.sort();
-    v
 }
 
 #[test]
@@ -50,8 +47,7 @@ fn simulator_matches_reference_on_dead_call_sites() {
         let fast = simulate(&prog, &InputSpec::new(), &bgq(), SimConfig::default()).expect("simulates");
         let reference =
             simulate_reference(&prog, &InputSpec::new(), &bgq(), SimConfig::default()).expect("reference simulates");
-        assert_eq!(fast.total_cycles.to_bits(), reference.total_cycles.to_bits(), "{stem}: total_cycles");
-        assert_eq!(sorted_bits(&fast), sorted_bits(&reference), "{stem}: stmt_cycles");
+        assert_reports_bit_equal(&fast, &reference, stem);
         assert_profiles_equal(&fast.profile, &reference.profile, stem);
     }
 }

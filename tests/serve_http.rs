@@ -8,6 +8,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use xflow::serve::protocol::MAX_HEAD_BYTES;
 use xflow::serve::{RunningServer, ServeConfig, Server, MAX_SWEEP_POINTS};
 use xflow::{CollectingRecorder, Recorder, StoreConfig};
 
@@ -227,5 +228,22 @@ fn sweep_endpoint_rejects_oversized_grids_before_building_them() {
         request(server.addr(), "POST", "/v1/sweep", &sweep(&[axis("dram_bw_gbs", 128), axis("mlp", 128)]));
     assert_eq!(status, 200, "{resp}");
     assert!(resp.contains(&format!("\"points\":{MAX_SWEEP_POINTS}")), "{resp}");
+    server.stop();
+}
+
+#[test]
+fn oversized_request_head_gets_431_and_the_server_keeps_answering() {
+    let server = start_server(None);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let big = "a".repeat(MAX_HEAD_BYTES + 1);
+    let req = format!("GET /healthz HTTP/1.1\r\nhost: t\r\nx-big: {big}\r\n\r\n");
+    stream.write_all(req.as_bytes()).expect("write request");
+    let mut resp = String::new();
+    stream.read_to_string(&mut resp).expect("response before close");
+    assert!(resp.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{resp}");
+    assert!(resp.contains("connection: close\r\n"), "{resp}");
+
+    let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
     server.stop();
 }

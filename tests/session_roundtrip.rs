@@ -4,11 +4,22 @@
 //! build, for all five workloads × four machines. This is the correctness
 //! bar that makes `--cache-dir` warm-starts trustworthy.
 
-use xflow::{bgq, default_library, fold_projection, generic, knl, xeon, ModeledApp, Roofline, Scale};
+use xflow::{bgq, default_library, fold_projection, generic, knl, xeon, ModeledApp, Roofline, Scale, Session};
 use xflow_hotspot::ProjectionPlan;
+use xflow_workloads::Workload;
 
 fn machines() -> [xflow::MachineModel; 4] {
     [bgq(), xeon(), knl(), generic()]
+}
+
+/// The cold reference: a fresh memory-only session, so every stage is
+/// built from scratch — asserted by six misses and no hits.
+fn cold_build(w: &Workload) -> ModeledApp {
+    let session = Session::new();
+    let app = session.model_workload(w, Scale::Test).expect(w.name);
+    let st = session.stats();
+    assert_eq!((st.misses(), st.hits()), (6, 0), "{}: the cold reference builds all six stages", w.name);
+    app
 }
 
 fn assert_projection_bits(label: &str, cold: &xflow::MachineProjection, rebuilt: &xflow::MachineProjection) {
@@ -30,8 +41,7 @@ fn assert_projection_bits(label: &str, cold: &xflow::MachineProjection, rebuilt:
 #[test]
 fn round_tripped_plan_and_bet_project_bit_identically_everywhere() {
     for w in xflow_workloads::all() {
-        let inputs = w.inputs(Scale::Test);
-        let cold = ModeledApp::from_program(w.program(), &inputs).expect(w.name);
+        let cold = cold_build(&w);
 
         // plan through the wire format
         let plan_json = serde_json::to_string(cold.plan()).unwrap();
@@ -54,10 +64,9 @@ fn round_tripped_plan_and_bet_project_bit_identically_everywhere() {
 
 #[test]
 fn session_model_matches_cold_build_bit_for_bit() {
-    let session = xflow::Session::new();
+    let session = Session::new();
     for w in xflow_workloads::all() {
-        let inputs = w.inputs(Scale::Test);
-        let cold = ModeledApp::from_program(w.program(), &inputs).expect(w.name);
+        let cold = cold_build(&w);
         // twice: the second load is served entirely from the cache
         session.model_workload(&w, Scale::Test).expect(w.name);
         let warm = session.model_workload(&w, Scale::Test).expect(w.name);
@@ -77,14 +86,13 @@ fn session_model_matches_cold_build_bit_for_bit() {
 fn disk_round_trip_matches_cold_build_bit_for_bit() {
     let dir = std::env::temp_dir().join(format!("xflow-roundtrip-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let seed = xflow::Session::with_cache_dir(&dir);
+    let seed = Session::with_cache_dir(&dir);
     for w in xflow_workloads::all() {
         seed.model_workload(&w, Scale::Test).expect(w.name);
     }
-    let warm = xflow::Session::with_cache_dir(&dir);
+    let warm = Session::with_cache_dir(&dir);
     for w in xflow_workloads::all() {
-        let inputs = w.inputs(Scale::Test);
-        let cold = ModeledApp::from_program(w.program(), &inputs).expect(w.name);
+        let cold = cold_build(&w);
         let disk = warm.model_workload(&w, Scale::Test).expect(w.name);
         for m in machines() {
             assert_projection_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
