@@ -56,14 +56,17 @@ pub fn opts() -> Opts {
 /// the core) hits all arms alike instead of biasing whichever arm happened
 /// to run during it. Sequential per-arm sampling on a single shared core
 /// was measured to swing a noop/baseline ratio by ±20%; interleaving
-/// bounds it. With `samples = 1` this is the mean of one `passes`-call run.
+/// bounds it. Odd rounds run the arms in reverse order, so no arm always
+/// goes first and pays for a cold cache, allocator or thread pool. With
+/// `samples = 1` this is the mean of one `passes`-call run.
 pub fn min_of_k_interleaved(samples: usize, passes: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let mut best = vec![f64::INFINITY; arms.len()];
-    for _ in 0..samples {
-        for (i, arm) in arms.iter_mut().enumerate() {
+    for round in 0..samples {
+        for k in 0..arms.len() {
+            let i = if round % 2 == 0 { k } else { arms.len() - 1 - k };
             let t0 = Instant::now();
             for _ in 0..passes {
-                arm();
+                arms[i]();
             }
             best[i] = best[i].min(t0.elapsed().as_secs_f64() / passes as f64);
         }
@@ -198,6 +201,16 @@ mod tests {
         assert!(s.contains("75.0%"));
         assert!(s.contains("100.0%"));
         assert!(s.contains('-'));
+    }
+
+    #[test]
+    fn interleaved_sampler_alternates_which_arm_goes_first() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut a = || order.borrow_mut().push('a');
+        let mut b = || order.borrow_mut().push('b');
+        let times = min_of_k_interleaved(4, 2, &mut [&mut a, &mut b]);
+        assert_eq!(times.len(), 2);
+        assert_eq!(order.into_inner().into_iter().collect::<String>(), "aabbbbaaaabbbbaa");
     }
 
     #[test]

@@ -167,6 +167,7 @@ fn fuse_fn(f: &VmFunc, report: &mut FuseReport) -> VmFunc {
         n_slots: f.n_slots,
         slot_names: f.slot_names.clone(),
         input_table: f.input_table.clone(),
+        call_sites: f.call_sites.clone(),
         code: new_code,
     }
 }

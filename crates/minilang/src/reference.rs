@@ -15,10 +15,8 @@
 //! must match it bit for bit.
 
 use crate::ast::*;
-use crate::runtime::{ArrRef, InputSpec, Lcg, Limits, Profile, RuntimeError, Tracer, Val};
-use std::cell::RefCell;
+use crate::runtime::{ArrRef, Heap, InputSpec, Lcg, Limits, Profile, RuntimeError, Tracer, Val};
 use std::collections::HashMap;
-use std::rc::Rc;
 
 enum Flow {
     Normal,
@@ -35,7 +33,7 @@ struct Interp<'p, T: Tracer> {
     tracer: T,
     profile: Profile,
     rng: Lcg,
-    next_base: u64,
+    heap: Heap,
     steps: u64,
     depth: u32,
     limits: Limits,
@@ -58,7 +56,7 @@ pub fn run<T: Tracer>(
         tracer,
         profile: Profile::default(),
         rng: Lcg(seed),
-        next_base: 0x1000, // leave page zero unused
+        heap: Heap::default(),
         steps: 0,
         depth: 0,
         limits,
@@ -121,13 +119,8 @@ impl<'p, T: Tracer> Interp<'p, T> {
             }
             StmtKind::LetArray { name, len } => {
                 let l = self.eval(len, scope, true)?;
-                if l < 0.0 {
-                    return Err(RuntimeError::NegativeArrayLength { array: name.clone(), len: l });
-                }
-                let n = l as usize;
-                let base = self.next_base;
-                self.next_base += (n as u64) * 8 + 64; // pad so arrays don't share lines
-                scope.insert(name.clone(), Val::Arr(ArrRef { data: Rc::new(RefCell::new(vec![0.0; n])), base }));
+                let arr = self.heap.alloc(name, l)?;
+                scope.insert(name.clone(), Val::Arr(arr));
                 Ok(Flow::Normal)
             }
             StmtKind::AssignScalar { name, value } => {

@@ -226,6 +226,7 @@ pub enum RuntimeError {
     UnknownFunction(String),
     ArityMismatch { func: String, expected: usize, got: usize },
     NegativeArrayLength { array: String, len: f64 },
+    ArrayTooLarge { array: String, len: f64 },
     StepLimitExceeded(u64),
     RecursionLimitExceeded(u32),
 }
@@ -245,6 +246,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::NegativeArrayLength { array, len } => {
                 write!(f, "array `{array}` created with negative length {len}")
+            }
+            RuntimeError::ArrayTooLarge { array, len } => {
+                write!(f, "array `{array}` of length {len} exceeds the run's budget of {MAX_ARRAY_ELEMENTS} elements")
             }
             RuntimeError::StepLimitExceeded(n) => write!(f, "execution exceeded the step limit of {n}"),
             RuntimeError::RecursionLimitExceeded(n) => write!(f, "recursion deeper than {n} frames"),
@@ -266,6 +270,46 @@ pub(crate) enum Val {
 pub(crate) struct ArrRef {
     pub(crate) data: Rc<RefCell<Vec<f64>>>,
     pub(crate) base: u64,
+}
+
+/// Most array elements one run may allocate, summed over every `zeros`
+/// it executes: 2^27 elements, 1 GiB of `f64`s. The largest paper
+/// workload allocates about 1.1M in total. Checked before allocating, so
+/// a program computing a huge length fails with
+/// [`RuntimeError::ArrayTooLarge`] instead of aborting the process.
+pub const MAX_ARRAY_ELEMENTS: u64 = 1 << 27;
+
+/// The array allocator both engines share: it hands out the flat base
+/// addresses of the memory trace and enforces [`MAX_ARRAY_ELEMENTS`], so
+/// the engines agree on every address and every allocation error.
+pub(crate) struct Heap {
+    next_base: u64,
+    elements: u64,
+}
+
+impl Default for Heap {
+    fn default() -> Self {
+        // leave page zero unused
+        Heap { next_base: 0x1000, elements: 0 }
+    }
+}
+
+impl Heap {
+    /// Allocate the zero-filled array `name = zeros(len)`.
+    pub(crate) fn alloc(&mut self, name: &str, len: f64) -> Result<ArrRef, RuntimeError> {
+        if len < 0.0 {
+            return Err(RuntimeError::NegativeArrayLength { array: name.to_string(), len });
+        }
+        // saturating: `inf` and lengths past `usize` land on the cap check
+        let n = len as usize as u64;
+        if n > MAX_ARRAY_ELEMENTS - self.elements {
+            return Err(RuntimeError::ArrayTooLarge { array: name.to_string(), len });
+        }
+        self.elements += n;
+        let base = self.next_base;
+        self.next_base += n * 8 + 64; // pad so arrays don't share lines
+        Ok(ArrRef { data: Rc::new(RefCell::new(vec![0.0; n as usize])), base })
+    }
 }
 
 /// Deterministic splitmix64 generator backing `rnd()` (shared with the VM

@@ -2,7 +2,7 @@
 //!
 //! The tree-walking interpreter ([`crate::reference`]) is the *reference*
 //! semantics; this module compiles a program once into a flat instruction
-//! stream with resolved variable slots and runs it on a value stack. Both
+//! stream with resolved variable slots and runs it on a stack machine. Both
 //! engines produce **bit-identical** results, profiles, errors, and tracer
 //! event streams: every op-accounting rule, evaluation order, RNG draw,
 //! and array base address matches the reference (enforced by the
@@ -14,14 +14,23 @@
 //! the ground-truth simulator's replay in `xflow-sim`. The tree-walker's
 //! per-node dispatch and name lookups made it several times slower on
 //! both.
+//!
+//! The operand stack holds plain `f64`s: every expression the compiler
+//! emits evaluates to a number, so arithmetic, stores, `Ret` and `Pop`
+//! never see an array. Arrays travel only as call arguments: a bare name
+//! in argument position compiles to `PushSlot`, which pushes the
+//! slot's value (an array by reference, or a number) onto a separate
+//! argument stack, and `Call` gathers its arguments in source order from
+//! the two stacks, told which position is which by the call site's entry
+//! in its function's `call_sites` table. The running frame's code, pc and
+//! slots live in locals of the dispatch loop; `frames` holds only the
+//! suspended callers.
 
 use crate::ast::*;
 use crate::runtime::{
-    ArrRef, BranchStats, InputSpec, Lcg, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, Val,
+    BranchStats, Heap, InputSpec, Lcg, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, Val,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use xflow_obs::Recorder;
 
 /// A compiled program.
@@ -29,8 +38,8 @@ use xflow_obs::Recorder;
 pub struct VmProgram {
     pub(crate) funcs: Vec<VmFunc>,
     pub(crate) entry: usize,
-    /// Statement-id bound of the compiled program — sizes the dense
-    /// profile accumulators once per run instead of growing them.
+    /// One past the largest statement id the code carries — sizes the
+    /// dense profile accumulators once per run.
     pub(crate) n_stmts: usize,
 }
 
@@ -43,11 +52,15 @@ pub(crate) struct VmFunc {
     pub(crate) slot_names: Vec<String>,
     /// `input("NAME", default)` sites referenced by `Op::Input`.
     pub(crate) input_table: Vec<(String, f64)>,
+    /// Per `Op::Call` site, in source order: whether each argument is a
+    /// bare name taken from the argument stack (`true`) or a computed
+    /// number taken from the operand stack.
+    pub(crate) call_sites: Vec<Vec<bool>>,
     pub(crate) code: Vec<Op>,
 }
 
-/// VM instructions. The stack holds [`Val`]s; arithmetic ops pop their
-/// operands right-then-left.
+/// VM instructions. The operand stack holds `f64`s; arithmetic ops pop
+/// their operands right-then-left.
 ///
 /// The variants after [`Op::Trap`] are *superinstructions*: fused digrams
 /// the peephole pass in [`crate::fuse`] rewrites from the base stream.
@@ -57,7 +70,8 @@ pub(crate) struct VmFunc {
 pub(crate) enum Op {
     /// Push a constant number.
     Num(f64),
-    /// Push the slot's value (scalar or array) — used for call arguments.
+    /// Push the slot's value (scalar or array) onto the argument stack —
+    /// a bare name in call-argument position.
     PushSlot(u16),
     /// Push the slot's scalar value; errors on arrays / unset slots.
     LoadScalar(u16),
@@ -139,10 +153,11 @@ pub(crate) enum Op {
     ElseHit(MStmtId),
     BreakProfile(MStmtId),
     ContinueProfile(MStmtId),
-    /// Pop argc values (reversed) into a fresh frame, push return address.
+    /// Gather the arguments `call_sites[site]` describes into a fresh
+    /// frame and suspend the caller.
     Call {
         func: usize,
-        argc: usize,
+        site: usize,
     },
     /// Return: pop the optional return value (always present — compile
     /// pushes 0.0 for value-less returns), restore the caller frame.
@@ -248,6 +263,9 @@ pub(crate) enum Op {
         slot: u16,
     },
 }
+
+// One instruction stays three words: the dispatch loop streams through them.
+const _: () = assert!(std::mem::size_of::<Op>() == 24);
 
 /// Dense kind indices of the base opcodes the fusion layer composes —
 /// tied to [`op_kind`] by `kind_constants_match_op_kind`.
@@ -542,10 +560,14 @@ pub fn compile(prog: &Program) -> Result<VmProgram, RuntimeError> {
     let fn_ids: HashMap<&str, usize> = prog.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
     let entry = *fn_ids.get("main").ok_or_else(|| RuntimeError::UnknownFunction("main".into()))?;
     let mut funcs = Vec::with_capacity(prog.functions.len());
+    let mut n_stmts = 0;
     for f in &prog.functions {
-        funcs.push(compile_fn(prog, f, &fn_ids)?);
+        let (func, n) = compile_fn(prog, f, &fn_ids)?;
+        // every statement id an op carries is that of a compiled statement
+        n_stmts = n_stmts.max(n);
+        funcs.push(func);
     }
-    Ok(VmProgram { funcs, entry, n_stmts: prog.stmt_count() as usize })
+    Ok(VmProgram { funcs, entry, n_stmts })
 }
 
 struct FnCompiler<'p> {
@@ -554,8 +576,11 @@ struct FnCompiler<'p> {
     slots: HashMap<String, u16>,
     slot_names: Vec<String>,
     input_table: Vec<(String, f64)>,
+    call_sites: Vec<Vec<bool>>,
     code: Vec<Op>,
     loops: Vec<LoopCtx>,
+    /// One past the largest statement id compiled.
+    n_stmts: usize,
 }
 
 struct LoopCtx {
@@ -566,15 +591,17 @@ struct LoopCtx {
     continue_patches: Vec<usize>,
 }
 
-fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Result<VmFunc, RuntimeError> {
+fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Result<(VmFunc, usize), RuntimeError> {
     let mut c = FnCompiler {
         prog,
         fn_ids,
         slots: HashMap::new(),
         slot_names: Vec::new(),
         input_table: Vec::new(),
+        call_sites: Vec::new(),
         code: Vec::new(),
         loops: Vec::new(),
+        n_stmts: 0,
     };
     for p in &f.params {
         c.slot(p);
@@ -583,14 +610,16 @@ fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Re
     // implicit `return 0.0`
     c.code.push(Op::Num(0.0));
     c.code.push(Op::Ret);
-    Ok(VmFunc {
+    let func = VmFunc {
         name: f.name.clone(),
         n_params: f.params.len(),
         n_slots: c.slot_names.len(),
         slot_names: c.slot_names,
         input_table: c.input_table,
+        call_sites: c.call_sites,
         code: c.code,
-    })
+    };
+    Ok((func, c.n_stmts))
 }
 
 impl<'p> FnCompiler<'p> {
@@ -618,6 +647,7 @@ impl<'p> FnCompiler<'p> {
     }
 
     fn stmt(&mut self, s: &Stmt) -> Result<(), RuntimeError> {
+        self.n_stmts = self.n_stmts.max(s.id.0 as usize + 1);
         self.code.push(Op::StmtEnter(s.id));
         match &s.kind {
             StmtKind::LetScalar { name, init } | StmtKind::AssignScalar { name, value: init } => {
@@ -801,6 +831,7 @@ impl<'p> FnCompiler<'p> {
 
     fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), RuntimeError> {
         // the reference evaluates the arguments before resolving the callee
+        let mut by_ref = Vec::with_capacity(args.len());
         for a in args {
             match a {
                 // bare names pass the value (array by reference)
@@ -810,13 +841,15 @@ impl<'p> FnCompiler<'p> {
                 }
                 other => self.expr(other, false)?,
             }
+            by_ref.push(matches!(a, Expr::Var(_)));
         }
         let op = match self.fn_ids.get(name) {
             None => Op::Trap(Box::new(RuntimeError::UnknownFunction(name.to_string()))),
             Some(&func) => {
                 let expected = self.prog.functions[func].params.len();
                 if expected == args.len() {
-                    Op::Call { func, argc: args.len() }
+                    self.call_sites.push(by_ref);
+                    Op::Call { func, site: self.call_sites.len() - 1 }
                 } else {
                     Op::Trap(Box::new(RuntimeError::ArityMismatch {
                         func: name.to_string(),
@@ -949,35 +982,17 @@ struct DenseProfile {
 }
 
 impl DenseProfile {
+    /// Accumulators for statement ids `0..n_stmts` — every id the compiled
+    /// code carries, so the dispatch loop indexes them directly.
     fn new(n_stmts: usize) -> Self {
-        let mut dp = DenseProfile {
-            exec: Vec::new(),
-            ops: Vec::new(),
-            loops: Vec::new(),
-            branches: Vec::new(),
+        DenseProfile {
+            exec: vec![0; n_stmts],
+            ops: vec![OpCounts::default(); n_stmts],
+            loops: vec![LoopStats::default(); n_stmts],
+            branches: vec![BranchStats::default(); n_stmts],
             lib_calls: [0; LIB_COUNTER_NAMES.len()],
             printed: Vec::new(),
-        };
-        dp.grow(n_stmts);
-        dp
-    }
-
-    fn grow(&mut self, n: usize) {
-        self.exec.resize(n, 0);
-        self.ops.resize(n, OpCounts::default());
-        self.loops.resize(n, LoopStats::default());
-        self.branches.resize(n, BranchStats::default());
-    }
-
-    /// Index of `stmt`, growing the accumulators if a statement id beyond
-    /// the compiled program's sized range shows up.
-    #[inline]
-    fn at(&mut self, stmt: MStmtId) -> usize {
-        let i = stmt.0 as usize;
-        if i >= self.exec.len() {
-            self.grow(i + 1);
         }
-        i
     }
 
     /// One pass into the public `HashMap` shape, off the hot path.
@@ -1012,8 +1027,10 @@ impl DenseProfile {
     }
 }
 
-struct Frame {
-    func: usize,
+/// A suspended caller: where it resumes, and the attribution its call
+/// site restores.
+struct Frame<'v> {
+    func: &'v VmFunc,
     pc: usize,
     slots: Vec<Val>,
     saved_cur: MStmtId,
@@ -1108,106 +1125,99 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
 ) -> Result<(Profile, T, f64), RuntimeError> {
     let mut profile = DenseProfile::new(vm.n_stmts);
     let mut rng = Lcg(seed);
-    let mut next_base: u64 = 0x1000;
+    let mut heap = Heap::default();
     let mut steps: u64 = 0;
     let mut cur_stmt = MStmtId(0);
-    let mut stack: Vec<Val> = Vec::with_capacity(64);
-    let entry = &vm.funcs[vm.entry];
-    let mut frames = vec![Frame { func: vm.entry, pc: 0, slots: vec![Val::Num(f64::NAN); 0], saved_cur: cur_stmt }];
-    frames[0].slots = unset_slots(entry.n_slots);
+    let mut stack: Vec<f64> = Vec::with_capacity(64);
+    let mut arg_stack: Vec<Val> = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
+    // the running frame
+    let mut func = &vm.funcs[vm.entry];
+    let mut code: &[Op] = &func.code;
+    let mut pc = 0;
+    let mut slots = unset_slots(func.n_slots);
 
-    macro_rules! pop_num {
+    macro_rules! pop {
         () => {
-            match stack.pop().expect("stack underflow") {
-                Val::Num(v) => v,
-                Val::Arr(_) => return Err(RuntimeError::NotAScalar("<array on stack>".into())),
-            }
+            stack.pop().expect("stack underflow")
         };
     }
 
     // Shared opcode bodies. Base arms and the superinstruction arms that
     // fuse them (`crate::fuse`) expand the same macros, so a fused
     // dispatch produces bit-identical profile entries, tracer events,
-    // errors, and RNG draws to its unfused constituent sequence.
-    // `frame`/`func` rebind every iteration and so are passed explicitly;
-    // the other captured locals (`stack`, `profile`, `tracer`,
-    // `cur_stmt`, `steps`, `limits`) are stable bindings from above.
+    // errors, and RNG draws to its unfused constituent sequence. They
+    // capture the running frame (`func`, `slots`) and the run state
+    // (`stack`, `profile`, `tracer`, `cur_stmt`, `steps`, `limits`).
 
     /// `LoadScalar` body: the slot's scalar value, with the exact
     /// unbound/not-a-scalar error precedence.
     macro_rules! scalar_of {
-        ($frame:expr, $func:expr, $s:expr) => {{
+        ($s:expr) => {{
             let s = $s as usize;
-            match &$frame.slots[s] {
+            match &slots[s] {
                 Val::Num(v) if !is_unset_num(*v) => *v,
-                Val::Num(_) => return Err(RuntimeError::UnboundVariable($func.slot_names[s].clone())),
-                Val::Arr(_) => return Err(RuntimeError::NotAScalar($func.slot_names[s].clone())),
+                Val::Num(_) => return Err(RuntimeError::UnboundVariable(func.slot_names[s].clone())),
+                Val::Arr(_) => return Err(RuntimeError::NotAScalar(func.slot_names[s].clone())),
             }
         }};
+    }
+
+    /// The slot's array, with the exact unbound/not-an-array precedence.
+    macro_rules! arr_of {
+        ($s:expr) => {
+            match &slots[$s] {
+                Val::Arr(a) => a,
+                Val::Num(x) if is_unset_num(*x) => {
+                    return Err(RuntimeError::UnboundVariable(func.slot_names[$s].clone()))
+                }
+                Val::Num(_) => return Err(RuntimeError::NotAnArray(func.slot_names[$s].clone())),
+            }
+        };
     }
 
     /// `LoadElem` body after the index is popped: bounds-checked element
     /// read, one load event to the profile and tracer.
     macro_rules! elem_load {
-        ($frame:expr, $func:expr, $s:expr, $idx:expr) => {{
+        ($s:expr, $idx:expr) => {{
             let s = $s as usize;
             let idx: f64 = $idx;
-            let (v, addr) = {
-                let a = match &$frame.slots[s] {
-                    Val::Arr(a) => a,
-                    Val::Num(x) if is_unset_num(*x) => {
-                        return Err(RuntimeError::UnboundVariable($func.slot_names[s].clone()))
-                    }
-                    Val::Num(_) => return Err(RuntimeError::NotAnArray($func.slot_names[s].clone())),
-                };
-                let data = a.data.borrow();
-                let i = idx as usize;
-                if idx < 0.0 || i >= data.len() {
-                    return Err(RuntimeError::IndexOutOfBounds {
-                        array: $func.slot_names[s].clone(),
-                        index: idx,
-                        len: data.len(),
-                    });
-                }
-                (data[i], a.base + (i as u64) * 8)
-            };
-            let i = profile.at(cur_stmt);
-            profile.ops[i].loads += 1;
-            tracer.load(cur_stmt, addr);
-            v
+            let a = arr_of!(s);
+            let data = a.data.borrow();
+            let i = idx as usize;
+            if idx < 0.0 || i >= data.len() {
+                return Err(RuntimeError::IndexOutOfBounds {
+                    array: func.slot_names[s].clone(),
+                    index: idx,
+                    len: data.len(),
+                });
+            }
+            profile.ops[cur_stmt.0 as usize].loads += 1;
+            tracer.load(cur_stmt, a.base + (i as u64) * 8);
+            data[i]
         }};
     }
 
     /// `StoreElem` body after value and index are popped: bounds-checked
     /// element write, one store event to the profile and tracer.
     macro_rules! elem_store {
-        ($frame:expr, $func:expr, $s:expr, $idx:expr, $value:expr) => {{
+        ($s:expr, $idx:expr, $value:expr) => {{
             let s = $s as usize;
             let idx: f64 = $idx;
             let value: f64 = $value;
-            let addr = {
-                let a = match &$frame.slots[s] {
-                    Val::Arr(a) => a,
-                    Val::Num(x) if is_unset_num(*x) => {
-                        return Err(RuntimeError::UnboundVariable($func.slot_names[s].clone()))
-                    }
-                    Val::Num(_) => return Err(RuntimeError::NotAnArray($func.slot_names[s].clone())),
-                };
-                let mut data = a.data.borrow_mut();
-                let i = idx as usize;
-                if idx < 0.0 || i >= data.len() {
-                    return Err(RuntimeError::IndexOutOfBounds {
-                        array: $func.slot_names[s].clone(),
-                        index: idx,
-                        len: data.len(),
-                    });
-                }
-                data[i] = value;
-                a.base + (i as u64) * 8
-            };
-            let i = profile.at(cur_stmt);
-            profile.ops[i].stores += 1;
-            tracer.store(cur_stmt, addr);
+            let a = arr_of!(s);
+            let mut data = a.data.borrow_mut();
+            let i = idx as usize;
+            if idx < 0.0 || i >= data.len() {
+                return Err(RuntimeError::IndexOutOfBounds {
+                    array: func.slot_names[s].clone(),
+                    index: idx,
+                    len: data.len(),
+                });
+            }
+            data[i] = value;
+            profile.ops[cur_stmt.0 as usize].stores += 1;
+            tracer.store(cur_stmt, a.base + (i as u64) * 8);
         }};
     }
 
@@ -1236,17 +1246,23 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
         }};
     }
 
-    /// `StmtEnter` body: step-limit tick, attribution, execution count.
-    macro_rules! stmt_enter {
-        ($id:expr) => {{
-            let id: MStmtId = $id;
+    /// Step-limit tick shared by statement and iteration prologues.
+    macro_rules! tick {
+        () => {
             steps += 1;
             if steps > limits.max_steps {
                 return Err(RuntimeError::StepLimitExceeded(limits.max_steps));
             }
+        };
+    }
+
+    /// `StmtEnter` body: step-limit tick, attribution, execution count.
+    macro_rules! stmt_enter {
+        ($id:expr) => {{
+            let id: MStmtId = $id;
+            tick!();
             cur_stmt = id;
-            let i = profile.at(id);
-            profile.exec[i] += 1;
+            profile.exec[id.0 as usize] += 1;
         }};
     }
 
@@ -1255,22 +1271,16 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
     macro_rules! iter_tick {
         ($id:expr) => {{
             let id: MStmtId = $id;
-            steps += 1;
-            if steps > limits.max_steps {
-                return Err(RuntimeError::StepLimitExceeded(limits.max_steps));
-            }
-            let i = profile.at(id);
-            profile.loops[i].iterations += 1;
+            tick!();
+            profile.loops[id.0 as usize].iterations += 1;
             count(&mut profile, &mut tracer, id, 0, 2, 0);
         }};
     }
 
     loop {
-        let frame = frames.last_mut().expect("frame");
-        let func = &vm.funcs[frame.func];
-        debug_assert!(frame.pc < func.code.len());
-        let op = &func.code[frame.pc];
-        frame.pc += 1;
+        debug_assert!(pc < code.len());
+        let op = &code[pc];
+        pc += 1;
         if S::ENABLED {
             // Superinstructions account to their constituent opcodes (in
             // order), so the observed opcode/digram stream — and every
@@ -1291,209 +1301,191 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
             // table's frequency order, `fuse::FUSED_KIND_NAMES`). Each
             // expands its constituents' shared-body macros in sequence.
             Op::LoadScalarElem { idx, arr } => {
-                let i = scalar_of!(frame, func, *idx);
-                let v = elem_load!(frame, func, *arr, i);
-                stack.push(Val::Num(v));
+                let i = scalar_of!(*idx);
+                let v = elem_load!(*arr, i);
+                stack.push(v);
             }
             Op::StmtEnterLoad { id, slot } => {
                 stmt_enter!(*id);
-                let v = scalar_of!(frame, func, *slot);
-                stack.push(Val::Num(v));
+                let v = scalar_of!(*slot);
+                stack.push(v);
             }
             Op::LoadScalar2 { a, b } => {
-                let va = scalar_of!(frame, func, *a);
-                stack.push(Val::Num(va));
-                let vb = scalar_of!(frame, func, *b);
-                stack.push(Val::Num(vb));
+                let va = scalar_of!(*a);
+                stack.push(va);
+                let vb = scalar_of!(*b);
+                stack.push(vb);
             }
             Op::LoadScalarBin { slot, op, idx_ctx } => {
-                let r = scalar_of!(frame, func, *slot);
-                let l = pop_num!();
+                let r = scalar_of!(*slot);
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(Val::Num(v));
+                stack.push(v);
             }
             Op::LoadElemBin { arr, op, idx_ctx } => {
-                let idx = pop_num!();
-                let r = elem_load!(frame, func, *arr, idx);
-                let l = pop_num!();
+                let idx = pop!();
+                let r = elem_load!(*arr, idx);
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(Val::Num(v));
+                stack.push(v);
             }
             Op::BinLoadScalar { op, idx_ctx, slot } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(Val::Num(v));
-                let s2 = scalar_of!(frame, func, *slot);
-                stack.push(Val::Num(s2));
+                stack.push(v);
+                let s2 = scalar_of!(*slot);
+                stack.push(s2);
             }
             Op::Bin2 { op1, ctx1, op2, ctx2 } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let v1 = bin_apply!(*op1, *ctx1, l, r);
-                let l2 = pop_num!();
+                let l2 = pop!();
                 let v2 = bin_apply!(*op2, *ctx2, l2, v1);
-                stack.push(Val::Num(v2));
+                stack.push(v2);
             }
             Op::StoreSlotEnter { slot, id } => {
-                let v = stack.pop().expect("stack underflow");
-                frame.slots[*slot as usize] = v;
+                slots[*slot as usize] = Val::Num(pop!());
                 stmt_enter!(*id);
             }
             Op::BinStoreSlot { op, idx_ctx, slot } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                frame.slots[*slot as usize] = Val::Num(v);
+                slots[*slot as usize] = Val::Num(v);
             }
             Op::BinStoreElem { op, idx_ctx, arr } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                let idx = pop_num!();
-                elem_store!(frame, func, *arr, idx, v);
+                let idx = pop!();
+                elem_store!(*arr, idx, v);
             }
             Op::BinLoadElem { op, idx_ctx, arr } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let idx = bin_apply!(*op, *idx_ctx, l, r);
-                let v = elem_load!(frame, func, *arr, idx);
-                stack.push(Val::Num(v));
+                let v = elem_load!(*arr, idx);
+                stack.push(v);
             }
             Op::NumBin { n, op, idx_ctx } => {
-                let l = pop_num!();
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, *n);
-                stack.push(Val::Num(v));
+                stack.push(v);
             }
             Op::LoadScalarNum { slot, n } => {
-                let v = scalar_of!(frame, func, *slot);
-                stack.push(Val::Num(v));
-                stack.push(Val::Num(*n));
+                let v = scalar_of!(*slot);
+                stack.push(v);
+                stack.push(*n);
             }
             Op::StoreElemEnter { arr, id } => {
-                let value = pop_num!();
-                let idx = pop_num!();
-                elem_store!(frame, func, *arr, idx, value);
+                let value = pop!();
+                let idx = pop!();
+                elem_store!(*arr, idx, value);
                 stmt_enter!(*id);
             }
             Op::AdvanceJump { cur, step, target } => {
-                let c = raw_num(&frame.slots[*cur as usize]);
-                let st = raw_num(&frame.slots[*step as usize]);
-                frame.slots[*cur as usize] = Val::Num(c + st);
-                frame.pc = *target;
+                let c = raw_num(&slots[*cur as usize]);
+                let st = raw_num(&slots[*step as usize]);
+                slots[*cur as usize] = Val::Num(c + st);
+                pc = *target;
             }
             Op::IterTickLoad { id, slot } => {
                 iter_tick!(*id);
-                let v = scalar_of!(frame, func, *slot);
-                stack.push(Val::Num(v));
+                let v = scalar_of!(*slot);
+                stack.push(v);
             }
 
-            Op::Num(n) => stack.push(Val::Num(*n)),
+            Op::Num(n) => stack.push(*n),
             Op::PushSlot(s) => {
-                if is_unset(&frame.slots[*s as usize]) {
+                let v = &slots[*s as usize];
+                if is_unset(v) {
                     return Err(RuntimeError::UnboundVariable(func.slot_names[*s as usize].clone()));
                 }
-                stack.push(frame.slots[*s as usize].clone());
+                arg_stack.push(v.clone());
             }
             Op::LoadScalar(s) => {
-                let v = scalar_of!(frame, func, *s);
-                stack.push(Val::Num(v));
+                let v = scalar_of!(*s);
+                stack.push(v);
             }
-            Op::StoreSlot(s) => {
-                let v = stack.pop().expect("stack underflow");
-                frame.slots[*s as usize] = v;
-            }
+            Op::StoreSlot(s) => slots[*s as usize] = Val::Num(pop!()),
             Op::NewArray(s) => {
-                let l = pop_num!();
-                if l < 0.0 {
-                    return Err(RuntimeError::NegativeArrayLength {
-                        array: func.slot_names[*s as usize].clone(),
-                        len: l,
-                    });
-                }
-                let n = l as usize;
-                let base = next_base;
-                next_base += (n as u64) * 8 + 64;
-                frame.slots[*s as usize] = Val::Arr(ArrRef { data: Rc::new(RefCell::new(vec![0.0; n])), base });
+                let l = pop!();
+                slots[*s as usize] = Val::Arr(heap.alloc(&func.slot_names[*s as usize], l)?);
             }
-            Op::Len(s) => match &frame.slots[*s as usize] {
-                Val::Arr(a) => {
-                    let n = a.data.borrow().len();
-                    stack.push(Val::Num(n as f64));
-                }
-                Val::Num(v) if is_unset_num(*v) => {
-                    return Err(RuntimeError::UnboundVariable(func.slot_names[*s as usize].clone()))
-                }
-                Val::Num(_) => return Err(RuntimeError::NotAnArray(func.slot_names[*s as usize].clone())),
-            },
+            Op::Len(s) => {
+                let n = arr_of!(*s as usize).data.borrow().len();
+                stack.push(n as f64);
+            }
             Op::Input(idx) => {
                 let (name, default) = &func.input_table[*idx as usize];
-                stack.push(Val::Num(inputs.get_or(name, *default)));
+                stack.push(inputs.get_or(name, *default));
             }
             Op::LoadElem(s) => {
-                let idx = pop_num!();
-                let v = elem_load!(frame, func, *s, idx);
-                stack.push(Val::Num(v));
+                let idx = pop!();
+                let v = elem_load!(*s, idx);
+                stack.push(v);
             }
             Op::StoreElem(s) => {
-                let value = pop_num!();
-                let idx = pop_num!();
-                elem_store!(frame, func, *s, idx, value);
+                let value = pop!();
+                let idx = pop!();
+                elem_store!(*s, idx, value);
             }
             Op::Bin { op, idx_ctx } => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(Val::Num(v));
+                stack.push(v);
             }
             Op::Neg { idx_ctx } => {
-                let v = pop_num!();
+                let v = pop!();
                 if *idx_ctx {
                     count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
                 } else {
                     count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
                 }
-                stack.push(Val::Num(-v));
+                stack.push(-v);
             }
             Op::Not => {
-                let v = pop_num!();
+                let v = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
-                stack.push(Val::Num(if v == 0.0 { 1.0 } else { 0.0 }));
+                stack.push(if v == 0.0 { 1.0 } else { 0.0 });
             }
             Op::NormBoolRaw => {
-                let v = pop_num!();
-                stack.push(Val::Num(if v != 0.0 { 1.0 } else { 0.0 }));
+                let v = pop!();
+                stack.push(if v != 0.0 { 1.0 } else { 0.0 });
             }
             Op::Cmp(op) => {
-                let r = pop_num!();
-                let l = pop_num!();
+                let r = pop!();
+                let l = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(Val::Num(if op.apply(l, r) { 1.0 } else { 0.0 }));
+                stack.push(if op.apply(l, r) { 1.0 } else { 0.0 });
             }
             Op::CountIop => {
                 count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
             }
             Op::Abs => {
-                let v = pop_num!();
+                let v = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(Val::Num(v.abs()));
+                stack.push(v.abs());
             }
             Op::Floor => {
-                let v = pop_num!();
+                let v = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(Val::Num(v.floor()));
+                stack.push(v.floor());
             }
             Op::Min => {
-                let b = pop_num!();
-                let a = pop_num!();
+                let b = pop!();
+                let a = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(Val::Num(a.min(b)));
+                stack.push(a.min(b));
             }
             Op::Max => {
-                let b = pop_num!();
-                let a = pop_num!();
+                let b = pop!();
+                let a = pop!();
                 count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(Val::Num(a.max(b)));
+                stack.push(a.max(b));
             }
             Op::Lib(b) => {
                 // slot indices match LIB_COUNTER_NAMES — one dense counter
@@ -1501,121 +1493,111 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
                 let (v, slot, arg) = match b {
                     Builtin::Rnd => (rng.next_f64(), 0, 0.0),
                     Builtin::Exp => {
-                        let a = pop_num!();
+                        let a = pop!();
                         (a.exp(), 1, a)
                     }
                     Builtin::Log => {
-                        let a = pop_num!();
+                        let a = pop!();
                         (a.max(f64::MIN_POSITIVE).ln(), 2, a)
                     }
                     Builtin::Sqrt => {
-                        let a = pop_num!();
+                        let a = pop!();
                         (a.abs().sqrt(), 3, a)
                     }
                     Builtin::Sin => {
-                        let a = pop_num!();
+                        let a = pop!();
                         (a.sin(), 4, a)
                     }
                     Builtin::Cos => {
-                        let a = pop_num!();
+                        let a = pop!();
                         (a.cos(), 5, a)
                     }
                     Builtin::Pow => {
-                        let b2 = pop_num!();
-                        let a = pop_num!();
+                        let b2 = pop!();
+                        let a = pop!();
                         (a.powf(b2), 6, a)
                     }
                     other => unreachable!("{other:?} is not a lib builtin"),
                 };
                 profile.lib_calls[slot] += 1;
                 tracer.lib_call(cur_stmt, LIB_COUNTER_NAMES[slot], arg);
-                stack.push(Val::Num(v));
+                stack.push(v);
             }
             Op::JumpIfZero(t) => {
-                let v = pop_num!();
-                if v == 0.0 {
-                    frame.pc = *t;
+                if pop!() == 0.0 {
+                    pc = *t;
                 }
             }
-            Op::Jump(t) => frame.pc = *t,
+            Op::Jump(t) => pc = *t,
             Op::StmtEnter(id) => stmt_enter!(*id),
             Op::SetCur(id) => cur_stmt = *id,
-            Op::LoopEntry(id) => {
-                let i = profile.at(*id);
-                profile.loops[i].entries += 1;
-            }
+            Op::LoopEntry(id) => profile.loops[id.0 as usize].entries += 1,
             Op::IterTick(id) => iter_tick!(*id),
             Op::IterTickWhile(id) => {
-                steps += 1;
-                if steps > limits.max_steps {
-                    return Err(RuntimeError::StepLimitExceeded(limits.max_steps));
-                }
-                let i = profile.at(*id);
-                profile.loops[i].iterations += 1;
+                tick!();
+                profile.loops[id.0 as usize].iterations += 1;
             }
             Op::JumpIfGeRaw { cur, hi, target } => {
-                let c = raw_num(&frame.slots[*cur as usize]);
-                let h = raw_num(&frame.slots[*hi as usize]);
+                let c = raw_num(&slots[*cur as usize]);
+                let h = raw_num(&slots[*hi as usize]);
                 // exits on NaN too — a poisoned counter must not spin the loop
                 if c.partial_cmp(&h) != Some(std::cmp::Ordering::Less) {
-                    frame.pc = *target;
+                    pc = *target;
                 }
             }
             Op::AdvanceRaw { cur, step } => {
-                let c = raw_num(&frame.slots[*cur as usize]);
-                let st = raw_num(&frame.slots[*step as usize]);
-                frame.slots[*cur as usize] = Val::Num(c + st);
+                let c = raw_num(&slots[*cur as usize]);
+                let st = raw_num(&slots[*step as usize]);
+                slots[*cur as usize] = Val::Num(c + st);
             }
             Op::ClampStepRaw(s) => {
-                let v = raw_num(&frame.slots[*s as usize]);
-                frame.slots[*s as usize] = Val::Num(v.max(f64::MIN_POSITIVE));
+                let v = raw_num(&slots[*s as usize]);
+                slots[*s as usize] = Val::Num(v.max(f64::MIN_POSITIVE));
             }
             Op::BranchEnter { stmt, arms } => {
-                let i = profile.at(*stmt);
-                let b = &mut profile.branches[i];
+                let b = &mut profile.branches[stmt.0 as usize];
                 if b.arm_hits.len() < *arms {
                     b.arm_hits.resize(*arms, 0);
                 }
             }
-            Op::ArmHit { stmt, arm } => {
-                let i = profile.at(*stmt);
-                profile.branches[i].arm_hits[*arm] += 1;
-            }
-            Op::ElseHit(stmt) => {
-                let i = profile.at(*stmt);
-                profile.branches[i].else_hits += 1;
-            }
-            Op::BreakProfile(id) => {
-                let i = profile.at(*id);
-                profile.loops[i].breaks += 1;
-            }
-            Op::ContinueProfile(id) => {
-                let i = profile.at(*id);
-                profile.loops[i].continues += 1;
-            }
-            Op::Call { func: callee, argc } => {
-                if frames.len() as u32 >= limits.max_depth {
+            Op::ArmHit { stmt, arm } => profile.branches[stmt.0 as usize].arm_hits[*arm] += 1,
+            Op::ElseHit(stmt) => profile.branches[stmt.0 as usize].else_hits += 1,
+            Op::BreakProfile(id) => profile.loops[id.0 as usize].breaks += 1,
+            Op::ContinueProfile(id) => profile.loops[id.0 as usize].continues += 1,
+            Op::Call { func: callee, site } => {
+                // the running frame plus the suspended callers
+                if frames.len() as u32 + 1 >= limits.max_depth {
                     return Err(RuntimeError::RecursionLimitExceeded(limits.max_depth));
                 }
                 let target = &vm.funcs[*callee];
-                let mut slots = unset_slots(target.n_slots);
-                for i in (0..*argc).rev() {
-                    slots[i] = stack.pop().expect("stack underflow");
+                let by_ref = &func.call_sites[*site];
+                debug_assert_eq!(by_ref.len(), target.n_params);
+                let n_ref = by_ref.iter().filter(|r| **r).count();
+                let mut refs = arg_stack.drain(arg_stack.len() - n_ref..);
+                let mut nums = stack.drain(stack.len() - (by_ref.len() - n_ref)..);
+                let mut callee_slots = unset_slots(target.n_slots);
+                for (slot, &r) in callee_slots.iter_mut().zip(by_ref) {
+                    *slot = if r { refs.next() } else { nums.next().map(Val::Num) }.expect("call argument");
                 }
-                debug_assert_eq!(*argc, target.n_params);
-                frames.push(Frame { func: *callee, pc: 0, slots, saved_cur: cur_stmt });
+                let caller_slots = std::mem::replace(&mut slots, callee_slots);
+                frames.push(Frame { func, pc, slots: caller_slots, saved_cur: cur_stmt });
+                func = target;
+                code = &func.code;
+                pc = 0;
             }
-            Op::Ret => {
-                let f = frames.pop().expect("frame");
-                cur_stmt = f.saved_cur;
-                if frames.is_empty() {
-                    let ret = pop_num!();
-                    return Ok((profile.into_profile(), tracer, ret));
+            Op::Ret => match frames.pop() {
+                // the return value stays on the stack for the caller
+                Some(caller) => {
+                    func = caller.func;
+                    code = &func.code;
+                    pc = caller.pc;
+                    slots = caller.slots;
+                    cur_stmt = caller.saved_cur;
                 }
-                // return value stays on the stack for the caller
-            }
+                None => return Ok((profile.into_profile(), tracer, pop!())),
+            },
             Op::Print => {
-                let v = pop_num!();
+                let v = pop!();
                 profile.printed.push(v);
             }
             Op::Pop => {
@@ -1630,8 +1612,7 @@ fn run_vm_inner<T: Tracer, S: InstrSink>(
 /// user call *in expression position*; statement calls re-enter on the next
 /// statement anyway, so restoring unconditionally matches both.
 fn count<T: Tracer>(profile: &mut DenseProfile, tracer: &mut T, stmt: MStmtId, flops: u32, iops: u32, divs: u32) {
-    let i = profile.at(stmt);
-    let c = &mut profile.ops[i];
+    let c = &mut profile.ops[stmt.0 as usize];
     c.flops += flops as u64;
     c.iops += iops as u64;
     c.divs += divs as u64;

@@ -230,3 +230,47 @@ fn workload_programs_fuse_and_stay_bit_identical() {
         assert!(i_fz.fused_dispatches() > 0, "{}: fused VM must actually dispatch superinstructions", w.name);
     }
 }
+
+#[test]
+fn call_arguments_agree_across_all_three_engines() {
+    // Bare names travel on the argument stack, computed arguments on the
+    // operand stack; `Call` must interleave them in source order inside
+    // fused code exactly as the reference does.
+    let sources = [
+        // mixed arguments, nested calls in argument position, writes
+        // through a passed array, `len` of a passed array
+        "fn main() { let a = zeros(6); let b = zeros(9); let x = 2; let y = 5;
+           for i in 0 .. 9 { b[i] = i + 0.5; }
+           print(f(a, g(b, x + 1), 2 * y)); print(a[0] * a[1]); print(g(a, 1) + len(b)); }
+         fn f(arr, k, m) { arr[0] = k; arr[1] = m; return k * m; }
+         fn g(arr, j) { return arr[j] + len(arr); }",
+        // attribution restored after a call in expression position
+        "fn main() { let a = zeros(3); a[2] = 4; let s = a[2] * h(a, 1) + a[2]; print(s); }
+         fn h(arr, k) { arr[k] = arr[k] + 1; return arr[k]; }",
+        // recursion threading an array through every frame
+        "fn main() { let a = zeros(1); print(down(a, 12)); print(a[0]); }
+         fn down(arr, k) { if k > 0 { arr[0] = arr[0] + k; return down(arr, k - 1) + 1; } return 0; }",
+    ];
+    for src in sources {
+        check_three_way(src);
+    }
+}
+
+#[test]
+fn argument_and_depth_errors_survive_fusion() {
+    let sources = [
+        // arity mismatch after array arguments were pushed
+        "fn main() { let a = zeros(4); let r = f(a, a, 1); } fn f(p, q) { return 0; }",
+        // recursion one frame past the limit, arrays in every frame
+        "fn main() { let a = zeros(1); print(down(a, 15)); }
+         fn down(arr, k) { if k > 0 { return down(arr, k - 1); } return 0; }",
+    ];
+    let limits = Limits { max_steps: 1_000_000, max_depth: 16 };
+    for src in sources {
+        let prog = parse(src).unwrap();
+        let fused = fuse(&compile(&prog).unwrap());
+        let e_ref = reference::run(&prog, &InputSpec::new(), NullTracer, limits, DEFAULT_SEED).unwrap_err();
+        let e_fz = xflow_minilang::vm::run_vm_with_limits(&fused, &InputSpec::new(), NullTracer, limits).unwrap_err();
+        assert_eq!(e_ref, e_fz, "{src}");
+    }
+}

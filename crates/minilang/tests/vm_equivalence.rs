@@ -3,8 +3,10 @@
 //! library calls, execution counts), and the same tracer event stream
 //! (operation bundles, load/store addresses, library calls in order).
 
+use xflow_minilang::runtime::MAX_ARRAY_ELEMENTS;
 use xflow_minilang::{
-    compile, parse, reference, run_vm, InputSpec, Limits, MStmtId, NullTracer, Profile, Tracer, DEFAULT_SEED,
+    compile, parse, reference, run_vm, run_vm_with_limits, InputSpec, Limits, MStmtId, NullTracer, Profile,
+    RuntimeError, Tracer, DEFAULT_SEED,
 };
 
 /// Records every tracer event in order.
@@ -225,18 +227,14 @@ fn all_workloads_match_at_test_scale() {
 
 #[test]
 fn runtime_errors_match() {
-    for (src, what) in [
-        ("fn main() { let a = zeros(2); a[9] = 1; }", "oob"),
-        ("fn main() { let a = zeros(0 - 4); }", "negative len"),
-        ("fn main() { print(nope); }", "unbound"),
-        ("fn main() { let x = 1; print(x[0]); }", "not an array"),
-        ("fn main() { let a = zeros(2); print(a + 1); }", "array as scalar"),
+    for src in [
+        "fn main() { let a = zeros(2); a[9] = 1; }",
+        "fn main() { let a = zeros(0 - 4); }",
+        "fn main() { print(nope); }",
+        "fn main() { let x = 1; print(x[0]); }",
+        "fn main() { let a = zeros(2); print(a + 1); }",
     ] {
-        let prog = parse(src).unwrap();
-        let spec = InputSpec::new();
-        let r = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).map(|_| ());
-        let v = compile(&prog).and_then(|vm| run_vm(&vm, &spec, xflow_minilang::NullTracer).map(|_| ()));
-        assert_eq!(std::mem::discriminant(&r.unwrap_err()), std::mem::discriminant(&v.unwrap_err()), "{what}");
+        same_error(src, Limits::default());
     }
 }
 
@@ -255,4 +253,126 @@ fn vm_is_faster_on_heavy_workloads() {
     let _ = run_vm(&vm, &spec, xflow_minilang::NullTracer).unwrap();
     let fast = t1.elapsed();
     assert!(fast < tree, "vm ({fast:?}) should not be slower than the tree walker ({tree:?})");
+}
+
+/// Both engines fail `src` under `limits` with the same error.
+fn same_error(src: &str, limits: Limits) -> RuntimeError {
+    let prog = parse(src).unwrap();
+    let spec = InputSpec::new();
+    let r = reference::run(&prog, &spec, NullTracer, limits, DEFAULT_SEED).map(|_| ()).unwrap_err();
+    let v = run_vm_with_limits(&compile(&prog).unwrap(), &spec, NullTracer, limits).map(|_| ()).unwrap_err();
+    assert_eq!(r, v, "{src}");
+    r
+}
+
+#[test]
+fn array_and_scalar_arguments_travel_in_source_order() {
+    // mixed array/scalar arguments, calls nested in argument position,
+    // writes through a passed array that the caller sees, `len` of a
+    // passed array, and a bare scalar name passed like an array
+    check(
+        r#"
+fn main() {
+    let n = input("N", 8);
+    let a = zeros(n);
+    let b = zeros(n * 2);
+    let x = 3;
+    let y = 2;
+    for i in 0 .. n { b[i] = i * 0.5; }
+    print(f(a, g(b, x + 1), 2 * y));
+    print(a[0] + a[1]);
+    print(width(a) + width(b));
+    print(h(x, a, y, b) + a[2] + b[3]);
+    outer(b);
+    print(b[5]);
+}
+fn f(arr, k, m) { arr[0] = k; arr[1] = m; return k * m; }
+fn g(arr, j) { return arr[j] + len(arr); }
+fn width(arr) { return len(arr); }
+fn h(s, p, t, q) { p[2] = s + t; q[3] = p[2] * 2; return q[3] + p[2]; }
+fn outer(arr) { inner(arr, len(arr) - 11); arr[5] = arr[5] + 1; }
+fn inner(arr, k) { arr[5] = k * 10; }
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn attribution_is_restored_after_a_call_in_expression_position() {
+    // the multiply and the second load after `f` returns belong to the
+    // caller's statement again — the event stream pins every attribution
+    check(
+        r#"
+fn main() {
+    let a = zeros(4);
+    a[1] = 3;
+    let y = a[0] + f(a) * a[1];
+    let z = f(a) + f(a) * 2;
+    print(y + z);
+}
+fn f(arr) { arr[0] = arr[0] + 1; return arr[0] * 2; }
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn argument_errors_match() {
+    let limits = Limits::default();
+    // arity mismatch after array arguments were pushed
+    let e = same_error("fn main() { let a = zeros(4); let r = f(a, a, 1); } fn f(p, q) { return 0; }", limits);
+    assert_eq!(e, RuntimeError::ArityMismatch { func: "f".into(), expected: 2, got: 3 });
+    // an unset bare name in argument position
+    let e = same_error("fn main() { let r = f(ghost); } fn f(p) { return 0; }", limits);
+    assert_eq!(e, RuntimeError::UnboundVariable("ghost".into()));
+    // an array received where the callee reads a scalar
+    let e = same_error("fn main() { let a = zeros(2); print(f(a)); } fn f(v) { return v + 1; }", limits);
+    assert_eq!(e, RuntimeError::NotAScalar("v".into()));
+    // a scalar received where the callee indexes an array
+    let e = same_error("fn main() { let x = 1; print(f(x)); } fn f(v) { return v[0]; }", limits);
+    assert_eq!(e, RuntimeError::NotAnArray("v".into()));
+}
+
+#[test]
+fn recursion_depth_limit_matches_at_the_boundary() {
+    // main plus k + 1 frames of `down`
+    let src = |k: u32| {
+        format!(
+            "fn main() {{ let a = zeros(2); print(down(a, {k})); print(a[0]); }}
+                 fn down(arr, k) {{ if k > 0 {{ arr[0] = arr[0] + 1; return down(arr, k - 1) + 1; }} return 0; }}"
+        )
+    };
+    let limits = Limits { max_steps: 1_000_000, max_depth: 16 };
+    for depth in [limits.max_depth - 1, limits.max_depth] {
+        let prog = parse(&src(depth - 2)).unwrap();
+        let spec = InputSpec::new();
+        let (p_ref, t_ref, r_ref) = reference::run(&prog, &spec, EventLog::default(), limits, DEFAULT_SEED).unwrap();
+        let (p_vm, t_vm, r_vm) =
+            run_vm_with_limits(&compile(&prog).unwrap(), &spec, EventLog::default(), limits).unwrap();
+        assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "depth {depth}");
+        assert_profiles_equal(&p_ref, &p_vm, &format!("depth {depth}"));
+        assert_eq!(t_ref, t_vm, "depth {depth}: event stream");
+        assert_eq!(p_vm.printed, vec![(depth - 2) as f64, (depth - 2) as f64]);
+    }
+    let e = same_error(&src(limits.max_depth - 1), limits);
+    assert_eq!(e, RuntimeError::RecursionLimitExceeded(limits.max_depth));
+}
+
+#[test]
+fn array_budget_errors_match() {
+    let limits = Limits::default();
+    let cap = MAX_ARRAY_ELEMENTS;
+    for (src, len) in [
+        (r#"fn main() { let a = zeros(input("N", 1e12)); }"#.to_string(), 1e12),
+        ("fn main() { let a = zeros(1e30); }".to_string(), 1e30),
+        ("fn main() { let a = zeros(1 / 0); }".to_string(), f64::INFINITY),
+        (format!("fn main() {{ let a = zeros({}); }}", cap + 1), (cap + 1) as f64),
+        // the budget is per run: two arrays that only together exceed it
+        (format!("fn main() {{ let b = zeros(1000); let a = zeros({}); }}", cap - 999), (cap - 999) as f64),
+    ] {
+        let e = same_error(&src, limits);
+        assert_eq!(e, RuntimeError::ArrayTooLarge { array: "a".into(), len }, "{src}");
+    }
+    // NaN lengths keep allocating an empty array, as before
+    check("fn main() { let a = zeros(0 / 0); print(len(a)); }", &[]);
 }

@@ -247,3 +247,17 @@ fn oversized_request_head_gets_431_and_the_server_keeps_answering() {
     assert_eq!(status, 200, "{body}");
     server.stop();
 }
+
+#[test]
+fn inline_source_past_the_array_budget_gets_400_and_the_server_keeps_answering() {
+    // one request used to abort the whole process on the allocation
+    let server = start_server(None);
+    let body = r#"{"source":"fn main() { let a = zeros(input(\"N\", 1e12)); }"}"#;
+    let (status, _, resp) = request(server.addr(), "POST", "/v1/project", body);
+    assert_eq!(status, 400, "{resp}");
+    assert!(resp.contains("array `a` of length 1000000000000 exceeds"), "{resp}");
+
+    let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}
