@@ -72,7 +72,8 @@ fn bench_simulation_scaling(c: &mut Criterion) {
 }
 
 fn bench_engines(c: &mut Criterion) {
-    // tree-walking reference vs bytecode VM on the same workload
+    // tree-walking reference vs the production (fused) bytecode VM on
+    // the same workload
     let w = xflow_workloads::stassuij();
     let prog = w.program();
     let inputs = w.inputs(Scale::Test);
@@ -87,7 +88,10 @@ fn bench_engines(c: &mut Criterion) {
         })
     });
     g.bench_function("bytecode_vm", |b| {
-        b.iter(|| xflow_minilang::run_vm(black_box(&vm), &inputs, xflow_minilang::NullTracer).unwrap())
+        b.iter(|| {
+            let (limits, seed) = (xflow_minilang::Limits::default(), xflow_minilang::DEFAULT_SEED);
+            black_box(&vm).run(&inputs, xflow_minilang::NullTracer, limits, seed).unwrap()
+        })
     });
     g.finish();
 }

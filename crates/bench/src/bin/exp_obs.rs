@@ -5,14 +5,15 @@
 //! the recorder was threaded through (no `enabled()` gate, no provenance
 //! emission); bit-equality against `ProjectionPlan::evaluate` is asserted
 //! before anything is timed, so the two arms provably do the same
-//! arithmetic. Min-of-K sampling over a design grid then bounds the cost
-//! of the disabled telemetry path, which must stay under 2%.
+//! arithmetic. Interleaved min-of-K sampling over a design grid then
+//! bounds the cost of the disabled telemetry path, which must stay under
+//! 2%.
 //!
 //! Writes `results/BENCH_obs.json`.
 
 use std::collections::HashMap;
 use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline, SweepOptions};
-use xflow_bench::{min_of_k, opts};
+use xflow_bench::{min_of_k, min_of_k_interleaved, opts};
 use xflow_hotspot::{NodeCost, Projection, ProjectionPlan, StmtCosts};
 use xflow_hw::{MachineModel, PerfModel};
 
@@ -59,31 +60,41 @@ fn main() {
     .to_vec();
     println!("=== telemetry overhead: {}-point grid on {} ===\n", machines.len(), w.name);
 
+    // Every arm projects through the same opaque `&dyn PerfModel`: a
+    // visible constant `&Roofline` lets the compiler devirtualize and
+    // inline `project_block` into whichever evaluator it specializes,
+    // which times code generation, not telemetry.
+    let model: &dyn PerfModel = std::hint::black_box(&Roofline);
+
     // the replica and the product path must agree to the bit before any
     // timing is meaningful
     for m in &machines {
-        let base = evaluate_baseline(plan, m, &Roofline);
-        let noop = plan.evaluate(m, &Roofline);
+        let base = evaluate_baseline(plan, m, model);
+        let noop = plan.evaluate(m, model);
         assert_eq!(base.total_time.to_bits(), noop.total_time.to_bits(), "replica must match evaluate on {}", m.name);
     }
 
+    // the three arms take turns, sample by sample, so host drift lands on
+    // all of them alike instead of on whichever ran last
     let (samples, passes) = if matches!(o.scale, xflow::Scale::Test) { (5, 40) } else { (9, 400) };
-    let baseline_s = min_of_k(samples, passes, || {
+    let mut arm_baseline = || {
         for m in &machines {
-            std::hint::black_box(evaluate_baseline(plan, m, &Roofline).total_time);
+            std::hint::black_box(evaluate_baseline(plan, m, model).total_time);
         }
-    });
-    let noop_s = min_of_k(samples, passes, || {
+    };
+    let mut arm_noop = || {
         for m in &machines {
-            std::hint::black_box(plan.evaluate_observed(m, &Roofline, &NoopRecorder).total_time);
+            std::hint::black_box(plan.evaluate_observed(m, model, &NoopRecorder).total_time);
         }
-    });
-    let collecting_s = min_of_k(samples, passes.min(40), || {
+    };
+    let mut arm_collecting = || {
         let rec = CollectingRecorder::new();
         for m in &machines {
-            std::hint::black_box(plan.evaluate_observed(m, &Roofline, &rec).total_time);
+            std::hint::black_box(plan.evaluate_observed(m, model, &rec).total_time);
         }
-    });
+    };
+    let times = min_of_k_interleaved(samples, passes, &mut [&mut arm_baseline, &mut arm_noop, &mut arm_collecting]);
+    let (baseline_s, noop_s, collecting_s) = (times[0], times[1], times[2]);
 
     let noop_overhead = noop_s / baseline_s - 1.0;
     let collecting_overhead = collecting_s / baseline_s - 1.0;

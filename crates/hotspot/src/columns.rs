@@ -113,6 +113,15 @@ pub struct ProjectionColumns {
     fingerprint: u64,
 }
 
+/// The order sweep rankings sort projected totals by: ascending, NaN
+/// last (NaNs tie). A total order, so a degenerate point cannot break the
+/// sort. Plain [`f64::total_cmp`] would not do: a NaN with its sign bit
+/// set (x86's default NaN) orders before every number and would rank
+/// first. Numbers keep the `partial_cmp` fast path.
+pub fn rank_order(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 impl ProjectionColumns {
     /// Zeroed arena for evaluating `specs` against `kernel`'s plan.
     pub fn new(kernel: &PlanKernel, specs: Vec<MachineSpec>) -> Self {
@@ -208,13 +217,13 @@ impl ProjectionColumns {
         })
     }
 
-    /// Point indices ranked by ascending total time (ties keep point
-    /// order), truncated to `k` — the sweep's top-k without evaluating
-    /// any projection.
+    /// Point indices ranked by ascending total time (NaN last, ties keep
+    /// point order), truncated to `k` — the sweep's top-k without
+    /// evaluating any projection.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         let totals = self.totals();
         let mut idx: Vec<usize> = (0..self.points()).collect();
-        idx.sort_by(|&a, &b| totals[a].partial_cmp(&totals[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b)));
+        idx.sort_by(|&a, &b| rank_order(totals[a], totals[b]).then(a.cmp(&b)));
         idx.truncate(k);
         idx
     }

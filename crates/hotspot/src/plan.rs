@@ -255,7 +255,9 @@ impl ProjectionPlan {
             rec.span_end(span, &[("total_time", AttrValue::F64(total_time))]);
         }
 
-        Projection { node_costs, per_stmt, total_time, unknown_libs: self.unknown_libs.clone() }
+        // `to_vec`, not `clone`: `Vec::clone` stays an out-of-line call
+        // here, which `exp_obs` measured at ~2.5% of a CFD evaluation
+        Projection { node_costs, per_stmt, total_time, unknown_libs: self.unknown_libs.to_vec() }
     }
 
     /// Compile the structure-of-arrays evaluation kernel for this plan

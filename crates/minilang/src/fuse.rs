@@ -1,6 +1,7 @@
 //! Profile-guided superinstruction fusion for the bytecode VM.
 //!
-//! A peephole pass over compiled bytecode that rewrites the hottest
+//! The last step of [`crate::compile`]: a peephole pass over the lowered
+//! base stream ([`crate::reference::compile_unfused`]) that rewrites the hottest
 //! opcode digrams into *superinstructions* — single `Op` variants that
 //! execute both constituents in one dispatch. The digram set is **static
 //! and committed** ([`FUSED_KIND_NAMES`]): it was chosen offline from the
@@ -14,7 +15,7 @@
 //! * every fused arm in the dispatch loop executes its constituents'
 //!   exact code in order — same semantic [`Profile`](crate::Profile)
 //!   accounting, same tracer event stream, same error precedence, same
-//!   RNG draws — so results are bit-identical to the unfused VM;
+//!   RNG draws — so results are bit-identical to the unfused stream;
 //! * a pair is **never** fused when its second constituent is a jump
 //!   target (the *fusion barrier*): a branch landing mid-pair must keep
 //!   observing an instruction boundary there. Jumping *to* the first
@@ -32,8 +33,7 @@
 //! The pass is greedy leftmost and idempotent: fused variants never match
 //! the (base-op, base-op) patterns, so `fuse(fuse(p)) == fuse(p)`.
 
-use crate::ast::*;
-use crate::vm::{Op, VmFunc, VmProgram};
+use crate::vm::{Op, VmProgram};
 
 /// Number of superinstruction kinds in the committed fusion table.
 pub const NUM_FUSED_KINDS: usize = 16;
@@ -62,60 +62,16 @@ pub const FUSED_KIND_NAMES: [&str; NUM_FUSED_KINDS] = [
     "IterTick.LoadScalar",
 ];
 
-/// Static fusion summary of one [`fuse_with_report`] pass.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FuseReport {
-    /// Rewrite sites per fused kind, indexed like [`FUSED_KIND_NAMES`].
-    pub sites: [u64; NUM_FUSED_KINDS],
-    /// Instruction count before fusion (all functions).
-    pub code_before: usize,
-    /// Instruction count after fusion.
-    pub code_after: usize,
-}
-
-impl FuseReport {
-    /// Total static rewrite sites.
-    pub fn total_sites(&self) -> u64 {
-        self.sites.iter().sum()
+/// Fuse a lowered program in place. See the module docs for the
+/// guarantees.
+pub(crate) fn fuse(mut vm: VmProgram) -> VmProgram {
+    for f in &mut vm.funcs {
+        f.code = fuse_code(&f.code);
     }
-
-    /// Per-kind static site counts with names, nonzero entries only,
-    /// in table (frequency) order.
-    pub fn named_sites(&self) -> Vec<(&'static str, u64)> {
-        FUSED_KIND_NAMES.iter().zip(self.sites.iter()).filter(|(_, n)| **n > 0).map(|(k, n)| (*k, *n)).collect()
-    }
-
-    /// Flush the static site counts into a recorder as
-    /// `vm.fuse.sites.<A>.<B>` counters plus a `vm.fuse.sites` total.
-    pub fn flush_to<R: xflow_obs::Recorder + ?Sized>(&self, rec: &R) {
-        rec.add("vm.fuse.sites", self.total_sites());
-        for (name, n) in self.named_sites() {
-            rec.add(&format!("vm.fuse.sites.{name}"), n);
-        }
-    }
+    vm
 }
 
-/// Fuse a compiled program. See the module docs for the guarantees.
-pub fn fuse(vm: &VmProgram) -> VmProgram {
-    fuse_with_report(vm).0
-}
-
-/// [`fuse`], also returning the static rewrite summary.
-pub fn fuse_with_report(vm: &VmProgram) -> (VmProgram, FuseReport) {
-    let mut report = FuseReport::default();
-    let funcs = vm.funcs.iter().map(|f| fuse_fn(f, &mut report)).collect();
-    (VmProgram { funcs, entry: vm.entry, n_stmts: vm.n_stmts }, report)
-}
-
-/// Compile a program and fuse it in one step.
-pub fn compile_fused(prog: &Program) -> Result<VmProgram, crate::RuntimeError> {
-    Ok(fuse(&crate::vm::compile(prog)?))
-}
-
-fn fuse_fn(f: &VmFunc, report: &mut FuseReport) -> VmFunc {
-    let code = &f.code;
-    report.code_before += code.len();
-
+fn fuse_code(code: &[Op]) -> Vec<Op> {
     // Fusion barriers: no pair may absorb an instruction some jump lands
     // on. (Function entry is pc 0, which can never be a pair's second.)
     let mut is_target = vec![false; code.len() + 1];
@@ -134,8 +90,7 @@ fn fuse_fn(f: &VmFunc, report: &mut FuseReport) -> VmFunc {
     while i < code.len() {
         new_pc[i] = new_code.len();
         if i + 1 < code.len() && !is_target[i + 1] {
-            if let Some((fused, kind)) = try_fuse(&code[i], &code[i + 1]) {
-                report.sites[kind] += 1;
+            if let Some(fused) = try_fuse(&code[i], &code[i + 1]) {
                 // the second constituent is absorbed; nothing jumps there
                 new_pc[i + 1] = new_code.len();
                 new_code.push(fused);
@@ -159,41 +114,30 @@ fn fuse_fn(f: &VmFunc, report: &mut FuseReport) -> VmFunc {
             _ => {}
         }
     }
-
-    report.code_after += new_code.len();
-    VmFunc {
-        name: f.name.clone(),
-        n_params: f.n_params,
-        n_slots: f.n_slots,
-        slot_names: f.slot_names.clone(),
-        input_table: f.input_table.clone(),
-        call_sites: f.call_sites.clone(),
-        code: new_code,
-    }
+    new_code
 }
 
-/// Match one adjacent pair against the committed digram table. Returns
-/// the superinstruction and its dense fused-kind index.
-fn try_fuse(a: &Op, b: &Op) -> Option<(Op, usize)> {
+/// Match one adjacent pair against the committed digram table.
+fn try_fuse(a: &Op, b: &Op) -> Option<Op> {
     Some(match (a, b) {
-        (Op::LoadScalar(i), Op::LoadElem(s)) => (Op::LoadScalarElem { idx: *i, arr: *s }, 0),
-        (Op::StmtEnter(id), Op::LoadScalar(s)) => (Op::StmtEnterLoad { id: *id, slot: *s }, 1),
-        (Op::LoadScalar(x), Op::LoadScalar(y)) => (Op::LoadScalar2 { a: *x, b: *y }, 2),
-        (Op::LoadScalar(s), Op::Bin { op, idx_ctx }) => (Op::LoadScalarBin { slot: *s, op: *op, idx_ctx: *idx_ctx }, 3),
-        (Op::LoadElem(s), Op::Bin { op, idx_ctx }) => (Op::LoadElemBin { arr: *s, op: *op, idx_ctx: *idx_ctx }, 4),
-        (Op::Bin { op, idx_ctx }, Op::LoadScalar(s)) => (Op::BinLoadScalar { op: *op, idx_ctx: *idx_ctx, slot: *s }, 5),
+        (Op::LoadScalar(i), Op::LoadElem(s)) => Op::LoadScalarElem { idx: *i, arr: *s },
+        (Op::StmtEnter(id), Op::LoadScalar(s)) => Op::StmtEnterLoad { id: *id, slot: *s },
+        (Op::LoadScalar(x), Op::LoadScalar(y)) => Op::LoadScalar2 { a: *x, b: *y },
+        (Op::LoadScalar(s), Op::Bin { op, idx_ctx }) => Op::LoadScalarBin { slot: *s, op: *op, idx_ctx: *idx_ctx },
+        (Op::LoadElem(s), Op::Bin { op, idx_ctx }) => Op::LoadElemBin { arr: *s, op: *op, idx_ctx: *idx_ctx },
+        (Op::Bin { op, idx_ctx }, Op::LoadScalar(s)) => Op::BinLoadScalar { op: *op, idx_ctx: *idx_ctx, slot: *s },
         (Op::Bin { op: op1, idx_ctx: c1 }, Op::Bin { op: op2, idx_ctx: c2 }) => {
-            (Op::Bin2 { op1: *op1, ctx1: *c1, op2: *op2, ctx2: *c2 }, 6)
+            Op::Bin2 { op1: *op1, ctx1: *c1, op2: *op2, ctx2: *c2 }
         }
-        (Op::StoreSlot(s), Op::StmtEnter(id)) => (Op::StoreSlotEnter { slot: *s, id: *id }, 7),
-        (Op::Bin { op, idx_ctx }, Op::StoreSlot(s)) => (Op::BinStoreSlot { op: *op, idx_ctx: *idx_ctx, slot: *s }, 8),
-        (Op::Bin { op, idx_ctx }, Op::StoreElem(s)) => (Op::BinStoreElem { op: *op, idx_ctx: *idx_ctx, arr: *s }, 9),
-        (Op::Bin { op, idx_ctx }, Op::LoadElem(s)) => (Op::BinLoadElem { op: *op, idx_ctx: *idx_ctx, arr: *s }, 10),
-        (Op::Num(n), Op::Bin { op, idx_ctx }) => (Op::NumBin { n: *n, op: *op, idx_ctx: *idx_ctx }, 11),
-        (Op::LoadScalar(s), Op::Num(n)) => (Op::LoadScalarNum { slot: *s, n: *n }, 12),
-        (Op::StoreElem(s), Op::StmtEnter(id)) => (Op::StoreElemEnter { arr: *s, id: *id }, 13),
-        (Op::AdvanceRaw { cur, step }, Op::Jump(t)) => (Op::AdvanceJump { cur: *cur, step: *step, target: *t }, 14),
-        (Op::IterTick(id), Op::LoadScalar(s)) => (Op::IterTickLoad { id: *id, slot: *s }, 15),
+        (Op::StoreSlot(s), Op::StmtEnter(id)) => Op::StoreSlotEnter { slot: *s, id: *id },
+        (Op::Bin { op, idx_ctx }, Op::StoreSlot(s)) => Op::BinStoreSlot { op: *op, idx_ctx: *idx_ctx, slot: *s },
+        (Op::Bin { op, idx_ctx }, Op::StoreElem(s)) => Op::BinStoreElem { op: *op, idx_ctx: *idx_ctx, arr: *s },
+        (Op::Bin { op, idx_ctx }, Op::LoadElem(s)) => Op::BinLoadElem { op: *op, idx_ctx: *idx_ctx, arr: *s },
+        (Op::Num(n), Op::Bin { op, idx_ctx }) => Op::NumBin { n: *n, op: *op, idx_ctx: *idx_ctx },
+        (Op::LoadScalar(s), Op::Num(n)) => Op::LoadScalarNum { slot: *s, n: *n },
+        (Op::StoreElem(s), Op::StmtEnter(id)) => Op::StoreElemEnter { arr: *s, id: *id },
+        (Op::AdvanceRaw { cur, step }, Op::Jump(t)) => Op::AdvanceJump { cur: *cur, step: *step, target: *t },
+        (Op::IterTick(id), Op::LoadScalar(s)) => Op::IterTickLoad { id: *id, slot: *s },
         _ => return None,
     })
 }
@@ -229,39 +173,37 @@ pub(crate) fn fused_parts(op: &Op) -> Option<(usize, usize, usize)> {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::runtime::NullTracer;
-    use crate::vm::{compile, run_vm};
+    use crate::runtime::{Limits, NullTracer, Profile, RuntimeError};
+    use crate::vm::{compile, lower};
     use crate::InputSpec;
 
-    fn fused_of(src: &str) -> (VmProgram, VmProgram, FuseReport) {
+    /// A source's base stream and its fused production bytecode.
+    fn fused_of(src: &str) -> (VmProgram, VmProgram) {
         let prog = parse(src).unwrap();
-        let vm = compile(&prog).unwrap();
-        let (fused, report) = fuse_with_report(&vm);
-        (vm, fused, report)
+        (lower(&prog).unwrap(), compile(&prog).unwrap())
+    }
+
+    fn run(vm: &VmProgram) -> Result<(Profile, NullTracer, f64), RuntimeError> {
+        vm.run(&InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED)
     }
 
     #[test]
-    fn fusion_shrinks_code_and_counts_sites() {
-        let (vm, fused, report) = fused_of(
+    fn fusion_shrinks_code() {
+        let (vm, fused) = fused_of(
             "fn main() { let n = 64; let a = zeros(n); let s = 0;
                for i in 0 .. n { a[i] = i * 2.0; }
                for i in 0 .. n { s = s + a[i]; }
                print(s); }",
         );
         assert!(fused.code_len() < vm.code_len(), "{} !< {}", fused.code_len(), vm.code_len());
-        assert_eq!(report.code_before, vm.code_len());
-        assert_eq!(report.code_after, fused.code_len());
-        assert_eq!(report.total_sites() as usize, vm.code_len() - fused.code_len());
         // the for-loop back edge always fuses
-        assert!(report.sites[14] > 0, "AdvanceRaw.Jump must fuse: {report:?}");
+        assert!(fused.disasm().contains("AdvanceJump"), "AdvanceRaw.Jump must fuse:\n{}", fused.disasm());
     }
 
     #[test]
     fn fusion_is_idempotent() {
-        let (_, fused, _) = fused_of("fn main() { let s = 0; for i in 0 .. 9 { s = s + i * i; } print(s); }");
-        let (refused, report) = fuse_with_report(&fused);
-        assert_eq!(report.total_sites(), 0, "{report:?}");
-        assert_eq!(refused.disasm(), fused.disasm());
+        let (_, fused) = fused_of("fn main() { let s = 0; for i in 0 .. 9 { s = s + i * i; } print(s); }");
+        assert_eq!(fuse(fused.clone()).disasm(), fused.disasm());
     }
 
     #[test]
@@ -290,11 +232,10 @@ mod tests {
             }
             print(s);
         }";
-        let (vm, fused, report) = fused_of(src);
-        assert!(report.total_sites() > 0);
-        let spec = InputSpec::new();
-        let (p1, _, r1) = run_vm(&vm, &spec, NullTracer).unwrap();
-        let (p2, _, r2) = run_vm(&fused, &spec, NullTracer).unwrap();
+        let (vm, fused) = fused_of(src);
+        assert!(fused.code_len() < vm.code_len());
+        let (p1, _, r1) = run(&vm).unwrap();
+        let (p2, _, r2) = run(&fused).unwrap();
         assert_eq!(r1.to_bits(), r2.to_bits());
         assert_eq!(p1.printed, p2.printed);
         assert_eq!(p1.stmt_ops, p2.stmt_ops);
@@ -308,15 +249,11 @@ mod tests {
     fn errors_survive_fusion_identically() {
         // out-of-bounds store inside a fused Bin.StoreElem region
         let src = "fn main() { let a = zeros(4); let i = 9; a[i] = 1.0 + 2.0; }";
-        let (vm, fused, _) = fused_of(src);
-        let e1 = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
-        let e2 = run_vm(&fused, &InputSpec::new(), NullTracer).unwrap_err();
-        assert_eq!(e1.to_string(), e2.to_string());
+        let (vm, fused) = fused_of(src);
+        assert_eq!(run(&vm).unwrap_err().to_string(), run(&fused).unwrap_err().to_string());
         // unbound variable read through a fused LoadScalar pair
         let src = "fn main() { let x = ghost + 1; print(x); }";
-        let (vm, fused, _) = fused_of(src);
-        let e1 = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
-        let e2 = run_vm(&fused, &InputSpec::new(), NullTracer).unwrap_err();
-        assert_eq!(e1.to_string(), e2.to_string());
+        let (vm, fused) = fused_of(src);
+        assert_eq!(run(&vm).unwrap_err().to_string(), run(&fused).unwrap_err().to_string());
     }
 }

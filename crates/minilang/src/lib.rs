@@ -5,17 +5,21 @@
 //! paper's workflow (Figure 1):
 //!
 //! * a parser for the small C-like language ([`parse`]),
-//! * one production execution engine, the bytecode VM ([`vm`],
-//!   superinstruction-fused by [`fuse`]). [`profile`] runs it as the
-//!   paper's one local gcov-instrumented run, collecting branch outcome
-//!   frequencies, loop trip counts, and dynamic instruction mixes; the
-//!   ground-truth simulator replays programs on it with a tracer attached.
-//!   The types every run shares — [`InputSpec`], [`Profile`], [`Tracer`],
+//! * one production execution engine, the bytecode VM ([`vm`]): one
+//!   bytecode, [`compile`] (superinstruction-fused by [`fuse`]), and one
+//!   run, [`VmProgram::run`] (plus its instruction-counting twin
+//!   [`VmProgram::run_profiled`]). [`profile`] runs it as the paper's one
+//!   local gcov-instrumented run, collecting branch outcome frequencies,
+//!   loop trip counts, and dynamic instruction mixes; the ground-truth
+//!   simulator replays programs on it with a tracer attached. The types
+//!   every run shares — [`InputSpec`], [`Profile`], [`Tracer`],
 //!   [`Limits`], [`RuntimeError`] — live in [`runtime`];
-//! * the tree-walking interpreter ([`reference::run`]) — the reference
-//!   semantics, kept only as the oracle the VM is checked against: both
-//!   engines produce bit-identical results, profiles, errors, and
-//!   [`Tracer`] event streams;
+//! * the reference oracles ([`mod@reference`]), kept only to check the VM
+//!   against: the tree-walking interpreter ([`reference::run`]), which
+//!   defines the semantics, and the unfused bytecode
+//!   ([`reference::compile_unfused`]), which fusion is checked and
+//!   measured against. All three produce bit-identical results,
+//!   profiles, errors, and [`Tracer`] event streams;
 //! * the source-to-skeleton translator ([`translate()`]), the ROSE-engine
 //!   substitute that statically characterizes instruction mixes, array
 //!   accesses, and control structure, and folds the profile into the
@@ -48,10 +52,7 @@ pub mod translate;
 pub mod vm;
 
 pub use ast::{Block, Builtin, Function, MStmtId, Program, Stmt, StmtKind};
-pub use fuse::{
-    compile_fused, fuse as fuse_program, fuse_with_report as fuse_program_with_report, FuseReport, FUSED_KIND_NAMES,
-    NUM_FUSED_KINDS,
-};
+pub use fuse::{FUSED_KIND_NAMES, NUM_FUSED_KINDS};
 pub use parser::parse;
 pub use printer::print;
 // perfbench's oracle replay is the only user of this crate-root alias;
@@ -62,10 +63,7 @@ pub use runtime::{
     BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, DEFAULT_SEED,
 };
 pub use translate::{translate, TranslateError, Translation};
-pub use vm::{
-    compile, profile, profile_seeded, run_vm, run_vm_observed, run_vm_profiled, run_vm_with_limits,
-    run_vm_with_limits_seeded, InstrProfile, VmProgram, NUM_OP_KINDS, OP_KIND_NAMES,
-};
+pub use vm::{compile, profile, profile_seeded, InstrProfile, VmProgram, NUM_OP_KINDS, OP_KIND_NAMES};
 
 /// Wire-format version of this crate's serializable artifacts
 /// ([`Program`], [`Profile`], [`Translation`], [`InputSpec`]).

@@ -1,22 +1,38 @@
-//! Tree-walking interpreter for minilang — the *reference* semantics.
+//! The reference oracles for minilang's production engine: the
+//! tree-walking interpreter ([`run`]), which defines the semantics, and
+//! the unfused bytecode ([`compile_unfused`]).
 //!
-//! This module defines what a minilang run means: every run collects a
+//! The interpreter defines what a minilang run means: every run collects a
 //! [`Profile`] (per-branch arm frequencies, per-loop trip and
 //! break/continue statistics, dynamic operation counts, library call
 //! counts — the paper's gcov run, Section III-B) under the accounting
 //! rules of [`crate::runtime`], and streams every operation and memory
 //! access to a [`Tracer`].
 //!
-//! Production runs use the fused bytecode VM ([`crate::vm`]): the profiled
-//! run ([`crate::profile`]) and the simulator's replay. The interpreter is
-//! kept only as the oracle they are checked against — the simulator's
-//! `reference::simulate_reference`, the differential validator's three-way
-//! check, the fuzzer, and the equivalence suites call [`run`], and the VM
-//! must match it bit for bit.
+//! Production runs use the fused bytecode VM ([`crate::compile`]): the
+//! profiled run ([`crate::profile`]) and the simulator's replay. The
+//! interpreter is kept only as the oracle they are checked against — the
+//! simulator's `reference::simulate_reference`, the differential
+//! validator, the fuzzer, and the equivalence suites call [`run`], and the
+//! VM must match it bit for bit.
+//!
+//! [`compile_unfused`] is the base instruction stream before the
+//! superinstruction pass: the fusion equivalence suites check fused ≡
+//! unfused ≡ interpreter on it, and `exp_profile` measures what fusion
+//! buys against it.
 
 use crate::ast::*;
 use crate::runtime::{ArrRef, Heap, InputSpec, Lcg, Limits, Profile, RuntimeError, Tracer, Val};
+use crate::vm::VmProgram;
 use std::collections::HashMap;
+
+/// Compile a program to the *unfused* bytecode: [`crate::compile`]
+/// without its superinstruction pass. It runs through the same
+/// [`VmProgram::run`] and [`VmProgram::run_profiled`] as production
+/// bytecode.
+pub fn compile_unfused(prog: &Program) -> Result<VmProgram, RuntimeError> {
+    crate::vm::lower(prog)
+}
 
 enum Flow {
     Normal,

@@ -344,8 +344,8 @@ impl Default for Limits {
     }
 }
 
-/// Seed used by [`crate::run_vm`] and [`crate::profile`] when no explicit
-/// seed is given.
+/// Seed [`crate::profile`] runs with, and the one every run takes when
+/// its caller has no seed of its own.
 ///
 /// Both execution engines draw `rnd()` values from the same splitmix64
 /// stream, so a profiled run, a VM run, and a simulated run with equal

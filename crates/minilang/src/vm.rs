@@ -1,19 +1,21 @@
 //! Bytecode VM for minilang — the production execution engine.
 //!
-//! The tree-walking interpreter ([`crate::reference`]) is the *reference*
-//! semantics; this module compiles a program once into a flat instruction
-//! stream with resolved variable slots and runs it on a stack machine. Both
-//! engines produce **bit-identical** results, profiles, errors, and tracer
-//! event streams: every op-accounting rule, evaluation order, RNG draw,
-//! and array base address matches the reference (enforced by the
-//! equivalence tests in `tests/vm_equivalence.rs` and the validator's
-//! `engines_agree` suite).
+//! [`compile`] lowers a program once into a flat instruction stream with
+//! resolved variable slots and fuses its hottest digrams into
+//! superinstructions ([`crate::fuse`]); [`VmProgram::run`] executes it on
+//! a stack machine, and [`VmProgram::run_profiled`] is the same loop with
+//! per-opcode counting compiled in. This one bytecode runs every
+//! production execution: the profiled run behind [`profile`] (the
+//! paper's one local gcov run) and the ground-truth simulator's replay in
+//! `xflow-sim`.
 //!
-//! Fused by [`crate::fuse`], the VM runs every production execution: the
-//! profiled run behind [`profile`] (the paper's one local gcov run) and
-//! the ground-truth simulator's replay in `xflow-sim`. The tree-walker's
-//! per-node dispatch and name lookups made it several times slower on
-//! both.
+//! The tree-walking interpreter ([`crate::reference::run`]) is the
+//! *reference* semantics, and [`crate::reference::compile_unfused`] the
+//! base stream fusion rewrites. All three produce **bit-identical**
+//! results, profiles, errors, and tracer event streams: every
+//! op-accounting rule, evaluation order, RNG draw, and array base address
+//! matches the reference (enforced by the equivalence suites in `tests/`
+//! and the validator's `engines_agree` suite).
 //!
 //! The operand stack holds plain `f64`s: every expression the compiler
 //! emits evaluates to a number, so arithmetic, stores, `Ret` and `Pop`
@@ -391,8 +393,8 @@ fn op_kind(op: &Op) -> usize {
 ///
 /// Recording is branch-free and allocation-free: one dense counter bump
 /// per opcode plus one per digram (the "no previous instruction" state is
-/// an extra phantom row, not a branch). Produced by [`run_vm_profiled`];
-/// [`run_vm_observed`] additionally flushes it through a [`Recorder`].
+/// an extra phantom row, not a branch). Produced by
+/// [`VmProgram::run_profiled`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrProfile {
     /// Execution count per opcode kind, indexed like [`OP_KIND_NAMES`].
@@ -550,13 +552,20 @@ impl InstrSink for InstrProfile {
     }
 }
 
-/// Compile a program to bytecode.
+/// Compile a program to the production bytecode: the base instruction
+/// stream, superinstruction-fused by [`crate::fuse`].
 ///
 /// Only a missing `main` fails here. A call to an unknown function or with
 /// the wrong argument count compiles to a trap op, which fails at run
 /// time exactly where the reference's call does — dead call sites never
 /// fail a run.
 pub fn compile(prog: &Program) -> Result<VmProgram, RuntimeError> {
+    lower(prog).map(crate::fuse::fuse)
+}
+
+/// Lower a program to the base (unfused) instruction stream — public only
+/// as [`crate::reference::compile_unfused`].
+pub(crate) fn lower(prog: &Program) -> Result<VmProgram, RuntimeError> {
     let fn_ids: HashMap<&str, usize> = prog.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
     let entry = *fn_ids.get("main").ok_or_else(|| RuntimeError::UnknownFunction("main".into()))?;
     let mut funcs = Vec::with_capacity(prog.functions.len());
@@ -1038,84 +1047,51 @@ struct Frame<'v> {
 
 /// Profile a program without tracing — the "local profiled run" whose
 /// branch and loop statistics the translator folds into the skeleton.
-/// Runs on the fused VM with default limits and [`crate::DEFAULT_SEED`].
+/// Runs the production bytecode with default limits and
+/// [`crate::DEFAULT_SEED`].
 pub fn profile(prog: &Program, inputs: &InputSpec) -> Result<Profile, RuntimeError> {
     profile_seeded(prog, inputs, crate::DEFAULT_SEED)
 }
 
 /// [`profile`] with an explicit `rnd()` seed.
 pub fn profile_seeded(prog: &Program, inputs: &InputSpec, seed: u64) -> Result<Profile, RuntimeError> {
-    let vm = crate::fuse::compile_fused(prog)?;
-    let (p, _, _) = run_vm_with_limits_seeded(&vm, inputs, NullTracer, Limits::default(), seed)?;
+    let (p, _, _) = compile(prog)?.run(inputs, NullTracer, Limits::default(), seed)?;
     Ok(p)
 }
 
-/// Run a compiled program (see [`crate::reference::run`] for the reference engine).
-pub fn run_vm<T: Tracer>(vm: &VmProgram, inputs: &InputSpec, tracer: T) -> Result<(Profile, T, f64), RuntimeError> {
-    run_vm_with_limits(vm, inputs, tracer, Limits::default())
-}
+impl VmProgram {
+    /// Run the program with a tracer, execution limits and an explicit
+    /// `rnd()` seed (see [`crate::DEFAULT_SEED`] for the cross-engine
+    /// determinism contract); returns the profile, the tracer, and main's
+    /// return value. [`crate::reference::run`] is the reference engine.
+    pub fn run<T: Tracer>(
+        &self,
+        inputs: &InputSpec,
+        tracer: T,
+        limits: Limits,
+        seed: u64,
+    ) -> Result<(Profile, T, f64), RuntimeError> {
+        run_inner(self, inputs, tracer, limits, seed, &mut ())
+    }
 
-/// [`run_vm`] with explicit execution limits.
-pub fn run_vm_with_limits<T: Tracer>(
-    vm: &VmProgram,
-    inputs: &InputSpec,
-    tracer: T,
-    limits: Limits,
-) -> Result<(Profile, T, f64), RuntimeError> {
-    run_vm_with_limits_seeded(vm, inputs, tracer, limits, crate::DEFAULT_SEED)
-}
-
-/// [`run_vm_with_limits`] with an explicit `rnd()` seed (see
-/// [`crate::DEFAULT_SEED`] for the cross-engine determinism contract).
-pub fn run_vm_with_limits_seeded<T: Tracer>(
-    vm: &VmProgram,
-    inputs: &InputSpec,
-    tracer: T,
-    limits: Limits,
-    seed: u64,
-) -> Result<(Profile, T, f64), RuntimeError> {
-    run_vm_inner(vm, inputs, tracer, limits, seed, &mut ())
-}
-
-/// [`run_vm_with_limits_seeded`] with instruction profiling compiled in:
-/// returns the per-opcode / per-digram [`InstrProfile`] alongside the
-/// ordinary results. The run itself is bit-identical to the unprofiled
-/// one (profiling only counts, it never changes semantics).
-pub fn run_vm_profiled<T: Tracer>(
-    vm: &VmProgram,
-    inputs: &InputSpec,
-    tracer: T,
-    limits: Limits,
-    seed: u64,
-) -> Result<(Profile, T, f64, InstrProfile), RuntimeError> {
-    let mut iprof = InstrProfile::new();
-    let (profile, tracer, ret) = run_vm_inner(vm, inputs, tracer, limits, seed, &mut iprof)?;
-    Ok((profile, tracer, ret, iprof))
-}
-
-/// [`run_vm_with_limits_seeded`] routed through a [`Recorder`]: when the
-/// recorder is enabled the run is instruction-profiled and the profile is
-/// flushed into it as `vm.op.*` / `vm.pair.*` counters; when it is
-/// disabled (the [`xflow_obs::NoopRecorder`] default) this monomorphizes
-/// to the statically unprofiled loop — same machine code, zero overhead.
-pub fn run_vm_observed<T: Tracer, R: Recorder + ?Sized>(
-    vm: &VmProgram,
-    inputs: &InputSpec,
-    tracer: T,
-    limits: Limits,
-    seed: u64,
-    rec: &R,
-) -> Result<(Profile, T, f64), RuntimeError> {
-    if rec.enabled() {
-        let (profile, tracer, ret, iprof) = run_vm_profiled(vm, inputs, tracer, limits, seed)?;
-        iprof.flush_to(rec);
-        Ok((profile, tracer, ret))
-    } else {
-        run_vm_with_limits_seeded(vm, inputs, tracer, limits, seed)
+    /// [`VmProgram::run`] with instruction profiling compiled in: returns
+    /// the per-opcode / per-digram [`InstrProfile`] alongside the ordinary
+    /// results. The run itself is bit-identical to the unprofiled one
+    /// (profiling only counts, it never changes semantics).
+    pub fn run_profiled<T: Tracer>(
+        &self,
+        inputs: &InputSpec,
+        tracer: T,
+        limits: Limits,
+        seed: u64,
+    ) -> Result<(Profile, T, f64, InstrProfile), RuntimeError> {
+        let mut iprof = InstrProfile::new();
+        let (profile, tracer, ret) = run_inner(self, inputs, tracer, limits, seed, &mut iprof)?;
+        Ok((profile, tracer, ret, iprof))
     }
 }
 
-fn run_vm_inner<T: Tracer, S: InstrSink>(
+fn run_inner<T: Tracer, S: InstrSink>(
     vm: &VmProgram,
     inputs: &InputSpec,
     mut tracer: T,
@@ -1668,6 +1644,14 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
+    fn run_with(
+        vm: &VmProgram,
+        inputs: &InputSpec,
+        limits: Limits,
+    ) -> Result<(Profile, NullTracer, f64), RuntimeError> {
+        vm.run(inputs, NullTracer, limits, crate::DEFAULT_SEED)
+    }
+
     #[test]
     fn compile_resolves_slots_and_entry() {
         let p = parse("fn main() { let x = 1; let y = x + 2; print(y); }").unwrap();
@@ -1690,7 +1674,7 @@ mod tests {
     fn unknown_function_fails_at_call_time() {
         let p = parse("fn main() { ghost(); }").unwrap();
         let vm = compile(&p).expect("unknown callees compile to a trap");
-        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        let err = run_with(&vm, &InputSpec::new(), Limits::default()).unwrap_err();
         assert_eq!(err, RuntimeError::UnknownFunction("ghost".into()));
     }
 
@@ -1698,7 +1682,7 @@ mod tests {
     fn arity_mismatch_fails_at_call_time() {
         let p = parse("fn main() { f(1, 2); } fn f(x) { }").unwrap();
         let vm = compile(&p).expect("arity mismatches compile to a trap");
-        let err = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap_err();
+        let err = run_with(&vm, &InputSpec::new(), Limits::default()).unwrap_err();
         assert_eq!(err, RuntimeError::ArityMismatch { func: "f".into(), expected: 1, got: 2 });
     }
 
@@ -1706,8 +1690,7 @@ mod tests {
     fn step_limit_enforced() {
         let p = parse("fn main() { while 1 > 0 { let x = 1; } }").unwrap();
         let vm = compile(&p).unwrap();
-        let err = run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, Limits { max_steps: 5_000, max_depth: 8 })
-            .unwrap_err();
+        let err = run_with(&vm, &InputSpec::new(), Limits { max_steps: 5_000, max_depth: 8 }).unwrap_err();
         assert!(matches!(err, RuntimeError::StepLimitExceeded(_)));
     }
 
@@ -1715,9 +1698,7 @@ mod tests {
     fn recursion_limit_enforced() {
         let p = parse("fn main() { f(); } fn f() { f(); }").unwrap();
         let vm = compile(&p).unwrap();
-        let err =
-            run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, Limits { max_steps: 1_000_000, max_depth: 16 })
-                .unwrap_err();
+        let err = run_with(&vm, &InputSpec::new(), Limits { max_steps: 1_000_000, max_depth: 16 }).unwrap_err();
         assert!(matches!(err, RuntimeError::RecursionLimitExceeded(16)));
     }
 
@@ -1725,7 +1706,7 @@ mod tests {
     fn unset_slot_reads_error_with_the_variable_name() {
         let p = parse("fn main() { print(mystery); }").unwrap();
         let vm = compile(&p).unwrap();
-        match run_vm(&vm, &InputSpec::new(), NullTracer) {
+        match run_with(&vm, &InputSpec::new(), Limits::default()) {
             Err(RuntimeError::UnboundVariable(n)) => assert_eq!(n, "mystery"),
             other => panic!("{other:?}"),
         }
@@ -1735,7 +1716,7 @@ mod tests {
     fn return_value_propagates() {
         let p = parse("fn main() { return 6 * 7; }").unwrap();
         let vm = compile(&p).unwrap();
-        let (_, _, r) = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap();
+        let (_, _, r) = run_with(&vm, &InputSpec::new(), Limits::default()).unwrap();
         assert_eq!(r, 42.0);
     }
 
@@ -1758,9 +1739,9 @@ fn main() {
         .unwrap();
         let vm = compile(&p).unwrap();
         let spec = InputSpec::new();
-        let (prof_a, _, ret_a) = run_vm(&vm, &spec, NullTracer).unwrap();
+        let (prof_a, _, ret_a) = run_with(&vm, &spec, Limits::default()).unwrap();
         let (prof_b, _, ret_b, iprof) =
-            run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
+            vm.run_profiled(&spec, NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
         assert_eq!(ret_a.to_bits(), ret_b.to_bits());
         assert_eq!(prof_a.printed, prof_b.printed);
         assert_eq!(prof_a.stmt_ops, prof_b.stmt_ops);
@@ -1785,7 +1766,7 @@ fn main() {
         let p = parse("fn main() { let s = 0; for i in 0 .. 100 { s = s + i; } print(s); }").unwrap();
         let vm = compile(&p).unwrap();
         let run = || {
-            let (_, _, _, i) = run_vm_profiled(&vm, &InputSpec::new(), NullTracer, Limits::default(), 42).unwrap();
+            let (_, _, _, i) = vm.run_profiled(&InputSpec::new(), NullTracer, Limits::default(), 42).unwrap();
             i
         };
         let a = run();
@@ -1797,29 +1778,6 @@ fn main() {
         assert!(pairs.windows(2).all(|w| w[0].1 >= w[1].1), "{pairs:?}");
         // the hot loop body dominates: IterTick appears 100 times
         assert_eq!(a.count_of("IterTick"), 100);
-    }
-
-    #[test]
-    fn observed_run_routes_counters_through_the_recorder() {
-        let p = parse("fn main() { let s = 0; for i in 0 .. 10 { s = s + i; } print(s); }").unwrap();
-        let vm = compile(&p).unwrap();
-        let rec = xflow_obs::CollectingRecorder::new();
-        let (_, _, r1) =
-            run_vm_observed(&vm, &InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED, &rec).unwrap();
-        assert!(rec.counter_value("vm.instructions") > 0);
-        assert_eq!(rec.counter_value("vm.op.IterTick"), 10);
-        assert!(rec.counter_value("vm.pair.StmtEnter.LoadScalar") > 0 || rec.counter_value("vm.instructions") > 0);
-        // noop recorder path still runs correctly (and skips profiling)
-        let (_, _, r2) = run_vm_observed(
-            &vm,
-            &InputSpec::new(),
-            NullTracer,
-            Limits::default(),
-            crate::DEFAULT_SEED,
-            &xflow_obs::NoopRecorder,
-        )
-        .unwrap();
-        assert_eq!(r1.to_bits(), r2.to_bits());
     }
 
     #[test]
@@ -1854,13 +1812,13 @@ fn main() {
     #[test]
     fn fused_dispatch_accounts_constituents_identically() {
         let p = parse("fn main() { let s = 0; for i in 0 .. 50 { s = s + i * 2.0; } print(s); }").unwrap();
-        let vm = compile(&p).unwrap();
-        let fused = crate::fuse::fuse(&vm);
+        let vm = lower(&p).unwrap();
+        let fused = compile(&p).unwrap();
         assert!(fused.code_len() < vm.code_len());
         let (prof_a, _, ret_a, ia) =
-            run_vm_profiled(&vm, &InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
+            vm.run_profiled(&InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
         let (prof_b, _, ret_b, ib) =
-            run_vm_profiled(&fused, &InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
+            fused.run_profiled(&InputSpec::new(), NullTracer, Limits::default(), crate::DEFAULT_SEED).unwrap();
         assert_eq!(ret_a.to_bits(), ret_b.to_bits());
         assert_eq!(prof_a.printed, prof_b.printed);
         assert_eq!(prof_a.stmt_ops, prof_b.stmt_ops);
@@ -1891,8 +1849,8 @@ fn main() {
     fn inputs_resolve_at_runtime_not_compile_time() {
         let p = parse(r#"fn main() { return input("N", 5); }"#).unwrap();
         let vm = compile(&p).unwrap();
-        let (_, _, a) = run_vm(&vm, &InputSpec::new(), NullTracer).unwrap();
-        let (_, _, b) = run_vm(&vm, &InputSpec::from_pairs([("N", 9.0)]), NullTracer).unwrap();
+        let (_, _, a) = run_with(&vm, &InputSpec::new(), Limits::default()).unwrap();
+        let (_, _, b) = run_with(&vm, &InputSpec::from_pairs([("N", 9.0)]), Limits::default()).unwrap();
         assert_eq!(a, 5.0);
         assert_eq!(b, 9.0);
     }

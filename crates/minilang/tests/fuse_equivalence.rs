@@ -1,29 +1,29 @@
-//! Differential tests for the superinstruction fusion pass: for every
-//! digram in the committed fusion table, a program that exercises it must
-//! run bit-identically on the unfused and fused VM — same result bits,
-//! same semantic profile, same observed opcode/digram stream — and
-//! fusion-blocked boundaries (jump targets landing on the second half of
-//! a would-be pair) must stay unfused.
+//! Differential tests for the superinstruction fusion pass inside
+//! `compile`: for every digram in the committed fusion table, a program
+//! that exercises it must run bit-identically on the unfused stream
+//! (`reference::compile_unfused`) and the production bytecode — same
+//! result bits, same semantic profile, same observed opcode/digram
+//! stream — and fusion-blocked boundaries (jump targets landing on the
+//! second half of a would-be pair) must stay unfused.
 
-use xflow_minilang::fuse::{fuse, fuse_with_report, FUSED_KIND_NAMES, NUM_FUSED_KINDS};
 use xflow_minilang::{
-    compile, parse, reference, run_vm, run_vm_profiled, InputSpec, InstrProfile, Limits, NullTracer, Profile,
-    VmProgram, DEFAULT_SEED,
+    compile, parse, reference, InputSpec, InstrProfile, Limits, NullTracer, Profile, RuntimeError, VmProgram,
+    DEFAULT_SEED, FUSED_KIND_NAMES, NUM_FUSED_KINDS,
 };
 
-/// Run one source three ways (interp, VM, fused VM) and assert the full
-/// bit-identity contract. Returns the fused run's instruction profile and
-/// the fusion report for digram-coverage assertions.
-fn check_three_way(src: &str) -> (InstrProfile, xflow_minilang::FuseReport) {
+/// Run one source three ways (interp, unfused VM, fused VM) and assert
+/// the full bit-identity contract. Returns the fused run's instruction
+/// profile for digram-coverage assertions.
+fn check_three_way(src: &str) -> InstrProfile {
     let prog = parse(src).expect("parse");
     let spec = InputSpec::new();
     let (p_ref, _, r_ref) = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("interp");
 
-    let vm = compile(&prog).expect("compile");
-    let (fused, report) = fuse_with_report(&vm);
-    let (p_vm, _, r_vm, i_vm) = run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("vm");
+    let vm = reference::compile_unfused(&prog).expect("compile");
+    let fused = compile(&prog).expect("compile");
+    let (p_vm, _, r_vm, i_vm) = vm.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("vm");
     let (p_fz, _, r_fz, i_fz) =
-        run_vm_profiled(&fused, &spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("fused vm");
+        fused.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).expect("fused vm");
 
     assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "interp vs vm");
     assert_eq!(r_vm.to_bits(), r_fz.to_bits(), "vm vs fused");
@@ -32,7 +32,12 @@ fn check_three_way(src: &str) -> (InstrProfile, xflow_minilang::FuseReport) {
     assert!(i_vm.stream_eq(&i_fz), "fused opcode stream must match unfused");
     assert_eq!(i_vm.ranked_pairs(), i_fz.ranked_pairs());
     assert_eq!(i_vm.fused_dispatches(), 0);
-    (i_fz, report)
+    i_fz
+}
+
+/// `vm` run with no inputs under `limits`, failing with the error.
+fn run_err(vm: &VmProgram, limits: Limits) -> RuntimeError {
+    vm.run(&InputSpec::new(), NullTracer, limits, DEFAULT_SEED).unwrap_err()
 }
 
 fn assert_profiles_eq(a: &Profile, b: &Profile) {
@@ -45,8 +50,9 @@ fn assert_profiles_eq(a: &Profile, b: &Profile) {
 }
 
 /// One source program per fused digram, indexed like `FUSED_KIND_NAMES`.
-/// Each is built so compilation emits the digram adjacently (verified by
-/// the site assertion in `every_fused_digram_is_exercised`).
+/// Each is built so compilation emits the digram adjacently and runs it
+/// (verified by the dispatch assertion in
+/// `every_fused_digram_is_exercised`).
 fn digram_programs() -> [&'static str; NUM_FUSED_KINDS] {
     [
         // 0 LoadScalar.LoadElem — a[i] with scalar index
@@ -93,23 +99,13 @@ fn digram_programs() -> [&'static str; NUM_FUSED_KINDS] {
 
 #[test]
 fn every_fused_digram_is_exercised() {
-    let mut total_sites = [0u64; NUM_FUSED_KINDS];
     for (k, src) in digram_programs().iter().enumerate() {
-        let (iprof, report) = check_three_way(src);
+        let fused = check_three_way(src).ranked_fused();
         assert!(
-            report.sites[k] > 0,
-            "program {k} must statically fuse {} — sites {:?}",
-            FUSED_KIND_NAMES[k],
-            report.named_sites()
+            fused.iter().any(|(name, _)| *name == FUSED_KIND_NAMES[k]),
+            "program {k} must dispatch {} — dispatched {fused:?}",
+            FUSED_KIND_NAMES[k]
         );
-        assert!(iprof.fused_dispatches() > 0, "program {k} must dispatch fused ops");
-        for (i, n) in report.sites.iter().enumerate() {
-            total_sites[i] += n;
-        }
-    }
-    // collectively the 16 probe programs light up the whole table
-    for (k, n) in total_sites.iter().enumerate() {
-        assert!(*n > 0, "digram {} never fused across the probe programs", FUSED_KIND_NAMES[k]);
     }
 }
 
@@ -156,12 +152,11 @@ fn jumping_to_the_first_of_a_fused_pair_is_safe() {
     // the body entry lands exactly on a fusable StmtEnter.LoadScalar pair
     // start — which may fuse, since landing on the first constituent
     // executes both, same as falling through.
-    let (iprof, report) = check_three_way(
+    let iprof = check_three_way(
         "fn main() { let s = 0; let i = 0;
            while i < 8 { s = s + i; i = i + 1; }
            print(s); }",
     );
-    assert!(report.total_sites() > 0);
     assert!(iprof.fused_dispatches() > 0);
 }
 
@@ -170,11 +165,9 @@ fn fusion_preserves_step_limit_errors() {
     // StmtEnter fused into StoreSlotEnter / StmtEnterLoad must still tick
     // the step limit: an infinite loop dies identically on both VMs.
     let prog = parse("fn main() { let x = 0; while 1 > 0 { x = x + 1; } }").unwrap();
-    let vm = compile(&prog).unwrap();
-    let fused = fuse(&vm);
     let limits = Limits { max_steps: 10_000, max_depth: 8 };
-    let e1 = xflow_minilang::vm::run_vm_with_limits(&vm, &InputSpec::new(), NullTracer, limits).unwrap_err();
-    let e2 = xflow_minilang::vm::run_vm_with_limits(&fused, &InputSpec::new(), NullTracer, limits).unwrap_err();
+    let e1 = run_err(&reference::compile_unfused(&prog).unwrap(), limits);
+    let e2 = run_err(&compile(&prog).unwrap(), limits);
     assert_eq!(e1.to_string(), e2.to_string());
 }
 
@@ -192,12 +185,12 @@ fn call_traps_stay_unfused_and_fail_like_the_reference() {
     let traps = |vm: &VmProgram| vm.disasm().matches("Trap(").count();
     for src in sources {
         let prog = parse(src).unwrap();
-        let vm = compile(&prog).expect("bad call sites compile");
-        let fused = fuse(&vm);
+        let vm = reference::compile_unfused(&prog).expect("bad call sites compile");
+        let fused = compile(&prog).expect("bad call sites compile");
         assert_eq!(traps(&vm), 1, "{src}");
         assert_eq!(traps(&fused), 1, "{src}");
         let e_ref = reference::run(&prog, &InputSpec::new(), NullTracer, Limits::default(), DEFAULT_SEED).unwrap_err();
-        let e_fz = run_vm(&fused, &InputSpec::new(), NullTracer).unwrap_err();
+        let e_fz = run_err(&fused, Limits::default());
         assert_eq!(e_ref, e_fz, "{src}");
     }
     // a trap that never runs changes nothing
@@ -211,19 +204,18 @@ fn workload_programs_fuse_and_stay_bit_identical() {
     for w in xflow_workloads::all() {
         let prog = w.program();
         let inputs = w.inputs(xflow_workloads::Scale::Test);
-        let vm = compile(&prog).expect("compile");
-        let (fused, report) = fuse_with_report(&vm);
+        let vm = reference::compile_unfused(&prog).expect("compile");
+        let fused = compile(&prog).expect("compile");
         assert!(
-            (report.code_after as f64) < 0.9 * report.code_before as f64,
+            (fused.code_len() as f64) < 0.9 * vm.code_len() as f64,
             "{}: fusion should shrink code >10% (got {} -> {})",
             w.name,
-            report.code_before,
-            report.code_after
+            vm.code_len(),
+            fused.code_len()
         );
-        let (p_vm, _, r_vm, i_vm) =
-            run_vm_profiled(&vm, &inputs, NullTracer, Limits::default(), DEFAULT_SEED).expect("vm");
+        let (p_vm, _, r_vm, i_vm) = vm.run_profiled(&inputs, NullTracer, Limits::default(), DEFAULT_SEED).expect("vm");
         let (p_fz, _, r_fz, i_fz) =
-            run_vm_profiled(&fused, &inputs, NullTracer, Limits::default(), DEFAULT_SEED).expect("fused");
+            fused.run_profiled(&inputs, NullTracer, Limits::default(), DEFAULT_SEED).expect("fused");
         assert_eq!(r_vm.to_bits(), r_fz.to_bits(), "{}", w.name);
         assert_profiles_eq(&p_vm, &p_fz);
         assert!(i_vm.stream_eq(&i_fz), "{}: opcode stream must be fusion-invariant", w.name);
@@ -268,9 +260,8 @@ fn argument_and_depth_errors_survive_fusion() {
     let limits = Limits { max_steps: 1_000_000, max_depth: 16 };
     for src in sources {
         let prog = parse(src).unwrap();
-        let fused = fuse(&compile(&prog).unwrap());
         let e_ref = reference::run(&prog, &InputSpec::new(), NullTracer, limits, DEFAULT_SEED).unwrap_err();
-        let e_fz = xflow_minilang::vm::run_vm_with_limits(&fused, &InputSpec::new(), NullTracer, limits).unwrap_err();
+        let e_fz = run_err(&compile(&prog).unwrap(), limits);
         assert_eq!(e_ref, e_fz, "{src}");
     }
 }

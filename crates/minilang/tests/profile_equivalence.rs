@@ -1,15 +1,14 @@
 //! Property tests for the VM instruction profiler: on a generated family
-//! of runnable programs, the tree-walking interpreter, the profiled VM,
-//! and the superinstruction-fused VM must produce identical semantic op
-//! totals, and the VM's per-opcode counters must tie out exactly against
-//! that shared profile (each load event is one `LoadElem`, each statement
-//! execution one `StmtEnter`, …). Fusion must be invisible to all of it:
-//! same results, same `Profile`, same observed opcode/digram stream.
+//! of runnable programs, the tree-walking interpreter, the unfused
+//! bytecode, and the production (fused) bytecode must produce identical
+//! semantic op totals, and the VM's per-opcode counters must tie out
+//! exactly against that shared profile (each load event is one
+//! `LoadElem`, each statement execution one `StmtEnter`, …). Fusion must
+//! be invisible to all of it: same results, same `Profile`, same observed
+//! opcode/digram stream.
 
 use proptest::prelude::*;
-use xflow_minilang::{
-    compile, fuse_program, parse, reference, run_vm_profiled, InputSpec, Limits, NullTracer, DEFAULT_SEED,
-};
+use xflow_minilang::{compile, parse, reference, InputSpec, Limits, NullTracer, DEFAULT_SEED};
 
 /// A runnable program family with random constants and structure knobs:
 /// an array fill (rnd + arithmetic), a filter loop with a branch, an
@@ -55,12 +54,10 @@ proptest! {
         let spec = InputSpec::new();
 
         let (p_ref, _, r_ref) = reference::run(&prog, &spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
-        let vm = compile(&prog).unwrap();
-        let (p_vm, _, r_vm, iprof) =
-            run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
-        let fused = fuse_program(&vm);
-        let (p_fz, _, r_fz, i_fz) =
-            run_vm_profiled(&fused, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
+        let vm = reference::compile_unfused(&prog).unwrap();
+        let (p_vm, _, r_vm, iprof) = vm.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
+        let fused = compile(&prog).unwrap();
+        let (p_fz, _, r_fz, i_fz) = fused.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
 
         // all three engines agree bit-for-bit on results and profiles
         prop_assert_eq!(r_ref.to_bits(), r_vm.to_bits());
@@ -120,24 +117,20 @@ proptest! {
         let (with_while, with_call) = (variant & 1 == 1, variant & 2 == 2);
         let src = runnable_src(n, thresh, with_while, with_call);
         let prog = parse(&src).unwrap();
-        let vm = compile(&prog).unwrap();
-        let fused = fuse_program(&vm);
+        let vm = reference::compile_unfused(&prog).unwrap();
+        let fused = compile(&prog).unwrap();
         let spec = InputSpec::new();
-        let (p_plain, _, r_plain) = xflow_minilang::run_vm(&vm, &spec, NullTracer).unwrap();
-        let (p1, _, r1, i1) =
-            run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
-        let (_, _, _, i2) =
-            run_vm_profiled(&vm, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
+        let (p_plain, _, r_plain) = vm.run(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
+        let (p1, _, r1, i1) = vm.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
+        let (_, _, _, i2) = vm.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
         prop_assert_eq!(r_plain.to_bits(), r1.to_bits());
         prop_assert_eq!(&p_plain.stmt_ops, &p1.stmt_ops);
         prop_assert_eq!(&i1, &i2);
 
         // the fused VM is equally invisible and deterministic
-        let (p_fplain, _, r_fplain) = xflow_minilang::run_vm(&fused, &spec, NullTracer).unwrap();
-        let (pf, _, rf, if1) =
-            run_vm_profiled(&fused, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
-        let (_, _, _, if2) =
-            run_vm_profiled(&fused, &spec, NullTracer, Limits::default(), xflow_minilang::DEFAULT_SEED).unwrap();
+        let (p_fplain, _, r_fplain) = fused.run(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
+        let (pf, _, rf, if1) = fused.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
+        let (_, _, _, if2) = fused.run_profiled(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
         prop_assert_eq!(r_fplain.to_bits(), rf.to_bits());
         prop_assert_eq!(r_plain.to_bits(), r_fplain.to_bits());
         prop_assert_eq!(&p_fplain.stmt_ops, &pf.stmt_ops);

@@ -1,12 +1,13 @@
 //! The bytecode VM must be observationally identical to the tree-walking
 //! reference: same results, same profiles (op counts, branch/loop stats,
 //! library calls, execution counts), and the same tracer event stream
-//! (operation bundles, load/store addresses, library calls in order).
+//! (operation bundles, load/store addresses, library calls in order) —
+//! on the production (fused) bytecode and on the unfused stream alike.
 
 use xflow_minilang::runtime::MAX_ARRAY_ELEMENTS;
 use xflow_minilang::{
-    compile, parse, reference, run_vm, run_vm_with_limits, InputSpec, Limits, MStmtId, NullTracer, Profile,
-    RuntimeError, Tracer, DEFAULT_SEED,
+    compile, parse, reference, InputSpec, Limits, MStmtId, NullTracer, Profile, RuntimeError, Tracer, VmProgram,
+    DEFAULT_SEED,
 };
 
 /// Records every tracer event in order.
@@ -39,18 +40,24 @@ fn assert_profiles_equal(a: &Profile, b: &Profile, what: &str) {
     assert_eq!(a.lib_calls, b.lib_calls, "{what}: lib_calls");
 }
 
+/// The production bytecode and the unfused stream of one program.
+fn both_bytecodes(prog: &xflow_minilang::Program) -> [(&'static str, VmProgram); 2] {
+    [("fused", compile(prog).unwrap()), ("unfused", reference::compile_unfused(prog).unwrap())]
+}
+
 fn check(src: &str, inputs: &[(&str, f64)]) {
     let prog = parse(src).unwrap();
     let spec = InputSpec::from_pairs(inputs.iter().copied());
     let (p_ref, t_ref, r_ref) =
         reference::run(&prog, &spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
-    let vm = compile(&prog).unwrap();
-    let (p_vm, t_vm, r_vm) = run_vm(&vm, &spec, EventLog::default()).unwrap();
-    assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "return value");
-    assert_profiles_equal(&p_ref, &p_vm, "profile");
-    assert_eq!(t_ref.events.len(), t_vm.events.len(), "event count");
-    for (i, (a, b)) in t_ref.events.iter().zip(t_vm.events.iter()).enumerate() {
-        assert_eq!(a, b, "event #{i}");
+    for (what, vm) in both_bytecodes(&prog) {
+        let (p_vm, t_vm, r_vm) = vm.run(&spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
+        assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "{what}: return value");
+        assert_profiles_equal(&p_ref, &p_vm, what);
+        assert_eq!(t_ref.events.len(), t_vm.events.len(), "{what}: event count");
+        for (i, (a, b)) in t_ref.events.iter().zip(t_vm.events.iter()).enumerate() {
+            assert_eq!(a, b, "{what}: event #{i}");
+        }
     }
 }
 
@@ -216,12 +223,13 @@ fn all_workloads_match_at_test_scale() {
         let spec = w.inputs(xflow_workloads::Scale::Test);
         let (p_ref, t_ref, r_ref) =
             reference::run(&prog, &spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
-        let vm = compile(&prog).unwrap();
-        let (p_vm, t_vm, r_vm) = run_vm(&vm, &spec, EventLog::default()).unwrap();
-        assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "{}", w.name);
-        assert_profiles_equal(&p_ref, &p_vm, w.name);
-        assert_eq!(t_ref.events.len(), t_vm.events.len(), "{}: event count", w.name);
-        assert_eq!(t_ref, t_vm, "{}: event stream", w.name);
+        for (what, vm) in both_bytecodes(&prog) {
+            let (p_vm, t_vm, r_vm) = vm.run(&spec, EventLog::default(), Limits::default(), DEFAULT_SEED).unwrap();
+            assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "{} {what}", w.name);
+            assert_profiles_equal(&p_ref, &p_vm, &format!("{} {what}", w.name));
+            assert_eq!(t_ref.events.len(), t_vm.events.len(), "{} {what}: event count", w.name);
+            assert_eq!(t_ref, t_vm, "{} {what}: event stream", w.name);
+        }
     }
 }
 
@@ -250,7 +258,7 @@ fn vm_is_faster_on_heavy_workloads() {
     let tree = t0.elapsed();
     let vm = compile(&prog).unwrap();
     let t1 = std::time::Instant::now();
-    let _ = run_vm(&vm, &spec, xflow_minilang::NullTracer).unwrap();
+    let _ = vm.run(&spec, NullTracer, Limits::default(), DEFAULT_SEED).unwrap();
     let fast = t1.elapsed();
     assert!(fast < tree, "vm ({fast:?}) should not be slower than the tree walker ({tree:?})");
 }
@@ -260,8 +268,10 @@ fn same_error(src: &str, limits: Limits) -> RuntimeError {
     let prog = parse(src).unwrap();
     let spec = InputSpec::new();
     let r = reference::run(&prog, &spec, NullTracer, limits, DEFAULT_SEED).map(|_| ()).unwrap_err();
-    let v = run_vm_with_limits(&compile(&prog).unwrap(), &spec, NullTracer, limits).map(|_| ()).unwrap_err();
-    assert_eq!(r, v, "{src}");
+    for (what, vm) in both_bytecodes(&prog) {
+        let v = vm.run(&spec, NullTracer, limits, DEFAULT_SEED).map(|_| ()).unwrap_err();
+        assert_eq!(r, v, "{what}: {src}");
+    }
     r
 }
 
@@ -347,8 +357,7 @@ fn recursion_depth_limit_matches_at_the_boundary() {
         let prog = parse(&src(depth - 2)).unwrap();
         let spec = InputSpec::new();
         let (p_ref, t_ref, r_ref) = reference::run(&prog, &spec, EventLog::default(), limits, DEFAULT_SEED).unwrap();
-        let (p_vm, t_vm, r_vm) =
-            run_vm_with_limits(&compile(&prog).unwrap(), &spec, EventLog::default(), limits).unwrap();
+        let (p_vm, t_vm, r_vm) = compile(&prog).unwrap().run(&spec, EventLog::default(), limits, DEFAULT_SEED).unwrap();
         assert_eq!(r_ref.to_bits(), r_vm.to_bits(), "depth {depth}");
         assert_profiles_equal(&p_ref, &p_vm, &format!("depth {depth}"));
         assert_eq!(t_ref, t_vm, "depth {depth}: event stream");

@@ -149,9 +149,8 @@ pub fn simulate_with_seed(
     seed: u64,
 ) -> Result<SimReport, RuntimeError> {
     let tracer = SimTracer::for_program(prog, machine, cfg);
-    let vm = xflow_minilang::compile_fused(prog)?;
     let (profile, tracer, _ret) =
-        xflow_minilang::run_vm_with_limits_seeded(&vm, inputs, tracer, xflow_minilang::Limits::default(), seed)?;
+        xflow_minilang::compile(prog)?.run(inputs, tracer, xflow_minilang::Limits::default(), seed)?;
     finish_report(machine, profile, tracer)
 }
 

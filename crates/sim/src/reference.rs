@@ -24,9 +24,7 @@ use crate::cost::SimConfig;
 use crate::{finish_report, SimReport, SimTracer};
 use std::collections::HashMap;
 use xflow_hw::MachineModel;
-use xflow_minilang::{
-    compile, run_vm_with_limits_seeded, InputSpec, Limits, MStmtId, Program, RuntimeError, Tracer, DEFAULT_SEED,
-};
+use xflow_minilang::{InputSpec, Limits, MStmtId, Program, RuntimeError, Tracer, DEFAULT_SEED};
 
 /// [`crate::simulate`] on the tree-walking reference engine (for
 /// cross-checks of the VM's event stream).
@@ -156,8 +154,10 @@ impl Tracer for ReferenceTracer {
     }
 }
 
-/// Run a program through the (unfused) VM with the [`ReferenceTracer`] and
-/// package the result exactly like the dense path does.
+/// Run a program through the unfused bytecode
+/// (`xflow_minilang::reference::compile_unfused`) with the
+/// [`ReferenceTracer`] and package the result exactly like the dense path
+/// does.
 pub fn tracer_report(
     prog: &Program,
     inputs: &InputSpec,
@@ -166,8 +166,8 @@ pub fn tracer_report(
     seed: u64,
 ) -> Result<SimReport, RuntimeError> {
     let tracer = ReferenceTracer::new(machine, cfg);
-    let vm = compile(prog)?;
-    let (profile, tracer, _ret) = run_vm_with_limits_seeded(&vm, inputs, tracer, Limits::default(), seed)?;
+    let vm = xflow_minilang::reference::compile_unfused(prog)?;
+    let (profile, tracer, _ret) = vm.run(inputs, tracer, Limits::default(), seed)?;
     Ok(SimReport {
         l1_hit_rate: tracer.caches().l1.hit_rate(),
         llc_hit_rate: tracer.caches().llc.hit_rate(),

@@ -38,7 +38,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod count;
 pub mod error;
 pub mod expr;
@@ -48,7 +47,6 @@ pub mod printer;
 pub mod validate;
 
 pub use ast::{Block, BranchArm, Cond, FuncId, Function, OpStats, Program, Stmt, StmtId, StmtKind};
-pub use builder::{Ops, ProgramBuilder};
 pub use count::{static_counts, StaticCounts};
 pub use error::{EvalError, ParseError, Span, ValidationError};
 pub use expr::{env_from, BinOp, CmpOp, Env, Expr, Value};

@@ -5,7 +5,8 @@
 //! checks, under `catch_unwind`:
 //!
 //! 1. parse, and print → re-parse round-trip;
-//! 2. interpreter and VM agree bit-for-bit on dynamic behavior;
+//! 2. the reference interpreter and the production bytecode VM agree
+//!    bit-for-bit on dynamic behavior;
 //! 3. translate → BET build → every structural invariant
 //!    ([`crate::invariants::check_bet`]);
 //! 4. projection on every configured machine →
@@ -186,7 +187,7 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
         Ok(v) => v,
         Err(e) => return Outcome::Failed(format!("VM compile failed where interpreter ran: {e}")),
     };
-    match ml::run_vm_with_limits_seeded(&vm, &inputs, ml::NullTracer, limits, seed) {
+    match vm.run(&inputs, ml::NullTracer, limits, seed) {
         Ok((vm_prof, _, vm_ret)) => {
             if !profiles_agree(&prof, &vm_prof) || ret.to_bits() != vm_ret.to_bits() {
                 return Outcome::Failed("interpreter and VM disagree on dynamic behavior".to_string());

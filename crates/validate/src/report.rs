@@ -2,9 +2,9 @@
 //!
 //! For one program + machine + seed, [`validate_program`]:
 //!
-//! 1. runs the program on **both** execution engines (tree-walking
-//!    interpreter and bytecode VM) with the given seed and checks they
-//!    observed bit-identical dynamic behavior;
+//! 1. runs the program on **both** execution engines (the tree-walking
+//!    reference interpreter and the production bytecode VM) with the
+//!    given seed and checks they observed bit-identical dynamic behavior;
 //! 2. profiles, translates, and builds the BET exactly like the modeling
 //!    pipeline, then checks every structural invariant
 //!    ([`crate::invariants`]);
@@ -205,8 +205,8 @@ pub struct ValidationReport {
     pub workload: String,
     pub machine: String,
     pub seed: u64,
-    /// Interpreter, VM, and superinstruction-fused VM observed
-    /// bit-identical dynamic behavior (three-way check).
+    /// The reference interpreter and the production bytecode VM observed
+    /// bit-identical dynamic behavior.
     pub engines_agree: bool,
     /// The simulator's replay observed the same dynamic behavior as the
     /// profiled run (same seed ⇒ must be identical).
@@ -370,18 +370,11 @@ pub fn validate_program(
 ) -> Result<ValidationReport, ValidateError> {
     let limits = ml::Limits::default();
 
-    // 1. oracle runs on all three engines, same seed: the reference
-    // interpreter, the bytecode VM, and the superinstruction-fused VM
-    // (whose peephole rewrite must be observationally invisible).
+    // 1. oracle runs on both engines, same seed: the reference
+    // interpreter and the production bytecode VM.
     let (prof, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, limits, cfg.seed)?;
-    let vm = ml::compile(prog)?;
-    let (vm_prof, _, vm_ret) = ml::run_vm_with_limits_seeded(&vm, inputs, ml::NullTracer, limits, cfg.seed)?;
-    let fused = ml::fuse_program(&vm);
-    let (fz_prof, _, fz_ret) = ml::run_vm_with_limits_seeded(&fused, inputs, ml::NullTracer, limits, cfg.seed)?;
-    let engines_agree = profiles_agree(&prof, &vm_prof)
-        && ret.to_bits() == vm_ret.to_bits()
-        && profiles_agree(&vm_prof, &fz_prof)
-        && vm_ret.to_bits() == fz_ret.to_bits();
+    let (vm_prof, _, vm_ret) = ml::compile(prog)?.run(inputs, ml::NullTracer, limits, cfg.seed)?;
+    let engines_agree = profiles_agree(&prof, &vm_prof) && ret.to_bits() == vm_ret.to_bits();
 
     // 2. model pipeline: translate → BET → plan → projection.
     let tr = ml::translate(prog, &prof)?;
@@ -593,7 +586,7 @@ pub fn validate_program(
     // verdict
     let mut failures = Vec::new();
     if !engines_agree {
-        failures.push("interpreter, VM, and fused VM disagree on dynamic behavior".to_string());
+        failures.push("interpreter and VM disagree on dynamic behavior".to_string());
     }
     if !sim_profile_agrees {
         failures.push("simulator replay observed a different dynamic profile than the oracle run".to_string());

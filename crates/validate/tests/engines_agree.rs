@@ -1,7 +1,8 @@
-//! Property test: the tree-walking interpreter, the bytecode VM, and the
-//! superinstruction-fused VM observe identical dynamic behavior —
-//! per-statement visit counts, branch outcomes, and printed output — on
-//! generated programs run with the same seed (three-way equivalence).
+//! Property test: the tree-walking interpreter, the unfused bytecode, and
+//! the production (superinstruction-fused) bytecode observe identical
+//! dynamic behavior — per-statement visit counts, branch outcomes, and
+//! printed output — on generated programs run with the same seed
+//! (three-way equivalence).
 //!
 //! The second half holds the production profiler (`ml::profile_seeded`,
 //! the fused VM) to the reference interpreter on the paper workloads, the
@@ -21,12 +22,10 @@ fn check_engines(seed: u64, escapes: bool) {
 
     let (pi, _, ri) =
         ml::reference::run(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("interpreter runs");
-    let vm = ml::compile(&prog).expect("compiles");
-    let (pv, _, rv) =
-        ml::run_vm_with_limits_seeded(&vm, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("VM runs");
-    let fused = ml::fuse_program(&vm);
-    let (pf, _, rf) =
-        ml::run_vm_with_limits_seeded(&fused, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("fused runs");
+    let unfused = ml::reference::compile_unfused(&prog).expect("compiles");
+    let (pv, _, rv) = unfused.run(&inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("VM runs");
+    let fused = ml::compile(&prog).expect("compiles");
+    let (pf, _, rf) = fused.run(&inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).expect("fused runs");
 
     // profiles_agree covers branches, loops, lib calls, and printed
     // values; assert the visit-count map separately for a sharp message
@@ -34,9 +33,9 @@ fn check_engines(seed: u64, escapes: bool) {
     assert!(profiles_agree(&pi, &pv), "profiles diverge for seed {seed:#x}");
     assert_eq!(ri.to_bits(), rv.to_bits(), "return value diverges for seed {seed:#x}");
 
-    // the fused VM is the third engine: the peephole rewrite (and its
-    // jump-target fusion barriers) must be observationally invisible on
-    // arbitrary generated control flow
+    // the fused bytecode is the third engine: the peephole rewrite (and
+    // its jump-target fusion barriers) must be observationally invisible
+    // on arbitrary generated control flow
     assert_eq!(pv.stmt_exec, pf.stmt_exec, "fused visit counts diverge for seed {seed:#x}");
     assert!(profiles_agree(&pv, &pf), "fused profiles diverge for seed {seed:#x}");
     assert_eq!(rv.to_bits(), rf.to_bits(), "fused return value diverges for seed {seed:#x}");
@@ -131,14 +130,12 @@ fn production_profiler_matches_reference_on_call_graph_errors() {
 #[test]
 fn production_engine_matches_reference_on_step_limit() {
     // `profile_seeded` runs with the default 2e9-step limit; run the same
-    // compile-fused-then-VM composition with a small limit instead
+    // compile-then-run composition with a small limit instead
     let prog = ml::parse("fn main() { let x = 0; while 1 > 0 { x = x + helper(x); } } fn helper(v) { return 1; }")
         .expect("parses");
     let limits = ml::Limits { max_steps: 10_000, max_depth: 64 };
-    let production = ml::compile_fused(&prog).and_then(|vm| {
-        ml::run_vm_with_limits_seeded(&vm, &ml::InputSpec::new(), ml::NullTracer, limits, ml::DEFAULT_SEED)
-            .map(|(p, _, _)| p)
-    });
+    let production = ml::compile(&prog)
+        .and_then(|vm| vm.run(&ml::InputSpec::new(), ml::NullTracer, limits, ml::DEFAULT_SEED).map(|(p, _, _)| p));
     assert!(matches!(production, Err(ml::RuntimeError::StepLimitExceeded(10_000))), "{production:?}");
     assert_same_outcome(production, reference_profile(&prog, &ml::InputSpec::new(), limits), "step limit");
 }

@@ -59,10 +59,6 @@ OPTIONS:
     --seed <N>                     RNG seed for validate's oracle runs
     --json                         machine-readable output (explain, validate,
                                    profile)
-    --fused | --no-fuse            run `profile`'s VM with superinstruction
-                                   fusion on (default) or off; the report is
-                                   byte-identical either way — fused ops
-                                   account to their constituent opcodes
     --trace-out <FILE>             write a Chrome trace of the run to FILE
     --flight-out <FILE>            write the always-on flight-ring snapshot
                                    (last ~1k telemetry events) to FILE
@@ -117,9 +113,6 @@ struct Invocation {
     addr: Option<String>,
     /// Machines directory as given (the registry pre-scan also reads it).
     machines_dir: Option<String>,
-    /// `profile`: run the superinstruction-fused VM (`--no-fuse` clears
-    /// it). Reports are fusion-invariant, so this only changes speed.
-    fuse: bool,
     /// `validate`: check every built-in workload × machine combo.
     all: bool,
     /// `oracle` / `validate --all`: worker threads (0 = auto).
@@ -189,7 +182,6 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
         sweep_opts: SweepOptions::default(),
         addr: None,
         machines_dir: None,
-        fuse: true,
         all: false,
         jobs: 0,
         oracle_machines: Vec::new(),
@@ -286,8 +278,6 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
                 let v = it.next().ok_or("--out needs a path")?;
                 inv.out = Some(v.clone());
             }
-            "--fused" => inv.fuse = true,
-            "--no-fuse" => inv.fuse = false,
             "--scale" => {
                 let v = it.next().ok_or("--scale needs test | eval")?;
                 inv.scale = match v.to_lowercase().as_str() {
@@ -874,21 +864,17 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
         }
         "profile" => {
             let prog = crate::xflow_minilang::parse(src).map_err(|e| e.to_string())?;
-            let mut vm = crate::xflow_minilang::compile(&prog).map_err(|e| e.to_string())?;
-            if inv.fuse {
-                // fused superinstructions account to their constituent
-                // opcodes, so the report below is byte-identical to an
-                // unfused run — fusion only buys dispatch speed
-                vm = crate::xflow_minilang::fuse_program(&vm);
-            }
-            let (_, _, _, iprof) = crate::xflow_minilang::run_vm_profiled(
-                &vm,
-                &inv.inputs,
-                crate::xflow_minilang::NullTracer,
-                crate::xflow_minilang::Limits::default(),
-                inv.seed.unwrap_or(crate::xflow_minilang::DEFAULT_SEED),
-            )
-            .map_err(|e| e.to_string())?;
+            let vm = crate::xflow_minilang::compile(&prog).map_err(|e| e.to_string())?;
+            // fused superinstructions account to their constituent
+            // opcodes, so the report is the unfused stream's
+            let (_, _, _, iprof) = vm
+                .run_profiled(
+                    &inv.inputs,
+                    crate::xflow_minilang::NullTracer,
+                    crate::xflow_minilang::Limits::default(),
+                    inv.seed.unwrap_or(crate::xflow_minilang::DEFAULT_SEED),
+                )
+                .map_err(|e| e.to_string())?;
             if let Some(rec) = inv.session_recorder() {
                 iprof.flush_to(rec.as_ref());
             }
@@ -898,8 +884,9 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             if inv.axes.is_empty() {
                 return Err("`sweep` needs at least one --axis NAME=V1,V2,...".into());
             }
-            let app = modeled(inv, src, session_out)?;
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
+            space.check_machines()?;
+            let app = modeled(inv, src, session_out)?;
             let sweep = match &inv.recorder {
                 Some(rec) => space.sweep_opts(&app, SweepOptions { recorder: rec.as_ref(), ..inv.sweep_opts }),
                 None => space.sweep_opts(&app, inv.sweep_opts),
@@ -1243,16 +1230,29 @@ fn main() {
     #[test]
     fn profile_report_is_fusion_invariant() {
         // fused superinstructions account to their constituents, so the
-        // default (fused) report equals --no-fuse byte-for-byte — the
-        // same contract CI's fusion-determinism step enforces with cmp
-        let fused = run(&args(&["profile", "cfd", "--json"])).unwrap();
-        let explicit = run(&args(&["profile", "cfd", "--json", "--fused"])).unwrap();
-        let unfused = run(&args(&["profile", "cfd", "--json", "--no-fuse"])).unwrap();
-        assert_eq!(fused, explicit);
-        assert_eq!(fused, unfused, "fused profile --json must match --no-fuse byte-for-byte");
-        let fused_txt = run(&args(&["profile", "cfd", "--top", "8"])).unwrap();
-        let unfused_txt = run(&args(&["profile", "cfd", "--top", "8", "--no-fuse"])).unwrap();
-        assert_eq!(fused_txt, unfused_txt, "human-readable report must be fusion-invariant too");
+        // report `profile` prints off the production bytecode equals the
+        // one rendered from the unfused stream, byte for byte
+        use crate::xflow_minilang as ml;
+        for w in ["sord", "chargei", "srad", "cfd", "stassuij"] {
+            for extra in [&["--json"][..], &["--top", "8"][..]] {
+                let argv = args(&[&["profile", w][..], extra].concat());
+                let printed = run(&argv).unwrap();
+                let mut inv = parse_args(&argv, &machine_registry(&argv).unwrap()).unwrap();
+                let prog = ml::parse(&resolve_source(&mut inv, w).unwrap()).unwrap();
+                let unfused = ml::reference::compile_unfused(&prog).unwrap();
+                let (_, _, _, iprof) =
+                    unfused.run_profiled(&inv.inputs, ml::NullTracer, ml::Limits::default(), ml::DEFAULT_SEED).unwrap();
+                assert_eq!(printed, profile_report(&iprof, &inv), "{w} {extra:?}: report must be fusion-invariant");
+            }
+        }
+    }
+
+    #[test]
+    fn profile_rejects_the_retired_fusion_flags() {
+        for flag in ["--fused", "--no-fuse"] {
+            let err = run(&args(&["profile", "cfd", flag])).unwrap_err();
+            assert!(err.starts_with(&format!("unknown option `{flag}`")), "{err}");
+        }
     }
 
     #[test]
@@ -1440,6 +1440,17 @@ fn main() {
             let err = run(&args(&["sweep", path, "--axis", "noequals"])).unwrap_err();
             assert!(err.contains("expected NAME=V1"), "{err}");
         });
+    }
+
+    #[test]
+    fn sweep_rejects_invalid_grid_points() {
+        // a zero clock is no machine: reject it, naming the point, before
+        // its NaN totals reach the ranking
+        let err = run(&args(&["sweep", "cfd", "--machine", "xeon", "--axis", "freq_ghz=0"])).unwrap_err();
+        assert!(err.starts_with("sweep point #0 Xeon[freq_ghz=0] is not a valid machine: freq_ghz"), "{err}");
+        let err =
+            run(&args(&["sweep", "cfd", "--machine", "xeon", "--axis", "freq_ghz=2,0,3", "--top", "2"])).unwrap_err();
+        assert!(err.starts_with("sweep point #1 "), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | `GET /debug/flight` | —                                | Chrome-trace JSON snapshot of the always-on flight ring |
 //! | `GET /debug/flight/last` | —                           | the flight dump frozen by the most recent failed request (404 if none) |
 
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,6 +42,15 @@ use super::protocol::{
     read_request, write_response, HeadTooLarge, HealthBody, HttpRequest, HttpResponse, ProjectResponse, ProjectUnit,
     SweepPointBody, SweepResponse, WorkloadRequest,
 };
+
+/// How often a worker parked on an idle keep-alive connection wakes to
+/// check the shutdown flag.
+const IDLE_POLL: Duration = Duration::from_millis(200);
+
+/// How long a request may take to arrive once its first byte has: a
+/// client that stalls mid-request past this gets 408 and the connection
+/// is closed.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Most design-space points one `/v1/sweep` request may ask for (the
 /// product of its axis value counts); larger grids get a 422 before any
@@ -198,29 +207,38 @@ fn worker_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 /// Serve one connection: keep-alive request loop with per-request
 /// middleware (id, span, counters) around the router.
 ///
-/// Reads carry a short timeout so a worker parked on an idle keep-alive
-/// connection still observes the shutdown flag: a timed-out read between
-/// requests just polls the flag and retries. (A request torn across the
-/// timeout boundary would lose its prefix, but clients write the request
-/// head in one syscall, so idle timeouts land between requests.)
+/// Between requests the worker polls the connection with `fill_buf`
+/// under a short timeout, so it still observes the shutdown flag; a
+/// timed-out poll consumes nothing. Once a request's first byte is
+/// buffered, the whole request is read under one deadline
+/// ([`REQUEST_READ_TIMEOUT`]), however the client splits it.
 fn handle_connection(stream: TcpStream, inner: &Inner) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return,
-            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 continue;
             }
+            Err(_) => return,
+        }
+        let read = read_request(&mut Deadline { reader: &mut reader, at: Instant::now() + REQUEST_READ_TIMEOUT });
+        let _ = writer.set_read_timeout(Some(IDLE_POLL));
+        let req = match read {
+            Ok(Some(req)) => req,
+            Ok(None) => return,
             Err(e) => {
-                let resp = if HeadTooLarge::is(&e) {
+                let resp = if is_timeout(&e) {
+                    HttpResponse::error(408, "request not received in time")
+                } else if HeadTooLarge::is(&e) {
                     HttpResponse::error(431, &e.to_string())
                 } else {
                     HttpResponse::error(400, &format!("malformed request: {e}"))
@@ -238,6 +256,49 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
         if write_response(&mut writer, &resp, close).is_err() || close {
             return;
         }
+    }
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+}
+
+/// The connection's reader while a request is in flight: before each read
+/// that must wait on the socket, the read timeout shrinks to what is left
+/// of the request's deadline, and a passed deadline is a `TimedOut` error.
+struct Deadline<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    at: Instant,
+}
+
+impl Deadline<'_> {
+    fn arm(&mut self) -> std::io::Result<()> {
+        if !self.reader.buffer().is_empty() {
+            return Ok(());
+        }
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.reader.get_ref().set_read_timeout(Some(left))
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.arm()?;
+        self.reader.read(buf)
+    }
+}
+
+impl BufRead for Deadline<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.arm()?;
+        self.reader.fill_buf()
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.reader.consume(n);
     }
 }
 
@@ -470,11 +531,14 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
         let asked = points.map_or_else(|| "more than usize::MAX".to_string(), |n| n.to_string());
         return HttpResponse::error(422, &format!("sweep asks for {asked} points; the limit is {MAX_SWEEP_POINTS}"));
     }
+    let space = DesignSpace::grid(r.machine.clone(), r.axes.clone());
+    if let Err(e) = space.check_machines() {
+        return HttpResponse::error(422, &e);
+    }
     let app = match model(inner, &r) {
         Ok(app) => app,
         Err(resp) => return *resp,
     };
-    let space = DesignSpace::grid(r.machine.clone(), r.axes.clone());
     let sweep = space.sweep_opts(&app, SweepOptions::default());
     let base_total = sweep.points.first().map(|p| p.total).unwrap_or(0.0);
     let top = sweep

@@ -60,6 +60,7 @@
 use crate::pipeline::{MachineProjection, ModeledApp};
 use crate::pool::{run_chunked, workers};
 use crate::units::Units;
+use xflow_hotspot::columns::rank_order;
 use xflow_hotspot::{ColumnsChunk, ProjectionColumns, SlotCost};
 use xflow_hw::{MachineModel, MachineSpec};
 use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
@@ -210,6 +211,20 @@ impl DesignSpace {
     /// The candidate machines, in point order.
     pub fn machines(&self) -> &[MachineModel] {
         &self.machines
+    }
+
+    /// Check every point against [`MachineModel::validate`]; the error
+    /// names the first invalid point. The CLI `sweep` and `/v1/sweep` run
+    /// this on user-supplied grids before sweeping them. [`Self::grid`]
+    /// itself builds any point it is asked for, degenerate ones included.
+    pub fn check_machines(&self) -> Result<(), String> {
+        for (i, m) in self.machines.iter().enumerate() {
+            let errs = m.validate();
+            if !errs.is_empty() {
+                return Err(format!("sweep point #{i} {} is not a valid machine: {}", m.name, errs.join("; ")));
+            }
+        }
+        Ok(())
     }
 
     /// Number of points.
@@ -432,17 +447,17 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// The fastest point (lowest projected total; ties keep point order).
+    /// The fastest point (lowest projected total, NaN last; ties keep
+    /// point order).
     pub fn best(&self) -> Option<&SweepPoint> {
-        self.points.iter().min_by(|a, b| a.total.partial_cmp(&b.total).unwrap_or(std::cmp::Ordering::Equal))
+        self.points.iter().min_by(|a, b| rank_order(a.total, b.total))
     }
 
-    /// Points sorted by ascending projected total (ties keep point order).
+    /// Points sorted by ascending projected total (NaN last, ties keep
+    /// point order).
     pub fn ranked(&self) -> Vec<&SweepPoint> {
         let mut v: Vec<&SweepPoint> = self.points.iter().collect();
-        v.sort_by(|a, b| {
-            a.total.partial_cmp(&b.total).unwrap_or(std::cmp::Ordering::Equal).then(a.index.cmp(&b.index))
-        });
+        v.sort_by(|a, b| rank_order(a.total, b.total).then(a.index.cmp(&b.index)));
         v
     }
 
@@ -790,6 +805,25 @@ mod tests {
             let i = self.open.lock().unwrap()[&std::thread::current().id()];
             self.blocks.lock().unwrap().entry(i).or_default().push(*block);
         }
+    }
+
+    #[test]
+    fn nan_totals_rank_last_without_panicking() {
+        // a zero clock projects NaN totals (x86's default NaN, sign bit
+        // set); the grid sweeps such points, and the rankings must still
+        // be a total order that puts every finite point first
+        let app = cfd_app();
+        let freqs: Vec<f64> = (0..60).map(|i| if i % 3 == 0 { 0.0 } else { 1.0 + (i % 7) as f64 * 0.25 }).collect();
+        let sweep = DesignSpace::grid(xeon(), vec![Axis::freq_ghz(&freqs)]).sweep_opts(&app, SweepOptions::default());
+        assert_eq!(sweep.points.iter().filter(|p| p.total.is_nan()).count(), 20);
+        let ranked = sweep.ranked();
+        assert!(ranked[..40].iter().all(|p| p.total.is_finite()), "finite points must rank first");
+        assert!(ranked[..40].windows(2).all(|w| w[0].total <= w[1].total));
+        assert!(ranked[40..].iter().all(|p| p.total.is_nan()));
+        assert_eq!(sweep.best().map(|p| p.index), Some(ranked[0].index));
+        let order: Vec<usize> = ranked.iter().map(|p| p.index).collect();
+        assert_eq!(sweep.top(5).iter().map(|p| p.index).collect::<Vec<_>>(), order[..5]);
+        assert_eq!(sweep.columns().top_k(60), order);
     }
 
     #[test]

@@ -13,9 +13,13 @@ use xflow::serve::{RunningServer, ServeConfig, Server, MAX_SWEEP_POINTS};
 use xflow::{CollectingRecorder, Recorder, StoreConfig};
 
 fn start_server(recorder: Option<Arc<CollectingRecorder>>) -> RunningServer {
+    start_server_with_threads(recorder, 4)
+}
+
+fn start_server_with_threads(recorder: Option<Arc<CollectingRecorder>>, threads: usize) -> RunningServer {
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads: 4,
+        threads,
         store: StoreConfig::default(),
         // keep the test hermetic from any machines/ directory in cwd
         machines_dir: Some("/nonexistent-machines-dir".to_string()),
@@ -37,6 +41,11 @@ fn exchange(
 ) -> (u16, String, String) {
     let req = format!("{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n{headers}\r\n{body}", body.len());
     writer.write_all(req.as_bytes()).expect("write request");
+    read_response(reader)
+}
+
+/// Read one response: `(status, headers, body)`.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line.split_whitespace().nth(1).expect("status").parse().expect("numeric");
@@ -257,6 +266,69 @@ fn inline_source_past_the_array_budget_gets_400_and_the_server_keeps_answering()
     assert_eq!(status, 400, "{resp}");
     assert!(resp.contains("array `a` of length 1000000000000 exceeds"), "{resp}");
 
+    let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}
+
+#[test]
+fn invalid_sweep_points_get_422_and_the_workers_survive() {
+    // A zero clock projects NaN totals, which used to panic the ranking
+    // sort and kill the worker: two such sweeps emptied a 2-worker pool.
+    let server = start_server_with_threads(None, 2);
+    let freqs: Vec<String> = (0..60).map(|i| if i % 3 == 0 { "0".into() } else { format!("{}", 1 + i % 4) }).collect();
+    let body = format!(
+        r#"{{"workload":"cfd","machine":"xeon","top":5,"axes":[{{"name":"freq_ghz","values":[{}]}}]}}"#,
+        freqs.join(",")
+    );
+    for _ in 0..2 {
+        let (status, _, resp) = request(server.addr(), "POST", "/v1/sweep", &body);
+        assert_eq!(status, 422, "{resp}");
+        assert!(resp.contains("sweep point #0") && resp.contains("freq_ghz must be positive"), "{resp}");
+    }
+    let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}
+
+#[test]
+fn requests_split_across_the_idle_poll_are_served_whole() {
+    // each piece lands after the 200 ms idle poll has timed out at least
+    // once; a timed-out poll used to drop what had already arrived
+    let server = start_server(None);
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    // a lost request fails the test instead of hanging it
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let body = r#"{"workload":"cfd","machine":"bgq"}"#;
+    let head = format!("POST /v1/project HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n", body.len());
+    for (i, part) in [&head[..10], &head[10..], &body[..7], &body[7..]].into_iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(300));
+        }
+        writer.write_all(part.as_bytes()).expect("write part");
+    }
+    let (status, _, split) = read_response(&mut reader);
+    assert_eq!(status, 200, "{split}");
+    // the connection stays usable for the next keep-alive request
+    let (status, _, whole) = exchange(&mut reader, &mut writer, "POST", "/v1/project", "", body);
+    assert_eq!(status, 200, "{whole}");
+    assert_eq!(split, whole);
+    server.stop();
+}
+
+#[test]
+fn a_request_stalled_past_its_deadline_gets_408() {
+    let server = start_server(None);
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("timeout");
+    stream.write_all(b"POST /v1/project HTTP/1.1\r\ncontent-length: 10\r\n\r\n{").expect("write part");
+    let started = std::time::Instant::now();
+    let mut resp = String::new();
+    stream.read_to_string(&mut resp).expect("response before close");
+    assert!(resp.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "{resp}");
+    assert!(started.elapsed() >= std::time::Duration::from_secs(4), "{:?}", started.elapsed());
     let (status, _, body) = request(server.addr(), "GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
     server.stop();
