@@ -5,9 +5,9 @@
 //!
 //! * **cold** — `Session::model` on a fresh memory-only session per
 //!   repetition: parse + profiled run + translation + BET build + plan
-//!   and kernel builds, every stage a miss;
+//!   build, every stage a miss;
 //! * **warm (memory)** — `Session::model` with primed in-memory caches:
-//!   six key derivations, six LRU hits, artifact clones;
+//!   five key derivations, five LRU hits, artifact clones;
 //! * **warm (disk)** — a *fresh* `Session::with_cache_dir` per repetition,
 //!   so every stage deserializes its persisted artifact (the CLI
 //!   warm-start shape).

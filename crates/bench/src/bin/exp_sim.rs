@@ -110,7 +110,7 @@ fn main() {
 
     // validate --all: the same pool over workload × machine differential
     // validation, vs the sequential loop CI used to run combo-by-combo.
-    let libs = xflow_validate::default_library();
+    let libs = xflow_sim::default_library();
     let vcfg = xflow_validate::ValidationConfig::default();
     let mut combos = Vec::new();
     for w in xflow_workloads::all() {

@@ -37,7 +37,7 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 /// Statement-slot maps of one kernel: which statements carry cost blocks,
 /// their dense column order, and per-block slot targets. Depends only on
 /// the kernel's statement column, so it is built once per kernel
-/// ([`PlanKernel::slot_layout`]) and shared by every arena.
+/// (`PlanKernel::slot_layout`) and shared by every arena.
 #[derive(Debug, Default)]
 pub(crate) struct SlotLayout {
     /// Statement IDs with at least one cost block, ascending — the column
@@ -125,7 +125,7 @@ pub fn rank_order(a: f64, b: f64) -> std::cmp::Ordering {
 impl ProjectionColumns {
     /// Zeroed arena for evaluating `specs` against `kernel`'s plan.
     pub fn new(kernel: &PlanKernel, specs: Vec<MachineSpec>) -> Self {
-        let layout = Arc::clone(kernel.slot_layout());
+        let layout = Arc::clone(&kernel.slot_layout);
         let n = specs.len();
         let k = layout.slots.len();
         Self {

@@ -33,11 +33,14 @@
 //! [`ProjectionPlan::evaluate`] to the bit. Models that cannot specialize
 //! have no kernel path; they evaluate through [`ProjectionPlan::evaluate`].
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
 use xflow_hw::{BlockSummary, MachineSpec};
 use xflow_obs::{AttrValue, BlockProvenance, NoopRecorder, Recorder, SpanId};
 
-use crate::columns::{achieved_delta, ColumnsChunk, ColumnsLayout, ColumnsTarget, ProjectionColumns, NO_SLOT};
+use crate::columns::{
+    achieved_delta, ColumnsChunk, ColumnsLayout, ColumnsTarget, ProjectionColumns, SlotLayout, NO_SLOT,
+};
 use crate::plan::ProjectionPlan;
 
 /// Column sentinel for "block aggregates into no statement".
@@ -98,10 +101,9 @@ pub struct PlanKernel {
     /// Content fingerprint of the columns; a [`ProjectionColumns`] arena
     /// is only ever filled by the kernel whose fingerprint it carries.
     fingerprint: u64,
-    /// Statement-slot maps for columnar arenas, derived from `stmt` on
-    /// first use and shared into every [`ProjectionColumns`] by reference
-    /// count (not serialized — rebuilt lazily after deserialization).
-    slot_layout: std::sync::OnceLock<std::sync::Arc<crate::columns::SlotLayout>>,
+    /// Statement-slot maps for columnar arenas, derived from `stmt` and
+    /// shared into every [`ProjectionColumns`] by reference count.
+    pub(crate) slot_layout: Arc<SlotLayout>,
 }
 
 impl PlanKernel {
@@ -127,7 +129,7 @@ impl PlanKernel {
             pre_touched: Vec::new(),
             stmt_bound: plan.stmt_bound(),
             fingerprint: 0,
-            slot_layout: std::sync::OnceLock::new(),
+            slot_layout: Arc::default(),
         };
         for block in blocks {
             let m = &block.summary.metrics;
@@ -155,6 +157,7 @@ impl PlanKernel {
             kernel.first_touch.push(first);
         }
         kernel.fingerprint = kernel.content_fingerprint();
+        kernel.slot_layout = Arc::new(SlotLayout::build(&kernel.stmt, kernel.stmt_bound, &kernel.pre_touched));
         kernel
     }
 
@@ -172,14 +175,6 @@ impl PlanKernel {
     /// arena to the kernel that fills it).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The statement-slot maps for columnar arenas, built once per kernel
-    /// and shared by reference count.
-    pub(crate) fn slot_layout(&self) -> &std::sync::Arc<crate::columns::SlotLayout> {
-        self.slot_layout.get_or_init(|| {
-            std::sync::Arc::new(crate::columns::SlotLayout::build(&self.stmt, self.stmt_bound, &self.pre_touched))
-        })
     }
 
     /// FNV-1a over every column, so two kernels compare equal iff every
@@ -516,62 +511,6 @@ impl PlanKernel {
     }
 }
 
-/// Hand-written serde impls (the vendored derive has no `#[serde(skip)]`):
-/// the wire shape is exactly what the derive produced before the lazily
-/// built `slot_layout` cache existed — every persisted field, by name —
-/// and deserialization leaves the cache empty to be rebuilt on first use.
-macro_rules! kernel_persisted_fields {
-    ($m:ident) => {
-        $m!(
-            node,
-            stmt,
-            flops,
-            iops,
-            accesses,
-            bytes,
-            enr,
-            thread_cap,
-            delta,
-            summaries,
-            stmt_participates,
-            first_touch,
-            pre_touched,
-            stmt_bound,
-            fingerprint
-        )
-    };
-}
-
-impl Serialize for PlanKernel {
-    fn serialize(&self) -> serde::Content {
-        macro_rules! entries {
-            ($($f:ident),*) => {
-                vec![$((serde::Content::Str(stringify!($f).to_string()), Serialize::serialize(&self.$f))),*]
-            };
-        }
-        serde::Content::Map(kernel_persisted_fields!(entries))
-    }
-}
-
-impl Deserialize for PlanKernel {
-    fn deserialize(content: &serde::Content) -> Result<Self, serde::Error> {
-        match content {
-            serde::Content::Map(entries) => {
-                macro_rules! build {
-                    ($($f:ident),*) => {
-                        Ok(Self {
-                            $($f: serde::field(entries, stringify!($f))?,)*
-                            slot_layout: std::sync::OnceLock::new(),
-                        })
-                    };
-                }
-                kernel_persisted_fields!(build)
-            }
-            _ => Err(serde::Error("expected map for struct PlanKernel".to_string())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,20 +744,5 @@ func main() {
         }
         assert_eq!(cols.top_k(2).len(), 2);
         assert_eq!(lane_width(), 4);
-    }
-
-    #[test]
-    fn kernel_round_trips_through_serde() {
-        let plan = ProjectionPlan::new(&bet_for(SRC), &LibraryRegistry::with_defaults());
-        let kernel = plan.kernel();
-        let json = serde_json::to_string(&kernel).unwrap();
-        let back: PlanKernel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.fingerprint(), kernel.fingerprint());
-        assert_eq!(back.len(), kernel.len());
-        let machines = [xeon(), degenerate()];
-        let cols = back.evaluate_columns(&machines.iter().map(MachineSpec::resolve).collect::<Vec<_>>());
-        for (i, machine) in machines.iter().enumerate() {
-            assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline));
-        }
     }
 }

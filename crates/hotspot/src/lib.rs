@@ -33,7 +33,7 @@ pub use select::{select, Candidate, Criteria, Greedy, HotSpot, Selection};
 use xflow_skeleton::{Program, StaticCounts, StmtId};
 
 /// Wire-format version of this crate's serializable artifacts
-/// ([`ProjectionPlan`] and its blocks, [`PlanKernel`]).
+/// ([`ProjectionPlan`] and its blocks).
 ///
 /// Bump whenever a serialized layout changes shape; content-addressed caches
 /// fold this into their keys so stale artifacts are never deserialized.

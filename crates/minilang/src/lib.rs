@@ -62,7 +62,7 @@ pub use reference::run as run_with_limits_seeded;
 pub use runtime::{
     BranchStats, InputSpec, Limits, LoopStats, NullTracer, OpCounts, Profile, RuntimeError, Tracer, DEFAULT_SEED,
 };
-pub use translate::{translate, TranslateError, Translation};
+pub use translate::{initial_env, translate, TranslateError, Translation};
 pub use vm::{compile, profile, profile_seeded, InstrProfile, VmProgram, NUM_OP_KINDS, OP_KIND_NAMES};
 
 /// Wire-format version of this crate's serializable artifacts

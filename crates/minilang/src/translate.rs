@@ -29,7 +29,7 @@
 //! model-projected hot spots with simulator-measured ones.
 
 use crate::ast as ml;
-use crate::runtime::Profile;
+use crate::runtime::{InputSpec, Profile};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -47,6 +47,27 @@ pub struct Translation {
     pub inputs: HashMap<String, f64>,
     /// Non-fatal modeling notes (unmodelable expressions, fallbacks used).
     pub warnings: Vec<String>,
+}
+
+/// Seed the BET environment of a translated program: its declared input
+/// defaults, overridden by the concrete input binding.
+///
+/// Both maps are visited in sorted-name order — `translation.inputs` via an
+/// explicit sort, `inputs` by `InputSpec`'s ordered backing store — so
+/// seeding is reproducible run to run (the resulting `Env` is a `HashMap`,
+/// but deterministic visitation keeps warning/trace order stable and makes
+/// the function safe to fold into content hashes).
+pub fn initial_env(translation: &Translation, inputs: &InputSpec) -> sk::Env {
+    let mut env = sk::Env::new();
+    let mut defaults: Vec<(&String, &f64)> = translation.inputs.iter().collect();
+    defaults.sort_by_key(|(k, _)| k.as_str());
+    for (k, v) in defaults {
+        env.insert(k.clone(), sk::Value::Scalar(inputs.get_or(k, *v)));
+    }
+    for (k, v) in inputs.iter() {
+        env.insert(k.to_string(), sk::Value::Scalar(v));
+    }
+    env
 }
 
 /// A structural failure while translating minilang into a skeleton.
@@ -925,7 +946,7 @@ impl<'p> Translator<'p> {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::{profile, InputSpec};
+    use crate::profile;
 
     fn xlate(src: &str) -> Translation {
         xlate_with(src, &[])

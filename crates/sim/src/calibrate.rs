@@ -9,6 +9,8 @@
 //! [`calibrate_library`] reproduces exactly that, producing a
 //! [`LibraryRegistry`] for the projection side.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xflow_hw::{BlockMetrics, InstrMix, LibraryRegistry};
@@ -94,6 +96,14 @@ fn sample_arg(name: &str, rng: &mut StdRng) -> f64 {
         "pow" => rng.gen_range(0.0..10.0),
         _ => rng.gen_range(0.0..1.0),
     }
+}
+
+/// The default library registry: [`calibrate_library`] at 512 samples per
+/// routine, computed once per process. Calibration is deterministic (fixed
+/// seed), so every projection, validation and sweep shares this one result.
+pub fn default_library() -> &'static LibraryRegistry {
+    static LIBS: OnceLock<LibraryRegistry> = OnceLock::new();
+    LIBS.get_or_init(|| calibrate_library(512))
 }
 
 /// Empirically calibrate library mixes by sampling each routine on random

@@ -23,7 +23,8 @@ pub mod reference;
 
 pub use cache::{AccessLevel, CacheArray, Hierarchy};
 pub use calibrate::{
-    calibrate_library, hardware_lib_mix, hardware_lib_mix_slot, lib_slot, LibMix, LIB_NAMES, LIB_SLOT_NAMES,
+    calibrate_library, default_library, hardware_lib_mix, hardware_lib_mix_slot, lib_slot, LibMix, LIB_NAMES,
+    LIB_SLOT_NAMES,
 };
 pub use cost::{SimConfig, SimTracer, TracerMaps};
 // perfbench imports the tree-walking reference simulation from the crate

@@ -29,11 +29,11 @@ use serde::Serialize;
 use xflow_hw::MachineModel;
 use xflow_minilang as ml;
 use xflow_minilang::InputSpec;
-use xflow_sim::SimConfig;
+use xflow_sim::{default_library, SimConfig};
 
 use crate::gen::{generate, render, GenConfig, GenProgram, Rng};
+use crate::invariants;
 use crate::report::{profiles_agree, validate_program, ValidationConfig};
-use crate::{default_library, invariants};
 
 /// Fuzz campaign configuration.
 #[derive(Debug, Clone)]
@@ -209,7 +209,7 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
         Ok(t) => t,
         Err(_) => return Outcome::Rejected,
     };
-    let env = crate::report::initial_env(&tr, &inputs);
+    let env = ml::initial_env(&tr, &inputs);
     let bet = match xflow_bet::build(&tr.skeleton, &env) {
         Ok(b) => b,
         Err(_) => return Outcome::Rejected,

@@ -39,13 +39,3 @@ pub use report::{
     profiles_agree, validate_program, validate_source, validate_workload, ValidateError, ValidationConfig,
     ValidationReport,
 };
-
-use std::sync::OnceLock;
-use xflow_hw::LibraryRegistry;
-
-/// Process-wide calibrated library registry (same calibration the root
-/// pipeline uses: 512 samples per library function, deterministic).
-pub fn default_library() -> &'static LibraryRegistry {
-    static LIBS: OnceLock<LibraryRegistry> = OnceLock::new();
-    LIBS.get_or_init(|| xflow_sim::calibrate_library(512))
-}

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use xflow_bet::{BetKind, BuildError};
 use xflow_hw::{LibraryRegistry, MachineModel, Roofline};
 use xflow_minilang as ml;
-use xflow_minilang::{InputSpec, Profile, RuntimeError, TranslateError, Translation};
+use xflow_minilang::{InputSpec, Profile, RuntimeError, TranslateError};
 use xflow_sim::SimConfig;
 use xflow_skeleton as sk;
 use xflow_skeleton::ParseError;
@@ -344,21 +344,6 @@ pub fn validate_source(
     validate_program(&prog, inputs, machine, SimConfig::default(), libs, cfg)
 }
 
-/// Rebuild the modeling pipeline's initial context environment: declared
-/// input defaults overridden by the provided inputs.
-pub fn initial_env(translation: &Translation, inputs: &InputSpec) -> sk::Env {
-    let mut env = sk::Env::new();
-    let mut defaults: Vec<(&String, &f64)> = translation.inputs.iter().collect();
-    defaults.sort_by_key(|(k, _)| k.as_str());
-    for (k, v) in defaults {
-        env.insert(k.clone(), sk::Value::Scalar(inputs.get_or(k, *v)));
-    }
-    for (k, v) in inputs.iter() {
-        env.insert(k.to_string(), sk::Value::Scalar(v));
-    }
-    env
-}
-
 /// Run the full differential validation of one program.
 pub fn validate_program(
     prog: &ml::Program,
@@ -378,7 +363,7 @@ pub fn validate_program(
 
     // 2. model pipeline: translate → BET → plan → projection.
     let tr = ml::translate(prog, &prof)?;
-    let env = initial_env(&tr, inputs);
+    let env = ml::initial_env(&tr, inputs);
     let bet = xflow_bet::build(&tr.skeleton, &env)?;
     let skeleton_stmts = tr.skeleton.source_statement_count();
     let mut violations = check_bet(&bet, skeleton_stmts, cfg.max_size_ratio);

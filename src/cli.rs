@@ -410,7 +410,7 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
 /// fails so CI can gate on it; the payload is still the full report.
 fn run_validate(inv: &Invocation) -> Result<String, String> {
     let file = inv.file.as_deref().ok_or_else(|| format!("`validate` needs a FILE argument\n\n{USAGE}"))?;
-    let libs = xflow_validate::default_library();
+    let libs = crate::default_library();
     let mut cfg = xflow_validate::ValidationConfig::default();
     if let Some(s) = inv.seed {
         cfg.seed = s;
@@ -456,7 +456,7 @@ fn run_validate(inv: &Invocation) -> Result<String, String> {
 /// the shared work-stealing pool. One failed combo fails the whole run
 /// (→ exit code 1) with every report still rendered.
 fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
-    let libs = xflow_validate::default_library();
+    let libs = crate::default_library();
     let mut cfg = xflow_validate::ValidationConfig::default();
     if let Some(s) = inv.seed {
         cfg.seed = s;
@@ -539,6 +539,12 @@ fn run_oracle(inv: &Invocation, registry: &MachineRegistry) -> Result<String, St
         (None, None) => crate::oracle::builtin_programs(&scales),
     };
     let machines = resolve_machines(inv, registry)?;
+    // the machine name is part of every record key
+    for (i, m) in machines.iter().enumerate() {
+        if machines[..i].iter().any(|o| o.name == m.name) {
+            return Err(format!("machine `{}` is listed twice; corpus machines must be unique", m.name));
+        }
+    }
     let session = match &inv.cache_dir {
         Some(dir) => Session::with_cache_dir(dir),
         None => Session::new(),
@@ -1155,14 +1161,7 @@ fn main() {
             assert!(out.contains("context:"), "{out}");
             let text = std::fs::read_to_string(&trace).unwrap();
             assert!(text.starts_with("{\"displayTimeUnit\":\"ms\""), "{text}");
-            for stage in [
-                "session.parse",
-                "session.profile",
-                "session.translate",
-                "session.bet",
-                "session.plan",
-                "session.kernel",
-            ] {
+            for stage in ["session.parse", "session.profile", "session.translate", "session.bet", "session.plan"] {
                 assert!(text.contains(stage), "trace must span stage {stage}");
             }
             assert!(text.contains("plan.evaluate"), "trace must cover the explain evaluation");
@@ -1190,13 +1189,14 @@ fn main() {
         let named = |name: &str| -> Vec<&Content> {
             events.iter().filter(|e| get(e, "name") == Some(&Content::Str(name.to_string()))).collect()
         };
-        for stage in ["parse", "profile", "translate", "bet", "plan", "kernel"] {
+        for stage in ["parse", "profile", "translate", "bet", "plan"] {
             let name = format!("session.{stage}");
             let spans = named(&name);
             assert_eq!(spans.len(), 1, "one {name} span: {text}");
             let outcome = get(spans[0], "args").and_then(|a| get(a, "outcome"));
             assert_eq!(outcome, Some(&Content::Str("miss".to_string())), "{name} must be a cold build");
         }
+        assert!(named("session.kernel").is_empty(), "the sweep kernel is derived, not a cached stage");
         assert!(!named("plan.evaluate").is_empty(), "trace must cover the explain evaluation");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1307,7 +1307,7 @@ fn main() {
         let text = live_store_report(&stats);
         assert!(text.contains("hit ratio: 75.0%"), "{text}");
         assert!(text.contains("single-flight waits: 2"), "{text}");
-        for stage in ["parse", "profile", "translate", "bet", "plan", "kernel", "sim"] {
+        for stage in ["parse", "profile", "translate", "bet", "plan", "sim"] {
             assert!(text.lines().any(|l| l.contains(&format!("  {stage}")) && l.contains("waits")), "{stage}: {text}");
         }
     }
@@ -1379,6 +1379,12 @@ fn main() {
         assert!(run(&args(&["oracle", "--scales", "huge"])).is_err());
         assert!(run(&args(&["oracle", "--gen", "many"])).is_err());
         assert!(run(&args(&["oracle", "/nonexistent-dir"])).is_err());
+    }
+
+    #[test]
+    fn oracle_rejects_a_repeated_machine() {
+        let err = run(&args(&["oracle", "--gen", "1", "--machines", "bgq,bgq"])).unwrap_err();
+        assert!(err.contains("machine `BG/Q` is listed twice"), "{err}");
     }
 
     #[test]

@@ -66,10 +66,7 @@ pub use oracle::{
     build_corpus, builtin_programs, dir_programs, generated_programs, Corpus, CorpusRecord, OracleOptions,
     OracleProgram,
 };
-pub use pipeline::{
-    default_library, fold_projection, initial_env, lib_time_by_function, MachineProjection, Measured, ModeledApp,
-    PipelineError,
-};
+pub use pipeline::{fold_projection, lib_time_by_function, MachineProjection, Measured, ModeledApp, PipelineError};
 pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
 pub use session::{default_session, CacheStats, Session, SessionConfig, StageKeys, StageStats};
@@ -91,8 +88,9 @@ pub use xflow_workloads;
 // …and the most common types at the top level.
 pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Selection};
 pub use xflow_hw::{bgq, generic, knl, xeon, MachineBuilder, MachineModel, MachineSpec, PerfModel, Roofline};
-pub use xflow_minilang::InputSpec;
+pub use xflow_minilang::{initial_env, InputSpec};
 pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, ProgressTicker, Recorder, TraceSnapshot};
+pub use xflow_sim::default_library;
 pub use xflow_workloads::{Scale, Workload};
 
 /// Hot-spot selection criteria used by this reproduction's experiments.

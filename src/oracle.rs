@@ -4,11 +4,14 @@
 //! model) needs a *corpus*: many `(analytic, simulated)` pairs per program
 //! block across programs, machines, and input scales. This module fans
 //! program × machine × scale combos over the work-stealing pool
-//! [`run_chunked`] that design-space sweeps use, caches every ground-truth
-//! [`SimReport`](xflow_sim::SimReport) as a content-addressed stage in the
-//! [`ArtifactStore`](crate::ArtifactStore) (via [`Session::sim_report`], so
-//! a re-run with a `--cache-dir` pays zero simulation), and emits a
-//! deterministic, fully sorted record list.
+//! [`run_chunked`] that design-space sweeps use and emits a deterministic,
+//! fully sorted record list. Both sides of a record come from the
+//! [`Session`]: the analytic side is the model a user gets from
+//! `xflow explain` ([`Session::model_seeded`], so a program is parsed and
+//! profiled once for all machines), and every ground-truth
+//! [`SimReport`](xflow_sim::SimReport) is a content-addressed stage of its
+//! own ([`Session::sim_report`]). A re-run with a `--cache-dir` therefore
+//! redoes neither modeling nor simulation.
 //!
 //! Determinism contract: the corpus is byte-identical across runs,
 //! thread counts, and cache states. Combos are expanded in sorted
@@ -32,14 +35,13 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use xflow_hotspot::ProjectionPlan;
 use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec};
 use xflow_sim::SimConfig;
 use xflow_skeleton as sk;
 use xflow_workloads::{Scale, Workload};
 
-use crate::pipeline::{default_library, initial_env, PipelineError};
+use crate::pipeline::PipelineError;
 use crate::pool::run_chunked;
 use crate::session::Session;
 
@@ -108,7 +110,8 @@ pub fn generated_programs(count: usize) -> Vec<OracleProgram> {
 }
 
 /// Every `.ml` / `.xf` file in `dir`, sorted by file name, run with its
-/// declared input defaults.
+/// declared input defaults. The file stem is the corpus name, so two files
+/// that differ only in extension (`a.ml`, `a.xf`) are an error.
 pub fn dir_programs(dir: &Path) -> Result<Vec<OracleProgram>, String> {
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read directory {}: {e}", dir.display()))?
@@ -120,6 +123,9 @@ pub fn dir_programs(dir: &Path) -> Result<Vec<OracleProgram>, String> {
     for p in paths {
         let src = std::fs::read_to_string(&p).map_err(|e| format!("cannot read {}: {e}", p.display()))?;
         let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("program").to_string();
+        if programs.iter().any(|q: &OracleProgram| q.name == stem) {
+            return Err(format!("two programs in {} are named `{stem}`; corpus names must be unique", dir.display()));
+        }
         programs.push(OracleProgram::from_source(&stem, &src, "default", InputSpec::new()));
     }
     if programs.is_empty() {
@@ -207,10 +213,11 @@ impl Corpus {
 
 /// Build the corpus for `programs` × `machines` (× each program's scales).
 ///
-/// Every combo derives its [`SimReport`](xflow_sim::SimReport) through
-/// [`Session::sim_report`], so a session with a cache directory persists
-/// the expensive simulations and a warm re-run only re-evaluates the cheap
-/// analytic side. Returns the first pipeline error, if any combo fails.
+/// Every combo takes its model from [`Session::model_seeded`] and its
+/// [`SimReport`](xflow_sim::SimReport) from [`Session::sim_report`], so a
+/// session with a cache directory persists both and a warm re-run only
+/// re-evaluates the plans. Returns the first pipeline error, if any combo
+/// fails.
 pub fn build_corpus(
     session: &Session,
     programs: &[OracleProgram],
@@ -251,10 +258,11 @@ pub fn build_corpus(
     })
 }
 
-/// One combo: run the analytic pipeline and the cached simulation, fold
-/// both onto skeleton statements, and emit records in ascending statement
-/// order. Mirrors `xflow_validate::validate_program` step 5, with the
-/// same sorted-fold discipline so float sums never depend on hash order.
+/// One combo: take the seeded model from the session (built once per
+/// program × scale, shared by every machine) and the cached simulation,
+/// fold both onto skeleton statements, and emit records in ascending
+/// statement order. Mirrors `xflow_validate::validate_program` step 5, with
+/// the same sorted-fold discipline so float sums never depend on hash order.
 fn combo_records(
     session: &Session,
     p: &OracleProgram,
@@ -263,16 +271,12 @@ fn combo_records(
     inputs: &InputSpec,
     seed: u64,
 ) -> Result<Vec<CorpusRecord>, PipelineError> {
-    let prog = ml::parse(&p.source)?;
-    let prof = ml::profile_seeded(&prog, inputs, seed)?;
-    let tr = ml::translate(&prog, &prof).map_err(PipelineError::Translate)?;
-    let env = initial_env(&tr, inputs);
-    let bet = xflow_bet::build(&tr.skeleton, &env)?;
-    let plan = ProjectionPlan::new(&bet, default_library());
-    let projection = plan.evaluate(machine, &Roofline);
+    let app = session.model_seeded(&p.source, inputs, seed)?;
+    let projection = app.plan().evaluate(machine, &Roofline);
+    let tr = &app.translation;
 
     let sim_cfg = match &p.workload {
-        Some(w) => w.sim_config(&prog, machine),
+        Some(w) => w.sim_config(&app.program, machine),
         None => SimConfig::default(),
     };
     let sim = session.sim_report(&p.source, inputs, machine, &sim_cfg, seed)?;
@@ -396,6 +400,17 @@ mod tests {
         std::fs::write(dir.join("ignore.txt"), "not a program").unwrap();
         let programs = dir_programs(&dir).unwrap();
         assert_eq!(programs.iter().map(|p| p.name.as_str()).collect::<Vec<_>>(), ["a", "b"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dir_programs_rejects_two_files_with_one_stem() {
+        let dir = std::env::temp_dir().join(format!("xflow-oracle-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.ml"), "fn main() { let x = 1.0; print(x); }").unwrap();
+        std::fs::write(dir.join("a.xf"), "fn main() { let y = 2.0; print(y); }").unwrap();
+        let err = dir_programs(&dir).unwrap_err();
+        assert!(err.contains("named `a`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

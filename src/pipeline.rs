@@ -12,7 +12,7 @@ use xflow_bet::Bet;
 use xflow_hotspot::{Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
 use xflow_hw::{LibraryRegistry, MachineModel, PerfModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
-use xflow_skeleton::{Env, StmtId, Value};
+use xflow_skeleton::StmtId;
 use xflow_workloads::{Scale, Workload};
 
 /// Pipeline failure. Each variant wraps the stage's structured error;
@@ -47,15 +47,6 @@ impl std::error::Error for PipelineError {
             PipelineError::Bet(e) => Some(e),
         }
     }
-}
-
-/// The default (empirically calibrated) library registry, computed once
-/// per process. Calibration is deterministic (fixed seed), so sharing the
-/// result across every projection is sound — and it keeps the per-machine
-/// cost of [`ModeledApp::project_on`] down to a plan evaluation.
-pub fn default_library() -> &'static LibraryRegistry {
-    static LIBS: OnceLock<LibraryRegistry> = OnceLock::new();
-    LIBS.get_or_init(|| xflow_sim::calibrate_library(512))
 }
 
 impl From<xflow_skeleton::ParseError> for PipelineError {
@@ -95,9 +86,9 @@ pub struct ModeledApp {
     /// The machine-independent projection plan (phase 1 of the two-phase
     /// engine), shared by every [`ModeledApp::project_on`] call.
     plan: ProjectionPlan,
-    /// The SoA evaluation kernel compiled from the plan, shared by every
-    /// design-space sweep over this app.
-    kernel: PlanKernel,
+    /// The SoA evaluation kernel, derived from the plan by the first
+    /// design-space sweep over this app and shared by every later one.
+    kernel: OnceLock<PlanKernel>,
 }
 
 impl ModeledApp {
@@ -115,7 +106,7 @@ impl ModeledApp {
         Self::from_source(w.source, &w.inputs(scale))
     }
 
-    /// Assemble a modeled app from the session's six stage artifacts.
+    /// Assemble a modeled app from the session's five stage artifacts.
     pub(crate) fn assemble(
         program: ml::Program,
         profile: ml::Profile,
@@ -123,10 +114,9 @@ impl ModeledApp {
         bet: Bet,
         inputs: InputSpec,
         plan: ProjectionPlan,
-        kernel: PlanKernel,
     ) -> ModeledApp {
         let units = build_units(&program, &translation);
-        ModeledApp { program, profile, translation, bet, units, inputs, plan, kernel }
+        ModeledApp { program, profile, translation, bet, units, inputs, plan, kernel: OnceLock::new() }
     }
 
     /// The machine-independent projection plan (phase 1), reused by every
@@ -135,10 +125,10 @@ impl ModeledApp {
         &self.plan
     }
 
-    /// The SoA evaluation kernel compiled from [`ModeledApp::plan`], reused
-    /// by every design-space sweep over this app.
+    /// The SoA evaluation kernel compiled from [`ModeledApp::plan`]: built
+    /// on first use, then reused by every design-space sweep over this app.
     pub fn kernel(&self) -> &PlanKernel {
-        &self.kernel
+        self.kernel.get_or_init(|| self.plan.kernel())
     }
 
     /// Project the application on a target machine (extended roofline,
@@ -206,27 +196,6 @@ pub(crate) fn build_units(program: &ml::Program, translation: &Translation) -> U
     }
     units.total_instr = program.stmt_count() as f64;
     units
-}
-
-/// Seed the BET environment: program input defaults overridden by the
-/// concrete input binding.
-///
-/// Both maps are visited in sorted-name order — `translation.inputs` via an
-/// explicit sort, `inputs` by `InputSpec`'s ordered backing store — so
-/// seeding is reproducible run to run (the resulting `Env` is a `HashMap`,
-/// but deterministic visitation keeps warning/trace order stable and makes
-/// the function safe to fold into content hashes).
-pub fn initial_env(translation: &Translation, inputs: &InputSpec) -> Env {
-    let mut env = Env::new();
-    let mut defaults: Vec<(&String, &f64)> = translation.inputs.iter().collect();
-    defaults.sort_by_key(|(k, _)| k.as_str());
-    for (k, v) in defaults {
-        env.insert(k.clone(), Value::Scalar(inputs.get_or(k, *v)));
-    }
-    for (k, v) in inputs.iter() {
-        env.insert(k.to_string(), Value::Scalar(v));
-    }
-    env
 }
 
 /// Fold a raw per-statement projection into the unit view. Free function

@@ -1,17 +1,21 @@
 //! Incremental modeling sessions: key derivation and stage coordination
 //! over the concurrent [`ArtifactStore`].
 //!
-//! [`ModeledApp::from_source`] runs six stages — parse, the profiled run
-//! (on the fused bytecode VM), translation, BET construction,
-//! projection-plan compilation, SoA-kernel compilation — and a co-design service replays
-//! that chain for every query even when the source and inputs are
-//! byte-identical to the last one. A [`Session`] turns each stage output
-//! into a cache-keyed artifact:
+//! A [`Session`] is the only producer of an analytic model. It runs five
+//! stages — parse, the profiled run (on the fused bytecode VM),
+//! translation, BET construction, projection-plan compilation — and turns
+//! each stage output into a cache-keyed artifact, so a co-design service,
+//! a sweep or the oracle corpus never replays a stage whose inputs are
+//! byte-identical to an earlier query:
 //!
 //! ```text
-//! source ──▶ Program ──▶ Profile ──▶ Translation ──▶ Bet ──▶ ProjectionPlan ──▶ PlanKernel
-//!            parse_key   profile_key  translate_key  bet_key  plan_key           kernel_key
+//! source ──▶ Program ──▶ Profile ──▶ Translation ──▶ Bet ──▶ ProjectionPlan
+//!            parse_key   profile_key  translate_key  bet_key  plan_key
 //! ```
+//!
+//! The SoA [`PlanKernel`](xflow_hotspot::PlanKernel) that design-space
+//! sweeps evaluate is not a stage: it is a pure re-layout of the plan,
+//! derived by [`ModeledApp::kernel`] the first time a sweep needs it.
 //!
 //! ## Key derivation
 //!
@@ -21,26 +25,23 @@
 //! * `salt`          = hash of the key-schema version and every crate's
 //!   `schema_version()` — a crate wire-format bump invalidates everything;
 //! * `parse_key`     = `fnv(salt, "parse", source bytes)`;
-//! * `profile_key`   = `fnv(parse_key, "profile", canonical InputSpec)`
-//!   (sorted `name=to_bits` pairs, so specs collide exactly on bit-equal
-//!   bindings);
+//! * `profile_key`   = `fnv(parse_key, "profile", canonical InputSpec,
+//!   seed)` (sorted `name=to_bits` pairs, so specs collide exactly on
+//!   bit-equal bindings; the `rnd()` seed of the profiled run makes a
+//!   seeded oracle model a different artifact from the default one);
 //! * `translate_key` = `fnv(profile_key, "translate")`;
 //! * `bet_key`       = `fnv(translate_key, "bet")`;
 //! * `plan_key`      = `fnv(bet_key, "plan", library fingerprint)`
-//!   ([`LibraryRegistry::fingerprint`] — re-calibration invalidates plans
-//!   but nothing upstream);
-//! * `kernel_key`    = `fnv(plan_key, "kernel")` (the SoA kernel is a pure
-//!   re-layout of the plan, so it invalidates exactly when the plan does).
-//!   The kernel's columnar slot maps (`SlotLayout`, shared into every
-//!   [`xflow_hotspot::ProjectionColumns`] sweep arena) are a derived cache,
-//!   not part of the wire format: a kernel loaded from disk rebuilds them
-//!   lazily on its first columnar sweep.
+//!   ([`LibraryRegistry::fingerprint`](xflow_hw::LibraryRegistry::fingerprint)
+//!   of [`default_library`] — a re-calibration invalidates plans but
+//!   nothing upstream).
 //!
 //! Editing the source therefore misses every stage; changing only the
-//! inputs reuses the parsed program and rebuilds downstream; swapping the
-//! library registry rebuilds only the plan. Caching is sound because every
-//! stage is deterministic: profiling uses a fixed-seed generator, and
-//! `InputSpec` iterates in sorted order.
+//! inputs or the seed reuses the parsed program and rebuilds downstream.
+//! Caching is sound because every stage is deterministic: profiling uses
+//! a seeded generator whose seed is in the key, and `InputSpec` iterates
+//! in sorted order. Key-schema version 2 added the seed to the profile
+//! key and dropped the kernel stage.
 //!
 //! ## Storage and concurrency
 //!
@@ -49,7 +50,7 @@
 //! (`<stage>-<salt>-<key>.json`, atomic writes, corrupted files = silent
 //! cold rebuild), and single-flight dedup so a thundering herd on one cold
 //! workload builds each stage exactly once. `Session` itself is a thin
-//! `Send + Sync` coordinator: it derives keys, orders the six
+//! `Send + Sync` coordinator: it derives keys, orders the five
 //! lookup-or-build calls, and assembles the resulting artifacts into a
 //! [`ModeledApp`]. Several sessions (CLI invocations, sweep workers,
 //! server request threads) can share one store via
@@ -60,13 +61,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use xflow_hotspot::ProjectionPlan;
-use xflow_hw::{LibraryRegistry, MachineModel};
+use xflow_hw::MachineModel;
 use xflow_minilang::{self as ml, InputSpec};
 use xflow_obs::{MetricsRegistry, NoopRecorder, Recorder};
-use xflow_sim::{SimConfig, SimReport};
+use xflow_sim::{default_library, SimConfig, SimReport};
 use xflow_workloads::{Scale, Workload};
 
-use crate::pipeline::{default_library, initial_env, ModeledApp, PipelineError};
+use crate::pipeline::{ModeledApp, PipelineError};
 use crate::store::{ArtifactStore, StoreConfig};
 
 pub use crate::store::{
@@ -75,7 +76,7 @@ pub use crate::store::{
 
 /// Version of the key-derivation scheme itself. Bump when the chaining or
 /// canonicalization rules change, independent of any crate's wire format.
-const KEY_SCHEMA_VERSION: u32 = 1;
+const KEY_SCHEMA_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Stable content hashing (FNV-1a, 64-bit)
@@ -136,7 +137,7 @@ fn key_salt() -> u64 {
     h.finish()
 }
 
-/// The derived cache keys of one (source, inputs, library) query — one per
+/// The derived cache keys of one (source, inputs, seed) query — one per
 /// stage. Exposed so tests and tools can locate or corrupt specific
 /// persisted artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,21 +147,22 @@ pub struct StageKeys {
     pub translate: u64,
     pub bet: u64,
     pub plan: u64,
-    pub kernel: u64,
 }
 
-fn derive_keys(src: &str, inputs: &InputSpec, libs: &LibraryRegistry) -> StageKeys {
-    let salt = key_salt();
-    let parse = {
-        let mut h = Fnv::seeded(salt);
-        h.write_str("parse");
-        h.write_str(src);
-        h.finish()
-    };
+fn derive_parse_key(salt: u64, src: &str) -> u64 {
+    let mut h = Fnv::seeded(salt);
+    h.write_str("parse");
+    h.write_str(src);
+    h.finish()
+}
+
+fn derive_keys(salt: u64, src: &str, inputs: &InputSpec, seed: u64) -> StageKeys {
+    let parse = derive_parse_key(salt, src);
     let profile = {
         let mut h = Fnv::seeded(parse);
         h.write_str("profile");
         h.write_str(&inputs.canonical_string());
+        h.write_u64(seed);
         h.finish()
     };
     let translate = {
@@ -176,15 +178,10 @@ fn derive_keys(src: &str, inputs: &InputSpec, libs: &LibraryRegistry) -> StageKe
     let plan = {
         let mut h = Fnv::seeded(bet);
         h.write_str("plan");
-        h.write_u64(libs.fingerprint());
+        h.write_u64(default_library().fingerprint());
         h.finish()
     };
-    let kernel = {
-        let mut h = Fnv::seeded(plan);
-        h.write_str("kernel");
-        h.finish()
-    };
-    StageKeys { parse, profile, translate, bet, plan, kernel }
+    StageKeys { parse, profile, translate, bet, plan }
 }
 
 /// Key of one simulator-oracle query. Chained off the salt directly rather
@@ -238,10 +235,10 @@ impl std::fmt::Debug for SessionConfig {
     }
 }
 
-/// An incremental modeling session: the stage graph of
-/// [`ModeledApp::from_source`] with every stage output cached by content
-/// key in an [`ArtifactStore`] (in memory and, optionally, on disk). See
-/// the module docs for the key-derivation and invalidation rules.
+/// An incremental modeling session: the five-stage model chain with every
+/// stage output cached by content key in an [`ArtifactStore`] (in memory
+/// and, optionally, on disk). See the module docs for the key-derivation
+/// and invalidation rules.
 ///
 /// Sessions are `Send + Sync` and internally lock-free on the hot path
 /// beyond the store's per-shard mutexes: one session (or many sessions
@@ -322,10 +319,10 @@ impl Session {
         self.store.stats()
     }
 
-    /// The cache keys a query derives, without running anything. Key
-    /// equality is exactly artifact reusability.
+    /// The cache keys a [`Session::model`] query derives, without running
+    /// anything. Key equality is exactly artifact reusability.
     pub fn keys(&self, src: &str, inputs: &InputSpec) -> StageKeys {
-        derive_keys(src, inputs, default_library())
+        derive_keys(self.salt, src, inputs, ml::DEFAULT_SEED)
     }
 
     /// Model an application, reusing every stage artifact whose content key
@@ -334,38 +331,34 @@ impl Session {
     /// stage runs from scratch, and the round-trip tests assert warm and
     /// disk loads project bit-identically to it.
     pub fn model(&self, src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
-        self.model_with_library(src, inputs, default_library())
+        self.model_seeded(src, inputs, ml::DEFAULT_SEED)
     }
 
-    /// [`Session::model`] with an explicit library registry; only the
-    /// projection-plan stage is keyed by the registry fingerprint.
-    pub fn model_with_library(
-        &self,
-        src: &str,
-        inputs: &InputSpec,
-        libs: &LibraryRegistry,
-    ) -> Result<ModeledApp, PipelineError> {
-        let keys = derive_keys(src, inputs, libs);
+    /// [`Session::model`] with an explicit `rnd()` seed for the profiled
+    /// run (the oracle profiles and simulates under one seed). The seed is
+    /// part of the profile key, so every stage downstream of the parse is
+    /// its own artifact per seed.
+    pub fn model_seeded(&self, src: &str, inputs: &InputSpec, seed: u64) -> Result<ModeledApp, PipelineError> {
+        let keys = derive_keys(self.salt, src, inputs, seed);
         let rec = self.recorder();
         let salt = self.salt;
         let store = &*self.store;
         let dir = store.cache_dir();
 
-        let program =
-            store.parse.get_or_build(salt, dir, rec, keys.parse, || ml::parse(src).map_err(PipelineError::from))?;
+        let program = self.program(src, keys.parse)?;
         let profile = store.profile.get_or_build(salt, dir, rec, keys.profile, || {
-            ml::profile(&program, inputs).map_err(PipelineError::from)
+            ml::profile_seeded(&program, inputs, seed).map_err(PipelineError::from)
         })?;
         let translation = store.translate.get_or_build(salt, dir, rec, keys.translate, || {
             ml::translate(&program, &profile).map_err(PipelineError::Translate)
         })?;
         let bet = store.bet.get_or_build(salt, dir, rec, keys.bet, || {
-            let env = initial_env(&translation, inputs);
+            let env = ml::initial_env(&translation, inputs);
             xflow_bet::build_observed(&translation.skeleton, &env, xflow_bet::BuildConfig::default(), rec)
                 .map_err(PipelineError::from)
         })?;
-        let plan = store.plan.get_or_build(salt, dir, rec, keys.plan, || Ok(ProjectionPlan::new(&bet, libs)))?;
-        let kernel = store.kernel.get_or_build(salt, dir, rec, keys.kernel, || Ok(plan.kernel()))?;
+        let plan =
+            store.plan.get_or_build(salt, dir, rec, keys.plan, || Ok(ProjectionPlan::new(&bet, default_library())))?;
 
         Ok(ModeledApp::assemble(
             (*program).clone(),
@@ -374,8 +367,15 @@ impl Session {
             (*bet).clone(),
             inputs.clone(),
             (*plan).clone(),
-            (*kernel).clone(),
         ))
+    }
+
+    /// The parse stage: the program of `src`, looked up by its parse key.
+    fn program(&self, src: &str, key: u64) -> Result<Arc<ml::Program>, PipelineError> {
+        let store = &*self.store;
+        store.parse.get_or_build(self.salt, store.cache_dir(), self.recorder(), key, || {
+            ml::parse(src).map_err(PipelineError::from)
+        })
     }
 
     /// Model a built-in benchmark workload at a scale preset.
@@ -386,9 +386,10 @@ impl Session {
     /// Ground-truth simulator report for one program × inputs × machine ×
     /// seed × sim-config query, cached as its own content-addressed stage
     /// (`sim-<salt>-<key>.json`). This stage is deliberately *not* part of
-    /// [`Session::model`]'s six-stage chain: only the oracle driver and
+    /// [`Session::model`]'s five-stage chain: only the oracle driver and
     /// validation tooling pay simulation cost, and only once per distinct
-    /// query per cache directory.
+    /// query per cache directory. A miss takes its program from the parse
+    /// stage.
     pub fn sim_report(
         &self,
         src: &str,
@@ -400,7 +401,7 @@ impl Session {
         let key = derive_sim_key(self.salt, src, inputs, machine, cfg, seed);
         let store = &*self.store;
         store.sim.get_or_build(self.salt, store.cache_dir(), self.recorder(), key, || {
-            let program = ml::parse(src).map_err(PipelineError::from)?;
+            let program = self.program(src, derive_parse_key(self.salt, src))?;
             xflow_sim::simulate_with_seed(&program, inputs, machine, cfg.clone(), seed).map_err(PipelineError::from)
         })
     }
@@ -451,8 +452,8 @@ fn main() {
         assert_eq!(a.parse, b.parse);
         assert_ne!(a.profile, b.profile);
         assert_ne!(a.bet, b.bet);
-        // all six keys of one query are distinct
-        let ks = [a.parse, a.profile, a.translate, a.bet, a.plan, a.kernel];
+        // all five keys of one query are distinct
+        let ks = [a.parse, a.profile, a.translate, a.bet, a.plan];
         for i in 0..ks.len() {
             for j in i + 1..ks.len() {
                 assert_ne!(ks[i], ks[j]);
@@ -469,18 +470,36 @@ fn main() {
     }
 
     #[test]
+    fn a_seeded_model_shares_the_parse_and_misses_the_profile() {
+        let s = Session::new();
+        let i = InputSpec::from_pairs([("N", 16.0)]);
+        let default = s.model(SRC, &i).unwrap();
+        let seeded = s.model_seeded(SRC, &i, 7).unwrap();
+        let stats = s.stats();
+        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 1), "the seed does not reach the parse key");
+        assert_eq!((stats.profile.misses, stats.profile.hits), (2, 0), "the seed is in the profile key");
+        assert_eq!(stats.plan.misses, 2);
+        let agree = xflow_validate::profiles_agree;
+        assert!(agree(&default.profile, &ml::profile(&default.program, &i).unwrap()));
+        assert!(agree(&seeded.profile, &ml::profile_seeded(&seeded.program, &i, 7).unwrap()));
+        // the default seed is the seed `model` profiles with
+        s.model_seeded(SRC, &i, ml::DEFAULT_SEED).unwrap();
+        assert_eq!(s.stats().profile.hits, 1);
+    }
+
+    #[test]
     fn stats_snapshot_registry_counters() {
         let s = Session::new();
         let i = InputSpec::from_pairs([("N", 16.0)]);
         s.model(SRC, &i).unwrap();
         s.model(SRC, &i).unwrap();
         let stats = s.stats();
-        assert_eq!(stats.misses(), 6, "cold run builds all six stages");
-        assert_eq!(stats.hits(), 6, "warm run hits all six stages");
+        assert_eq!(stats.misses(), 5, "cold run builds all five stages");
+        assert_eq!(stats.hits(), 5, "warm run hits all five stages");
         // the Display line the CLI prints is backed by the same counters
         assert_eq!(s.registry().get("session.parse.hits"), stats.parse.hits);
         assert_eq!(s.registry().get("session.plan.misses"), stats.plan.misses);
-        assert_eq!(format!("{stats}"), "memory hits: 6, disk hits: 0, misses: 6");
+        assert_eq!(format!("{stats}"), "memory hits: 5, disk hits: 0, misses: 5");
     }
 
     #[test]
@@ -495,9 +514,12 @@ fn main() {
         let stats = s.stats();
         assert_eq!(stats.sim.misses, 1);
         assert_eq!(stats.sim.hits, 1);
-        // the model chain stays six stages wide — simulation is opt-in
+        // the simulation parsed through the parse stage, which the model reuses
+        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 0));
         s.model(SRC, &i).unwrap();
-        assert_eq!(s.stats().misses(), 7, "model() builds its six stages, sim stays at one");
+        let stats = s.stats();
+        assert_eq!(stats.parse.hits, 1, "model() reuses the program the simulation parsed");
+        assert_eq!(stats.misses(), 6, "model() builds its four other stages, sim stays at one");
     }
 
     #[test]
@@ -522,8 +544,8 @@ fn main() {
         a.model(SRC, &i).unwrap();
         b.model(SRC, &i).unwrap();
         let stats = store.stats();
-        assert_eq!(stats.misses(), 6, "session b reuses session a's artifacts");
-        assert_eq!(stats.hits(), 6);
+        assert_eq!(stats.misses(), 5, "session b reuses session a's artifacts");
+        assert_eq!(stats.hits(), 5);
         assert_eq!(a.stats(), b.stats(), "stats are store-wide, not per-session");
     }
 
@@ -536,7 +558,7 @@ fn main() {
         s.model(SRC, &i).unwrap();
         s.model(SRC, &i).unwrap();
         let snap = rec.snapshot();
-        for stage in ["parse", "profile", "translate", "bet", "plan", "kernel"] {
+        for stage in ["parse", "profile", "translate", "bet", "plan"] {
             let name = format!("session.{stage}");
             let spans: Vec<_> = snap.spans.iter().filter(|sp| sp.name == name).collect();
             assert_eq!(spans.len(), 2, "one span per lookup of {name}");

@@ -1,8 +1,12 @@
 //! The concurrent artifact store: cache *policy* for the session layer's
 //! content-addressed stage artifacts, separated from pipeline *logic*.
 //!
-//! [`ArtifactStore`] owns one [`StageStore`] per pipeline stage. Each stage
-//! store is a sharded concurrent map — artifacts are FNV-sharded by their
+//! [`ArtifactStore`] owns one [`StageStore`] per stage: the five stages of
+//! the session's model chain (parse, profile, translate, bet, plan — keyed
+//! as described in [`crate::session`], the profile key covering the
+//! profiled run's seed since key-schema version 2) and the simulator
+//! oracle's `sim` stage. The SoA sweep kernel is derived from a plan on
+//! demand and never stored. Each stage store is a sharded concurrent map — artifacts are FNV-sharded by their
 //! content key into independently locked shards, each with its own LRU
 //! tick — layered over an optional on-disk tier, with **single-flight
 //! dedup** on cold keys:
@@ -10,7 +14,7 @@
 //! * **memory tier** — `shards` × (`Mutex<HashMap>` + LRU stamp). A lookup
 //!   or insert locks exactly one shard, so concurrent requests for
 //!   different keys never contend on one global lock (the pre-refactor
-//!   `Session` held one mutex around all six stages for the whole build).
+//!   `Session` held one mutex around all of its stages for the whole build).
 //! * **disk tier** — the persisted `<stage>-<salt>-<key>.json` artifacts.
 //!   Reading and writing happen *outside* every lock; a corrupted or
 //!   stale-schema file is a silent miss.
@@ -33,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 use xflow_bet::Bet;
-use xflow_hotspot::{PlanKernel, ProjectionPlan};
+use xflow_hotspot::ProjectionPlan;
 use xflow_minilang::{self as ml, Translation};
 use xflow_obs::{AttrValue, Counter, MetricsRegistry, Recorder, SpanId};
 
@@ -98,27 +102,25 @@ pub struct CacheStats {
     pub translate: StageStats,
     pub bet: StageStats,
     pub plan: StageStats,
-    pub kernel: StageStats,
     /// The simulator oracle stage (fed by `xflow oracle`, not by
-    /// [`Session::model`](crate::Session::model)'s six-stage chain).
+    /// [`Session::model`](crate::Session::model)'s five-stage chain).
     pub sim: StageStats,
 }
 
 impl CacheStats {
-    fn stages(&self) -> [&StageStats; 7] {
-        [&self.parse, &self.profile, &self.translate, &self.bet, &self.plan, &self.kernel, &self.sim]
+    fn stages(&self) -> [&StageStats; 6] {
+        [&self.parse, &self.profile, &self.translate, &self.bet, &self.plan, &self.sim]
     }
 
     /// Named per-stage counters, in pipeline order (`xflow cache stats`
     /// renders these as a table).
-    pub fn per_stage(&self) -> [(&'static str, &StageStats); 7] {
+    pub fn per_stage(&self) -> [(&'static str, &StageStats); 6] {
         [
             ("parse", &self.parse),
             ("profile", &self.profile),
             ("translate", &self.translate),
             ("bet", &self.bet),
             ("plan", &self.plan),
-            ("kernel", &self.kernel),
             ("sim", &self.sim),
         ]
     }
@@ -438,8 +440,8 @@ impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
 // The store
 // ---------------------------------------------------------------------------
 
-/// A concurrent, content-addressed artifact store over the six pipeline
-/// stages. `Send + Sync`: one store serves any number of
+/// A concurrent, content-addressed artifact store over the five model
+/// stages and the simulator oracle stage. `Send + Sync`: one store serves any number of
 /// [`Session`](crate::Session)s, sweep workers, and server threads.
 pub struct ArtifactStore {
     config: StoreConfig,
@@ -449,7 +451,6 @@ pub struct ArtifactStore {
     pub(crate) translate: StageStore<Translation>,
     pub(crate) bet: StageStore<Bet>,
     pub(crate) plan: StageStore<ProjectionPlan>,
-    pub(crate) kernel: StageStore<PlanKernel>,
     /// Ground-truth simulator reports, keyed over
     /// program × inputs × machine × seed × sim-config (`xflow oracle`).
     pub(crate) sim: StageStore<xflow_sim::SimReport>,
@@ -473,7 +474,6 @@ impl ArtifactStore {
             translate: StageStore::new("translate", capacity, shards, &registry),
             bet: StageStore::new("bet", capacity, shards, &registry),
             plan: StageStore::new("plan", capacity, shards, &registry),
-            kernel: StageStore::new("kernel", capacity, shards, &registry),
             sim: StageStore::new("sim", capacity, shards, &registry),
             config,
             registry,
@@ -510,7 +510,6 @@ impl ArtifactStore {
             translate: self.translate.counters.snapshot(),
             bet: self.bet.counters.snapshot(),
             plan: self.plan.counters.snapshot(),
-            kernel: self.kernel.counters.snapshot(),
             sim: self.sim.counters.snapshot(),
         }
     }
@@ -587,7 +586,7 @@ fn is_artifact_file(name: &str) -> bool {
     let mut parts = rest.splitn(2, '-');
     let stage = parts.next().unwrap_or("");
     let Some(hashes) = parts.next() else { return false };
-    matches!(stage, "parse" | "profile" | "translate" | "bet" | "plan" | "kernel" | "sim")
+    matches!(stage, "parse" | "profile" | "translate" | "bet" | "plan" | "sim")
         && hashes.len() == 33
         && hashes.as_bytes()[16] == b'-'
         && hashes.chars().enumerate().all(|(i, c)| i == 16 || c.is_ascii_hexdigit())
@@ -597,7 +596,7 @@ fn is_artifact_file(name: &str) -> bool {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheReport {
     /// Artifact files per stage, in pipeline order.
-    pub per_stage: [usize; 7],
+    pub per_stage: [usize; 6],
     /// Total artifact files.
     pub entries: usize,
     /// Total artifact bytes.
@@ -606,7 +605,7 @@ pub struct DiskCacheReport {
 
 impl DiskCacheReport {
     /// Stage names matching `per_stage` order.
-    pub const STAGES: [&'static str; 7] = ["parse", "profile", "translate", "bet", "plan", "kernel", "sim"];
+    pub const STAGES: [&'static str; 6] = ["parse", "profile", "translate", "bet", "plan", "sim"];
 }
 
 /// Scan a cache directory (missing directory → empty report).
@@ -663,9 +662,9 @@ mod tests {
         let mut stats = CacheStats::default();
         assert_eq!(stats.hit_ratio(), 0.0, "no lookups yet");
         stats.parse = StageStats { hits: 3, disk_hits: 1, misses: 1, evictions: 0, singleflight_waits: 2 };
-        stats.kernel = StageStats { hits: 0, disk_hits: 0, misses: 5, evictions: 0, singleflight_waits: 0 };
+        stats.plan = StageStats { hits: 0, disk_hits: 0, misses: 5, evictions: 0, singleflight_waits: 0 };
         let names: Vec<&str> = stats.per_stage().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["parse", "profile", "translate", "bet", "plan", "kernel", "sim"]);
+        assert_eq!(names, ["parse", "profile", "translate", "bet", "plan", "sim"]);
         assert_eq!(stats.per_stage()[0].1.singleflight_waits, 2);
         // 4 hits of 10 lookups
         assert!((stats.hit_ratio() - 0.4).abs() < 1e-12, "{}", stats.hit_ratio());
@@ -749,7 +748,8 @@ mod tests {
     fn artifact_file_name_filter() {
         assert!(is_artifact_file("parse-0123456789abcdef-fedcba9876543210.json"));
         assert!(is_artifact_file("plan-0000000000000000-0000000000000000.json"));
-        assert!(is_artifact_file("kernel-0000000000000000-0000000000000000.json"));
+        assert!(is_artifact_file("sim-0000000000000000-0000000000000000.json"));
+        assert!(!is_artifact_file("kernel-0000000000000000-0000000000000000.json"), "no kernel stage");
         assert!(!is_artifact_file("parse-0123-fedc.json"));
         assert!(!is_artifact_file("notes.txt"));
         assert!(!is_artifact_file("other-0123456789abcdef-fedcba9876543210.json"));

@@ -32,7 +32,7 @@ fn bet_for_seed(seed: u64, escapes: bool) -> Option<xflow_bet::Bet> {
     let limits = ml::Limits { max_steps: 2_000_000, max_depth: 64 };
     let (prof, _, _) = ml::reference::run(&prog, &inputs, ml::NullTracer, limits, ml::DEFAULT_SEED).ok()?;
     let tr = ml::translate(&prog, &prof).ok()?;
-    let env = xflow_validate::report::initial_env(&tr, &inputs);
+    let env = xflow::initial_env(&tr, &inputs);
     xflow_bet::build(&tr.skeleton, &env).ok()
 }
 
@@ -96,7 +96,7 @@ proptest! {
         escapes_sel in 0u8..2,
     ) {
         let Some(bet) = bet_for_seed(plan_seed, escapes_sel == 1) else { return };
-        let libs = xflow_validate::default_library();
+        let libs = xflow::default_library();
         let plan = ProjectionPlan::new(&bet, libs);
         let kernel = plan.kernel();
         let machines = machine_list(n_machines, degenerate_mask);
@@ -136,7 +136,7 @@ fn degenerate_lanes_inside_full_groups_replay_exactly() {
     // deterministic companion to the proptest: a lane group whose middle
     // lanes are degenerate, plus a remainder group of one degenerate point
     let Some(bet) = bet_for_seed(7, false) else { panic!("seed 7 must survive the pipeline") };
-    let libs = xflow_validate::default_library();
+    let libs = xflow::default_library();
     let plan = ProjectionPlan::new(&bet, libs);
     let kernel = plan.kernel();
     let machines = machine_list(5, 0b10110);

@@ -117,7 +117,7 @@ fn http_thundering_herd_is_deduped_and_bit_identical() {
     assert_eq!(bodies[0], cli, "herd responses must match the single-threaded CLI");
 
     let stats = server.store().stats();
-    assert_eq!(stats.misses(), 6, "one build per stage across the whole herd: {stats:?}");
+    assert_eq!(stats.misses(), 5, "one build per stage across the whole herd: {stats:?}");
     server.stop();
 }
 
@@ -164,9 +164,7 @@ fn metrics_and_trace_cover_requests_and_pipeline_stages() {
     let snap = rec.snapshot();
     let names: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"serve.request"), "{names:?}");
-    for stage in
-        ["session.parse", "session.profile", "session.translate", "session.bet", "session.plan", "session.kernel"]
-    {
+    for stage in ["session.parse", "session.profile", "session.translate", "session.bet", "session.plan"] {
         assert!(names.contains(&stage), "missing {stage} in {names:?}");
     }
     server.stop();

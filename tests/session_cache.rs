@@ -1,10 +1,10 @@
 //! Cache behavior of the incremental `Session` layer: hits on identical
 //! queries, precise invalidation (a source edit rebuilds everything, an
-//! input edit reuses the parse, a library swap rebuilds only the plan),
-//! disk warm-starts, and corrupted-artifact fallback.
+//! input edit reuses the parse), disk warm-starts, and corrupted-artifact
+//! fallback.
 
 use std::path::PathBuf;
-use xflow::{bgq, default_library, xeon, InputSpec, Session};
+use xflow::{bgq, xeon, InputSpec, Session};
 
 const SRC: &str = r#"
 fn main() {
@@ -43,14 +43,9 @@ fn identical_query_hits_every_stage() {
     let second = s.model(SRC, &inputs).unwrap();
 
     let st = s.stats();
-    for (name, stage) in [
-        ("parse", st.parse),
-        ("profile", st.profile),
-        ("translate", st.translate),
-        ("bet", st.bet),
-        ("plan", st.plan),
-        ("kernel", st.kernel),
-    ] {
+    for (name, stage) in
+        [("parse", st.parse), ("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)]
+    {
         assert_eq!(stage.misses, 1, "{name}: first query should build");
         assert_eq!(stage.hits, 1, "{name}: second query should hit memory");
         assert_eq!(stage.disk_hits, 0, "{name}: memory-only session");
@@ -67,14 +62,9 @@ fn one_byte_source_edit_misses_every_stage() {
     s.model(&edited, &inputs).unwrap();
 
     let st = s.stats();
-    for (name, stage) in [
-        ("parse", st.parse),
-        ("profile", st.profile),
-        ("translate", st.translate),
-        ("bet", st.bet),
-        ("plan", st.plan),
-        ("kernel", st.kernel),
-    ] {
+    for (name, stage) in
+        [("parse", st.parse), ("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)]
+    {
         assert_eq!(stage.misses, 2, "{name}: a one-byte edit must rebuild this stage");
         assert_eq!(stage.hits, 0, "{name}: nothing shared across the edit");
     }
@@ -89,44 +79,10 @@ fn input_change_reuses_parse_and_rebuilds_downstream() {
     let st = s.stats();
     assert_eq!(st.parse.hits, 1, "parse is input-independent and must be reused");
     assert_eq!(st.parse.misses, 1);
-    for (name, stage) in [
-        ("profile", st.profile),
-        ("translate", st.translate),
-        ("bet", st.bet),
-        ("plan", st.plan),
-        ("kernel", st.kernel),
-    ] {
+    for (name, stage) in [("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)] {
         assert_eq!(stage.misses, 2, "{name}: depends on inputs, must rebuild");
         assert_eq!(stage.hits, 0, "{name}");
     }
-}
-
-#[test]
-fn library_fingerprint_change_invalidates_only_the_plan() {
-    let s = Session::new();
-    let inputs = InputSpec::from_pairs([("N", 512.0)]);
-    s.model_with_library(SRC, &inputs, default_library()).unwrap();
-
-    let mut custom = default_library().clone();
-    custom.register(
-        "sqrt",
-        xflow_hw::InstrMix {
-            base: xflow_hw::BlockMetrics { flops: 99.0, elem_bytes: 8.0, ..Default::default() },
-            per_work: Default::default(),
-        },
-    );
-    assert_ne!(custom.fingerprint(), default_library().fingerprint());
-    s.model_with_library(SRC, &inputs, &custom).unwrap();
-
-    let st = s.stats();
-    for (name, stage) in [("parse", st.parse), ("profile", st.profile), ("translate", st.translate), ("bet", st.bet)] {
-        assert_eq!(stage.hits, 1, "{name}: library swap must not touch upstream stages");
-        assert_eq!(stage.misses, 1, "{name}");
-    }
-    assert_eq!(st.plan.misses, 2, "plan is keyed by the library fingerprint");
-    assert_eq!(st.plan.hits, 0);
-    assert_eq!(st.kernel.misses, 2, "kernel is keyed by the plan, so it follows the rebuild");
-    assert_eq!(st.kernel.hits, 0);
 }
 
 #[test]
@@ -136,23 +92,23 @@ fn disk_cache_warm_starts_a_fresh_session() {
 
     let cold = Session::with_cache_dir(&dir);
     let app_cold = cold.model(SRC, &inputs).unwrap();
-    assert_eq!(cold.stats().misses(), 6);
+    assert_eq!(cold.stats().misses(), 5);
     let report = xflow::session::disk_cache_report(&dir);
-    assert_eq!(report.entries, 6, "one artifact per stage");
-    assert_eq!(report.per_stage, [1, 1, 1, 1, 1, 1, 0], "a model run leaves the sim stage untouched");
+    assert_eq!(report.entries, 5, "one artifact per stage");
+    assert_eq!(report.per_stage, [1, 1, 1, 1, 1, 0], "a model run leaves the sim stage untouched");
     assert!(report.bytes > 0);
 
     let warm = Session::with_cache_dir(&dir);
     let app_warm = warm.model(SRC, &inputs).unwrap();
     let st = warm.stats();
-    assert_eq!(st.disk_hits(), 6, "every stage must warm-start from disk");
+    assert_eq!(st.disk_hits(), 5, "every stage must warm-start from disk");
     assert_eq!(st.misses(), 0);
 
     for m in [bgq(), xeon()] {
         assert_bits_equal(&app_cold.project_on(&m), &app_warm.project_on(&m));
     }
 
-    assert_eq!(warm.clear_disk().unwrap(), 6);
+    assert_eq!(warm.clear_disk().unwrap(), 5);
     assert_eq!(xflow::session::disk_cache_report(&dir).entries, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -179,19 +135,19 @@ fn corrupted_and_truncated_artifacts_fall_back_to_cold_builds() {
         }
         mangled += 1;
     }
-    assert_eq!(mangled, 6);
+    assert_eq!(mangled, 5);
 
     let recover = Session::with_cache_dir(&dir);
     let rebuilt = recover.model(SRC, &inputs).unwrap();
     let st = recover.stats();
     assert_eq!(st.disk_hits(), 0, "corrupted artifacts must not be served");
-    assert_eq!(st.misses(), 6, "every stage silently rebuilds cold");
+    assert_eq!(st.misses(), 5, "every stage silently rebuilds cold");
     assert_bits_equal(&reference.project_on(&bgq()), &rebuilt.project_on(&bgq()));
 
     // the rebuild re-persisted good artifacts: a third session warm-starts
     let warm = Session::with_cache_dir(&dir);
     warm.model(SRC, &inputs).unwrap();
-    assert_eq!(warm.stats().disk_hits(), 6);
+    assert_eq!(warm.stats().disk_hits(), 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -215,10 +171,10 @@ fn cli_cache_dir_round_trip_and_subcommands() {
     assert_eq!(first, cold);
 
     let stats = xflow::cli::run(&args(&["cache", "stats", "--cache-dir", cache.to_str().unwrap()])).unwrap();
-    assert!(stats.contains("entries: 6"), "{stats}");
+    assert!(stats.contains("entries: 5"), "{stats}");
 
     let cleared = xflow::cli::run(&args(&["cache", "clear", "--cache-dir", cache.to_str().unwrap()])).unwrap();
-    assert!(cleared.contains("removed 6"), "{cleared}");
+    assert!(cleared.contains("removed 5"), "{cleared}");
     let stats = xflow::cli::run(&args(&["cache", "stats", "--cache-dir", cache.to_str().unwrap()])).unwrap();
     assert!(stats.contains("entries: 0"), "{stats}");
 

@@ -13,12 +13,12 @@ fn machines() -> [xflow::MachineModel; 4] {
 }
 
 /// The cold reference: a fresh memory-only session, so every stage is
-/// built from scratch — asserted by six misses and no hits.
+/// built from scratch — asserted by five misses and no hits.
 fn cold_build(w: &Workload) -> ModeledApp {
     let session = Session::new();
     let app = session.model_workload(w, Scale::Test).expect(w.name);
     let st = session.stats();
-    assert_eq!((st.misses(), st.hits()), (6, 0), "{}: the cold reference builds all six stages", w.name);
+    assert_eq!((st.misses(), st.hits()), (5, 0), "{}: the cold reference builds all five stages", w.name);
     app
 }
 
@@ -79,7 +79,7 @@ fn session_model_matches_cold_build_bit_for_bit() {
         }
     }
     let st = session.stats();
-    assert_eq!(st.hits(), 30, "second load of each workload hits all six stages");
+    assert_eq!(st.hits(), 25, "second load of each workload hits all five stages");
 }
 
 #[test]
@@ -98,6 +98,6 @@ fn disk_round_trip_matches_cold_build_bit_for_bit() {
             assert_projection_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
         }
     }
-    assert_eq!(warm.stats().disk_hits(), 30, "five workloads × six stages from disk");
+    assert_eq!(warm.stats().disk_hits(), 25, "five workloads × five stages from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }

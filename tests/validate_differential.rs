@@ -15,8 +15,8 @@
 //! - violate no structural invariant (probability/ENR ranges, sibling
 //!   arm mass, escape conservation, BET size ratio).
 
-use xflow::xflow_validate::{default_library, validate_workload, ValidationConfig};
-use xflow::{bgq, xeon, Scale};
+use xflow::xflow_validate::{validate_workload, ValidationConfig};
+use xflow::{bgq, default_library, xeon, Scale};
 
 #[test]
 fn all_workloads_validate_on_bgq_and_xeon() {
