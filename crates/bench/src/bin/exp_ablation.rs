@@ -45,7 +45,7 @@ fn main() {
                 .iter()
                 .take(TOP_K)
                 .map(|u| {
-                    let ms = measured.unit_times.get(u).copied().unwrap_or(0.0) / mt;
+                    let ms = measured.oracle.times.get(u).copied().unwrap_or(0.0) / mt;
                     let ps = mp.unit_times.get(u).copied().unwrap_or(0.0) / mp.total.max(1e-300);
                     (ms - ps).abs()
                 })

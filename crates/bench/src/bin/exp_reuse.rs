@@ -17,25 +17,11 @@ fn main() {
     println!("=== §VII-C: cross-block cache reuse per SORD hot spot ({}) ===\n", m.name);
     println!("{:<4} {:<26} {:>14} {:>14} {:>12}", "#", "hot spot (measured)", "cross hits", "self hits", "cross share");
 
-    // aggregate per unit from the per-minilang-statement counters
-    let mut cross: HashMap<xflow_skeleton::StmtId, u64> = HashMap::new();
-    let mut own: HashMap<xflow_skeleton::StmtId, u64> = HashMap::new();
-    for (mstmt, &c) in &run.measured.report.stmt_cross_hits {
-        if let Some(&skel) = run.app.translation.map.get(mstmt) {
-            *cross.entry(run.app.units.unit_of(skel)).or_insert(0) += c;
-        }
-    }
-    for (mstmt, &c) in &run.measured.report.stmt_self_hits {
-        if let Some(&skel) = run.app.translation.map.get(mstmt) {
-            *own.entry(run.app.units.unit_of(skel)).or_insert(0) += c;
-        }
-    }
-
     let mut series: HashMap<String, Vec<f64>> = HashMap::new();
     let mut labels = Vec::new();
     for (i, &unit) in run.cmp.measured_ranking.iter().take(TOP_K).enumerate() {
-        let c = cross.get(&unit).copied().unwrap_or(0);
-        let o = own.get(&unit).copied().unwrap_or(0);
+        let sim = run.measured.per_unit.get(&unit).copied().unwrap_or_default();
+        let (c, o) = (sim.cross_hits, sim.self_hits);
         let share = if c + o > 0 { c as f64 / (c + o) as f64 } else { 0.0 };
         println!("{:<4} {:<26} {:>14} {:>14} {:>11.1}%", i + 1, run.app.units.name(unit), c, o, share * 100.0);
         series.entry("cross_share".into()).or_default().push(share);

@@ -53,7 +53,7 @@ fn main() {
     }
     let cfg = w.sim_config(&prog, &machine);
     let dense = simulate_with_seed(&prog, &inputs, &machine, cfg.clone(), DEFAULT_SEED).expect("dense sim");
-    let sim_instructions: u64 = dense.stmt_instrs.values().sum::<u64>() + dense.lib_instrs.values().sum::<u64>();
+    let sim_instructions = dense.instructions();
     assert!(sim_instructions > 0);
 
     let (samples, passes) = if matches!(o.scale, xflow::Scale::Test) { (8, 2) } else { (5, 1) };

@@ -18,7 +18,7 @@ fn main() {
     );
     let total_m = run.measured.total();
     for (i, &unit) in run.cmp.measured_ranking.iter().take(TOP_K).enumerate() {
-        let tm = run.measured.unit_times.get(&unit).copied().unwrap_or(0.0);
+        let tm = run.measured.oracle.times.get(&unit).copied().unwrap_or(0.0);
         let tp = run.mp.unit_times.get(&unit).copied().unwrap_or(0.0);
         let bound =
             run.mp.unit_breakdown.get(&unit).map(|b| if b.tm > b.tc { "memory" } else { "compute" }).unwrap_or("-");
@@ -36,9 +36,9 @@ fn main() {
 
     // spotlight the velocity block (the paper's "offending" hot spot)
     if let Some((&unit, _)) =
-        run.measured.unit_times.iter().find(|(u, _)| run.app.units.name(**u).starts_with("velocity"))
+        run.measured.oracle.times.iter().find(|(u, _)| run.app.units.name(**u).starts_with("velocity"))
     {
-        let meas = run.measured.unit_times[&unit] / total_m;
+        let meas = run.measured.oracle.times[&unit] / total_m;
         let proj = run.mp.unit_times.get(&unit).copied().unwrap_or(0.0) / run.mp.total;
         println!(
             "\nvelocity block: measured {:.1}% vs projected {:.1}% of runtime — the\n\

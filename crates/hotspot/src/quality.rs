@@ -22,9 +22,12 @@ pub struct MeasuredTimes {
 }
 
 impl MeasuredTimes {
-    /// Build from per-statement times (total = sum).
+    /// Build from per-statement times (total = their sum, taken in
+    /// ascending statement order so it never depends on hash order).
     pub fn new(times: HashMap<StmtId, f64>) -> Self {
-        let total = times.values().sum();
+        let mut rows: Vec<(StmtId, f64)> = times.iter().map(|(&s, &t)| (s, t)).collect();
+        rows.sort_unstable_by_key(|&(s, _)| s);
+        let total = rows.iter().map(|&(_, t)| t).sum();
         Self { times, total }
     }
 

@@ -32,7 +32,7 @@ pub use cost::{SimConfig, SimTracer, TracerMaps};
 pub use reference::simulate_reference;
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use xflow_hw::MachineModel;
 use xflow_minilang::{InputSpec, MStmtId, Profile, Program, RuntimeError};
 
@@ -71,53 +71,68 @@ pub struct SimReport {
 impl SimReport {
     /// Total wall time in seconds.
     pub fn total_seconds(&self) -> f64 {
-        self.total_cycles * 1e-9 / self.freq_ghz
+        self.total_cycles / (self.freq_ghz * 1e9)
     }
 
-    /// Per-statement times in seconds.
-    pub fn stmt_seconds(&self) -> HashMap<MStmtId, f64> {
-        let c = 1e-9 / self.freq_ghz;
-        self.stmt_cycles.iter().map(|(&k, &v)| (k, v * c)).collect()
+    /// Dynamic instructions retired by the run: statements plus library
+    /// functions.
+    pub fn instructions(&self) -> u64 {
+        self.stmt_instrs.values().sum::<u64>() + self.lib_instrs.values().sum::<u64>()
     }
 
-    /// Issue rate (instructions per cycle) of one statement — the paper's
-    /// Figure 8 left axis.
-    pub fn issue_rate(&self, stmt: MStmtId) -> f64 {
-        let cycles = self.stmt_cycles.get(&stmt).copied().unwrap_or(0.0);
-        if cycles == 0.0 {
-            0.0
-        } else {
-            self.stmt_instrs.get(&stmt).copied().unwrap_or(0) as f64 / cycles
+    /// The simulated accounts folded onto skeleton statements through a
+    /// translation's statement map (`Translation::map`): the one
+    /// attribution of ground-truth time to model blocks. Minilang
+    /// statements are folded in ascending [`MStmtId`] order and seconds are
+    /// summed per statement, so every float in the result is independent of
+    /// hash-map iteration order. Statements the map does not reach are
+    /// dropped; library time stays in [`SimReport::lib_cycles`].
+    pub fn fold_to_skeleton<S: Ord + Copy>(&self, map: &HashMap<MStmtId, S>) -> BTreeMap<S, StmtSim> {
+        let freq_hz = self.freq_ghz * 1e9;
+        let mut rows: Vec<(MStmtId, f64)> = self.stmt_cycles.iter().map(|(&m, &c)| (m, c)).collect();
+        rows.sort_unstable_by_key(|&(m, _)| m);
+        let mut out: BTreeMap<S, StmtSim> = BTreeMap::new();
+        for (mid, cycles) in rows {
+            let Some(&sid) = map.get(&mid) else { continue };
+            let count = |m: &HashMap<MStmtId, u64>| m.get(&mid).copied().unwrap_or(0);
+            *out.entry(sid).or_default() += StmtSim {
+                seconds: cycles / freq_hz,
+                cycles,
+                instrs: count(&self.stmt_instrs),
+                l1_misses: count(&self.stmt_l1_misses),
+                cross_hits: count(&self.stmt_cross_hits),
+                self_hits: count(&self.stmt_self_hits),
+            };
         }
+        out
     }
+}
 
-    /// Instructions per L1 miss of one statement — Figure 8 right axis
-    /// (∞-safe: returns the instruction count when there were no misses).
-    pub fn instr_per_l1_miss(&self, stmt: MStmtId) -> f64 {
-        let instr = self.stmt_instrs.get(&stmt).copied().unwrap_or(0) as f64;
-        match self.stmt_l1_misses.get(&stmt) {
-            Some(&m) if m > 0 => instr / m as f64,
-            _ => instr,
-        }
-    }
+/// Simulated totals of one model block (see [`SimReport::fold_to_skeleton`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StmtSim {
+    /// Simulated seconds.
+    pub seconds: f64,
+    /// Simulated cycles.
+    pub cycles: f64,
+    /// Dynamic instructions retired.
+    pub instrs: u64,
+    /// L1 misses.
+    pub l1_misses: u64,
+    /// L1 hits on lines last touched by a different statement.
+    pub cross_hits: u64,
+    /// L1 hits on lines the same statement touched last.
+    pub self_hits: u64,
+}
 
-    /// Fraction of a statement's L1 hits that reuse lines brought in by
-    /// *other* statements (0 when the statement never hit in L1).
-    pub fn cross_reuse_fraction(&self, stmt: MStmtId) -> f64 {
-        let cross = self.stmt_cross_hits.get(&stmt).copied().unwrap_or(0) as f64;
-        let own = self.stmt_self_hits.get(&stmt).copied().unwrap_or(0) as f64;
-        if cross + own == 0.0 {
-            0.0
-        } else {
-            cross / (cross + own)
-        }
-    }
-
-    /// Statements ranked by descending cycles.
-    pub fn ranking(&self) -> Vec<MStmtId> {
-        let mut v: Vec<(MStmtId, f64)> = self.stmt_cycles.iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(s, _)| s).collect()
+impl std::ops::AddAssign for StmtSim {
+    fn add_assign(&mut self, o: StmtSim) {
+        self.seconds += o.seconds;
+        self.cycles += o.cycles;
+        self.instrs += o.instrs;
+        self.l1_misses += o.l1_misses;
+        self.cross_hits += o.cross_hits;
+        self.self_hits += o.self_hits;
     }
 }
 
@@ -281,19 +296,38 @@ fn main() {
     }
 
     #[test]
-    fn issue_rate_and_l1_miss_stats_available() {
-        let r = sim(STREAM, &[("N", 2048.0)], &generic());
-        let hottest = r.ranking()[0];
-        assert!(r.issue_rate(hottest) > 0.0);
-        assert!(r.instr_per_l1_miss(hottest) > 0.0);
+    fn fold_to_skeleton_accounts_every_mapped_statement() {
+        let p = parse(STREAM).unwrap();
+        let r = simulate(&p, &InputSpec::from_pairs([("N", 2048.0)]), &generic(), SimConfig::default()).unwrap();
+        let tr = xflow_minilang::translate(&p, &r.profile).unwrap();
+        let folded = r.fold_to_skeleton(&tr.map);
+        let mapped = |m: &HashMap<MStmtId, u64>| -> u64 {
+            m.iter().filter(|(id, _)| tr.map.contains_key(id)).map(|(_, &n)| n).sum()
+        };
+        assert_eq!(folded.values().map(|s| s.instrs).sum::<u64>(), mapped(&r.stmt_instrs));
+        assert_eq!(folded.values().map(|s| s.l1_misses).sum::<u64>(), mapped(&r.stmt_l1_misses));
+        assert_eq!(folded.values().map(|s| s.cross_hits).sum::<u64>(), mapped(&r.stmt_cross_hits));
+        let hottest = folded.values().max_by(|a, b| a.cycles.total_cmp(&b.cycles)).unwrap();
+        assert!(hottest.instrs > 0 && hottest.seconds > 0.0);
+        let seconds = hottest.cycles / (r.freq_ghz * 1e9);
+        assert!((hottest.seconds - seconds).abs() <= 1e-12 * seconds, "{} vs {seconds}", hottest.seconds);
     }
 
     #[test]
-    fn ranking_is_deterministic() {
-        let a = sim(STREAM, &[("N", 2048.0)], &generic());
-        let b = sim(STREAM, &[("N", 2048.0)], &generic());
-        assert_eq!(a.ranking(), b.ranking());
-        assert_eq!(a.total_cycles, b.total_cycles);
+    fn fold_to_skeleton_ignores_map_iteration_order() {
+        let p = parse(STREAM).unwrap();
+        let r = simulate(&p, &InputSpec::from_pairs([("N", 2048.0)]), &generic(), SimConfig::default()).unwrap();
+        let tr = xflow_minilang::translate(&p, &r.profile).unwrap();
+        let folded = r.fold_to_skeleton(&tr.map);
+        // rebuilt maps hash with fresh keys, so they iterate in another order
+        for _ in 0..8 {
+            let mut rebuilt = r.clone();
+            rebuilt.stmt_cycles = r.stmt_cycles.iter().map(|(&k, &v)| (k, v)).collect();
+            rebuilt.stmt_instrs = r.stmt_instrs.iter().map(|(&k, &v)| (k, v)).collect();
+            let again = rebuilt.fold_to_skeleton(&tr.map);
+            assert_eq!(folded, again);
+            assert!(folded.values().zip(again.values()).all(|(a, b)| a.seconds.to_bits() == b.seconds.to_bits()));
+        }
     }
 
     #[test]

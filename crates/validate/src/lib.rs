@@ -36,6 +36,6 @@ pub use gen::{generate, render, GenConfig, GenProgram};
 pub use invariants::{check_bet, check_columns, check_projection, Violation};
 pub use jsonfmt::to_json;
 pub use report::{
-    profiles_agree, validate_program, validate_source, validate_workload, ValidateError, ValidationConfig,
-    ValidationReport,
+    join_blocks, profiles_agree, validate_program, validate_source, validate_workload, BlockRow, ValidateError,
+    ValidationConfig, ValidationReport,
 };

@@ -17,7 +17,8 @@
 //!    which only absorbs f64 round-off of the `hits/evals × evals`
 //!    probability chain);
 //! 5. compares projected per-block times against simulated per-block
-//!    times, reporting relative error per block and gating hot blocks on
+//!    times (the rows of [`join_blocks`], which the oracle corpus emits
+//!    too), reporting relative error per block and gating hot blocks on
 //!    [`ValidationConfig::hot_time_rel_tol`].
 //!
 //! ENR exactness is gated on statements whose expected visit count the
@@ -29,12 +30,13 @@
 //! exactness gate.
 
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use xflow_bet::{BetKind, BuildError};
+use xflow_hotspot::Projection;
 use xflow_hw::{LibraryRegistry, MachineModel, Roofline};
 use xflow_minilang as ml;
 use xflow_minilang::{InputSpec, Profile, RuntimeError, TranslateError};
-use xflow_sim::SimConfig;
+use xflow_sim::{SimConfig, SimReport};
 use xflow_skeleton as sk;
 use xflow_skeleton::ParseError;
 use xflow_workloads::{Scale, Workload};
@@ -181,6 +183,68 @@ pub struct LibCheck {
     pub exact: bool,
     pub analytic_seconds: f64,
     pub simulated_seconds: f64,
+}
+
+/// One model block of the analytic-vs-simulated join ([`join_blocks`]):
+/// a skeleton statement's projected seconds beside the simulated totals
+/// folded onto it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BlockRow {
+    /// Skeleton statement.
+    pub stmt: sk::StmtId,
+    /// Statement name (label or generated).
+    pub name: String,
+    /// Projected seconds (zero when the projection never charged it).
+    pub analytic_seconds: f64,
+    /// Simulated seconds folded onto the statement.
+    pub simulated_seconds: f64,
+    /// Simulated share of the run's total simulated time.
+    pub sim_share: f64,
+    /// Dynamic instructions retired.
+    pub instrs: u64,
+    /// L1 misses.
+    pub l1_misses: u64,
+    /// L1 hits on lines last touched by a different statement.
+    pub cross_hits: u64,
+    /// L1 hits on lines the statement itself touched last.
+    pub self_hits: u64,
+}
+
+/// Join a projection with the simulation folded onto the same skeleton
+/// ([`SimReport::fold_to_skeleton`]): one row per statement that either
+/// side charged, in ascending statement order. `lib` statements are left
+/// out because the simulator attributes library time per function, not
+/// per call site. `validate` step 5 and the oracle corpus both read these
+/// rows, so their per-block numbers agree bit for bit.
+pub fn join_blocks(tr: &ml::Translation, projection: &Projection, sim: &SimReport) -> Vec<BlockRow> {
+    let folded = sim.fold_to_skeleton(&tr.map);
+    let sim_total = sim.total_seconds();
+    let names = tr.skeleton.stmt_names();
+    let mut libs = HashSet::new();
+    tr.skeleton.visit_stmts(|_, s| {
+        if matches!(s.kind, sk::StmtKind::LibCall { .. }) {
+            libs.insert(s.id);
+        }
+    });
+    let mut ids: BTreeSet<sk::StmtId> = folded.keys().copied().collect();
+    ids.extend(projection.per_stmt.iter().map(|(sid, _)| sid));
+    ids.into_iter()
+        .filter(|sid| !libs.contains(sid))
+        .map(|sid| {
+            let s = folded.get(&sid).copied().unwrap_or_default();
+            BlockRow {
+                stmt: sid,
+                name: names.get(&sid).cloned().unwrap_or_else(|| format!("#{}", sid.0)),
+                analytic_seconds: projection.per_stmt.get(&sid).map(|c| c.total).unwrap_or(0.0),
+                simulated_seconds: s.seconds,
+                sim_share: if sim_total > 0.0 { s.seconds / sim_total } else { 0.0 },
+                instrs: s.instrs,
+                l1_misses: s.l1_misses,
+                cross_hits: s.cross_hits,
+                self_hits: s.self_hits,
+            }
+        })
+        .collect()
 }
 
 /// One projected-vs-simulated block time comparison.
@@ -515,39 +579,15 @@ pub fn validate_program(
         });
     }
 
-    // 5. per-block times: simulated cycles folded onto skeleton statements
-    // vs the projection's per-statement seconds. Library time lives in
-    // `lib_checks` (the simulator attributes it per function, not per
-    // statement), so it is excluded on both sides here.
+    // 5. per-block times: the projection joined with the simulated
+    // accounts folded onto skeleton statements (library time lives in
+    // `lib_checks`).
     let mut time_checks = Vec::new();
     let mut sim_total_attr = 0.0f64;
     if cfg.check_times {
-        let mut sim_secs: HashMap<sk::StmtId, f64> = HashMap::new();
-        // fold in sorted statement order: HashMap iteration order differs
-        // between instances, and float sums must not depend on it
-        let mut cycle_rows: Vec<(ml::MStmtId, f64)> = sim.stmt_cycles.iter().map(|(m, c)| (*m, *c)).collect();
-        cycle_rows.sort_by_key(|(m, _)| *m);
-        for (mid, cycles) in cycle_rows {
-            if let Some(sid) = tr.map.get(&mid) {
-                *sim_secs.entry(*sid).or_insert(0.0) += cycles / freq_hz;
-            }
-        }
-        let sim_total = sim.total_cycles / freq_hz;
-        sim_total_attr = sim_total;
-        let mut ids: Vec<sk::StmtId> = sim_secs.keys().copied().collect();
-        for (sid, _) in projection.per_stmt.iter() {
-            if !sim_secs.contains_key(&sid) {
-                ids.push(sid);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        for sid in ids {
-            if kinds.get(&sid).copied() == Some("lib") {
-                continue;
-            }
-            let a = projection.per_stmt.get(&sid).map(|c| c.total).unwrap_or(0.0);
-            let s = sim_secs.get(&sid).copied().unwrap_or(0.0);
+        sim_total_attr = sim.total_seconds();
+        for row in join_blocks(&tr, &projection, &sim) {
+            let (a, s) = (row.analytic_seconds, row.simulated_seconds);
             let rel_err = if s > 0.0 {
                 (a - s).abs() / s
             } else if a > 0.0 {
@@ -555,15 +595,14 @@ pub fn validate_program(
             } else {
                 0.0
             };
-            let share = if sim_total > 0.0 { s / sim_total } else { 0.0 };
             time_checks.push(TimeCheck {
-                stmt: sid.0,
-                name: name_of(sid),
+                stmt: row.stmt.0,
+                name: row.name,
                 analytic_seconds: a,
                 simulated_seconds: s,
                 rel_err,
-                sim_share: share,
-                hot: share >= cfg.hot_share,
+                sim_share: row.sim_share,
+                hot: row.sim_share >= cfg.hot_share,
             });
         }
     }
@@ -677,8 +716,8 @@ pub fn profiles_agree(a: &Profile, b: &Profile) -> bool {
 }
 
 /// Ids of every `for`/`while` statement in the program.
-fn collect_loop_ids(prog: &ml::Program) -> std::collections::HashSet<ml::MStmtId> {
-    fn walk(b: &ml::Block, out: &mut std::collections::HashSet<ml::MStmtId>) {
+fn collect_loop_ids(prog: &ml::Program) -> HashSet<ml::MStmtId> {
+    fn walk(b: &ml::Block, out: &mut HashSet<ml::MStmtId>) {
         for s in &b.stmts {
             match &s.kind {
                 ml::StmtKind::For { body, .. } | ml::StmtKind::While { body, .. } => {
@@ -697,7 +736,7 @@ fn collect_loop_ids(prog: &ml::Program) -> std::collections::HashSet<ml::MStmtId
             }
         }
     }
-    let mut out = std::collections::HashSet::new();
+    let mut out = HashSet::new();
     for f in &prog.functions {
         walk(&f.body, &mut out);
     }

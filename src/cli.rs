@@ -741,9 +741,8 @@ fn modeled(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Re
 fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Result<String, String> {
     match inv.command.as_str() {
         "skeleton" => {
-            let prog = crate::xflow_minilang::parse(src).map_err(|e| e.to_string())?;
-            let prof = crate::xflow_minilang::profile(&prog, &inv.inputs).map_err(|e| e.to_string())?;
-            let t = crate::xflow_minilang::translate(&prog, &prof).map_err(|e| e.to_string())?;
+            let app = modeled(inv, src, session_out)?;
+            let t = &app.translation;
             let mut out = crate::xflow_skeleton::print(&t.skeleton);
             if !t.warnings.is_empty() {
                 out.push_str("\n# translation notes:\n");
@@ -855,7 +854,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             let _ = writeln!(out, "{:<4} {:<28} {:>12} {:>8} {:>8}", "#", "block", "time (s)", "cov %", "IPC");
             let total = measured.total().max(1e-300);
             for (i, &unit) in measured.ranking().iter().take(inv.top).enumerate() {
-                let t = measured.unit_times[&unit];
+                let t = measured.oracle.times[&unit];
                 let _ = writeln!(
                     out,
                     "{:<4} {:<28} {:>12.3e} {:>7.2}% {:>8.2}",
@@ -1066,6 +1065,16 @@ fn main() {
             let out = run(&args(&["hotpath", path])).unwrap();
             assert!(out.contains("HOT #1"), "{out}");
         });
+    }
+
+    #[test]
+    fn hotpath_ranks_library_call_sites_deterministically() {
+        // SORD selects `rand`, whose call sites each model rebuilds into a
+        // fresh hash map; their HOT ranks must not follow its order
+        let first = run(&args(&["hotpath", "sord"])).unwrap();
+        for _ in 0..8 {
+            assert_eq!(run(&args(&["hotpath", "sord"])).unwrap(), first);
+        }
     }
 
     #[test]

@@ -112,16 +112,15 @@ pub fn build_miniapp(app: &ModeledApp, selection: &Selection) -> xflow_skeleton:
 }
 
 /// Resolve a selection's units back to skeleton statement ids (library
-/// units expand to every call site of that function).
+/// units expand to every call site of that function, in ascending id
+/// order so the hot-path ranks never depend on hash order).
 fn selection_stmts(app: &ModeledApp, selection: &Selection) -> Vec<xflow_skeleton::StmtId> {
     let mut stmts = Vec::new();
     for spot in &selection.spots {
         if app.units.is_lib(spot.stmt) {
-            for (&lib_stmt, &unit) in &app.units.lib_stmt_to_unit {
-                if unit == spot.stmt {
-                    stmts.push(lib_stmt);
-                }
-            }
+            let start = stmts.len();
+            stmts.extend(app.units.lib_stmt_to_unit.iter().filter(|(_, &u)| u == spot.stmt).map(|(&s, _)| s));
+            stmts[start..].sort_unstable();
         } else {
             stmts.push(spot.stmt);
         }

@@ -20,25 +20,23 @@
 //! float that reaches the output came from the same seeded simulation and
 //! plan evaluation — CI `cmp`s two runs.
 //!
-//! Record semantics mirror the validation harness
-//! ([`xflow_validate::validate_program`] step 5): simulated cycles fold
-//! onto skeleton statements through the translation map in sorted
-//! `MStmtId` order, library pseudo-statements are excluded (the simulator
-//! attributes library time per function, not per statement), and the
-//! analytic side is the projection plan evaluated with the extended
-//! roofline. On top of the paired times each record carries the simulator's
-//! per-statement microarchitectural counters — instructions, L1 misses,
-//! and the self/cross in-cache reuse split the dense tracer now measures —
-//! which are exactly the features a learned correction model consumes.
+//! Each record is one row of [`xflow_validate::join_blocks`], the join
+//! the validation harness's per-block time check reads too: the projection
+//! plan evaluated with the extended roofline beside the simulation folded
+//! onto skeleton statements ([`xflow_sim::SimReport::fold_to_skeleton`]),
+//! library pseudo-statements excluded (the simulator attributes library
+//! time per function, not per statement). On top of the paired times each
+//! record carries the simulator's per-statement microarchitectural
+//! counters — instructions, L1 misses, and the self/cross in-cache reuse
+//! split — which are exactly the features a learned correction model
+//! consumes.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec};
 use xflow_sim::SimConfig;
-use xflow_skeleton as sk;
 use xflow_workloads::{Scale, Workload};
 
 use crate::pipeline::PipelineError;
@@ -260,9 +258,7 @@ pub fn build_corpus(
 
 /// One combo: take the seeded model from the session (built once per
 /// program × scale, shared by every machine) and the cached simulation,
-/// fold both onto skeleton statements, and emit records in ascending
-/// statement order. Mirrors `xflow_validate::validate_program` step 5, with
-/// the same sorted-fold discipline so float sums never depend on hash order.
+/// and emit one record per [`xflow_validate::join_blocks`] row.
 fn combo_records(
     session: &Session,
     p: &OracleProgram,
@@ -273,71 +269,29 @@ fn combo_records(
 ) -> Result<Vec<CorpusRecord>, PipelineError> {
     let app = session.model_seeded(&p.source, inputs, seed)?;
     let projection = app.plan().evaluate(machine, &Roofline);
-    let tr = &app.translation;
-
     let sim_cfg = match &p.workload {
         Some(w) => w.sim_config(&app.program, machine),
         None => SimConfig::default(),
     };
     let sim = session.sim_report(&p.source, inputs, machine, &sim_cfg, seed)?;
-
-    // fold simulated per-statement accumulators onto skeleton statements in
-    // sorted MStmtId order (float sums must not depend on map iteration)
-    let freq_hz = sim.freq_ghz * 1e9;
-    let mut sim_secs: HashMap<sk::StmtId, f64> = HashMap::new();
-    let mut instrs: HashMap<sk::StmtId, u64> = HashMap::new();
-    let mut l1_misses: HashMap<sk::StmtId, u64> = HashMap::new();
-    let mut cross_hits: HashMap<sk::StmtId, u64> = HashMap::new();
-    let mut self_hits: HashMap<sk::StmtId, u64> = HashMap::new();
-    let mut cycle_rows: Vec<(ml::MStmtId, f64)> = sim.stmt_cycles.iter().map(|(m, c)| (*m, *c)).collect();
-    cycle_rows.sort_by_key(|(m, _)| *m);
-    for (mid, cycles) in cycle_rows {
-        if let Some(sid) = tr.map.get(&mid) {
-            *sim_secs.entry(*sid).or_insert(0.0) += cycles / freq_hz;
-            *instrs.entry(*sid).or_insert(0) += sim.stmt_instrs.get(&mid).copied().unwrap_or(0);
-            *l1_misses.entry(*sid).or_insert(0) += sim.stmt_l1_misses.get(&mid).copied().unwrap_or(0);
-            *cross_hits.entry(*sid).or_insert(0) += sim.stmt_cross_hits.get(&mid).copied().unwrap_or(0);
-            *self_hits.entry(*sid).or_insert(0) += sim.stmt_self_hits.get(&mid).copied().unwrap_or(0);
-        }
-    }
-    let sim_total = sim.total_cycles / freq_hz;
-
-    let names = tr.skeleton.stmt_names();
-    let mut kinds: HashMap<sk::StmtId, &'static str> = HashMap::new();
-    tr.skeleton.visit_stmts(|_, s| {
-        kinds.insert(s.id, s.kind.keyword());
-    });
-
-    let mut ids: Vec<sk::StmtId> = sim_secs.keys().copied().collect();
-    for (sid, _) in projection.per_stmt.iter() {
-        if !sim_secs.contains_key(&sid) {
-            ids.push(sid);
-        }
-    }
-    ids.sort();
-    ids.dedup();
-    let mut records = Vec::with_capacity(ids.len());
-    for sid in ids {
-        if kinds.get(&sid).copied() == Some("lib") {
-            continue; // library time is attributed per function, not per block
-        }
-        let s = sim_secs.get(&sid).copied().unwrap_or(0.0);
-        records.push(CorpusRecord {
+    let rows = xflow_validate::join_blocks(&app.translation, &projection, &sim);
+    Ok(rows
+        .into_iter()
+        .map(|r| CorpusRecord {
             program: p.name.clone(),
             machine: machine.name.clone(),
             scale: scale.to_string(),
-            stmt: sid.0,
-            name: names.get(&sid).cloned().unwrap_or_else(|| format!("#{}", sid.0)),
-            analytic_seconds: projection.per_stmt.get(&sid).map(|c| c.total).unwrap_or(0.0),
-            simulated_seconds: s,
-            sim_share: if sim_total > 0.0 { s / sim_total } else { 0.0 },
-            instrs: instrs.get(&sid).copied().unwrap_or(0),
-            l1_misses: l1_misses.get(&sid).copied().unwrap_or(0),
-            cross_hits: cross_hits.get(&sid).copied().unwrap_or(0),
-            self_hits: self_hits.get(&sid).copied().unwrap_or(0),
-        });
-    }
-    Ok(records)
+            stmt: r.stmt.0,
+            name: r.name,
+            analytic_seconds: r.analytic_seconds,
+            simulated_seconds: r.simulated_seconds,
+            sim_share: r.sim_share,
+            instrs: r.instrs,
+            l1_misses: r.l1_misses,
+            cross_hits: r.cross_hits,
+            self_hits: r.self_hits,
+        })
+        .collect())
 }
 
 #[cfg(test)]

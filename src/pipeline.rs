@@ -5,13 +5,14 @@
 //! (`source → simulator`) used to evaluate the projections.
 
 use crate::units::Units;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::OnceLock;
 use xflow_bet::Bet;
 use xflow_hotspot::{Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
 use xflow_hw::{LibraryRegistry, MachineModel, PerfModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
+use xflow_sim::StmtSim;
 use xflow_skeleton::StmtId;
 use xflow_workloads::{Scale, Workload};
 
@@ -261,63 +262,52 @@ impl MachineProjection {
 pub struct Measured {
     /// The raw simulation report.
     pub report: xflow_sim::SimReport,
-    /// Measured seconds per unit.
-    pub unit_times: HashMap<StmtId, f64>,
-    /// Measured cycles per unit.
-    pub unit_cycles: HashMap<StmtId, f64>,
-    /// Dynamic instructions retired per unit.
-    pub unit_instrs: HashMap<StmtId, u64>,
-    /// L1 misses per unit.
-    pub unit_l1_misses: HashMap<StmtId, u64>,
-    /// The same as a [`MeasuredTimes`] oracle for quality metrics.
+    /// Simulated totals per unit: the report folded onto skeleton
+    /// statements ([`SimReport::fold_to_skeleton`](xflow_sim::SimReport::fold_to_skeleton)),
+    /// those rows added to their units in ascending statement order, then
+    /// library time added per function in name order.
+    pub per_unit: BTreeMap<StmtId, StmtSim>,
+    /// The measured seconds per unit as a [`MeasuredTimes`] oracle for
+    /// quality metrics.
     pub oracle: MeasuredTimes,
 }
 
 impl Measured {
     fn from_report(report: xflow_sim::SimReport, translation: &Translation, units: &Units) -> Measured {
-        let sec = 1e-9 / report.freq_ghz;
-        let mut unit_times: HashMap<StmtId, f64> = HashMap::new();
-        let mut unit_cycles: HashMap<StmtId, f64> = HashMap::new();
-        let mut unit_instrs: HashMap<StmtId, u64> = HashMap::new();
-        let mut unit_l1_misses: HashMap<StmtId, u64> = HashMap::new();
-        for (mstmt, &cycles) in &report.stmt_cycles {
-            if let Some(&skel) = translation.map.get(mstmt) {
-                let unit = units.unit_of(skel);
-                *unit_times.entry(unit).or_insert(0.0) += cycles * sec;
-                *unit_cycles.entry(unit).or_insert(0.0) += cycles;
-                *unit_instrs.entry(unit).or_insert(0) += report.stmt_instrs.get(mstmt).copied().unwrap_or(0);
-                *unit_l1_misses.entry(unit).or_insert(0) += report.stmt_l1_misses.get(mstmt).copied().unwrap_or(0);
-            }
+        let mut per_unit: BTreeMap<StmtId, StmtSim> = BTreeMap::new();
+        for (stmt, sim) in report.fold_to_skeleton(&translation.map) {
+            *per_unit.entry(units.unit_of(stmt)).or_default() += sim;
         }
-        for (name, &cycles) in &report.lib_cycles {
+        let freq_hz = report.freq_ghz * 1e9;
+        let mut libs: Vec<(&String, &f64)> = report.lib_cycles.iter().collect();
+        libs.sort_unstable_by_key(|&(name, _)| name);
+        for (name, &cycles) in libs {
             if let Some(&unit) = units.lib_units.get(name) {
-                *unit_times.entry(unit).or_insert(0.0) += cycles * sec;
-                *unit_cycles.entry(unit).or_insert(0.0) += cycles;
-                *unit_instrs.entry(unit).or_insert(0) += report.lib_instrs.get(name).copied().unwrap_or(0);
+                *per_unit.entry(unit).or_default() += StmtSim {
+                    seconds: cycles / freq_hz,
+                    cycles,
+                    instrs: report.lib_instrs.get(name).copied().unwrap_or(0),
+                    ..StmtSim::default()
+                };
             }
         }
-        let oracle = MeasuredTimes::new(unit_times.clone());
-        Measured { report, unit_times, unit_cycles, unit_instrs, unit_l1_misses, oracle }
+        let oracle = MeasuredTimes::new(per_unit.iter().map(|(&unit, s)| (unit, s.seconds)).collect());
+        Measured { report, per_unit, oracle }
     }
 
     /// Measured issue rate (instructions per cycle) of a unit — Figure 8.
     pub fn issue_rate(&self, unit: StmtId) -> f64 {
-        let c = self.unit_cycles.get(&unit).copied().unwrap_or(0.0);
-        if c == 0.0 {
-            0.0
-        } else {
-            self.unit_instrs.get(&unit).copied().unwrap_or(0) as f64 / c
+        match self.per_unit.get(&unit) {
+            Some(s) if s.cycles != 0.0 => s.instrs as f64 / s.cycles,
+            _ => 0.0,
         }
     }
 
     /// Measured instructions per L1 miss of a unit — Figure 8 (returns the
     /// instruction count when the unit never missed).
     pub fn instr_per_l1_miss(&self, unit: StmtId) -> f64 {
-        let i = self.unit_instrs.get(&unit).copied().unwrap_or(0) as f64;
-        match self.unit_l1_misses.get(&unit) {
-            Some(&m) if m > 0 => i / m as f64,
-            _ => i,
-        }
+        let s = self.per_unit.get(&unit).copied().unwrap_or_default();
+        s.instrs as f64 / s.l1_misses.max(1) as f64
     }
 
     /// Units ranked by descending measured time.
@@ -346,4 +336,45 @@ pub fn lib_time_by_function(app: &ModeledApp, mp: &MachineProjection) -> HashMap
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compare::compare;
+    use xflow_hw::{bgq, xeon};
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn measured_and_compare_survive_a_report_round_trip() {
+        // a serde round trip rebuilds every map of the report with fresh
+        // hash keys, so anything summed in map order would move
+        for w in xflow_workloads::all() {
+            let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
+            for machine in [bgq(), xeon()] {
+                let ctx = format!("{} on {}", w.name, machine.name);
+                let cfg = w.sim_config(&app.program, &machine);
+                let report = xflow_sim::simulate(&app.program, &app.inputs, &machine, cfg).unwrap();
+                let json = serde_json::to_string(&report).unwrap();
+                let a = Measured::from_report(report, &app.translation, &app.units);
+                let b = Measured::from_report(serde_json::from_str(&json).unwrap(), &app.translation, &app.units);
+                assert_eq!(a.total().to_bits(), b.total().to_bits(), "{ctx}: total");
+                let unit_bits = |m: &Measured| -> Vec<(StmtId, u64)> {
+                    let mut v: Vec<(StmtId, u64)> = m.oracle.times.iter().map(|(&u, t)| (u, t.to_bits())).collect();
+                    v.sort();
+                    v
+                };
+                assert_eq!(unit_bits(&a), unit_bits(&b), "{ctx}: unit times");
+                let mp = app.project_on(&machine);
+                let (ca, cb) = (compare(&mp, &a, 10), compare(&mp, &b, 10));
+                assert_eq!(bits(&ca.prof_curve), bits(&cb.prof_curve), "{ctx}: Prof");
+                assert_eq!(bits(&ca.modl_p_curve), bits(&cb.modl_p_curve), "{ctx}: Modl(p)");
+                assert_eq!(bits(&ca.modl_m_curve), bits(&cb.modl_m_curve), "{ctx}: Modl(m)");
+                assert_eq!(bits(&ca.quality), bits(&cb.quality), "{ctx}: Q(k)");
+            }
+        }
+    }
 }

@@ -115,3 +115,37 @@ fn seeded_corpus_rows_match_a_hand_built_seeded_chain() {
         assert_eq!(r.analytic_seconds.to_bits(), expected.to_bits(), "stmt {} ({})", r.stmt, r.name);
     }
 }
+
+#[test]
+fn corpus_rows_equal_validate_time_checks_bit_for_bit() {
+    // both reports read one join of the projection with the folded
+    // simulation, so CFD on BG/Q must agree on every per-block number
+    let w = xflow::xflow_workloads::cfd();
+    let corpus = build_corpus(
+        &Session::new(),
+        &builtin_programs(&[Scale::Test]).into_iter().filter(|p| p.name == w.name).collect::<Vec<_>>(),
+        &[bgq()],
+        &OracleOptions::default(),
+    )
+    .unwrap();
+    let report = xflow::xflow_validate::validate_workload(
+        &w,
+        Scale::Test,
+        &bgq(),
+        default_library(),
+        &xflow::xflow_validate::ValidationConfig::default(),
+    )
+    .unwrap();
+    let corpus_rows: Vec<(u32, u64, u64, u64)> = corpus
+        .records
+        .iter()
+        .map(|r| (r.stmt, r.analytic_seconds.to_bits(), r.simulated_seconds.to_bits(), r.sim_share.to_bits()))
+        .collect();
+    let check_rows: Vec<(u32, u64, u64, u64)> = report
+        .times
+        .iter()
+        .map(|t| (t.stmt, t.analytic_seconds.to_bits(), t.simulated_seconds.to_bits(), t.sim_share.to_bits()))
+        .collect();
+    assert!(corpus_rows.len() > 5, "{corpus_rows:?}");
+    assert_eq!(corpus_rows, check_rows);
+}

@@ -151,7 +151,7 @@ fn cfd_divide_underprojection_and_ablation() {
     let share = |times: &std::collections::HashMap<xflow_skeleton::StmtId, f64>, total: f64| {
         times.get(&vel_unit).copied().unwrap_or(0.0) / total
     };
-    let measured_share = share(&measured.unit_times, measured.total());
+    let measured_share = share(&measured.oracle.times, measured.total());
     let base_share = share(&base.unit_times, base.total);
     let div_share = share(&divaware.unit_times, divaware.total);
 
@@ -177,7 +177,7 @@ fn stassuij_vectorization_overprojection() {
 
     let unit = *mp.unit_times.keys().find(|&&u| app.units.name(u).starts_with("scale_row")).expect("scale_row unit");
     let projected = mp.unit_times[&unit];
-    let measured_t = measured.unit_times.get(&unit).copied().unwrap_or(0.0);
+    let measured_t = measured.oracle.times.get(&unit).copied().unwrap_or(0.0);
     assert!(
         projected > 1.2 * measured_t,
         "scalar model must over-project the vectorized loop: {projected:.3e} vs {measured_t:.3e}"

@@ -183,3 +183,25 @@ fn cli_cache_dir_round_trip_and_subcommands() {
     assert!(xflow::cli::run(&args(&["cache", "defrag", "--cache-dir", "x"])).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn cli_skeleton_warm_cache_dir_run_misses_nothing() {
+    let dir = temp_dir("cli-skeleton");
+    let cache = dir.join("store");
+    let skeleton = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_xflow"))
+            .args(["skeleton", "cfd"])
+            .args(extra)
+            .output()
+            .expect("run xflow");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
+    };
+    let (cold, cold_err) = skeleton(&["--cache-dir", cache.to_str().unwrap()]);
+    assert!(!cold_err.contains("misses: 0"), "the first run builds every stage: {cold_err}");
+    let (warm, warm_err) = skeleton(&["--cache-dir", cache.to_str().unwrap()]);
+    assert!(warm_err.contains("misses: 0"), "the warm run must load every stage from disk: {warm_err}");
+    assert_eq!(cold, warm, "warm run must print byte-identical output");
+    assert_eq!(cold, skeleton(&["--no-cache"]).0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
