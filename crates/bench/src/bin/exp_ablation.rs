@@ -46,7 +46,7 @@ fn main() {
                 .take(TOP_K)
                 .map(|u| {
                     let ms = measured.oracle.times.get(u).copied().unwrap_or(0.0) / mt;
-                    let ps = mp.unit_times.get(u).copied().unwrap_or(0.0) / mp.total.max(1e-300);
+                    let ps = mp.unit_breakdown.get(u).map_or(0.0, |c| c.total) / mp.total.max(1e-300);
                     (ms - ps).abs()
                 })
                 .sum::<f64>()

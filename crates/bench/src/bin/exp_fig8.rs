@@ -22,8 +22,7 @@ fn main() {
     for (i, &unit) in run.cmp.measured_ranking.iter().take(TOP_K).enumerate() {
         let ipc = run.measured.issue_rate(unit);
         let ipm = run.measured.instr_per_l1_miss(unit);
-        let bound =
-            run.mp.unit_breakdown.get(&unit).map(|b| if b.tm > b.tc { "memory" } else { "compute" }).unwrap_or("-");
+        let bound = run.mp.unit_breakdown.get(&unit).map_or("-", |b| b.bound());
         println!("{:<4} {:<26} {:>12.3} {:>16.1} {:>14}", i + 1, run.app.units.name(unit), ipc, ipm, bound);
         series.entry("issue_rate".into()).or_default().push(ipc);
         series.entry("instr_per_l1_miss".into()).or_default().push(ipm);

@@ -19,9 +19,9 @@ fn main() {
     let total_m = run.measured.total();
     for (i, &unit) in run.cmp.measured_ranking.iter().take(TOP_K).enumerate() {
         let tm = run.measured.oracle.times.get(&unit).copied().unwrap_or(0.0);
-        let tp = run.mp.unit_times.get(&unit).copied().unwrap_or(0.0);
-        let bound =
-            run.mp.unit_breakdown.get(&unit).map(|b| if b.tm > b.tc { "memory" } else { "compute" }).unwrap_or("-");
+        let projected = run.mp.unit_breakdown.get(&unit);
+        let tp = projected.map_or(0.0, |c| c.total);
+        let bound = projected.map_or("-", |c| c.bound());
         println!(
             "{:<4} {:<26} {:>11.3e} {:>11.3e} {:>8.2}% {:>8.2}%  {}",
             i + 1,
@@ -39,7 +39,7 @@ fn main() {
         run.measured.oracle.times.iter().find(|(u, _)| run.app.units.name(**u).starts_with("velocity"))
     {
         let meas = run.measured.oracle.times[&unit] / total_m;
-        let proj = run.mp.unit_times.get(&unit).copied().unwrap_or(0.0) / run.mp.total;
+        let proj = run.mp.unit_breakdown.get(&unit).map_or(0.0, |c| c.total) / run.mp.total;
         println!(
             "\nvelocity block: measured {:.1}% vs projected {:.1}% of runtime — the\n\
              under-projection the paper traces to BG/Q expanding each divide into a\n\

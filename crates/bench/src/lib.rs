@@ -280,7 +280,7 @@ pub fn breakdown_figure(fig: &str, workload_name: &str, machine: &MachineModel, 
             b.tc,
             b.tm,
             b.overlap,
-            if b.tm > b.tc { "memory" } else { "compute" }
+            b.bound()
         );
         series.entry("tc".into()).or_default().push(b.tc);
         series.entry("tm".into()).or_default().push(b.tm);

@@ -161,13 +161,6 @@ pub fn project(bet: &Bet, machine: &MachineModel, model: &dyn PerfModel, libs: &
 }
 
 impl Projection {
-    /// Statements ranked by descending projected time.
-    pub fn ranked_stmts(&self) -> Vec<(StmtId, StmtCost)> {
-        let mut v: Vec<(StmtId, StmtCost)> = self.per_stmt.iter().map(|(k, v)| (k, *v)).collect();
-        v.sort_by(|a, b| b.1.total.partial_cmp(&a.1.total).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        v
-    }
-
     /// Fraction of total projected time spent in a statement.
     pub fn coverage(&self, stmt: StmtId) -> f64 {
         if self.total_time == 0.0 {
@@ -216,23 +209,6 @@ func main() {
         let sum: f64 = p.node_costs.iter().map(|c| c.total).sum();
         assert!((p.total_time - sum).abs() < 1e-15);
         assert!(p.total_time > 0.0);
-    }
-
-    #[test]
-    fn ranked_stmts_descending() {
-        let src = r#"
-func main() {
-  @a: comp { flops: 1 }
-  @b: comp { flops: 1000 }
-  @c: comp { flops: 10 }
-}
-"#;
-        let (p, prog) = project_src(src, &[]);
-        let ranked = p.ranked_stmts();
-        assert_eq!(ranked[0].0, prog.stmt_by_label("b").unwrap());
-        assert_eq!(ranked[1].0, prog.stmt_by_label("c").unwrap());
-        assert_eq!(ranked[2].0, prog.stmt_by_label("a").unwrap());
-        assert!(ranked[0].1.total >= ranked[1].1.total);
     }
 
     #[test]

@@ -70,7 +70,8 @@ impl SlotLayout {
 /// One statement-slot entry of a point's dense cost row.
 #[derive(Debug, Clone, Copy)]
 pub struct SlotCost {
-    /// Column slot index (position in [`ProjectionColumns::stmt_ids`]).
+    /// Column slot index: the statement's position among the arena's
+    /// cost-carrying statements, ascending by id.
     pub slot: usize,
     /// The statement this slot aggregates.
     pub stmt: StmtId,
@@ -151,16 +152,6 @@ impl ProjectionColumns {
     /// Number of statement slots per point row.
     pub fn slot_count(&self) -> usize {
         self.layout.slots.len()
-    }
-
-    /// Statement ID of a column slot.
-    pub fn stmt_of_slot(&self, slot: usize) -> StmtId {
-        StmtId(self.layout.slots[slot])
-    }
-
-    /// Statement IDs of the column slots, ascending.
-    pub fn stmt_ids(&self) -> impl Iterator<Item = StmtId> + '_ {
-        self.layout.slots.iter().map(|&s| StmtId(s))
     }
 
     /// The machine specs, in point order.

@@ -11,8 +11,24 @@
 //! similar coverage barely move it, while selecting genuinely cold blocks
 //! drags it down. The paper reports Q averaging 95.8% and never below 80%.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use xflow_skeleton::StmtId;
+
+/// The one order hot-spot units rank by: descending time, NaN last, ties
+/// broken by ascending key. The key is the unit id everywhere except
+/// `xflow explain`, which breaks ties by each unit's first block in plan
+/// order. A total order, so a degenerate (NaN) time cannot break a sort.
+pub fn unit_order<K: Ord>(a: (f64, K), b: (f64, K)) -> Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or_else(|| a.0.is_nan().cmp(&b.0.is_nan())).then(a.1.cmp(&b.1))
+}
+
+/// Units ranked by [`unit_order`] on their times, ties by ascending id.
+pub fn rank_units(times: impl IntoIterator<Item = (StmtId, f64)>) -> Vec<StmtId> {
+    let mut v: Vec<(StmtId, f64)> = times.into_iter().collect();
+    v.sort_by(|a, b| unit_order((a.1, a.0), (b.1, b.0)));
+    v.into_iter().map(|(s, _)| s).collect()
+}
 
 /// Measured time attribution: statement → time, plus the total.
 #[derive(Debug, Clone, Default)]
@@ -39,17 +55,25 @@ impl MeasuredTimes {
         stmts.iter().map(|s| self.times.get(s).copied().unwrap_or(0.0)).sum::<f64>() / self.total
     }
 
-    /// Statements ranked by descending measured time.
+    /// Statements ranked by descending measured time ([`rank_units`]).
     pub fn ranking(&self) -> Vec<StmtId> {
-        let mut v: Vec<(StmtId, f64)> = self.times.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(s, _)| s).collect()
+        rank_units(self.times.iter().map(|(&s, &t)| (s, t)))
     }
 }
 
 /// Quality of a proposed ranking at one selection size.
 pub fn quality_at(proposed: &[StmtId], measured: &MeasuredTimes, k: usize) -> f64 {
-    let oracle = measured.ranking();
+    quality_given(proposed, &measured.ranking(), measured, k)
+}
+
+/// Quality curve for k = 1 ..= max_k, given the measured (oracle) ranking
+/// `oracle == measured.ranking()` so a caller that already ranked the
+/// measurement does not rank it again.
+pub fn quality_curve(proposed: &[StmtId], oracle: &[StmtId], measured: &MeasuredTimes, max_k: usize) -> Vec<f64> {
+    (1..=max_k).map(|k| quality_given(proposed, oracle, measured, k)).collect()
+}
+
+fn quality_given(proposed: &[StmtId], oracle: &[StmtId], measured: &MeasuredTimes, k: usize) -> f64 {
     let k = k.min(proposed.len()).min(oracle.len());
     if k == 0 {
         return 1.0;
@@ -59,11 +83,6 @@ pub fn quality_at(proposed: &[StmtId], measured: &MeasuredTimes, k: usize) -> f6
         return 1.0;
     }
     (measured.coverage_of(&proposed[..k.min(proposed.len())]) / oracle_cov).clamp(0.0, 1.0)
-}
-
-/// Quality curve for k = 1 ..= max_k.
-pub fn quality_curve(proposed: &[StmtId], measured: &MeasuredTimes, max_k: usize) -> Vec<f64> {
-    (1..=max_k).map(|k| quality_at(proposed, measured, k)).collect()
 }
 
 /// Number of common members in the two top-`k` sets (the paper's "only 4 of
@@ -162,6 +181,13 @@ mod tests {
     }
 
     #[test]
+    fn unit_order_ranks_nan_last_and_breaks_ties_by_key() {
+        let times =
+            [(StmtId(3), 1.0), (StmtId(1), f64::NAN), (StmtId(2), 1.0), (StmtId(0), -f64::NAN), (StmtId(4), 2.0)];
+        assert_eq!(rank_units(times), ids(&[4, 2, 3, 0, 1]));
+    }
+
+    #[test]
     fn empty_measured_is_neutral() {
         let m = MeasuredTimes::default();
         assert_eq!(quality_at(&ids(&[0]), &m, 1), 1.0);
@@ -171,6 +197,10 @@ mod tests {
     #[test]
     fn quality_curve_length() {
         let m = measured(&[(0, 1.0), (1, 1.0)]);
-        assert_eq!(quality_curve(&ids(&[0, 1]), &m, 5).len(), 5);
+        let curve = quality_curve(&ids(&[1, 0]), &m.ranking(), &m, 5);
+        assert_eq!(curve.len(), 5);
+        for (k, q) in curve.iter().enumerate() {
+            assert_eq!(q.to_bits(), quality_at(&ids(&[1, 0]), &m, k + 1).to_bits());
+        }
     }
 }

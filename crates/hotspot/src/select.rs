@@ -9,8 +9,9 @@
 //! paper.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use xflow_skeleton::StmtId;
+
+use crate::quality::unit_order;
 
 /// Selection criteria (paper defaults: coverage ≥ 0.9, leanness ≤ 0.1).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -104,16 +105,6 @@ impl Selection {
     pub fn stmt_ids(&self) -> Vec<StmtId> {
         self.spots.iter().map(|s| s.stmt).collect()
     }
-
-    /// Measured coverage of this selection under a different time
-    /// attribution (e.g. the measured profile for a model-projected
-    /// selection — the paper's `Modl(m)` curves).
-    pub fn coverage_under(&self, times: &HashMap<StmtId, f64>, total: f64) -> f64 {
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.spots.iter().map(|s| times.get(&s.stmt).copied().unwrap_or(0.0)).sum::<f64>() / total
-    }
 }
 
 /// Select hot spots greedily under the criteria.
@@ -122,16 +113,11 @@ pub fn select(candidates: &[Candidate], total_instr: f64, criteria: Criteria, st
     let mut order: Vec<&Candidate> = candidates.iter().filter(|c| c.time > 0.0).collect();
     match strategy {
         Greedy::ByTime => {
-            order.sort_by(|a, b| {
-                b.time.partial_cmp(&a.time).unwrap_or(std::cmp::Ordering::Equal).then(a.stmt.cmp(&b.stmt))
-            });
+            order.sort_by(|a, b| unit_order((a.time, a.stmt), (b.time, b.stmt)));
         }
         Greedy::ByDensity => {
-            order.sort_by(|a, b| {
-                let da = a.time / a.instr.max(1.0);
-                let db = b.time / b.instr.max(1.0);
-                db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal).then(a.stmt.cmp(&b.stmt))
-            });
+            let density = |c: &Candidate| c.time / c.instr.max(1.0);
+            order.sort_by(|a, b| unit_order((density(a), a.stmt), (density(b), b.stmt)));
         }
     }
 
@@ -224,17 +210,6 @@ mod tests {
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[1] >= w[0]));
         assert!((curve[2] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn coverage_under_other_attribution() {
-        let cands = vec![cand(0, 50.0, 1.0), cand(1, 50.0, 1.0)];
-        let sel = select(&cands, 10.0, Criteria { time_coverage: 0.4, code_leanness: 1.0 }, Greedy::ByTime);
-        // selection = top block only
-        assert_eq!(sel.spots.len(), 1);
-        let measured: HashMap<StmtId, f64> = [(StmtId(0), 10.0), (StmtId(1), 90.0)].into_iter().collect();
-        // measured coverage of the projected selection: 10/100
-        assert!((sel.coverage_under(&measured, 100.0) - 0.1).abs() < 1e-9);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use serde::Serialize;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use xflow_bet::{BetKind, BuildError};
-use xflow_hotspot::Projection;
+use xflow_hotspot::{unit_order, Projection};
 use xflow_hw::{LibraryRegistry, MachineModel, Roofline};
 use xflow_minilang as ml;
 use xflow_minilang::{InputSpec, Profile, RuntimeError, TranslateError};
@@ -329,12 +329,7 @@ impl ValidationReport {
                 "block", "projected", "simulated", "err %", "hot"
             );
             let mut rows: Vec<&TimeCheck> = self.times.iter().collect();
-            rows.sort_by(|a, b| {
-                b.simulated_seconds
-                    .partial_cmp(&a.simulated_seconds)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.stmt.cmp(&b.stmt))
-            });
+            rows.sort_by(|a, b| unit_order((a.simulated_seconds, a.stmt), (b.simulated_seconds, b.stmt)));
             for t in rows {
                 let _ = writeln!(
                     out,

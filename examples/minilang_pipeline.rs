@@ -77,7 +77,9 @@ fn main() {
     println!("\n— step 4: projection on `{}`", machine.name);
     println!("  projected total: {:.3e} s", projection.total_time);
     let names = t.skeleton.stmt_names();
-    for (stmt, cost) in projection.ranked_stmts().into_iter().take(5) {
+    let ranked = xflow_hotspot::rank_units(projection.per_stmt.iter().map(|(stmt, c)| (stmt, c.total)));
+    for stmt in ranked.into_iter().take(5) {
+        let cost = &projection.per_stmt[stmt];
         println!(
             "  {:<28} {:>10.3e} s   Tc {:>9.3e}  Tm {:>9.3e}",
             names.get(&stmt).cloned().unwrap_or_default(),

@@ -57,7 +57,7 @@ fn main() {
     for (point, delta) in sweep.points.iter().zip(&deltas) {
         let mp = sweep.hydrate(&app, point.index);
         let unit_named = |prefix: &str| {
-            mp.unit_times.iter().find(|(u, _)| app.units.name(**u).starts_with(prefix)).map(|(_, &t)| t).unwrap_or(0.0)
+            mp.unit_breakdown.iter().find(|(&u, _)| app.units.name(u).starts_with(prefix)).map_or(0.0, |(_, c)| c.total)
         };
         let top = point.top_unit.expect("non-empty projection");
         println!(

@@ -781,11 +781,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             );
             let _ = writeln!(out, "{:<4} {:<28} {:>12} {:>8} {:>10}", "#", "block", "time (s)", "cov %", "bound");
             for s in sel.spots.iter().take(inv.top) {
-                let bound = mp
-                    .unit_breakdown
-                    .get(&s.stmt)
-                    .map(|b| if b.tm > b.tc { "memory" } else { "compute" })
-                    .unwrap_or("-");
+                let bound = mp.unit_breakdown.get(&s.stmt).map_or("-", |b| b.bound());
                 let _ = writeln!(
                     out,
                     "{:<4} {:<28} {:>12.3e} {:>7.2}% {:>10}",

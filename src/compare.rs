@@ -3,8 +3,7 @@
 
 use crate::pipeline::{MachineProjection, Measured, ModeledApp};
 use crate::units::Units;
-use std::collections::HashMap;
-use xflow_hotspot::{coverage_curve, quality_at, top_k_overlap, MeasuredTimes};
+use xflow_hotspot::{coverage_curve, quality_curve, top_k_overlap, MeasuredTimes};
 use xflow_skeleton::StmtId;
 
 /// Everything the paper's figures report for one workload on one machine.
@@ -24,8 +23,9 @@ pub struct Comparison {
     pub quality: Vec<f64>,
     /// Measured per-unit times.
     pub measured: MeasuredTimes,
-    /// Projected per-unit times.
-    pub projected: HashMap<StmtId, f64>,
+    /// Projected per-unit times (their `total` is the sum of the unit
+    /// times, the denominator of `Modl(p)`).
+    pub projected: MeasuredTimes,
     /// Projected total seconds.
     pub projected_total: f64,
 }
@@ -34,21 +34,16 @@ pub struct Comparison {
 pub fn compare(mp: &MachineProjection, measured: &Measured, max_k: usize) -> Comparison {
     let measured_ranking = measured.ranking();
     let projected_ranking = mp.ranking();
-    let prof_curve = coverage_curve(&measured_ranking, &measured.oracle, max_k);
-    let modl_m_curve = coverage_curve(&projected_ranking, &measured.oracle, max_k);
-    // projected coverage of the projected ranking, against projected totals
-    let proj_oracle = MeasuredTimes::new(mp.unit_times.clone());
-    let modl_p_curve = coverage_curve(&projected_ranking, &proj_oracle, max_k);
-    let quality = (1..=max_k).map(|k| quality_at(&projected_ranking, &measured.oracle, k)).collect();
+    let projected = MeasuredTimes::new(mp.unit_breakdown.iter().map(|(&unit, c)| (unit, c.total)).collect());
     Comparison {
+        prof_curve: coverage_curve(&measured_ranking, &measured.oracle, max_k),
+        modl_p_curve: coverage_curve(&projected_ranking, &projected, max_k),
+        modl_m_curve: coverage_curve(&projected_ranking, &measured.oracle, max_k),
+        quality: quality_curve(&projected_ranking, &measured_ranking, &measured.oracle, max_k),
         measured_ranking,
         projected_ranking,
-        prof_curve,
-        modl_p_curve,
-        modl_m_curve,
-        quality,
         measured: measured.oracle.clone(),
-        projected: mp.unit_times.clone(),
+        projected,
         projected_total: mp.total,
     }
 }
@@ -82,7 +77,7 @@ impl Comparison {
                 .map(|s| self.measured.times.get(s).copied().unwrap_or(0.0) / self.measured.total.max(1e-300) * 100.0)
                 .unwrap_or(0.0);
             let modl_cov = modl
-                .map(|s| self.projected.get(s).copied().unwrap_or(0.0) / self.projected_total.max(1e-300) * 100.0)
+                .map(|s| self.projected.times.get(s).copied().unwrap_or(0.0) / self.projected_total.max(1e-300) * 100.0)
                 .unwrap_or(0.0);
             let _ = writeln!(
                 out,

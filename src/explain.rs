@@ -10,15 +10,23 @@
 //! The report is *reconciling by construction*: `blocks` are kept in plan
 //! order with the evaluator's exact addends, so summing their `total`
 //! fields in stream order reproduces [`Explain::total`] — and therefore
-//! `project_on`'s projected application time — to the bit. A report whose
-//! numbers can drift from the projection would be worse than no report.
+//! `project_on`'s projected application time — to the bit. The unit rows
+//! (time, share, Tc, Tm, bound) are the [`UnitIndex::fold`] of that same
+//! evaluation, so they equal the `hotspots` unit view
+//! ([`MachineProjection::unit_breakdown`]) bit for bit; the block stream
+//! only picks each unit's dominant block and context chain. A report
+//! whose numbers can drift from the projection would be worse than no
+//! report.
+//!
+//! [`UnitIndex::fold`]: crate::units::UnitIndex::fold
 
-use crate::pipeline::ModeledApp;
-use crate::units::Units;
+use crate::pipeline::{MachineProjection, ModeledApp};
+use crate::units::UnitCost;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xflow_bet::{Bet, BetKind, BetNodeId};
+use xflow_hotspot::unit_order;
 use xflow_hw::{MachineModel, PerfModel, Roofline};
 use xflow_obs::{BlockProvenance, CollectingRecorder};
 use xflow_skeleton::StmtId;
@@ -107,7 +115,8 @@ pub struct Explain {
     /// `total` over this list in order reproduces [`Explain::total`]
     /// exactly.
     pub blocks: Vec<ExplainBlock>,
-    /// Comparable units ranked by descending projected time.
+    /// Comparable units ranked by descending projected time; equal times
+    /// keep the order of each unit's first block in plan order.
     pub units: Vec<ExplainUnit>,
 }
 
@@ -119,7 +128,7 @@ pub fn explain_observed(app: &ModeledApp, machine: &MachineModel, rec: &Collecti
     let skip = rec.block_provenance().len();
     let projection = app.plan().evaluate_observed(machine, &model, rec);
     let blocks = &rec.block_provenance()[skip..];
-    assemble(app, machine, model.name(), projection.total_time, blocks)
+    assemble(app, MachineProjection::new(&app.units, machine, projection), model.name(), blocks)
 }
 
 /// Build the provenance report with a private recorder.
@@ -127,14 +136,17 @@ pub fn explain(app: &ModeledApp, machine: &MachineModel) -> Explain {
     explain_observed(app, machine, &CollectingRecorder::new())
 }
 
-fn assemble(app: &ModeledApp, machine: &MachineModel, model: &str, total: f64, stream: &[BlockProvenance]) -> Explain {
+fn assemble(app: &ModeledApp, mp: MachineProjection, model: &str, stream: &[BlockProvenance]) -> Explain {
     let units = &app.units;
     let blocks: Vec<ExplainBlock> = stream
         .iter()
         .map(|b| ExplainBlock {
             node: b.node,
             stmt: b.stmt,
-            unit: unit_name(units, b),
+            unit: match b.stmt {
+                Some(s) => units.name(units.unit_of(StmtId(s))),
+                None => "<synthetic>".to_string(),
+            },
             enr: b.enr,
             tc: b.tc,
             tm: b.tm,
@@ -152,51 +164,44 @@ fn assemble(app: &ModeledApp, machine: &MachineModel, model: &str, total: f64, s
         })
         .collect();
 
-    // fold the stream into units, keeping each unit's dominant block
-    struct Acc {
-        time: f64,
-        tc: f64,
-        tm: f64,
-        dominant: usize,
-        dominant_total: f64,
-        first: usize,
-    }
-    let mut acc: HashMap<StmtId, Acc> = HashMap::new();
-    let mut order: Vec<StmtId> = Vec::new();
+    // each unit's first block and dominant (most expensive, earliest on
+    // ties) block, in plan order; the unit's numbers come from `mp`
+    let mut picks: BTreeMap<StmtId, (usize, usize)> = BTreeMap::new();
     for (i, b) in stream.iter().enumerate() {
-        let unit = unit_of(units, b);
-        let a = acc.entry(unit).or_insert_with(|| {
-            order.push(unit);
-            Acc { time: 0.0, tc: 0.0, tm: 0.0, dominant: i, dominant_total: f64::NEG_INFINITY, first: i }
-        });
-        a.time += b.total;
-        a.tc += b.tc * b.enr;
-        a.tm += b.tm * b.enr;
-        if b.total > a.dominant_total {
-            a.dominant_total = b.total;
-            a.dominant = i;
+        if let Some(s) = b.stmt {
+            let (_, dominant) = picks.entry(units.unit_of(StmtId(s))).or_insert((i, i));
+            if b.total > stream[*dominant].total {
+                *dominant = i;
+            }
         }
     }
-    // rank by descending time; ties broken by first appearance in the
-    // stream so the report is deterministic
-    order.sort_by(|x, y| {
-        let (ax, ay) = (&acc[x], &acc[y]);
-        ay.time.partial_cmp(&ax.time).unwrap_or(std::cmp::Ordering::Equal).then(ax.first.cmp(&ay.first))
-    });
-    let unit_rows: Vec<ExplainUnit> = order
+    // equal times rank by first block in plan order, not by unit id: SORD
+    // has exactly tied units (`halo_exchange:comp#103` and `main:comp#35`
+    // on BG/Q), and the explain bodies perfbench's `serve_mixed` pins
+    // list them in this order
+    let mut rows: Vec<(StmtId, UnitCost, usize, usize)> = mp
+        .unit_breakdown
         .iter()
-        .map(|u| {
-            let a = &acc[u];
-            let dom = &stream[a.dominant];
+        .map(|(&unit, &c)| {
+            let (first, dominant) = picks[&unit];
+            (unit, c, first, dominant)
+        })
+        .collect();
+    rows.sort_by(|a, b| unit_order((a.1.total, a.2), (b.1.total, b.2)));
+    let total = mp.total;
+    let unit_rows: Vec<ExplainUnit> = rows
+        .into_iter()
+        .map(|(unit, c, _, dominant)| {
+            let dom = &stream[dominant];
             let chain = context_chain(&app.bet, BetNodeId(dom.node));
             let path_prob = chain.iter().map(|s| s.prob).product();
             ExplainUnit {
-                name: units.name(*u),
-                time: a.time,
-                share: if total > 0.0 { a.time / total } else { 0.0 },
-                tc: a.tc,
-                tm: a.tm,
-                bound: verdict(a.tc, a.tm).to_string(),
+                name: units.name(unit),
+                time: c.total,
+                share: if total > 0.0 { c.total / total } else { 0.0 },
+                tc: c.tc,
+                tm: c.tm,
+                bound: c.bound().to_string(),
                 dominant_node: dom.node,
                 enr: dom.enr,
                 chain,
@@ -205,7 +210,7 @@ fn assemble(app: &ModeledApp, machine: &MachineModel, model: &str, total: f64, s
         })
         .collect();
 
-    Explain { machine: machine.name.clone(), model: model.to_string(), total, blocks, units: unit_rows }
+    Explain { machine: mp.machine.name, model: model.to_string(), total, blocks, units: unit_rows }
 }
 
 fn verdict(tc: f64, tm: f64) -> &'static str {
@@ -213,18 +218,6 @@ fn verdict(tc: f64, tm: f64) -> &'static str {
         "memory"
     } else {
         "compute"
-    }
-}
-
-fn unit_of(units: &Units, b: &BlockProvenance) -> StmtId {
-    // synthetic nodes without a statement fold into a shared pseudo-unit
-    b.stmt.map(|s| units.unit_of(StmtId(s))).unwrap_or(StmtId(u32::MAX))
-}
-
-fn unit_name(units: &Units, b: &BlockProvenance) -> String {
-    match b.stmt {
-        Some(s) => units.name(units.unit_of(StmtId(s))),
-        None => "<synthetic>".to_string(),
     }
 }
 
@@ -311,7 +304,7 @@ fn render_chain(chain: &[ChainStep]) -> String {
 mod tests {
     use super::*;
     use crate::InputSpec;
-    use xflow_hw::{bgq, generic, xeon};
+    use xflow_hw::{bgq, generic, knl, xeon};
 
     const SRC: &str = r#"
 fn main() {
@@ -376,6 +369,41 @@ fn main() {
         assert!(back.total > 0.0);
         let fwd = explain(&app, &bgq());
         assert_eq!(back.total.to_bits(), fwd.total.to_bits(), "JSON round-trip must preserve totals exactly");
+    }
+
+    #[test]
+    fn explain_units_equal_the_hotspots_unit_view() {
+        // units gathering several statements (`lib:rand`) are where a
+        // second fold would add in another order than `project_on`
+        let mut programs =
+            crate::oracle::builtin_programs(&[xflow_workloads::Scale::Test, xflow_workloads::Scale::Eval]);
+        programs.extend(crate::oracle::generated_programs(24));
+        let mut multi = 0;
+        for p in &programs {
+            for (scale, inputs) in &p.scales {
+                let app = ModeledApp::from_source(&p.source, inputs).unwrap();
+                for m in [bgq(), xeon(), knl(), generic()] {
+                    let ctx = format!("{} {scale} on {}", p.name, m.name);
+                    let mp = app.project_on(&m);
+                    let mut want: Vec<(String, [u64; 3])> = mp
+                        .unit_breakdown
+                        .iter()
+                        .map(|(&u, c)| (app.units.name(u), [c.total.to_bits(), c.tc.to_bits(), c.tm.to_bits()]))
+                        .collect();
+                    let mut got: Vec<(String, [u64; 3])> = explain(&app, &m)
+                        .units
+                        .into_iter()
+                        .map(|u| (u.name, [u.time.to_bits(), u.tc.to_bits(), u.tm.to_bits()]))
+                        .collect();
+                    want.sort();
+                    got.sort();
+                    assert_eq!(got, want, "{ctx}: explain unit rows differ from the hotspots unit view");
+                    let stmts_of = |u: StmtId| app.units.lib_stmt_to_unit.values().filter(|&&v| v == u).count();
+                    multi += mp.unit_breakdown.keys().filter(|&&u| stmts_of(u) > 1).count();
+                }
+            }
+        }
+        assert!(multi > 0, "the corpus must exercise units of several statements");
     }
 
     #[test]

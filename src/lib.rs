@@ -66,13 +66,13 @@ pub use oracle::{
     build_corpus, builtin_programs, dir_programs, generated_programs, Corpus, CorpusRecord, OracleOptions,
     OracleProgram,
 };
-pub use pipeline::{fold_projection, lib_time_by_function, MachineProjection, Measured, ModeledApp, PipelineError};
+pub use pipeline::{MachineProjection, Measured, ModeledApp, PipelineError};
 pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
 pub use session::{default_session, CacheStats, Session, SessionConfig, StageKeys, StageStats};
 pub use store::{ArtifactStore, DiskCacheReport, StoreConfig};
 pub use sweep::{format_sweep, format_sweep_ranked, Axis, DesignSpace, Sweep, SweepDelta, SweepOptions, SweepPoint};
-pub use units::{Units, LIB_UNIT_BASE};
+pub use units::{UnitCost, UnitIndex, Units, LIB_UNIT_BASE};
 
 // Re-export the sub-crates under their full names…
 pub use xflow_bet;

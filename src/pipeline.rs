@@ -4,12 +4,12 @@
 //! number of target machines, plus the ground-truth measurement path
 //! (`source → simulator`) used to evaluate the projections.
 
-use crate::units::Units;
+use crate::units::{UnitCost, Units};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::OnceLock;
 use xflow_bet::Bet;
-use xflow_hotspot::{Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
+use xflow_hotspot::{rank_units, Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
 use xflow_hw::{LibraryRegistry, MachineModel, PerfModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
 use xflow_sim::StmtSim;
@@ -138,7 +138,7 @@ impl ModeledApp {
     /// Per-machine cost is one plan evaluation (phase 2): the BET walk and
     /// library calibration are cached on the app and the process.
     pub fn project_on(&self, machine: &MachineModel) -> MachineProjection {
-        self.fold(machine, self.plan().evaluate(machine, &Roofline))
+        MachineProjection::new(&self.units, machine, self.plan().evaluate(machine, &Roofline))
     }
 
     /// Projection with an explicit hardware model and library registry.
@@ -152,12 +152,7 @@ impl ModeledApp {
         model: &dyn PerfModel,
         libs: &LibraryRegistry,
     ) -> MachineProjection {
-        self.fold(machine, xflow_hotspot::project(&self.bet, machine, model, libs))
-    }
-
-    /// Fold a raw per-statement projection into the unit view.
-    pub fn fold(&self, machine: &MachineModel, projection: Projection) -> MachineProjection {
-        fold_projection(&self.units, machine, projection)
+        MachineProjection::new(&self.units, machine, xflow_hotspot::project(&self.bet, machine, model, libs))
     }
 
     /// Measure the application on a machine with the ground-truth
@@ -199,61 +194,53 @@ pub(crate) fn build_units(program: &ml::Program, translation: &Translation) -> U
     units
 }
 
-/// Fold a raw per-statement projection into the unit view. Free function
-/// so sweep workers can fold without sharing the whole [`ModeledApp`]
-/// across threads — [`Units`] and [`ProjectionPlan`] are `Sync`.
-pub fn fold_projection(units: &Units, machine: &MachineModel, projection: Projection) -> MachineProjection {
-    let mut unit_times: HashMap<StmtId, f64> = HashMap::new();
-    let mut unit_breakdown: HashMap<StmtId, xflow_hotspot::StmtCost> = HashMap::new();
-    for (stmt, cost) in &projection.per_stmt {
-        let unit = units.unit_of(stmt);
-        *unit_times.entry(unit).or_insert(0.0) += cost.total;
-        let b = unit_breakdown.entry(unit).or_default();
-        b.total += cost.total;
-        b.tc += cost.tc;
-        b.tm += cost.tm;
-        b.overlap += cost.overlap;
-        b.metrics.add_scaled(&cost.metrics, 1.0);
-    }
-    MachineProjection { machine: machine.clone(), total: projection.total_time, projection, unit_times, unit_breakdown }
-}
-
 /// A projection of one application on one machine, in unit view.
 pub struct MachineProjection {
     pub machine: MachineModel,
     pub projection: Projection,
-    /// Projected seconds per unit.
-    pub unit_times: HashMap<StmtId, f64>,
-    /// Tc/Tm/overlap breakdown per unit (Figures 6–7).
-    pub unit_breakdown: HashMap<StmtId, xflow_hotspot::StmtCost>,
+    /// Projected total/Tc/Tm/overlap per unit ([`UnitIndex::fold`] over
+    /// the projection's statements), ascending by unit id (Figures 6–7).
+    ///
+    /// [`UnitIndex::fold`]: crate::units::UnitIndex::fold
+    pub unit_breakdown: BTreeMap<StmtId, UnitCost>,
     /// Total projected seconds.
     pub total: f64,
 }
 
 impl MachineProjection {
-    /// Units ranked by descending projected time.
+    /// Fold a per-statement projection into the unit view.
+    pub(crate) fn new(units: &Units, machine: &MachineModel, projection: Projection) -> Self {
+        let costs = projection
+            .per_stmt
+            .iter()
+            .map(|(stmt, c)| (stmt, UnitCost { total: c.total, tc: c.tc, tm: c.tm, overlap: c.overlap }));
+        let mut sums = Vec::new();
+        units.index().fold(costs, &mut sums);
+        MachineProjection {
+            machine: machine.clone(),
+            total: projection.total_time,
+            unit_breakdown: units.index().reached(&sums).collect(),
+            projection,
+        }
+    }
+
+    /// Units ranked by descending projected time ([`rank_units`]).
     pub fn ranking(&self) -> Vec<StmtId> {
-        let mut v: Vec<(StmtId, f64)> = self.unit_times.iter().map(|(&k, &v)| (k, v)).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(s, _)| s).collect()
+        rank_units(self.unit_breakdown.iter().map(|(&unit, c)| (unit, c.total)))
     }
 
     /// Hot spot selection under the given criteria.
     pub fn select(&self, units: &Units, criteria: Criteria) -> Selection {
-        let mut cands: Vec<xflow_hotspot::Candidate> = self
-            .unit_times
+        // ascending unit order: `select` sums candidate times in slice order
+        let cands: Vec<xflow_hotspot::Candidate> = self
+            .unit_breakdown
             .iter()
-            .map(|(&unit, &time)| xflow_hotspot::Candidate {
+            .map(|(&unit, c)| xflow_hotspot::Candidate {
                 stmt: unit,
-                time,
+                time: c.total,
                 instr: units.instr.get(&unit).copied().unwrap_or(1.0),
             })
             .collect();
-        // `select` sums candidate times in slice order for the coverage
-        // denominator; HashMap iteration order varies per instance, so
-        // sort first or two evaluations of the same projection can differ
-        // in the last float bit
-        cands.sort_by_key(|c| c.stmt);
         xflow_hotspot::select(&cands, units.total_instr, criteria, Greedy::ByTime)
     }
 }
@@ -319,23 +306,6 @@ impl Measured {
     pub fn total(&self) -> f64 {
         self.oracle.total
     }
-}
-
-/// Sum the projected library time per function (used by reports).
-pub fn lib_time_by_function(app: &ModeledApp, mp: &MachineProjection) -> HashMap<String, f64> {
-    let mut out: HashMap<String, f64> = HashMap::new();
-    let mut by_stmt: HashMap<StmtId, &str> = HashMap::new();
-    app.translation.skeleton.visit_stmts(|_, s| {
-        if let xflow_skeleton::StmtKind::LibCall { func, .. } = &s.kind {
-            by_stmt.insert(s.id, func.as_str());
-        }
-    });
-    for (stmt, func) in by_stmt {
-        if let Some(cost) = mp.projection.per_stmt.get(&stmt) {
-            *out.entry(func.to_string()).or_insert(0.0) += cost.total;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

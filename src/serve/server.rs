@@ -484,8 +484,7 @@ fn handle_project(inner: &Inner, body: &[u8]) -> HttpResponse {
         .iter()
         .take(r.top)
         .map(|s| {
-            let bound =
-                mp.unit_breakdown.get(&s.stmt).map(|b| if b.tm > b.tc { "memory" } else { "compute" }).unwrap_or("-");
+            let bound = mp.unit_breakdown.get(&s.stmt).map_or("-", |b| b.bound());
             ProjectUnit {
                 rank: s.rank as u64 + 1,
                 unit: app.units.name(s.stmt).to_string(),

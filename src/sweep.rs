@@ -27,6 +27,13 @@
 //! either way. When a caller drills into one point, [`Sweep::hydrate`]
 //! projects the app on that machine with [`ModeledApp::project_on`].
 //!
+//! A point's top unit, its memory-bound flag, [`Sweep::unit_ranking`] and
+//! so the ranking-shift and bottleneck-flip questions of
+//! [`Sweep::deltas`] all read the arena row through the app's one unit
+//! fold ([`UnitIndex::fold`]) and rank by the one unit comparator
+//! ([`xflow_hotspot::unit_order`]): a point agrees with the projection
+//! of its machine to the bit.
+//!
 //! Scheduling: the points split into contiguous chunks (64 points unless
 //! [`SweepOptions::chunk`] says otherwise) that workers claim from a
 //! shared atomic cursor. No more workers run than there are chunks, and a
@@ -59,9 +66,9 @@
 
 use crate::pipeline::{MachineProjection, ModeledApp};
 use crate::pool::{run_chunked, workers};
-use crate::units::Units;
+use crate::units::{UnitCost, UnitIndex};
 use xflow_hotspot::columns::rank_order;
-use xflow_hotspot::{ColumnsChunk, ProjectionColumns, SlotCost};
+use xflow_hotspot::{rank_units, unit_order, ColumnsChunk, ProjectionColumns};
 use xflow_hw::{MachineModel, MachineSpec};
 use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
@@ -303,104 +310,28 @@ impl DesignSpace {
             rec.span_end(sweep_span, &[("outcome", AttrValue::Str("ok"))]);
         }
 
-        let fold = UnitFold::new(&app.units, &cols);
+        let index = app.units.index().clone();
+        let mut sums = Vec::new();
         let points = (0..n)
             .map(|i| {
-                let (top_unit, memory_bound) = fold.summarize(cols.stmt_row(i));
+                index.fold(unit_row(&cols, i), &mut sums);
+                let top = index.reached(&sums).min_by(|a, b| unit_order((a.1.total, a.0), (b.1.total, b.0)));
                 SweepPoint {
                     index: i,
                     machine: self.machines[i].name.clone(),
                     total: cols.total(i),
-                    top_unit,
-                    memory_bound,
+                    top_unit: top.map(|(unit, _)| unit),
+                    memory_bound: top.is_some_and(|(_, c)| c.tm > c.tc),
                 }
             })
             .collect();
-        Sweep { points, machines: self.machines.clone(), columns: cols, fold }
+        Sweep { points, machines: self.machines.clone(), columns: cols, index }
     }
 }
 
-/// Compact statement-slot → unit fold layout for columnar sweeps.
-///
-/// Unit ids can live in the library pseudo-id space near `u32::MAX`
-/// ([`crate::units::LIB_UNIT_BASE`]), so units are indexed by first
-/// appearance over the ascending statement slots rather than densely by
-/// id. Folding a dense row accumulates slot costs in ascending-statement
-/// order — the same order [`crate::pipeline::fold_projection`] visits the per-statement
-/// table, so the per-unit sums are bit-identical to a projected point's.
-struct UnitFold {
-    unit_ids: Vec<StmtId>,
-    slot_unit: Vec<u32>,
-}
-
-impl UnitFold {
-    fn new(units: &Units, cols: &ProjectionColumns) -> Self {
-        let mut unit_ids: Vec<StmtId> = Vec::new();
-        let mut slot_unit = Vec::with_capacity(cols.slot_count());
-        for stmt in cols.stmt_ids() {
-            let unit = units.unit_of(stmt);
-            let idx = unit_ids.iter().position(|&u| u == unit).unwrap_or_else(|| {
-                unit_ids.push(unit);
-                unit_ids.len() - 1
-            });
-            slot_unit.push(idx as u32);
-        }
-        Self { unit_ids, slot_unit }
-    }
-
-    /// Fold one dense statement row into `(top unit, top unit is
-    /// memory-bound)` — the two summary facts a [`SweepPoint`] carries.
-    fn summarize(&self, row: impl Iterator<Item = SlotCost>) -> (Option<StmtId>, bool) {
-        let k = self.unit_ids.len();
-        let mut total = vec![0.0f64; k];
-        let mut tc = vec![0.0f64; k];
-        let mut tm = vec![0.0f64; k];
-        let mut present = vec![false; k];
-        for sc in row {
-            let u = self.slot_unit[sc.slot] as usize;
-            total[u] += sc.total;
-            tc[u] += sc.tc;
-            tm[u] += sc.tm;
-            present[u] = true;
-        }
-        // max by (time desc, unit id asc) — the head of the full ranking
-        let mut top: Option<usize> = None;
-        for u in 0..k {
-            if !present[u] {
-                continue;
-            }
-            top = Some(match top {
-                None => u,
-                Some(b) => {
-                    if total[u] > total[b] || (total[u] == total[b] && self.unit_ids[u] < self.unit_ids[b]) {
-                        u
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        match top {
-            Some(u) => (Some(self.unit_ids[u]), tm[u] > tc[u]),
-            None => (None, false),
-        }
-    }
-
-    /// Full unit ranking of one dense statement row (time desc, id asc) —
-    /// matches [`MachineProjection::ranking`] of the projected point.
-    fn ranking(&self, row: impl Iterator<Item = SlotCost>) -> Vec<StmtId> {
-        let k = self.unit_ids.len();
-        let mut total = vec![0.0f64; k];
-        let mut present = vec![false; k];
-        for sc in row {
-            let u = self.slot_unit[sc.slot] as usize;
-            total[u] += sc.total;
-            present[u] = true;
-        }
-        let mut v: Vec<(StmtId, f64)> = (0..k).filter(|&u| present[u]).map(|u| (self.unit_ids[u], total[u])).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(s, _)| s).collect()
-    }
+/// Point `i`'s dense statement row as [`UnitIndex::fold`] input.
+fn unit_row(cols: &ProjectionColumns, i: usize) -> impl Iterator<Item = (StmtId, UnitCost)> + '_ {
+    cols.stmt_row(i).map(|sc| (sc.stmt, UnitCost { total: sc.total, tc: sc.tc, tm: sc.tm, overlap: sc.overlap }))
 }
 
 /// Summary of one design-space point — a few scalars, no projection.
@@ -443,7 +374,7 @@ pub struct Sweep {
     pub points: Vec<SweepPoint>,
     machines: Vec<MachineModel>,
     columns: ProjectionColumns,
-    fold: UnitFold,
+    index: UnitIndex,
 }
 
 impl Sweep {
@@ -492,10 +423,12 @@ impl Sweep {
         app.project_on(&self.machines[i])
     }
 
-    /// Unit ranking of one point (time desc, id asc) without projecting
-    /// it.
+    /// Unit ranking of one point without projecting it: the same fold
+    /// and order as [`MachineProjection::ranking`] of the projected point.
     pub fn unit_ranking(&self, i: usize) -> Vec<StmtId> {
-        self.fold.ranking(self.columns.stmt_row(i))
+        let mut sums = Vec::new();
+        self.index.fold(unit_row(&self.columns, i), &mut sums);
+        rank_units(self.index.reached(&sums).map(|(unit, c)| (unit, c.total)))
     }
 
     /// Per-point deltas against the baseline (point 0): speedup, hot-spot

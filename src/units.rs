@@ -6,6 +6,13 @@
 //! functions get stable pseudo statement ids above [`LIB_UNIT_BASE`] so the
 //! whole hotspot toolchain (selection, quality, curves) can stay keyed by
 //! `StmtId`.
+//!
+//! [`UnitIndex::fold`] is the one place statement costs are added into
+//! units. `hotspots` and `compare` (through
+//! [`ModeledApp::project_on`](crate::ModeledApp::project_on)), `explain`
+//! and every `sweep` point read their unit rows from it, and rank them by
+//! the one comparator [`xflow_hotspot::unit_order`], so no two reports can
+//! disagree on a unit's time or rank.
 
 use std::collections::HashMap;
 use xflow_skeleton::{Program, StmtId, StmtKind};
@@ -26,6 +33,82 @@ pub struct Units {
     pub instr: HashMap<StmtId, f64>,
     /// Total static instructions of the application.
     pub total_instr: f64,
+    /// Dense index of the units that can carry projected time.
+    index: UnitIndex,
+}
+
+/// Projected cost of one unit: the sums of its statements' costs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UnitCost {
+    /// Total projected seconds.
+    pub total: f64,
+    /// ENR-weighted computation seconds.
+    pub tc: f64,
+    /// ENR-weighted memory seconds.
+    pub tm: f64,
+    /// ENR-weighted overlapped seconds.
+    pub overlap: f64,
+}
+
+impl UnitCost {
+    /// Which roofline side dominates: `"memory"` when `Tm > Tc`, else
+    /// `"compute"` (Figures 6–7).
+    pub fn bound(&self) -> &'static str {
+        if self.tm > self.tc {
+            "memory"
+        } else {
+            "compute"
+        }
+    }
+}
+
+/// Dense index of the units that can carry projected time: one position
+/// per `comp` statement and per library function, in ascending unit id.
+/// Built once per application, so folding a projection or a sweep row
+/// indexes arrays and never hashes.
+#[derive(Debug, Clone, Default)]
+pub struct UnitIndex {
+    /// Unit id per position, ascending.
+    ids: Vec<StmtId>,
+    /// Skeleton statement id → position of its unit ([`u32::MAX`] for
+    /// statements that carry no cost).
+    pos: Vec<u32>,
+}
+
+impl UnitIndex {
+    /// The one fold from statement costs to units. `costs` must ascend by
+    /// statement id, as [`xflow_hotspot::StmtCosts::iter`] and
+    /// [`xflow_hotspot::ProjectionColumns::stmt_row`] do: each unit adds
+    /// its statements in that order, so every caller gets the same bits.
+    /// `sums` is overwritten with one entry per unit position, `None` for
+    /// units no statement reached; [`UnitIndex::reached`] reads it back.
+    /// A sweep reuses one buffer for all its points.
+    ///
+    /// # Panics
+    ///
+    /// If a statement is not a `comp` or `lib` statement of the skeleton
+    /// the index was built from (no projection of its BET produces one).
+    pub fn fold(&self, costs: impl IntoIterator<Item = (StmtId, UnitCost)>, sums: &mut Vec<Option<UnitCost>>) {
+        sums.clear();
+        sums.resize(self.ids.len(), None);
+        for (stmt, c) in costs {
+            let pos = self.pos.get(stmt.0 as usize).copied().unwrap_or(u32::MAX);
+            let sum = sums
+                .get_mut(pos as usize)
+                .unwrap_or_else(|| panic!("statement {} carries no cost unit", stmt.0))
+                .get_or_insert_with(UnitCost::default);
+            sum.total += c.total;
+            sum.tc += c.tc;
+            sum.tm += c.tm;
+            sum.overlap += c.overlap;
+        }
+    }
+
+    /// The units a [`UnitIndex::fold`] reached, ascending by unit id, with
+    /// their sums.
+    pub fn reached<'a>(&'a self, sums: &'a [Option<UnitCost>]) -> impl Iterator<Item = (StmtId, UnitCost)> + 'a {
+        self.ids.iter().zip(sums).filter_map(|(&unit, sum)| Some((unit, (*sum)?)))
+    }
 }
 
 impl Units {
@@ -95,7 +178,32 @@ impl Units {
         for f in &prog.functions {
             walk(&mut u, &names, &counts, &f.body, None);
         }
+
+        let mut comps: Vec<StmtId> = Vec::new();
+        prog.visit_stmts(|_, s| {
+            if matches!(s.kind, StmtKind::Comp(_)) {
+                comps.push(s.id);
+            }
+        });
+        let mut ids: Vec<StmtId> = comps.iter().chain(u.lib_units.values()).copied().collect();
+        ids.sort_unstable();
+        let bound = comps.iter().chain(u.lib_stmt_to_unit.keys()).map(|s| s.0 as usize + 1).max().unwrap_or(0);
+        let mut pos = vec![u32::MAX; bound];
+        for (i, &unit) in ids.iter().enumerate() {
+            if !u.is_lib(unit) {
+                pos[unit.0 as usize] = i as u32;
+            }
+        }
+        for (&stmt, unit) in &u.lib_stmt_to_unit {
+            pos[stmt.0 as usize] = ids.binary_search(unit).expect("library unit is indexed") as u32;
+        }
+        u.index = UnitIndex { ids, pos };
         u
+    }
+
+    /// The dense cost-unit index ([`UnitIndex::fold`]).
+    pub fn index(&self) -> &UnitIndex {
+        &self.index
     }
 
     /// Resolve a skeleton statement to its unit (lib statements fold into

@@ -145,15 +145,13 @@ fn cfd_divide_underprojection_and_ablation() {
     let vel_stmt = app.translation.skeleton.stmt_by_label("velocity");
     // the labeled loop's body comp carries the cost; find the unit by name
     let vel_unit =
-        *base.unit_times.keys().find(|&&u| app.units.name(u).starts_with("velocity")).expect("velocity unit");
+        *base.unit_breakdown.keys().find(|&&u| app.units.name(u).starts_with("velocity")).expect("velocity unit");
     let _ = vel_stmt;
 
-    let share = |times: &std::collections::HashMap<xflow_skeleton::StmtId, f64>, total: f64| {
-        times.get(&vel_unit).copied().unwrap_or(0.0) / total
-    };
-    let measured_share = share(&measured.oracle.times, measured.total());
-    let base_share = share(&base.unit_times, base.total);
-    let div_share = share(&divaware.unit_times, divaware.total);
+    let measured_share = measured.oracle.times.get(&vel_unit).copied().unwrap_or(0.0) / measured.total();
+    let share = |mp: &xflow::MachineProjection| mp.unit_breakdown.get(&vel_unit).map_or(0.0, |c| c.total) / mp.total;
+    let base_share = share(&base);
+    let div_share = share(&divaware);
 
     assert!(
         base_share < 0.6 * measured_share,
@@ -175,8 +173,9 @@ fn stassuij_vectorization_overprojection() {
     let mp = app.project_on(&m);
     let measured = app.measure_on(Some(&w), &m).unwrap();
 
-    let unit = *mp.unit_times.keys().find(|&&u| app.units.name(u).starts_with("scale_row")).expect("scale_row unit");
-    let projected = mp.unit_times[&unit];
+    let unit =
+        *mp.unit_breakdown.keys().find(|&&u| app.units.name(u).starts_with("scale_row")).expect("scale_row unit");
+    let projected = mp.unit_breakdown[&unit].total;
     let measured_t = measured.oracle.times.get(&unit).copied().unwrap_or(0.0);
     assert!(
         projected > 1.2 * measured_t,

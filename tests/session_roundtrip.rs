@@ -4,8 +4,8 @@
 //! build, for all five workloads × four machines. This is the correctness
 //! bar that makes `--cache-dir` warm-starts trustworthy.
 
-use xflow::{bgq, default_library, fold_projection, generic, knl, xeon, ModeledApp, Roofline, Scale, Session};
-use xflow_hotspot::ProjectionPlan;
+use xflow::{bgq, default_library, generic, knl, xeon, ModeledApp, Roofline, Scale, Session};
+use xflow_hotspot::{Projection, ProjectionPlan};
 use xflow_workloads::Workload;
 
 fn machines() -> [xflow::MachineModel; 4] {
@@ -22,12 +22,18 @@ fn cold_build(w: &Workload) -> ModeledApp {
     app
 }
 
-fn assert_projection_bits(label: &str, cold: &xflow::MachineProjection, rebuilt: &xflow::MachineProjection) {
+fn assert_unit_view_bits(label: &str, cold: &xflow::MachineProjection, rebuilt: &xflow::MachineProjection) {
     assert_eq!(cold.total.to_bits(), rebuilt.total.to_bits(), "{label}: total differs");
     assert_eq!(cold.ranking(), rebuilt.ranking(), "{label}: ranking differs");
+    assert_projection_bits(label, &cold.projection, &rebuilt.projection);
+}
+
+fn assert_projection_bits(label: &str, cold: &Projection, rebuilt: &Projection) {
+    assert_eq!(cold.total_time.to_bits(), rebuilt.total_time.to_bits(), "{label}: total differs");
+    assert_eq!(cold.per_stmt.len(), rebuilt.per_stmt.len(), "{label}: statement sets differ");
     let mut compared = 0;
-    for (stmt, cost) in cold.projection.per_stmt.iter() {
-        let other = rebuilt.projection.per_stmt.get(&stmt).unwrap_or_else(|| panic!("{label}: missing {stmt:?}"));
+    for (stmt, cost) in cold.per_stmt.iter() {
+        let other = rebuilt.per_stmt.get(&stmt).unwrap_or_else(|| panic!("{label}: missing {stmt:?}"));
         for (a, b) in
             [(cost.total, other.total), (cost.tc, other.tc), (cost.tm, other.tm), (cost.overlap, other.overlap)]
         {
@@ -53,10 +59,10 @@ fn round_tripped_plan_and_bet_project_bit_identically_everywhere() {
         let plan_from_bet = ProjectionPlan::new(&bet_back, default_library());
 
         for m in machines() {
-            let reference = cold.project_on(&m);
-            let via_plan = fold_projection(&cold.units, &m, plan_back.evaluate(&m, &Roofline));
+            let reference = cold.project_on(&m).projection;
+            let via_plan = plan_back.evaluate(&m, &Roofline);
             assert_projection_bits(&format!("{}/{} plan", w.name, m.name), &reference, &via_plan);
-            let via_bet = fold_projection(&cold.units, &m, plan_from_bet.evaluate(&m, &Roofline));
+            let via_bet = plan_from_bet.evaluate(&m, &Roofline);
             assert_projection_bits(&format!("{}/{} bet", w.name, m.name), &reference, &via_bet);
         }
     }
@@ -71,7 +77,7 @@ fn session_model_matches_cold_build_bit_for_bit() {
         session.model_workload(&w, Scale::Test).expect(w.name);
         let warm = session.model_workload(&w, Scale::Test).expect(w.name);
         for m in machines() {
-            assert_projection_bits(
+            assert_unit_view_bits(
                 &format!("{}/{} session", w.name, m.name),
                 &cold.project_on(&m),
                 &warm.project_on(&m),
@@ -95,7 +101,7 @@ fn disk_round_trip_matches_cold_build_bit_for_bit() {
         let cold = cold_build(&w);
         let disk = warm.model_workload(&w, Scale::Test).expect(w.name);
         for m in machines() {
-            assert_projection_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
+            assert_unit_view_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
         }
     }
     assert_eq!(warm.stats().disk_hits(), 25, "five workloads × five stages from disk");

@@ -52,15 +52,6 @@ fn two_phase_is_bit_identical_to_single_pass_on_all_workloads() {
                 assert_eq!(fc.metrics.flops.to_bits(), sc.metrics.flops.to_bits(), "{stmt:?} flops: {ctx}");
                 assert_eq!(fc.metrics.loads.to_bits(), sc.metrics.loads.to_bits(), "{stmt:?} loads: {ctx}");
             }
-
-            // derived views agree exactly too
-            let fr = fast.ranked_stmts();
-            let sr = slow.ranked_stmts();
-            assert_eq!(fr.len(), sr.len(), "ranking length: {ctx}");
-            for ((fs, fc), (ss, sc)) in fr.iter().zip(&sr) {
-                assert_eq!(fs, ss, "ranking order: {ctx}");
-                assert_eq!(fc.total.to_bits(), sc.total.to_bits(), "ranking cost: {ctx}");
-            }
             assert_eq!(fast.unknown_libs, slow.unknown_libs, "unknown libs: {ctx}");
         }
     }
