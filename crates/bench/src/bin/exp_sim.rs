@@ -109,8 +109,8 @@ fn main() {
     println!("  corpus throughput:         {oracle_points_per_sec:>12.2} records/s");
 
     // validate --all: the same pool over workload × machine differential
-    // validation, vs the sequential loop CI used to run combo-by-combo.
-    let libs = xflow_sim::default_library();
+    // validation on one fresh session per run (as the CLI does), vs the
+    // sequential loop CI used to run combo-by-combo.
     let vcfg = xflow_validate::ValidationConfig::default();
     let mut combos = Vec::new();
     for w in xflow_workloads::all() {
@@ -119,11 +119,14 @@ fn main() {
         }
     }
     let validate_with_jobs = |jobs: usize| {
+        let session = Session::new();
         let reports = run_chunked(
             &combos,
             jobs,
             || (),
-            |_, _, (w, m)| xflow_validate::validate_workload(w, xflow::Scale::Test, m, libs, &vcfg).expect("validate"),
+            |_, _, (w, m)| {
+                session.validate(w.source, &w.inputs(xflow::Scale::Test), Some(w), m, &vcfg).expect("validate")
+            },
         );
         assert!(reports.iter().all(|r| r.passed), "every validation combo must pass");
         reports.len()

@@ -23,31 +23,33 @@ pub struct Opts {
     pub json_dir: Option<String>,
 }
 
-/// Parse `--scale` / `--json` from `std::env::args`.
+/// Parse `--scale` / `--json` from `std::env::args`. An unknown flag, a
+/// `--scale` other than `test` or `eval`, or a flag without its value
+/// exits with code 2 (as `bench_gate` does) rather than running the slow
+/// preset or writing nothing.
 pub fn opts() -> Opts {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::Eval;
-    let mut json_dir = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                if let Some(v) = args.get(i + 1) {
-                    scale = if v == "test" { Scale::Test } else { Scale::Eval };
-                    i += 1;
-                }
-            }
-            "--json" => {
-                if let Some(v) = args.get(i + 1) {
-                    json_dir = Some(v.clone());
-                    i += 1;
-                }
-            }
-            _ => {}
+    parse_opts(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e} (options: --scale test|eval, --json DIR)");
+        std::process::exit(2);
+    })
+}
+
+fn parse_opts(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    let mut opts = Opts { scale: Scale::Eval, json_dir: None };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let value = match flag.as_str() {
+            "--scale" | "--json" => args.next().ok_or_else(|| format!("{flag} needs a value"))?,
+            _ => return Err(format!("unknown option `{flag}`")),
+        };
+        match (flag.as_str(), value.as_str()) {
+            ("--json", _) => opts.json_dir = Some(value),
+            (_, "test") => opts.scale = Scale::Test,
+            (_, "eval") => opts.scale = Scale::Eval,
+            (_, other) => return Err(format!("unknown --scale `{other}`")),
         }
-        i += 1;
     }
-    Opts { scale, json_dir }
+    Ok(opts)
 }
 
 /// Minimum seconds per call of each arm over `samples` rounds of `passes`
@@ -183,6 +185,27 @@ pub fn names_of(run: &EvalRun, ranking: &[StmtId], k: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_opts(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn opts_parse_scale_and_json() {
+        let o = parse(&[]).unwrap();
+        assert!(matches!(o.scale, Scale::Eval) && o.json_dir.is_none());
+        let o = parse(&["--scale", "test", "--json", "out"]).unwrap();
+        assert!(matches!(o.scale, Scale::Test));
+        assert_eq!(o.json_dir.as_deref(), Some("out"));
+        assert!(matches!(parse(&["--scale", "eval"]).unwrap().scale, Scale::Eval));
+    }
+
+    #[test]
+    fn opts_reject_typos_and_unknown_flags() {
+        assert_eq!(parse(&["--scale", "tset"]).err().unwrap(), "unknown --scale `tset`");
+        assert_eq!(parse(&["--jsn", "out"]).err().unwrap(), "unknown option `--jsn`");
+        assert_eq!(parse(&["--json"]).err().unwrap(), "--json needs a value");
+    }
 
     #[test]
     fn eval_run_smoke() {

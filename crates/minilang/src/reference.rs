@@ -56,30 +56,53 @@ struct Interp<'p, T: Tracer> {
     cur_stmt: MStmtId,
 }
 
+/// Native stack reserved per minilang call frame. The interpreter recurses
+/// natively — `call` → `exec_block` → `exec_stmt` → `eval` once per block
+/// enclosing the call site — and an unoptimized build spends up to ~80 KiB
+/// on one minilang call made from four nested blocks, so this covers call
+/// sites nested about a dozen blocks deep.
+const STACK_PER_FRAME: usize = 256 << 10;
+/// Native stack for `main` itself and deeply nested expressions.
+const STACK_BASE: usize = 2 << 20;
+
 /// Run a program on the tree-walker with a tracer, execution limits and an
 /// explicit `rnd()` seed; returns the profile, the tracer, and main's
 /// return value.
-pub fn run<T: Tracer>(
+///
+/// The run gets a thread of its own whose stack is sized for
+/// `limits.max_depth` frames, so reaching the recursion limit returns
+/// [`RuntimeError::RecursionLimitExceeded`] whatever the calling thread's
+/// stack (2 MiB on test and pool threads) instead of overflowing it.
+pub fn run<T: Tracer + Send>(
     prog: &Program,
     inputs: &InputSpec,
     tracer: T,
     limits: Limits,
     seed: u64,
 ) -> Result<(Profile, T, f64), RuntimeError> {
-    let mut interp = Interp {
-        prog,
-        inputs,
-        tracer,
-        profile: Profile::default(),
-        rng: Lcg(seed),
-        heap: Heap::default(),
-        steps: 0,
-        depth: 0,
-        limits,
-        cur_stmt: MStmtId(0),
-    };
-    let ret = interp.call("main", Vec::new())?;
-    Ok((interp.profile, interp.tracer, ret))
+    // the stack is reserved, not committed; depth limits past 4096 frames
+    // (1 GiB) get the 4096-frame stack
+    let stack = STACK_BASE + STACK_PER_FRAME * limits.max_depth.min(4096) as usize;
+    std::thread::scope(|s| {
+        let run = move || {
+            let mut interp = Interp {
+                prog,
+                inputs,
+                tracer,
+                profile: Profile::default(),
+                rng: Lcg(seed),
+                heap: Heap::default(),
+                steps: 0,
+                depth: 0,
+                limits,
+                cur_stmt: MStmtId(0),
+            };
+            let ret = interp.call("main", Vec::new())?;
+            Ok((interp.profile, interp.tracer, ret))
+        };
+        let thread = std::thread::Builder::new().stack_size(stack).spawn_scoped(s, run);
+        thread.expect("spawn the interpreter thread").join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
 }
 
 impl<'p, T: Tracer> Interp<'p, T> {

@@ -12,7 +12,8 @@
 //! 4. projection on every configured machine →
 //!    [`crate::invariants::check_projection`];
 //! 5. for differential-safe programs (no `while`/`break`/`continue`/
-//!    early-`return`), the full [`crate::validate_program`] with exact
+//!    early-`return`), the full [`crate::check`] of the model built in
+//!    steps 3–4 against the simulation on the first machine, with exact
 //!    analytic-vs-executed ENR matching (times unchecked: generated
 //!    programs validate counts and invariants, not model accuracy).
 //!
@@ -33,7 +34,7 @@ use xflow_sim::{default_library, SimConfig};
 
 use crate::gen::{generate, render, GenConfig, GenProgram, Rng};
 use crate::invariants;
-use crate::report::{profiles_agree, validate_program, ValidationConfig};
+use crate::report::{check, profiles_agree, ValidationConfig};
 
 /// Fuzz campaign configuration.
 #[derive(Debug, Clone)]
@@ -223,9 +224,9 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
     // 4. projection invariants on every machine
     let libs = default_library();
     let plan = xflow_hotspot::ProjectionPlan::new(&bet, libs);
-    for m in machines {
-        let projection = plan.evaluate(m, &xflow_hw::Roofline);
-        let violations = invariants::check_projection(&projection);
+    let projections: Vec<_> = machines.iter().map(|m| plan.evaluate(m, &xflow_hw::Roofline)).collect();
+    for (m, projection) in machines.iter().zip(&projections) {
+        let violations = invariants::check_projection(projection);
         if let Some(v) = violations.first() {
             return Outcome::Failed(format!("projection invariant on {}: {}: {}", m.name, v.invariant, v.detail));
         }
@@ -241,8 +242,7 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
     if let Some(v) = invariants::check_columns(&cols).first() {
         return Outcome::Failed(format!("columns invariant: {}: {}", v.invariant, v.detail));
     }
-    for (i, m) in machines.iter().enumerate() {
-        let scalar = plan.evaluate(m, &xflow_hw::Roofline);
+    for (i, (m, scalar)) in machines.iter().zip(&projections).enumerate() {
         if cols.total(i).to_bits() != scalar.total_time.to_bits() {
             return Outcome::Failed(format!(
                 "columns total diverges from scalar evaluate on {}: {} vs {}",
@@ -253,11 +253,14 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
         }
     }
 
-    // 5. full differential validation for the exact dialect
+    // 5. full differential validation for the exact dialect: the model
+    // built above, on the first machine, against its simulation
     if !escapes {
         let cfg = ValidationConfig { check_times: false, ..ValidationConfig::default() };
         let machine = &machines[0];
-        match validate_program(&prog, &inputs, machine, SimConfig::default(), libs, &cfg) {
+        let report = xflow_sim::simulate_with_seed(&prog, &inputs, machine, SimConfig::default(), cfg.seed)
+            .and_then(|sim| check(&prog, &inputs, &tr, &bet, &projections[0], &sim, &machine.name, &cfg));
+        match report {
             Ok(report) => {
                 if !report.passed {
                     return Outcome::Failed(format!(

@@ -12,12 +12,15 @@
 //!    every dynamic operation through a cache hierarchy and issue model
 //!    for a ground-truth time.
 //!
-//! [`validate_program`] runs both oracles with the same seed the profiled
-//! run used, so the BET's analytic ENR must match the executed visit
-//! counts *exactly* (up to f64 round-off; see [`ValidationConfig`]), and
-//! the projected per-block times are compared against the simulated times
-//! with a documented tolerance — the Kerncraft discipline (analytic
+//! [`check`] holds one model to both oracles run with the seed the
+//! profiled run used, so the BET's analytic ENR must match the executed
+//! visit counts *exactly* (up to f64 round-off; see [`ValidationConfig`]),
+//! and the projected per-block times are compared against the simulated
+//! times with a documented tolerance — the Kerncraft discipline (analytic
 //! predictions validated against measured runs) applied to this model.
+//! The check builds no model and runs no simulation: `xflow validate`
+//! hands it the model and the simulation its `Session` serves
+//! (`Session::validate`), and the fuzzer the artifacts it already built.
 //!
 //! On top of the validator, [`gen`] provides a deterministic (seeded, no
 //! wall-clock) random minilang program generator and [`fuzz`] a driver
@@ -35,7 +38,4 @@ pub use fuzz::{run_fuzz, FuzzConfig, FuzzFailure, FuzzSummary};
 pub use gen::{generate, render, GenConfig, GenProgram};
 pub use invariants::{check_bet, check_columns, check_projection, Violation};
 pub use jsonfmt::to_json;
-pub use report::{
-    join_blocks, profiles_agree, validate_program, validate_source, validate_workload, BlockRow, ValidateError,
-    ValidationConfig, ValidationReport,
-};
+pub use report::{check, join_blocks, profiles_agree, BlockRow, ValidationConfig, ValidationReport};

@@ -1,16 +1,19 @@
 //! The differential validator: analytic model vs executed oracles.
 //!
-//! For one program + machine + seed, [`validate_program`]:
+//! [`check`] takes one program's model — its translation, BET, and the
+//! projection of the BET's plan on one machine — and the ground-truth
+//! simulation of the program on that machine, all built by the caller
+//! under one seed (`xflow::Session::validate` takes them from the
+//! session's model and simulation stages), and:
 //!
 //! 1. runs the program on **both** execution engines (the tree-walking
 //!    reference interpreter and the production bytecode VM) with the
-//!    given seed and checks they observed bit-identical dynamic behavior;
-//! 2. profiles, translates, and builds the BET exactly like the modeling
-//!    pipeline, then checks every structural invariant
+//!    given seed and checks they observed bit-identical dynamic behavior
+//!    and returned the same value;
+//! 2. checks every structural invariant of the BET and the projection
 //!    ([`crate::invariants`]);
-//! 3. replays the program through `xflow-sim`'s cache + issue model with
-//!    the *same* seed for a ground-truth time whose dynamic profile must
-//!    agree with the oracle run;
+//! 3. checks that the simulator's replay observed the same dynamic
+//!    profile as the oracle run;
 //! 4. compares the BET's analytic ENR per skeleton statement, per branch
 //!    arm, and per library function against the executed visit counts —
 //!    these must match *exactly* (to [`ValidationConfig::enr_rel_tol`],
@@ -31,15 +34,12 @@
 
 use serde::Serialize;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use xflow_bet::{BetKind, BuildError};
+use xflow_bet::{Bet, BetKind};
 use xflow_hotspot::{unit_order, Projection};
-use xflow_hw::{LibraryRegistry, MachineModel, Roofline};
 use xflow_minilang as ml;
-use xflow_minilang::{InputSpec, Profile, RuntimeError, TranslateError};
-use xflow_sim::{SimConfig, SimReport};
+use xflow_minilang::{InputSpec, Profile, RuntimeError};
+use xflow_sim::SimReport;
 use xflow_skeleton as sk;
-use xflow_skeleton::ParseError;
-use xflow_workloads::{Scale, Workload};
 
 use crate::invariants::{check_bet, check_projection, Violation};
 
@@ -93,50 +93,6 @@ impl Default for ValidationConfig {
             max_size_ratio: 2.0,
             check_times: true,
         }
-    }
-}
-
-/// Why a validation run could not even be performed (distinct from a
-/// validation *failure*, which yields a report with `passed = false`).
-#[derive(Debug)]
-pub enum ValidateError {
-    Parse(ParseError),
-    Runtime(RuntimeError),
-    Translate(TranslateError),
-    Build(BuildError),
-}
-
-impl std::fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidateError::Parse(e) => write!(f, "parse error: {e}"),
-            ValidateError::Runtime(e) => write!(f, "runtime error: {e}"),
-            ValidateError::Translate(e) => write!(f, "translate error: {e}"),
-            ValidateError::Build(e) => write!(f, "BET build error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ValidateError {}
-
-impl From<ParseError> for ValidateError {
-    fn from(e: ParseError) -> Self {
-        ValidateError::Parse(e)
-    }
-}
-impl From<RuntimeError> for ValidateError {
-    fn from(e: RuntimeError) -> Self {
-        ValidateError::Runtime(e)
-    }
-}
-impl From<TranslateError> for ValidateError {
-    fn from(e: TranslateError) -> Self {
-        ValidateError::Translate(e)
-    }
-}
-impl From<BuildError> for ValidateError {
-    fn from(e: BuildError) -> Self {
-        ValidateError::Build(e)
     }
 }
 
@@ -375,43 +331,25 @@ fn yes_no(b: bool) -> &'static str {
     }
 }
 
-/// Validate a built-in workload at a scale on a machine.
-pub fn validate_workload(
-    w: &Workload,
-    scale: Scale,
-    machine: &MachineModel,
-    libs: &LibraryRegistry,
-    cfg: &ValidationConfig,
-) -> Result<ValidationReport, ValidateError> {
-    let prog = ml::parse(w.source)?;
-    let inputs = w.inputs(scale);
-    let sim_cfg = w.sim_config(&prog, machine);
-    let mut report = validate_program(&prog, &inputs, machine, sim_cfg, libs, cfg)?;
-    report.workload = w.name.to_string();
-    Ok(report)
-}
-
-/// Validate a program given as source text (no vectorization overrides).
-pub fn validate_source(
-    src: &str,
-    inputs: &InputSpec,
-    machine: &MachineModel,
-    libs: &LibraryRegistry,
-    cfg: &ValidationConfig,
-) -> Result<ValidationReport, ValidateError> {
-    let prog = ml::parse(src)?;
-    validate_program(&prog, inputs, machine, SimConfig::default(), libs, cfg)
-}
-
-/// Run the full differential validation of one program.
-pub fn validate_program(
+/// Check one program's model against its executed oracles.
+///
+/// The model side (`tr`, `bet`, and `projection`, the plan of `bet`
+/// evaluated on the machine named `machine`) and the ground truth (`sim`,
+/// the simulation of `prog` on that machine under `cfg.seed`) are built
+/// by the caller; this function runs both execution engines under the
+/// same seed and compares. The report's `workload` is `<source>` until
+/// the caller names it.
+#[allow(clippy::too_many_arguments)]
+pub fn check(
     prog: &ml::Program,
     inputs: &InputSpec,
-    machine: &MachineModel,
-    sim_cfg: SimConfig,
-    libs: &LibraryRegistry,
+    tr: &ml::Translation,
+    bet: &Bet,
+    projection: &Projection,
+    sim: &SimReport,
+    machine: &str,
     cfg: &ValidationConfig,
-) -> Result<ValidationReport, ValidateError> {
+) -> Result<ValidationReport, RuntimeError> {
     let limits = ml::Limits::default();
 
     // 1. oracle runs on both engines, same seed: the reference
@@ -420,18 +358,12 @@ pub fn validate_program(
     let (vm_prof, _, vm_ret) = ml::compile(prog)?.run(inputs, ml::NullTracer, limits, cfg.seed)?;
     let engines_agree = profiles_agree(&prof, &vm_prof) && ret.to_bits() == vm_ret.to_bits();
 
-    // 2. model pipeline: translate → BET → plan → projection.
-    let tr = ml::translate(prog, &prof)?;
-    let env = ml::initial_env(&tr, inputs);
-    let bet = xflow_bet::build(&tr.skeleton, &env)?;
+    // 2. structural invariants of the model.
     let skeleton_stmts = tr.skeleton.source_statement_count();
-    let mut violations = check_bet(&bet, skeleton_stmts, cfg.max_size_ratio);
-    let plan = xflow_hotspot::ProjectionPlan::new(&bet, libs);
-    let projection = plan.evaluate(machine, &Roofline);
-    violations.extend(check_projection(&projection));
+    let mut violations = check_bet(bet, skeleton_stmts, cfg.max_size_ratio);
+    violations.extend(check_projection(projection));
 
-    // 3. ground-truth replay through the simulator, same seed.
-    let sim = xflow_sim::simulate_with_seed(prog, inputs, machine, sim_cfg, cfg.seed)?;
+    // 3. the simulator's replay observed the oracle run's behavior.
     let sim_profile_agrees = profiles_agree(&prof, &sim.profile);
 
     let names = tr.skeleton.stmt_names();
@@ -581,7 +513,7 @@ pub fn validate_program(
     let mut sim_total_attr = 0.0f64;
     if cfg.check_times {
         sim_total_attr = sim.total_seconds();
-        for row in join_blocks(&tr, &projection, &sim) {
+        for row in join_blocks(tr, projection, sim) {
             let (a, s) = (row.analytic_seconds, row.simulated_seconds);
             let rel_err = if s > 0.0 {
                 (a - s).abs() / s
@@ -676,7 +608,7 @@ pub fn validate_program(
 
     Ok(ValidationReport {
         workload: "<source>".to_string(),
-        machine: machine.name.clone(),
+        machine: machine.to_string(),
         seed: cfg.seed,
         engines_agree,
         sim_profile_agrees,

@@ -355,14 +355,17 @@ pub fn run(args: &[String]) -> Result<String, String> {
     if inv.command == "serve" {
         return run_serve(&inv);
     }
-    if inv.command == "validate" {
-        return if inv.all { run_validate_all(&inv, &registry) } else { run_validate(&inv) };
+    if inv.command == "validate" && inv.all {
+        return run_validate_all(&inv, &registry);
     }
     if inv.command == "oracle" {
         return run_oracle(&inv, &registry);
     }
     let file = inv.file.clone().ok_or_else(|| format!("`{}` needs a FILE argument\n\n{USAGE}", inv.command))?;
-    let src = resolve_source(&mut inv, &file)?;
+    let (src, workload) = resolve_source(&mut inv, &file)?;
+    if inv.command == "validate" {
+        return run_validate(&inv, &src, workload.as_ref());
+    }
     let mut session = None;
     let out = run_on_source(&inv, &src, &mut session)?;
     if let Some(path) = &inv.trace_out {
@@ -383,10 +386,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// Resolve the FILE argument: a readable path wins; otherwise the name of
 /// a built-in workload (whose scale-preset inputs seed the binding, with
-/// `--input` overrides applied on top).
-fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
+/// `--input` overrides applied on top), returned beside its source.
+fn resolve_source(inv: &mut Invocation, file: &str) -> Result<(String, Option<crate::Workload>), String> {
     match std::fs::read_to_string(file) {
-        Ok(src) => Ok(src),
+        Ok(src) => Ok((src, None)),
         Err(e) => {
             let want = file.to_lowercase();
             match xflow_workloads::all().into_iter().find(|w| w.name.to_lowercase() == want) {
@@ -396,7 +399,7 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
                         inputs.set(k, v);
                     }
                     inv.inputs = inputs;
-                    Ok(w.source.to_string())
+                    Ok((w.source.to_string(), Some(w)))
                 }
                 None => Err(format!("cannot read {file}: {e}")),
             }
@@ -404,40 +407,24 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
     }
 }
 
-/// The `validate` subcommand: run the program on the interpreter/VM and
-/// the cycle simulator, then check the analytic BET and projection
-/// against those oracles. Returns `Err` (→ exit code 1) when any check
-/// fails so CI can gate on it; the payload is still the full report.
-fn run_validate(inv: &Invocation) -> Result<String, String> {
-    let file = inv.file.as_deref().ok_or_else(|| format!("`validate` needs a FILE argument\n\n{USAGE}"))?;
-    let libs = crate::default_library();
+/// `validate`'s checks: the default tolerances, under `--seed` if given.
+fn validation_config(inv: &Invocation) -> xflow_validate::ValidationConfig {
     let mut cfg = xflow_validate::ValidationConfig::default();
     if let Some(s) = inv.seed {
         cfg.seed = s;
     }
-    let report = match std::fs::read_to_string(file) {
-        Ok(src) => {
-            xflow_validate::validate_source(&src, &inv.inputs, &inv.machine, libs, &cfg).map_err(|e| e.to_string())?
-        }
-        Err(e) => {
-            let want = file.to_lowercase();
-            match xflow_workloads::all().into_iter().find(|w| w.name.to_lowercase() == want) {
-                Some(w) => {
-                    let prog = w.program();
-                    let mut inputs = w.inputs(inv.scale);
-                    for (k, v) in inv.inputs.iter() {
-                        inputs.set(k, v);
-                    }
-                    let sim_cfg = w.sim_config(&prog, &inv.machine);
-                    let mut r = xflow_validate::validate_program(&prog, &inputs, &inv.machine, sim_cfg, libs, &cfg)
-                        .map_err(|e| e.to_string())?;
-                    r.workload = w.name.to_string();
-                    r
-                }
-                None => return Err(format!("cannot read {file}: {e}")),
-            }
-        }
-    };
+    cfg
+}
+
+/// The `validate` subcommand: check the model a memory-only session
+/// serves for the resolved FILE against the interpreter/VM and the cycle
+/// simulator ([`Session::validate`]). Returns `Err` (→ exit code 1) when
+/// any check fails so CI can gate on it; the payload is still the full
+/// report.
+fn run_validate(inv: &Invocation, src: &str, workload: Option<&crate::Workload>) -> Result<String, String> {
+    let report = Session::new()
+        .validate(src, &inv.inputs, workload, &inv.machine, &validation_config(inv))
+        .map_err(|e| e.to_string())?;
     let out = if inv.json {
         let mut j = xflow_validate::to_json(&report);
         j.push('\n');
@@ -453,33 +440,36 @@ fn run_validate(inv: &Invocation) -> Result<String, String> {
 }
 
 /// `validate --all`: every built-in workload × target machine, fanned over
-/// the shared work-stealing pool. One failed combo fails the whole run
+/// the shared work-stealing pool on one session, so each workload is
+/// modeled once for all machines. One failed combo fails the whole run
 /// (→ exit code 1) with every report still rendered.
 fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
-    let libs = crate::default_library();
-    let mut cfg = xflow_validate::ValidationConfig::default();
-    if let Some(s) = inv.seed {
-        cfg.seed = s;
-    }
+    let cfg = validation_config(inv);
     let machines = resolve_machines(inv, registry)?;
     let workloads = xflow_workloads::all();
+    // workers claim combos machine-major, so two workers start on two
+    // workloads instead of one waiting for the other's model build; the
+    // reports still print workload-major
     let mut combos: Vec<(&crate::Workload, &MachineModel)> = Vec::new();
-    for w in &workloads {
-        for m in &machines {
+    for m in &machines {
+        for w in &workloads {
             combos.push((w, m));
         }
     }
+    let session = Session::new();
     let results = crate::run_chunked(
         &combos,
         inv.jobs,
         || (),
-        |_, _, &(w, m)| xflow_validate::validate_workload(w, inv.scale, m, libs, &cfg).map_err(|e| e.to_string()),
+        |_, _, &(w, m)| session.validate(w.source, &w.inputs(inv.scale), Some(w), m, &cfg).map_err(|e| e.to_string()),
     );
+    let mut reports: Vec<_> = combos.iter().zip(results).collect();
+    reports.sort_by_key(|((w, _), _)| workloads.iter().position(|x| x.name == w.name));
     let mut out = String::new();
     let mut passed = 0usize;
     let mut failed = Vec::new();
     let mut json_reports = Vec::new();
-    for ((w, m), r) in combos.iter().zip(results) {
+    for ((w, m), r) in reports {
         let report = r.map_err(|e| format!("validate {} on {}: {e}", w.name, m.name))?;
         if report.passed {
             passed += 1;
@@ -1243,7 +1233,7 @@ fn main() {
                 let argv = args(&[&["profile", w][..], extra].concat());
                 let printed = run(&argv).unwrap();
                 let mut inv = parse_args(&argv, &machine_registry(&argv).unwrap()).unwrap();
-                let prog = ml::parse(&resolve_source(&mut inv, w).unwrap()).unwrap();
+                let prog = ml::parse(&resolve_source(&mut inv, w).unwrap().0).unwrap();
                 let unfused = ml::reference::compile_unfused(&prog).unwrap();
                 let (_, _, _, iprof) =
                     unfused.run_profiled(&inv.inputs, ml::NullTracer, ml::Limits::default(), ml::DEFAULT_SEED).unwrap();

@@ -34,9 +34,8 @@
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use xflow_hw::{MachineModel, Roofline};
+use xflow_hw::MachineModel;
 use xflow_minilang::{self as ml, InputSpec};
-use xflow_sim::SimConfig;
 use xflow_workloads::{Scale, Workload};
 
 use crate::pipeline::PipelineError;
@@ -256,9 +255,10 @@ pub fn build_corpus(
     })
 }
 
-/// One combo: take the seeded model from the session (built once per
-/// program × scale, shared by every machine) and the cached simulation,
-/// and emit one record per [`xflow_validate::join_blocks`] row.
+/// One combo: take the seeded model (built once per program × scale,
+/// shared by every machine) and the cached simulation from
+/// [`Session::model_and_sim`], and emit one record per
+/// [`xflow_validate::join_blocks`] row.
 fn combo_records(
     session: &Session,
     p: &OracleProgram,
@@ -267,13 +267,7 @@ fn combo_records(
     inputs: &InputSpec,
     seed: u64,
 ) -> Result<Vec<CorpusRecord>, PipelineError> {
-    let app = session.model_seeded(&p.source, inputs, seed)?;
-    let projection = app.plan().evaluate(machine, &Roofline);
-    let sim_cfg = match &p.workload {
-        Some(w) => w.sim_config(&app.program, machine),
-        None => SimConfig::default(),
-    };
-    let sim = session.sim_report(&p.source, inputs, machine, &sim_cfg, seed)?;
+    let (app, projection, sim) = session.model_and_sim(&p.source, inputs, p.workload.as_ref(), machine, seed)?;
     let rows = xflow_validate::join_blocks(&app.translation, &projection, &sim);
     Ok(rows
         .into_iter()

@@ -5,8 +5,8 @@
 //! stages — parse, the profiled run (on the fused bytecode VM),
 //! translation, BET construction, projection-plan compilation — and turns
 //! each stage output into a cache-keyed artifact, so a co-design service,
-//! a sweep or the oracle corpus never replays a stage whose inputs are
-//! byte-identical to an earlier query:
+//! a sweep, `validate` or the oracle corpus never replays a stage whose
+//! inputs are byte-identical to an earlier query:
 //!
 //! ```text
 //! source ──▶ Program ──▶ Profile ──▶ Translation ──▶ Bet ──▶ ProjectionPlan
@@ -60,11 +60,12 @@
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use xflow_hotspot::ProjectionPlan;
-use xflow_hw::MachineModel;
+use xflow_hotspot::{Projection, ProjectionPlan};
+use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec};
 use xflow_obs::{MetricsRegistry, NoopRecorder, Recorder};
 use xflow_sim::{default_library, SimConfig, SimReport};
+use xflow_validate::{ValidationConfig, ValidationReport};
 use xflow_workloads::{Scale, Workload};
 
 use crate::pipeline::{ModeledApp, PipelineError};
@@ -404,6 +405,57 @@ impl Session {
             let program = self.program(src, derive_parse_key(self.salt, src))?;
             xflow_sim::simulate_with_seed(&program, inputs, machine, cfg.clone(), seed).map_err(PipelineError::from)
         })
+    }
+
+    /// A model and its ground truth on one machine under one seed: the
+    /// seeded model ([`Session::model_seeded`]), its plan evaluated with the
+    /// extended roofline, and the simulation ([`Session::sim_report`]) with
+    /// the workload's compiler-vectorization overrides, if it is one. The
+    /// oracle corpus and [`Session::validate`] both read these three, so a
+    /// program is modeled once for every machine it is checked on.
+    pub fn model_and_sim(
+        &self,
+        src: &str,
+        inputs: &InputSpec,
+        workload: Option<&Workload>,
+        machine: &MachineModel,
+        seed: u64,
+    ) -> Result<(ModeledApp, Projection, Arc<SimReport>), PipelineError> {
+        let app = self.model_seeded(src, inputs, seed)?;
+        let projection = app.plan().evaluate(machine, &Roofline);
+        let sim_cfg = workload.map(|w| w.sim_config(&app.program, machine)).unwrap_or_default();
+        let sim = self.sim_report(src, inputs, machine, &sim_cfg, seed)?;
+        Ok((app, projection, sim))
+    }
+
+    /// Differential validation of the model this session serves: the
+    /// [`Session::model_and_sim`] artifacts under `cfg.seed`, checked by
+    /// [`xflow_validate::check`] against both execution engines. A
+    /// workload's report carries its name; bare source reports as
+    /// `<source>`.
+    pub fn validate(
+        &self,
+        src: &str,
+        inputs: &InputSpec,
+        workload: Option<&Workload>,
+        machine: &MachineModel,
+        cfg: &ValidationConfig,
+    ) -> Result<ValidationReport, PipelineError> {
+        let (app, projection, sim) = self.model_and_sim(src, inputs, workload, machine, cfg.seed)?;
+        let mut report = xflow_validate::check(
+            &app.program,
+            inputs,
+            &app.translation,
+            &app.bet,
+            &projection,
+            &sim,
+            &machine.name,
+            cfg,
+        )?;
+        if let Some(w) = workload {
+            report.workload = w.name.to_string();
+        }
+        Ok(report)
     }
 
     /// Delete this session's persisted artifacts, returning how many files

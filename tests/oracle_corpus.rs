@@ -128,14 +128,15 @@ fn corpus_rows_equal_validate_time_checks_bit_for_bit() {
         &OracleOptions::default(),
     )
     .unwrap();
-    let report = xflow::xflow_validate::validate_workload(
-        &w,
-        Scale::Test,
-        &bgq(),
-        default_library(),
-        &xflow::xflow_validate::ValidationConfig::default(),
-    )
-    .unwrap();
+    let report = Session::new()
+        .validate(
+            w.source,
+            &w.inputs(Scale::Test),
+            Some(&w),
+            &bgq(),
+            &xflow::xflow_validate::ValidationConfig::default(),
+        )
+        .unwrap();
     let corpus_rows: Vec<(u32, u64, u64, u64)> = corpus
         .records
         .iter()

@@ -15,12 +15,18 @@
 //! - violate no structural invariant (probability/ENR ranges, sibling
 //!   arm mass, escape conservation, BET size ratio).
 
-use xflow::xflow_validate::{validate_workload, ValidationConfig};
-use xflow::{bgq, default_library, xeon, Scale};
+use xflow::xflow_validate::{ValidationConfig, ValidationReport};
+use xflow::{bgq, xeon, MachineModel, Scale, Session, Workload};
+
+/// `xflow validate <workload>` on a fresh session at test scale.
+fn validate(w: &Workload, m: &MachineModel, cfg: &ValidationConfig) -> ValidationReport {
+    Session::new()
+        .validate(w.source, &w.inputs(Scale::Test), Some(w), m, cfg)
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, m.name))
+}
 
 #[test]
 fn all_workloads_validate_on_bgq_and_xeon() {
-    let libs = default_library();
     let cfg = ValidationConfig::default();
     // the asserted tolerances are the documented contract; keep the
     // test honest if someone loosens the defaults
@@ -30,8 +36,7 @@ fn all_workloads_validate_on_bgq_and_xeon() {
     let mut validated = 0;
     for w in xflow::xflow_workloads::all() {
         for m in [bgq(), xeon()] {
-            let rep = validate_workload(&w, Scale::Test, &m, libs, &cfg)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, m.name));
+            let rep = validate(&w, &m, &cfg);
             assert!(
                 rep.passed,
                 "{} on {} failed differential validation:\n{}",
@@ -71,11 +76,10 @@ fn all_workloads_validate_on_bgq_and_xeon() {
 
 #[test]
 fn validation_is_deterministic() {
-    let libs = default_library();
     let cfg = ValidationConfig::default();
     let w = xflow::xflow_workloads::all().into_iter().find(|w| w.name == "CFD").unwrap();
-    let a = validate_workload(&w, Scale::Test, &bgq(), libs, &cfg).unwrap();
-    let b = validate_workload(&w, Scale::Test, &bgq(), libs, &cfg).unwrap();
+    let a = validate(&w, &bgq(), &cfg);
+    let b = validate(&w, &bgq(), &cfg);
     assert_eq!(xflow::xflow_validate::to_json(&a), xflow::xflow_validate::to_json(&b));
 }
 
@@ -84,10 +88,43 @@ fn a_different_seed_still_validates() {
     // exactness is a property of the shared stream, not of one magic
     // seed: profile and oracle runs use the same seed, so counts must
     // match for any choice
-    let libs = default_library();
     let cfg = ValidationConfig { seed: 0x00C0_FFEE, ..ValidationConfig::default() };
     let w = xflow::xflow_workloads::all().into_iter().find(|w| w.name == "SORD").unwrap();
-    let rep = validate_workload(&w, Scale::Test, &xeon(), libs, &cfg).unwrap();
+    let rep = validate(&w, &xeon(), &cfg);
     assert!(rep.passed, "SORD with alternate seed:\n{}", rep.failures.join("\n"));
     assert!(rep.enr_exact);
+}
+
+#[test]
+fn validate_checks_the_model_the_session_serves() {
+    // `validate --all` runs every combo over one session: each workload is
+    // profiled once for both machines, and every report's projected total
+    // is the session model's own projection, bit for bit
+    let session = Session::new();
+    let cfg = ValidationConfig::default();
+    let mut combos = Vec::new();
+    for w in xflow::xflow_workloads::all() {
+        for m in [bgq(), xeon()] {
+            combos.push((w.clone(), m));
+        }
+    }
+    let reports = xflow::run_chunked(
+        &combos,
+        0,
+        || (),
+        |_, _, (w, m)| session.validate(w.source, &w.inputs(Scale::Test), Some(w), m, &cfg).unwrap(),
+    );
+    let stats = session.stats();
+    assert_eq!(stats.profile.misses, 5, "one profiled run per workload, not per combo");
+    assert_eq!(stats.sim.misses, 10, "one simulation per combo");
+    for ((w, m), rep) in combos.iter().zip(&reports) {
+        let app = session.model_seeded(w.source, &w.inputs(Scale::Test), cfg.seed).unwrap();
+        assert_eq!(
+            rep.analytic_total_seconds.to_bits(),
+            app.project_on(m).total.to_bits(),
+            "{} on {}: validate's projected total is not the session model's",
+            w.name,
+            m.name
+        );
+    }
 }
