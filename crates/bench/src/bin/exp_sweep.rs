@@ -1,13 +1,14 @@
 //! Two-phase projection engine benchmark: plan build vs per-point
 //! evaluation, legacy-vs-plan speedup on a 5×5 design grid, and sweep
-//! throughput (points/sec) at 1/2/4/8 worker threads.
+//! throughput (points/sec) at 1/2/4/8 worker threads, and the co-design
+//! loop end to end: grid → sweep → top 10 → hydrate on a 2048-point grid.
 //!
 //! Writes `results/BENCH_sweep.json` (always) so the speedup and scaling
 //! claims are recorded alongside the other experiment outputs.
 
 use std::collections::HashMap;
-use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
-use xflow_bench::{min_of_k, opts};
+use xflow::{bgq, generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
+use xflow_bench::{min_of_k, min_of_k_interleaved, opts};
 use xflow_hotspot::reference::project_single_pass;
 use xflow_hotspot::ProjectionPlan;
 
@@ -111,6 +112,18 @@ fn main() {
         println!("(single-core host: thread ladder clamped to 1 worker)");
     }
 
+    // the co-design loop as a user runs it: a 2048-point, 3-axis grid on
+    // BG/Q, swept on one thread, its 10 fastest points ranked, the best hydrated
+    let (bws, mlps): (Vec<f64>, Vec<f64>) = (1..=16).map(|i| (2.5 * i as f64, i as f64)).unzip();
+    let clocks: Vec<f64> = (0..8).map(|i| 0.8 + 0.3 * i as f64).collect();
+    let mut design_loop = || {
+        let axes = vec![Axis::dram_bw(&bws), Axis::mlp(&mlps), Axis::freq_ghz(&clocks)];
+        let sweep = DesignSpace::grid(bgq(), axes).sweep_opts(&app, SweepOptions::with_threads(1));
+        std::hint::black_box(sweep.hydrate(&app, sweep.top(10)[0].index));
+    };
+    let design_loop_s = min_of_k_interleaved(reps, 5, &mut [&mut design_loop])[0];
+    println!("\nco-design loop, 2048-point grid → top 10 → hydrate: {design_loop_s:>12.3e} s");
+
     #[derive(serde::Serialize)]
     struct SweepBench {
         workload: String,
@@ -127,6 +140,7 @@ fn main() {
         threads_requested: Vec<f64>,
         threads: Vec<f64>,
         points_per_sec: Vec<f64>,
+        design_loop_seconds: f64,
         extra: HashMap<String, f64>,
     }
     let data = SweepBench {
@@ -144,6 +158,7 @@ fn main() {
         threads_requested: requested.iter().map(|&t| t as f64).collect(),
         threads: thread_counts,
         points_per_sec,
+        design_loop_seconds: design_loop_s,
         extra: HashMap::new(),
     };
     std::fs::create_dir_all("results").expect("create results dir");

@@ -203,6 +203,28 @@ mod tests {
     }
 
     #[test]
+    fn sweep_bench_keys_classify_correctly() {
+        // pins the direction of every gated BENCH_sweep.json metric so a
+        // key rename can't silently demote a gate to informational
+        for key in [
+            "plan_build_seconds",
+            "eval_point_seconds",
+            "grid_plan_reuse_seconds",
+            "grid_legacy_seconds",
+            "grid_single_pass_seconds",
+            "design_loop_seconds",
+        ] {
+            assert_eq!(direction_of(key), Direction::LowerIsBetter, "{key}");
+        }
+        for key in ["speedup_vs_legacy", "speedup_vs_single_pass", "points_per_sec[0]"] {
+            assert_eq!(direction_of(key), Direction::HigherIsBetter, "{key}");
+        }
+        for key in ["grid_points", "available_cores", "threads[0]", "threads_requested[0]"] {
+            assert_eq!(direction_of(key), Direction::Informational, "{key}");
+        }
+    }
+
+    #[test]
     fn serve_bench_keys_classify_correctly() {
         // pins the direction of every gated BENCH_serve.json metric so a
         // key rename can't silently demote a gate to informational

@@ -210,12 +210,16 @@ impl ProjectionColumns {
 
     /// Point indices ranked by ascending total time (NaN last, ties keep
     /// point order), truncated to `k` — the sweep's top-k without
-    /// evaluating any projection.
+    /// evaluating any projection. Only the `k` picked points are sorted.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         let totals = self.totals();
+        let order = |a: &usize, b: &usize| rank_order(totals[*a], totals[*b]).then(a.cmp(b));
         let mut idx: Vec<usize> = (0..self.points()).collect();
-        idx.sort_by(|&a, &b| rank_order(totals[a], totals[b]).then(a.cmp(&b)));
-        idx.truncate(k);
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k, order);
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(order);
         idx
     }
 

@@ -53,7 +53,7 @@ fn main() {
     for (bi, bw) in bw_points.iter().enumerate() {
         print!("{:>8} ", format!("{bw}GB/s"));
         for fi in 0..mlp_points.len() {
-            let p = &sweep.points[bi * mlp_points.len() + fi];
+            let p = sweep.row(bi * mlp_points.len() + fi);
             let name = match p.top_unit {
                 Some(top) => {
                     let tag = if p.memory_bound { "M" } else { "C" };

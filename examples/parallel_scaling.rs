@@ -54,7 +54,7 @@ fn main() {
     let cores = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
     let sweep = DesignSpace::grid(bgq(), vec![Axis::cores(&cores)]).sweep_opts(&app, SweepOptions::default());
     let deltas = sweep.deltas();
-    for (point, delta) in sweep.points.iter().zip(&deltas) {
+    for (point, delta) in (0..deltas.len()).map(|i| sweep.row(i)).zip(&deltas) {
         let mp = sweep.hydrate(&app, point.index);
         let unit_named = |prefix: &str| {
             mp.unit_breakdown.iter().find(|(&u, _)| app.units.name(u).starts_with(prefix)).map_or(0.0, |(_, c)| c.total)

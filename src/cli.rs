@@ -875,6 +875,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             if inv.axes.is_empty() {
                 return Err("`sweep` needs at least one --axis NAME=V1,V2,...".into());
             }
+            DesignSpace::grid_len(&inv.axes).ok_or("sweep asks for more than usize::MAX points")?;
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
             space.check_machines()?;
             let app = modeled(inv, src, session_out)?;
@@ -1452,6 +1453,18 @@ fn main() {
         let err =
             run(&args(&["sweep", "cfd", "--machine", "xeon", "--axis", "freq_ghz=2,0,3", "--top", "2"])).unwrap_err();
         assert!(err.starts_with("sweep point #1 "), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_a_grid_past_usize_max() {
+        // 16 axes of 16 values: 2^64 points, one past usize::MAX on 64-bit
+        // hosts; rejected from the axes alone, before any point is built
+        let axis = "cores=1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16";
+        let mut argv = vec!["sweep", "cfd", "--machine", "bgq"];
+        for _ in 0..16 {
+            argv.extend(["--axis", axis]);
+        }
+        assert_eq!(run(&args(&argv)).unwrap_err(), "sweep asks for more than usize::MAX points");
     }
 
     #[test]

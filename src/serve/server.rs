@@ -525,7 +525,7 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
     if r.axes.is_empty() {
         return HttpResponse::error(400, "sweep needs at least one axis: {\"axes\":[{\"name\":...,\"values\":[...]}]}");
     }
-    let points = r.axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len()));
+    let points = DesignSpace::grid_len(&r.axes);
     if points.is_none_or(|n| n > MAX_SWEEP_POINTS) {
         let asked = points.map_or_else(|| "more than usize::MAX".to_string(), |n| n.to_string());
         return HttpResponse::error(422, &format!("sweep asks for {asked} points; the limit is {MAX_SWEEP_POINTS}"));
@@ -539,17 +539,16 @@ fn handle_sweep(inner: &Inner, body: &[u8]) -> HttpResponse {
         Err(resp) => return *resp,
     };
     let sweep = space.sweep_opts(&app, SweepOptions::default());
-    let base_total = sweep.points.first().map(|p| p.total).unwrap_or(0.0);
     let top = sweep
         .top(r.top)
         .into_iter()
         .map(|p| SweepPointBody {
             index: p.index as u64,
-            machine: p.machine.clone(),
+            machine: p.machine,
             total: p.total,
             top_unit: p.top_unit.map(|u| app.units.name(u).to_string()),
             memory_bound: p.memory_bound,
-            speedup: if p.total > 0.0 { base_total / p.total } else { f64::INFINITY },
+            speedup: sweep.speedup(p.index),
         })
         .collect();
     let resp = SweepResponse {

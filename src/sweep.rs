@@ -7,13 +7,13 @@
 //! per-machine cost is a single plan evaluation, so a sweep is
 //! embarrassingly parallel over machines.
 //!
-//! [`DesignSpace`] enumerates the candidate machines (an explicit list via
-//! [`DesignSpace::from_machines`], or the cartesian product of parameter
-//! [`Axis`] values via [`DesignSpace::grid`]); [`DesignSpace::sweep_opts`]
-//! fans the points across the shared work-stealing pool
-//! ([`run_chunked`]) and returns a [`Sweep`] holding one lightweight
-//! [`SweepPoint`] summary per point plus the columnar
-//! [`ProjectionColumns`] arena behind them.
+//! [`DesignSpace`] holds the candidate machines (an explicit list via
+//! [`DesignSpace::from_machines`]) or a base machine and parameter [`Axis`]
+//! values ([`DesignSpace::grid`]): a grid point is decoded on demand into
+//! the kernel's [`MachineSpec`], a [`MachineModel`] or its name.
+//! [`DesignSpace::sweep_opts`] fans the points across the shared
+//! work-stealing pool ([`run_chunked`]) and returns a [`Sweep`]: one
+//! [`PointTotal`] per point plus the columnar [`ProjectionColumns`] arena.
 //!
 //! Sweep output is **columnar**: the engine never materializes a per-point
 //! [`Projection`](xflow_hotspot::Projection). Workers fill disjoint point
@@ -27,12 +27,11 @@
 //! either way. When a caller drills into one point, [`Sweep::hydrate`]
 //! projects the app on that machine with [`ModeledApp::project_on`].
 //!
-//! A point's top unit, its memory-bound flag, [`Sweep::unit_ranking`] and
-//! so the ranking-shift and bottleneck-flip questions of
-//! [`Sweep::deltas`] all read the arena row through the app's one unit
-//! fold ([`UnitIndex::fold`]) and rank by the one unit comparator
-//! ([`xflow_hotspot::unit_order`]): a point agrees with the projection
-//! of its machine to the bit.
+//! A point is a total; a row is what gets printed. [`Sweep::row`] reads a
+//! point's arena row through the app's one unit fold ([`UnitIndex::fold`])
+//! and ranks by the one unit comparator ([`xflow_hotspot::unit_order`]),
+//! so its top unit and bound, like [`Sweep::deltas`], agree with the
+//! projection of its machine to the bit; only callers that show rows build them.
 //!
 //! Scheduling: the points split into contiguous chunks (64 points unless
 //! [`SweepOptions::chunk`] says otherwise) that workers claim from a
@@ -67,8 +66,9 @@
 use crate::pipeline::{MachineProjection, ModeledApp};
 use crate::pool::{run_chunked, workers};
 use crate::units::{UnitCost, UnitIndex};
-use xflow_hotspot::columns::rank_order;
-use xflow_hotspot::{rank_units, unit_order, ColumnsChunk, ProjectionColumns};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+use xflow_hotspot::{unit_order, ColumnsChunk, ProjectionColumns};
 use xflow_hw::{MachineModel, MachineSpec};
 use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
@@ -173,51 +173,89 @@ impl Axis {
     }
 }
 
-/// A set of candidate machines to project an application on.
+/// A set of candidate machines, held as the description its points decode from.
 pub struct DesignSpace {
-    machines: Vec<MachineModel>,
+    points: Arc<Points>,
+    len: usize,
+    machines: OnceLock<Vec<MachineModel>>,
+}
+
+/// An explicit machine list, or a grid: base, axes, each axis value's
+/// `axis=value` name fragment (formatted once) and each axis's points per step.
+enum Points {
+    List(Vec<MachineModel>),
+    Grid { base: Box<MachineModel>, axes: Vec<Axis>, labels: Vec<Vec<String>>, strides: Vec<usize>, len: usize },
+}
+
+impl Points {
+    /// Point `i`'s machine; a grid point's is decoded unnamed, its last axis applied first.
+    fn unnamed(&self, i: usize) -> Cow<'_, MachineModel> {
+        match self {
+            Points::List(ms) => Cow::Borrowed(&ms[i]),
+            Points::Grid { base, axes, strides, len, .. } => {
+                assert!(i < *len, "point {i} of a {len}-point grid");
+                let mut m = MachineModel { name: String::new(), ..**base };
+                for (axis, stride) in axes.iter().zip(strides).rev() {
+                    if let Some(&v) = axis.values.get(i / stride % axis.values.len().max(1)) {
+                        (axis.apply)(&mut m, v);
+                    }
+                }
+                Cow::Owned(m)
+            }
+        }
+    }
+
+    /// Point `i`'s name; a grid point's is `base[axis=value,…]`.
+    fn name(&self, i: usize) -> String {
+        match self {
+            Points::List(ms) => ms[i].name.clone(),
+            Points::Grid { base, labels, strides, .. } => {
+                let parts = strides.iter().zip(labels).filter_map(|(s, l)| l.get(i / s % l.len().max(1)));
+                format!("{}[{}]", base.name, parts.map(String::as_str).collect::<Vec<_>>().join(","))
+            }
+        }
+    }
+
+    fn machine(&self, i: usize) -> MachineModel {
+        MachineModel { name: self.name(i), ..*self.unnamed(i) }
+    }
 }
 
 impl DesignSpace {
     /// Sweep an explicit list of machines (e.g. the paper's BG/Q vs Xeon
     /// cross-machine comparison).
     pub fn from_machines<I: IntoIterator<Item = MachineModel>>(machines: I) -> Self {
-        Self { machines: machines.into_iter().collect() }
+        let list: Vec<MachineModel> = machines.into_iter().collect();
+        Self { len: list.len(), points: Arc::new(Points::List(list)), machines: OnceLock::new() }
+    }
+
+    /// Points in a grid over `axes` (an empty axis counts as one); `None` past `usize::MAX`.
+    pub fn grid_len(axes: &[Axis]) -> Option<usize> {
+        axes.iter().try_fold(1usize, |n, a| n.checked_mul(a.values.len().max(1)))
     }
 
     /// Cartesian product of axis values applied to a base machine.
     ///
-    /// Point order is row-major in axis order (the last axis varies
-    /// fastest); point 0 is the base machine with every axis at its first
-    /// value. Machines are renamed `base[axis=value,…]` so reports stay
-    /// readable.
+    /// A grid is its base and axes, no machines: point order is row-major
+    /// (the last axis varies fastest, and applies first), point 0 has every
+    /// axis at its first value, and a point is named `base[axis=value,…]` on
+    /// demand. Panics past `usize::MAX` points ([`Self::grid_len`]).
     pub fn grid(base: MachineModel, axes: Vec<Axis>) -> Self {
-        let n: usize = axes.iter().map(|a| a.values.len().max(1)).product();
-        let mut machines = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut m = base.clone();
-            let mut label = String::new();
-            let mut rem = i;
-            // decode the row-major index, last axis fastest
-            for axis in axes.iter().rev() {
-                let k = axis.values.len().max(1);
-                let j = rem % k;
-                rem /= k;
-                if let Some(&v) = axis.values.get(j) {
-                    (axis.apply)(&mut m, v);
-                    let part = format!("{}={v}", axis.name);
-                    label = if label.is_empty() { part } else { format!("{part},{label}") };
-                }
-            }
-            m.name = format!("{}[{}]", base.name, label);
-            machines.push(m);
-        }
-        Self { machines }
+        let len = Self::grid_len(&axes).expect("sweep asks for more than usize::MAX points");
+        let strides = (0..axes.len()).map(|a| axes[a + 1..].iter().map(|b| b.values.len().max(1)).product()).collect();
+        let labels = axes.iter().map(|a| a.values.iter().map(|v| format!("{}={v}", a.name)).collect()).collect();
+        let points = Arc::new(Points::Grid { base: Box::new(base), axes, labels, strides, len });
+        Self { points, len, machines: OnceLock::new() }
     }
 
-    /// The candidate machines, in point order.
+    /// Point `i`'s machine, named as in the sweep's rows.
+    pub fn machine(&self, i: usize) -> MachineModel {
+        self.points.machine(i)
+    }
+
+    /// The candidate machines, in point order, built once on first use.
     pub fn machines(&self) -> &[MachineModel] {
-        &self.machines
+        self.machines.get_or_init(|| (0..self.len).map(|i| self.machine(i)).collect())
     }
 
     /// Check every point against [`MachineModel::validate`]; the error
@@ -225,10 +263,11 @@ impl DesignSpace {
     /// this on user-supplied grids before sweeping them. [`Self::grid`]
     /// itself builds any point it is asked for, degenerate ones included.
     pub fn check_machines(&self) -> Result<(), String> {
-        for (i, m) in self.machines.iter().enumerate() {
-            let errs = m.validate();
+        for i in 0..self.len() {
+            let errs = self.points.unnamed(i).validate();
             if !errs.is_empty() {
-                return Err(format!("sweep point #{i} {} is not a valid machine: {}", m.name, errs.join("; ")));
+                let name = self.points.name(i);
+                return Err(format!("sweep point #{i} {name} is not a valid machine: {}", errs.join("; ")));
             }
         }
         Ok(())
@@ -236,12 +275,12 @@ impl DesignSpace {
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.machines.len()
+        self.len
     }
 
     /// True when the space has no points.
     pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
+        self.len() == 0
     }
 
     /// Project `app` on every point with the extended roofline model.
@@ -255,15 +294,16 @@ impl DesignSpace {
     /// and block provenance, and three counters: `sweep.points` once per
     /// completed point (hook an [`xflow_obs::ProgressTicker`] on it for a
     /// live ticker), `sweep.steals` once per chunk a worker claims beyond
-    /// its first, and the kernel's `plan.blocks`.
+    /// its first, and the kernel's `plan.blocks`. Untraced, no point is named.
     pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions<'_>) -> Sweep {
         let kernel = app.kernel();
         let rec = opts.recorder;
-        let n = self.machines.len();
+        let n = self.len();
         let chunk = if opts.chunk == 0 { AUTO_CHUNK } else { opts.chunk };
         let ranges: Vec<std::ops::Range<usize>> = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n)).collect();
         let threads = workers(opts.threads, ranges.len());
-        let mut cols = ProjectionColumns::new(kernel, self.machines.iter().map(MachineSpec::resolve).collect());
+        let mut cols =
+            ProjectionColumns::new(kernel, (0..n).map(|i| MachineSpec::resolve(&self.points.unnamed(i))).collect());
 
         let sweep_span = if rec.enabled() {
             rec.span_start(
@@ -292,9 +332,10 @@ impl DesignSpace {
                 }
                 let mut filled = ColumnsChunk::new(&cols, range.clone());
                 for i in range.clone() {
+                    let name = self.points.name(i);
                     let span = rec.span_start(
                         "sweep.point",
-                        &[("index", AttrValue::U64(i as u64)), ("machine", AttrValue::Str(&self.machines[i].name))],
+                        &[("index", AttrValue::U64(i as u64)), ("machine", AttrValue::Str(&name))],
                     );
                     filled.fill_point(kernel, &cols, i, rec);
                     rec.span_end(span, &[("outcome", AttrValue::Str("ok"))]);
@@ -310,22 +351,8 @@ impl DesignSpace {
             rec.span_end(sweep_span, &[("outcome", AttrValue::Str("ok"))]);
         }
 
-        let index = app.units.index().clone();
-        let mut sums = Vec::new();
-        let points = (0..n)
-            .map(|i| {
-                index.fold(unit_row(&cols, i), &mut sums);
-                let top = index.reached(&sums).min_by(|a, b| unit_order((a.1.total, a.0), (b.1.total, b.0)));
-                SweepPoint {
-                    index: i,
-                    machine: self.machines[i].name.clone(),
-                    total: cols.total(i),
-                    top_unit: top.map(|(unit, _)| unit),
-                    memory_bound: top.is_some_and(|(_, c)| c.tm > c.tc),
-                }
-            })
-            .collect();
-        Sweep { points, machines: self.machines.clone(), columns: cols, index }
+        let points = cols.totals().iter().enumerate().map(|(index, &total)| PointTotal { index, total }).collect();
+        Sweep { points, space: Arc::clone(&self.points), columns: cols, index: app.units.index().clone() }
     }
 }
 
@@ -334,12 +361,20 @@ fn unit_row(cols: &ProjectionColumns, i: usize) -> impl Iterator<Item = (StmtId,
     cols.stmt_row(i).map(|sc| (sc.stmt, UnitCost { total: sc.total, tc: sc.tc, tm: sc.tm, overlap: sc.overlap }))
 }
 
-/// Summary of one design-space point — a few scalars, no projection.
-///
+/// One design-space point as a sweep stores it: its index and total.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointTotal {
+    /// Index into the design space.
+    pub index: usize,
+    /// Total projected seconds.
+    pub total: f64,
+}
+
+/// One printed row of a sweep ([`Sweep::row`]): a few scalars, no projection.
 /// The full [`MachineProjection`] of a point comes from [`Sweep::hydrate`].
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
-    /// Index into [`DesignSpace::machines`].
+    /// Index into the design space.
     pub index: usize,
     /// Machine name of the point (grid points embed their `axis=value`
     /// coordinates).
@@ -355,7 +390,7 @@ pub struct SweepPoint {
 /// How one point differs from the sweep's baseline (point 0).
 #[derive(Debug, Clone)]
 pub struct SweepDelta {
-    /// Index into [`DesignSpace::machines`].
+    /// Index into the design space.
     pub index: usize,
     /// Machine name of the point.
     pub machine: String,
@@ -367,42 +402,43 @@ pub struct SweepDelta {
     pub bottleneck_flipped: bool,
 }
 
-/// Result of sweeping a design space: lightweight per-point summaries in
-/// point order, backed by the columnar arena.
+/// Result of sweeping a design space: one [`PointTotal`] per point in
+/// point order, backed by the columnar arena and the space's description.
 pub struct Sweep {
     /// One entry per design-space point, in point order.
-    pub points: Vec<SweepPoint>,
-    machines: Vec<MachineModel>,
+    pub points: Vec<PointTotal>,
+    space: Arc<Points>,
     columns: ProjectionColumns,
     index: UnitIndex,
 }
 
 impl Sweep {
-    /// The fastest point (lowest projected total, NaN last; ties keep
-    /// point order).
-    pub fn best(&self) -> Option<&SweepPoint> {
-        self.points.iter().min_by(|a, b| rank_order(a.total, b.total))
+    /// The row of the fastest point (lowest total, NaN last; ties keep point order).
+    pub fn best(&self) -> Option<SweepPoint> {
+        self.top(1).pop()
     }
 
-    /// Points sorted by ascending projected total (NaN last, ties keep
-    /// point order).
-    pub fn ranked(&self) -> Vec<&SweepPoint> {
-        let mut v: Vec<&SweepPoint> = self.points.iter().collect();
-        v.sort_by(|a, b| rank_order(a.total, b.total).then(a.index.cmp(&b.index)));
-        v
+    /// The rows of the `k` fastest points, ranked like [`Self::best`] off the totals column.
+    pub fn top(&self, k: usize) -> Vec<SweepPoint> {
+        self.columns.top_k(k).into_iter().map(|i| self.row(i)).collect()
     }
 
-    /// The `k` fastest points, ranked — straight off the totals column, no
-    /// projection.
-    pub fn top(&self, k: usize) -> Vec<&SweepPoint> {
-        let mut v = self.ranked();
-        v.truncate(k);
-        v
+    /// Point `i`'s row: its name, total, and top unit and bound by the same
+    /// fold and order as [`MachineProjection::ranking`] of its projection.
+    pub fn row(&self, i: usize) -> SweepPoint {
+        let (ranking, memory_bound) = self.ranked(i);
+        let (machine, total, top_unit) = (self.space.name(i), self.points[i].total, ranking.first().copied());
+        SweepPoint { index: i, machine, total, top_unit, memory_bound }
     }
 
-    /// The swept machines, in point order.
-    pub fn machines(&self) -> &[MachineModel] {
-        &self.machines
+    /// Point `i`'s unit ranking and whether its top unit is memory-bound: one fold.
+    fn ranked(&self, i: usize) -> (Vec<StmtId>, bool) {
+        let mut sums = Vec::new();
+        self.index.fold(unit_row(&self.columns, i), &mut sums);
+        let mut units: Vec<_> = self.index.reached(&sums).collect();
+        units.sort_by(|a, b| unit_order((a.1.total, a.0), (b.1.total, b.0)));
+        let bound = units.first().is_some_and(|(_, c)| c.tm > c.tc);
+        (units.into_iter().map(|(unit, _)| unit).collect(), bound)
     }
 
     /// The columnar result arena.
@@ -420,93 +456,158 @@ impl Sweep {
     /// fingerprint differs from the arena's).
     pub fn hydrate(&self, app: &ModeledApp, i: usize) -> MachineProjection {
         assert_eq!(app.kernel().fingerprint(), self.columns.fingerprint(), "sweep hydrated through a foreign app");
-        app.project_on(&self.machines[i])
+        app.project_on(&self.space.machine(i))
+    }
+
+    /// Point `i`'s speedup over point 0; infinite for a non-positive total.
+    pub(crate) fn speedup(&self, i: usize) -> f64 {
+        let total = self.points[i].total;
+        if total > 0.0 {
+            self.points[0].total / total
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// Unit ranking of one point without projecting it: the same fold
     /// and order as [`MachineProjection::ranking`] of the projected point.
     pub fn unit_ranking(&self, i: usize) -> Vec<StmtId> {
-        let mut sums = Vec::new();
-        self.index.fold(unit_row(&self.columns, i), &mut sums);
-        rank_units(self.index.reached(&sums).map(|(unit, c)| (unit, c.total)))
+        self.ranked(i).0
     }
 
     /// Per-point deltas against the baseline (point 0): speedup, hot-spot
     /// ranking shifts, and bottleneck flips — the co-design questions a
-    /// sweep exists to answer.
+    /// sweep exists to answer. Each point is folded once.
     pub fn deltas(&self) -> Vec<SweepDelta> {
-        let Some(base) = self.points.first() else { return Vec::new() };
-        let base_ranking = self.unit_ranking(0);
-        self.points
-            .iter()
-            .map(|p| SweepDelta {
-                index: p.index,
-                machine: p.machine.clone(),
-                speedup: if p.total > 0.0 { base.total / p.total } else { f64::INFINITY },
-                ranking_changed: self.unit_ranking(p.index) != base_ranking,
-                bottleneck_flipped: p.memory_bound != base.memory_bound,
+        let mut base = None;
+        (0..self.points.len())
+            .map(|i| {
+                let (ranking, bound) = self.ranked(i);
+                let (base_ranking, base_bound) = base.get_or_insert_with(|| (ranking.clone(), bound));
+                SweepDelta {
+                    index: i,
+                    machine: self.space.name(i),
+                    speedup: self.speedup(i),
+                    ranking_changed: ranking != *base_ranking,
+                    bottleneck_flipped: bound != *base_bound,
+                }
             })
             .collect()
     }
 }
 
-fn write_sweep_header(out: &mut String) {
+/// Render rows as an aligned table: point, machine, total, top unit, bound, speedup vs baseline.
+fn format_rows(sweep: &Sweep, rows: impl Iterator<Item = SweepPoint>, units: &crate::units::Units) -> String {
     use std::fmt::Write;
-    let _ = writeln!(
-        out,
-        "{:<4} {:<40} {:>12} {:<24} {:>7} {:>9}",
+    let mut s = format!(
+        "{:<4} {:<40} {:>12} {:<24} {:>7} {:>9}\n",
         "#", "machine", "total (s)", "top unit", "bound", "speedup"
     );
+    for p in rows {
+        let top = p.top_unit.map(|u| units.name(u)).unwrap_or_else(|| "-".into());
+        let (bound, speedup) = (if p.memory_bound { "mem" } else { "comp" }, sweep.speedup(p.index));
+        let _ = writeln!(s, "{:<4} {:<40} {:>12.4e} {top:<24} {bound:>7} {speedup:>8.2}x", p.index, p.machine, p.total);
+    }
+    s
 }
 
-fn write_sweep_row(out: &mut String, p: &SweepPoint, d: &SweepDelta, units: &crate::units::Units) {
-    use std::fmt::Write;
-    let top = p.top_unit.map(|u| units.name(u)).unwrap_or_else(|| "-".into());
-    let _ = writeln!(
-        out,
-        "{:<4} {:<40} {:>12.4e} {:<24} {:>7} {:>8.2}x",
-        p.index,
-        p.machine,
-        p.total,
-        top,
-        if p.memory_bound { "mem" } else { "comp" },
-        d.speedup,
-    );
-}
-
-/// Render a sweep as an aligned table (point, machine, total, top unit,
-/// bound, speedup vs baseline), in point order.
+/// Render a sweep as a table in point order.
 pub fn format_sweep(sweep: &Sweep, units: &crate::units::Units) -> String {
-    let mut out = String::new();
-    write_sweep_header(&mut out);
-    let deltas = sweep.deltas();
-    for (p, d) in sweep.points.iter().zip(&deltas) {
-        write_sweep_row(&mut out, p, d, units);
-    }
-    out
+    format_rows(sweep, (0..sweep.points.len()).map(|i| sweep.row(i)), units)
 }
 
-/// Render the `k` fastest points of a sweep as an aligned table, best
-/// first — the `xflow sweep --top` view, ranked straight off the totals
-/// column without projecting any point.
+/// Render the `k` fastest points of a sweep as a table, best first — the
+/// `xflow sweep --top` view, ranked straight off the totals column without
+/// projecting any point.
 pub fn format_sweep_ranked(sweep: &Sweep, units: &crate::units::Units, k: usize) -> String {
-    let mut out = String::new();
-    write_sweep_header(&mut out);
-    let deltas = sweep.deltas();
-    for p in sweep.top(k) {
-        write_sweep_row(&mut out, p, &deltas[p.index], units);
-    }
-    out
+    format_rows(sweep, sweep.top(k).into_iter(), units)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xflow_hotspot::columns::rank_order;
     use xflow_hw::{bgq, xeon};
     use xflow_workloads::Scale;
 
     fn cfd_app() -> ModeledApp {
         ModeledApp::from_workload(&xflow_workloads::cfd(), Scale::Test).unwrap()
+    }
+
+    /// The eager grid the lazy decode replaced, kept as its reference:
+    /// every point cloned from the base, its axes applied last axis first
+    /// and its name formatted in full.
+    fn eager_grid(base: MachineModel, axes: Vec<Axis>) -> Vec<MachineModel> {
+        let n: usize = axes.iter().map(|a| a.values.len().max(1)).product();
+        let mut machines = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut m = base.clone();
+            let mut label = String::new();
+            let mut rem = i;
+            // decode the row-major index, last axis fastest
+            for axis in axes.iter().rev() {
+                let k = axis.values.len().max(1);
+                let j = rem % k;
+                rem /= k;
+                if let Some(&v) = axis.values.get(j) {
+                    (axis.apply)(&mut m, v);
+                    let part = format!("{}={v}", axis.name);
+                    label = if label.is_empty() { part } else { format!("{part},{label}") };
+                }
+            }
+            m.name = format!("{}[{}]", base.name, label);
+            machines.push(m);
+        }
+        machines
+    }
+
+    /// Every field of a machine, floats as bits; the exhaustive pattern
+    /// breaks the build when a field is added.
+    fn machine_bits(m: &MachineModel) -> (String, Vec<u64>) {
+        let MachineModel {
+            name,
+            freq_ghz,
+            cores,
+            issue_width,
+            vector_lanes,
+            scalar_flops_per_cycle,
+            l1,
+            llc,
+            dram_latency_cycles,
+            dram_bw_gbs,
+            l1_hit_rate,
+            llc_hit_rate,
+            mlp,
+            load_store_per_cycle,
+            vector_efficiency,
+            fp_latency_cycles,
+            fdiv_latency_cycles,
+            int_latency_cycles,
+        } = m;
+        let mut bits: Vec<u64> = [
+            freq_ghz,
+            issue_width,
+            vector_lanes,
+            scalar_flops_per_cycle,
+            dram_latency_cycles,
+            dram_bw_gbs,
+            l1_hit_rate,
+            llc_hit_rate,
+            mlp,
+            load_store_per_cycle,
+            vector_efficiency,
+            fp_latency_cycles,
+            fdiv_latency_cycles,
+            int_latency_cycles,
+        ]
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+        for c in [l1, llc] {
+            bits.extend([c.size_bytes, c.line_bytes as u64, c.assoc as u64, c.latency_cycles.to_bits()]);
+        }
+        bits.push(*cores as u64);
+        (name.clone(), bits)
     }
 
     #[test]
@@ -530,8 +631,8 @@ mod tests {
         for threads in [2, 4, 8] {
             let par = space.sweep_opts(&app, SweepOptions::with_threads(threads));
             assert_eq!(par.points.len(), serial.points.len());
-            for (a, b) in par.points.iter().zip(&serial.points) {
-                assert_eq!(a.index, b.index);
+            for (a, b) in (0..6).map(|i| (par.row(i), serial.row(i))) {
+                assert_eq!((a.index, &a.machine), (b.index, &b.machine));
                 assert_eq!(a.total.to_bits(), b.total.to_bits());
                 assert_eq!(a.top_unit, b.top_unit);
                 assert_eq!(a.memory_bound, b.memory_bound);
@@ -547,7 +648,7 @@ mod tests {
         for (threads, chunk) in [(2, 1), (2, 3), (4, 2), (3, 64), (1, 2), (2, 7)] {
             let par = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });
             assert_eq!(par.points.len(), serial.points.len());
-            for (a, b) in par.points.iter().zip(&serial.points) {
+            for (a, b) in (0..6).map(|i| (par.row(i), serial.row(i))) {
                 assert_eq!(a.index, b.index);
                 assert_eq!(a.total.to_bits(), b.total.to_bits(), "threads={threads} chunk={chunk}");
                 assert_eq!(a.top_unit, b.top_unit);
@@ -661,11 +762,10 @@ mod tests {
     fn observed_sweep_traces_points_and_matches_plain() {
         use xflow_obs::CollectingRecorder;
         let app = cfd_app();
-        let space = DesignSpace::grid(
-            bgq(),
-            vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0]), Axis::cores(&[8.0, 16.0])],
-        );
+        let space_axes = || vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0]), Axis::cores(&[8.0, 16.0])];
+        let space = DesignSpace::grid(bgq(), space_axes());
         let n = space.len();
+        let eager = eager_grid(bgq(), space_axes());
         let plain = space.sweep_opts(&app, SweepOptions::with_threads(1));
         for threads in [1, 2, 4] {
             for chunk in [1, 3, 64] {
@@ -675,7 +775,7 @@ mod tests {
                 // the recorded sweep fills the same arena, bit for bit
                 assert_eq!(observed.columns().points(), n, "{ctx}");
                 for i in 0..n {
-                    let (a, b) = (&observed.points[i], &plain.points[i]);
+                    let (a, b) = (observed.row(i), plain.row(i));
                     assert_eq!(a.total.to_bits(), b.total.to_bits(), "{ctx}");
                     assert_eq!((a.top_unit, a.memory_bound), (b.top_unit, b.memory_bound), "{ctx}");
                     let row = |s: &Sweep| -> Vec<_> {
@@ -697,13 +797,9 @@ mod tests {
                 assert!(sweep_span.attrs.iter().any(|(k, _)| k == "points"));
                 // every point span names its full axis=value coordinates
                 for s in snap.spans.iter().filter(|s| s.name == "sweep.point") {
-                    let machine = s.attrs.iter().find(|(k, _)| k == "machine").unwrap();
-                    match &machine.1 {
-                        xflow_obs::OwnedAttr::Str(name) => {
-                            assert!(name.contains("dram_bw_gbs=") && name.contains("mlp="), "{name}");
-                        }
-                        other => panic!("machine attr should be a string, got {other:?}"),
-                    }
+                    let attr = |key: &str| s.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap();
+                    let xflow_obs::OwnedAttr::U64(i) = attr("index") else { panic!("index attr should be a u64") };
+                    assert_eq!(attr("machine"), xflow_obs::OwnedAttr::Str(eager[i as usize].name.clone()), "{ctx}");
                 }
             }
         }
@@ -749,7 +845,8 @@ mod tests {
         let freqs: Vec<f64> = (0..60).map(|i| if i % 3 == 0 { 0.0 } else { 1.0 + (i % 7) as f64 * 0.25 }).collect();
         let sweep = DesignSpace::grid(xeon(), vec![Axis::freq_ghz(&freqs)]).sweep_opts(&app, SweepOptions::default());
         assert_eq!(sweep.points.iter().filter(|p| p.total.is_nan()).count(), 20);
-        let ranked = sweep.ranked();
+        let mut ranked = sweep.points.clone();
+        ranked.sort_by(|a, b| rank_order(a.total, b.total));
         assert!(ranked[..40].iter().all(|p| p.total.is_finite()), "finite points must rank first");
         assert!(ranked[..40].windows(2).all(|w| w[0].total <= w[1].total));
         assert!(ranked[40..].iter().all(|p| p.total.is_nan()));
@@ -857,5 +954,116 @@ mod tests {
         let text = format_sweep(&sweep, &app.units);
         assert!(text.contains("machine"));
         assert!(text.contains("speedup"));
+    }
+
+    #[test]
+    fn lazy_grid_matches_the_eager_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const NAMES: [&str; 10] = [
+            "dram_bw_gbs",
+            "cores",
+            "mlp",
+            "freq_ghz",
+            "vector_lanes",
+            "issue_width",
+            "l1_hit_rate",
+            "llc_hit_rate",
+            "vector_efficiency",
+            "load_store_per_cycle",
+        ];
+        let app = cfd_app();
+        let bases = [bgq(), xeon(), xflow_hw::knl(), xflow_hw::generic()];
+        let mut rng = StdRng::seed_from_u64(0x5eed_9e1d);
+        let mut grids: Vec<(MachineModel, Vec<Axis>)> = vec![
+            (bgq(), vec![Axis::mlp(&[1.5, 3.0, 6.0])]),
+            (xeon(), vec![Axis::dram_bw(&[8.0, 16.0]), Axis::new("mlp", &[], |m, v| m.mlp = v), Axis::cores(&[2.0])]),
+            (bgq(), vec![Axis::new("cores", &[], |m, v| m.cores = v as u32)]),
+            (xeon(), vec![]),
+        ];
+        for _ in 0..40 {
+            let base = bases[rng.gen_range(0..bases.len())].clone();
+            let axes = (0..rng.gen_range(1..5usize))
+                .map(|_| {
+                    // repeated names write one field twice: application order shows
+                    let name = NAMES[rng.gen_range(0..NAMES.len())];
+                    let values: Vec<f64> = (0..rng.gen_range(1..5usize)).map(|_| rng.gen_range(0.05..64.0)).collect();
+                    if rng.gen_bool(0.1) {
+                        Axis::new(name, &[], |m, v| m.mlp = v)
+                    } else {
+                        Axis::by_name(name, &values).unwrap()
+                    }
+                })
+                .collect();
+            grids.push((base, axes));
+        }
+        for (g, (base, axes)) in grids.into_iter().enumerate() {
+            let eager = eager_grid(base.clone(), axes.clone());
+            let space = DesignSpace::grid(base, axes);
+            assert_eq!(space.len(), eager.len(), "grid {g}");
+            let sweep = space.sweep_opts(&app, SweepOptions::with_threads(1));
+            for (i, want) in eager.iter().enumerate() {
+                let ctx = format!("grid {g} point {i}");
+                assert_eq!(machine_bits(&space.machine(i)), machine_bits(want), "{ctx}");
+                assert_eq!(machine_bits(&space.machines()[i]), machine_bits(want), "{ctx}");
+                assert_eq!(sweep.row(i).machine, want.name, "{ctx}");
+                // every value is finite and positive, so no spec field is
+                // NaN and Debug prints each float exactly
+                let spec = format!("{:?}", sweep.columns().specs()[i]);
+                assert_eq!(spec, format!("{:?}", MachineSpec::resolve(want)), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn top_is_a_prefix_of_the_full_stable_sort() {
+        // zero clocks project NaN totals and repeated clocks tie; top(k)
+        // must still equal the first k points of one stable sort
+        let app = cfd_app();
+        let freqs = [2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 1.0, 2.0, 0.0, 3.0, 1.0];
+        let space = DesignSpace::grid(xeon(), vec![Axis::freq_ghz(&freqs), Axis::mlp(&[4.0, 4.0])]);
+        let sweep = space.sweep_opts(&app, SweepOptions::with_threads(1));
+        let mut sorted = sweep.points.clone();
+        sorted.sort_by(|a, b| rank_order(a.total, b.total));
+        assert!(sorted.iter().any(|p| p.total.is_nan()));
+        for k in 0..=sorted.len() + 1 {
+            let top = sweep.top(k);
+            let want: Vec<usize> = sorted.iter().take(k).map(|p| p.index).collect();
+            assert_eq!(top.iter().map(|p| p.index).collect::<Vec<_>>(), want, "k={k}");
+            for p in &top {
+                assert_eq!(p.total.to_bits(), sweep.points[p.index].total.to_bits());
+            }
+        }
+        assert_eq!(sweep.best().map(|p| p.index), Some(sorted[0].index));
+    }
+
+    #[test]
+    fn rows_agree_with_hydrated_points() {
+        let app = cfd_app();
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![Axis::dram_bw(&[0.5, 4.0, 40.0]), Axis::freq_ghz(&[0.8, 3.2]), Axis::mlp(&[1.0, 8.0])],
+        );
+        let sweep = space.sweep_opts(&app, SweepOptions::with_threads(2));
+        let rows: Vec<SweepPoint> = (0..space.len()).map(|i| sweep.row(i)).collect();
+        let deltas = sweep.deltas();
+        assert!(rows.iter().any(|r| r.memory_bound) && rows.iter().any(|r| !r.memory_bound));
+        for (i, row) in rows.iter().enumerate() {
+            let mp = sweep.hydrate(&app, i);
+            assert_eq!(row.machine, mp.machine.name);
+            assert_eq!(row.total.to_bits(), mp.total.to_bits());
+            let top = mp.ranking().first().copied();
+            assert_eq!(row.top_unit, top);
+            assert_eq!(row.memory_bound, top.is_some_and(|u| mp.unit_breakdown[&u].bound() == "memory"));
+            let one = sweep.row(i);
+            assert_eq!(
+                (one.index, &one.machine, one.top_unit, one.memory_bound),
+                (i, &row.machine, top, row.memory_bound)
+            );
+            let d = &deltas[i];
+            assert_eq!((d.index, &d.machine), (i, &row.machine));
+            assert_eq!(d.speedup.to_bits(), sweep.speedup(i).to_bits());
+            assert_eq!(d.ranking_changed, sweep.unit_ranking(i) != sweep.unit_ranking(0));
+            assert_eq!(d.bottleneck_flipped, row.memory_bound != rows[0].memory_bound);
+        }
     }
 }

@@ -126,8 +126,8 @@ proptest! {
         let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });
 
         prop_assert_eq!(serial.points.len(), scheduled.points.len());
-        for (a, b) in serial.points.iter().zip(&scheduled.points) {
-            prop_assert_eq!(a.index, b.index);
+        for (a, b) in (0..space.len()).map(|i| (serial.row(i), scheduled.row(i))) {
+            prop_assert_eq!((a.index, &a.machine), (b.index, &b.machine));
             prop_assert_eq!(a.total.to_bits(), b.total.to_bits());
             prop_assert_eq!(a.top_unit, b.top_unit);
             prop_assert_eq!(a.memory_bound, b.memory_bound);
