@@ -12,6 +12,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xflow::{bgq, initial_env, InputSpec, ModeledApp, Scale, EVAL_CRITERIA};
+use xflow_minilang::DEFAULT_SEED;
+use xflow_sim::simulate_with_seed;
 
 fn bench_bet_build(c: &mut Criterion) {
     let w = xflow_workloads::srad();
@@ -65,7 +67,7 @@ fn bench_simulation_scaling(c: &mut Criterion) {
     for n in [16.0, 32.0, 64.0] {
         let inputs = InputSpec::from_pairs([("ROWS", n), ("COLS", n), ("SAMPLE", 8.0), ("ITERS", 2.0)]);
         g.bench_with_input(BenchmarkId::from_parameter(n as u64), &inputs, |b, inputs| {
-            b.iter(|| xflow_sim::simulate(black_box(&prog), inputs, &machine, Default::default()).unwrap())
+            b.iter(|| simulate_with_seed(black_box(&prog), inputs, &machine, Default::default(), DEFAULT_SEED).unwrap())
         });
     }
     g.finish();

@@ -4,9 +4,10 @@
 //! variant, reporting selection quality per workload on BG/Q.
 
 use std::collections::HashMap;
-use xflow::{bgq, compare, ModeledApp};
+use xflow::{bgq, compare, default_session, Measured};
 use xflow_bench::{maybe_write_json, opts, FigureData, TOP_K};
 use xflow_hw::{ClassicRoofline, DivAwareRoofline, PerfModel, RefinedModel, Roofline, VectorAwareRoofline};
+use xflow_minilang::DEFAULT_SEED;
 
 fn main() {
     let opts = opts();
@@ -27,8 +28,10 @@ fn main() {
     let mut labels = Vec::new();
     let mut share_rows: Vec<(String, Vec<f64>)> = Vec::new();
     for w in xflow_workloads::all() {
-        let app = ModeledApp::from_workload(&w, opts.scale).expect("pipeline");
-        let measured = app.measure_on(Some(&w), &m).expect("simulate");
+        let (app, _, sim) = default_session()
+            .model_and_sim(w.source, &w.inputs(opts.scale), Some(&w), &m, DEFAULT_SEED)
+            .expect("pipeline");
+        let measured = Measured::new(&app, sim);
         print!("{:<10}", w.name);
         let mut errs = Vec::new();
         for model in models {

@@ -38,7 +38,8 @@ fn main() {
 
         // execution path: the simulator must run every operation
         let t1 = Instant::now();
-        let rep = xflow_sim::simulate(&prog, &inputs, &m, Default::default()).expect("simulate");
+        let rep = xflow_sim::simulate_with_seed(&prog, &inputs, &m, Default::default(), xflow_minilang::DEFAULT_SEED)
+            .expect("simulate");
         let sim_dt = t1.elapsed();
 
         println!("{:>8} {:>16.3?} {:>16} {:>16.3?} {:>12.2e}", n, model_dt, bet.len(), sim_dt, rep.total_cycles);

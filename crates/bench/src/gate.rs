@@ -29,7 +29,8 @@ pub fn direction_of(path: &str) -> Direction {
     let key = path.rsplit('.').next().unwrap_or(path);
     // strip a `[i]` index so vector elements classify like their field
     let key = key.split('[').next().unwrap_or(key);
-    if key.contains("speedup") || key.contains("per_sec") || key.contains("throughput") {
+    // a `*_points` key is a grid size: it echoes the configuration
+    if key.contains("speedup") || key.contains("per_sec") || (key.contains("throughput") && !key.ends_with("_points")) {
         Direction::HigherIsBetter
     } else if key.contains("seconds") || key.contains("overhead") {
         Direction::LowerIsBetter
@@ -219,7 +220,7 @@ mod tests {
         for key in ["speedup_vs_legacy", "speedup_vs_single_pass", "points_per_sec[0]"] {
             assert_eq!(direction_of(key), Direction::HigherIsBetter, "{key}");
         }
-        for key in ["grid_points", "available_cores", "threads[0]", "threads_requested[0]"] {
+        for key in ["grid_points", "throughput_grid_points", "available_cores", "threads[0]", "threads_requested[0]"] {
             assert_eq!(direction_of(key), Direction::Informational, "{key}");
         }
     }

@@ -14,7 +14,8 @@ pub mod gate;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::time::Instant;
-use xflow::{bgq, compare, xeon, Comparison, MachineModel, Measured, ModeledApp, Scale, Workload};
+use xflow::{bgq, compare, xeon, Comparison, MachineModel, MachineProjection, Measured, ModeledApp, Scale, Workload};
+use xflow_minilang::DEFAULT_SEED;
 use xflow_skeleton::StmtId;
 
 /// Parsed common CLI options.
@@ -98,7 +99,7 @@ pub struct EvalRun {
     pub workload: Workload,
     pub machine: MachineModel,
     pub app: ModeledApp,
-    pub mp: xflow::MachineProjection,
+    pub mp: MachineProjection,
     pub measured: Measured,
     pub cmp: Comparison,
 }
@@ -106,11 +107,14 @@ pub struct EvalRun {
 /// Number of ranks every figure/table reports.
 pub const TOP_K: usize = 10;
 
-/// Run the full pipeline + simulation for one workload/machine pair.
+/// Run the full pipeline + simulation for one workload/machine pair, on
+/// the process-wide session's one ground-truth step (`model_and_sim`).
 pub fn eval_run(w: &Workload, machine: &MachineModel, scale: Scale) -> EvalRun {
-    let app = ModeledApp::from_workload(w, scale).expect("pipeline");
-    let mp = app.project_on(machine);
-    let measured = app.measure_on(Some(w), machine).expect("simulate");
+    let (app, projection, sim) = xflow::default_session()
+        .model_and_sim(w.source, &w.inputs(scale), Some(w), machine, DEFAULT_SEED)
+        .expect("pipeline");
+    let mp = MachineProjection::new(&app.units, machine, projection);
+    let measured = Measured::new(&app, sim);
     let cmp = compare(&mp, &measured, TOP_K);
     EvalRun { workload: w.clone(), machine: machine.clone(), app, mp, measured, cmp }
 }

@@ -136,7 +136,21 @@ impl std::ops::AddAssign for StmtSim {
     }
 }
 
-/// Simulate a program on a machine, producing the measured profile.
+/// Version of the simulator's cost accounting and [`SimReport`] layout.
+///
+/// Bump whenever a change moves the bits of any report (a new charge, a
+/// different cache policy, a reshaped field); a content-addressed cache of
+/// simulations folds this into its keys, so a persisted report never
+/// outlives the simulator that produced it.
+pub fn schema_version() -> u32 {
+    1
+}
+
+/// Simulate a program on a machine under an `rnd()` seed, producing the
+/// measured profile. A simulation seeded the same as the profiled run that
+/// built a BET observes the exact same dynamic branch outcomes, which is
+/// what lets the differential validator demand *exact* analytic-vs-simulated
+/// visit counts.
 ///
 /// Uses the bytecode VM engine with superinstruction fusion —
 /// observationally identical to the tree-walking reference
@@ -144,19 +158,6 @@ impl std::ops::AddAssign for StmtSim {
 /// bit-equal profiles and event streams, and fusion is held to the same
 /// contract) but several times faster, which matters because the
 /// simulator replays every dynamic operation of the workload.
-pub fn simulate(
-    prog: &Program,
-    inputs: &InputSpec,
-    machine: &MachineModel,
-    cfg: SimConfig,
-) -> Result<SimReport, RuntimeError> {
-    simulate_with_seed(prog, inputs, machine, cfg, xflow_minilang::DEFAULT_SEED)
-}
-
-/// [`simulate`] with an explicit `rnd()` seed. A simulation seeded the same
-/// as the profiled run that built a BET observes the exact same dynamic
-/// branch outcomes, which is what lets the differential validator demand
-/// *exact* analytic-vs-simulated visit counts.
 pub fn simulate_with_seed(
     prog: &Program,
     inputs: &InputSpec,
@@ -201,11 +202,12 @@ pub(crate) fn finish_report(
 mod tests {
     use super::*;
     use xflow_hw::{bgq, generic, xeon};
-    use xflow_minilang::parse;
+    use xflow_minilang::{parse, DEFAULT_SEED};
 
     fn sim(src: &str, inputs: &[(&str, f64)], m: &MachineModel) -> SimReport {
         let p = parse(src).unwrap();
-        simulate(&p, &InputSpec::from_pairs(inputs.iter().copied()), m, SimConfig::default()).unwrap()
+        simulate_with_seed(&p, &InputSpec::from_pairs(inputs.iter().copied()), m, SimConfig::default(), DEFAULT_SEED)
+            .unwrap()
     }
 
     const STREAM: &str = r#"
@@ -298,7 +300,7 @@ fn main() {
     #[test]
     fn fold_to_skeleton_accounts_every_mapped_statement() {
         let p = parse(STREAM).unwrap();
-        let r = simulate(&p, &InputSpec::from_pairs([("N", 2048.0)]), &generic(), SimConfig::default()).unwrap();
+        let r = sim(STREAM, &[("N", 2048.0)], &generic());
         let tr = xflow_minilang::translate(&p, &r.profile).unwrap();
         let folded = r.fold_to_skeleton(&tr.map);
         let mapped = |m: &HashMap<MStmtId, u64>| -> u64 {
@@ -316,7 +318,7 @@ fn main() {
     #[test]
     fn fold_to_skeleton_ignores_map_iteration_order() {
         let p = parse(STREAM).unwrap();
-        let r = simulate(&p, &InputSpec::from_pairs([("N", 2048.0)]), &generic(), SimConfig::default()).unwrap();
+        let r = sim(STREAM, &[("N", 2048.0)], &generic());
         let tr = xflow_minilang::translate(&p, &r.profile).unwrap();
         let folded = r.fold_to_skeleton(&tr.map);
         // rebuilt maps hash with fresh keys, so they iterate in another order
@@ -333,6 +335,6 @@ fn main() {
     #[test]
     fn runtime_errors_propagate() {
         let p = parse("fn main() { let a = zeros(1); a[5] = 0; }").unwrap();
-        assert!(simulate(&p, &InputSpec::new(), &generic(), SimConfig::default()).is_err());
+        assert!(simulate_with_seed(&p, &InputSpec::new(), &generic(), SimConfig::default(), DEFAULT_SEED).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! * [`simulate_reference`] — the **tree-walking engine**: the dense
 //!   [`SimTracer`] driven by `xflow_minilang::reference::run` instead of
 //!   the fused VM, so the VM's event stream is checked end to end
-//!   (`simulate` must report the same bits).
+//!   (`simulate_with_seed` must report the same bits).
 //! * [`ReferenceTracer`] and [`tracer_report`] — the **HashMap tracer**:
 //!   the pre-dense cost tracer, one `entry` upsert per dynamic operation,
 //!   a `String` allocation per library call, and cross-block reuse
@@ -26,8 +26,8 @@ use std::collections::HashMap;
 use xflow_hw::MachineModel;
 use xflow_minilang::{InputSpec, Limits, MStmtId, Program, RuntimeError, Tracer, DEFAULT_SEED};
 
-/// [`crate::simulate`] on the tree-walking reference engine (for
-/// cross-checks of the VM's event stream).
+/// [`crate::simulate_with_seed`] under [`DEFAULT_SEED`] on the tree-walking
+/// reference engine (for cross-checks of the VM's event stream).
 pub fn simulate_reference(
     prog: &Program,
     inputs: &InputSpec,
@@ -254,7 +254,8 @@ fn main() {
 "#;
         let prog = xflow_minilang::parse(src).unwrap();
         let m = bgq();
-        let fast = crate::simulate(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
+        let fast = simulate_with_seed(&prog, &InputSpec::new(), &m, SimConfig::default(), xflow_minilang::DEFAULT_SEED)
+            .unwrap();
         let refr = simulate_reference(&prog, &InputSpec::new(), &m, SimConfig::default()).unwrap();
         assert_reports_bit_equal(&fast, &refr, "VM vs tree-walker");
     }

@@ -204,7 +204,8 @@ mod tests {
             let prog = w.program();
             for m in [xflow_hw::bgq(), xflow_hw::xeon()] {
                 let cfg = w.sim_config(&prog, &m);
-                let r = xflow_sim::simulate(&prog, &w.inputs(Scale::Test), &m, cfg)
+                let seed = xflow_minilang::DEFAULT_SEED;
+                let r = xflow_sim::simulate_with_seed(&prog, &w.inputs(Scale::Test), &m, cfg, seed)
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, m.name));
                 assert!(r.total_cycles > 0.0, "{} on {}", w.name, m.name);
             }

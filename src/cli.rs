@@ -7,7 +7,7 @@
 //! The entry point [`run`] is pure with respect to stdout — it returns the
 //! output text — so every command is unit-testable.
 
-use crate::{bgq, compare, Criteria, InputSpec, MachineModel, ModeledApp, Scale, Session};
+use crate::{bgq, compare, Criteria, InputSpec, MachineModel, MachineProjection, Measured, ModeledApp, Scale, Session};
 use crate::{Axis, CollectingRecorder, DesignSpace, SessionConfig, SweepOptions};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -56,7 +56,8 @@ OPTIONS:
     --leanness <0..1>              code-leanness criterion [default: 0.25]
     --top <N>                      rows to print           [default: 10]
     --scale <test|eval>            workload input preset   [default: test]
-    --seed <N>                     RNG seed for validate's oracle runs
+    --seed <N>                     rnd() seed of the runs behind profile,
+                                   simulate, compare, validate and oracle
     --json                         machine-readable output (explain, validate,
                                    profile)
     --trace-out <FILE>             write a Chrome trace of the run to FILE
@@ -106,7 +107,9 @@ struct Invocation {
     no_cache: bool,
     json: bool,
     scale: Scale,
-    seed: Option<u64>,
+    seed: u64,
+    /// The built-in workload FILE named, if it names one.
+    workload: Option<crate::Workload>,
     axes: Vec<Axis>,
     sweep_opts: SweepOptions<'static>,
     /// `serve`: bind address.
@@ -177,7 +180,8 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
         no_cache: false,
         json: false,
         scale: Scale::Test,
-        seed: None,
+        seed: crate::xflow_minilang::DEFAULT_SEED,
+        workload: None,
         axes: Vec::new(),
         sweep_opts: SweepOptions::default(),
         addr: None,
@@ -292,7 +296,7 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => v.parse(),
                 };
-                inv.seed = Some(parsed.map_err(|_| format!("bad --seed `{v}`"))?);
+                inv.seed = parsed.map_err(|_| format!("bad --seed `{v}`"))?;
             }
             "--axis" => {
                 let v = it.next().ok_or("--axis needs NAME=V1,V2,...")?;
@@ -362,9 +366,9 @@ pub fn run(args: &[String]) -> Result<String, String> {
         return run_oracle(&inv, &registry);
     }
     let file = inv.file.clone().ok_or_else(|| format!("`{}` needs a FILE argument\n\n{USAGE}", inv.command))?;
-    let (src, workload) = resolve_source(&mut inv, &file)?;
+    let src = resolve_source(&mut inv, &file)?;
     if inv.command == "validate" {
-        return run_validate(&inv, &src, workload.as_ref());
+        return run_validate(&inv, &src);
     }
     let mut session = None;
     let out = run_on_source(&inv, &src, &mut session)?;
@@ -386,10 +390,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// Resolve the FILE argument: a readable path wins; otherwise the name of
 /// a built-in workload (whose scale-preset inputs seed the binding, with
-/// `--input` overrides applied on top), returned beside its source.
-fn resolve_source(inv: &mut Invocation, file: &str) -> Result<(String, Option<crate::Workload>), String> {
+/// `--input` overrides applied on top), kept as `inv.workload`.
+fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
     match std::fs::read_to_string(file) {
-        Ok(src) => Ok((src, None)),
+        Ok(src) => Ok(src),
         Err(e) => {
             let want = file.to_lowercase();
             match xflow_workloads::all().into_iter().find(|w| w.name.to_lowercase() == want) {
@@ -399,7 +403,9 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<(String, Option<cr
                         inputs.set(k, v);
                     }
                     inv.inputs = inputs;
-                    Ok((w.source.to_string(), Some(w)))
+                    let src = w.source.to_string();
+                    inv.workload = Some(w);
+                    Ok(src)
                 }
                 None => Err(format!("cannot read {file}: {e}")),
             }
@@ -407,23 +413,15 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<(String, Option<cr
     }
 }
 
-/// `validate`'s checks: the default tolerances, under `--seed` if given.
-fn validation_config(inv: &Invocation) -> xflow_validate::ValidationConfig {
-    let mut cfg = xflow_validate::ValidationConfig::default();
-    if let Some(s) = inv.seed {
-        cfg.seed = s;
-    }
-    cfg
-}
-
 /// The `validate` subcommand: check the model a memory-only session
 /// serves for the resolved FILE against the interpreter/VM and the cycle
 /// simulator ([`Session::validate`]). Returns `Err` (→ exit code 1) when
 /// any check fails so CI can gate on it; the payload is still the full
 /// report.
-fn run_validate(inv: &Invocation, src: &str, workload: Option<&crate::Workload>) -> Result<String, String> {
+fn run_validate(inv: &Invocation, src: &str) -> Result<String, String> {
+    let cfg = xflow_validate::ValidationConfig { seed: inv.seed, ..Default::default() };
     let report = Session::new()
-        .validate(src, &inv.inputs, workload, &inv.machine, &validation_config(inv))
+        .validate(src, &inv.inputs, inv.workload.as_ref(), &inv.machine, &cfg)
         .map_err(|e| e.to_string())?;
     let out = if inv.json {
         let mut j = xflow_validate::to_json(&report);
@@ -444,7 +442,7 @@ fn run_validate(inv: &Invocation, src: &str, workload: Option<&crate::Workload>)
 /// modeled once for all machines. One failed combo fails the whole run
 /// (→ exit code 1) with every report still rendered.
 fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
-    let cfg = validation_config(inv);
+    let cfg = xflow_validate::ValidationConfig { seed: inv.seed, ..Default::default() };
     let machines = resolve_machines(inv, registry)?;
     let workloads = xflow_workloads::all();
     // workers claim combos machine-major, so two workers start on two
@@ -539,8 +537,7 @@ fn run_oracle(inv: &Invocation, registry: &MachineRegistry) -> Result<String, St
         Some(dir) => Session::with_cache_dir(dir),
         None => Session::new(),
     };
-    let opts =
-        crate::oracle::OracleOptions { jobs: inv.jobs, seed: inv.seed.unwrap_or(crate::xflow_minilang::DEFAULT_SEED) };
+    let opts = crate::oracle::OracleOptions { jobs: inv.jobs, seed: inv.seed };
     let corpus = crate::oracle::build_corpus(&session, &programs, &machines, &opts).map_err(|e| e.to_string())?;
     // cache traffic goes to stderr so stdout (and --out files) stay
     // byte-identical between cold and warm runs
@@ -695,40 +692,37 @@ fn profile_report(iprof: &crate::xflow_minilang::InstrProfile, inv: &Invocation)
     out
 }
 
-/// Model the source honoring the cache flags: `--no-cache` forces a cold
-/// build through a fresh memory-only session, `--cache-dir` warm-starts
-/// from (and persists to) disk, and the default path shares the
-/// process-wide in-memory session. Cache traffic is reported on stderr so
-/// stdout stays byte-identical between warm and cold runs.
+/// Run `f` on the session the cache flags choose: a fresh memory-only one
+/// under `--no-cache`, one persisting to `--cache-dir`, one observed by the
+/// trace recorder, else the process-wide default. An owned session is kept
+/// in `session_out` so `run` can fold its counters into the trace. Cache
+/// traffic goes to stderr, so stdout is byte-identical warm and cold.
+fn on_session<T>(
+    inv: &Invocation,
+    session_out: &mut Option<Session>,
+    f: impl FnOnce(&Session) -> Result<T, crate::PipelineError>,
+) -> Result<T, String> {
+    let (recorder, cache_dir) = (inv.session_recorder(), inv.cache_dir.as_ref().filter(|_| !inv.no_cache));
+    if !inv.no_cache && cache_dir.is_none() && recorder.is_none() {
+        return f(crate::default_session()).map_err(|e| e.to_string());
+    }
+    let config = SessionConfig { cache_dir: cache_dir.map(Into::into), recorder, ..SessionConfig::default() };
+    let session = session_out.insert(Session::with_config(config));
+    let out = f(session).map_err(|e| e.to_string())?;
+    if let Some(dir) = cache_dir {
+        eprintln!("[xflow cache] {} ({dir})", session.stats());
+    }
+    Ok(out)
+}
+
 fn modeled(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Result<ModeledApp, String> {
-    let recorder = inv.session_recorder();
-    if inv.no_cache || recorder.is_some() {
-        // a fresh memory-only session is cold by construction; a traced
-        // run gets its own session so the stage spans land in the
-        // recorder, and the session outlives the command so `run` can fold
-        // its cache counters into the exported trace
-        let cache_dir = if inv.no_cache { None } else { inv.cache_dir.as_ref() };
-        let config = SessionConfig { cache_dir: cache_dir.map(Into::into), recorder, ..SessionConfig::default() };
-        let session = Session::with_config(config);
-        let app = session.model(src, &inv.inputs).map_err(|e| e.to_string())?;
-        if let Some(dir) = cache_dir {
-            eprintln!("[xflow cache] {} ({dir})", session.stats());
-        }
-        *session_out = Some(session);
-        return Ok(app);
-    }
-    match &inv.cache_dir {
-        Some(dir) => {
-            let session = Session::with_cache_dir(dir);
-            let app = session.model(src, &inv.inputs).map_err(|e| e.to_string())?;
-            eprintln!("[xflow cache] {} ({dir})", session.stats());
-            Ok(app)
-        }
-        None => ModeledApp::from_source(src, &inv.inputs).map_err(|e| e.to_string()),
-    }
+    on_session(inv, session_out, |session| session.model(src, &inv.inputs))
 }
 
 fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Result<String, String> {
+    // `simulate` and `compare` read the model and its ground truth exactly
+    // as `validate` does
+    let model_and_sim = |s: &Session| s.model_and_sim(src, &inv.inputs, inv.workload.as_ref(), &inv.machine, inv.seed);
     match inv.command.as_str() {
         "skeleton" => {
             let app = modeled(inv, src, session_out)?;
@@ -820,8 +814,8 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             Ok(out)
         }
         "simulate" => {
-            let app = modeled(inv, src, session_out)?;
-            let measured = app.measure_on(None, &inv.machine).map_err(|e| e.to_string())?;
+            let (app, _, sim) = on_session(inv, session_out, model_and_sim)?;
+            let measured = Measured::new(&app, sim);
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -863,7 +857,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
                     &inv.inputs,
                     crate::xflow_minilang::NullTracer,
                     crate::xflow_minilang::Limits::default(),
-                    inv.seed.unwrap_or(crate::xflow_minilang::DEFAULT_SEED),
+                    inv.seed,
                 )
                 .map_err(|e| e.to_string())?;
             if let Some(rec) = inv.session_recorder() {
@@ -898,9 +892,9 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             Ok(out)
         }
         "compare" => {
-            let app = modeled(inv, src, session_out)?;
-            let mp = app.project_on(&inv.machine);
-            let measured = app.measure_on(None, &inv.machine).map_err(|e| e.to_string())?;
+            let (app, projection, sim) = on_session(inv, session_out, model_and_sim)?;
+            let mp = MachineProjection::new(&app.units, &inv.machine, projection);
+            let measured = Measured::new(&app, sim);
             let cmp = compare(&mp, &measured, inv.top);
             let mut out = cmp.format_table(&app.units, inv.top);
             let _ = writeln!(
@@ -963,6 +957,10 @@ fn main() {
 "#;
 
     fn with_demo_file(f: impl FnOnce(&str)) {
+        with_source_file(DEMO, f)
+    }
+
+    fn with_source_file(src: &str, f: impl FnOnce(&str)) {
         // one directory per call: tests run in parallel and each removes
         // its directory when done
         static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -970,7 +968,7 @@ fn main() {
         let dir = std::env::temp_dir().join(format!("xflow-cli-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("demo.ml");
-        std::fs::write(&path, DEMO).unwrap();
+        std::fs::write(&path, src).unwrap();
         f(path.to_str().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1043,6 +1041,73 @@ fn main() {
             let out = run(&args(&["compare", path])).unwrap();
             assert!(out.contains("Prof (measured)"), "{out}");
             assert!(out.contains("overlap"), "{out}");
+        });
+    }
+
+    #[test]
+    fn simulate_and_compare_read_the_validated_simulation() {
+        use crate::xflow_minilang::DEFAULT_SEED;
+        // both commands persist through the session's sim stage: after
+        // them, a session over the same directory must find the simulation
+        // `validate` checks on disk, and print the same bytes from it (the
+        // demo file only provides a fresh directory for the cache)
+        with_demo_file(|path| {
+            let dir = std::path::Path::new(path).parent().unwrap().join("cache");
+            let cache = dir.to_str().unwrap();
+            let sim_files = || {
+                let names = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap());
+                names.filter(|n| n.starts_with("sim-")).count()
+            };
+            let mut combos = 0;
+            for w in xflow_workloads::all() {
+                for (name, machine) in [("bgq", bgq()), ("xeon", crate::xeon())] {
+                    let ctx = format!("{} on {name}", w.name);
+                    let simulated = run(&args(&["simulate", w.name, "--machine", name, "--cache-dir", cache])).unwrap();
+                    let compared = run(&args(&["compare", w.name, "--machine", name, "--cache-dir", cache])).unwrap();
+                    combos += 1;
+                    assert_eq!(sim_files(), combos, "{ctx}: compare reads the simulation simulate stored");
+
+                    let session = Session::with_cache_dir(&dir);
+                    let inputs = w.inputs(Scale::Test);
+                    let cfg = xflow_validate::ValidationConfig::default();
+                    let report = session.validate(w.source, &inputs, Some(&w), &machine, &cfg).unwrap();
+                    let sim = session.stats().sim;
+                    assert_eq!((sim.disk_hits, sim.misses), (1, 0), "{ctx}: validate reads the same simulation");
+                    let (app, projection, sim) =
+                        session.model_and_sim(w.source, &inputs, Some(&w), &machine, DEFAULT_SEED).unwrap();
+                    assert_eq!(sim.total_seconds().to_bits(), report.simulated_total_seconds.to_bits(), "{ctx}");
+                    let measured = Measured::new(&app, sim);
+                    let header = format!(
+                        "machine: {}   measured total: {:.3e} s ({:.3e} cycles)\n",
+                        machine.name,
+                        measured.total(),
+                        measured.report.total_cycles
+                    );
+                    assert!(simulated.starts_with(&header), "{ctx}: {simulated}");
+                    let mp = MachineProjection::new(&app.units, &machine, projection);
+                    let table = compare(&mp, &measured, 10).format_table(&app.units, 10);
+                    assert!(compared.starts_with(&table), "{ctx}: {compared}");
+                }
+            }
+        });
+        // which arm runs depends on rnd(), so the seed moves the measurement
+        const BRANCHY: &str = r#"
+fn main() {
+    let n = input("N", 4096);
+    let a = zeros(n);
+    @fill: for i in 0 .. n { a[i] = rnd(); }
+    @branchy: for i in 0 .. n {
+        if rnd() < 0.5 { a[i] = exp(a[i]) / (a[i] + 1.0); } else { a[i] = a[i] * 0.5; }
+    }
+}
+"#;
+        with_source_file(BRANCHY, |path| {
+            for cmd in ["simulate", "compare"] {
+                let default = run(&args(&[cmd, path])).unwrap();
+                let seeded = run(&args(&[cmd, path, "--seed", "7"])).unwrap();
+                assert_ne!(default, seeded, "{cmd}: --seed must reach the run");
+                assert_eq!(seeded, run(&args(&[cmd, path, "--seed", "7"])).unwrap(), "{cmd}: seeded runs repeat");
+            }
         });
     }
 
@@ -1234,7 +1299,7 @@ fn main() {
                 let argv = args(&[&["profile", w][..], extra].concat());
                 let printed = run(&argv).unwrap();
                 let mut inv = parse_args(&argv, &machine_registry(&argv).unwrap()).unwrap();
-                let prog = ml::parse(&resolve_source(&mut inv, w).unwrap().0).unwrap();
+                let prog = ml::parse(&resolve_source(&mut inv, w).unwrap()).unwrap();
                 let unfused = ml::reference::compile_unfused(&prog).unwrap();
                 let (_, _, _, iprof) =
                     unfused.run_profiled(&inv.inputs, ml::NullTracer, ml::Limits::default(), ml::DEFAULT_SEED).unwrap();

@@ -1,7 +1,7 @@
 //! Model-vs-measurement comparison: the paper's evaluation harness
 //! (Sections VI–VII) as a reusable API.
 
-use crate::pipeline::{MachineProjection, Measured, ModeledApp};
+use crate::pipeline::{MachineProjection, Measured};
 use crate::units::Units;
 use xflow_hotspot::{coverage_curve, quality_curve, top_k_overlap, MeasuredTimes};
 use xflow_skeleton::StmtId;
@@ -99,19 +99,4 @@ fn truncate(s: &str, n: usize) -> String {
     } else {
         format!("{}…", &s[..n - 1])
     }
-}
-
-/// One-call evaluation of a workload-style application on one machine with
-/// the paper's default criteria; returns the comparison and both selections.
-pub fn evaluate(
-    app: &ModeledApp,
-    w: Option<&xflow_workloads::Workload>,
-    machine: &xflow_hw::MachineModel,
-    max_k: usize,
-) -> Result<(Comparison, xflow_hotspot::Selection), crate::pipeline::PipelineError> {
-    let mp = app.project_on(machine);
-    let measured = app.measure_on(w, machine)?;
-    let cmp = compare(&mp, &measured, max_k);
-    let sel = mp.select(&app.units, crate::EVAL_CRITERIA);
-    Ok((cmp, sel))
 }

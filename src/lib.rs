@@ -59,7 +59,7 @@ pub mod store;
 pub mod sweep;
 pub mod units;
 
-pub use compare::{compare, evaluate, Comparison};
+pub use compare::{compare, Comparison};
 pub use explain::{explain, explain_observed, ChainStep, Explain, ExplainBlock, ExplainUnit};
 pub use multirank::{format_scaling, project_scaling, BspSpec, RankPoint, ScalingKind};
 pub use oracle::{

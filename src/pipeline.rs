@@ -1,18 +1,18 @@
 //! The end-to-end modeling pipeline (paper Figure 1).
 //!
 //! `source → [profiled run] → code skeleton → BET → projection` on any
-//! number of target machines, plus the ground-truth measurement path
-//! (`source → simulator`) used to evaluate the projections.
+//! number of target machines, plus the unit view ([`Measured`]) of the
+//! session's ground-truth simulation used to evaluate the projections.
 
 use crate::units::{UnitCost, Units};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use xflow_bet::Bet;
 use xflow_hotspot::{rank_units, Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
 use xflow_hw::{LibraryRegistry, MachineModel, PerfModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
-use xflow_sim::StmtSim;
+use xflow_sim::{SimReport, StmtSim};
 use xflow_skeleton::StmtId;
 use xflow_workloads::{Scale, Workload};
 
@@ -155,17 +155,6 @@ impl ModeledApp {
         MachineProjection::new(&self.units, machine, xflow_hotspot::project(&self.bet, machine, model, libs))
     }
 
-    /// Measure the application on a machine with the ground-truth
-    /// simulator, returning the measured unit profile.
-    pub fn measure_on(&self, w: Option<&Workload>, machine: &MachineModel) -> Result<Measured, PipelineError> {
-        let cfg = match w {
-            Some(w) => w.sim_config(&self.program, machine),
-            None => xflow_sim::SimConfig::default(),
-        };
-        let report = xflow_sim::simulate(&self.program, &self.inputs, machine, cfg)?;
-        Ok(Measured::from_report(report, &self.translation, &self.units))
-    }
-
     /// BET size ratio vs. skeleton statements (paper: avg ≈ 0.88, < 2).
     pub fn bet_size_ratio(&self) -> f64 {
         self.bet.size_ratio(self.translation.skeleton.source_statement_count())
@@ -208,8 +197,9 @@ pub struct MachineProjection {
 }
 
 impl MachineProjection {
-    /// Fold a per-statement projection into the unit view.
-    pub(crate) fn new(units: &Units, machine: &MachineModel, projection: Projection) -> Self {
+    /// Fold a per-statement projection of an app with `units` into the unit
+    /// view.
+    pub fn new(units: &Units, machine: &MachineModel, projection: Projection) -> Self {
         let costs = projection
             .per_stmt
             .iter()
@@ -247,8 +237,8 @@ impl MachineProjection {
 
 /// A measured (simulated) profile in unit view.
 pub struct Measured {
-    /// The raw simulation report.
-    pub report: xflow_sim::SimReport,
+    /// The raw simulation report, shared with the session's sim stage.
+    pub report: Arc<SimReport>,
     /// Simulated totals per unit: the report folded onto skeleton
     /// statements ([`SimReport::fold_to_skeleton`](xflow_sim::SimReport::fold_to_skeleton)),
     /// those rows added to their units in ascending statement order, then
@@ -260,9 +250,13 @@ pub struct Measured {
 }
 
 impl Measured {
-    fn from_report(report: xflow_sim::SimReport, translation: &Translation, units: &Units) -> Measured {
+    /// The unit view of a simulation of `app`'s program, such as the
+    /// report [`Session::model_and_sim`](crate::Session::model_and_sim)
+    /// returns beside the model.
+    pub fn new(app: &ModeledApp, report: Arc<SimReport>) -> Measured {
+        let units = &app.units;
         let mut per_unit: BTreeMap<StmtId, StmtSim> = BTreeMap::new();
-        for (stmt, sim) in report.fold_to_skeleton(&translation.map) {
+        for (stmt, sim) in report.fold_to_skeleton(&app.translation.map) {
             *per_unit.entry(units.unit_of(stmt)).or_default() += sim;
         }
         let freq_hz = report.freq_ghz * 1e9;
@@ -327,10 +321,12 @@ mod tests {
             for machine in [bgq(), xeon()] {
                 let ctx = format!("{} on {}", w.name, machine.name);
                 let cfg = w.sim_config(&app.program, &machine);
-                let report = xflow_sim::simulate(&app.program, &app.inputs, &machine, cfg).unwrap();
-                let json = serde_json::to_string(&report).unwrap();
-                let a = Measured::from_report(report, &app.translation, &app.units);
-                let b = Measured::from_report(serde_json::from_str(&json).unwrap(), &app.translation, &app.units);
+                let report = crate::default_session()
+                    .sim_report(w.source, &app.inputs, &machine, &cfg, ml::DEFAULT_SEED)
+                    .unwrap();
+                let json = serde_json::to_string(&*report).unwrap();
+                let a = Measured::new(&app, report);
+                let b = Measured::new(&app, Arc::new(serde_json::from_str(&json).unwrap()));
                 assert_eq!(a.total().to_bits(), b.total().to_bits(), "{ctx}: total");
                 let unit_bits = |m: &Measured| -> Vec<(StmtId, u64)> {
                     let mut v: Vec<(StmtId, u64)> = m.oracle.times.iter().map(|(&u, t)| (u, t.to_bits())).collect();

@@ -34,7 +34,9 @@
 //! * `plan_key`      = `fnv(bet_key, "plan", library fingerprint)`
 //!   ([`LibraryRegistry::fingerprint`](xflow_hw::LibraryRegistry::fingerprint)
 //!   of [`default_library`] — a re-calibration invalidates plans but
-//!   nothing upstream).
+//!   nothing upstream);
+//! * `sim_key` (off the chain, see `derive_sim_key`) alone folds in
+//!   `xflow_sim::schema_version()`: a simulator change re-simulates only.
 //!
 //! Editing the source therefore misses every stage; changing only the
 //! inputs or the seed reuses the parsed program and rebuilds downstream.
@@ -66,7 +68,7 @@ use xflow_minilang::{self as ml, InputSpec};
 use xflow_obs::{MetricsRegistry, NoopRecorder, Recorder};
 use xflow_sim::{default_library, SimConfig, SimReport};
 use xflow_validate::{ValidationConfig, ValidationReport};
-use xflow_workloads::{Scale, Workload};
+use xflow_workloads::Workload;
 
 use crate::pipeline::{ModeledApp, PipelineError};
 use crate::store::{ArtifactStore, StoreConfig};
@@ -188,12 +190,22 @@ fn derive_keys(salt: u64, src: &str, inputs: &InputSpec, seed: u64) -> StageKeys
 /// Key of one simulator-oracle query. Chained off the salt directly rather
 /// than off the parse key: a simulation replays the whole program, so the
 /// key must cover source, inputs, machine, sim config and seed — any one
-/// changing is a different ground-truth point. The machine is hashed via
-/// its canonical JSON (the vendored serializer emits maps in sorted order),
-/// and vector overrides as sorted `(stmt, f64::to_bits)` pairs.
-fn derive_sim_key(salt: u64, src: &str, inputs: &InputSpec, machine: &MachineModel, cfg: &SimConfig, seed: u64) -> u64 {
+/// changing is a different ground-truth point — and `sim_schema`, the
+/// simulator's own version. The machine is hashed via its canonical JSON
+/// (the vendored serializer emits maps in sorted order), and vector
+/// overrides as sorted `(stmt, f64::to_bits)` pairs.
+fn derive_sim_key(
+    salt: u64,
+    sim_schema: u32,
+    src: &str,
+    inputs: &InputSpec,
+    machine: &MachineModel,
+    cfg: &SimConfig,
+    seed: u64,
+) -> u64 {
     let mut h = Fnv::seeded(salt);
     h.write_str("sim");
+    h.write_u64(sim_schema as u64);
     h.write_str(src);
     h.write_str(&inputs.canonical_string());
     h.write_str(&serde_json::to_string(machine).unwrap_or_default());
@@ -379,18 +391,13 @@ impl Session {
         })
     }
 
-    /// Model a built-in benchmark workload at a scale preset.
-    pub fn model_workload(&self, w: &Workload, scale: Scale) -> Result<ModeledApp, PipelineError> {
-        self.model(w.source, &w.inputs(scale))
-    }
-
     /// Ground-truth simulator report for one program × inputs × machine ×
     /// seed × sim-config query, cached as its own content-addressed stage
     /// (`sim-<salt>-<key>.json`). This stage is deliberately *not* part of
-    /// [`Session::model`]'s five-stage chain: only the oracle driver and
-    /// validation tooling pay simulation cost, and only once per distinct
-    /// query per cache directory. A miss takes its program from the parse
-    /// stage.
+    /// [`Session::model`]'s five-stage chain: only queries for ground truth
+    /// ([`Session::model_and_sim`]) pay simulation cost, and only once per
+    /// distinct query per cache directory. A miss takes its program from
+    /// the parse stage.
     pub fn sim_report(
         &self,
         src: &str,
@@ -399,7 +406,7 @@ impl Session {
         cfg: &SimConfig,
         seed: u64,
     ) -> Result<Arc<SimReport>, PipelineError> {
-        let key = derive_sim_key(self.salt, src, inputs, machine, cfg, seed);
+        let key = derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, machine, cfg, seed);
         let store = &*self.store;
         store.sim.get_or_build(self.salt, store.cache_dir(), self.recorder(), key, || {
             let program = self.program(src, derive_parse_key(self.salt, src))?;
@@ -410,9 +417,9 @@ impl Session {
     /// A model and its ground truth on one machine under one seed: the
     /// seeded model ([`Session::model_seeded`]), its plan evaluated with the
     /// extended roofline, and the simulation ([`Session::sim_report`]) with
-    /// the workload's compiler-vectorization overrides, if it is one. The
-    /// oracle corpus and [`Session::validate`] both read these three, so a
-    /// program is modeled once for every machine it is checked on.
+    /// the workload's compiler-vectorization overrides, if it is one: the
+    /// one ground truth that [`Session::validate`], the oracle corpus,
+    /// `simulate`, `compare` and the figures read, modeled once per program.
     pub fn model_and_sim(
         &self,
         src: &str,
@@ -578,13 +585,23 @@ fn main() {
     fn sim_key_covers_machine_seed_and_overrides() {
         let i = InputSpec::from_pairs([("N", 32.0)]);
         let salt = key_salt();
-        let base = derive_sim_key(salt, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 1);
-        assert_eq!(base, derive_sim_key(salt, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 1));
-        assert_ne!(base, derive_sim_key(salt, SRC, &i, &xflow_hw::xeon(), &SimConfig::default(), 1));
-        assert_ne!(base, derive_sim_key(salt, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 2));
+        let base = derive_sim_key(salt, 1, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 1);
+        assert_eq!(base, derive_sim_key(salt, 1, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 1));
+        assert_ne!(base, derive_sim_key(salt, 1, SRC, &i, &xflow_hw::xeon(), &SimConfig::default(), 1));
+        assert_ne!(base, derive_sim_key(salt, 1, SRC, &i, &xflow_hw::bgq(), &SimConfig::default(), 2));
         let mut cfg = SimConfig::default();
         cfg.vector_overrides.insert(xflow_minilang::MStmtId(3), 0.5);
-        assert_ne!(base, derive_sim_key(salt, SRC, &i, &xflow_hw::bgq(), &cfg, 1));
+        assert_ne!(base, derive_sim_key(salt, 1, SRC, &i, &xflow_hw::bgq(), &cfg, 1));
+    }
+
+    #[test]
+    fn sim_key_covers_the_simulator_version() {
+        let i = InputSpec::from_pairs([("N", 32.0)]);
+        let (salt, m, cfg) = (key_salt(), xflow_hw::bgq(), SimConfig::default());
+        let v = xflow_sim::schema_version();
+        let key = |sim_schema| derive_sim_key(salt, sim_schema, SRC, &i, &m, &cfg, 1);
+        assert_eq!(key(v), key(v));
+        assert_ne!(key(v), key(v + 1), "a simulator change must miss every persisted report");
     }
 
     #[test]

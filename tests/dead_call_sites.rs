@@ -10,7 +10,7 @@
 
 use xflow::xflow_minilang as ml;
 use xflow::xflow_sim::reference::{assert_reports_bit_equal, simulate_reference};
-use xflow::xflow_sim::{simulate, SimConfig};
+use xflow::xflow_sim::{simulate_with_seed, SimConfig};
 use xflow::{bgq, InputSpec, Session};
 
 const PROGRAMS: [&str; 2] = ["tests/golden/dead_unknown_call", "tests/golden/dead_arity_mismatch"];
@@ -44,7 +44,8 @@ fn session_model_profiles_like_the_reference() {
 fn simulator_matches_reference_on_dead_call_sites() {
     for stem in PROGRAMS {
         let prog = ml::parse(&source(stem)).expect("parses");
-        let fast = simulate(&prog, &InputSpec::new(), &bgq(), SimConfig::default()).expect("simulates");
+        let fast = simulate_with_seed(&prog, &InputSpec::new(), &bgq(), SimConfig::default(), ml::DEFAULT_SEED)
+            .expect("simulates");
         let reference =
             simulate_reference(&prog, &InputSpec::new(), &bgq(), SimConfig::default()).expect("reference simulates");
         assert_reports_bit_equal(&fast, &reference, stem);

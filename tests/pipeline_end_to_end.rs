@@ -2,7 +2,22 @@
 //! projection, checked against the ground-truth simulator for every
 //! benchmark on both machines.
 
-use xflow::{bgq, compare, xeon, Criteria, ModeledApp, Scale, EVAL_CRITERIA};
+use xflow::xflow_minilang::DEFAULT_SEED;
+use xflow::{
+    bgq, compare, default_session, xeon, Criteria, MachineModel, MachineProjection, Measured, ModeledApp, Scale,
+    Workload, EVAL_CRITERIA,
+};
+
+/// The model of a workload at test scale, its projection on `m` and its
+/// ground truth there: the session's one model-and-simulation step, the
+/// one `xflow validate`, `compare` and the figures read.
+fn model_and_measure(w: &Workload, m: &MachineModel) -> (ModeledApp, MachineProjection, Measured) {
+    let (app, projection, sim) =
+        default_session().model_and_sim(w.source, &w.inputs(Scale::Test), Some(w), m, DEFAULT_SEED).unwrap();
+    let mp = MachineProjection::new(&app.units, m, projection);
+    let measured = Measured::new(&app, sim);
+    (app, mp, measured)
+}
 
 /// Quality of the model's selection at the paper's criteria (coverage ≥
 /// 90 %, leanness ≤ 10 %) must meet the paper's floor of 80 % for every
@@ -11,10 +26,8 @@ use xflow::{bgq, compare, xeon, Criteria, ModeledApp, Scale, EVAL_CRITERIA};
 fn selection_quality_meets_paper_floor() {
     let mut qualities = Vec::new();
     for w in xflow_workloads::all() {
-        let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
         for m in [bgq(), xeon()] {
-            let mp = app.project_on(&m);
-            let measured = app.measure_on(Some(&w), &m).unwrap();
+            let (app, mp, measured) = model_and_measure(&w, &m);
             let sel = mp.select(&app.units, EVAL_CRITERIA);
             let k = sel.spots.len().max(1);
             let cmp = compare(&mp, &measured, k.max(10));
@@ -32,10 +45,8 @@ fn selection_quality_meets_paper_floor() {
 #[test]
 fn projected_top_spot_is_measured_hot() {
     for w in xflow_workloads::all() {
-        let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
         for m in [bgq(), xeon()] {
-            let mp = app.project_on(&m);
-            let measured = app.measure_on(Some(&w), &m).unwrap();
+            let (app, mp, measured) = model_and_measure(&w, &m);
             let top = mp.ranking()[0];
             let measured_top3 = &measured.ranking()[..4];
             assert!(
@@ -76,9 +87,8 @@ fn bet_size_is_input_invariant_and_bounded() {
 fn rankings_are_machine_sensitive() {
     let mut any_difference = false;
     for w in xflow_workloads::all() {
-        let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
-        let q = app.measure_on(Some(&w), &bgq()).unwrap();
-        let x = app.measure_on(Some(&w), &xeon()).unwrap();
+        let (_, _, q) = model_and_measure(&w, &bgq());
+        let (_, _, x) = model_and_measure(&w, &xeon());
         let qr = q.ranking();
         let xr = x.ranking();
         if qr[..5.min(qr.len())] != xr[..5.min(xr.len())] {
@@ -134,13 +144,12 @@ fn srad_library_functions_are_hot() {
 #[test]
 fn cfd_divide_underprojection_and_ablation() {
     let w = xflow_workloads::cfd();
-    let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
     let m = bgq();
+    let (app, _, measured) = model_and_measure(&w, &m);
     let libs = xflow_sim::calibrate_library(256);
 
     let base = app.project_with(&m, &xflow_hw::Roofline, &libs);
     let divaware = app.project_with(&m, &xflow_hw::DivAwareRoofline, &libs);
-    let measured = app.measure_on(Some(&w), &m).unwrap();
 
     let vel_stmt = app.translation.skeleton.stmt_by_label("velocity");
     // the labeled loop's body comp carries the cost; find the unit by name
@@ -149,7 +158,7 @@ fn cfd_divide_underprojection_and_ablation() {
     let _ = vel_stmt;
 
     let measured_share = measured.oracle.times.get(&vel_unit).copied().unwrap_or(0.0) / measured.total();
-    let share = |mp: &xflow::MachineProjection| mp.unit_breakdown.get(&vel_unit).map_or(0.0, |c| c.total) / mp.total;
+    let share = |mp: &MachineProjection| mp.unit_breakdown.get(&vel_unit).map_or(0.0, |c| c.total) / mp.total;
     let base_share = share(&base);
     let div_share = share(&divaware);
 
@@ -168,10 +177,7 @@ fn cfd_divide_underprojection_and_ablation() {
 #[test]
 fn stassuij_vectorization_overprojection() {
     let w = xflow_workloads::stassuij();
-    let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
-    let m = bgq();
-    let mp = app.project_on(&m);
-    let measured = app.measure_on(Some(&w), &m).unwrap();
+    let (app, mp, measured) = model_and_measure(&w, &bgq());
 
     let unit =
         *mp.unit_breakdown.keys().find(|&&u| app.units.name(u).starts_with("scale_row")).expect("scale_row unit");
@@ -208,7 +214,7 @@ fn xeon_more_memory_bound_breakdown() {
     let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
     let q = app.project_on(&bgq());
     let x = app.project_on(&xeon());
-    let mem_frac = |mp: &xflow::MachineProjection| {
+    let mem_frac = |mp: &MachineProjection| {
         let (tm, tot): (f64, f64) =
             mp.unit_breakdown.values().fold((0.0, 0.0), |acc, c| (acc.0 + c.tm, acc.1 + c.tc + c.tm));
         tm / tot
@@ -265,8 +271,7 @@ fn main() {
 #[test]
 fn sord_velocity_reuses_stress_lines() {
     let w = xflow_workloads::sord();
-    let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
-    let measured = app.measure_on(Some(&w), &bgq()).unwrap();
+    let (app, _, measured) = model_and_measure(&w, &bgq());
 
     // find the minilang statement ids of the velocity body via the label map
     let mut vel = None;

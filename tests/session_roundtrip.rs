@@ -16,7 +16,7 @@ fn machines() -> [xflow::MachineModel; 4] {
 /// built from scratch — asserted by five misses and no hits.
 fn cold_build(w: &Workload) -> ModeledApp {
     let session = Session::new();
-    let app = session.model_workload(w, Scale::Test).expect(w.name);
+    let app = session.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
     let st = session.stats();
     assert_eq!((st.misses(), st.hits()), (5, 0), "{}: the cold reference builds all five stages", w.name);
     app
@@ -74,8 +74,8 @@ fn session_model_matches_cold_build_bit_for_bit() {
     for w in xflow_workloads::all() {
         let cold = cold_build(&w);
         // twice: the second load is served entirely from the cache
-        session.model_workload(&w, Scale::Test).expect(w.name);
-        let warm = session.model_workload(&w, Scale::Test).expect(w.name);
+        session.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
+        let warm = session.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
         for m in machines() {
             assert_unit_view_bits(
                 &format!("{}/{} session", w.name, m.name),
@@ -94,12 +94,12 @@ fn disk_round_trip_matches_cold_build_bit_for_bit() {
     let _ = std::fs::remove_dir_all(&dir);
     let seed = Session::with_cache_dir(&dir);
     for w in xflow_workloads::all() {
-        seed.model_workload(&w, Scale::Test).expect(w.name);
+        seed.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
     }
     let warm = Session::with_cache_dir(&dir);
     for w in xflow_workloads::all() {
         let cold = cold_build(&w);
-        let disk = warm.model_workload(&w, Scale::Test).expect(w.name);
+        let disk = warm.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
         for m in machines() {
             assert_unit_view_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
         }
