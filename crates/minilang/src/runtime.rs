@@ -101,6 +101,23 @@ pub trait Tracer {
     fn lib_call(&mut self, _stmt: MStmtId, _name: &'static str, _arg: f64) {}
 }
 
+/// A list of tracers is a tracer: every event goes to each in turn, so one
+/// run feeds several listeners (one simulator per machine).
+impl<T: Tracer> Tracer for Vec<T> {
+    fn ops(&mut self, stmt: MStmtId, flops: u32, iops: u32, divs: u32) {
+        self.iter_mut().for_each(|t| t.ops(stmt, flops, iops, divs));
+    }
+    fn load(&mut self, stmt: MStmtId, addr: u64) {
+        self.iter_mut().for_each(|t| t.load(stmt, addr));
+    }
+    fn store(&mut self, stmt: MStmtId, addr: u64) {
+        self.iter_mut().for_each(|t| t.store(stmt, addr));
+    }
+    fn lib_call(&mut self, stmt: MStmtId, name: &'static str, arg: f64) {
+        self.iter_mut().for_each(|t| t.lib_call(stmt, name, arg));
+    }
+}
+
 /// A tracer that ignores everything (profiling-only runs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullTracer;

@@ -24,7 +24,8 @@ const NO_TOUCHER: u32 = u32::MAX;
 /// Sentinel in the tag store: way holds no line.
 const INVALID_TAG: u32 = u32::MAX;
 
-/// Low half of a packed way word: the compressed tag.
+/// Low half of a packed way word: the compressed tag, complemented so an
+/// empty way ([`INVALID_TAG`], stamp 0) is the all-zero word.
 const TAG_MASK: u64 = u32::MAX as u64;
 
 /// One set-associative cache level with LRU replacement.
@@ -37,7 +38,8 @@ const TAG_MASK: u64 = u32::MAX as u64;
 /// still knows who touched it last, exactly like the old per-line map.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    /// Way store: `sets × assoc` packed `(stamp << 32) | tag` words.
+    /// Way store: `sets × assoc` packed `(stamp << 32) | !tag` words, zero
+    /// when empty, so the host commits its pages only as sets are touched.
     ///
     /// Tags are the *quotient* `line / sets` (the set index is the
     /// remainder), so `(set, tag)` identifies a line exactly — no
@@ -87,7 +89,7 @@ impl CacheArray {
         let assoc = level.assoc.max(1) as usize;
         let slots = (sets as usize) * assoc;
         CacheArray {
-            ways: vec![INVALID_TAG as u64; slots],
+            ways: vec![0; slots],
             touchers: if track { vec![NO_TOUCHER; slots] } else { Vec::new() },
             evicted_touchers: Vec::new(),
             sets,
@@ -159,7 +161,7 @@ impl CacheArray {
 
     #[inline]
     fn find_fixed<const N: usize>(ways: &[u64; N], tag: u32) -> Option<usize> {
-        let tag = tag as u64;
+        let tag = (!tag) as u64;
         let mut found = usize::MAX;
         for (w, &e) in ways.iter().enumerate() {
             if e & TAG_MASK == tag {
@@ -175,7 +177,7 @@ impl CacheArray {
 
     #[inline]
     fn find_generic(ways: &[u64], tag: u32) -> Option<usize> {
-        let tag = tag as u64;
+        let tag = (!tag) as u64;
         let mut found = usize::MAX;
         for (w, &e) in ways.iter().enumerate() {
             if e & TAG_MASK == tag {
@@ -221,7 +223,7 @@ impl CacheArray {
         let mut oldest = u64::MAX;
         for w in 0..self.assoc {
             let e = self.ways[base + w];
-            if e & TAG_MASK == INVALID_TAG as u64 {
+            if e & TAG_MASK == (!INVALID_TAG) as u64 {
                 return w;
             }
             if e >> 32 < oldest {
@@ -242,7 +244,7 @@ impl CacheArray {
         let base = set * self.assoc;
         let victim = base + self.victim_way(base);
         if !self.touchers.is_empty() {
-            let old_tag = (self.ways[victim] & TAG_MASK) as u32;
+            let old_tag = !(self.ways[victim] as u32);
             if old_tag != INVALID_TAG {
                 let t = self.touchers[victim];
                 if t != NO_TOUCHER {
@@ -257,7 +259,7 @@ impl CacheArray {
                 None => archived.unwrap_or(NO_TOUCHER),
             };
         }
-        self.ways[victim] = (self.clock << 32) | tag as u64;
+        self.ways[victim] = (self.clock << 32) | (!tag) as u64;
     }
 
     /// Insert a line without touching hit/miss statistics (prefetch fill).
@@ -280,7 +282,7 @@ impl CacheArray {
         let base = set * self.assoc;
 
         if let Some(w) = Self::find_way(&self.ways[base..base + self.assoc], tag) {
-            self.ways[base + w] = (self.clock << 32) | tag as u64;
+            self.ways[base + w] = (self.clock << 32) | (!tag) as u64;
             self.hits += 1;
             return true;
         }
@@ -299,7 +301,7 @@ impl CacheArray {
         let base = set * self.assoc;
 
         if let Some(w) = Self::find_way(&self.ways[base..base + self.assoc], tag) {
-            self.ways[base + w] = (self.clock << 32) | tag as u64;
+            self.ways[base + w] = (self.clock << 32) | (!tag) as u64;
             self.hits += 1;
             if self.touchers.is_empty() {
                 return (true, None);

@@ -147,17 +147,10 @@ pub fn schema_version() -> u32 {
 }
 
 /// Simulate a program on a machine under an `rnd()` seed, producing the
-/// measured profile. A simulation seeded the same as the profiled run that
-/// built a BET observes the exact same dynamic branch outcomes, which is
-/// what lets the differential validator demand *exact* analytic-vs-simulated
-/// visit counts.
-///
-/// Uses the bytecode VM engine with superinstruction fusion —
-/// observationally identical to the tree-walking reference
-/// (`xflow-minilang`'s `vm_equivalence` tests hold both engines to
-/// bit-equal profiles and event streams, and fusion is held to the same
-/// contract) but several times faster, which matters because the
-/// simulator replays every dynamic operation of the workload.
+/// measured profile: [`simulate_machines`] on one machine. A simulation
+/// seeded the same as the profiled run that built a BET observes the exact
+/// same dynamic branch outcomes, which is what lets the differential
+/// validator demand *exact* analytic-vs-simulated visit counts.
 pub fn simulate_with_seed(
     prog: &Program,
     inputs: &InputSpec,
@@ -165,23 +158,40 @@ pub fn simulate_with_seed(
     cfg: SimConfig,
     seed: u64,
 ) -> Result<SimReport, RuntimeError> {
-    let tracer = SimTracer::for_program(prog, machine, cfg);
-    let (profile, tracer, _ret) =
-        xflow_minilang::compile(prog)?.run(inputs, tracer, xflow_minilang::Limits::default(), seed)?;
-    finish_report(machine, profile, tracer)
+    let (_, mut reports) = simulate_machines(prog, inputs, &[(machine, cfg)], seed)?;
+    Ok(reports.pop().expect("one report per machine"))
 }
 
-pub(crate) fn finish_report(
-    machine: &MachineModel,
-    profile: Profile,
-    tracer: SimTracer,
-) -> Result<SimReport, RuntimeError> {
+/// Simulate a program on every `(machine, config)` pair in one run: one
+/// execution on the fused bytecode VM drives one [`SimTracer`] per pair.
+/// Returns the run's profile (the profile `profile_seeded` yields under
+/// the same seed) and one report per pair, in order. Each report is
+/// bit-identical to simulating its machine alone: a tracer only reads the
+/// event stream, and the stream does not depend on who listens.
+pub fn simulate_machines(
+    prog: &Program,
+    inputs: &InputSpec,
+    runs: &[(&MachineModel, SimConfig)],
+    seed: u64,
+) -> Result<(Profile, Vec<SimReport>), RuntimeError> {
+    let (vm, limits) = (xflow_minilang::compile(prog)?, xflow_minilang::Limits::default());
+    let tracers: Vec<SimTracer> = runs.iter().map(|(m, cfg)| SimTracer::for_program(prog, m, cfg.clone())).collect();
+    // a lone tracer runs bare: walking a one-element list costs a few percent per event
+    let (profile, tracers) = match <[SimTracer; 1]>::try_from(tracers) {
+        Ok([t]) => vm.run(inputs, t, limits, seed).map(|(p, t, _)| (p, vec![t]))?,
+        Err(all) => vm.run(inputs, all, limits, seed).map(|(p, all, _)| (p, all))?,
+    };
+    let reports = runs.iter().zip(tracers).map(|((m, _), t)| finish_report(m, profile.clone(), t)).collect();
+    Ok((profile, reports))
+}
+
+pub(crate) fn finish_report(machine: &MachineModel, profile: Profile, tracer: SimTracer) -> SimReport {
     let l1_hit = tracer.caches().l1.hit_rate();
     let llc_hit = tracer.caches().llc.hit_rate();
     let dram_bytes = tracer.caches().dram_bytes();
     // one dense → HashMap conversion per run, off the hot path
     let maps = tracer.maps();
-    Ok(SimReport {
+    SimReport {
         stmt_cycles: maps.stmt_cycles,
         stmt_instrs: maps.stmt_instrs,
         stmt_l1_misses: maps.stmt_l1_misses,
@@ -195,7 +205,7 @@ pub(crate) fn finish_report(
         dram_bytes,
         profile,
         freq_ghz: machine.freq_ghz,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ pub fn simulate_reference(
     let tracer = SimTracer::for_program(prog, machine, cfg);
     let (profile, tracer, _ret) =
         xflow_minilang::reference::run(prog, inputs, tracer, Limits::default(), DEFAULT_SEED)?;
-    finish_report(machine, profile, tracer)
+    Ok(finish_report(machine, profile, tracer))
 }
 
 /// The pre-dense HashMap-path cost tracer, unchanged.

@@ -34,7 +34,7 @@ use xflow_sim::{default_library, SimConfig};
 
 use crate::gen::{generate, render, GenConfig, GenProgram, Rng};
 use crate::invariants;
-use crate::report::{check, profiles_agree, ValidationConfig};
+use crate::report::{check, profiles_agree, EngineCheck, ValidationConfig};
 
 /// Fuzz campaign configuration.
 #[derive(Debug, Clone)]
@@ -258,8 +258,11 @@ fn check_program_inner(src: &str, escapes: bool, machines: &[MachineModel]) -> O
     if !escapes {
         let cfg = ValidationConfig { check_times: false, ..ValidationConfig::default() };
         let machine = &machines[0];
+        // the engines agreed above, and a run inside the fuzz limits is the
+        // same run under the default ones
+        let engines = EngineCheck { profile: prof, agree: true };
         let report = xflow_sim::simulate_with_seed(&prog, &inputs, machine, SimConfig::default(), cfg.seed)
-            .and_then(|sim| check(&prog, &inputs, &tr, &bet, &projections[0], &sim, &machine.name, &cfg));
+            .map(|sim| check(&prog, &engines, &tr, &bet, &projections[0], &sim, &machine.name, &cfg));
         match report {
             Ok(report) => {
                 if !report.passed {

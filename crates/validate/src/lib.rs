@@ -38,4 +38,4 @@ pub use fuzz::{run_fuzz, FuzzConfig, FuzzFailure, FuzzSummary};
 pub use gen::{generate, render, GenConfig, GenProgram};
 pub use invariants::{check_bet, check_columns, check_projection, Violation};
 pub use jsonfmt::to_json;
-pub use report::{check, join_blocks, profiles_agree, BlockRow, ValidationConfig, ValidationReport};
+pub use report::{check, join_blocks, profiles_agree, BlockRow, EngineCheck, ValidationConfig, ValidationReport};

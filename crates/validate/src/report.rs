@@ -1,15 +1,14 @@
 //! The differential validator: analytic model vs executed oracles.
 //!
 //! [`check`] takes one program's model — its translation, BET, and the
-//! projection of the BET's plan on one machine — and the ground-truth
-//! simulation of the program on that machine, all built by the caller
-//! under one seed (`xflow::Session::validate` takes them from the
-//! session's model and simulation stages), and:
+//! projection of the BET's plan on one machine — the ground-truth
+//! simulation on that machine, and the program's run on **both** execution
+//! engines ([`EngineCheck`], shared by every machine), all built by the
+//! caller under one seed (`xflow::Session::validate` takes them from the
+//! session), and:
 //!
-//! 1. runs the program on **both** execution engines (the tree-walking
-//!    reference interpreter and the production bytecode VM) with the
-//!    given seed and checks they observed bit-identical dynamic behavior
-//!    and returned the same value;
+//! 1. checks the reference interpreter and the bytecode VM observed
+//!    bit-identical dynamic behavior and returned the same value;
 //! 2. checks every structural invariant of the BET and the projection
 //!    ([`crate::invariants`]);
 //! 3. checks that the simulator's replay observed the same dynamic
@@ -331,40 +330,53 @@ fn yes_no(b: bool) -> &'static str {
     }
 }
 
+/// One program's run on both engines under one seed, which every
+/// machine's [`check`] shares: the reference interpreter's profile, and
+/// whether the bytecode VM matched it and its return value bit for bit.
+#[derive(Debug, Clone)]
+pub struct EngineCheck {
+    pub profile: Profile,
+    pub agree: bool,
+}
+
+impl EngineCheck {
+    /// Run both engines on `prog` under `seed` with the default limits.
+    pub fn run(prog: &ml::Program, inputs: &InputSpec, seed: u64) -> Result<Self, RuntimeError> {
+        let limits = ml::Limits::default();
+        let (profile, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, limits, seed)?;
+        let (vm_prof, _, vm_ret) = ml::compile(prog)?.run(inputs, ml::NullTracer, limits, seed)?;
+        let agree = profiles_agree(&profile, &vm_prof) && ret.to_bits() == vm_ret.to_bits();
+        Ok(Self { profile, agree })
+    }
+}
+
 /// Check one program's model against its executed oracles.
 ///
 /// The model side (`tr`, `bet`, and `projection`, the plan of `bet`
-/// evaluated on the machine named `machine`) and the ground truth (`sim`,
-/// the simulation of `prog` on that machine under `cfg.seed`) are built
-/// by the caller; this function runs both execution engines under the
-/// same seed and compares. The report's `workload` is `<source>` until
-/// the caller names it.
+/// evaluated on the machine named `machine`), the ground truth (`sim`,
+/// the simulation of `prog` on that machine under `cfg.seed`) and the
+/// engine comparison under the same seed (`engines`) are built by the
+/// caller; this function runs nothing. The report's `workload` is
+/// `<source>` until the caller names it.
 #[allow(clippy::too_many_arguments)]
 pub fn check(
     prog: &ml::Program,
-    inputs: &InputSpec,
+    engines: &EngineCheck,
     tr: &ml::Translation,
     bet: &Bet,
     projection: &Projection,
     sim: &SimReport,
     machine: &str,
     cfg: &ValidationConfig,
-) -> Result<ValidationReport, RuntimeError> {
-    let limits = ml::Limits::default();
-
-    // 1. oracle runs on both engines, same seed: the reference
-    // interpreter and the production bytecode VM.
-    let (prof, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, limits, cfg.seed)?;
-    let (vm_prof, _, vm_ret) = ml::compile(prog)?.run(inputs, ml::NullTracer, limits, cfg.seed)?;
-    let engines_agree = profiles_agree(&prof, &vm_prof) && ret.to_bits() == vm_ret.to_bits();
-
+) -> ValidationReport {
+    let (prof, engines_agree) = (&engines.profile, engines.agree);
     // 2. structural invariants of the model.
     let skeleton_stmts = tr.skeleton.source_statement_count();
     let mut violations = check_bet(bet, skeleton_stmts, cfg.max_size_ratio);
     violations.extend(check_projection(projection));
 
     // 3. the simulator's replay observed the oracle run's behavior.
-    let sim_profile_agrees = profiles_agree(&prof, &sim.profile);
+    let sim_profile_agrees = profiles_agree(prof, &sim.profile);
 
     let names = tr.skeleton.stmt_names();
     let name_of = |s: sk::StmtId| names.get(&s).cloned().unwrap_or_else(|| format!("#{}", s.0));
@@ -606,7 +618,7 @@ pub fn check(
         failures.push(format!("invariant {}: {}", v.invariant, v.detail));
     }
 
-    Ok(ValidationReport {
+    ValidationReport {
         workload: "<source>".to_string(),
         machine: machine.to_string(),
         seed: cfg.seed,
@@ -628,7 +640,7 @@ pub fn check(
         invariant_violations: violations,
         passed: failures.is_empty(),
         failures,
-    })
+    }
 }
 
 /// Bit-level agreement of two dynamic profiles (visit counts, branch

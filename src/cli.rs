@@ -71,9 +71,9 @@ SERVE OPTIONS (plus --cache-dir and --machines-dir above):
     --threads <N>                  worker threads [default: 4]
 
 ORACLE OPTIONS (programs default to the built-in workloads; DIR runs every
-.ml/.xf file in DIR instead; combos fan out over a work-stealing pool and
-each simulation is cached as a content-addressed `sim` stage when
---cache-dir is given):
+.ml/.xf file in DIR instead; each program × scale runs once for all
+machines on a work-stealing pool, and each simulation is cached as a
+content-addressed `sim` stage when --cache-dir is given):
     --gen <N>                      drive N generated programs instead of
                                    the built-in workloads
     --machines <A,B,...>           machines to simulate [default: bgq,xeon]
@@ -359,19 +359,20 @@ pub fn run(args: &[String]) -> Result<String, String> {
     if inv.command == "serve" {
         return run_serve(&inv);
     }
-    if inv.command == "validate" && inv.all {
-        return run_validate_all(&inv, &registry);
-    }
-    if inv.command == "oracle" {
-        return run_oracle(&inv, &registry);
-    }
-    let file = inv.file.clone().ok_or_else(|| format!("`{}` needs a FILE argument\n\n{USAGE}", inv.command))?;
-    let src = resolve_source(&mut inv, &file)?;
-    if inv.command == "validate" {
-        return run_validate(&inv, &src);
-    }
     let mut session = None;
-    let out = run_on_source(&inv, &src, &mut session)?;
+    let out = match inv.command.as_str() {
+        "validate" if inv.all => run_validate_all(&inv, &registry, &mut session),
+        "oracle" => run_oracle(&inv, &registry, &mut session),
+        command => {
+            let file = inv.file.clone().ok_or_else(|| format!("`{command}` needs a FILE argument\n\n{USAGE}"))?;
+            let src = resolve_source(&mut inv, &file)?;
+            if inv.command == "validate" {
+                run_validate(&inv, &src, &mut session)
+            } else {
+                run_on_source(&inv, &src, &mut session)
+            }
+        }
+    };
     if let Some(path) = &inv.trace_out {
         let rec = inv.recorder.as_ref().expect("--trace-out allocates a recorder");
         let mut snap = rec.snapshot();
@@ -385,7 +386,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         std::fs::write(path, flight.snapshot().to_chrome_json())
             .map_err(|e| format!("cannot write flight dump to {path}: {e}"))?;
     }
-    Ok(out)
+    out
 }
 
 /// Resolve the FILE argument: a readable path wins; otherwise the name of
@@ -413,23 +414,17 @@ fn resolve_source(inv: &mut Invocation, file: &str) -> Result<String, String> {
     }
 }
 
-/// The `validate` subcommand: check the model a memory-only session
-/// serves for the resolved FILE against the interpreter/VM and the cycle
-/// simulator ([`Session::validate`]). Returns `Err` (→ exit code 1) when
-/// any check fails so CI can gate on it; the payload is still the full
-/// report.
-fn run_validate(inv: &Invocation, src: &str) -> Result<String, String> {
+/// The `validate` subcommand: check the model the session serves for the
+/// resolved FILE against the interpreter/VM and the cycle simulator
+/// ([`Session::validate`]). Returns `Err` (→ exit code 1) when any check
+/// fails so CI can gate on it; the payload is still the full report.
+fn run_validate(inv: &Invocation, src: &str, session_out: &mut Option<Session>) -> Result<String, String> {
     let cfg = xflow_validate::ValidationConfig { seed: inv.seed, ..Default::default() };
-    let report = Session::new()
-        .validate(src, &inv.inputs, inv.workload.as_ref(), &inv.machine, &cfg)
-        .map_err(|e| e.to_string())?;
-    let out = if inv.json {
-        let mut j = xflow_validate::to_json(&report);
-        j.push('\n');
-        j
-    } else {
-        report.render()
-    };
+    let machines = std::slice::from_ref(&inv.machine);
+    let reports =
+        on_session(inv, session_out, |s| s.validate(src, &inv.inputs, inv.workload.as_ref(), machines, &cfg))?;
+    let report = &reports[0];
+    let out = if inv.json { xflow_validate::to_json(report) + "\n" } else { report.render() };
     if report.passed {
         Ok(out)
     } else {
@@ -437,47 +432,38 @@ fn run_validate(inv: &Invocation, src: &str) -> Result<String, String> {
     }
 }
 
-/// `validate --all`: every built-in workload × target machine, fanned over
-/// the shared work-stealing pool on one session, so each workload is
-/// modeled once for all machines. One failed combo fails the whole run
-/// (→ exit code 1) with every report still rendered.
-fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
+/// `validate --all`: every built-in workload × target machine on one
+/// session. Each pool worker takes one workload with all of its machines,
+/// so one VM run simulates the workload everywhere. One failed combo fails
+/// the whole run (→ exit code 1) with every report still rendered.
+fn run_validate_all(
+    inv: &Invocation,
+    registry: &MachineRegistry,
+    session_out: &mut Option<Session>,
+) -> Result<String, String> {
     let cfg = xflow_validate::ValidationConfig { seed: inv.seed, ..Default::default() };
     let machines = resolve_machines(inv, registry)?;
     let workloads = xflow_workloads::all();
-    // workers claim combos machine-major, so two workers start on two
-    // workloads instead of one waiting for the other's model build; the
-    // reports still print workload-major
-    let mut combos: Vec<(&crate::Workload, &MachineModel)> = Vec::new();
-    for m in &machines {
-        for w in &workloads {
-            combos.push((w, m));
-        }
-    }
-    let session = Session::new();
-    let results = crate::run_chunked(
-        &combos,
-        inv.jobs,
-        || (),
-        |_, _, &(w, m)| session.validate(w.source, &w.inputs(inv.scale), Some(w), m, &cfg).map_err(|e| e.to_string()),
-    );
-    let mut reports: Vec<_> = combos.iter().zip(results).collect();
-    reports.sort_by_key(|((w, _), _)| workloads.iter().position(|x| x.name == w.name));
+    let results = on_session(inv, session_out, |session| {
+        let validate = |w: &crate::Workload| session.validate(w.source, &w.inputs(inv.scale), Some(w), &machines, &cfg);
+        Ok(crate::run_chunked(&workloads, inv.jobs, || (), |_, _, w| validate(w)))
+    })?;
     let mut out = String::new();
     let mut passed = 0usize;
     let mut failed = Vec::new();
     let mut json_reports = Vec::new();
-    for ((w, m), r) in reports {
-        let report = r.map_err(|e| format!("validate {} on {}: {e}", w.name, m.name))?;
-        if report.passed {
-            passed += 1;
-        } else {
-            failed.push(format!("{} on {}", w.name, m.name));
-        }
-        if inv.json {
-            json_reports.push(xflow_validate::to_json(&report));
-        } else {
-            out.push_str(&report.render());
+    for (w, reports) in workloads.iter().zip(results) {
+        for report in reports.map_err(|e| format!("validate {}: {e}", w.name))? {
+            if report.passed {
+                passed += 1;
+            } else {
+                failed.push(format!("{} on {}", w.name, report.machine));
+            }
+            if inv.json {
+                json_reports.push(xflow_validate::to_json(&report));
+            } else {
+                out.push_str(&report.render());
+            }
         }
     }
     if inv.json {
@@ -486,7 +472,7 @@ fn run_validate_all(inv: &Invocation, registry: &MachineRegistry) -> Result<Stri
         let _ = writeln!(
             out,
             "validated {} combos ({} workloads × {} machines): {passed} passed",
-            combos.len(),
+            workloads.len() * machines.len(),
             workloads.len(),
             machines.len()
         );
@@ -519,7 +505,11 @@ fn resolve_machines(inv: &Invocation, registry: &MachineRegistry) -> Result<Vec<
 /// corpus (see [`crate::oracle`]). Programs come from `--gen N`, a DIR of
 /// `.ml`/`.xf` files, or default to the built-in workloads; simulations are
 /// cached per combo when `--cache-dir` is given.
-fn run_oracle(inv: &Invocation, registry: &MachineRegistry) -> Result<String, String> {
+fn run_oracle(
+    inv: &Invocation,
+    registry: &MachineRegistry,
+    session_out: &mut Option<Session>,
+) -> Result<String, String> {
     let scales = if inv.oracle_scales.is_empty() { vec![Scale::Test] } else { inv.oracle_scales.clone() };
     let programs = match (&inv.gen, &inv.file) {
         (Some(n), _) => crate::oracle::generated_programs(*n),
@@ -533,17 +523,8 @@ fn run_oracle(inv: &Invocation, registry: &MachineRegistry) -> Result<String, St
             return Err(format!("machine `{}` is listed twice; corpus machines must be unique", m.name));
         }
     }
-    let session = match &inv.cache_dir {
-        Some(dir) => Session::with_cache_dir(dir),
-        None => Session::new(),
-    };
     let opts = crate::oracle::OracleOptions { jobs: inv.jobs, seed: inv.seed };
-    let corpus = crate::oracle::build_corpus(&session, &programs, &machines, &opts).map_err(|e| e.to_string())?;
-    // cache traffic goes to stderr so stdout (and --out files) stay
-    // byte-identical between cold and warm runs
-    if let Some(dir) = &inv.cache_dir {
-        eprintln!("[xflow cache] {} ({dir})", session.stats());
-    }
+    let corpus = on_session(inv, session_out, |s| crate::oracle::build_corpus(s, &programs, &machines, &opts))?;
     let json = corpus.to_json();
     match &inv.out {
         Some(path) => {
@@ -1070,7 +1051,8 @@ fn main() {
                     let session = Session::with_cache_dir(&dir);
                     let inputs = w.inputs(Scale::Test);
                     let cfg = xflow_validate::ValidationConfig::default();
-                    let report = session.validate(w.source, &inputs, Some(&w), &machine, &cfg).unwrap();
+                    let machines = std::slice::from_ref(&machine);
+                    let report = &session.validate(w.source, &inputs, Some(&w), machines, &cfg).unwrap()[0];
                     let sim = session.stats().sim;
                     assert_eq!((sim.disk_hits, sim.misses), (1, 0), "{ctx}: validate reads the same simulation");
                     let (app, projection, sim) =
@@ -1259,6 +1241,41 @@ fn main() {
         }
         assert!(named("session.kernel").is_empty(), "the sweep kernel is derived, not a cached stage");
         assert!(!named("plan.evaluate").is_empty(), "trace must cover the explain evaluation");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oracle_and_validate_write_trace_and_flight_files() {
+        use serde::Content;
+        fn get<'a>(c: &'a Content, key: &str) -> Option<&'a Content> {
+            match c {
+                Content::Map(m) => m.iter().find(|(k, _)| *k == Content::Str(key.to_string())).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+        let count = |text: &str, name: &str| -> usize {
+            let doc: Content = serde_json::from_str(text).unwrap();
+            let Some(Content::Seq(events)) = get(&doc, "traceEvents") else { panic!("no trace events: {text}") };
+            events.iter().filter(|e| get(e, "name") == Some(&Content::Str(name.to_string()))).count()
+        };
+        let dir = std::env::temp_dir().join(format!("xflow-cli-traced-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, flight) = (dir.join("t.json"), dir.join("f.json"));
+        let (t, f) = (trace.to_str().unwrap(), flight.to_str().unwrap());
+        run(&args(&["oracle", "--gen", "2", "--machines", "bgq,xeon", "--trace-out", t, "--flight-out", f])).unwrap();
+        let text = std::fs::read_to_string(&trace).unwrap();
+        assert_eq!(count(&text, "sim.run"), 2, "one VM run per program: {text}");
+        assert_eq!(count(&text, "session.sim"), 4, "one sim stage per combo: {text}");
+        assert!(text.contains("session.sim.misses"), "the trace carries the session counters");
+        assert!(std::fs::read_to_string(&flight).unwrap().contains("sim.run"), "the flight ring saw the run");
+        for (cmd, runs) in [(vec!["validate", "cfd"], 1), (vec!["validate", "--all", "--machines", "bgq,xeon"], 5)] {
+            std::fs::remove_file(&trace).unwrap();
+            let mut argv = cmd.clone();
+            argv.extend(["--trace-out", t]);
+            run(&args(&argv)).unwrap();
+            let text = std::fs::read_to_string(&trace).unwrap();
+            assert_eq!(count(&text, "sim.run"), runs, "{cmd:?}: {text}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

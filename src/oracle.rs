@@ -3,22 +3,22 @@
 //! ROADMAP item 2 (learning corrections to the first-order projection
 //! model) needs a *corpus*: many `(analytic, simulated)` pairs per program
 //! block across programs, machines, and input scales. This module fans
-//! program × machine × scale combos over the work-stealing pool
-//! [`run_chunked`] that design-space sweeps use and emits a deterministic,
-//! fully sorted record list. Both sides of a record come from the
-//! [`Session`]: the analytic side is the model a user gets from
-//! `xflow explain` ([`Session::model_seeded`], so a program is parsed and
-//! profiled once for all machines), and every ground-truth
-//! [`SimReport`](xflow_sim::SimReport) is a content-addressed stage of its
-//! own ([`Session::sim_report`]). A re-run with a `--cache-dir` therefore
-//! redoes neither modeling nor simulation.
+//! program × scale items, each carrying every machine, over the
+//! work-stealing pool [`run_chunked`] that design-space sweeps use and
+//! emits a deterministic, fully sorted record list. Both sides of a record
+//! come from [`Session::model_and_sims`]: the analytic side is the model a
+//! user gets from `xflow explain`, and one VM run per item yields its
+//! profile and every machine's ground-truth
+//! [`SimReport`](xflow_sim::SimReport), each a content-addressed stage of
+//! its own. A re-run with a `--cache-dir` therefore redoes neither
+//! modeling nor simulation.
 //!
 //! Determinism contract: the corpus is byte-identical across runs,
-//! thread counts, and cache states. Combos are expanded in sorted
-//! `(program, machine, scale)` order, workers merge back in combo order,
-//! per-combo records are folded in ascending statement order, and every
-//! float that reaches the output came from the same seeded simulation and
-//! plan evaluation — CI `cmp`s two runs.
+//! thread counts, and cache states. Items keep each program's scale order,
+//! so a stable sort by (program, machine) yields `(program, machine,
+//! scale, stmt)` order with per-combo records in ascending statement
+//! order, and every float that reaches the output came from the same
+//! seeded simulation and plan evaluation — CI `cmp`s two runs.
 //!
 //! Each record is one row of [`xflow_validate::join_blocks`], the join
 //! the validation harness's per-block time check reads too: the projection
@@ -210,68 +210,60 @@ impl Corpus {
 
 /// Build the corpus for `programs` × `machines` (× each program's scales).
 ///
-/// Every combo takes its model from [`Session::model_seeded`] and its
-/// [`SimReport`](xflow_sim::SimReport) from [`Session::sim_report`], so a
-/// session with a cache directory persists both and a warm re-run only
-/// re-evaluates the plans. Returns the first pipeline error, if any combo
-/// fails.
+/// Each program × scale is one work item: [`Session::model_and_sims`]
+/// models it and simulates it on every machine in one VM run, so a session
+/// with a cache directory persists the model and every report, and a warm
+/// re-run only re-evaluates the plans. Returns the first pipeline error,
+/// if any item fails.
 pub fn build_corpus(
     session: &Session,
     programs: &[OracleProgram],
     machines: &[MachineModel],
     opts: &OracleOptions,
 ) -> Result<Corpus, PipelineError> {
-    // expand in sorted (program, machine, scale) order; scales keep their
-    // per-program declaration order under one (program, machine) pair
     let mut prog_order: Vec<&OracleProgram> = programs.iter().collect();
     prog_order.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut machine_order: Vec<&MachineModel> = machines.iter().collect();
-    machine_order.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut combos: Vec<(&OracleProgram, &MachineModel, &str, &InputSpec)> = Vec::new();
-    for p in &prog_order {
-        for m in &machine_order {
-            for (label, inputs) in &p.scales {
-                combos.push((p, m, label, inputs));
-            }
-        }
-    }
+    let items: Vec<(&OracleProgram, &str, &InputSpec)> = prog_order
+        .iter()
+        .flat_map(|&p| p.scales.iter().map(move |(label, inputs)| (p, label.as_str(), inputs)))
+        .collect();
 
     let results = run_chunked(
-        &combos,
+        &items,
         opts.jobs,
         || (),
-        |_, _, &(p, m, label, inputs)| combo_records(session, p, m, label, inputs, opts.seed),
+        |_, _, &(p, label, inputs)| program_records(session, p, machines, label, inputs, opts.seed),
     );
-    let mut records = Vec::new();
-    for r in results {
-        records.extend(r?);
-    }
+    let mut records: Vec<CorpusRecord> = results.into_iter().collect::<Result<Vec<_>, _>>()?.concat();
+    // the items keep each program's scale order, so a stable sort by
+    // (program, machine) yields (program, machine, scale, stmt) order
+    records.sort_by(|a, b| (&a.program, &a.machine).cmp(&(&b.program, &b.machine)));
     Ok(Corpus {
         programs: prog_order.len(),
-        machines: machine_order.len(),
-        combos: combos.len(),
+        machines: machines.len(),
+        combos: items.len() * machines.len(),
         seed: opts.seed,
         records,
     })
 }
 
-/// One combo: take the seeded model (built once per program × scale,
-/// shared by every machine) and the cached simulation from
-/// [`Session::model_and_sim`], and emit one record per
-/// [`xflow_validate::join_blocks`] row.
-fn combo_records(
+/// One program × scale on every machine: take the seeded model and the
+/// simulations from [`Session::model_and_sims`], and emit one record per
+/// [`xflow_validate::join_blocks`] row of each machine.
+fn program_records(
     session: &Session,
     p: &OracleProgram,
-    machine: &MachineModel,
+    machines: &[MachineModel],
     scale: &str,
     inputs: &InputSpec,
     seed: u64,
 ) -> Result<Vec<CorpusRecord>, PipelineError> {
-    let (app, projection, sim) = session.model_and_sim(&p.source, inputs, p.workload.as_ref(), machine, seed)?;
-    let rows = xflow_validate::join_blocks(&app.translation, &projection, &sim);
+    let (app, sims) = session.model_and_sims(&p.source, inputs, p.workload.as_ref(), machines, seed)?;
+    let rows = machines.iter().zip(&sims).flat_map(|(m, (projection, sim))| {
+        xflow_validate::join_blocks(&app.translation, projection, sim).into_iter().map(move |r| (m, r))
+    });
     Ok(rows
-        .into_iter()
-        .map(|r| CorpusRecord {
+        .map(|(machine, r)| CorpusRecord {
             program: p.name.clone(),
             machine: machine.name.clone(),
             scale: scale.to_string(),

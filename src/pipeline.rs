@@ -320,9 +320,8 @@ mod tests {
             let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
             for machine in [bgq(), xeon()] {
                 let ctx = format!("{} on {}", w.name, machine.name);
-                let cfg = w.sim_config(&app.program, &machine);
-                let report = crate::default_session()
-                    .sim_report(w.source, &app.inputs, &machine, &cfg, ml::DEFAULT_SEED)
+                let (_, _, report) = crate::default_session()
+                    .model_and_sim(w.source, &app.inputs, Some(&w), &machine, ml::DEFAULT_SEED)
                     .unwrap();
                 let json = serde_json::to_string(&*report).unwrap();
                 let a = Measured::new(&app, report);

@@ -67,7 +67,7 @@ use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec};
 use xflow_obs::{MetricsRegistry, NoopRecorder, Recorder};
 use xflow_sim::{default_library, SimConfig, SimReport};
-use xflow_validate::{ValidationConfig, ValidationReport};
+use xflow_validate::{EngineCheck, ValidationConfig, ValidationReport};
 use xflow_workloads::Workload;
 
 use crate::pipeline::{ModeledApp, PipelineError};
@@ -152,15 +152,13 @@ pub struct StageKeys {
     pub plan: u64,
 }
 
-fn derive_parse_key(salt: u64, src: &str) -> u64 {
-    let mut h = Fnv::seeded(salt);
-    h.write_str("parse");
-    h.write_str(src);
-    h.finish()
-}
-
 fn derive_keys(salt: u64, src: &str, inputs: &InputSpec, seed: u64) -> StageKeys {
-    let parse = derive_parse_key(salt, src);
+    let parse = {
+        let mut h = Fnv::seeded(salt);
+        h.write_str("parse");
+        h.write_str(src);
+        h.finish()
+    };
     let profile = {
         let mut h = Fnv::seeded(parse);
         h.write_str("profile");
@@ -353,17 +351,27 @@ impl Session {
     /// its own artifact per seed.
     pub fn model_seeded(&self, src: &str, inputs: &InputSpec, seed: u64) -> Result<ModeledApp, PipelineError> {
         let keys = derive_keys(self.salt, src, inputs, seed);
+        let program = self.program(src, keys.parse)?;
+        self.model_from(&program, &keys, inputs, || ml::profile_seeded(&program, inputs, seed).map_err(Into::into))
+    }
+
+    /// The four stages after the parse; `profile` builds the profile stage
+    /// on a miss.
+    fn model_from(
+        &self,
+        program: &Arc<ml::Program>,
+        keys: &StageKeys,
+        inputs: &InputSpec,
+        profile: impl FnOnce() -> Result<ml::Profile, PipelineError>,
+    ) -> Result<ModeledApp, PipelineError> {
         let rec = self.recorder();
         let salt = self.salt;
         let store = &*self.store;
         let dir = store.cache_dir();
 
-        let program = self.program(src, keys.parse)?;
-        let profile = store.profile.get_or_build(salt, dir, rec, keys.profile, || {
-            ml::profile_seeded(&program, inputs, seed).map_err(PipelineError::from)
-        })?;
+        let profile = store.profile.get_or_build(salt, dir, rec, keys.profile, profile)?;
         let translation = store.translate.get_or_build(salt, dir, rec, keys.translate, || {
-            ml::translate(&program, &profile).map_err(PipelineError::Translate)
+            ml::translate(program, &profile).map_err(PipelineError::Translate)
         })?;
         let bet = store.bet.get_or_build(salt, dir, rec, keys.bet, || {
             let env = ml::initial_env(&translation, inputs);
@@ -374,7 +382,7 @@ impl Session {
             store.plan.get_or_build(salt, dir, rec, keys.plan, || Ok(ProjectionPlan::new(&bet, default_library())))?;
 
         Ok(ModeledApp::assemble(
-            (*program).clone(),
+            (**program).clone(),
             (*profile).clone(),
             (*translation).clone(),
             (*bet).clone(),
@@ -391,35 +399,7 @@ impl Session {
         })
     }
 
-    /// Ground-truth simulator report for one program × inputs × machine ×
-    /// seed × sim-config query, cached as its own content-addressed stage
-    /// (`sim-<salt>-<key>.json`). This stage is deliberately *not* part of
-    /// [`Session::model`]'s five-stage chain: only queries for ground truth
-    /// ([`Session::model_and_sim`]) pay simulation cost, and only once per
-    /// distinct query per cache directory. A miss takes its program from
-    /// the parse stage.
-    pub fn sim_report(
-        &self,
-        src: &str,
-        inputs: &InputSpec,
-        machine: &MachineModel,
-        cfg: &SimConfig,
-        seed: u64,
-    ) -> Result<Arc<SimReport>, PipelineError> {
-        let key = derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, machine, cfg, seed);
-        let store = &*self.store;
-        store.sim.get_or_build(self.salt, store.cache_dir(), self.recorder(), key, || {
-            let program = self.program(src, derive_parse_key(self.salt, src))?;
-            xflow_sim::simulate_with_seed(&program, inputs, machine, cfg.clone(), seed).map_err(PipelineError::from)
-        })
-    }
-
-    /// A model and its ground truth on one machine under one seed: the
-    /// seeded model ([`Session::model_seeded`]), its plan evaluated with the
-    /// extended roofline, and the simulation ([`Session::sim_report`]) with
-    /// the workload's compiler-vectorization overrides, if it is one: the
-    /// one ground truth that [`Session::validate`], the oracle corpus,
-    /// `simulate`, `compare` and the figures read, modeled once per program.
+    /// [`Session::model_and_sims`] on one machine.
     pub fn model_and_sim(
         &self,
         src: &str,
@@ -428,41 +408,89 @@ impl Session {
         machine: &MachineModel,
         seed: u64,
     ) -> Result<(ModeledApp, Projection, Arc<SimReport>), PipelineError> {
-        let app = self.model_seeded(src, inputs, seed)?;
-        let projection = app.plan().evaluate(machine, &Roofline);
-        let sim_cfg = workload.map(|w| w.sim_config(&app.program, machine)).unwrap_or_default();
-        let sim = self.sim_report(src, inputs, machine, &sim_cfg, seed)?;
+        let (app, mut sims) = self.model_and_sims(src, inputs, workload, std::slice::from_ref(machine), seed)?;
+        let (projection, sim) = sims.pop().expect("one simulation per machine");
         Ok((app, projection, sim))
     }
 
-    /// Differential validation of the model this session serves: the
-    /// [`Session::model_and_sim`] artifacts under `cfg.seed`, checked by
-    /// [`xflow_validate::check`] against both execution engines. A
-    /// workload's report carries its name; bare source reports as
+    /// A model and its ground truth on each of `machines` under one seed:
+    /// the seeded model ([`Session::model_seeded`]), its plan evaluated with
+    /// the extended roofline, and the simulation with the workload's
+    /// compiler-vectorization overrides, if it is one: the one ground truth
+    /// that [`Session::validate`], the oracle corpus, `simulate`, `compare`
+    /// and the figures read.
+    ///
+    /// Each simulation is a content-addressed `sim` stage of its own
+    /// (`sim-<salt>-<key>.json`), outside the five-stage model chain, so
+    /// ground truth is paid once per distinct query per cache directory.
+    /// One VM execution serves the query: when the profile stage misses,
+    /// one run ([`xflow_sim::simulate_machines`], in a `sim.run` span)
+    /// yields the profile and every machine's report, which the sim stages
+    /// that miss take; when only sim stages miss, the first runs the rest.
+    #[allow(clippy::type_complexity)]
+    pub fn model_and_sims(
+        &self,
+        src: &str,
+        inputs: &InputSpec,
+        workload: Option<&Workload>,
+        machines: &[MachineModel],
+        seed: u64,
+    ) -> Result<(ModeledApp, Vec<(Projection, Arc<SimReport>)>), PipelineError> {
+        let keys = derive_keys(self.salt, src, inputs, seed);
+        let program = self.program(src, keys.parse)?;
+        let runs: Vec<(&MachineModel, SimConfig)> =
+            machines.iter().map(|m| (m, workload.map(|w| w.sim_config(&program, m)).unwrap_or_default())).collect();
+        let (rec, store) = (self.recorder(), &*self.store);
+        // one run for machines `from..`, leaving their reports in `pending`
+        let run = |from: usize, pending: &mut Vec<Option<SimReport>>| {
+            let _span = xflow_obs::span(rec, "sim.run", &[("machines", ((runs.len() - from) as u64).into())]);
+            let (profile, reports) = xflow_sim::simulate_machines(&program, inputs, &runs[from..], seed)?;
+            pending.truncate(from);
+            pending.extend(reports.into_iter().map(Some));
+            Ok::<_, PipelineError>(profile)
+        };
+        let mut pending = vec![None; runs.len()];
+        let app = self.model_from(&program, &keys, inputs, || run(0, &mut pending))?;
+        let mut out = Vec::with_capacity(runs.len());
+        for (i, (machine, cfg)) in runs.iter().enumerate() {
+            let key = derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, machine, cfg, seed);
+            let sim = store.sim.get_or_build(self.salt, store.cache_dir(), rec, key, || {
+                if pending[i].is_none() {
+                    run(i, &mut pending)?;
+                }
+                Ok(pending[i].take().expect("the run covered this machine"))
+            })?;
+            out.push((app.plan().evaluate(machine, &Roofline), sim));
+        }
+        Ok((app, out))
+    }
+
+    /// Differential validation of the model this session serves on each of
+    /// `machines`: the [`Session::model_and_sims`] artifacts under
+    /// `cfg.seed`, checked by [`xflow_validate::check`] against one run of
+    /// both execution engines ([`EngineCheck`]) that every report shares.
+    /// A workload's reports carry its name; bare source reports as
     /// `<source>`.
     pub fn validate(
         &self,
         src: &str,
         inputs: &InputSpec,
         workload: Option<&Workload>,
-        machine: &MachineModel,
+        machines: &[MachineModel],
         cfg: &ValidationConfig,
-    ) -> Result<ValidationReport, PipelineError> {
-        let (app, projection, sim) = self.model_and_sim(src, inputs, workload, machine, cfg.seed)?;
-        let mut report = xflow_validate::check(
-            &app.program,
-            inputs,
-            &app.translation,
-            &app.bet,
-            &projection,
-            &sim,
-            &machine.name,
-            cfg,
-        )?;
-        if let Some(w) = workload {
-            report.workload = w.name.to_string();
-        }
-        Ok(report)
+    ) -> Result<Vec<ValidationReport>, PipelineError> {
+        let (app, sims) = self.model_and_sims(src, inputs, workload, machines, cfg.seed)?;
+        let engines = EngineCheck::run(&app.program, inputs, cfg.seed)?;
+        let (prog, tr, bet) = (&app.program, &app.translation, &app.bet);
+        Ok(machines
+            .iter()
+            .zip(&sims)
+            .map(|(m, (projection, sim))| {
+                let mut report = xflow_validate::check(prog, &engines, tr, bet, projection, sim, &m.name, cfg);
+                report.workload = workload.map_or(report.workload, |w| w.name.to_string());
+                report
+            })
+            .collect())
     }
 
     /// Delete this session's persisted artifacts, returning how many files
@@ -566,19 +594,42 @@ fn main() {
         let s = Session::new();
         let i = InputSpec::from_pairs([("N", 32.0)]);
         let m = xflow_hw::bgq();
-        let cfg = SimConfig::default();
-        let a = s.sim_report(SRC, &i, &m, &cfg, 42).unwrap();
-        let b = s.sim_report(SRC, &i, &m, &cfg, 42).unwrap();
+        let (_, _, a) = s.model_and_sim(SRC, &i, None, &m, 42).unwrap();
+        let (_, _, b) = s.model_and_sim(SRC, &i, None, &m, 42).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "warm lookup returns the cached artifact");
         let stats = s.stats();
-        assert_eq!(stats.sim.misses, 1);
-        assert_eq!(stats.sim.hits, 1);
-        // the simulation parsed through the parse stage, which the model reuses
-        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 0));
-        s.model(SRC, &i).unwrap();
+        assert_eq!((stats.sim.misses, stats.sim.hits), (1, 1));
+        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 1));
+        assert_eq!(stats.misses(), 6, "five model stages and one simulation");
+        // the model chain is shared, and a model query looks up no simulation
+        s.model_seeded(SRC, &i, 42).unwrap();
         let stats = s.stats();
-        assert_eq!(stats.parse.hits, 1, "model() reuses the program the simulation parsed");
-        assert_eq!(stats.misses(), 6, "model() builds its four other stages, sim stays at one");
+        assert_eq!(stats.misses(), 6, "model_seeded() reuses every stage the simulation's query built");
+        assert_eq!((stats.sim.misses, stats.sim.hits), (1, 1));
+    }
+
+    #[test]
+    fn a_profile_miss_simulates_every_machine_in_one_run() {
+        use xflow_obs::CollectingRecorder;
+        let rec = Arc::new(CollectingRecorder::new());
+        let s = Session::with_recorder(rec.clone());
+        let i = InputSpec::from_pairs([("N", 32.0)]);
+        let machines = [xflow_hw::bgq(), xflow_hw::xeon(), xflow_hw::knl()];
+        let (_, sims) = s.model_and_sims(SRC, &i, None, &machines, 3).unwrap();
+        assert_eq!(sims.len(), 3);
+        let runs = |rec: &CollectingRecorder| rec.snapshot().spans.iter().filter(|sp| sp.name == "sim.run").count();
+        assert_eq!(runs(&rec), 1, "one VM execution fills the profile and three sim stages");
+        let prog = ml::parse(SRC).unwrap();
+        for (m, (_, sim)) in machines.iter().zip(&sims) {
+            let alone = xflow_sim::simulate_with_seed(&prog, &i, m, SimConfig::default(), 3).unwrap();
+            xflow_sim::reference::assert_reports_bit_equal(sim, &alone, &m.name);
+        }
+        // with the model cached, the sim stages that miss share one run
+        let more = [xflow_hw::bgq(), xflow_hw::generic(), xflow_hw::xeon()];
+        s.model_and_sims(SRC, &i, None, &more, 3).unwrap();
+        assert_eq!(runs(&rec), 2);
+        let stats = s.stats();
+        assert_eq!((stats.profile.misses, stats.sim.misses, stats.sim.hits), (1, 4, 2));
     }
 
     #[test]

@@ -89,9 +89,9 @@ fn one_program_on_two_machines_is_profiled_once() {
     let corpus = build_corpus(&session, &programs, &[bgq(), xeon()], &opts).unwrap();
     assert_eq!(corpus.combos, 2);
     let stats = session.stats();
-    assert_eq!((stats.profile.misses, stats.profile.hits), (1, 1), "the second machine reuses the profile");
-    assert_eq!((stats.plan.misses, stats.plan.hits), (1, 1), "and the plan");
-    assert_eq!(stats.sim.misses, 2, "each machine simulates once");
+    assert_eq!((stats.profile.misses, stats.profile.hits), (1, 0), "both machines read one profile lookup");
+    assert_eq!((stats.plan.misses, stats.plan.hits), (1, 0), "and one plan");
+    assert_eq!(stats.sim.misses, 2, "each machine's report is its own artifact");
 }
 
 #[test]
@@ -133,10 +133,11 @@ fn corpus_rows_equal_validate_time_checks_bit_for_bit() {
             w.source,
             &w.inputs(Scale::Test),
             Some(&w),
-            &bgq(),
+            &[bgq()],
             &xflow::xflow_validate::ValidationConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
     let corpus_rows: Vec<(u32, u64, u64, u64)> = corpus
         .records
         .iter()
@@ -149,4 +150,41 @@ fn corpus_rows_equal_validate_time_checks_bit_for_bit() {
         .collect();
     assert!(corpus_rows.len() > 5, "{corpus_rows:?}");
     assert_eq!(corpus_rows, check_rows);
+}
+
+#[test]
+fn one_vm_run_per_program_and_scale_fills_every_stage() {
+    use std::sync::Arc;
+    use xflow::{knl, CollectingRecorder};
+    let programs: Vec<OracleProgram> = (0..3)
+        .map(|i| {
+            let src = RANDOM_BRANCHES.replace("0.3", &format!("0.{}", i + 2));
+            let mut p =
+                OracleProgram::from_source(&format!("p{i}"), &src, "small", InputSpec::from_pairs([("N", 64.0)]));
+            p.scales.push(("large".into(), InputSpec::from_pairs([("N", 192.0)])));
+            p
+        })
+        .collect();
+    let machines = [knl(), bgq(), xeon()];
+    let rec = Arc::new(CollectingRecorder::new());
+    let session = Session::with_recorder(rec.clone());
+    let corpus =
+        build_corpus(&session, &programs, &machines, &OracleOptions { jobs: 2, ..Default::default() }).unwrap();
+    assert_eq!(corpus.combos, 18);
+    let stats = session.stats();
+    assert_eq!(stats.parse.misses, 3);
+    assert_eq!(stats.profile.misses, 6);
+    assert_eq!(stats.sim.misses, 18);
+    let snap = rec.snapshot();
+    let runs: Vec<_> = snap.spans.iter().filter(|sp| sp.name == "sim.run").collect();
+    assert_eq!(runs.len(), 6, "one VM execution per (program, scale)");
+    for run in runs {
+        let parent = snap.spans.iter().find(|sp| Some(sp.id) == run.parent).expect("sim.run has a parent");
+        assert_eq!(parent.name, "session.profile", "the run fills the profile stage");
+        assert!(run.attrs.iter().any(|(k, v)| k == "machines" && *v == xflow::xflow_obs::OwnedAttr::U64(3)));
+    }
+    for jobs in [1, 4] {
+        let again = build_corpus(&Session::new(), &programs, &machines, &OracleOptions { jobs, ..Default::default() });
+        assert_eq!(corpus.to_json(), again.unwrap().to_json(), "jobs={jobs}");
+    }
 }

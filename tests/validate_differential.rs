@@ -20,9 +20,10 @@ use xflow::{bgq, xeon, MachineModel, Scale, Session, Workload};
 
 /// `xflow validate <workload>` on a fresh session at test scale.
 fn validate(w: &Workload, m: &MachineModel, cfg: &ValidationConfig) -> ValidationReport {
-    Session::new()
-        .validate(w.source, &w.inputs(Scale::Test), Some(w), m, cfg)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, m.name))
+    let mut reports = Session::new()
+        .validate(w.source, &w.inputs(Scale::Test), Some(w), std::slice::from_ref(m), cfg)
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", w.name, m.name));
+    reports.pop().unwrap()
 }
 
 #[test]
@@ -97,34 +98,33 @@ fn a_different_seed_still_validates() {
 
 #[test]
 fn validate_checks_the_model_the_session_serves() {
-    // `validate --all` runs every combo over one session: each workload is
-    // profiled once for both machines, and every report's projected total
-    // is the session model's own projection, bit for bit
+    // `validate --all` hands each pool worker one workload with both
+    // machines: each workload is profiled once, and every report's
+    // projected total is the session model's own projection, bit for bit
     let session = Session::new();
     let cfg = ValidationConfig::default();
-    let mut combos = Vec::new();
-    for w in xflow::xflow_workloads::all() {
-        for m in [bgq(), xeon()] {
-            combos.push((w.clone(), m));
-        }
-    }
+    let machines = [bgq(), xeon()];
+    let workloads = xflow::xflow_workloads::all();
     let reports = xflow::run_chunked(
-        &combos,
+        &workloads,
         0,
         || (),
-        |_, _, (w, m)| session.validate(w.source, &w.inputs(Scale::Test), Some(w), m, &cfg).unwrap(),
+        |_, _, w| session.validate(w.source, &w.inputs(Scale::Test), Some(w), &machines, &cfg).unwrap(),
     );
     let stats = session.stats();
     assert_eq!(stats.profile.misses, 5, "one profiled run per workload, not per combo");
     assert_eq!(stats.sim.misses, 10, "one simulation per combo");
-    for ((w, m), rep) in combos.iter().zip(&reports) {
+    for (w, reps) in workloads.iter().zip(&reports) {
         let app = session.model_seeded(w.source, &w.inputs(Scale::Test), cfg.seed).unwrap();
-        assert_eq!(
-            rep.analytic_total_seconds.to_bits(),
-            app.project_on(m).total.to_bits(),
-            "{} on {}: validate's projected total is not the session model's",
-            w.name,
-            m.name
-        );
+        for (m, rep) in machines.iter().zip(reps) {
+            assert_eq!((rep.workload.as_str(), rep.machine.as_str()), (w.name, m.name.as_str()));
+            assert_eq!(
+                rep.analytic_total_seconds.to_bits(),
+                app.project_on(m).total.to_bits(),
+                "{} on {}: validate's projected total is not the session model's",
+                w.name,
+                m.name
+            );
+        }
     }
 }
