@@ -24,7 +24,10 @@ use xflow_hotspot::ProjectionPlan;
 fn grid_machines() -> Vec<xflow::MachineModel> {
     DesignSpace::grid(
         generic(),
-        vec![Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]), Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0])],
+        vec![
+            Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+            Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+        ],
     )
     .machines()
     .to_vec()
@@ -85,9 +88,9 @@ fn bench_sweep_threads(c: &mut Criterion) {
     let space = DesignSpace::grid(
         generic(),
         vec![
-            Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]),
-            Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0]),
-            Axis::freq_ghz(&[1.0, 1.6, 2.4, 3.2]),
+            Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+            Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+            Axis::by_name("freq_ghz", &[1.0, 1.6, 2.4, 3.2]).unwrap(),
         ],
     );
 

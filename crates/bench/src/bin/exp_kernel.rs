@@ -24,7 +24,10 @@ fn main() {
 
     let space = DesignSpace::grid(
         generic(),
-        vec![Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]), Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0])],
+        vec![
+            Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+            Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+        ],
     );
     let machines = space.machines().to_vec();
     let n = machines.len();

@@ -21,7 +21,10 @@ fn main() {
 
     let space = DesignSpace::grid(
         generic(),
-        vec![Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]), Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0])],
+        vec![
+            Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+            Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+        ],
     );
     let machines = space.machines().to_vec();
     println!("=== two-phase projection: {}-point grid on {} ===\n", machines.len(), w.name);
@@ -74,10 +77,10 @@ fn main() {
     let big = DesignSpace::grid(
         generic(),
         vec![
-            Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]),
-            Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0]),
-            Axis::freq_ghz(&freqs),
-            Axis::cores(&core_counts),
+            Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+            Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+            Axis::by_name("freq_ghz", &freqs).unwrap(),
+            Axis::by_name("cores", &core_counts).unwrap(),
         ],
     );
     app.plan(); // build the cached plan outside the timed region
@@ -117,7 +120,11 @@ fn main() {
     let (bws, mlps): (Vec<f64>, Vec<f64>) = (1..=16).map(|i| (2.5 * i as f64, i as f64)).unzip();
     let clocks: Vec<f64> = (0..8).map(|i| 0.8 + 0.3 * i as f64).collect();
     let mut design_loop = || {
-        let axes = vec![Axis::dram_bw(&bws), Axis::mlp(&mlps), Axis::freq_ghz(&clocks)];
+        let axes = vec![
+            Axis::by_name("dram_bw_gbs", &bws).unwrap(),
+            Axis::by_name("mlp", &mlps).unwrap(),
+            Axis::by_name("freq_ghz", &clocks).unwrap(),
+        ];
         let sweep = DesignSpace::grid(bgq(), axes).sweep_opts(&app, SweepOptions::with_threads(1));
         std::hint::black_box(sweep.hydrate(&app, sweep.top(10)[0].index));
     };

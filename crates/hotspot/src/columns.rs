@@ -342,8 +342,8 @@ impl ColumnsChunk {
     /// `kernel`, the kernel `cols` was built from, through the scalar row
     /// loop — the route for rows filled one at a time under a telemetry
     /// recorder. When `rec` is enabled the point emits a `kernel.evaluate`
-    /// span, one [`xflow_obs::BlockProvenance`] per block and the
-    /// `plan.blocks` counter; the stored bits are those of the lane fill.
+    /// span and the `plan.blocks` counter; the stored bits are those of
+    /// the lane fill.
     pub fn fill_point<R: Recorder + ?Sized>(
         &mut self,
         kernel: &PlanKernel,

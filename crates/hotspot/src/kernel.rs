@@ -20,7 +20,7 @@
 //! * the **scalar row loop** fills one point at a time. It replays the
 //!   lanes whose machine defeats the prediction (underflowed or infinite
 //!   block times), and it fills traced sweeps through
-//!   [`ColumnsChunk::fill_point`], emitting per-block provenance.
+//!   [`ColumnsChunk::fill_point`], one `kernel.evaluate` span per point.
 //!
 //! Single machines do not go through the kernel: a full [`crate::Projection`]
 //! (per-node costs, statement metrics, unknown libraries) comes from
@@ -35,8 +35,8 @@
 
 use std::sync::Arc;
 
-use xflow_hw::{BlockSummary, MachineSpec};
-use xflow_obs::{AttrValue, BlockProvenance, NoopRecorder, Recorder, SpanId};
+use xflow_hw::MachineSpec;
+use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 
 use crate::columns::{
     achieved_delta, ColumnsChunk, ColumnsLayout, ColumnsTarget, ProjectionColumns, SlotLayout, NO_SLOT,
@@ -79,9 +79,6 @@ pub struct PlanKernel {
     thread_cap: Vec<f64>,
     /// Precomputed overlap fraction δ = 1 − 1/max(1, flops).
     delta: Vec<f64>,
-    /// Full block summaries, kept for telemetry provenance (cold: not
-    /// touched by the lane fill).
-    summaries: Vec<BlockSummary>,
     /// Predicted statement participation per block: `flops > 0 ∨ iops > 0 ∨
     /// accesses > 0`, which is `time.total > 0` on every non-degenerate
     /// machine. The lane fill checks the prediction per lane; a lane that
@@ -123,7 +120,6 @@ impl PlanKernel {
             enr: Vec::with_capacity(n),
             thread_cap: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            summaries: Vec::with_capacity(n),
             stmt_participates: Vec::with_capacity(n),
             first_touch: Vec::with_capacity(n),
             pre_touched: Vec::new(),
@@ -142,7 +138,6 @@ impl PlanKernel {
             kernel.enr.push(block.summary.enr);
             kernel.thread_cap.push(if block.summary.parallelizable { block.summary.avail_par } else { 1.0 });
             kernel.delta.push(MachineSpec::delta_of(m.flops));
-            kernel.summaries.push(block.summary);
         }
         // Precompute the predicted participation, its first-touch flags and
         // its presence set (the statement slots a predicted lane writes).
@@ -215,9 +210,8 @@ impl PlanKernel {
     /// is bit-identical to it on any machine, degenerate ones included.
     /// The block-level aggregates accumulate in block order like the lane
     /// fill. When `rec` is enabled, the loop runs inside a
-    /// `kernel.evaluate` span and emits the same per-block
-    /// [`BlockProvenance`] stream and `plan.blocks` counter as
-    /// [`ProjectionPlan::evaluate_observed`].
+    /// `kernel.evaluate` span and bumps the `plan.blocks` counter as
+    /// [`ProjectionPlan::evaluate_observed`] does.
     // out of line: inlined into the lane fill, the rarely taken replay
     // branch measurably slowed the lane loop
     #[inline(never)]
@@ -246,7 +240,7 @@ impl PlanKernel {
         // hoist length-proven slices so the loop indexes without bounds
         // checks — on small plans the checks cost more than the arithmetic
         let n = self.node.len();
-        let (node, stmt_col, block_slot) = (&self.node[..n], &self.stmt[..n], &block_slot[..n]);
+        let block_slot = &block_slot[..n];
         let (flops, iops) = (&self.flops[..n], &self.iops[..n]);
         let (accesses, bytes) = (&self.accesses[..n], &self.bytes[..n]);
         let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
@@ -267,26 +261,6 @@ impl PlanKernel {
                 target.stmt_tm[s] += time.tm * e;
                 target.stmt_overlap[s] += time.overlap * e;
                 target.stmt_present[s] = true;
-            }
-
-            if enabled {
-                let m = &self.summaries[i].metrics;
-                rec.block_cost(&BlockProvenance {
-                    node: node[i],
-                    stmt: (stmt_col[i] != NO_STMT).then_some(stmt_col[i]),
-                    enr: e,
-                    tc: time.tc,
-                    tm: time.tm,
-                    overlap: time.overlap,
-                    delta: achieved_delta(time.tc, time.tm, time.overlap),
-                    total,
-                    threads: thread_cap[i].min(spec.cores).max(1.0),
-                    flops: m.flops,
-                    iops: m.iops,
-                    loads: m.loads,
-                    stores: m.stores,
-                    bytes: bytes[i],
-                });
             }
         }
 
@@ -516,7 +490,7 @@ mod tests {
     use super::*;
     use crate::analysis::Projection;
     use xflow_bet::{build, Bet};
-    use xflow_hw::{bgq, generic, knl, xeon, ClassicRoofline, LibraryRegistry, PerfModel, Roofline};
+    use xflow_hw::{bgq, generic, knl, xeon, ClassicRoofline, LibraryRegistry, Roofline};
     use xflow_obs::CollectingRecorder;
     use xflow_skeleton::expr::env_from;
     use xflow_skeleton::parse;
@@ -585,7 +559,7 @@ func main() {
         let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
         let kernel = plan.kernel();
         let machines = [bgq(), xeon(), knl(), generic()];
-        let specs: Vec<MachineSpec> = machines.iter().map(|m| Roofline.specialize(m).unwrap()).collect();
+        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
         let cols = kernel.evaluate_columns(&specs);
         for (i, machine) in machines.iter().enumerate() {
             assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline));
@@ -594,14 +568,13 @@ func main() {
 
     #[test]
     fn fallback_path_matches_scalar_for_non_specializing_models() {
-        // a model without a spec has no kernel path: the plan's scalar
-        // evaluator is its only route, and it matches the single-pass
-        // reference bit for bit
+        // a model other than the extended roofline has no kernel path: the
+        // plan's scalar evaluator is its only route, and it matches the
+        // single-pass reference bit for bit
         let bet = bet_for(SRC);
         let libs = LibraryRegistry::with_defaults();
         let plan = ProjectionPlan::new(&bet, &libs);
         for machine in [bgq(), generic()] {
-            assert!(ClassicRoofline.specialize(&machine).is_none());
             let reference = crate::reference::project_single_pass(&bet, &machine, &ClassicRoofline, &libs);
             let scalar = plan.evaluate(&machine, &ClassicRoofline);
             assert_eq!(scalar.total_time.to_bits(), reference.total_time.to_bits());
@@ -612,43 +585,21 @@ func main() {
     }
 
     #[test]
-    fn observed_row_fill_provenance_matches_scalar_observed() {
+    fn observed_row_fill_matches_scalar_observed() {
         let bet = bet_for(SRC);
         let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
         let kernel = plan.kernel();
         let machines = [bgq(), degenerate()];
-        let cols = ProjectionColumns::new(&kernel, machines.iter().map(MachineSpec::resolve).collect());
+        let mut cols = ProjectionColumns::new(&kernel, machines.iter().map(MachineSpec::resolve).collect());
         for (i, machine) in machines.iter().enumerate() {
             let rec_scalar = CollectingRecorder::new();
             let scalar = plan.evaluate_observed(machine, &Roofline, &rec_scalar);
             let rec_kernel = CollectingRecorder::new();
             let mut chunk = ColumnsChunk::new(&cols, i..i + 1);
             chunk.fill_point(&kernel, &cols, i, &rec_kernel);
-            assert_eq!(chunk.total(0).to_bits(), scalar.total_time.to_bits());
-
-            let a = rec_scalar.block_provenance();
-            let b = rec_kernel.block_provenance();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!((x.node, x.stmt), (y.node, y.stmt));
-                for (u, v) in [
-                    (x.enr, y.enr),
-                    (x.total, y.total),
-                    (x.tc, y.tc),
-                    (x.tm, y.tm),
-                    (x.overlap, y.overlap),
-                    (x.delta, y.delta),
-                    (x.threads, y.threads),
-                    (x.flops, y.flops),
-                    (x.iops, y.iops),
-                    (x.loads, y.loads),
-                    (x.stores, y.stores),
-                    (x.bytes, y.bytes),
-                ] {
-                    assert_eq!(u.to_bits(), v.to_bits(), "node {} on {}", x.node, machine.name);
-                }
-            }
-            assert_eq!(rec_kernel.counter_value("plan.blocks"), kernel.len() as u64);
+            cols.install(chunk);
+            assert_row_bits(&cols, i, &scalar);
+            assert_eq!(rec_kernel.counter_value("plan.blocks"), rec_scalar.counter_value("plan.blocks"));
             assert_eq!(rec_kernel.snapshot().spans.iter().filter(|s| s.name == "kernel.evaluate").count(), 1);
         }
     }

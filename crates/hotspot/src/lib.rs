@@ -30,7 +30,7 @@ pub use plan::{PlanBlock, ProjectionPlan};
 pub use quality::{coverage_curve, quality_at, quality_curve, rank_units, top_k_overlap, unit_order, MeasuredTimes};
 pub use select::{select, Candidate, Criteria, Greedy, HotSpot, Selection};
 
-use xflow_skeleton::{Program, StaticCounts, StmtId};
+use xflow_skeleton::StmtId;
 
 /// Wire-format version of this crate's serializable artifacts
 /// ([`ProjectionPlan`] and its blocks).
@@ -39,25 +39,6 @@ use xflow_skeleton::{Program, StaticCounts, StmtId};
 /// fold this into their keys so stale artifacts are never deserialized.
 pub fn schema_version() -> u32 {
     2
-}
-
-/// Build selection candidates from a projection: every skeleton statement
-/// with projected cost becomes a candidate weighted by its static
-/// instruction count.
-pub fn candidates(projection: &Projection, counts: &StaticCounts) -> Vec<Candidate> {
-    projection
-        .per_stmt
-        .iter()
-        .map(|(stmt, cost)| Candidate { stmt, time: cost.total, instr: counts.get(stmt) })
-        .collect()
-}
-
-/// One-call hot spot selection from a projection with the paper's default
-/// criteria (coverage ≥ 90 %, leanness ≤ 10 %).
-pub fn select_hotspots(projection: &Projection, prog: &Program, criteria: Criteria) -> Selection {
-    let counts = xflow_skeleton::static_counts(prog);
-    let cands = candidates(projection, &counts);
-    select(&cands, counts.total(), criteria, Greedy::ByTime)
 }
 
 /// Human-readable table of a selection (ranks, names, times, coverage).

@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 use xflow_bet::{Bet, BetKind};
 use xflow_hw::{BlockMetrics, BlockSummary, LibraryRegistry, MachineModel, PerfModel};
-use xflow_obs::{AttrValue, BlockProvenance, NoopRecorder, Recorder, SpanId};
+use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
 use xflow_skeleton::StmtId;
 
 use crate::analysis::{NodeCost, Projection, StmtCosts};
@@ -178,10 +178,10 @@ impl ProjectionPlan {
     /// [`NoopRecorder`], so this is the one loop that produces a
     /// [`Projection`]. When the recorder is enabled, the loop runs inside a
     /// `plan.evaluate` span (machine name, block count; projected total as
-    /// an exit attribute) and emits one [`BlockProvenance`] per block via
-    /// [`Recorder::block_cost`], in plan (BET node) order, carrying the
-    /// exact addends of the accumulation: summing `total` over the stream
-    /// reproduces `Projection::total_time` to the bit.
+    /// an exit attribute) and bumps the `plan.blocks` counter. The
+    /// per-block costs live in [`Projection::node_costs`]: summing the
+    /// blocks' `total` in plan (BET node) order reproduces
+    /// `Projection::total_time` to the bit.
     pub fn evaluate_observed<R: Recorder + ?Sized>(
         &self,
         machine: &MachineModel,
@@ -205,10 +205,6 @@ impl ProjectionPlan {
         }
         let mut per_stmt = StmtCosts::with_stmt_capacity(self.stmt_bound);
         let mut total_time = 0.0;
-        // Machine pre-resolution: the telemetry branch reports each block's
-        // effective thread count, which only needs the core count — hoist
-        // the integer→float conversion out of the per-block work.
-        let cores = machine.cores as f64;
 
         for block in &self.blocks {
             let e = block.summary.enr;
@@ -226,27 +222,6 @@ impl ProjectionPlan {
                     s.overlap += time.overlap * e;
                     s.metrics.add_scaled(&block.stmt_metrics, e);
                 }
-            }
-
-            if enabled {
-                let floor = time.tc.min(time.tm);
-                let delta = if floor > 0.0 { time.overlap / floor } else { 0.0 };
-                rec.block_cost(&BlockProvenance {
-                    node: block.node,
-                    stmt: block.stmt.map(|s| s.0),
-                    enr: e,
-                    tc: time.tc,
-                    tm: time.tm,
-                    overlap: time.overlap,
-                    delta,
-                    total,
-                    threads: block.summary.threads_with_cores(cores),
-                    flops: block.summary.metrics.flops,
-                    iops: block.summary.metrics.iops,
-                    loads: block.summary.metrics.loads,
-                    stores: block.summary.metrics.stores,
-                    bytes: block.summary.metrics.bytes(),
-                });
             }
         }
 
@@ -335,7 +310,7 @@ func main() {
     }
 
     #[test]
-    fn observed_evaluate_is_bit_identical_and_provenance_reconciles() {
+    fn observed_evaluate_is_bit_identical_and_node_costs_reconcile() {
         use xflow_obs::CollectingRecorder;
         let src = r#"
 func main() {
@@ -355,32 +330,14 @@ func main() {
             let observed = plan.evaluate_observed(&machine, &Roofline, &rec);
             assert_eq!(observed.total_time.to_bits(), plain.total_time.to_bits());
 
-            let blocks = rec.block_provenance();
-            assert_eq!(blocks.len(), plan.blocks().len());
-            // the provenance stream carries the exact addends, in order
-            let sum = blocks.iter().fold(0.0f64, |acc, b| acc + b.total);
+            // the blocks' node costs are the exact addends, in plan order
+            let sum = plan.blocks().iter().fold(0.0f64, |acc, b| acc + observed.node_costs[b.node as usize].total);
             assert_eq!(sum.to_bits(), plain.total_time.to_bits());
             assert_eq!(rec.counter_value("plan.blocks"), plan.blocks().len() as u64);
             let snap = rec.snapshot();
             let span = snap.spans.iter().find(|s| s.name == "plan.evaluate").unwrap();
             assert!(span.attrs.iter().any(|(k, _)| k == "machine"));
             assert!(span.attrs.iter().any(|(k, _)| k == "total_time"));
-        }
-    }
-
-    #[test]
-    fn provenance_delta_matches_overlap_definition() {
-        use xflow_obs::CollectingRecorder;
-        let bet = bet_for("func main() { loop i = 0 .. 100 { comp { flops: 32, loads: 8, bytes: 8 } } }");
-        let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
-        let rec = CollectingRecorder::new();
-        plan.evaluate_observed(&bgq(), &Roofline, &rec);
-        for b in rec.block_provenance() {
-            let floor = b.tc.min(b.tm);
-            if floor > 0.0 {
-                assert!((b.delta * floor - b.overlap).abs() <= 1e-15 * b.overlap.abs().max(1.0));
-                assert!((0.0..=1.0).contains(&b.delta), "δ must be a fraction, got {}", b.delta);
-            }
         }
     }
 

@@ -18,7 +18,6 @@
 //! compiler fully vectorizes (STASSUIJ hot spot 1).
 
 use crate::machine::MachineModel;
-use crate::spec::MachineSpec;
 use serde::{Deserialize, Serialize};
 
 /// Concrete (numeric) per-invocation operation statistics of a code block.
@@ -176,15 +175,6 @@ pub trait PerfModel: Send + Sync {
         }
     }
 
-    /// Pre-resolve this model's machine-dependent constants into a flat
-    /// [`MachineSpec`] for the batched evaluation kernel, or `None` when
-    /// the model cannot be expressed as one (the default). Only the
-    /// extended [`Roofline`] specializes; ablation variants and custom
-    /// models keep the virtual-dispatch path.
-    fn specialize(&self, _machine: &MachineModel) -> Option<MachineSpec> {
-        None
-    }
-
     /// Short name for reports.
     fn name(&self) -> &str;
 }
@@ -269,10 +259,6 @@ impl PerfModel for Roofline {
         // unchanged.
         let tm = (per_core / p).max(shared);
         Self::assemble(tc, tm, m.flops)
-    }
-
-    fn specialize(&self, machine: &MachineModel) -> Option<MachineSpec> {
-        Some(MachineSpec::resolve(machine))
     }
 
     fn name(&self) -> &str {

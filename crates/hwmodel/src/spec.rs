@@ -17,9 +17,9 @@
 //! equivalence is enforced by `to_bits` tests here and in the hotspot and
 //! sweep layers.
 //!
-//! Non-roofline models (the ablation variants, custom [`crate::PerfModel`]
-//! impls) do not specialize — [`crate::PerfModel::specialize`] returns
-//! `None` and callers fall back to the virtual-dispatch path.
+//! The spec describes the extended [`crate::Roofline`] only; other models
+//! (the ablation variants, custom [`crate::PerfModel`] impls) have no spec
+//! and evaluate through the virtual-dispatch path.
 
 use crate::machine::MachineModel;
 use crate::roofline::BlockTime;
@@ -105,8 +105,7 @@ impl ExactDiv {
 
 /// Flat, machine-resolved constants of the extended roofline model.
 ///
-/// Obtain one via [`crate::PerfModel::specialize`] (models that cannot be
-/// specialized return `None`). All fields are plain f64 (divisors carry an
+/// Obtain one via [`MachineSpec::resolve`]. All fields are plain f64 (divisors carry an
 /// [`ExactDiv`] strength reduction) so a batch evaluation loop over many
 /// specs touches no pointers and calls no trait objects.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -228,9 +227,7 @@ impl MachineSpec {
 mod tests {
     use super::*;
     use crate::machine::{bgq, generic, knl, xeon};
-    use crate::roofline::{
-        BlockMetrics, BlockSummary, ClassicRoofline, DivAwareRoofline, PerfModel, Roofline, VectorAwareRoofline,
-    };
+    use crate::roofline::{BlockMetrics, BlockSummary, PerfModel, Roofline};
 
     fn summaries() -> Vec<BlockSummary> {
         let mut v = Vec::new();
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn specialized_block_time_is_bit_identical_to_project_block() {
         for machine in [bgq(), xeon(), knl(), generic()] {
-            let spec = Roofline.specialize(&machine).expect("roofline specializes");
+            let spec = MachineSpec::resolve(&machine);
             for s in summaries() {
                 let reference = Roofline.project_block(&machine, &s);
                 let m = &s.metrics;
@@ -319,7 +316,7 @@ mod tests {
         m.mlp = 6.0;
         m.dram_bw_gbs = 3.3;
         let m = MachineBuilder::from(m).cores(12).build();
-        let spec = Roofline.specialize(&m).expect("roofline specializes");
+        let spec = MachineSpec::resolve(&m);
         for s in summaries() {
             let reference = Roofline.project_block(&m, &s);
             let metrics = &s.metrics;
@@ -340,19 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn only_the_extended_roofline_specializes() {
-        let m = generic();
-        assert!(Roofline.specialize(&m).is_some());
-        assert!(DivAwareRoofline.specialize(&m).is_none());
-        assert!(VectorAwareRoofline.specialize(&m).is_none());
-        assert!(ClassicRoofline.specialize(&m).is_none());
-    }
-
-    #[test]
     fn zero_core_machine_still_runs_serially() {
         use crate::machine::MachineBuilder;
         let m = MachineBuilder::from(generic()).cores(0).build();
-        let spec = Roofline.specialize(&m).unwrap();
+        let spec = MachineSpec::resolve(&m);
         let s = BlockSummary {
             metrics: BlockMetrics { flops: 8.0, iops: 0.0, loads: 4.0, stores: 0.0, divs: 0.0, elem_bytes: 8.0 },
             enr: 1.0,

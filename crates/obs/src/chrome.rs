@@ -193,7 +193,7 @@ mod tests {
         rec.span_end(s, &[]);
         rec.event("note", &[]);
         rec.add("points", 3);
-        rec.observe("lat", 0.5);
+        rec.metrics().observe("lat", 0.5);
         let json = rec.snapshot().to_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\""));
@@ -208,9 +208,9 @@ mod tests {
     #[test]
     fn histogram_samples_carry_buckets_and_quantiles() {
         let rec = CollectingRecorder::new();
-        rec.observe("lat", 0.004);
-        rec.observe("lat", 0.004);
-        rec.observe("lat", 0.04);
+        rec.metrics().observe("lat", 0.004);
+        rec.metrics().observe("lat", 0.004);
+        rec.metrics().observe("lat", 0.04);
         let json = rec.snapshot().to_chrome_json();
         // cumulative le samples: 2 at 5e-3, 3 at 5e-2, +Inf = count
         assert!(json.contains("\"buckets\":{\"0.005\":2,\"0.01\":2,\"0.025\":2,\"0.05\":3"), "{json}");

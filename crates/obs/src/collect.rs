@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::provenance::BlockProvenance;
 use crate::recorder::{Attr, OwnedAttr, Recorder, SpanId};
 use crate::registry::{HistogramSummary, MetricsRegistry};
 
@@ -68,12 +67,10 @@ struct Inner {
     stacks: HashMap<u64, Vec<u64>>,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
-    blocks: Vec<BlockProvenance>,
 }
 
 /// A thread-safe retaining recorder: spans and events under one mutex,
-/// counters in a [`MetricsRegistry`] (atomics), block provenance appended
-/// in arrival order.
+/// counters in a [`MetricsRegistry`] (atomics).
 pub struct CollectingRecorder {
     origin: Instant,
     next_id: AtomicU64,
@@ -120,12 +117,6 @@ impl CollectingRecorder {
     /// name — see [`MetricsRegistry::counters_with_prefix`].
     pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
         self.metrics.counters_with_prefix(prefix)
-    }
-
-    /// The block provenance stream collected so far, in arrival order.
-    /// Within one `evaluate_observed` call this is plan (BET node) order.
-    pub fn block_provenance(&self) -> Vec<BlockProvenance> {
-        self.inner.lock().unwrap().blocks.clone()
     }
 
     /// Immutable snapshot of everything recorded so far. Open spans are
@@ -191,19 +182,11 @@ impl Recorder for CollectingRecorder {
         self.metrics.add(counter, delta);
     }
 
-    fn observe(&self, histogram: &str, value: f64) {
-        self.metrics.observe(histogram, value);
-    }
-
     fn event(&self, name: &str, attrs: &[Attr<'_>]) {
         let ts_ns = self.now_ns();
         let tid = current_tid();
         let attrs = Self::own_attrs(attrs);
         self.inner.lock().unwrap().events.push(EventRecord { name: name.to_string(), ts_ns, tid, attrs });
-    }
-
-    fn block_cost(&self, block: &BlockProvenance) {
-        self.inner.lock().unwrap().blocks.push(*block);
     }
 }
 
@@ -263,29 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_blocks_accumulate() {
+    fn counters_and_histograms_accumulate() {
         let rec = CollectingRecorder::new();
         rec.add("c", 2);
         rec.add("c", 3);
-        rec.observe("h", 4.0);
-        rec.block_cost(&BlockProvenance {
-            node: 0,
-            stmt: None,
-            enr: 1.0,
-            tc: 0.0,
-            tm: 0.0,
-            overlap: 0.0,
-            delta: 0.0,
-            total: 0.0,
-            threads: 1.0,
-            flops: 0.0,
-            iops: 0.0,
-            loads: 0.0,
-            stores: 0.0,
-            bytes: 0.0,
-        });
+        rec.metrics().observe("h", 4.0);
         assert_eq!(rec.counter_value("c"), 5);
-        assert_eq!(rec.block_provenance().len(), 1);
         assert_eq!(rec.snapshot().histograms[0].1.count, 1);
     }
 

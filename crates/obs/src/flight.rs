@@ -27,7 +27,6 @@ use std::time::Instant;
 
 use crate::chrome::{json_f64, json_string};
 use crate::collect::current_tid;
-use crate::provenance::BlockProvenance;
 use crate::recorder::{Attr, Recorder, SpanId};
 
 /// Default ring capacity (events). At 11 words (88 bytes) per slot this
@@ -53,8 +52,6 @@ pub enum FlightEventKind {
     Instant,
     /// A counter increment (`value` is the delta).
     Counter,
-    /// A histogram observation (`value` is the observation).
-    Histogram,
 }
 
 impl FlightEventKind {
@@ -64,7 +61,6 @@ impl FlightEventKind {
             FlightEventKind::SpanEnd => 1,
             FlightEventKind::Instant => 2,
             FlightEventKind::Counter => 3,
-            FlightEventKind::Histogram => 4,
         }
     }
 
@@ -74,7 +70,6 @@ impl FlightEventKind {
             1 => FlightEventKind::SpanEnd,
             2 => FlightEventKind::Instant,
             3 => FlightEventKind::Counter,
-            4 => FlightEventKind::Histogram,
             _ => return None,
         })
     }
@@ -90,7 +85,7 @@ pub struct FlightEvent {
     pub ts_ns: u64,
     /// Small stable id of the recording thread (see `current_tid`).
     pub tid: u64,
-    /// Counter delta or histogram observation; 0 otherwise.
+    /// Counter delta; 0 otherwise.
     pub value: f64,
     /// Global sequence number of the event (total order across threads).
     pub ticket: u64,
@@ -267,24 +262,10 @@ impl Recorder for FlightRecorder {
         }
     }
 
-    fn observe(&self, histogram: &str, value: f64) {
-        self.record(FlightEventKind::Histogram, histogram, value);
-        if let Some(inner) = &self.inner {
-            inner.observe(histogram, value);
-        }
-    }
-
     fn event(&self, name: &str, attrs: &[Attr<'_>]) {
         self.record(FlightEventKind::Instant, name, 0.0);
         if let Some(inner) = &self.inner {
             inner.event(name, attrs);
-        }
-    }
-
-    fn block_cost(&self, block: &BlockProvenance) {
-        // Too wide for a ring slot; forwarded only.
-        if let Some(inner) = &self.inner {
-            inner.block_cost(block);
         }
     }
 }
@@ -303,8 +284,8 @@ pub struct FlightSnapshot {
 impl FlightSnapshot {
     /// Render as a Chrome trace-event JSON document. Spans use `B`/`E`
     /// duration events (matched per thread by the viewer, so a begin
-    /// whose end was evicted still renders), counters emit running
-    /// totals per name, histogram observations are instant samples.
+    /// whose end was evicted still renders) and counters emit running
+    /// totals per name.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.events.len() * 96);
         let _ = std::fmt::Write::write_fmt(
@@ -337,21 +318,17 @@ impl FlightSnapshot {
                     }
                     out.push('}');
                 }
-                FlightEventKind::Counter | FlightEventKind::Histogram => {
-                    let value = if e.kind == FlightEventKind::Counter {
-                        // running total per counter name, in ticket order
-                        match totals.iter_mut().find(|(n, _)| *n == e.name) {
-                            Some((_, t)) => {
-                                *t += e.value;
-                                *t
-                            }
-                            None => {
-                                totals.push((e.name.clone(), e.value));
-                                e.value
-                            }
+                FlightEventKind::Counter => {
+                    // running total per counter name, in ticket order
+                    let value = match totals.iter_mut().find(|(n, _)| *n == e.name) {
+                        Some((_, t)) => {
+                            *t += e.value;
+                            *t
                         }
-                    } else {
-                        e.value
+                        None => {
+                            totals.push((e.name.clone(), e.value));
+                            e.value
+                        }
                     };
                     out.push_str("{\"name\":");
                     json_string(&e.name, &mut out);
@@ -379,25 +356,17 @@ mod tests {
         let fr = FlightRecorder::with_capacity(8);
         let s = fr.span_start("work", &[]);
         fr.add("points", 3);
-        fr.observe("lat", 0.25);
         fr.event("note", &[]);
         fr.span_end(s, &[]);
         let snap = fr.snapshot();
-        assert_eq!(snap.events.len(), 5);
+        assert_eq!(snap.events.len(), 4);
         let kinds: Vec<FlightEventKind> = snap.events.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            [
-                FlightEventKind::SpanBegin,
-                FlightEventKind::Counter,
-                FlightEventKind::Histogram,
-                FlightEventKind::Instant,
-                FlightEventKind::SpanEnd,
-            ]
+            [FlightEventKind::SpanBegin, FlightEventKind::Counter, FlightEventKind::Instant, FlightEventKind::SpanEnd,]
         );
         assert_eq!(snap.events[0].name, "work");
         assert_eq!(snap.events[1].value, 3.0);
-        assert_eq!(snap.events[2].value, 0.25);
         assert_eq!(snap.dropped, 0);
         // timestamps are monotone in ticket order
         assert!(snap.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
@@ -473,7 +442,6 @@ mod tests {
         let s = fr.span_start("req", &[]);
         fr.add("hits", 1);
         fr.add("hits", 2);
-        fr.observe("secs", 0.5);
         fr.span_end(s, &[]);
         let json = fr.snapshot().to_chrome_json();
         assert!(json.contains("\"ph\":\"B\""), "{json}");

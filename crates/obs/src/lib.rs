@@ -2,10 +2,11 @@
 //!
 //! A lightweight, dependency-free observability layer for the modeling
 //! pipeline: structured **spans** (enter/exit with wall time and thread
-//! id), **counters** and **histograms** behind a [`MetricsRegistry`], a
-//! typed per-block **provenance stream** ([`BlockProvenance`]), and a
-//! Chrome trace-event exporter ([`chrome`]) whose output loads directly in
-//! `chrome://tracing` and Perfetto.
+//! id), **counters** and instant **events** through the [`Recorder`]
+//! trait, **histograms** observed straight into a [`MetricsRegistry`],
+//! and a Chrome trace-event exporter ([`chrome`]) whose output loads
+//! directly in `chrome://tracing` and Perfetto. Per-block projection
+//! costs are not telemetry: `explain` reads them from the projection.
 //!
 //! The design constraint is that *disabled telemetry is free*: every
 //! instrumented API in the workspace is generic over [`Recorder`] and
@@ -17,19 +18,17 @@
 //! building) behind [`Recorder::enabled`] so the noop path allocates
 //! nothing.
 //!
-//! Four concrete recorders cover the workspace's needs:
+//! Three concrete recorders cover the workspace's needs:
 //!
 //! * [`NoopRecorder`] — the zero-overhead default;
-//! * [`CollectingRecorder`] — thread-safe accumulation of spans, events,
-//!   counters, histograms, and block provenance; snapshot it with
+//! * [`CollectingRecorder`] — thread-safe accumulation of spans, events
+//!   and counters (plus histograms observed into its
+//!   [`CollectingRecorder::metrics`] registry); snapshot it with
 //!   [`CollectingRecorder::snapshot`] and export with
 //!   [`TraceSnapshot::to_chrome_json`];
 //! * [`FlightRecorder`] — an always-on, lock-free fixed-capacity ring
 //!   retaining the last N events for after-the-fact dumps (optionally
-//!   wrapping another recorder);
-//! * [`ProgressTicker`] — a decorator that forwards everything to an inner
-//!   recorder while driving a live stderr ticker off one counter (the
-//!   design-space sweep uses it for per-point progress).
+//!   wrapping another recorder).
 //!
 //! ```
 //! use xflow_obs::{AttrValue, CollectingRecorder, Recorder};
@@ -46,14 +45,10 @@
 pub mod chrome;
 pub mod collect;
 pub mod flight;
-pub mod progress;
-pub mod provenance;
 pub mod recorder;
 pub mod registry;
 
 pub use collect::{CollectingRecorder, EventRecord, SpanRecord, TraceSnapshot};
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY};
-pub use progress::ProgressTicker;
-pub use provenance::BlockProvenance;
 pub use recorder::{span, Attr, AttrValue, NoopRecorder, OwnedAttr, Recorder, SpanGuard, SpanId};
 pub use registry::{Counter, HistogramSummary, MetricsRegistry, BUCKET_BOUNDS};

@@ -1,8 +1,6 @@
 //! The [`Recorder`] trait, attribute values, and the zero-overhead
 //! [`NoopRecorder`] default.
 
-use crate::provenance::BlockProvenance;
-
 /// Identifier of one span issued by a recorder. [`SpanId::NONE`] is the
 /// sentinel returned by recorders that track nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,16 +88,8 @@ pub trait Recorder: Send + Sync {
     /// Increment a named monotonic counter.
     fn add(&self, counter: &str, delta: u64);
 
-    /// Record one observation of a named histogram.
-    fn observe(&self, histogram: &str, value: f64);
-
     /// Record an instant event (no duration).
     fn event(&self, name: &str, attrs: &[Attr<'_>]);
-
-    /// Record one block of the per-block cost provenance stream emitted by
-    /// `ProjectionPlan::evaluate_observed` — the raw material of the
-    /// `explain` report.
-    fn block_cost(&self, block: &BlockProvenance);
 }
 
 /// The zero-overhead default recorder: every method is an empty inlined
@@ -125,13 +115,7 @@ impl Recorder for NoopRecorder {
     fn add(&self, _counter: &str, _delta: u64) {}
 
     #[inline(always)]
-    fn observe(&self, _histogram: &str, _value: f64) {}
-
-    #[inline(always)]
     fn event(&self, _name: &str, _attrs: &[Attr<'_>]) {}
-
-    #[inline(always)]
-    fn block_cost(&self, _block: &BlockProvenance) {}
 }
 
 /// RAII guard closing a span on drop (with no exit attributes). Panics
@@ -165,7 +149,6 @@ mod tests {
         assert_eq!(r.span_start("x", &[]), SpanId::NONE);
         r.span_end(SpanId::NONE, &[]);
         r.add("c", 1);
-        r.observe("h", 1.0);
         r.event("e", &[("k", AttrValue::U64(1))]);
     }
 

@@ -28,7 +28,10 @@ fn main() {
     let mlp_points = [2.0, 4.0, 8.0, 16.0, 32.0];
 
     // one plan, 25 machines, all available worker threads
-    let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&bw_points), Axis::mlp(&mlp_points)]);
+    let space = DesignSpace::grid(
+        generic(),
+        vec![Axis::by_name("dram_bw_gbs", &bw_points).unwrap(), Axis::by_name("mlp", &mlp_points).unwrap()],
+    );
     let sweep = space.sweep_opts(&app, SweepOptions::default());
 
     println!("workload: {} — projected total seconds per design point", w.name);

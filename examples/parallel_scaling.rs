@@ -52,7 +52,8 @@ fn main() {
     // a core-count axis swept from one projection plan; the baseline point
     // (1 core) anchors the speedup column via the sweep's deltas
     let cores = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-    let sweep = DesignSpace::grid(bgq(), vec![Axis::cores(&cores)]).sweep_opts(&app, SweepOptions::default());
+    let sweep = DesignSpace::grid(bgq(), vec![Axis::by_name("cores", &cores).unwrap()])
+        .sweep_opts(&app, SweepOptions::default());
     let deltas = sweep.deltas();
     for (point, delta) in (0..deltas.len()).map(|i| sweep.row(i)).zip(&deltas) {
         let mp = sweep.hydrate(&app, point.index);

@@ -510,6 +510,9 @@ fn run_oracle(
     registry: &MachineRegistry,
     session_out: &mut Option<Session>,
 ) -> Result<String, String> {
+    if !inv.oracle_scales.is_empty() && (inv.gen.is_some() || inv.file.is_some()) {
+        return Err("--scales applies only to the built-in workloads, not to --gen or DIR programs".into());
+    }
     let scales = if inv.oracle_scales.is_empty() { vec![Scale::Test] } else { inv.oracle_scales.clone() };
     let programs = match (&inv.gen, &inv.file) {
         (Some(n), _) => crate::oracle::generated_programs(*n),
@@ -761,8 +764,8 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
         }
         "explain" => {
             let app = modeled(inv, src, session_out)?;
-            let report = match &inv.recorder {
-                Some(rec) => crate::explain::explain_observed(&app, &inv.machine, rec),
+            let report = match inv.session_recorder() {
+                Some(rec) => crate::explain::explain_observed(&app, &inv.machine, rec.as_ref()),
                 None => crate::explain::explain(&app, &inv.machine),
             };
             if inv.json {
@@ -854,7 +857,7 @@ fn run_on_source(inv: &Invocation, src: &str, session_out: &mut Option<Session>)
             let space = DesignSpace::grid(inv.machine.clone(), inv.axes.clone());
             space.check_machines()?;
             let app = modeled(inv, src, session_out)?;
-            let sweep = match &inv.recorder {
+            let sweep = match inv.session_recorder() {
                 Some(rec) => space.sweep_opts(&app, SweepOptions { recorder: rec.as_ref(), ..inv.sweep_opts }),
                 None => space.sweep_opts(&app, inv.sweep_opts),
             };
@@ -1277,6 +1280,40 @@ fn main() {
             assert_eq!(count(&text, "sim.run"), runs, "{cmd:?}: {text}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flight_dumps_hold_the_explain_and_sweep_evaluations() {
+        let dir = std::env::temp_dir().join(format!("xflow-cli-flight-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, flight) = (dir.join("t.json"), dir.join("f.json"));
+        let (t, f) = (trace.to_str().unwrap(), flight.to_str().unwrap());
+        let holds = |name: &str| std::fs::read_to_string(&flight).unwrap().contains(&format!("\"name\":\"{name}\""));
+        for traced in [false, true] {
+            let mut argv = vec!["sweep", "cfd", "--axis", "mlp=2,4", "--flight-out", f];
+            if traced {
+                argv.extend(["--trace-out", t]);
+            }
+            run(&args(&argv)).unwrap();
+            for name in ["sweep", "sweep.point", "kernel.evaluate"] {
+                assert!(holds(name), "sweep (traced: {traced}) dump lacks {name}");
+            }
+        }
+        run(&args(&["explain", "cfd", "--flight-out", f])).unwrap();
+        assert!(holds("plan.evaluate"), "explain dump lacks plan.evaluate");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oracle_rejects_scales_outside_the_builtin_workloads() {
+        let dir = std::env::temp_dir();
+        for argv in [
+            vec!["oracle", "--gen", "2", "--scales", "test,eval"],
+            vec!["oracle", dir.to_str().unwrap(), "--scales", "eval"],
+        ] {
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(err.contains("--scales"), "{argv:?}: {err}");
+        }
     }
 
     #[test]

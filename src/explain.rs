@@ -1,20 +1,23 @@
 //! The `explain` provenance report: why the projection says what it says.
 //!
-//! [`explain`] re-evaluates an app's projection plan through an observed
-//! recorder and turns the resulting [`BlockProvenance`] stream into a
-//! human-readable breakdown: per cost-carrying BET node the exact `Tc`,
-//! `Tm`, overlap, ENR and roofline operands the evaluator used, and per
-//! comparable unit a ranked table with the compute-vs-memory verdict and
-//! the invocation-context probability chain of the unit's dominant node.
+//! [`explain`] evaluates an app's projection plan on one machine and
+//! reads the breakdown straight off the model: each of the plan's blocks
+//! ([`xflow_hotspot::ProjectionPlan::blocks`]) with the `Tc`, `Tm`,
+//! overlap, ENR and ENR-weighted total the evaluation stored for its node
+//! ([`xflow_hotspot::Projection::node_costs`]) and its roofline operands,
+//! and per comparable unit a ranked table with the compute-vs-memory
+//! verdict and the invocation-context probability chain of the unit's
+//! dominant node. [`explain_observed`] does the same under any telemetry
+//! recorder, which sees the evaluation's `plan.evaluate` span.
 //!
 //! The report is *reconciling by construction*: `blocks` are kept in plan
 //! order with the evaluator's exact addends, so summing their `total`
-//! fields in stream order reproduces [`Explain::total`] — and therefore
+//! fields in order reproduces [`Explain::total`] — and therefore
 //! `project_on`'s projected application time — to the bit. The unit rows
 //! (time, share, Tc, Tm, bound) are the [`UnitIndex::fold`] of that same
 //! evaluation, so they equal the `hotspots` unit view
-//! ([`MachineProjection::unit_breakdown`]) bit for bit; the block stream
-//! only picks each unit's dominant block and context chain. A report
+//! ([`MachineProjection::unit_breakdown`]) bit for bit; the block rows
+//! only pick each unit's dominant block and context chain. A report
 //! whose numbers can drift from the projection would be worse than no
 //! report.
 //!
@@ -28,7 +31,7 @@ use std::fmt::Write as _;
 use xflow_bet::{Bet, BetKind, BetNodeId};
 use xflow_hotspot::unit_order;
 use xflow_hw::{MachineModel, PerfModel, Roofline};
-use xflow_obs::{BlockProvenance, CollectingRecorder};
+use xflow_obs::{NoopRecorder, Recorder};
 use xflow_skeleton::StmtId;
 
 /// One cost-carrying BET node with the evaluator's exact numbers.
@@ -121,56 +124,69 @@ pub struct Explain {
 }
 
 /// Build the provenance report, recording the evaluation into `rec` (the
-/// `plan.evaluate` span and block stream land in the recorder, so a
-/// `--trace-out` capture sees the explain evaluation too).
-pub fn explain_observed(app: &ModeledApp, machine: &MachineModel, rec: &CollectingRecorder) -> Explain {
+/// `plan.evaluate` span lands in the recorder, so a `--trace-out` or
+/// `--flight-out` capture sees the explain evaluation too).
+pub fn explain_observed<R: Recorder + ?Sized>(app: &ModeledApp, machine: &MachineModel, rec: &R) -> Explain {
     let model = Roofline;
-    let skip = rec.block_provenance().len();
     let projection = app.plan().evaluate_observed(machine, &model, rec);
-    let blocks = &rec.block_provenance()[skip..];
-    assemble(app, MachineProjection::new(&app.units, machine, projection), model.name(), blocks)
+    assemble(app, MachineProjection::new(&app.units, machine, projection), model.name())
 }
 
-/// Build the provenance report with a private recorder.
+/// Build the provenance report without telemetry.
 pub fn explain(app: &ModeledApp, machine: &MachineModel) -> Explain {
-    explain_observed(app, machine, &CollectingRecorder::new())
+    explain_observed(app, machine, &NoopRecorder)
 }
 
-fn assemble(app: &ModeledApp, mp: MachineProjection, model: &str, stream: &[BlockProvenance]) -> Explain {
-    let units = &app.units;
-    let blocks: Vec<ExplainBlock> = stream
+/// One row per plan block: the block's roofline operands and the cost the
+/// evaluation stored for its node.
+fn block_rows(app: &ModeledApp, mp: &MachineProjection) -> Vec<ExplainBlock> {
+    let (units, cores) = (&app.units, mp.machine.cores as f64);
+    app.plan()
+        .blocks()
         .iter()
-        .map(|b| ExplainBlock {
-            node: b.node,
-            stmt: b.stmt,
-            unit: match b.stmt {
-                Some(s) => units.name(units.unit_of(StmtId(s))),
-                None => "<synthetic>".to_string(),
-            },
-            enr: b.enr,
-            tc: b.tc,
-            tm: b.tm,
-            overlap: b.overlap,
-            delta: b.delta,
-            total: b.total,
-            threads: b.threads,
-            flops: b.flops,
-            iops: b.iops,
-            loads: b.loads,
-            stores: b.stores,
-            bytes: b.bytes,
-            intensity: b.operational_intensity(),
-            bound: verdict(b.tc, b.tm).to_string(),
+        .map(|b| {
+            let cost = &mp.projection.node_costs[b.node as usize];
+            let time = &cost.per_invocation;
+            let floor = time.tc.min(time.tm);
+            let m = &b.summary.metrics;
+            let bytes = m.bytes();
+            ExplainBlock {
+                node: b.node,
+                stmt: b.stmt.map(|s| s.0),
+                unit: match b.stmt {
+                    Some(s) => units.name(units.unit_of(s)),
+                    None => "<synthetic>".to_string(),
+                },
+                enr: cost.enr,
+                tc: time.tc,
+                tm: time.tm,
+                overlap: time.overlap,
+                delta: if floor > 0.0 { time.overlap / floor } else { 0.0 },
+                total: cost.total,
+                threads: b.summary.threads_with_cores(cores),
+                flops: m.flops,
+                iops: m.iops,
+                loads: m.loads,
+                stores: m.stores,
+                bytes,
+                intensity: operational_intensity(m.flops, bytes),
+                bound: verdict(time.tc, time.tm).to_string(),
+            }
         })
-        .collect();
+        .collect()
+}
+
+fn assemble(app: &ModeledApp, mp: MachineProjection, model: &str) -> Explain {
+    let units = &app.units;
+    let blocks = block_rows(app, &mp);
 
     // each unit's first block and dominant (most expensive, earliest on
     // ties) block, in plan order; the unit's numbers come from `mp`
     let mut picks: BTreeMap<StmtId, (usize, usize)> = BTreeMap::new();
-    for (i, b) in stream.iter().enumerate() {
+    for (i, b) in blocks.iter().enumerate() {
         if let Some(s) = b.stmt {
             let (_, dominant) = picks.entry(units.unit_of(StmtId(s))).or_insert((i, i));
-            if b.total > stream[*dominant].total {
+            if b.total > blocks[*dominant].total {
                 *dominant = i;
             }
         }
@@ -192,7 +208,7 @@ fn assemble(app: &ModeledApp, mp: MachineProjection, model: &str, stream: &[Bloc
     let unit_rows: Vec<ExplainUnit> = rows
         .into_iter()
         .map(|(unit, c, _, dominant)| {
-            let dom = &stream[dominant];
+            let dom = &blocks[dominant];
             let chain = context_chain(&app.bet, BetNodeId(dom.node));
             let path_prob = chain.iter().map(|s| s.prob).product();
             ExplainUnit {
@@ -211,6 +227,19 @@ fn assemble(app: &ModeledApp, mp: MachineProjection, model: &str, stream: &[Bloc
         .collect();
 
     Explain { machine: mp.machine.name, model: model.to_string(), total, blocks, units: unit_rows }
+}
+
+/// Operational intensity in flops per byte (0 when neither moves).
+fn operational_intensity(flops: f64, bytes: f64) -> f64 {
+    if bytes == 0.0 {
+        if flops == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        flops / bytes
+    }
 }
 
 fn verdict(tc: f64, tm: f64) -> &'static str {
@@ -329,6 +358,30 @@ fn main() {
             assert_eq!(sum.to_bits(), report.total.to_bits(), "stream must reconcile on {}", m.name);
             assert_eq!(report.total.to_bits(), app.project_on(&m).total.to_bits());
         }
+    }
+
+    #[test]
+    fn block_rows_carry_the_node_costs_and_the_overlap_degree() {
+        let app = app();
+        let m = bgq();
+        let projection = app.plan().evaluate(&m, &Roofline);
+        let report = explain(&app, &m);
+        assert_eq!(report.blocks.len(), app.plan().blocks().len());
+        for b in &report.blocks {
+            let cost = &projection.node_costs[b.node as usize];
+            assert_eq!(b.total.to_bits(), cost.total.to_bits());
+            assert_eq!(b.enr.to_bits(), cost.enr.to_bits());
+            let floor = b.tc.min(b.tm);
+            if floor > 0.0 {
+                assert!((b.delta * floor - b.overlap).abs() <= 1e-15 * b.overlap.abs().max(1.0));
+                assert!((0.0..=1.0).contains(&b.delta), "δ must be a fraction, got {}", b.delta);
+            } else {
+                assert_eq!(b.delta, 0.0);
+            }
+        }
+        assert_eq!(operational_intensity(8.0, 8.0), 1.0);
+        assert!(operational_intensity(8.0, 0.0).is_infinite());
+        assert_eq!(operational_intensity(0.0, 0.0), 0.0);
     }
 
     #[test]

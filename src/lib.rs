@@ -89,7 +89,7 @@ pub use xflow_workloads;
 pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Selection};
 pub use xflow_hw::{bgq, generic, knl, xeon, MachineBuilder, MachineModel, MachineSpec, PerfModel, Roofline};
 pub use xflow_minilang::{initial_env, InputSpec};
-pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, ProgressTicker, Recorder, TraceSnapshot};
+pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, Recorder, TraceSnapshot};
 pub use xflow_sim::default_library;
 pub use xflow_workloads::{Scale, Workload};
 

@@ -423,10 +423,11 @@ impl Session {
     /// Each simulation is a content-addressed `sim` stage of its own
     /// (`sim-<salt>-<key>.json`), outside the five-stage model chain, so
     /// ground truth is paid once per distinct query per cache directory.
-    /// One VM execution serves the query: when the profile stage misses,
-    /// one run ([`xflow_sim::simulate_machines`], in a `sim.run` span)
-    /// yields the profile and every machine's report, which the sim stages
-    /// that miss take; when only sim stages miss, the first runs the rest.
+    /// One VM execution serves the query, and it simulates only the
+    /// machines whose sim stage holds no report: when the profile stage
+    /// misses, one run ([`xflow_sim::simulate_machines`], in a `sim.run`
+    /// span) yields the profile and those machines' reports; when only sim
+    /// stages miss, the first miss runs itself and the later misses.
     #[allow(clippy::type_complexity)]
     pub fn model_and_sims(
         &self,
@@ -441,26 +442,37 @@ impl Session {
         let runs: Vec<(&MachineModel, SimConfig)> =
             machines.iter().map(|m| (m, workload.map(|w| w.sim_config(&program, m)).unwrap_or_default())).collect();
         let (rec, store) = (self.recorder(), &*self.store);
-        // one run for machines `from..`, leaving their reports in `pending`
-        let run = |from: usize, pending: &mut Vec<Option<SimReport>>| {
-            let _span = xflow_obs::span(rec, "sim.run", &[("machines", ((runs.len() - from) as u64).into())]);
-            let (profile, reports) = xflow_sim::simulate_machines(&program, inputs, &runs[from..], seed)?;
-            pending.truncate(from);
-            pending.extend(reports.into_iter().map(Some));
+        let sim_keys: Vec<u64> = runs
+            .iter()
+            .map(|(m, cfg)| derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, m, cfg, seed))
+            .collect();
+        // machines `from..` whose sim stage holds no report yet
+        let missing = |from: usize| -> Vec<usize> {
+            (from..runs.len()).filter(|&j| !store.sim.holds(self.salt, store.cache_dir(), sim_keys[j])).collect()
+        };
+        // one run for the machines `which`, leaving their reports in `pending`
+        let run = |which: Vec<usize>, pending: &mut [Option<SimReport>]| {
+            let _span = xflow_obs::span(rec, "sim.run", &[("machines", (which.len() as u64).into())]);
+            let batch: Vec<(&MachineModel, SimConfig)> = which.iter().map(|&j| runs[j].clone()).collect();
+            let (profile, reports) = xflow_sim::simulate_machines(&program, inputs, &batch, seed)?;
+            for (j, report) in which.into_iter().zip(reports) {
+                pending[j] = Some(report);
+            }
             Ok::<_, PipelineError>(profile)
         };
         let mut pending = vec![None; runs.len()];
-        let app = self.model_from(&program, &keys, inputs, || run(0, &mut pending))?;
+        let app = self.model_from(&program, &keys, inputs, || run(missing(0), &mut pending))?;
         let mut out = Vec::with_capacity(runs.len());
-        for (i, (machine, cfg)) in runs.iter().enumerate() {
-            let key = derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, machine, cfg, seed);
+        for (i, &key) in sim_keys.iter().enumerate() {
             let sim = store.sim.get_or_build(self.salt, store.cache_dir(), rec, key, || {
                 if pending[i].is_none() {
-                    run(i, &mut pending)?;
+                    let mut which = vec![i];
+                    which.extend(missing(i + 1));
+                    run(which, &mut pending)?;
                 }
                 Ok(pending[i].take().expect("the run covered this machine"))
             })?;
-            out.push((app.plan().evaluate(machine, &Roofline), sim));
+            out.push((app.plan().evaluate(runs[i].0, &Roofline), sim));
         }
         Ok((app, out))
     }
@@ -628,6 +640,10 @@ fn main() {
         let more = [xflow_hw::bgq(), xflow_hw::generic(), xflow_hw::xeon()];
         s.model_and_sims(SRC, &i, None, &more, 3).unwrap();
         assert_eq!(runs(&rec), 2);
+        // and that run simulates only `generic`: bgq and xeon are cached
+        let snap = rec.snapshot();
+        let second = snap.spans.iter().filter(|sp| sp.name == "sim.run").nth(1).unwrap();
+        assert!(second.attrs.contains(&("machines".to_string(), xflow_obs::OwnedAttr::U64(1))), "{:?}", second.attrs);
         let stats = s.stats();
         assert_eq!((stats.profile.misses, stats.sim.misses, stats.sim.hits), (1, 4, 2));
     }

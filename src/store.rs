@@ -316,6 +316,14 @@ impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
         self.shard(key).lock().unwrap().lookup(key)
     }
 
+    /// Whether `key` is held in memory or persisted under `dir`, without
+    /// touching the LRU order or the counters. A persisted artifact that
+    /// later fails to load still misses in [`StageStore::get_or_build`].
+    pub(crate) fn holds(&self, salt: u64, dir: Option<&Path>, key: u64) -> bool {
+        self.shard(key).lock().unwrap().map.contains_key(&key)
+            || dir.is_some_and(|d| artifact_path(d, self.name, salt, key).exists())
+    }
+
     fn memory_insert(&self, key: u64, value: Arc<T>) {
         let evicted = self.shard(key).lock().unwrap().insert(key, value, self.shard_capacity);
         if evicted > 0 {

@@ -23,8 +23,7 @@
 //! columns. Under an enabled telemetry recorder the rows are filled one
 //! at a time through the kernel's scalar row loop
 //! ([`xflow_hotspot::ColumnsChunk::fill_point`]) instead, which emits
-//! per-point spans and block provenance; the arena's bits are the same
-//! either way. When a caller drills into one point, [`Sweep::hydrate`]
+//! per-point spans; the arena's bits are the same either way. When a caller drills into one point, [`Sweep::hydrate`]
 //! projects the app on that machine with [`ModeledApp::project_on`].
 //!
 //! A point is a total; a row is what gets printed. [`Sweep::row`] reads a
@@ -88,7 +87,7 @@ pub struct SweepOptions<'a> {
     /// Points per work-stealing chunk; `0` = automatic.
     pub chunk: usize,
     /// Telemetry sink. When enabled, every point emits a `sweep.point`
-    /// span and the kernel's per-block provenance.
+    /// span around the kernel's `kernel.evaluate` span.
     pub recorder: &'a dyn Recorder,
 }
 
@@ -122,31 +121,6 @@ impl Axis {
     /// A named axis over explicit values.
     pub fn new(name: &str, values: &[f64], apply: fn(&mut MachineModel, f64)) -> Self {
         Self { name: name.to_string(), values: values.to_vec(), apply }
-    }
-
-    /// DRAM bandwidth axis (GB/s).
-    pub fn dram_bw(values: &[f64]) -> Self {
-        Self::new("dram_bw_gbs", values, |m, v| m.dram_bw_gbs = v)
-    }
-
-    /// Core-count axis.
-    pub fn cores(values: &[f64]) -> Self {
-        Self::new("cores", values, |m, v| m.cores = v as u32)
-    }
-
-    /// Memory-level-parallelism axis.
-    pub fn mlp(values: &[f64]) -> Self {
-        Self::new("mlp", values, |m, v| m.mlp = v)
-    }
-
-    /// Clock-frequency axis (GHz).
-    pub fn freq_ghz(values: &[f64]) -> Self {
-        Self::new("freq_ghz", values, |m, v| m.freq_ghz = v)
-    }
-
-    /// Vector-width axis (lanes).
-    pub fn vector_lanes(values: &[f64]) -> Self {
-        Self::new("vector_lanes", values, |m, v| m.vector_lanes = v)
     }
 
     /// Resolve a sweepable machine parameter by name — the single list
@@ -290,11 +264,10 @@ impl DesignSpace {
     /// recorder the sweep emits a `sweep` span (`points`, `threads` and
     /// `chunk` attrs), one `sweep.point` span per point carrying its index
     /// and machine name (for grid spaces the name embeds the point's full
-    /// `axis=value` coordinates) around the kernel's `kernel.evaluate` span
-    /// and block provenance, and three counters: `sweep.points` once per
-    /// completed point (hook an [`xflow_obs::ProgressTicker`] on it for a
-    /// live ticker), `sweep.steals` once per chunk a worker claims beyond
-    /// its first, and the kernel's `plan.blocks`. Untraced, no point is named.
+    /// `axis=value` coordinates) around the kernel's `kernel.evaluate` span,
+    /// and three counters: `sweep.points` once per completed point,
+    /// `sweep.steals` once per chunk a worker claims beyond its first, and
+    /// the kernel's `plan.blocks`. Untraced, no point is named.
     pub fn sweep_opts(&self, app: &ModeledApp, opts: SweepOptions<'_>) -> Sweep {
         let kernel = app.kernel();
         let rec = opts.recorder;
@@ -612,7 +585,13 @@ mod tests {
 
     #[test]
     fn grid_is_cartesian_and_labeled() {
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 30.0]), Axis::mlp(&[2.0, 4.0])]);
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![
+                Axis::by_name("dram_bw_gbs", &[10.0, 20.0, 30.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+            ],
+        );
         assert_eq!(space.len(), 6);
         // last axis varies fastest
         assert_eq!(space.machines()[0].mlp, 2.0);
@@ -626,7 +605,13 @@ mod tests {
     #[test]
     fn sweep_results_independent_of_thread_count() {
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![
+                Axis::by_name("dram_bw_gbs", &[10.0, 20.0, 40.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+            ],
+        );
         let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         for threads in [2, 4, 8] {
             let par = space.sweep_opts(&app, SweepOptions::with_threads(threads));
@@ -643,7 +628,13 @@ mod tests {
     #[test]
     fn sweep_results_independent_of_chunk_size() {
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![
+                Axis::by_name("dram_bw_gbs", &[10.0, 20.0, 40.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+            ],
+        );
         let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         for (threads, chunk) in [(2, 1), (2, 3), (4, 2), (3, 64), (1, 2), (2, 7)] {
             let par = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });
@@ -659,7 +650,13 @@ mod tests {
     #[test]
     fn plain_sweep_is_columnar_and_matches_project_on() {
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0])]);
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![
+                Axis::by_name("dram_bw_gbs", &[10.0, 20.0, 40.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+            ],
+        );
         let sweep = space.sweep_opts(&app, SweepOptions::with_threads(2));
         let cols = sweep.columns();
         assert_eq!(cols.points(), 6);
@@ -690,7 +687,7 @@ mod tests {
     #[test]
     fn ranked_top_comes_from_the_totals_column() {
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::cores(&[1.0, 2.0, 4.0, 8.0])]);
+        let space = DesignSpace::grid(bgq(), vec![Axis::by_name("cores", &[1.0, 2.0, 4.0, 8.0]).unwrap()]);
         let sweep = space.sweep_opts(&app, SweepOptions::with_threads(1));
         let top = sweep.top(2);
         assert_eq!(top.len(), 2);
@@ -706,7 +703,10 @@ mod tests {
     fn work_stealing_counters_recorded() {
         use xflow_obs::CollectingRecorder;
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 20.0]), Axis::mlp(&[2.0, 4.0])]);
+        let space = DesignSpace::grid(
+            bgq(),
+            vec![Axis::by_name("dram_bw_gbs", &[10.0, 20.0]).unwrap(), Axis::by_name("mlp", &[2.0, 4.0]).unwrap()],
+        );
 
         // serial: no stealing
         let rec = CollectingRecorder::new();
@@ -737,7 +737,7 @@ mod tests {
     #[test]
     fn faster_clock_never_slower() {
         let app = cfd_app();
-        let space = DesignSpace::grid(bgq(), vec![Axis::freq_ghz(&[0.8, 1.6, 3.2])]);
+        let space = DesignSpace::grid(bgq(), vec![Axis::by_name("freq_ghz", &[0.8, 1.6, 3.2]).unwrap()]);
         let sweep = space.sweep_opts(&app, SweepOptions::with_threads(0));
         for w in sweep.points.windows(2) {
             assert!(w[1].total < w[0].total, "{} vs {}", w[1].total, w[0].total);
@@ -749,7 +749,7 @@ mod tests {
     #[test]
     fn deltas_report_speedup_vs_baseline() {
         let app = cfd_app();
-        let sweep = DesignSpace::grid(bgq(), vec![Axis::dram_bw(&[10.0, 40.0])])
+        let sweep = DesignSpace::grid(bgq(), vec![Axis::by_name("dram_bw_gbs", &[10.0, 40.0]).unwrap()])
             .sweep_opts(&app, SweepOptions::with_threads(1));
         let deltas = sweep.deltas();
         assert_eq!(deltas.len(), 2);
@@ -762,7 +762,13 @@ mod tests {
     fn observed_sweep_traces_points_and_matches_plain() {
         use xflow_obs::CollectingRecorder;
         let app = cfd_app();
-        let space_axes = || vec![Axis::dram_bw(&[10.0, 20.0, 40.0]), Axis::mlp(&[2.0, 4.0]), Axis::cores(&[8.0, 16.0])];
+        let space_axes = || {
+            vec![
+                Axis::by_name("dram_bw_gbs", &[10.0, 20.0, 40.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+                Axis::by_name("cores", &[8.0, 16.0]).unwrap(),
+            ]
+        };
         let space = DesignSpace::grid(bgq(), space_axes());
         let n = space.len();
         let eager = eager_grid(bgq(), space_axes());
@@ -789,7 +795,6 @@ mod tests {
                 }
                 assert_eq!(rec.counter_value("sweep.points"), n as u64, "{ctx}");
                 assert_eq!(rec.counter_value("plan.blocks"), (n * app.kernel().len()) as u64, "{ctx}");
-                assert_eq!(rec.block_provenance().len(), n * app.kernel().len(), "{ctx}");
                 let snap = rec.snapshot();
                 assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep.point").count(), n, "{ctx}");
                 assert_eq!(snap.spans.iter().filter(|s| s.name == "kernel.evaluate").count(), n, "{ctx}");
@@ -805,37 +810,6 @@ mod tests {
         }
     }
 
-    /// Block provenance grouped by the `sweep.point` span open on the
-    /// emitting thread, so a multi-worker trace splits back into points.
-    #[derive(Default)]
-    struct PointProvenance {
-        open: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, usize>>,
-        blocks: std::sync::Mutex<std::collections::BTreeMap<usize, Vec<xflow_obs::BlockProvenance>>>,
-    }
-
-    impl Recorder for PointProvenance {
-        fn enabled(&self) -> bool {
-            true
-        }
-        fn span_start(&self, name: &str, attrs: &[xflow_obs::Attr<'_>]) -> SpanId {
-            if name == "sweep.point" {
-                let Some((_, AttrValue::U64(i))) = attrs.iter().find(|(k, _)| *k == "index") else {
-                    panic!("sweep.point span without an index")
-                };
-                self.open.lock().unwrap().insert(std::thread::current().id(), *i as usize);
-            }
-            SpanId::NONE
-        }
-        fn span_end(&self, _: SpanId, _: &[xflow_obs::Attr<'_>]) {}
-        fn add(&self, _: &str, _: u64) {}
-        fn observe(&self, _: &str, _: f64) {}
-        fn event(&self, _: &str, _: &[xflow_obs::Attr<'_>]) {}
-        fn block_cost(&self, block: &xflow_obs::BlockProvenance) {
-            let i = self.open.lock().unwrap()[&std::thread::current().id()];
-            self.blocks.lock().unwrap().entry(i).or_default().push(*block);
-        }
-    }
-
     #[test]
     fn nan_totals_rank_last_without_panicking() {
         // a zero clock projects NaN totals (x86's default NaN, sign bit
@@ -843,7 +817,8 @@ mod tests {
         // be a total order that puts every finite point first
         let app = cfd_app();
         let freqs: Vec<f64> = (0..60).map(|i| if i % 3 == 0 { 0.0 } else { 1.0 + (i % 7) as f64 * 0.25 }).collect();
-        let sweep = DesignSpace::grid(xeon(), vec![Axis::freq_ghz(&freqs)]).sweep_opts(&app, SweepOptions::default());
+        let sweep = DesignSpace::grid(xeon(), vec![Axis::by_name("freq_ghz", &freqs).unwrap()])
+            .sweep_opts(&app, SweepOptions::default());
         assert_eq!(sweep.points.iter().filter(|p| p.total.is_nan()).count(), 20);
         let mut ranked = sweep.points.clone();
         ranked.sort_by(|a, b| rank_order(a.total, b.total));
@@ -864,7 +839,11 @@ mod tests {
         // replays those points, the traced fill runs them like any other
         let space = DesignSpace::grid(
             bgq(),
-            vec![Axis::freq_ghz(&[1.6, f64::INFINITY]), Axis::dram_bw(&[10.0, 40.0]), Axis::mlp(&[2.0, 4.0])],
+            vec![
+                Axis::by_name("freq_ghz", &[1.6, f64::INFINITY]).unwrap(),
+                Axis::by_name("dram_bw_gbs", &[10.0, 40.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0]).unwrap(),
+            ],
         );
         let n = space.len();
         let plain = space.sweep_opts(&app, SweepOptions::with_threads(1));
@@ -874,27 +853,17 @@ mod tests {
             let cols = plain.columns();
             assert!(cols.stmt_row(i).count() < cols.stmt_row(i - n / 2).count(), "point {i} is not degenerate");
         }
-        let reference: Vec<Vec<xflow_obs::BlockProvenance>> = space
-            .machines()
-            .iter()
-            .map(|m| {
-                let rec = CollectingRecorder::new();
-                app.plan().evaluate_observed(m, &xflow_hw::Roofline, &rec);
-                rec.block_provenance()
-            })
-            .collect();
-        let bits = |b: &xflow_obs::BlockProvenance| {
-            let f = [b.enr, b.tc, b.tm, b.overlap, b.delta, b.total, b.threads, b.flops, b.iops, b.loads, b.stores];
-            (b.node, b.stmt, f.map(f64::to_bits), b.bytes.to_bits())
-        };
+        let reference: Vec<u64> =
+            space.machines().iter().map(|m| app.plan().evaluate(m, &xflow_hw::Roofline).total_time.to_bits()).collect();
         for threads in [1, 2, 4] {
             for chunk in [1, 3, 64] {
                 let ctx = format!("threads={threads} chunk={chunk}");
-                let rec = PointProvenance::default();
+                let rec = CollectingRecorder::new();
                 let traced = space.sweep_opts(&app, SweepOptions { threads, chunk, recorder: &rec });
                 let (a, b) = (traced.columns(), plain.columns());
-                for i in 0..n {
+                for (i, &want) in reference.iter().enumerate() {
                     assert_eq!(a.total(i).to_bits(), b.total(i).to_bits(), "{ctx} point {i}");
+                    assert_eq!(a.total(i).to_bits(), want, "{ctx} point {i}");
                     let (ta, tb) = (a.block_totals(i), b.block_totals(i));
                     assert_eq!(
                         (ta.0.to_bits(), ta.1.to_bits(), ta.2.to_bits()),
@@ -910,13 +879,11 @@ mod tests {
                     };
                     assert_eq!(row(a), row(b), "{ctx} point {i}");
                 }
-                let blocks = rec.blocks.into_inner().unwrap();
-                assert_eq!(blocks.len(), n, "{ctx}");
-                for (i, stream) in &blocks {
-                    let got: Vec<_> = stream.iter().map(bits).collect();
-                    let want: Vec<_> = reference[*i].iter().map(bits).collect();
-                    assert_eq!(got, want, "{ctx} point {i}");
-                }
+                // every point, replayed or not, is one traced row fill
+                let snap = rec.snapshot();
+                assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep.point").count(), n, "{ctx}");
+                assert_eq!(snap.spans.iter().filter(|s| s.name == "kernel.evaluate").count(), n, "{ctx}");
+                assert_eq!(rec.counter_value("plan.blocks"), (n * app.kernel().len()) as u64, "{ctx}");
             }
         }
     }
@@ -927,7 +894,10 @@ mod tests {
         let app = cfd_app();
         let space = DesignSpace::grid(
             bgq(),
-            vec![Axis::dram_bw(&[0.5, 1.0, 2.0, 4.0, 8.0]), Axis::mlp(&[2.0, 4.0, 8.0, 16.0, 32.0])],
+            vec![
+                Axis::by_name("dram_bw_gbs", &[0.5, 1.0, 2.0, 4.0, 8.0]).unwrap(),
+                Axis::by_name("mlp", &[2.0, 4.0, 8.0, 16.0, 32.0]).unwrap(),
+            ],
         );
         let threads_attr = |opts: SweepOptions<'_>, rec: &CollectingRecorder| {
             space.sweep_opts(&app, opts);
@@ -975,8 +945,15 @@ mod tests {
         let bases = [bgq(), xeon(), xflow_hw::knl(), xflow_hw::generic()];
         let mut rng = StdRng::seed_from_u64(0x5eed_9e1d);
         let mut grids: Vec<(MachineModel, Vec<Axis>)> = vec![
-            (bgq(), vec![Axis::mlp(&[1.5, 3.0, 6.0])]),
-            (xeon(), vec![Axis::dram_bw(&[8.0, 16.0]), Axis::new("mlp", &[], |m, v| m.mlp = v), Axis::cores(&[2.0])]),
+            (bgq(), vec![Axis::by_name("mlp", &[1.5, 3.0, 6.0]).unwrap()]),
+            (
+                xeon(),
+                vec![
+                    Axis::by_name("dram_bw_gbs", &[8.0, 16.0]).unwrap(),
+                    Axis::new("mlp", &[], |m, v| m.mlp = v),
+                    Axis::by_name("cores", &[2.0]).unwrap(),
+                ],
+            ),
             (bgq(), vec![Axis::new("cores", &[], |m, v| m.cores = v as u32)]),
             (xeon(), vec![]),
         ];
@@ -1020,7 +997,10 @@ mod tests {
         // must still equal the first k points of one stable sort
         let app = cfd_app();
         let freqs = [2.0, 0.0, 1.0, 2.0, 0.0, 3.0, 1.0, 2.0, 0.0, 3.0, 1.0];
-        let space = DesignSpace::grid(xeon(), vec![Axis::freq_ghz(&freqs), Axis::mlp(&[4.0, 4.0])]);
+        let space = DesignSpace::grid(
+            xeon(),
+            vec![Axis::by_name("freq_ghz", &freqs).unwrap(), Axis::by_name("mlp", &[4.0, 4.0]).unwrap()],
+        );
         let sweep = space.sweep_opts(&app, SweepOptions::with_threads(1));
         let mut sorted = sweep.points.clone();
         sorted.sort_by(|a, b| rank_order(a.total, b.total));
@@ -1041,7 +1021,11 @@ mod tests {
         let app = cfd_app();
         let space = DesignSpace::grid(
             bgq(),
-            vec![Axis::dram_bw(&[0.5, 4.0, 40.0]), Axis::freq_ghz(&[0.8, 3.2]), Axis::mlp(&[1.0, 8.0])],
+            vec![
+                Axis::by_name("dram_bw_gbs", &[0.5, 4.0, 40.0]).unwrap(),
+                Axis::by_name("freq_ghz", &[0.8, 3.2]).unwrap(),
+                Axis::by_name("mlp", &[1.0, 8.0]).unwrap(),
+            ],
         );
         let sweep = space.sweep_opts(&app, SweepOptions::with_threads(2));
         let rows: Vec<SweepPoint> = (0..space.len()).map(|i| sweep.row(i)).collect();

@@ -7,14 +7,15 @@
 //! arena across workloads and machines, and the work-stealing sweep
 //! scheduler — must store `f64::to_bits`-identical values to the scalar
 //! evaluator's totals, block aggregates and statement rows, for any thread
-//! count and chunk size. Models that cannot specialize have no kernel
-//! path; their scalar evaluation must match the single-pass reference.
+//! count and chunk size. Models other than the extended roofline have no
+//! kernel path; their scalar evaluation must match the single-pass
+//! reference.
 
 use proptest::prelude::*;
 use xflow::{bgq, generic, knl, xeon, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
 use xflow_hotspot::reference::project_single_pass;
 use xflow_hotspot::{Projection, ProjectionColumns, ProjectionPlan};
-use xflow_hw::{ClassicRoofline, MachineModel, MachineSpec, PerfModel, Roofline};
+use xflow_hw::{ClassicRoofline, MachineModel, MachineSpec, Roofline};
 
 fn machines() -> Vec<MachineModel> {
     vec![bgq(), xeon(), knl(), generic()]
@@ -74,17 +75,11 @@ fn kernel_matches_evaluate_on_all_workloads_and_machines() {
         let app = ModeledApp::from_workload(&w, Scale::Test).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let plan = ProjectionPlan::new(&app.bet, libs);
         let kernel = plan.kernel();
-        // specs from the model's specialization and from direct resolution
-        // fill the same bits
-        let specialized: Vec<MachineSpec> =
-            machines().iter().map(|m| Roofline.specialize(m).expect("extended roofline specializes")).collect();
-        let resolved: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
-        for (label, specs) in [("specialized", specialized), ("resolved", resolved)] {
-            let cols = kernel.evaluate_columns(&specs);
-            for (i, machine) in machines().iter().enumerate() {
-                let ctx = format!("{label}: {} on {}", w.name, machine.name);
-                assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline), &ctx);
-            }
+        let specs: Vec<MachineSpec> = machines().iter().map(MachineSpec::resolve).collect();
+        let cols = kernel.evaluate_columns(&specs);
+        for (i, machine) in machines().iter().enumerate() {
+            let ctx = format!("{} on {}", w.name, machine.name);
+            assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline), &ctx);
         }
     }
 }
@@ -96,7 +91,6 @@ fn non_specializing_models_fall_back_bit_identically() {
         let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
         let plan = ProjectionPlan::new(&app.bet, libs);
         for machine in machines() {
-            assert!(ClassicRoofline.specialize(&machine).is_none(), "ablation model must not specialize");
             let scalar = plan.evaluate(&machine, &ClassicRoofline);
             let reference = project_single_pass(&app.bet, &machine, &ClassicRoofline, libs);
             let ctx = format!("fallback: {} on {}", w.name, machine.name);
@@ -120,7 +114,7 @@ proptest! {
         let app = ModeledApp::from_workload(&xflow_workloads::chargei(), Scale::Test).unwrap();
         let bws: Vec<f64> = (0..bw_steps).map(|i| 0.5 * (1 << i) as f64).collect();
         let mlps: Vec<f64> = (0..mlp_steps).map(|i| 2.0 * (1 << i) as f64).collect();
-        let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&bws), Axis::mlp(&mlps)]);
+        let space = DesignSpace::grid(generic(), vec![Axis::by_name("dram_bw_gbs", &bws).unwrap(), Axis::by_name("mlp", &mlps).unwrap()]);
 
         let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         let scheduled = space.sweep_opts(&app, SweepOptions { threads, chunk, ..Default::default() });

@@ -1,6 +1,7 @@
 //! Integration tests for the telemetry layer: Chrome trace export shape,
-//! thread-count invariance of collected metrics, and the explain report's
-//! bit-exact reconciliation with the projection engine.
+//! thread-count invariance of collected metrics, the explain report's
+//! bit-exact reconciliation with the projection engine, and its
+//! independence from the recorder it runs under.
 
 use serde::Deserialize;
 use std::sync::Arc;
@@ -9,7 +10,8 @@ use xflow::{
     explain, explain_observed, Axis, CollectingRecorder, DesignSpace, InputSpec, ModeledApp, Scale, Session,
     SessionConfig, SweepOptions,
 };
-use xflow_hw::{bgq, generic};
+use xflow_hw::{bgq, generic, xeon};
+use xflow_obs::FlightRecorder;
 
 const SRC: &str = r#"
 fn main() {
@@ -50,7 +52,7 @@ fn chrome_trace_is_schema_valid_and_spans_nest() {
     let rec = Arc::new(CollectingRecorder::new());
     let session = Session::with_config(SessionConfig { recorder: Some(rec.clone()), ..SessionConfig::default() });
     let app = session.model(SRC, &InputSpec::new()).unwrap();
-    let report = explain_observed(&app, &bgq(), &rec);
+    let report = explain_observed(&app, &bgq(), rec.as_ref());
     assert!(report.total > 0.0);
 
     let snap = rec.snapshot();
@@ -89,9 +91,15 @@ fn chrome_trace_is_schema_valid_and_spans_nest() {
 #[test]
 fn collected_totals_are_thread_count_invariant() {
     let app = ModeledApp::from_source(SRC, &InputSpec::new()).unwrap();
-    let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&[20.0, 40.0, 80.0]), Axis::cores(&[8.0, 16.0, 32.0])]);
+    let space = DesignSpace::grid(
+        generic(),
+        vec![
+            Axis::by_name("dram_bw_gbs", &[20.0, 40.0, 80.0]).unwrap(),
+            Axis::by_name("cores", &[8.0, 16.0, 32.0]).unwrap(),
+        ],
+    );
 
-    let mut baseline: Option<(u64, u64, Vec<u64>, Vec<u64>)> = None;
+    let mut baseline: Option<(u64, u64, Vec<u64>)> = None;
     for threads in [1, 2, 4] {
         let rec = CollectingRecorder::new();
         let sweep = space.sweep_opts(&app, SweepOptions { recorder: &rec, ..SweepOptions::with_threads(threads) });
@@ -99,19 +107,14 @@ fn collected_totals_are_thread_count_invariant() {
 
         let points = rec.counter_value("sweep.points");
         let blocks_counted = rec.counter_value("plan.blocks");
-        // arrival order varies with the thread count, but the multiset of
-        // recorded block costs must not
-        let mut block_bits: Vec<u64> = rec.block_provenance().iter().map(|b| b.total.to_bits()).collect();
-        block_bits.sort_unstable();
         let mut point_bits: Vec<u64> = sweep.points.iter().map(|p| p.total.to_bits()).collect();
         point_bits.sort_unstable();
 
         match &baseline {
-            None => baseline = Some((points, blocks_counted, block_bits, point_bits)),
-            Some((p, b, bb, pb)) => {
+            None => baseline = Some((points, blocks_counted, point_bits)),
+            Some((p, b, pb)) => {
                 assert_eq!(points, *p, "sweep.points differs at {threads} threads");
                 assert_eq!(blocks_counted, *b, "plan.blocks differs at {threads} threads");
-                assert_eq!(&block_bits, bb, "block provenance differs at {threads} threads");
                 assert_eq!(&point_bits, pb, "point totals differ at {threads} threads");
             }
         }
@@ -133,8 +136,8 @@ fn explain_json_is_deterministic_and_reconciles_bitwise() {
     let b = explain(&app, &machine);
     assert_eq!(a.to_json(), b.to_json(), "explain --json must be deterministic");
 
-    // the block stream carries the evaluator's exact addends: summing the
-    // per-block (Tc + Tm − To) × ENR contributions in stream order
+    // the block rows carry the evaluator's exact addends: summing the
+    // per-block (Tc + Tm − To) × ENR contributions in plan order
     // reproduces the projected application total to the bit
     let sum = a.blocks.iter().fold(0.0f64, |acc, blk| acc + blk.total);
     assert_eq!(sum.to_bits(), a.total.to_bits());
@@ -147,5 +150,27 @@ fn explain_json_is_deterministic_and_reconciles_bitwise() {
     for u in &a.units {
         assert!(u.bound == "memory" || u.bound == "compute");
         assert_eq!(u.chain.first().unwrap().kind, "root");
+    }
+}
+
+#[test]
+fn explain_equals_the_golden_reports_under_every_recorder() {
+    // the goldens are `xflow explain W --machine M --json` output
+    for (w, machine, golden) in [
+        (cfd(), bgq(), include_str!("golden/cfd.bgq.explain.json")),
+        (xflow::xflow_workloads::sord(), xeon(), include_str!("golden/sord.xeon.explain.json")),
+    ] {
+        let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
+        let collecting = CollectingRecorder::new();
+        let flight = FlightRecorder::wrapping(Arc::new(CollectingRecorder::new()));
+        for (label, report) in [
+            ("plain", explain(&app, &machine)),
+            ("collecting", explain_observed(&app, &machine, &collecting)),
+            ("flight", explain_observed(&app, &machine, &flight)),
+        ] {
+            assert_eq!(report.to_json() + "\n", golden, "{label} explain of {} on {}", w.name, machine.name);
+        }
+        assert_eq!(collecting.snapshot().spans.iter().filter(|s| s.name == "plan.evaluate").count(), 1);
+        assert!(flight.snapshot().events.iter().any(|e| e.name == "plan.evaluate"));
     }
 }

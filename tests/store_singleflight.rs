@@ -127,7 +127,10 @@ fn answer(kind: usize, app: &ModeledApp) -> Vec<u64> {
             .collect(),
         // sweep: every point's total in point order
         _ => {
-            let space = DesignSpace::grid(generic(), vec![Axis::dram_bw(&[4.0, 16.0]), Axis::mlp(&[2.0, 8.0])]);
+            let space = DesignSpace::grid(
+                generic(),
+                vec![Axis::by_name("dram_bw_gbs", &[4.0, 16.0]).unwrap(), Axis::by_name("mlp", &[2.0, 8.0]).unwrap()],
+            );
             space.sweep_opts(app, SweepOptions::with_threads(2)).points.iter().map(|p| p.total.to_bits()).collect()
         }
     }

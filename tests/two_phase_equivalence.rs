@@ -84,7 +84,7 @@ proptest! {
         let mlps: Vec<f64> = (0..mlp_steps).map(|i| 2.0 * (1 << i) as f64).collect();
         let mut base = generic();
         base.freq_ghz = freq_centi as f64 / 100.0;
-        let space = DesignSpace::grid(base, vec![Axis::dram_bw(&bws), Axis::mlp(&mlps)]);
+        let space = DesignSpace::grid(base, vec![Axis::by_name("dram_bw_gbs", &bws).unwrap(), Axis::by_name("mlp", &mlps).unwrap()]);
 
         let serial = space.sweep_opts(&app, SweepOptions::with_threads(1));
         let parallel = space.sweep_opts(&app, SweepOptions::with_threads(threads));
