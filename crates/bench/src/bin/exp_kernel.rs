@@ -6,11 +6,12 @@
 //!
 //! The columnar path is first checked `to_bits`-identical to the scalar
 //! evaluator — the kernel is a performance refactoring, never a numeric
-//! one. Writes `results/BENCH_kernel.json` for the CI regression gate.
+//! one. Writes `BENCH_kernel.json` for the CI regression gate, into
+//! `results/` or the `--json` directory.
 
 use std::collections::HashMap;
 use xflow::{generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
-use xflow_bench::{min_of_k, opts};
+use xflow_bench::{min_of_k, opts, write_report};
 use xflow_hotspot::ProjectionPlan;
 use xflow_hw::MachineSpec;
 
@@ -117,10 +118,7 @@ fn main() {
         sweep_points_per_sec,
         extra: HashMap::new(),
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_kernel.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("\n[json written to {path}]");
+    write_report(&o, "kernel", &data);
 
     // hard contract at eval scale; test scale (20 reps on a shared CI
     // runner) keeps a noise-tolerant floor, with the committed-baseline

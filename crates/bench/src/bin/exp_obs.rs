@@ -9,11 +9,11 @@
 //! bounds the cost of the disabled telemetry path, which must stay under
 //! 2%.
 //!
-//! Writes `results/BENCH_obs.json`.
+//! Writes `BENCH_obs.json` (into `results/`, or the `--json` directory).
 
 use std::collections::HashMap;
 use xflow::{generic, Axis, CollectingRecorder, DesignSpace, ModeledApp, NoopRecorder, Roofline, SweepOptions};
-use xflow_bench::{min_of_k, min_of_k_interleaved, opts};
+use xflow_bench::{min_of_k, min_of_k_interleaved, opts, write_report};
 use xflow_hotspot::{NodeCost, Projection, ProjectionPlan, StmtCosts};
 use xflow_hw::{MachineModel, PerfModel};
 
@@ -144,10 +144,7 @@ fn main() {
         sweep_traced_seconds: sweep_traced_s,
         extra: HashMap::new(),
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_obs.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("\n[json written to {path}]");
+    write_report(&o, "obs", &data);
 
     assert!(
         noop_overhead < 0.02,

@@ -22,10 +22,10 @@
 //! identical, or its speedup is meaningless — then min-of-K sampling
 //! keeps scheduler noise out of the ratios.
 //!
-//! Writes `results/BENCH_profile.json`.
+//! Writes `BENCH_profile.json` (into `results/`, or the `--json` directory).
 
 use std::collections::HashMap;
-use xflow_bench::{min_of_k_interleaved, opts};
+use xflow_bench::{min_of_k_interleaved, opts, write_report};
 use xflow_minilang::{compile, reference, Limits, NullTracer, DEFAULT_SEED};
 
 fn main() {
@@ -156,10 +156,7 @@ fn main() {
         cold_seconds_unfused: cold_unfused,
         extra,
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_profile.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("\n[json written to {path}]");
+    write_report(&o, "profile", &data);
 
     // the fusion table only earns its place if it moves the needle; the
     // eval bar matches the design target, the test bar leaves headroom

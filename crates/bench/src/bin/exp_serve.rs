@@ -14,14 +14,15 @@
 //!   toward one cold build instead of H. The speedup is measured against
 //!   the naive rebuild-per-client cost (H × cold single).
 //!
-//! Writes `results/BENCH_serve.json` and asserts the single-flight
-//! invariant (exactly 6 stage builds under the herd).
+//! Writes `BENCH_serve.json` (into `results/`, or the `--json`
+//! directory) and asserts the single-flight invariant (exactly 6 stage
+//! builds under the herd).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 use xflow::serve::{ServeConfig, Server};
-use xflow_bench::opts;
+use xflow_bench::{opts, write_report};
 
 const PROJECT_BODY: &str = r#"{"workload":"cfd","machine":"bgq","top":5}"#;
 
@@ -158,8 +159,5 @@ fn main() {
         herd_singleflight_waits: herd_waits,
         speedup_singleflight_vs_rebuild: speedup_singleflight,
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_serve.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("[json written to {path}]");
+    write_report(&o, "serve", &data);
 }

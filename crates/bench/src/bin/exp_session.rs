@@ -12,11 +12,11 @@
 //!   so every stage deserializes its persisted artifact (the CLI
 //!   warm-start shape).
 //!
-//! Writes `results/BENCH_session.json` and asserts the suite-level
-//! in-memory warm-start win is ≥ 5×.
+//! Writes `BENCH_session.json` (into `results/`, or the `--json`
+//! directory) and asserts the suite-level in-memory warm-start win is ≥ 5×.
 
 use xflow::Session;
-use xflow_bench::{min_of_k, opts};
+use xflow_bench::{min_of_k, opts, write_report};
 
 fn main() {
     let o = opts();
@@ -105,10 +105,7 @@ fn main() {
         suite_speedup_memory: speedup_memory,
         suite_speedup_disk: speedup_disk,
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_session.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("[json written to {path}]");
+    write_report(&o, "session", &data);
 
     let _ = std::fs::remove_dir_all(&cache_dir);
 

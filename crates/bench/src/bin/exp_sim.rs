@@ -27,11 +27,11 @@
 //! configuration, and the per-combo work only inflates with `--scale
 //! eval` without changing what is being measured.
 //!
-//! Writes `results/BENCH_sim.json`.
+//! Writes `BENCH_sim.json` (into `results/`, or the `--json` directory).
 
 use std::collections::HashMap;
 use xflow::{bgq, build_corpus, builtin_programs, run_chunked, xeon, OracleOptions, Session};
-use xflow_bench::{min_of_k_interleaved, opts};
+use xflow_bench::{min_of_k_interleaved, opts, write_report};
 use xflow_minilang::DEFAULT_SEED;
 use xflow_sim::reference::{assert_reports_bit_equal, tracer_report};
 use xflow_sim::simulate_with_seed;
@@ -178,10 +178,7 @@ fn main() {
         validate_all_parallel_speedup,
         extra: HashMap::new(),
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_sim.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("\n[json written to {path}]");
+    write_report(&o, "sim", &data);
 
     // the dense tracer only earns its place if it moves the needle; the
     // eval bar is the PR's design target, the test bar leaves headroom

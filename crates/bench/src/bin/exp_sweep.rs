@@ -3,12 +3,13 @@
 //! throughput (points/sec) at 1/2/4/8 worker threads, and the co-design
 //! loop end to end: grid → sweep → top 10 → hydrate on a 2048-point grid.
 //!
-//! Writes `results/BENCH_sweep.json` (always) so the speedup and scaling
-//! claims are recorded alongside the other experiment outputs.
+//! Writes `BENCH_sweep.json` (always; into `results/`, or the `--json`
+//! directory) so the speedup and scaling claims are recorded alongside the
+//! other experiment outputs.
 
 use std::collections::HashMap;
 use xflow::{bgq, generic, Axis, DesignSpace, ModeledApp, Roofline, SweepOptions};
-use xflow_bench::{min_of_k, min_of_k_interleaved, opts};
+use xflow_bench::{min_of_k, min_of_k_interleaved, opts, write_report};
 use xflow_hotspot::reference::project_single_pass;
 use xflow_hotspot::ProjectionPlan;
 
@@ -168,10 +169,7 @@ fn main() {
         design_loop_seconds: design_loop_s,
         extra: HashMap::new(),
     };
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = "results/BENCH_sweep.json";
-    std::fs::write(path, serde_json::to_string_pretty(&data).expect("serialize")).expect("write json");
-    println!("\n[json written to {path}]");
+    write_report(&o, "sweep", &data);
 
     assert!(
         speedup_vs_legacy >= 5.0,

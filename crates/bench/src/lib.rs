@@ -181,6 +181,17 @@ pub fn maybe_write_json(opts: &Opts, name: &str, data: &impl Serialize) {
     }
 }
 
+/// Write a gated performance report `BENCH_<name>.json`: into the
+/// `--json` directory when one was given, else into `results/`, where the
+/// committed baselines live.
+pub fn write_report(opts: &Opts, name: &str, data: &impl Serialize) {
+    let dir = opts.json_dir.as_deref().unwrap_or("results");
+    std::fs::create_dir_all(dir).expect("create report dir");
+    let path = format!("{dir}/BENCH_{name}.json");
+    std::fs::write(&path, serde_json::to_string_pretty(data).expect("serialize")).expect("write json");
+    println!("\n[json written to {path}]");
+}
+
 /// Unit names of a ranking prefix.
 pub fn names_of(run: &EvalRun, ranking: &[StmtId], k: usize) -> Vec<String> {
     ranking.iter().take(k).map(|&u| run.app.units.name(u)).collect()
@@ -352,6 +363,17 @@ mod figure_tests {
         coverage_figure("Smoke JSON", "stassuij", &bgq(), &opts);
         let written = std::fs::read_dir(&dir).unwrap().count();
         assert!(written >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reports_go_to_the_json_dir_when_given() {
+        let dir = std::env::temp_dir().join(format!("xflow-bench-report-{}", std::process::id()));
+        let opts = Opts { scale: Scale::Test, json_dir: Some(dir.to_string_lossy().into_owned()) };
+        write_report(&opts, "unit", &HashMap::from([("x", 1.5)]));
+        let text = std::fs::read_to_string(dir.join("BENCH_unit.json")).expect("report in the --json dir");
+        assert!(text.contains("1.5"), "{text}");
+        assert!(!std::path::Path::new("results/BENCH_unit.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,10 @@
 //!   target (the *fusion barrier*): a branch landing mid-pair must keep
 //!   observing an instruction boundary there. Jumping *to* the first
 //!   constituent is fine — the fused op executes both, exactly like
-//!   falling through the unfused pair;
+//!   falling through the unfused pair. With no digram starting with a
+//!   jump, return or trap, a fused op never spans two basic blocks, so
+//!   the block table the VM counts with stays valid and every jump keeps
+//!   the block ids it bumps;
 //! * after rewriting, every jump target is remapped through the old→new
 //!   pc map (shrunk code moves every downstream instruction);
 //! * when instruction profiling is enabled, fused ops account their
@@ -77,8 +80,10 @@ fn fuse_code(code: &[Op]) -> Vec<Op> {
     let mut is_target = vec![false; code.len() + 1];
     for op in code {
         match op {
-            Op::Jump(t) | Op::JumpIfZero(t) => is_target[*t] = true,
-            Op::JumpIfGeRaw { target, .. } | Op::AdvanceJump { target, .. } => is_target[*target] = true,
+            Op::Jump { target, .. }
+            | Op::JumpIfZero { target, .. }
+            | Op::JumpIfGeRaw { target, .. }
+            | Op::AdvanceJump { target, .. } => is_target[*target] = true,
             _ => {}
         }
     }
@@ -109,8 +114,10 @@ fn fuse_code(code: &[Op]) -> Vec<Op> {
     // landing site.
     for op in &mut new_code {
         match op {
-            Op::Jump(t) | Op::JumpIfZero(t) => *t = new_pc[*t],
-            Op::JumpIfGeRaw { target, .. } | Op::AdvanceJump { target, .. } => *target = new_pc[*target],
+            Op::Jump { target, .. }
+            | Op::JumpIfZero { target, .. }
+            | Op::JumpIfGeRaw { target, .. }
+            | Op::AdvanceJump { target, .. } => *target = new_pc[*target],
             _ => {}
         }
     }
@@ -136,7 +143,9 @@ fn try_fuse(a: &Op, b: &Op) -> Option<Op> {
         (Op::Num(n), Op::Bin { op, idx_ctx }) => Op::NumBin { n: *n, op: *op, idx_ctx: *idx_ctx },
         (Op::LoadScalar(s), Op::Num(n)) => Op::LoadScalarNum { slot: *s, n: *n },
         (Op::StoreElem(s), Op::StmtEnter(id)) => Op::StoreElemEnter { arr: *s, id: *id },
-        (Op::AdvanceRaw { cur, step }, Op::Jump(t)) => Op::AdvanceJump { cur: *cur, step: *step, target: *t },
+        (Op::AdvanceRaw { cur, step }, Op::Jump { target, block }) => {
+            Op::AdvanceJump { cur: *cur, step: *step, target: *target, block: *block }
+        }
         (Op::IterTick(id), Op::LoadScalar(s)) => Op::IterTickLoad { id: *id, slot: *s },
         _ => return None,
     })

@@ -312,7 +312,7 @@ impl<'p, T: Tracer> Interp<'p, T> {
             .map(|a| match a {
                 // bare array names pass the array by reference
                 Expr::Var(v) => match scope.get(v) {
-                    Some(val) => Ok(val.clone()),
+                    Some(val) => Ok(*val),
                     None => Err(RuntimeError::UnboundVariable(v.clone())),
                 },
                 other => Ok(Val::Num(self.eval(other, scope, false)?)),
@@ -328,9 +328,9 @@ impl<'p, T: Tracer> Interp<'p, T> {
         self.tracer.ops(stmt, flops, iops, divs);
     }
 
-    fn arr<'a>(scope: &'a HashMap<String, Val>, name: &str) -> Result<&'a ArrRef, RuntimeError> {
+    fn arr(scope: &HashMap<String, Val>, name: &str) -> Result<ArrRef, RuntimeError> {
         match scope.get(name) {
-            Some(Val::Arr(a)) => Ok(a),
+            Some(Val::Arr(a)) => Ok(*a),
             Some(Val::Num(_)) => Err(RuntimeError::NotAnArray(name.to_string())),
             None => Err(RuntimeError::UnboundVariable(name.to_string())),
         }
@@ -338,14 +338,12 @@ impl<'p, T: Tracer> Interp<'p, T> {
 
     fn load_elem(&mut self, name: &str, idx: f64, scope: &HashMap<String, Val>) -> Result<f64, RuntimeError> {
         let a = Self::arr(scope, name)?;
-        let data = a.data.borrow();
         let i = idx as usize;
-        if idx < 0.0 || i >= data.len() {
-            return Err(RuntimeError::IndexOutOfBounds { array: name.to_string(), index: idx, len: data.len() });
+        if idx < 0.0 || i >= a.len() {
+            return Err(RuntimeError::IndexOutOfBounds { array: name.to_string(), index: idx, len: a.len() });
         }
-        let v = data[i];
+        let v = self.heap.load(a, i);
         let addr = a.base + (i as u64) * 8;
-        drop(data);
         let c = self.profile.stmt_ops.entry(self.cur_stmt).or_default();
         c.loads += 1;
         self.tracer.load(self.cur_stmt, addr);
@@ -360,14 +358,12 @@ impl<'p, T: Tracer> Interp<'p, T> {
         scope: &HashMap<String, Val>,
     ) -> Result<(), RuntimeError> {
         let a = Self::arr(scope, name)?;
-        let mut data = a.data.borrow_mut();
         let i = idx as usize;
-        if idx < 0.0 || i >= data.len() {
-            return Err(RuntimeError::IndexOutOfBounds { array: name.to_string(), index: idx, len: data.len() });
+        if idx < 0.0 || i >= a.len() {
+            return Err(RuntimeError::IndexOutOfBounds { array: name.to_string(), index: idx, len: a.len() });
         }
-        data[i] = value;
+        self.heap.store(a, i, value);
         let addr = a.base + (i as u64) * 8;
-        drop(data);
         let c = self.profile.stmt_ops.entry(self.cur_stmt).or_default();
         c.stores += 1;
         self.tracer.store(self.cur_stmt, addr);
@@ -406,11 +402,7 @@ impl<'p, T: Tracer> Interp<'p, T> {
                 let i = self.eval(idx, scope, true)?;
                 self.load_elem(name, i, scope)?
             }
-            Expr::Len(name) => {
-                let a = Self::arr(scope, name)?;
-                let n = a.data.borrow().len();
-                n as f64
-            }
+            Expr::Len(name) => Self::arr(scope, name)?.len() as f64,
             Expr::Input(name, default) => self.inputs.get_or(name, *default),
             Expr::Bin(l, op, r) => {
                 let lv = self.eval(l, scope, idx_ctx)?;

@@ -18,10 +18,8 @@
 
 use crate::ast::MStmtId;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
 
 /// Named scalar inputs for a run (consumed by `input("name", default)`).
 ///
@@ -275,18 +273,31 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// A runtime value: scalar or shared array (shared with the bytecode VM).
-#[derive(Debug, Clone)]
+/// A runtime value: a scalar, or a handle to an array in the run's
+/// [`Heap`] (shared with the bytecode VM).
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Val {
     Num(f64),
     Arr(ArrRef),
 }
 
-/// Shared array with a flat base address for the memory trace.
-#[derive(Debug, Clone)]
+/// Handle to one array of the run's [`Heap`]: where its elements start in
+/// the arena, how many there are, and its flat base address for the memory
+/// trace. Copying the handle shares the array, as passing an array by
+/// reference does.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ArrRef {
-    pub(crate) data: Rc<RefCell<Vec<f64>>>,
+    start: u32,
+    len: u32,
     pub(crate) base: u64,
+}
+
+impl ArrRef {
+    /// Number of elements.
+    #[inline(always)]
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
 }
 
 /// Most array elements one run may allocate, summed over every `zeros`
@@ -296,18 +307,20 @@ pub(crate) struct ArrRef {
 /// [`RuntimeError::ArrayTooLarge`] instead of aborting the process.
 pub const MAX_ARRAY_ELEMENTS: u64 = 1 << 27;
 
-/// The array allocator both engines share: it hands out the flat base
-/// addresses of the memory trace and enforces [`MAX_ARRAY_ELEMENTS`], so
-/// the engines agree on every address and every allocation error.
+/// The run-local array arena both engines share. Every array a run
+/// allocates lives in one flat buffer until the run ends, so the buffer
+/// never holds more than [`MAX_ARRAY_ELEMENTS`]. The heap also hands out
+/// the flat base addresses of the memory trace, so the engines agree on
+/// every address and every allocation error.
 pub(crate) struct Heap {
+    arena: Vec<f64>,
     next_base: u64,
-    elements: u64,
 }
 
 impl Default for Heap {
     fn default() -> Self {
         // leave page zero unused
-        Heap { next_base: 0x1000, elements: 0 }
+        Heap { arena: Vec::new(), next_base: 0x1000 }
     }
 }
 
@@ -319,13 +332,31 @@ impl Heap {
         }
         // saturating: `inf` and lengths past `usize` land on the cap check
         let n = len as usize as u64;
-        if n > MAX_ARRAY_ELEMENTS - self.elements {
+        let start = self.arena.len() as u64;
+        if n > MAX_ARRAY_ELEMENTS - start {
             return Err(RuntimeError::ArrayTooLarge { array: name.to_string(), len });
         }
-        self.elements += n;
-        let base = self.next_base;
+        // both fit in u32: the arena never exceeds MAX_ARRAY_ELEMENTS = 2^27
+        let a = ArrRef { start: start as u32, len: n as u32, base: self.next_base };
         self.next_base += n * 8 + 64; // pad so arrays don't share lines
-        Ok(ArrRef { data: Rc::new(RefCell::new(vec![0.0; n as usize])), base })
+        self.arena.resize((start + n) as usize, 0.0);
+        Ok(a)
+    }
+
+    /// Element `i` of `a`, an array this heap allocated; the caller has
+    /// checked `i < a.len()`.
+    #[inline(always)]
+    pub(crate) fn load(&self, a: ArrRef, i: usize) -> f64 {
+        debug_assert!(i < a.len());
+        self.arena[a.start as usize + i]
+    }
+
+    /// Set element `i` of `a`, an array this heap allocated; the caller
+    /// has checked `i < a.len()`.
+    #[inline(always)]
+    pub(crate) fn store(&mut self, a: ArrRef, i: usize, v: f64) {
+        debug_assert!(i < a.len());
+        self.arena[a.start as usize + i] = v;
     }
 }
 

@@ -4,7 +4,7 @@
 //! resolved variable slots and fuses its hottest digrams into
 //! superinstructions ([`crate::fuse`]); [`VmProgram::run`] executes it on
 //! a stack machine, and [`VmProgram::run_profiled`] is the same loop with
-//! per-opcode counting compiled in. This one bytecode runs every
+//! per-opcode instruction counting compiled in. This one bytecode runs every
 //! production execution: the profiled run behind [`profile`] (the
 //! paper's one local gcov run) and the ground-truth simulator's replay in
 //! `xflow-sim`.
@@ -17,16 +17,35 @@
 //! matches the reference (enforced by the equivalence suites in `tests/`
 //! and the validator's `engines_agree` suite).
 //!
-//! The operand stack holds plain `f64`s: every expression the compiler
-//! emits evaluates to a number, so arithmetic, stores, `Ret` and `Pop`
-//! never see an array. Arrays travel only as call arguments: a bare name
-//! in argument position compiles to `PushSlot`, which pushes the
-//! slot's value (an array by reference, or a number) onto a separate
-//! argument stack, and `Call` gathers its arguments in source order from
-//! the two stacks, told which position is which by the call site's entry
-//! in its function's `call_sites` table. The running frame's code, pc and
-//! slots live in locals of the dispatch loop; `frames` holds only the
-//! suspended callers.
+//! **Block counting.** Like gcov, a run counts basic blocks, not
+//! operations. At compile time [`lower`] splits each function's bytecode
+//! into basic blocks and records what one execution of each block adds to
+//! the [`Profile`]: statement executions, the flops, iops, divs, loads and
+//! stores of its operations (each charged to the statement of the nearest
+//! earlier `StmtEnter`/`SetCur` in pc order, which is the statement the run
+//! attributes it to), loop iterations, `if`-arm hits and library calls.
+//! At run time only control transfers count: every jump bumps the counter
+//! of the block it enters (a conditional jump its taken or its
+//! fall-through block), and `Call` bumps the callee's entry block. When the
+//! run succeeds, a block's execution count is its jump-in count plus its
+//! predecessor's count when the predecessor falls into it, and the profile
+//! is Σ count × effects. Loop entries, `break`/`continue` counts and the
+//! `else` count follow from statement execution counts. Step ticks,
+//! attribution (`cur_stmt`) and every [`Tracer`] event stay per operation,
+//! so the step limit and the simulator's replay are unchanged.
+//!
+//! **Flat run state.** The operand stack is one `Vec<f64>` indexed by a
+//! stack pointer, sized from each function's compile-time maximum depth
+//! and grown only at `Call`: every expression the compiler emits evaluates
+//! to a number, so arithmetic, stores, `Ret` and `Pop` never see an array.
+//! Arrays live in the run's arena ([`Heap`]) and travel as copyable handles
+//! only as call arguments: a bare name in argument position compiles to
+//! `PushSlot`, which pushes the slot's value (an array handle, or a
+//! number) onto a separate argument stack, and `Call` gathers its
+//! arguments in source order from the two stacks, told which position is
+//! which by the call site's entry in its function's `call_sites` table.
+//! The running frame's code, pc and slots live in locals of the dispatch
+//! loop; `frames` holds only the suspended callers.
 
 use crate::ast::*;
 use crate::runtime::{
@@ -41,8 +60,11 @@ pub struct VmProgram {
     pub(crate) funcs: Vec<VmFunc>,
     pub(crate) entry: usize,
     /// One past the largest statement id the code carries — sizes the
-    /// dense profile accumulators once per run.
+    /// dense profile accumulators.
     pub(crate) n_stmts: usize,
+    /// The basic blocks every function's code splits into, and what each
+    /// adds to the profile per execution.
+    pub(crate) blocks: Blocks,
 }
 
 #[derive(Debug, Clone)]
@@ -58,6 +80,11 @@ pub(crate) struct VmFunc {
     /// bare name taken from the argument stack (`true`) or a computed
     /// number taken from the operand stack.
     pub(crate) call_sites: Vec<Vec<bool>>,
+    /// Most operand-stack entries the code holds at once, above what the
+    /// caller held when it called.
+    pub(crate) max_stack: usize,
+    /// The block counter `Call` bumps: the code's first block.
+    pub(crate) entry_block: u32,
     pub(crate) code: Vec<Op>,
 }
 
@@ -115,26 +142,35 @@ pub(crate) enum Op {
     Max,
     /// Library builtins (lib event with the argument).
     Lib(Builtin),
-    /// Pop condition; jump if zero.
-    JumpIfZero(usize),
-    /// Unconditional jump.
-    Jump(usize),
-    /// Statement prologue: tick, stmt_exec += 1, cur_stmt = id.
+    /// Pop condition; jump if zero. Bumps the block counter of the
+    /// `taken` block or of the `fall`-through block.
+    JumpIfZero {
+        target: usize,
+        taken: u32,
+        fall: u32,
+    },
+    /// Unconditional jump; bumps the counter of the target's `block`.
+    Jump {
+        target: usize,
+        block: u32,
+    },
+    /// Statement prologue: tick, cur_stmt = id (one execution of `id`).
     StmtEnter(MStmtId),
     /// Set attribution without a tick (loop-head condition re-evaluation).
     SetCur(MStmtId),
-    /// Loop entry profile.
-    LoopEntry(MStmtId),
-    /// Per-iteration (`for`): tick, iterations += 1, 2 iops to the loop.
+    /// Per-iteration (`for`): tick, 2 iops to the loop (one iteration).
     IterTick(MStmtId),
-    /// Per-iteration (`while`): tick + iterations only — the reference
-    /// charges loop bookkeeping iops for counted loops, not for `while`.
+    /// Per-iteration (`while`): tick only — the reference charges loop
+    /// bookkeeping iops for counted loops, not for `while`.
     IterTickWhile(MStmtId),
-    /// Raw (uncounted) loop machinery: pop hi/cur, jump if cur >= hi.
+    /// Raw (uncounted) loop machinery: jump if slot `cur` >= slot `hi`,
+    /// bumping the `taken` or the `fall`-through block's counter.
     JumpIfGeRaw {
         cur: u16,
         hi: u16,
         target: usize,
+        taken: u32,
+        fall: u32,
     },
     /// Raw cursor advance: slot += step-slot.
     AdvanceRaw {
@@ -143,20 +179,8 @@ pub(crate) enum Op {
     },
     /// Clamp the step slot to be strictly positive (mirrors the reference).
     ClampStepRaw(u16),
-    /// Branch entry: size the arm-hit table.
-    BranchEnter {
-        stmt: MStmtId,
-        arms: usize,
-    },
-    ArmHit {
-        stmt: MStmtId,
-        arm: usize,
-    },
-    ElseHit(MStmtId),
-    BreakProfile(MStmtId),
-    ContinueProfile(MStmtId),
     /// Gather the arguments `call_sites[site]` describes into a fresh
-    /// frame and suspend the caller.
+    /// frame, suspend the caller and bump the callee's entry block.
     Call {
         func: usize,
         site: usize,
@@ -253,11 +277,13 @@ pub(crate) enum Op {
         arr: u16,
         id: MStmtId,
     },
-    /// `AdvanceRaw{cur,step}; Jump(target)` — the counted-loop back edge.
+    /// `AdvanceRaw{cur,step}; Jump{target,block}` — the counted-loop back
+    /// edge.
     AdvanceJump {
         cur: u16,
         step: u16,
         target: usize,
+        block: u32,
     },
     /// `IterTick(id); LoadScalar(slot)` — iteration tick + cursor read.
     IterTickLoad {
@@ -280,8 +306,8 @@ pub(crate) mod kind {
     pub const BIN: usize = 10;
     pub const JUMP: usize = 21;
     pub const STMT_ENTER: usize = 22;
-    pub const ITER_TICK: usize = 25;
-    pub const ADVANCE_RAW: usize = 28;
+    pub const ITER_TICK: usize = 24;
+    pub const ADVANCE_RAW: usize = 27;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +315,7 @@ pub(crate) mod kind {
 // ---------------------------------------------------------------------------
 
 /// Number of distinct opcode kinds (one per `Op` variant).
-pub const NUM_OP_KINDS: usize = 40;
+pub const NUM_OP_KINDS: usize = 34;
 
 /// Opcode kind names, indexed by the dense kind index `op_kind` yields
 /// (declaration order of `Op`). These are the names `xflow profile`
@@ -319,17 +345,11 @@ pub const OP_KIND_NAMES: [&str; NUM_OP_KINDS] = [
     "Jump",
     "StmtEnter",
     "SetCur",
-    "LoopEntry",
     "IterTick",
     "IterTickWhile",
     "JumpIfGeRaw",
     "AdvanceRaw",
     "ClampStepRaw",
-    "BranchEnter",
-    "ArmHit",
-    "ElseHit",
-    "BreakProfile",
-    "ContinueProfile",
     "Call",
     "Ret",
     "Print",
@@ -362,26 +382,20 @@ fn op_kind(op: &Op) -> usize {
         Op::Min => 17,
         Op::Max => 18,
         Op::Lib(_) => 19,
-        Op::JumpIfZero(_) => 20,
-        Op::Jump(_) => 21,
+        Op::JumpIfZero { .. } => 20,
+        Op::Jump { .. } => 21,
         Op::StmtEnter(_) => 22,
         Op::SetCur(_) => 23,
-        Op::LoopEntry(_) => 24,
-        Op::IterTick(_) => 25,
-        Op::IterTickWhile(_) => 26,
-        Op::JumpIfGeRaw { .. } => 27,
-        Op::AdvanceRaw { .. } => 28,
-        Op::ClampStepRaw(_) => 29,
-        Op::BranchEnter { .. } => 30,
-        Op::ArmHit { .. } => 31,
-        Op::ElseHit(_) => 32,
-        Op::BreakProfile(_) => 33,
-        Op::ContinueProfile(_) => 34,
-        Op::Call { .. } => 35,
-        Op::Ret => 36,
-        Op::Print => 37,
-        Op::Pop => 38,
-        Op::Trap(_) => 39,
+        Op::IterTick(_) => 24,
+        Op::IterTickWhile(_) => 25,
+        Op::JumpIfGeRaw { .. } => 26,
+        Op::AdvanceRaw { .. } => 27,
+        Op::ClampStepRaw(_) => 28,
+        Op::Call { .. } => 29,
+        Op::Ret => 30,
+        Op::Print => 31,
+        Op::Pop => 32,
+        Op::Trap(_) => 33,
         fused => unreachable!("op_kind on superinstruction {fused:?} — use fuse::fused_parts"),
     }
 }
@@ -569,15 +583,23 @@ pub(crate) fn lower(prog: &Program) -> Result<VmProgram, RuntimeError> {
     let fn_ids: HashMap<&str, usize> = prog.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
     let entry = *fn_ids.get("main").ok_or_else(|| RuntimeError::UnknownFunction("main".into()))?;
     let mut funcs = Vec::with_capacity(prog.functions.len());
+    let mut arm_heads = Vec::with_capacity(prog.functions.len());
+    let mut shape = Shape::default();
     let mut n_stmts = 0;
     for f in &prog.functions {
-        let (func, n) = compile_fn(prog, f, &fn_ids)?;
+        let (func, n, arms) = compile_fn(prog, f, &fn_ids, &mut shape)?;
         // every statement id an op carries is that of a compiled statement
         n_stmts = n_stmts.max(n);
         funcs.push(func);
+        arm_heads.push(arms);
     }
-    Ok(VmProgram { funcs, entry, n_stmts })
+    let blocks = Blocks::split(&mut funcs, &arm_heads, shape);
+    Ok(VmProgram { funcs, entry, n_stmts, blocks })
 }
+
+/// Where an `if` arm's body starts: the fall-through pc of the arm's
+/// condition jump, the `if` statement and the arm index.
+type ArmHead = (usize, MStmtId, usize);
 
 struct FnCompiler<'p> {
     prog: &'p Program,
@@ -588,6 +610,8 @@ struct FnCompiler<'p> {
     call_sites: Vec<Vec<bool>>,
     code: Vec<Op>,
     loops: Vec<LoopCtx>,
+    arm_heads: Vec<ArmHead>,
+    shape: &'p mut Shape,
     /// One past the largest statement id compiled.
     n_stmts: usize,
 }
@@ -600,7 +624,12 @@ struct LoopCtx {
     continue_patches: Vec<usize>,
 }
 
-fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Result<(VmFunc, usize), RuntimeError> {
+fn compile_fn(
+    prog: &Program,
+    f: &Function,
+    fn_ids: &HashMap<&str, usize>,
+    shape: &mut Shape,
+) -> Result<(VmFunc, usize, Vec<ArmHead>), RuntimeError> {
     let mut c = FnCompiler {
         prog,
         fn_ids,
@@ -610,6 +639,8 @@ fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Re
         call_sites: Vec::new(),
         code: Vec::new(),
         loops: Vec::new(),
+        arm_heads: Vec::new(),
+        shape,
         n_stmts: 0,
     };
     for p in &f.params {
@@ -619,6 +650,7 @@ fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Re
     // implicit `return 0.0`
     c.code.push(Op::Num(0.0));
     c.code.push(Op::Ret);
+    let max_stack = max_stack(&c.code, &c.call_sites);
     let func = VmFunc {
         name: f.name.clone(),
         n_params: f.params.len(),
@@ -626,9 +658,11 @@ fn compile_fn(prog: &Program, f: &Function, fn_ids: &HashMap<&str, usize>) -> Re
         slot_names: c.slot_names,
         input_table: c.input_table,
         call_sites: c.call_sites,
+        max_stack,
+        entry_block: NO_BLOCK, // set by `Blocks::split`
         code: c.code,
     };
-    Ok((func, c.n_stmts))
+    Ok((func, c.n_stmts, c.arm_heads))
 }
 
 impl<'p> FnCompiler<'p> {
@@ -711,10 +745,10 @@ impl<'p> FnCompiler<'p> {
                 self.expr(step, true)?;
                 self.code.push(Op::StoreSlot(step_s));
                 self.code.push(Op::ClampStepRaw(step_s));
-                self.code.push(Op::LoopEntry(s.id));
+                self.shape.loops.push(s.id);
                 let head = self.code.len();
                 let exit_patch = self.code.len();
-                self.code.push(Op::JumpIfGeRaw { cur, hi: hi_s, target: usize::MAX });
+                self.code.push(Op::JumpIfGeRaw { cur, hi: hi_s, target: usize::MAX, taken: NO_BLOCK, fall: NO_BLOCK });
                 self.code.push(Op::IterTick(s.id));
                 let var_slot = self.slot(var);
                 self.code.push(Op::LoadScalar(cur));
@@ -724,11 +758,9 @@ impl<'p> FnCompiler<'p> {
                 let ctx = self.loops.pop().expect("loop ctx");
                 let continue_pc = self.code.len();
                 self.code.push(Op::AdvanceRaw { cur, step: step_s });
-                self.code.push(Op::Jump(head));
+                self.code.push(Op::Jump { target: head, block: NO_BLOCK });
                 let exit_pc = self.code.len();
-                if let Op::JumpIfGeRaw { target, .. } = &mut self.code[exit_patch] {
-                    *target = exit_pc;
-                }
+                self.patch_jump(exit_patch, exit_pc);
                 for p in ctx.break_patches {
                     self.patch_jump(p, exit_pc);
                 }
@@ -737,19 +769,18 @@ impl<'p> FnCompiler<'p> {
                 }
             }
             StmtKind::While { cond, body } => {
-                self.code.push(Op::LoopEntry(s.id));
+                self.shape.loops.push(s.id);
                 let head = self.code.len();
                 // the reference re-attributes the condition to the while
                 // statement on every check
                 self.code.push(Op::SetCur(s.id));
                 self.expr(cond, false)?;
-                let exit_patch = self.code.len();
-                self.code.push(Op::JumpIfZero(usize::MAX));
+                let exit_patch = self.jump_if_zero();
                 self.code.push(Op::IterTickWhile(s.id));
                 self.loops.push(LoopCtx { stmt: s.id, break_patches: vec![], continue_patches: vec![] });
                 self.block(body)?;
                 let ctx = self.loops.pop().expect("loop ctx");
-                self.code.push(Op::Jump(head));
+                self.code.push(Op::Jump { target: head, block: NO_BLOCK });
                 let exit_pc = self.code.len();
                 self.patch_jump(exit_patch, exit_pc);
                 for p in ctx.break_patches {
@@ -760,21 +791,18 @@ impl<'p> FnCompiler<'p> {
                 }
             }
             StmtKind::If { arms, else_body } => {
-                self.code.push(Op::BranchEnter { stmt: s.id, arms: arms.len() });
+                self.shape.ifs.push((s.id, arms.len()));
                 let mut end_patches = Vec::new();
                 for (i, (cond, body)) in arms.iter().enumerate() {
                     self.code.push(Op::SetCur(s.id));
                     self.expr(cond, false)?;
-                    let next_patch = self.code.len();
-                    self.code.push(Op::JumpIfZero(usize::MAX));
-                    self.code.push(Op::ArmHit { stmt: s.id, arm: i });
+                    let next_patch = self.jump_if_zero();
+                    self.arm_heads.push((self.code.len(), s.id, i));
                     self.block(body)?;
-                    end_patches.push(self.code.len());
-                    self.code.push(Op::Jump(usize::MAX));
+                    end_patches.push(self.jump());
                     let next_pc = self.code.len();
                     self.patch_jump(next_patch, next_pc);
                 }
-                self.code.push(Op::ElseHit(s.id));
                 if let Some(e) = else_body {
                     self.block(e)?;
                 }
@@ -805,9 +833,8 @@ impl<'p> FnCompiler<'p> {
                     return Ok(());
                 };
                 let loop_id = ctx.stmt;
-                self.code.push(Op::BreakProfile(loop_id));
-                let p = self.code.len();
-                self.code.push(Op::Jump(usize::MAX));
+                self.shape.exits.push(LoopExit { loop_id, stmt: s.id, is_break: true });
+                let p = self.jump();
                 self.loops.last_mut().unwrap().break_patches.push(p);
             }
             StmtKind::Continue => {
@@ -817,9 +844,8 @@ impl<'p> FnCompiler<'p> {
                     return Ok(());
                 };
                 let loop_id = ctx.stmt;
-                self.code.push(Op::ContinueProfile(loop_id));
-                let p = self.code.len();
-                self.code.push(Op::Jump(usize::MAX));
+                self.shape.exits.push(LoopExit { loop_id, stmt: s.id, is_break: false });
+                let p = self.jump();
                 self.loops.last_mut().unwrap().continue_patches.push(p);
             }
             StmtKind::Print { expr } => {
@@ -830,10 +856,21 @@ impl<'p> FnCompiler<'p> {
         Ok(())
     }
 
-    fn patch_jump(&mut self, at: usize, target: usize) {
+    /// Emit a `Jump` to be patched; returns its pc.
+    fn jump(&mut self) -> usize {
+        self.code.push(Op::Jump { target: usize::MAX, block: NO_BLOCK });
+        self.code.len() - 1
+    }
+
+    /// Emit a `JumpIfZero` to be patched; returns its pc.
+    fn jump_if_zero(&mut self) -> usize {
+        self.code.push(Op::JumpIfZero { target: usize::MAX, taken: NO_BLOCK, fall: NO_BLOCK });
+        self.code.len() - 1
+    }
+
+    fn patch_jump(&mut self, at: usize, to: usize) {
         match &mut self.code[at] {
-            Op::Jump(t) | Op::JumpIfZero(t) => *t = target,
-            Op::JumpIfGeRaw { target: t, .. } => *t = target,
+            Op::Jump { target, .. } | Op::JumpIfZero { target, .. } | Op::JumpIfGeRaw { target, .. } => *target = to,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -911,12 +948,10 @@ impl<'p> FnCompiler<'p> {
                 // reference: eval lhs, count 1 iop, short-circuit
                 self.expr(l, idx_ctx)?;
                 self.code.push(Op::CountIop);
-                let short = self.code.len();
-                self.code.push(Op::JumpIfZero(usize::MAX));
+                let short = self.jump_if_zero();
                 self.expr(r, idx_ctx)?;
                 self.code.push(Op::NormBoolRaw);
-                let end = self.code.len();
-                self.code.push(Op::Jump(usize::MAX));
+                let end = self.jump();
                 let short_pc = self.code.len();
                 self.code.push(Op::Num(0.0));
                 let end_pc = self.code.len();
@@ -927,11 +962,9 @@ impl<'p> FnCompiler<'p> {
                 self.expr(l, idx_ctx)?;
                 self.code.push(Op::CountIop);
                 // jump to "true" if lhs non-zero: invert via JumpIfZero to rhs
-                let to_rhs = self.code.len();
-                self.code.push(Op::JumpIfZero(usize::MAX));
+                let to_rhs = self.jump_if_zero();
                 self.code.push(Op::Num(1.0));
-                let end = self.code.len();
-                self.code.push(Op::Jump(usize::MAX));
+                let end = self.jump();
                 let rhs_pc = self.code.len();
                 self.patch_jump(to_rhs, rhs_pc);
                 self.expr(r, idx_ctx)?;
@@ -967,67 +1000,330 @@ impl<'p> FnCompiler<'p> {
 }
 
 // ---------------------------------------------------------------------------
-// Execution
+// Basic blocks and block counting
 // ---------------------------------------------------------------------------
 
-/// Library-counter names, indexed by the dense slot [`Op::Lib`] charges.
-const LIB_COUNTER_NAMES: [&str; 7] = ["rand", "exp", "log", "sqrt", "sin", "cos", "pow"];
+/// Block id of a jump not yet split into blocks.
+const NO_BLOCK: u32 = u32::MAX;
 
-/// Dense profile accumulators — the same [`Profile`] the tree-walker
-/// builds, accumulated as statement-id-indexed vectors on the dispatch
-/// hot path and converted to the public `HashMap` shape once at end of
-/// run. At evaluation scale the interpreter fires tens of millions of
-/// profile events; one hash upsert per event used to dominate the
-/// dispatch loop. Entry presence is preserved exactly: every upsert in
-/// the old code incremented at least one counter, so "accumulator is
-/// non-default" is precisely "the old code created this entry".
-struct DenseProfile {
-    exec: Vec<u64>,
-    ops: Vec<OpCounts>,
-    loops: Vec<LoopStats>,
-    branches: Vec<BranchStats>,
-    lib_calls: [u64; LIB_COUNTER_NAMES.len()],
-    printed: Vec<f64>,
+/// The statements whose profile entries follow from statement execution
+/// counts alone, collected while lowering.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Shape {
+    /// `for`/`while` statements: each execution enters the loop once.
+    loops: Vec<MStmtId>,
+    /// `break`/`continue` statements inside a loop: each execution ends
+    /// one iteration of the innermost enclosing loop.
+    exits: Vec<LoopExit>,
+    /// `if` statements and their arm counts: each execution hits one arm
+    /// or the else.
+    ifs: Vec<(MStmtId, usize)>,
 }
 
-impl DenseProfile {
-    /// Accumulators for statement ids `0..n_stmts` — every id the compiled
-    /// code carries, so the dispatch loop indexes them directly.
-    fn new(n_stmts: usize) -> Self {
-        DenseProfile {
-            exec: vec![0; n_stmts],
-            ops: vec![OpCounts::default(); n_stmts],
-            loops: vec![LoopStats::default(); n_stmts],
-            branches: vec![BranchStats::default(); n_stmts],
-            lib_calls: [0; LIB_COUNTER_NAMES.len()],
-            printed: Vec::new(),
+#[derive(Debug, Clone, Copy)]
+struct LoopExit {
+    loop_id: MStmtId,
+    stmt: MStmtId,
+    is_break: bool,
+}
+
+/// What one execution of a block adds to the profile.
+#[derive(Debug, Clone, Copy)]
+enum Effect {
+    /// One execution of a statement.
+    Exec(MStmtId),
+    /// Operations charged to a statement.
+    Ops(MStmtId, OpCounts),
+    /// One iteration of a loop.
+    Iter(MStmtId),
+    /// One call of library function `LIB_COUNTER_NAMES[i]`.
+    Lib(usize),
+    /// One hit of an `if` statement's arm.
+    Arm(MStmtId, usize),
+}
+
+/// The basic blocks of a program's code, numbered function by function in
+/// pc order, with what one execution of each adds to the profile.
+///
+/// Derived from the lowered code. Fusion keeps it valid: no fusion digram
+/// starts with a block-ending op, and no pair absorbs a jump target, so a
+/// fused op never spans two blocks and every jump keeps its block ids.
+#[derive(Debug, Clone)]
+pub(crate) struct Blocks {
+    /// Whether block `b` is entered by falling through from block `b - 1`,
+    /// which then ends in no jump, return or trap.
+    falls_in: Vec<bool>,
+    /// Block `b`'s effects are `effects[first[b]..first[b + 1]]`.
+    first: Vec<u32>,
+    effects: Vec<Effect>,
+    shape: Shape,
+}
+
+/// Whether an op ends its basic block: control does not simply continue
+/// at the next pc.
+fn ends_block(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Jump { .. }
+            | Op::JumpIfZero { .. }
+            | Op::JumpIfGeRaw { .. }
+            | Op::AdvanceJump { .. }
+            | Op::Ret
+            | Op::Trap(_)
+    )
+}
+
+/// The pc an op may jump to.
+fn jump_target(op: &Op) -> Option<usize> {
+    match op {
+        Op::Jump { target, .. }
+        | Op::JumpIfZero { target, .. }
+        | Op::JumpIfGeRaw { target, .. }
+        | Op::AdvanceJump { target, .. } => Some(*target),
+        _ => None,
+    }
+}
+
+/// Operations a `Bin` retires: `(flops, iops, divs)` — index arithmetic
+/// is integer work, a value-position divide is a flop and a div.
+#[inline(always)]
+fn bin_counts(op: BinOp, idx_ctx: bool) -> (u32, u32, u32) {
+    if idx_ctx {
+        (0, 1, 0)
+    } else if op == BinOp::Div {
+        (1, 0, 1)
+    } else {
+        (1, 0, 0)
+    }
+}
+
+/// The [`LIB_COUNTER_NAMES`] slot of a library builtin.
+#[inline(always)]
+fn lib_slot(b: Builtin) -> usize {
+    match b {
+        Builtin::Rnd => 0,
+        Builtin::Exp => 1,
+        Builtin::Log => 2,
+        Builtin::Sqrt => 3,
+        Builtin::Sin => 4,
+        Builtin::Cos => 5,
+        Builtin::Pow => 6,
+        other => unreachable!("{other:?} is not a lib builtin"),
+    }
+}
+
+impl Blocks {
+    /// Split every function's lowered code into basic blocks, record what
+    /// each block adds to the profile, and point every jump and function at
+    /// the block counters it bumps. `arm_heads[f]` lists function `f`'s
+    /// `if`-arm body starts in pc order.
+    fn split(funcs: &mut [VmFunc], arm_heads: &[Vec<ArmHead>], shape: Shape) -> Blocks {
+        let n_ops: usize = funcs.iter().map(|f| f.code.len()).sum();
+        let mut blocks = Blocks {
+            falls_in: Vec::with_capacity(n_ops / 4),
+            first: Vec::with_capacity(n_ops / 4 + 1),
+            effects: Vec::with_capacity(n_ops / 2),
+            shape,
+        };
+        blocks.first.push(0);
+        let mut leader = Vec::new();
+        let mut block_at = Vec::new();
+        let mut ops: Vec<(MStmtId, OpCounts)> = Vec::new();
+        for (f, arms) in funcs.iter_mut().zip(arm_heads) {
+            let code = &mut f.code;
+            let n = code.len();
+            leader.clear();
+            leader.resize(n + 1, false);
+            leader[0] = true;
+            for (pc, op) in code.iter().enumerate() {
+                if let Some(t) = jump_target(op) {
+                    leader[t] = true;
+                }
+                if ends_block(op) {
+                    leader[pc + 1] = true;
+                }
+            }
+            f.entry_block = u32::try_from(blocks.falls_in.len()).expect("fewer than 2^32 blocks");
+            block_at.clear();
+            let mut arms = arms.iter().peekable();
+            let mut cur = None;
+            for (pc, op) in code.iter().enumerate() {
+                if leader[pc] {
+                    if pc > 0 {
+                        blocks.close(&mut ops);
+                    }
+                    blocks.falls_in.push(pc > 0 && !ends_block(&code[pc - 1]));
+                }
+                block_at.push(blocks.falls_in.len() as u32 - 1);
+                if let Some(&&(at, stmt, arm)) = arms.peek() {
+                    if at == pc {
+                        // the body is entered only by falling through its
+                        // condition's jump, so the block counts the hits
+                        debug_assert!(!code.iter().any(|op| jump_target(op) == Some(pc)), "{stmt:?} arm {arm}");
+                        blocks.effects.push(Effect::Arm(stmt, arm));
+                        arms.next();
+                    }
+                }
+                let (stmt, flops, iops, divs, loads, stores) = match op {
+                    Op::StmtEnter(id) => {
+                        cur = Some(*id);
+                        blocks.effects.push(Effect::Exec(*id));
+                        continue;
+                    }
+                    Op::SetCur(id) => {
+                        cur = Some(*id);
+                        continue;
+                    }
+                    Op::IterTick(id) => {
+                        blocks.effects.push(Effect::Iter(*id));
+                        (Some(*id), 0, 2, 0, 0, 0)
+                    }
+                    Op::IterTickWhile(id) => {
+                        blocks.effects.push(Effect::Iter(*id));
+                        continue;
+                    }
+                    Op::Lib(b) => {
+                        blocks.effects.push(Effect::Lib(lib_slot(*b)));
+                        continue;
+                    }
+                    Op::LoadElem(_) => (cur, 0, 0, 0, 1, 0),
+                    Op::StoreElem(_) => (cur, 0, 0, 0, 0, 1),
+                    Op::Bin { op, idx_ctx } => {
+                        let (flops, iops, divs) = bin_counts(*op, *idx_ctx);
+                        (cur, flops, iops, divs, 0, 0)
+                    }
+                    Op::Neg { idx_ctx: true } | Op::Not | Op::CountIop => (cur, 0, 1, 0, 0, 0),
+                    Op::Neg { idx_ctx: false } | Op::Cmp(_) | Op::Abs | Op::Floor | Op::Min | Op::Max => {
+                        (cur, 1, 0, 0, 0, 0)
+                    }
+                    _ => continue,
+                };
+                let stmt = stmt.expect("every counted operation follows a statement prologue");
+                let i = match ops.iter().position(|(s, _)| *s == stmt) {
+                    Some(i) => i,
+                    None => {
+                        ops.push((stmt, OpCounts::default()));
+                        ops.len() - 1
+                    }
+                };
+                let c = &mut ops[i].1;
+                c.flops += u64::from(flops);
+                c.iops += u64::from(iops);
+                c.divs += u64::from(divs);
+                c.loads += loads;
+                c.stores += stores;
+            }
+            blocks.close(&mut ops);
+            debug_assert!(arms.next().is_none(), "every arm head starts a block");
+            for (pc, op) in code.iter_mut().enumerate() {
+                match op {
+                    Op::Jump { target, block } => *block = block_at[*target],
+                    Op::JumpIfZero { target, taken, fall } | Op::JumpIfGeRaw { target, taken, fall, .. } => {
+                        *taken = block_at[*target];
+                        *fall = block_at[pc + 1];
+                    }
+                    _ => {}
+                }
+            }
         }
+        blocks
     }
 
-    /// One pass into the public `HashMap` shape, off the hot path.
-    fn into_profile(self) -> Profile {
-        let mut p = Profile { printed: self.printed, ..Profile::default() };
-        for (i, &n) in self.exec.iter().enumerate() {
+    /// End the block being recorded: its operation counts become effects.
+    fn close(&mut self, ops: &mut Vec<(MStmtId, OpCounts)>) {
+        self.effects.extend(ops.drain(..).map(|(s, c)| Effect::Ops(s, c)));
+        self.first.push(u32::try_from(self.effects.len()).expect("fewer than 2^32 block effects"));
+    }
+
+    /// Number of blocks, and of block counters a run keeps.
+    fn len(&self) -> usize {
+        self.falls_in.len()
+    }
+
+    /// The profile of a successful run, from its block counters (how often
+    /// each block was jumped or called into) and the values it printed.
+    fn profile(&self, mut counts: Vec<u64>, n_stmts: usize, printed: Vec<f64>) -> Profile {
+        for b in 1..counts.len() {
+            if self.falls_in[b] {
+                counts[b] += counts[b - 1];
+            }
+        }
+        let mut exec = vec![0u64; n_stmts];
+        let mut ops = vec![OpCounts::default(); n_stmts];
+        let mut loops = vec![LoopStats::default(); n_stmts];
+        let mut branches = vec![BranchStats::default(); n_stmts];
+        let mut lib_calls = [0u64; LIB_COUNTER_NAMES.len()];
+        for (b, &n) in counts.iter().enumerate().filter(|(_, n)| **n > 0) {
+            for e in &self.effects[self.first[b] as usize..self.first[b + 1] as usize] {
+                match *e {
+                    Effect::Exec(id) => exec[id.0 as usize] += n,
+                    Effect::Ops(id, c) => {
+                        let o = &mut ops[id.0 as usize];
+                        o.flops += n * c.flops;
+                        o.iops += n * c.iops;
+                        o.divs += n * c.divs;
+                        o.loads += n * c.loads;
+                        o.stores += n * c.stores;
+                    }
+                    Effect::Iter(id) => loops[id.0 as usize].iterations += n,
+                    Effect::Lib(i) => lib_calls[i] += n,
+                    Effect::Arm(id, arm) => {
+                        let hits = &mut branches[id.0 as usize].arm_hits;
+                        if hits.len() <= arm {
+                            hits.resize(arm + 1, 0);
+                        }
+                        hits[arm] += n;
+                    }
+                }
+            }
+        }
+        for id in &self.shape.loops {
+            loops[id.0 as usize].entries += exec[id.0 as usize];
+        }
+        for x in &self.shape.exits {
+            let l = &mut loops[x.loop_id.0 as usize];
+            if x.is_break {
+                l.breaks += exec[x.stmt.0 as usize];
+            } else {
+                l.continues += exec[x.stmt.0 as usize];
+            }
+        }
+        for &(id, arms) in &self.shape.ifs {
+            let n = exec[id.0 as usize];
+            if n > 0 {
+                let b = &mut branches[id.0 as usize];
+                if b.arm_hits.len() < arms {
+                    b.arm_hits.resize(arms, 0);
+                }
+                b.else_hits = n - b.arm_hits.iter().sum::<u64>();
+            }
+        }
+
+        // One pass into the public `HashMap` shape. Entry presence matches
+        // the reference: it creates an entry exactly when a counter of it
+        // moves, so "accumulator is non-default" is "the reference has it".
+        let mut p = Profile { printed, ..Profile::default() };
+        for (i, &n) in exec.iter().enumerate() {
             if n > 0 {
                 p.stmt_exec.insert(MStmtId(i as u32), n);
             }
         }
-        for (i, &c) in self.ops.iter().enumerate() {
+        for (i, &c) in ops.iter().enumerate() {
             if c != OpCounts::default() {
                 p.stmt_ops.insert(MStmtId(i as u32), c);
             }
         }
-        for (i, &l) in self.loops.iter().enumerate() {
+        for (i, &l) in loops.iter().enumerate() {
             if l != LoopStats::default() {
                 p.loops.insert(MStmtId(i as u32), l);
             }
         }
-        for (i, b) in self.branches.into_iter().enumerate() {
+        for (i, b) in branches.into_iter().enumerate() {
             if b != BranchStats::default() {
                 p.branches.insert(MStmtId(i as u32), b);
             }
         }
-        for (i, &n) in self.lib_calls.iter().enumerate() {
+        for (i, &n) in lib_calls.iter().enumerate() {
             if n > 0 {
                 p.lib_calls.insert(LIB_COUNTER_NAMES[i].to_string(), n);
             }
@@ -1035,6 +1331,55 @@ impl DenseProfile {
         p
     }
 }
+
+/// Operand-stack entries an op pops and pushes.
+fn stack_effect(op: &Op, call_sites: &[Vec<bool>]) -> (usize, usize) {
+    match op {
+        Op::Num(_) | Op::LoadScalar(_) | Op::Len(_) | Op::Input(_) | Op::Lib(Builtin::Rnd) => (0, 1),
+        Op::StoreSlot(_) | Op::NewArray(_) | Op::JumpIfZero { .. } | Op::Print | Op::Pop | Op::Ret => (1, 0),
+        Op::StoreElem(_) => (2, 0),
+        Op::Bin { .. } | Op::Cmp(_) | Op::Min | Op::Max | Op::Lib(Builtin::Pow) => (2, 1),
+        Op::NormBoolRaw | Op::LoadElem(_) | Op::Neg { .. } | Op::Not | Op::Abs | Op::Floor | Op::Lib(_) => (1, 1),
+        Op::Call { site, .. } => (call_sites[*site].iter().filter(|by_ref| !**by_ref).count(), 1),
+        _ => (0, 0),
+    }
+}
+
+/// The most operand-stack entries lowered `code` holds at once, from depth
+/// 0 at entry. One pass in pc order: the compiler's structured code reaches
+/// every pc that follows a jump, return or trap only by a forward jump
+/// (loop heads, reached backwards, are first reached by falling through),
+/// and every path reaches a pc at one depth.
+fn max_stack(code: &[Op], call_sites: &[Vec<bool>]) -> usize {
+    let mut at_target: Vec<Option<usize>> = vec![None; code.len()];
+    let mut depth = Some(0);
+    let mut max = 0;
+    for (pc, op) in code.iter().enumerate() {
+        if let Some(d) = at_target[pc] {
+            debug_assert!(depth.is_none_or(|x| x == d), "stack depth at pc {pc}");
+            depth = Some(d);
+        }
+        // unreachable code: after a return or trap, nothing jumps here
+        let Some(d) = depth else { continue };
+        let (pops, pushes) = stack_effect(op, call_sites);
+        let out = d.checked_sub(pops).expect("compiled code never pops an empty stack") + pushes;
+        max = max.max(out);
+        if let Some(t) = jump_target(op) {
+            if t > pc {
+                at_target[t] = Some(out);
+            }
+        }
+        depth = (!matches!(op, Op::Jump { .. } | Op::AdvanceJump { .. } | Op::Ret | Op::Trap(_))).then_some(out);
+    }
+    max
+}
+
+// ---------------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------------
+
+/// Library-counter names, indexed by [`lib_slot`].
+const LIB_COUNTER_NAMES: [&str; 7] = ["rand", "exp", "log", "sqrt", "sin", "cos", "pow"];
 
 /// A suspended caller: where it resumes, and the attribution its call
 /// site restores.
@@ -1099,40 +1444,62 @@ fn run_inner<T: Tracer, S: InstrSink>(
     seed: u64,
     sink: &mut S,
 ) -> Result<(Profile, T, f64), RuntimeError> {
-    let mut profile = DenseProfile::new(vm.n_stmts);
-    let mut rng = Lcg(seed);
-    let mut heap = Heap::default();
-    let mut steps: u64 = 0;
-    let mut cur_stmt = MStmtId(0);
-    let mut stack: Vec<f64> = Vec::with_capacity(64);
-    let mut arg_stack: Vec<Val> = Vec::new();
-    let mut frames: Vec<Frame> = Vec::new();
     // the running frame
     let mut func = &vm.funcs[vm.entry];
     let mut code: &[Op] = &func.code;
     let mut pc = 0;
     let mut slots = unset_slots(func.n_slots);
+    // jump-ins per block; main's entry block is entered once
+    let mut counts = vec![0u64; vm.blocks.len()];
+    counts[func.entry_block as usize] = 1;
+    let mut printed = Vec::new();
+    let mut rng = Lcg(seed);
+    let mut heap = Heap::default();
+    let mut steps: u64 = 0;
+    let mut cur_stmt = MStmtId(0);
+    // the operand stack: `stack[..sp]` is live, and `stack.len()` covers
+    // the running frame's `max_stack` above its base
+    let mut stack = vec![0.0f64; func.max_stack];
+    let mut sp = 0usize;
+    let mut arg_stack: Vec<Val> = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
+
+    macro_rules! push {
+        ($v:expr) => {{
+            let v: f64 = $v;
+            stack[sp] = v;
+            sp += 1;
+        }};
+    }
 
     macro_rules! pop {
-        () => {
-            stack.pop().expect("stack underflow")
+        () => {{
+            sp -= 1;
+            stack[sp]
+        }};
+    }
+
+    /// Count one entry into `block`.
+    macro_rules! enter {
+        ($block:expr) => {
+            counts[$block as usize] += 1
         };
     }
 
     // Shared opcode bodies. Base arms and the superinstruction arms that
     // fuse them (`crate::fuse`) expand the same macros, so a fused
-    // dispatch produces bit-identical profile entries, tracer events,
-    // errors, and RNG draws to its unfused constituent sequence. They
-    // capture the running frame (`func`, `slots`) and the run state
-    // (`stack`, `profile`, `tracer`, `cur_stmt`, `steps`, `limits`).
+    // dispatch produces bit-identical tracer events, errors, and RNG draws
+    // to its unfused constituent sequence. They capture the running frame
+    // (`func`, `slots`) and the run state (`stack`, `heap`, `tracer`,
+    // `cur_stmt`, `steps`, `limits`).
 
     /// `LoadScalar` body: the slot's scalar value, with the exact
     /// unbound/not-a-scalar error precedence.
     macro_rules! scalar_of {
         ($s:expr) => {{
             let s = $s as usize;
-            match &slots[s] {
-                Val::Num(v) if !is_unset_num(*v) => *v,
+            match slots[s] {
+                Val::Num(v) if !is_unset_num(v) => v,
                 Val::Num(_) => return Err(RuntimeError::UnboundVariable(func.slot_names[s].clone())),
                 Val::Arr(_) => return Err(RuntimeError::NotAScalar(func.slot_names[s].clone())),
             }
@@ -1142,9 +1509,9 @@ fn run_inner<T: Tracer, S: InstrSink>(
     /// The slot's array, with the exact unbound/not-an-array precedence.
     macro_rules! arr_of {
         ($s:expr) => {
-            match &slots[$s] {
+            match slots[$s] {
                 Val::Arr(a) => a,
-                Val::Num(x) if is_unset_num(*x) => {
+                Val::Num(x) if is_unset_num(x) => {
                     return Err(RuntimeError::UnboundVariable(func.slot_names[$s].clone()))
                 }
                 Val::Num(_) => return Err(RuntimeError::NotAnArray(func.slot_names[$s].clone())),
@@ -1153,65 +1520,55 @@ fn run_inner<T: Tracer, S: InstrSink>(
     }
 
     /// `LoadElem` body after the index is popped: bounds-checked element
-    /// read, one load event to the profile and tracer.
+    /// read, one load event to the tracer.
     macro_rules! elem_load {
         ($s:expr, $idx:expr) => {{
             let s = $s as usize;
             let idx: f64 = $idx;
             let a = arr_of!(s);
-            let data = a.data.borrow();
             let i = idx as usize;
-            if idx < 0.0 || i >= data.len() {
+            if idx < 0.0 || i >= a.len() {
                 return Err(RuntimeError::IndexOutOfBounds {
                     array: func.slot_names[s].clone(),
                     index: idx,
-                    len: data.len(),
+                    len: a.len(),
                 });
             }
-            profile.ops[cur_stmt.0 as usize].loads += 1;
             tracer.load(cur_stmt, a.base + (i as u64) * 8);
-            data[i]
+            heap.load(a, i)
         }};
     }
 
     /// `StoreElem` body after value and index are popped: bounds-checked
-    /// element write, one store event to the profile and tracer.
+    /// element write, one store event to the tracer.
     macro_rules! elem_store {
         ($s:expr, $idx:expr, $value:expr) => {{
             let s = $s as usize;
             let idx: f64 = $idx;
             let value: f64 = $value;
             let a = arr_of!(s);
-            let mut data = a.data.borrow_mut();
             let i = idx as usize;
-            if idx < 0.0 || i >= data.len() {
+            if idx < 0.0 || i >= a.len() {
                 return Err(RuntimeError::IndexOutOfBounds {
                     array: func.slot_names[s].clone(),
                     index: idx,
-                    len: data.len(),
+                    len: a.len(),
                 });
             }
-            data[i] = value;
-            profile.ops[cur_stmt.0 as usize].stores += 1;
+            heap.store(a, i, value);
             tracer.store(cur_stmt, a.base + (i as u64) * 8);
         }};
     }
 
-    /// `Bin` body after both operands are popped: count per context,
+    /// `Bin` body after both operands are popped: trace the operation,
     /// apply, yield the result.
     macro_rules! bin_apply {
         ($op:expr, $idx_ctx:expr, $l:expr, $r:expr) => {{
             let l: f64 = $l;
             let r: f64 = $r;
             let op: BinOp = $op;
-            let (flops, iops, divs) = if $idx_ctx {
-                (0, 1, 0)
-            } else if op == BinOp::Div {
-                (1, 0, 1)
-            } else {
-                (1, 0, 0)
-            };
-            count(&mut profile, &mut tracer, cur_stmt, flops, iops, divs);
+            let (flops, iops, divs) = bin_counts(op, $idx_ctx);
+            tracer.ops(cur_stmt, flops, iops, divs);
             match op {
                 BinOp::Add => l + r,
                 BinOp::Sub => l - r,
@@ -1232,24 +1589,20 @@ fn run_inner<T: Tracer, S: InstrSink>(
         };
     }
 
-    /// `StmtEnter` body: step-limit tick, attribution, execution count.
+    /// `StmtEnter` body: step-limit tick and attribution.
     macro_rules! stmt_enter {
         ($id:expr) => {{
-            let id: MStmtId = $id;
             tick!();
-            cur_stmt = id;
-            profile.exec[id.0 as usize] += 1;
+            cur_stmt = $id;
         }};
     }
 
-    /// `IterTick` body (counted loops): step-limit tick, iteration count,
-    /// two bookkeeping iops charged to the loop statement.
+    /// `IterTick` body (counted loops): step-limit tick, two bookkeeping
+    /// iops charged to the loop statement.
     macro_rules! iter_tick {
         ($id:expr) => {{
-            let id: MStmtId = $id;
             tick!();
-            profile.loops[id.0 as usize].iterations += 1;
-            count(&mut profile, &mut tracer, id, 0, 2, 0);
+            tracer.ops($id, 0, 2, 0);
         }};
     }
 
@@ -1279,47 +1632,39 @@ fn run_inner<T: Tracer, S: InstrSink>(
             Op::LoadScalarElem { idx, arr } => {
                 let i = scalar_of!(*idx);
                 let v = elem_load!(*arr, i);
-                stack.push(v);
+                push!(v);
             }
             Op::StmtEnterLoad { id, slot } => {
                 stmt_enter!(*id);
-                let v = scalar_of!(*slot);
-                stack.push(v);
+                push!(scalar_of!(*slot));
             }
             Op::LoadScalar2 { a, b } => {
-                let va = scalar_of!(*a);
-                stack.push(va);
-                let vb = scalar_of!(*b);
-                stack.push(vb);
+                push!(scalar_of!(*a));
+                push!(scalar_of!(*b));
             }
             Op::LoadScalarBin { slot, op, idx_ctx } => {
                 let r = scalar_of!(*slot);
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(v);
+                push!(bin_apply!(*op, *idx_ctx, l, r));
             }
             Op::LoadElemBin { arr, op, idx_ctx } => {
                 let idx = pop!();
                 let r = elem_load!(*arr, idx);
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(v);
+                push!(bin_apply!(*op, *idx_ctx, l, r));
             }
             Op::BinLoadScalar { op, idx_ctx, slot } => {
                 let r = pop!();
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(v);
-                let s2 = scalar_of!(*slot);
-                stack.push(s2);
+                push!(bin_apply!(*op, *idx_ctx, l, r));
+                push!(scalar_of!(*slot));
             }
             Op::Bin2 { op1, ctx1, op2, ctx2 } => {
                 let r = pop!();
                 let l = pop!();
                 let v1 = bin_apply!(*op1, *ctx1, l, r);
                 let l2 = pop!();
-                let v2 = bin_apply!(*op2, *ctx2, l2, v1);
-                stack.push(v2);
+                push!(bin_apply!(*op2, *ctx2, l2, v1));
             }
             Op::StoreSlotEnter { slot, id } => {
                 slots[*slot as usize] = Val::Num(pop!());
@@ -1328,8 +1673,7 @@ fn run_inner<T: Tracer, S: InstrSink>(
             Op::BinStoreSlot { op, idx_ctx, slot } => {
                 let r = pop!();
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, r);
-                slots[*slot as usize] = Val::Num(v);
+                slots[*slot as usize] = Val::Num(bin_apply!(*op, *idx_ctx, l, r));
             }
             Op::BinStoreElem { op, idx_ctx, arr } => {
                 let r = pop!();
@@ -1342,18 +1686,15 @@ fn run_inner<T: Tracer, S: InstrSink>(
                 let r = pop!();
                 let l = pop!();
                 let idx = bin_apply!(*op, *idx_ctx, l, r);
-                let v = elem_load!(*arr, idx);
-                stack.push(v);
+                push!(elem_load!(*arr, idx));
             }
             Op::NumBin { n, op, idx_ctx } => {
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, *n);
-                stack.push(v);
+                push!(bin_apply!(*op, *idx_ctx, l, *n));
             }
             Op::LoadScalarNum { slot, n } => {
-                let v = scalar_of!(*slot);
-                stack.push(v);
-                stack.push(*n);
+                push!(scalar_of!(*slot));
+                push!(*n);
             }
             Op::StoreElemEnter { arr, id } => {
                 let value = pop!();
@@ -1361,47 +1702,40 @@ fn run_inner<T: Tracer, S: InstrSink>(
                 elem_store!(*arr, idx, value);
                 stmt_enter!(*id);
             }
-            Op::AdvanceJump { cur, step, target } => {
-                let c = raw_num(&slots[*cur as usize]);
-                let st = raw_num(&slots[*step as usize]);
+            Op::AdvanceJump { cur, step, target, block } => {
+                let c = raw_num(slots[*cur as usize]);
+                let st = raw_num(slots[*step as usize]);
                 slots[*cur as usize] = Val::Num(c + st);
                 pc = *target;
+                enter!(*block);
             }
             Op::IterTickLoad { id, slot } => {
                 iter_tick!(*id);
-                let v = scalar_of!(*slot);
-                stack.push(v);
+                push!(scalar_of!(*slot));
             }
 
-            Op::Num(n) => stack.push(*n),
+            Op::Num(n) => push!(*n),
             Op::PushSlot(s) => {
-                let v = &slots[*s as usize];
+                let v = slots[*s as usize];
                 if is_unset(v) {
                     return Err(RuntimeError::UnboundVariable(func.slot_names[*s as usize].clone()));
                 }
-                arg_stack.push(v.clone());
+                arg_stack.push(v);
             }
-            Op::LoadScalar(s) => {
-                let v = scalar_of!(*s);
-                stack.push(v);
-            }
+            Op::LoadScalar(s) => push!(scalar_of!(*s)),
             Op::StoreSlot(s) => slots[*s as usize] = Val::Num(pop!()),
             Op::NewArray(s) => {
                 let l = pop!();
                 slots[*s as usize] = Val::Arr(heap.alloc(&func.slot_names[*s as usize], l)?);
             }
-            Op::Len(s) => {
-                let n = arr_of!(*s as usize).data.borrow().len();
-                stack.push(n as f64);
-            }
+            Op::Len(s) => push!(arr_of!(*s as usize).len() as f64),
             Op::Input(idx) => {
                 let (name, default) = &func.input_table[*idx as usize];
-                stack.push(inputs.get_or(name, *default));
+                push!(inputs.get_or(name, *default));
             }
             Op::LoadElem(s) => {
                 let idx = pop!();
-                let v = elem_load!(*s, idx);
-                stack.push(v);
+                push!(elem_load!(*s, idx));
             }
             Op::StoreElem(s) => {
                 let value = pop!();
@@ -1411,135 +1745,126 @@ fn run_inner<T: Tracer, S: InstrSink>(
             Op::Bin { op, idx_ctx } => {
                 let r = pop!();
                 let l = pop!();
-                let v = bin_apply!(*op, *idx_ctx, l, r);
-                stack.push(v);
+                push!(bin_apply!(*op, *idx_ctx, l, r));
             }
             Op::Neg { idx_ctx } => {
                 let v = pop!();
                 if *idx_ctx {
-                    count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
+                    tracer.ops(cur_stmt, 0, 1, 0);
                 } else {
-                    count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
+                    tracer.ops(cur_stmt, 1, 0, 0);
                 }
-                stack.push(-v);
+                push!(-v);
             }
             Op::Not => {
                 let v = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
-                stack.push(if v == 0.0 { 1.0 } else { 0.0 });
+                tracer.ops(cur_stmt, 0, 1, 0);
+                push!(if v == 0.0 { 1.0 } else { 0.0 });
             }
             Op::NormBoolRaw => {
                 let v = pop!();
-                stack.push(if v != 0.0 { 1.0 } else { 0.0 });
+                push!(if v != 0.0 { 1.0 } else { 0.0 });
             }
             Op::Cmp(op) => {
                 let r = pop!();
                 let l = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(if op.apply(l, r) { 1.0 } else { 0.0 });
+                tracer.ops(cur_stmt, 1, 0, 0);
+                push!(if op.apply(l, r) { 1.0 } else { 0.0 });
             }
-            Op::CountIop => {
-                count(&mut profile, &mut tracer, cur_stmt, 0, 1, 0);
-            }
+            Op::CountIop => tracer.ops(cur_stmt, 0, 1, 0),
             Op::Abs => {
                 let v = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(v.abs());
+                tracer.ops(cur_stmt, 1, 0, 0);
+                push!(v.abs());
             }
             Op::Floor => {
                 let v = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(v.floor());
+                tracer.ops(cur_stmt, 1, 0, 0);
+                push!(v.floor());
             }
             Op::Min => {
                 let b = pop!();
                 let a = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(a.min(b));
+                tracer.ops(cur_stmt, 1, 0, 0);
+                push!(a.min(b));
             }
             Op::Max => {
                 let b = pop!();
                 let a = pop!();
-                count(&mut profile, &mut tracer, cur_stmt, 1, 0, 0);
-                stack.push(a.max(b));
+                tracer.ops(cur_stmt, 1, 0, 0);
+                push!(a.max(b));
             }
             Op::Lib(b) => {
-                // slot indices match LIB_COUNTER_NAMES — one dense counter
-                // bump instead of a String-keyed upsert per call
-                let (v, slot, arg) = match b {
-                    Builtin::Rnd => (rng.next_f64(), 0, 0.0),
+                let (v, arg) = match b {
+                    Builtin::Rnd => (rng.next_f64(), 0.0),
                     Builtin::Exp => {
                         let a = pop!();
-                        (a.exp(), 1, a)
+                        (a.exp(), a)
                     }
                     Builtin::Log => {
                         let a = pop!();
-                        (a.max(f64::MIN_POSITIVE).ln(), 2, a)
+                        (a.max(f64::MIN_POSITIVE).ln(), a)
                     }
                     Builtin::Sqrt => {
                         let a = pop!();
-                        (a.abs().sqrt(), 3, a)
+                        (a.abs().sqrt(), a)
                     }
                     Builtin::Sin => {
                         let a = pop!();
-                        (a.sin(), 4, a)
+                        (a.sin(), a)
                     }
                     Builtin::Cos => {
                         let a = pop!();
-                        (a.cos(), 5, a)
+                        (a.cos(), a)
                     }
                     Builtin::Pow => {
                         let b2 = pop!();
                         let a = pop!();
-                        (a.powf(b2), 6, a)
+                        (a.powf(b2), a)
                     }
                     other => unreachable!("{other:?} is not a lib builtin"),
                 };
-                profile.lib_calls[slot] += 1;
-                tracer.lib_call(cur_stmt, LIB_COUNTER_NAMES[slot], arg);
-                stack.push(v);
+                tracer.lib_call(cur_stmt, LIB_COUNTER_NAMES[lib_slot(*b)], arg);
+                push!(v);
             }
-            Op::JumpIfZero(t) => {
+            Op::JumpIfZero { target, taken, fall } => {
                 if pop!() == 0.0 {
-                    pc = *t;
+                    pc = *target;
+                    enter!(*taken);
+                } else {
+                    enter!(*fall);
                 }
             }
-            Op::Jump(t) => pc = *t,
+            Op::Jump { target, block } => {
+                pc = *target;
+                enter!(*block);
+            }
             Op::StmtEnter(id) => stmt_enter!(*id),
             Op::SetCur(id) => cur_stmt = *id,
-            Op::LoopEntry(id) => profile.loops[id.0 as usize].entries += 1,
             Op::IterTick(id) => iter_tick!(*id),
-            Op::IterTickWhile(id) => {
+            Op::IterTickWhile(_) => {
                 tick!();
-                profile.loops[id.0 as usize].iterations += 1;
             }
-            Op::JumpIfGeRaw { cur, hi, target } => {
-                let c = raw_num(&slots[*cur as usize]);
-                let h = raw_num(&slots[*hi as usize]);
+            Op::JumpIfGeRaw { cur, hi, target, taken, fall } => {
+                let c = raw_num(slots[*cur as usize]);
+                let h = raw_num(slots[*hi as usize]);
                 // exits on NaN too — a poisoned counter must not spin the loop
                 if c.partial_cmp(&h) != Some(std::cmp::Ordering::Less) {
                     pc = *target;
+                    enter!(*taken);
+                } else {
+                    enter!(*fall);
                 }
             }
             Op::AdvanceRaw { cur, step } => {
-                let c = raw_num(&slots[*cur as usize]);
-                let st = raw_num(&slots[*step as usize]);
+                let c = raw_num(slots[*cur as usize]);
+                let st = raw_num(slots[*step as usize]);
                 slots[*cur as usize] = Val::Num(c + st);
             }
             Op::ClampStepRaw(s) => {
-                let v = raw_num(&slots[*s as usize]);
+                let v = raw_num(slots[*s as usize]);
                 slots[*s as usize] = Val::Num(v.max(f64::MIN_POSITIVE));
             }
-            Op::BranchEnter { stmt, arms } => {
-                let b = &mut profile.branches[stmt.0 as usize];
-                if b.arm_hits.len() < *arms {
-                    b.arm_hits.resize(*arms, 0);
-                }
-            }
-            Op::ArmHit { stmt, arm } => profile.branches[stmt.0 as usize].arm_hits[*arm] += 1,
-            Op::ElseHit(stmt) => profile.branches[stmt.0 as usize].else_hits += 1,
-            Op::BreakProfile(id) => profile.loops[id.0 as usize].breaks += 1,
-            Op::ContinueProfile(id) => profile.loops[id.0 as usize].continues += 1,
             Op::Call { func: callee, site } => {
                 // the running frame plus the suspended callers
                 if frames.len() as u32 + 1 >= limits.max_depth {
@@ -1550,16 +1875,22 @@ fn run_inner<T: Tracer, S: InstrSink>(
                 debug_assert_eq!(by_ref.len(), target.n_params);
                 let n_ref = by_ref.iter().filter(|r| **r).count();
                 let mut refs = arg_stack.drain(arg_stack.len() - n_ref..);
-                let mut nums = stack.drain(stack.len() - (by_ref.len() - n_ref)..);
+                sp -= by_ref.len() - n_ref;
+                let mut nums = stack[sp..].iter();
                 let mut callee_slots = unset_slots(target.n_slots);
                 for (slot, &r) in callee_slots.iter_mut().zip(by_ref) {
-                    *slot = if r { refs.next() } else { nums.next().map(Val::Num) }.expect("call argument");
+                    *slot = if r { refs.next() } else { nums.next().map(|v| Val::Num(*v)) }.expect("call argument");
+                }
+                // the callee's frame starts at `sp`
+                if stack.len() < sp + target.max_stack {
+                    stack.resize(sp + target.max_stack, 0.0);
                 }
                 let caller_slots = std::mem::replace(&mut slots, callee_slots);
                 frames.push(Frame { func, pc, slots: caller_slots, saved_cur: cur_stmt });
                 func = target;
                 code = &func.code;
                 pc = 0;
+                enter!(func.entry_block);
             }
             Op::Ret => match frames.pop() {
                 // the return value stays on the stack for the caller
@@ -1570,34 +1901,21 @@ fn run_inner<T: Tracer, S: InstrSink>(
                     slots = caller.slots;
                     cur_stmt = caller.saved_cur;
                 }
-                None => return Ok((profile.into_profile(), tracer, pop!())),
+                None => {
+                    let ret = pop!();
+                    return Ok((vm.blocks.profile(counts, vm.n_stmts, printed), tracer, ret));
+                }
             },
-            Op::Print => {
-                let v = pop!();
-                profile.printed.push(v);
-            }
-            Op::Pop => {
-                stack.pop();
-            }
+            Op::Print => printed.push(pop!()),
+            Op::Pop => sp -= 1,
             Op::Trap(e) => return Err((**e).clone()),
         }
     }
 }
 
-/// Saved/restored attribution: the reference restores `cur_stmt` after a
-/// user call *in expression position*; statement calls re-enter on the next
-/// statement anyway, so restoring unconditionally matches both.
-fn count<T: Tracer>(profile: &mut DenseProfile, tracer: &mut T, stmt: MStmtId, flops: u32, iops: u32, divs: u32) {
-    let c = &mut profile.ops[stmt.0 as usize];
-    c.flops += flops as u64;
-    c.iops += iops as u64;
-    c.divs += divs as u64;
-    tracer.ops(stmt, flops, iops, divs);
-}
-
-fn raw_num(v: &Val) -> f64 {
+fn raw_num(v: Val) -> f64 {
     match v {
-        Val::Num(n) => *n,
+        Val::Num(n) => n,
         Val::Arr(_) => f64::NAN,
     }
 }
@@ -1615,8 +1933,8 @@ fn is_unset_num(v: f64) -> bool {
     v.to_bits() == UNSET.to_bits()
 }
 
-fn is_unset(v: &Val) -> bool {
-    matches!(v, Val::Num(n) if is_unset_num(*n))
+fn is_unset(v: Val) -> bool {
+    matches!(v, Val::Num(n) if is_unset_num(n))
 }
 
 impl VmProgram {
@@ -1788,7 +2106,10 @@ fn main() {
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::Ret)], "Ret");
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::Pop)], "Pop");
         assert_eq!(OP_KIND_NAMES[op_kind(&Op::Trap(Box::new(RuntimeError::UnknownFunction("f".into()))))], "Trap");
-        assert_eq!(OP_KIND_NAMES[op_kind(&Op::JumpIfGeRaw { cur: 0, hi: 0, target: 0 })], "JumpIfGeRaw");
+        assert_eq!(
+            OP_KIND_NAMES[op_kind(&Op::JumpIfGeRaw { cur: 0, hi: 0, target: 0, taken: 0, fall: 0 })],
+            "JumpIfGeRaw"
+        );
         let mut seen = std::collections::HashSet::new();
         for n in OP_KIND_NAMES {
             assert!(seen.insert(n), "duplicate kind name {n}");
@@ -1803,7 +2124,7 @@ fn main() {
         assert_eq!(kind::LOAD_ELEM, op_kind(&Op::LoadElem(0)));
         assert_eq!(kind::STORE_ELEM, op_kind(&Op::StoreElem(0)));
         assert_eq!(kind::BIN, op_kind(&Op::Bin { op: BinOp::Add, idx_ctx: false }));
-        assert_eq!(kind::JUMP, op_kind(&Op::Jump(0)));
+        assert_eq!(kind::JUMP, op_kind(&Op::Jump { target: 0, block: 0 }));
         assert_eq!(kind::STMT_ENTER, op_kind(&Op::StmtEnter(MStmtId(0))));
         assert_eq!(kind::ITER_TICK, op_kind(&Op::IterTick(MStmtId(0))));
         assert_eq!(kind::ADVANCE_RAW, op_kind(&Op::AdvanceRaw { cur: 0, step: 0 }));
@@ -1843,6 +2164,23 @@ fn main() {
         let side_band = rec.counters_with_prefix("vm.fused.");
         assert_eq!(side_band.iter().map(|(_, n)| n).sum::<u64>(), ib.fused_dispatches());
         assert!(side_band.iter().all(|(k, _)| k.strip_prefix("vm.fused.").is_some()));
+    }
+
+    #[test]
+    fn max_stack_is_the_hand_counted_depth() {
+        let p = parse(
+            "fn main() { let x = 1 + 2 * (3 - 4 / 5); print(x); return f(x, 6 + (7 && 8)); }
+             fn f(a, b) { return a; }",
+        )
+        .unwrap();
+        let vm = lower(&p).unwrap();
+        // `1 + 2 * (3 - 4 / 5)` holds 1, 2, 3, 4 and 5 before the first
+        // divide; `f(x, 6 + (7 && 8))` holds at most 6, 7 and 8 (`x` is a
+        // bare name and travels on the argument stack)
+        assert_eq!(vm.funcs[0].max_stack, 5);
+        assert_eq!(vm.funcs[1].max_stack, 1);
+        // fusion keeps every intermediate depth, so the bound carries over
+        assert_eq!(compile(&p).unwrap().funcs[0].max_stack, 5);
     }
 
     #[test]

@@ -327,6 +327,124 @@ fn f(arr) { arr[0] = arr[0] + 1; return arr[0] * 2; }
 }
 
 #[test]
+fn blocks_reached_only_by_falling_through_after_loops() {
+    // a zero-trip loop's head and a loop's exit reached by falling through
+    // from a join, loops closing a body or a function, and code after a
+    // loop that only `break` leaves
+    check(
+        r#"
+fn main() {
+    let n = input("N", 4);
+    let s = 0;
+    for i in 0 .. 0 { s = s + 1; }
+    while s > 100 { s = s - 1; }
+    for i in 0 .. n {
+        for j in 0 .. i { s = s + j; }
+    }
+    while 1 > 0 {
+        s = s + 1;
+        if s > 20 { break; }
+    }
+    s = s * 2;
+    if s > 0 { s = s + 1; }
+    print(s);
+    print(tail(n));
+}
+fn tail(k) {
+    let t = 0;
+    while t < k { t = t + 1; }
+}
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn user_calls_in_short_circuit_operands() {
+    check(
+        r#"
+fn main() {
+    let a = zeros(4);
+    let c = 0;
+    for i in 0 .. 6 {
+        if i > 1 && bump(a, i) > 2 { c = c + 1; }
+        if i < 3 || bump(a, i) > 4 { c = c + 10; }
+        let x = (i > 2 && bump(a, i)) + (i > 4 || bump(a, 0));
+        c = c + x;
+    }
+    print(c);
+    print(a[0] + a[1] + a[2] + a[3]);
+}
+fn bump(arr, k) { arr[k % 4] = arr[k % 4] + 1; return k * arr[k % 4]; }
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn functions_with_empty_bodies() {
+    check(
+        r#"
+fn main() {
+    nop();
+    let x = nop() + 1;
+    for i in 0 .. 3 { nop(); x = x + nop(); }
+    print(x);
+    print(nop());
+}
+fn nop() { }
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn return_from_inside_nested_loops() {
+    check(
+        r#"
+fn main() {
+    let s = 0;
+    for k in 0 .. 5 { s = s + find(k); }
+    print(s);
+    print(spin(7));
+}
+fn find(k) {
+    for i in 0 .. 10 {
+        for j in 0 .. 10 {
+            if i * j == k * 3 { return i * 100 + j; }
+        }
+    }
+    return 0 - 1;
+}
+fn spin(k) {
+    let i = 0;
+    while 1 > 0 {
+        while i < 100 {
+            i = i + 1;
+            if i > k { return i; }
+        }
+    }
+}
+"#,
+        &[],
+    );
+}
+
+#[test]
+fn deep_recursion_with_operands_pending_at_every_call() {
+    let src = |k: u32| {
+        format!(
+            "fn main() {{ print(f({k})); }}
+             fn f(k) {{ if k == 0 {{ return 0; }} return 1 + (2 + f(k - 1)); }}"
+        )
+    };
+    check(&src(200), &[]);
+    // main plus 256 frames of `f` pass the default limit of 256
+    let e = same_error(&src(255), Limits::default());
+    assert_eq!(e, RuntimeError::RecursionLimitExceeded(Limits::default().max_depth));
+}
+
+#[test]
 fn argument_errors_match() {
     let limits = Limits::default();
     // arity mismatch after array arguments were pushed

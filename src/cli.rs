@@ -128,6 +128,10 @@ struct Invocation {
     gen: Option<usize>,
     /// `oracle`: corpus output path.
     out: Option<String>,
+    /// The command-specific options given (`--jobs`, `--machines`,
+    /// `--scales`, `--gen`), checked against the command by
+    /// [`reject_unread_options`].
+    given: Vec<&'static str>,
     trace_out: Option<String>,
     /// Created when `--trace-out` is given; threaded through the session
     /// and every observed evaluation so one trace covers the whole run.
@@ -192,6 +196,7 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
         oracle_scales: Vec::new(),
         gen: None,
         out: None,
+        given: Vec::new(),
         trace_out: None,
         recorder: None,
         flight_out: None,
@@ -255,8 +260,10 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
                 inv.jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
+                inv.given.push("--jobs");
             }
             "--machines" => {
+                inv.given.push("--machines");
                 let v = it.next().ok_or("--machines needs A,B,...")?;
                 inv.oracle_machines = v.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect();
                 if inv.oracle_machines.is_empty() {
@@ -264,6 +271,7 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
                 }
             }
             "--scales" => {
+                inv.given.push("--scales");
                 let v = it.next().ok_or("--scales needs test | eval (comma-separated)")?;
                 inv.oracle_scales = v
                     .split(',')
@@ -275,6 +283,7 @@ fn parse_args(args: &[String], registry: &MachineRegistry) -> Result<Invocation,
                     .collect::<Result<_, _>>()?;
             }
             "--gen" => {
+                inv.given.push("--gen");
                 let v = it.next().ok_or("--gen needs a count")?;
                 inv.gen = Some(v.parse().map_err(|_| format!("bad --gen `{v}`"))?);
             }
@@ -343,10 +352,52 @@ fn parse_axis(spec: &str) -> Result<Axis, String> {
     Axis::by_name(name, &parsed).map_err(|e| format!("{e} (see `xflow help`)"))
 }
 
+/// Reject a command-specific option the command does not read, which
+/// would otherwise be silently ignored: `--gen` and `--scales` belong to
+/// `oracle` (and `--scales` only to its built-in workloads), `--jobs` and
+/// `--machines` to `oracle` and `validate --all`.
+fn reject_unread_options(inv: &Invocation) -> Result<(), String> {
+    let oracle = inv.command == "oracle";
+    let validate_all = inv.command == "validate" && inv.all;
+    for &flag in &inv.given {
+        let read = match flag {
+            "--jobs" | "--machines" => oracle || validate_all,
+            _ => oracle,
+        };
+        if !read {
+            let readers = if matches!(flag, "--jobs" | "--machines") { "oracle and validate --all" } else { "oracle" };
+            return Err(format!("`{}` does not read {flag} (an option of {readers})", inv.command));
+        }
+    }
+    if inv.given.contains(&"--scales") && (inv.gen.is_some() || inv.file.is_some()) {
+        return Err("--scales applies only to the built-in workloads, not to --gen or DIR programs".into());
+    }
+    Ok(())
+}
+
+/// A failed invocation: the message to print and the process exit status
+/// (2 for an option the command does not read, 1 otherwise).
+pub struct Failure {
+    pub status: i32,
+    pub message: String,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure { status: 1, message }
+    }
+}
+
 /// Execute a CLI invocation, returning the text to print.
 pub fn run(args: &[String]) -> Result<String, String> {
+    execute(args).map_err(|f| f.message)
+}
+
+/// [`run`], keeping the exit status a failure calls for.
+pub fn execute(args: &[String]) -> Result<String, Failure> {
     let registry = machine_registry(args)?;
     let mut inv = parse_args(args, &registry)?;
+    reject_unread_options(&inv).map_err(|message| Failure { status: 2, message })?;
     if inv.command == "machines" {
         return Ok(machines_text(&registry));
     }
@@ -354,10 +405,10 @@ pub fn run(args: &[String]) -> Result<String, String> {
         return Ok(USAGE.to_string());
     }
     if inv.command == "cache" {
-        return run_cache(&inv);
+        return Ok(run_cache(&inv)?);
     }
     if inv.command == "serve" {
-        return run_serve(&inv);
+        return Ok(run_serve(&inv)?);
     }
     let mut session = None;
     let out = match inv.command.as_str() {
@@ -386,7 +437,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         std::fs::write(path, flight.snapshot().to_chrome_json())
             .map_err(|e| format!("cannot write flight dump to {path}: {e}"))?;
     }
-    out
+    Ok(out?)
 }
 
 /// Resolve the FILE argument: a readable path wins; otherwise the name of
@@ -510,9 +561,6 @@ fn run_oracle(
     registry: &MachineRegistry,
     session_out: &mut Option<Session>,
 ) -> Result<String, String> {
-    if !inv.oracle_scales.is_empty() && (inv.gen.is_some() || inv.file.is_some()) {
-        return Err("--scales applies only to the built-in workloads, not to --gen or DIR programs".into());
-    }
     let scales = if inv.oracle_scales.is_empty() { vec![Scale::Test] } else { inv.oracle_scales.clone() };
     let programs = match (&inv.gen, &inv.file) {
         (Some(n), _) => crate::oracle::generated_programs(*n),
@@ -1494,6 +1542,23 @@ fn main() {
         assert!(run(&args(&["oracle", "--scales", "huge"])).is_err());
         assert!(run(&args(&["oracle", "--gen", "many"])).is_err());
         assert!(run(&args(&["oracle", "/nonexistent-dir"])).is_err());
+    }
+
+    #[test]
+    fn commands_reject_options_they_do_not_read() {
+        for (argv, flag) in [
+            (vec!["explain", "cfd", "--scales", "eval"], "--scales"),
+            (vec!["hotspots", "cfd", "--gen", "3"], "--gen"),
+            (vec!["explain", "cfd", "--jobs", "4"], "--jobs"),
+        ] {
+            let err = execute(&args(&argv)).err().unwrap_or_else(|| panic!("{argv:?} must fail"));
+            assert_eq!(err.status, 2, "{argv:?}: {}", err.message);
+            assert!(err.message.contains(flag), "{argv:?}: {}", err.message);
+        }
+        // the readers still take them
+        let err = execute(&args(&["oracle", "--gen", "2", "--scales", "test"])).expect_err("--gen with --scales");
+        assert_eq!(err.status, 2, "{}", err.message);
+        assert_eq!(execute(&args(&["hotspots", "f.ml", "--machine", "cray"])).err().map(|e| e.status), Some(1));
     }
 
     #[test]

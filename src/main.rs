@@ -7,11 +7,11 @@ fn main() {
         eprintln!("{}", xflow::cli::USAGE);
         std::process::exit(2);
     }
-    match xflow::cli::run(&args) {
+    match xflow::cli::execute(&args) {
         Ok(out) => print!("{out}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+        Err(f) => {
+            eprintln!("error: {}", f.message);
+            std::process::exit(f.status);
         }
     }
 }
