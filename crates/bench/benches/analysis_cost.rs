@@ -49,7 +49,7 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     });
     g.bench_function("bet_build", |b| b.iter(|| xflow_bet::build(black_box(&tr.skeleton), black_box(&env)).unwrap()));
     g.bench_function("project", |b| {
-        b.iter(|| xflow_hotspot::project(black_box(&bet), &machine, &xflow_hw::Roofline, &libs))
+        b.iter(|| xflow_hotspot::ProjectionPlan::new(black_box(&bet), &libs).evaluate(&machine, &xflow_hw::Roofline))
     });
     let app = ModeledApp::from_workload(&w, Scale::Test).unwrap();
     let mp = app.project_on(&machine);

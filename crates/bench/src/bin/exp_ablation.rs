@@ -4,7 +4,7 @@
 //! variant, reporting selection quality per workload on BG/Q.
 
 use std::collections::HashMap;
-use xflow::{bgq, compare, default_session, Measured};
+use xflow::{bgq, compare, default_session, MachineProjection, Measured};
 use xflow_bench::{maybe_write_json, opts, FigureData, TOP_K};
 use xflow_hw::{ClassicRoofline, DivAwareRoofline, PerfModel, RefinedModel, Roofline, VectorAwareRoofline};
 use xflow_minilang::DEFAULT_SEED;
@@ -14,7 +14,6 @@ fn main() {
     let m = bgq();
     let refined = RefinedModel::default();
     let models: [&dyn PerfModel; 5] = [&Roofline, &ClassicRoofline, &DivAwareRoofline, &VectorAwareRoofline, &refined];
-    let libs = xflow_sim::calibrate_library(512);
 
     println!("=== model ablation on {} ===", m.name);
     println!("\nmean selection quality Q(1..10) — ranking fidelity:\n");
@@ -35,7 +34,7 @@ fn main() {
         print!("{:<10}", w.name);
         let mut errs = Vec::new();
         for model in models {
-            let mp = app.project_with(&m, model, &libs);
+            let mp = MachineProjection::new(&app.units, &m, app.plan().evaluate(&m, model));
             let cmp = compare(&mp, &measured, TOP_K);
             let mean_q = cmp.quality.iter().sum::<f64>() / cmp.quality.len() as f64;
             print!("{:>17.1}%", mean_q * 100.0);

@@ -33,7 +33,7 @@ fn main() {
         let env = initial_env(&tr, &inputs);
         let bet = xflow_bet::build(&tr.skeleton, &env).expect("bet");
         let libs = xflow_sim::calibrate_library(128);
-        let proj = xflow_hotspot::project(&bet, &m, &xflow_hw::Roofline, &libs);
+        let proj = xflow_hotspot::ProjectionPlan::new(&bet, &libs).evaluate(&m, &xflow_hw::Roofline);
         let model_dt = t0.elapsed();
 
         // execution path: the simulator must run every operation

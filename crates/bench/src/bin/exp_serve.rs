@@ -4,7 +4,7 @@
 //! Three measurements against an in-process server on a loopback port:
 //!
 //! * **cold single** — one `/v1/project` request against a fresh store:
-//!   the full 6-stage pipeline build plus HTTP overhead;
+//!   the whole model build (one `model` artifact) plus HTTP overhead;
 //! * **warm traffic** — N sequential `/v1/project` requests against the
 //!   primed store: pure cache-hit serving. Reports requests/s and
 //!   p50/p99 latency;
@@ -15,8 +15,8 @@
 //!   the naive rebuild-per-client cost (H × cold single).
 //!
 //! Writes `BENCH_serve.json` (into `results/`, or the `--json`
-//! directory) and asserts the single-flight invariant (exactly 6 stage
-//! builds under the herd).
+//! directory) and asserts the single-flight invariant (exactly one model
+//! build under the herd).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,6 +25,9 @@ use xflow::serve::{ServeConfig, Server};
 use xflow_bench::{opts, write_report};
 
 const PROJECT_BODY: &str = r#"{"workload":"cfd","machine":"bgq","top":5}"#;
+
+/// Store builds one cold `/v1/project` request makes: its one model.
+const HERD_BUILDS: u64 = 1;
 
 /// One blocking HTTP request; returns the response body.
 fn post(addr: SocketAddr, path: &str, body: &str) -> String {
@@ -82,7 +85,7 @@ fn main() {
     let t0 = Instant::now();
     let cold_body = post(server.addr(), "/v1/project", PROJECT_BODY);
     let cold_single = t0.elapsed().as_secs_f64();
-    assert_eq!(server.store().stats().misses(), 6, "cold request builds every stage");
+    assert_eq!(server.store().stats().misses(), HERD_BUILDS, "cold request builds the model");
 
     // -- warm traffic on the now-primed store
     let mut latencies = Vec::with_capacity(warm_requests);
@@ -98,7 +101,7 @@ fn main() {
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
-    assert_eq!(server.store().stats().misses(), 6, "warm traffic must not rebuild");
+    assert_eq!(server.store().stats().misses(), HERD_BUILDS, "warm traffic must not rebuild");
     server.stop();
 
     // -- thundering herd against a fresh store
@@ -116,7 +119,7 @@ fn main() {
         assert_eq!(b, &cold_body, "herd responses must be identical");
     }
     let herd_stats = server.store().stats();
-    assert_eq!(herd_stats.misses(), 6, "single-flight: the herd builds each stage once, got {herd_stats:?}");
+    assert_eq!(herd_stats.misses(), HERD_BUILDS, "single-flight: the herd builds the model once, got {herd_stats:?}");
     let herd_waits = herd_stats.singleflight_waits();
     server.stop();
 
@@ -155,7 +158,7 @@ fn main() {
         warm_p99_latency_seconds: p99,
         herd_clients: herd_clients as u64,
         herd_wall_seconds: herd_wall,
-        herd_stage_builds: 6,
+        herd_stage_builds: HERD_BUILDS,
         herd_singleflight_waits: herd_waits,
         speedup_singleflight_vs_rebuild: speedup_singleflight,
     };

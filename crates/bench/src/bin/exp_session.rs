@@ -5,11 +5,11 @@
 //!
 //! * **cold** — `Session::model` on a fresh memory-only session per
 //!   repetition: parse + profiled run + translation + BET build + plan
-//!   build, every stage a miss;
-//! * **warm (memory)** — `Session::model` with primed in-memory caches:
-//!   five key derivations, five LRU hits, artifact clones;
+//!   build, one model miss;
+//! * **warm (memory)** — `Session::model` with a primed in-memory cache:
+//!   one key derivation, one LRU hit, the artifact's clone;
 //! * **warm (disk)** — a *fresh* `Session::with_cache_dir` per repetition,
-//!   so every stage deserializes its persisted artifact (the CLI
+//!   so the model deserializes from its one persisted file (the CLI
 //!   warm-start shape).
 //!
 //! Writes `BENCH_session.json` (into `results/`, or the `--json`

@@ -6,20 +6,18 @@
 //! the granularity at which hot spots are selected and compared against
 //! measured profiles.
 //!
-//! The projection runs in two phases (see [`crate::plan`]): [`project`]
-//! builds a machine-independent [`crate::ProjectionPlan`] and evaluates
-//! it, so repeated projections of the same application — the co-design
-//! sweep case — pay the tree walk only once.
+//! The projection runs in two phases (see [`crate::plan`]):
+//! [`crate::ProjectionPlan::new`] walks the BET once into a
+//! machine-independent plan and [`crate::ProjectionPlan::evaluate`]
+//! evaluates it per machine, so repeated projections of the same
+//! application — the co-design sweep case — pay the tree walk only once.
 //! [`crate::reference::project_single_pass`] keeps the original fused walk
 //! as the reference implementation; equivalence tests assert both produce
 //! bit-identical results.
 
 use std::ops::Index;
-use xflow_bet::Bet;
-use xflow_hw::{BlockMetrics, BlockTime, LibraryRegistry, MachineModel, PerfModel};
+use xflow_hw::{BlockMetrics, BlockTime};
 use xflow_skeleton::StmtId;
-
-use crate::plan::ProjectionPlan;
 
 /// Projected cost of one BET node.
 #[derive(Debug, Clone, Copy)]
@@ -151,15 +149,6 @@ pub struct Projection {
     pub unknown_libs: Vec<String>,
 }
 
-/// Project every node of a BET on a target machine.
-///
-/// Two-phase: builds a machine-independent [`ProjectionPlan`] and evaluates
-/// it on `machine`. Callers projecting the same BET on many machines should
-/// build the plan once and call [`ProjectionPlan::evaluate`] per machine.
-pub fn project(bet: &Bet, machine: &MachineModel, model: &dyn PerfModel, libs: &LibraryRegistry) -> Projection {
-    ProjectionPlan::new(bet, libs).evaluate(machine, model)
-}
-
 impl Projection {
     /// Fraction of total projected time spent in a statement.
     pub fn coverage(&self, stmt: StmtId) -> f64 {
@@ -173,15 +162,16 @@ impl Projection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProjectionPlan;
     use xflow_bet::build;
-    use xflow_hw::{generic, Roofline};
+    use xflow_hw::{generic, LibraryRegistry, Roofline};
     use xflow_skeleton::expr::env_from;
     use xflow_skeleton::parse;
 
     fn project_src(src: &str, inputs: &[(&str, f64)]) -> (Projection, xflow_skeleton::Program) {
         let prog = parse(src).unwrap();
         let bet = build(&prog, &env_from(inputs.iter().copied())).unwrap();
-        let p = project(&bet, &generic(), &Roofline, &LibraryRegistry::with_defaults());
+        let p = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults()).evaluate(&generic(), &Roofline);
         (p, prog)
     }
 

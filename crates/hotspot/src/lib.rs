@@ -21,7 +21,7 @@ pub mod quality;
 pub mod reference;
 pub mod select;
 
-pub use analysis::{project, NodeCost, Projection, StmtCost, StmtCosts};
+pub use analysis::{NodeCost, Projection, StmtCost, StmtCosts};
 pub use columns::{ColumnsChunk, ProjectionColumns, SlotCost};
 pub use hotpath::{extract, render, HotPath};
 pub use kernel::{lane_width, PlanKernel};

@@ -220,13 +220,13 @@ func update(t) {
         let libs = LibraryRegistry::with_defaults();
 
         // time of the kernel in the full application
-        let full = crate::analysis::project(&bet, &machine, &Roofline, &libs);
+        let full = crate::ProjectionPlan::new(&bet, &libs).evaluate(&machine, &Roofline);
         let kernel_time = full.per_stmt[&kernel].total;
 
         // projected total of the mini-app containing only that spot
         let mini = build_miniapp(&bet, &[kernel]);
         let mini_bet = build(&mini, &env_from([("x", 0.0)])).unwrap();
-        let mini_proj = crate::analysis::project(&mini_bet, &machine, &Roofline, &libs);
+        let mini_proj = crate::ProjectionPlan::new(&mini_bet, &libs).evaluate(&machine, &Roofline);
 
         let rel = (mini_proj.total_time - kernel_time).abs() / kernel_time;
         assert!(rel < 0.01, "mini {:.3e} vs kernel {:.3e}", mini_proj.total_time, kernel_time);

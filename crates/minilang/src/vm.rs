@@ -18,7 +18,7 @@
 //! and the validator's `engines_agree` suite).
 //!
 //! **Block counting.** Like gcov, a run counts basic blocks, not
-//! operations. At compile time [`lower`] splits each function's bytecode
+//! operations. At compile time `lower` splits each function's bytecode
 //! into basic blocks and records what one execution of each block adds to
 //! the [`Profile`]: statement executions, the flops, iops, divs, loads and
 //! stores of its operations (each charged to the statement of the nearest
@@ -38,7 +38,7 @@
 //! stack pointer, sized from each function's compile-time maximum depth
 //! and grown only at `Call`: every expression the compiler emits evaluates
 //! to a number, so arithmetic, stores, `Ret` and `Pop` never see an array.
-//! Arrays live in the run's arena ([`Heap`]) and travel as copyable handles
+//! Arrays live in the run's arena (`Heap`) and travel as copyable handles
 //! only as call arguments: a bare name in argument position compiles to
 //! `PushSlot`, which pushes the slot's value (an array handle, or a
 //! number) onto a separate argument stack, and `Call` gathers its

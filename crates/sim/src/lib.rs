@@ -158,31 +158,32 @@ pub fn simulate_with_seed(
     cfg: SimConfig,
     seed: u64,
 ) -> Result<SimReport, RuntimeError> {
-    let (_, mut reports) = simulate_machines(prog, inputs, &[(machine, cfg)], seed)?;
+    let (_, mut reports, _) = simulate_machines(prog, inputs, &[(machine, cfg)], seed)?;
     Ok(reports.pop().expect("one report per machine"))
 }
 
 /// Simulate a program on every `(machine, config)` pair in one run: one
 /// execution on the fused bytecode VM drives one [`SimTracer`] per pair.
 /// Returns the run's profile (the profile `profile_seeded` yields under
-/// the same seed) and one report per pair, in order. Each report is
-/// bit-identical to simulating its machine alone: a tracer only reads the
-/// event stream, and the stream does not depend on who listens.
+/// the same seed), one report per pair, in order, and `main`'s return
+/// value, as [`VmProgram::run`](xflow_minilang::VmProgram::run) does. Each
+/// report is bit-identical to simulating its machine alone: a tracer only
+/// reads the event stream, and the stream does not depend on who listens.
 pub fn simulate_machines(
     prog: &Program,
     inputs: &InputSpec,
     runs: &[(&MachineModel, SimConfig)],
     seed: u64,
-) -> Result<(Profile, Vec<SimReport>), RuntimeError> {
+) -> Result<(Profile, Vec<SimReport>, f64), RuntimeError> {
     let (vm, limits) = (xflow_minilang::compile(prog)?, xflow_minilang::Limits::default());
     let tracers: Vec<SimTracer> = runs.iter().map(|(m, cfg)| SimTracer::for_program(prog, m, cfg.clone())).collect();
     // a lone tracer runs bare: walking a one-element list costs a few percent per event
-    let (profile, tracers) = match <[SimTracer; 1]>::try_from(tracers) {
-        Ok([t]) => vm.run(inputs, t, limits, seed).map(|(p, t, _)| (p, vec![t]))?,
-        Err(all) => vm.run(inputs, all, limits, seed).map(|(p, all, _)| (p, all))?,
+    let (profile, tracers, ret) = match <[SimTracer; 1]>::try_from(tracers) {
+        Ok([t]) => vm.run(inputs, t, limits, seed).map(|(p, t, ret)| (p, vec![t], ret))?,
+        Err(all) => vm.run(inputs, all, limits, seed)?,
     };
     let reports = runs.iter().zip(tracers).map(|((m, _), t)| finish_report(m, profile.clone(), t)).collect();
-    Ok((profile, reports))
+    Ok((profile, reports, ret))
 }
 
 pub(crate) fn finish_report(machine: &MachineModel, profile: Profile, tracer: SimTracer) -> SimReport {

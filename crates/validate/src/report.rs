@@ -340,12 +340,19 @@ pub struct EngineCheck {
 }
 
 impl EngineCheck {
-    /// Run both engines on `prog` under `seed` with the default limits.
-    pub fn run(prog: &ml::Program, inputs: &InputSpec, seed: u64) -> Result<Self, RuntimeError> {
-        let limits = ml::Limits::default();
-        let (profile, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, limits, seed)?;
-        let (vm_prof, _, vm_ret) = ml::compile(prog)?.run(inputs, ml::NullTracer, limits, seed)?;
-        let agree = profiles_agree(&profile, &vm_prof) && ret.to_bits() == vm_ret.to_bits();
+    /// Run the reference interpreter on `prog` under `seed` with the
+    /// default limits and compare it with the VM's run under the same seed
+    /// and limits: its profile `vm_profile` and `main`'s return value
+    /// `vm_ret_bits` (as `f64::to_bits`).
+    pub fn against_vm(
+        prog: &ml::Program,
+        inputs: &InputSpec,
+        seed: u64,
+        vm_profile: &Profile,
+        vm_ret_bits: u64,
+    ) -> Result<Self, RuntimeError> {
+        let (profile, _, ret) = ml::reference::run(prog, inputs, ml::NullTracer, ml::Limits::default(), seed)?;
+        let agree = profiles_agree(&profile, vm_profile) && ret.to_bits() == vm_ret_bits;
         Ok(Self { profile, agree })
     }
 }

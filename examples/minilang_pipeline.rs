@@ -73,7 +73,7 @@ fn main() {
     // step 4: projection with the roofline model
     let machine = generic();
     let libs = xflow_sim::calibrate_library(512);
-    let projection = xflow_hotspot::project(&bet, &machine, &xflow_hw::Roofline, &libs);
+    let projection = xflow_hotspot::ProjectionPlan::new(&bet, &libs).evaluate(&machine, &xflow_hw::Roofline);
     println!("\n— step 4: projection on `{}`", machine.name);
     println!("  projected total: {:.3e} s", projection.total_time);
     let names = t.skeleton.stmt_names();

@@ -39,7 +39,10 @@ COMMANDS:
     sweep    <FILE>   project across a machine grid (--axis, work-stealing)
     serve             run the HTTP projection service (see SERVE OPTIONS)
     machines          list the known machine models
-    cache <stats|clear>  inspect or empty a --cache-dir artifact store
+    cache <stats|clear>  count or remove the artifacts in a --cache-dir: one
+                         `model` file per modeled query, one `sim` file per
+                         simulation (clear also removes the per-stage files
+                         that older versions wrote)
 
 FILE may also name a built-in workload (sord, chargei, srad, cfd, stassuij).
 
@@ -63,7 +66,7 @@ OPTIONS:
     --trace-out <FILE>             write a Chrome trace of the run to FILE
     --flight-out <FILE>            write the always-on flight-ring snapshot
                                    (last ~1k telemetry events) to FILE
-    --cache-dir <DIR>              persist/reuse stage artifacts in DIR
+    --cache-dir <DIR>              persist/reuse model and sim artifacts in DIR
     --no-cache                     model cold, bypassing every cache
 
 SERVE OPTIONS (plus --cache-dir and --machines-dir above):
@@ -632,12 +635,6 @@ fn run_cache(inv: &Invocation) -> Result<String, String> {
             for (name, n) in crate::session::DiskCacheReport::STAGES.iter().zip(r.per_stage) {
                 let _ = writeln!(out, "  {name:<10} {n}");
             }
-            // when a shared store is live in this process (e.g. an
-            // embedded `serve` instance), report its counters too — on
-            // stderr, like all cache traffic, so stdout stays stable
-            if let Some(store) = crate::store::process_store() {
-                eprint!("{}", live_store_report(&store.stats()));
-            }
             Ok(out)
         }
         "clear" => {
@@ -646,27 +643,6 @@ fn run_cache(inv: &Invocation) -> Result<String, String> {
         }
         other => Err(format!("unknown cache action `{other}` (stats | clear)")),
     }
-}
-
-/// The live-store section of `cache stats`: totals with overall hit
-/// ratio, then one line per stage with its single-flight wait count.
-/// Printed to stderr so scripted stdout greps stay stable.
-fn live_store_report(stats: &crate::store::CacheStats) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "[xflow cache] live store: {stats}, hit ratio: {:.1}%, single-flight waits: {}",
-        stats.hit_ratio() * 100.0,
-        stats.singleflight_waits()
-    );
-    for (name, s) in stats.per_stage() {
-        let _ = writeln!(
-            out,
-            "[xflow cache]   {name:<10} hits {:>4}  disk {:>4}  misses {:>4}  waits {:>4}",
-            s.hits, s.disk_hits, s.misses, s.singleflight_waits
-        );
-    }
-    out
 }
 
 /// Render the `profile` command report: opcodes and opcode digrams
@@ -1244,6 +1220,10 @@ fn main() {
         assert_eq!(out, again);
     }
 
+    /// The model lookup span and the spans of its cold build's steps.
+    const MODEL_SPANS: [&str; 6] =
+        ["session.model", "minilang.parse", "minilang.profile", "minilang.translate", "bet.build", "hotspot.plan"];
+
     #[test]
     fn trace_out_writes_a_chrome_trace() {
         with_demo_file(|path| {
@@ -1255,11 +1235,11 @@ fn main() {
             assert!(out.contains("context:"), "{out}");
             let text = std::fs::read_to_string(&trace).unwrap();
             assert!(text.starts_with("{\"displayTimeUnit\":\"ms\""), "{text}");
-            for stage in ["session.parse", "session.profile", "session.translate", "session.bet", "session.plan"] {
-                assert!(text.contains(stage), "trace must span stage {stage}");
+            for span in MODEL_SPANS {
+                assert!(text.contains(span), "trace must span {span}");
             }
             assert!(text.contains("plan.evaluate"), "trace must cover the explain evaluation");
-            assert!(text.contains("session.parse.misses"), "trace must carry the session cache counters");
+            assert!(text.contains("session.model.misses"), "trace must carry the session cache counters");
         });
     }
 
@@ -1283,13 +1263,11 @@ fn main() {
         let named = |name: &str| -> Vec<&Content> {
             events.iter().filter(|e| get(e, "name") == Some(&Content::Str(name.to_string()))).collect()
         };
-        for stage in ["parse", "profile", "translate", "bet", "plan"] {
-            let name = format!("session.{stage}");
-            let spans = named(&name);
-            assert_eq!(spans.len(), 1, "one {name} span: {text}");
-            let outcome = get(spans[0], "args").and_then(|a| get(a, "outcome"));
-            assert_eq!(outcome, Some(&Content::Str("miss".to_string())), "{name} must be a cold build");
+        for name in MODEL_SPANS {
+            assert_eq!(named(name).len(), 1, "one {name} span: {text}");
         }
+        let outcome = get(named("session.model")[0], "args").and_then(|a| get(a, "outcome"));
+        assert_eq!(outcome, Some(&Content::Str("miss".to_string())), "the model must be a cold build");
         assert!(named("session.kernel").is_empty(), "the sweep kernel is derived, not a cached stage");
         assert!(!named("plan.evaluate").is_empty(), "trace must cover the explain evaluation");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1438,7 +1416,9 @@ fn main() {
             assert!(out.contains("context:"), "{out}");
             let text = std::fs::read_to_string(&flight).unwrap();
             assert!(text.starts_with("{\"displayTimeUnit\":\"ms\""), "{text}");
-            assert!(text.contains("session.parse"), "flight ring must hold the stage spans: {text}");
+            for span in MODEL_SPANS {
+                assert!(text.contains(span), "flight ring must hold the {span} span: {text}");
+            }
             assert!(text.contains("\"flightDropped\""), "{text}");
 
             // both flags together: the ring wraps the collector, so the
@@ -1459,20 +1439,6 @@ fn main() {
             let flight_text = std::fs::read_to_string(&flight).unwrap();
             assert!(flight_text.contains("vm.instructions"), "and the flight ring: {flight_text}");
         });
-    }
-
-    #[test]
-    fn live_store_report_has_per_stage_waits_and_hit_ratio() {
-        let mut stats = crate::store::CacheStats::default();
-        stats.parse.hits = 3;
-        stats.parse.misses = 1;
-        stats.parse.singleflight_waits = 2;
-        let text = live_store_report(&stats);
-        assert!(text.contains("hit ratio: 75.0%"), "{text}");
-        assert!(text.contains("single-flight waits: 2"), "{text}");
-        for stage in ["parse", "profile", "translate", "bet", "plan", "sim"] {
-            assert!(text.lines().any(|l| l.contains(&format!("  {stage}")) && l.contains("waits")), "{stage}: {text}");
-        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use oracle::{
 pub use pipeline::{MachineProjection, Measured, ModeledApp, PipelineError};
 pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
-pub use session::{default_session, CacheStats, Session, SessionConfig, StageKeys, StageStats};
+pub use session::{default_session, CacheStats, Session, SessionConfig, StageStats};
 pub use store::{ArtifactStore, DiskCacheReport, StoreConfig};
 pub use sweep::{format_sweep, format_sweep_ranked, Axis, DesignSpace, Sweep, SweepDelta, SweepOptions, SweepPoint};
 pub use units::{UnitCost, UnitIndex, Units, LIB_UNIT_BASE};

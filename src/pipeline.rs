@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use xflow_bet::Bet;
 use xflow_hotspot::{rank_units, Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
-use xflow_hw::{LibraryRegistry, MachineModel, PerfModel, Roofline};
+use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
 use xflow_sim::{SimReport, StmtSim};
 use xflow_skeleton::StmtId;
@@ -68,6 +68,23 @@ impl From<xflow_bet::BuildError> for PipelineError {
     }
 }
 
+/// The session's one cached model artifact: everything the single local
+/// profiled run determines. The translation, BET and plan are deterministic
+/// functions of the program and the profile, so the session builds and
+/// persists them together (`model-<salt>-<key>.json`).
+#[derive(serde::Serialize, serde::Deserialize)]
+pub(crate) struct ModelArtifact {
+    pub(crate) program: ml::Program,
+    pub(crate) profile: ml::Profile,
+    /// `main`'s return value in the profiled run, as `f64::to_bits`: the
+    /// engine check of [`Session::validate`](crate::Session::validate)
+    /// compares the reference interpreter's against it.
+    pub(crate) ret_bits: u64,
+    pub(crate) translation: Translation,
+    pub(crate) bet: Bet,
+    pub(crate) plan: ProjectionPlan,
+}
+
 /// A fully modeled application: parsed source, one local profile, the
 /// generated skeleton, and the input-bound BET. Machine-independent —
 /// project it on as many machines as you like.
@@ -96,8 +113,8 @@ impl ModeledApp {
     /// Model an application from minilang source and an input binding.
     ///
     /// Routes through the process-wide default [`Session`](crate::Session),
-    /// so repeated calls with identical source + inputs reuse every cached
-    /// stage artifact instead of re-running the front half of the pipeline.
+    /// so repeated calls with identical source + inputs reuse the cached
+    /// model artifact instead of re-running the profiled run.
     pub fn from_source(src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
         crate::session::default_session().model(src, inputs)
     }
@@ -107,17 +124,18 @@ impl ModeledApp {
         Self::from_source(w.source, &w.inputs(scale))
     }
 
-    /// Assemble a modeled app from the session's five stage artifacts.
-    pub(crate) fn assemble(
-        program: ml::Program,
-        profile: ml::Profile,
-        translation: Translation,
-        bet: Bet,
-        inputs: InputSpec,
-        plan: ProjectionPlan,
-    ) -> ModeledApp {
-        let units = build_units(&program, &translation);
-        ModeledApp { program, profile, translation, bet, units, inputs, plan, kernel: OnceLock::new() }
+    /// Assemble a modeled app from the session's model artifact.
+    pub(crate) fn assemble(model: &ModelArtifact, inputs: InputSpec) -> ModeledApp {
+        ModeledApp {
+            program: model.program.clone(),
+            profile: model.profile.clone(),
+            translation: model.translation.clone(),
+            bet: model.bet.clone(),
+            units: build_units(&model.program, &model.translation),
+            inputs,
+            plan: model.plan.clone(),
+            kernel: OnceLock::new(),
+        }
     }
 
     /// The machine-independent projection plan (phase 1), reused by every
@@ -139,20 +157,6 @@ impl ModeledApp {
     /// library calibration are cached on the app and the process.
     pub fn project_on(&self, machine: &MachineModel) -> MachineProjection {
         MachineProjection::new(&self.units, machine, self.plan().evaluate(machine, &Roofline))
-    }
-
-    /// Projection with an explicit hardware model and library registry.
-    ///
-    /// Builds a fresh plan per call because the plan bakes in the library
-    /// mixes; use [`ModeledApp::plan`] + [`ProjectionPlan::evaluate`] (or
-    /// [`ModeledApp::project_on`]) for repeated default-library projections.
-    pub fn project_with(
-        &self,
-        machine: &MachineModel,
-        model: &dyn PerfModel,
-        libs: &LibraryRegistry,
-    ) -> MachineProjection {
-        MachineProjection::new(&self.units, machine, xflow_hotspot::project(&self.bet, machine, model, libs))
     }
 
     /// BET size ratio vs. skeleton statements (paper: avg ≈ 0.88, < 2).

@@ -11,7 +11,7 @@
 //! * [`middleware`] — request ids and per-request spans/counters;
 //! * [`server`] — the threadpool accept loop, routing, and handlers over
 //!   one shared [`crate::ArtifactStore`] (single-flight deduped, so a
-//!   thundering herd on a cold workload builds each stage exactly once).
+//!   thundering herd on a cold workload builds its model exactly once).
 
 pub mod middleware;
 pub mod protocol;

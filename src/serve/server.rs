@@ -6,9 +6,7 @@
 //! [`crate::serve::protocol`], and answers off the same artifact store — so N clients
 //! asking for the same cold workload trigger exactly one pipeline build
 //! (the store's single-flight latch), and warm requests are pure cache
-//! hits. The store is also installed as the process-wide store, which is
-//! what lets `xflow cache stats` report live counters while a server is
-//! running in-process.
+//! hits. `GET /metrics` renders the store's counters.
 //!
 //! Endpoints:
 //!
@@ -30,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::session::Session;
-use crate::store::{install_process_store, ArtifactStore, StoreConfig};
+use crate::store::{ArtifactStore, StoreConfig};
 use crate::sweep::{Axis, DesignSpace, SweepOptions};
 use crate::{Criteria, InputSpec, PerfModel, Roofline};
 use xflow_hw::{MachineModel, MachineRegistry};
@@ -109,14 +107,13 @@ pub struct RunningServer {
 }
 
 impl Server {
-    /// Bind the listener, build the machine registry, and install the
-    /// shared artifact store as the process-wide store.
+    /// Bind the listener, build the machine registry, and create the
+    /// shared artifact store.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         let mut machines = MachineRegistry::builtin();
         let dir = config.machines_dir.clone().unwrap_or_else(|| "machines".to_string());
         machines.load_dir(std::path::Path::new(&dir))?;
         let store = ArtifactStore::shared(config.store);
-        install_process_store(&store);
         let listener = TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let obs = RequestObs::new(store.clone(), config.recorder);
@@ -622,7 +619,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(head.contains("text/plain; version=0.0.4"), "{head}");
         assert!(metrics.contains("serve_requests "), "{metrics}");
-        assert!(metrics.contains("session_parse_misses 1"), "{metrics}");
+        assert!(metrics.contains("session_model_misses 1"), "{metrics}");
         assert!(metrics.contains("# TYPE serve_request_seconds histogram"), "{metrics}");
         assert!(metrics.contains("serve_request_seconds_bucket{le=\"+Inf\"} "), "{metrics}");
         assert!(metrics.contains("serve_request_seconds_count "), "{metrics}");

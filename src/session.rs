@@ -1,49 +1,47 @@
 //! Incremental modeling sessions: key derivation and stage coordination
 //! over the concurrent [`ArtifactStore`].
 //!
-//! A [`Session`] is the only producer of an analytic model. It runs five
-//! stages — parse, the profiled run (on the fused bytecode VM),
-//! translation, BET construction, projection-plan compilation — and turns
-//! each stage output into a cache-keyed artifact, so a co-design service,
-//! a sweep, `validate` or the oracle corpus never replays a stage whose
-//! inputs are byte-identical to an earlier query:
+//! A [`Session`] is the only producer of an analytic model. The model has
+//! one measured input, the single local profiled run; the skeleton, the BET
+//! and the projection plan are deterministic functions of that run. So a
+//! query is one cache-keyed artifact, built in five steps:
 //!
 //! ```text
 //! source ──▶ Program ──▶ Profile ──▶ Translation ──▶ Bet ──▶ ProjectionPlan
-//!            parse_key   profile_key  translate_key  bet_key  plan_key
+//!   minilang.parse  minilang.profile  minilang.translate  bet.build  hotspot.plan
+//! └──────────────────────── one `model` artifact ────────────────────────┘
 //! ```
 //!
-//! The SoA [`PlanKernel`](xflow_hotspot::PlanKernel) that design-space
-//! sweeps evaluate is not a stage: it is a pure re-layout of the plan,
-//! derived by [`ModeledApp::kernel`] the first time a sweep needs it.
+//! A co-design service, a sweep, `validate` or the oracle corpus never
+//! re-runs a query whose inputs are byte-identical to an earlier one. Each
+//! step of a cold build runs in a span of its own (named above) nested in
+//! the `session.model` lookup span, so a trace still shows where a cold
+//! query's time went. The SoA [`PlanKernel`](xflow_hotspot::PlanKernel)
+//! that design-space sweeps evaluate is not cached: it is a pure re-layout
+//! of the plan, derived by [`ModeledApp::kernel`] the first time a sweep
+//! needs it.
 //!
 //! ## Key derivation
 //!
-//! Keys are stable 64-bit FNV-1a content hashes, chained so that every key
-//! transitively covers everything upstream of its stage:
+//! Keys are stable 64-bit FNV-1a content hashes:
 //!
-//! * `salt`          = hash of the key-schema version and every crate's
+//! * `salt`      = hash of the key-schema version and every crate's
 //!   `schema_version()` — a crate wire-format bump invalidates everything;
-//! * `parse_key`     = `fnv(salt, "parse", source bytes)`;
-//! * `profile_key`   = `fnv(parse_key, "profile", canonical InputSpec,
-//!   seed)` (sorted `name=to_bits` pairs, so specs collide exactly on
-//!   bit-equal bindings; the `rnd()` seed of the profiled run makes a
-//!   seeded oracle model a different artifact from the default one);
-//! * `translate_key` = `fnv(profile_key, "translate")`;
-//! * `bet_key`       = `fnv(translate_key, "bet")`;
-//! * `plan_key`      = `fnv(bet_key, "plan", library fingerprint)`
-//!   ([`LibraryRegistry::fingerprint`](xflow_hw::LibraryRegistry::fingerprint)
-//!   of [`default_library`] — a re-calibration invalidates plans but
-//!   nothing upstream);
-//! * `sim_key` (off the chain, see `derive_sim_key`) alone folds in
+//! * `model_key` = `fnv(salt, "model", source bytes, canonical InputSpec,
+//!   seed, library fingerprint)`: sorted `name=to_bits` input pairs, so
+//!   specs collide exactly on bit-equal bindings; the `rnd()` seed of the
+//!   profiled run, so a seeded oracle model is a different artifact from
+//!   the default one; and the
+//!   [`LibraryRegistry::fingerprint`](xflow_hw::LibraryRegistry::fingerprint)
+//!   of [`default_library`], so a re-calibration invalidates the plan;
+//! * `sim_key` (see `derive_sim_key`) alone folds in
 //!   `xflow_sim::schema_version()`: a simulator change re-simulates only.
 //!
-//! Editing the source therefore misses every stage; changing only the
-//! inputs or the seed reuses the parsed program and rebuilds downstream.
-//! Caching is sound because every stage is deterministic: profiling uses
-//! a seeded generator whose seed is in the key, and `InputSpec` iterates
-//! in sorted order. Key-schema version 2 added the seed to the profile
-//! key and dropped the kernel stage.
+//! Changing the source, the inputs or the seed misses the model. Caching is
+//! sound because every step is deterministic: profiling uses a seeded
+//! generator whose seed is in the key, and `InputSpec` iterates in sorted
+//! order. Key-schema version 3 is the one model key (version 2 chained a
+//! key per stage).
 //!
 //! ## Storage and concurrency
 //!
@@ -51,10 +49,10 @@
 //! concurrent map with per-shard LRU, an optional disk tier
 //! (`<stage>-<salt>-<key>.json`, atomic writes, corrupted files = silent
 //! cold rebuild), and single-flight dedup so a thundering herd on one cold
-//! workload builds each stage exactly once. `Session` itself is a thin
-//! `Send + Sync` coordinator: it derives keys, orders the five
-//! lookup-or-build calls, and assembles the resulting artifacts into a
-//! [`ModeledApp`]. Several sessions (CLI invocations, sweep workers,
+//! workload builds the model exactly once. `Session` itself is a thin
+//! `Send + Sync` coordinator: it derives keys, runs the model lookup (and
+//! the sim lookups of a ground-truth query), and assembles the artifact
+//! into a [`ModeledApp`]. Several sessions (CLI invocations, sweep workers,
 //! server request threads) can share one store via
 //! [`Session::with_store`]; [`Session::stats`] then reports counters
 //! accumulated across all of them.
@@ -70,16 +68,17 @@ use xflow_sim::{default_library, SimConfig, SimReport};
 use xflow_validate::{EngineCheck, ValidationConfig, ValidationReport};
 use xflow_workloads::Workload;
 
-use crate::pipeline::{ModeledApp, PipelineError};
+use crate::pipeline::{ModelArtifact, ModeledApp, PipelineError};
 use crate::store::{ArtifactStore, StoreConfig};
 
 pub use crate::store::{
     clear_cache_dir, disk_cache_report, CacheStats, DiskCacheReport, StageStats, StoreConfig as ArtifactStoreConfig,
 };
 
-/// Version of the key-derivation scheme itself. Bump when the chaining or
-/// canonicalization rules change, independent of any crate's wire format.
-const KEY_SCHEMA_VERSION: u32 = 2;
+/// Version of the key-derivation scheme itself. Bump when the keyed fields
+/// or canonicalization rules change, independent of any crate's wire
+/// format.
+const KEY_SCHEMA_VERSION: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Stable content hashing (FNV-1a, 64-bit)
@@ -140,54 +139,20 @@ fn key_salt() -> u64 {
     h.finish()
 }
 
-/// The derived cache keys of one (source, inputs, seed) query — one per
-/// stage. Exposed so tests and tools can locate or corrupt specific
-/// persisted artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageKeys {
-    pub parse: u64,
-    pub profile: u64,
-    pub translate: u64,
-    pub bet: u64,
-    pub plan: u64,
+/// Key of one model query: source, canonical inputs, the profiled run's
+/// `rnd()` seed and the default library's fingerprint, under the salt.
+fn derive_model_key(salt: u64, src: &str, inputs: &InputSpec, seed: u64) -> u64 {
+    let mut h = Fnv::seeded(salt);
+    h.write_str("model");
+    h.write_str(src);
+    h.write_str(&inputs.canonical_string());
+    h.write_u64(seed);
+    h.write_u64(default_library().fingerprint());
+    h.finish()
 }
 
-fn derive_keys(salt: u64, src: &str, inputs: &InputSpec, seed: u64) -> StageKeys {
-    let parse = {
-        let mut h = Fnv::seeded(salt);
-        h.write_str("parse");
-        h.write_str(src);
-        h.finish()
-    };
-    let profile = {
-        let mut h = Fnv::seeded(parse);
-        h.write_str("profile");
-        h.write_str(&inputs.canonical_string());
-        h.write_u64(seed);
-        h.finish()
-    };
-    let translate = {
-        let mut h = Fnv::seeded(profile);
-        h.write_str("translate");
-        h.finish()
-    };
-    let bet = {
-        let mut h = Fnv::seeded(translate);
-        h.write_str("bet");
-        h.finish()
-    };
-    let plan = {
-        let mut h = Fnv::seeded(bet);
-        h.write_str("plan");
-        h.write_u64(default_library().fingerprint());
-        h.finish()
-    };
-    StageKeys { parse, profile, translate, bet, plan }
-}
-
-/// Key of one simulator-oracle query. Chained off the salt directly rather
-/// than off the parse key: a simulation replays the whole program, so the
-/// key must cover source, inputs, machine, sim config and seed — any one
+/// Key of one simulator-oracle query. A simulation replays the whole
+/// program, so the key must cover source, inputs, machine, sim config and seed — any one
 /// changing is a different ground-truth point — and `sim_schema`, the
 /// simulator's own version. The machine is hashed via its canonical JSON
 /// (the vendored serializer emits maps in sorted order), and vector
@@ -246,8 +211,8 @@ impl std::fmt::Debug for SessionConfig {
     }
 }
 
-/// An incremental modeling session: the five-stage model chain with every
-/// stage output cached by content key in an [`ArtifactStore`] (in memory
+/// An incremental modeling session: every model (and every ground-truth
+/// simulation) cached by content key in an [`ArtifactStore`] (in memory
 /// and, optionally, on disk). See the module docs for the key-derivation
 /// and invalidation rules.
 ///
@@ -330,16 +295,10 @@ impl Session {
         self.store.stats()
     }
 
-    /// The cache keys a [`Session::model`] query derives, without running
-    /// anything. Key equality is exactly artifact reusability.
-    pub fn keys(&self, src: &str, inputs: &InputSpec) -> StageKeys {
-        derive_keys(self.salt, src, inputs, ml::DEFAULT_SEED)
-    }
-
-    /// Model an application, reusing every stage artifact whose content key
+    /// Model an application, reusing the model artifact whose content key
     /// matches a previous query (the store's memory, or the cache
     /// directory). A fresh memory-only session is the cold path: every
-    /// stage runs from scratch, and the round-trip tests assert warm and
+    /// step runs from scratch, and the round-trip tests assert warm and
     /// disk loads project bit-identically to it.
     pub fn model(&self, src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
         self.model_seeded(src, inputs, ml::DEFAULT_SEED)
@@ -347,55 +306,48 @@ impl Session {
 
     /// [`Session::model`] with an explicit `rnd()` seed for the profiled
     /// run (the oracle profiles and simulates under one seed). The seed is
-    /// part of the profile key, so every stage downstream of the parse is
-    /// its own artifact per seed.
+    /// part of the model key, so each seed models its own artifact.
     pub fn model_seeded(&self, src: &str, inputs: &InputSpec, seed: u64) -> Result<ModeledApp, PipelineError> {
-        let keys = derive_keys(self.salt, src, inputs, seed);
-        let program = self.program(src, keys.parse)?;
-        self.model_from(&program, &keys, inputs, || ml::profile_seeded(&program, inputs, seed).map_err(Into::into))
-    }
-
-    /// The four stages after the parse; `profile` builds the profile stage
-    /// on a miss.
-    fn model_from(
-        &self,
-        program: &Arc<ml::Program>,
-        keys: &StageKeys,
-        inputs: &InputSpec,
-        profile: impl FnOnce() -> Result<ml::Profile, PipelineError>,
-    ) -> Result<ModeledApp, PipelineError> {
         let rec = self.recorder();
-        let salt = self.salt;
-        let store = &*self.store;
-        let dir = store.cache_dir();
-
-        let profile = store.profile.get_or_build(salt, dir, rec, keys.profile, profile)?;
-        let translation = store.translate.get_or_build(salt, dir, rec, keys.translate, || {
-            ml::translate(program, &profile).map_err(PipelineError::Translate)
+        let model = self.model_artifact(src, inputs, seed, |program| {
+            let _span = xflow_obs::span(rec, "minilang.profile", &[]);
+            let (profile, _, ret) = ml::compile(program)?.run(inputs, ml::NullTracer, ml::Limits::default(), seed)?;
+            Ok((profile, ret))
         })?;
-        let bet = store.bet.get_or_build(salt, dir, rec, keys.bet, || {
-            let env = ml::initial_env(&translation, inputs);
-            xflow_bet::build_observed(&translation.skeleton, &env, xflow_bet::BuildConfig::default(), rec)
-                .map_err(PipelineError::from)
-        })?;
-        let plan =
-            store.plan.get_or_build(salt, dir, rec, keys.plan, || Ok(ProjectionPlan::new(&bet, default_library())))?;
-
-        Ok(ModeledApp::assemble(
-            (**program).clone(),
-            (*profile).clone(),
-            (*translation).clone(),
-            (*bet).clone(),
-            inputs.clone(),
-            (*plan).clone(),
-        ))
+        Ok(ModeledApp::assemble(&model, inputs.clone()))
     }
 
-    /// The parse stage: the program of `src`, looked up by its parse key.
-    fn program(&self, src: &str, key: u64) -> Result<Arc<ml::Program>, PipelineError> {
-        let store = &*self.store;
-        store.parse.get_or_build(self.salt, store.cache_dir(), self.recorder(), key, || {
-            ml::parse(src).map_err(PipelineError::from)
+    /// The model stage: one lookup of the query's model artifact. On a
+    /// miss the build parses `src`, hands the program to `profile` (the
+    /// profiled run, returning the profile and `main`'s return value),
+    /// translates, builds the BET and compiles the plan, each step in a
+    /// span of its own inside the `session.model` span.
+    fn model_artifact(
+        &self,
+        src: &str,
+        inputs: &InputSpec,
+        seed: u64,
+        profile: impl FnOnce(&ml::Program) -> Result<(ml::Profile, f64), PipelineError>,
+    ) -> Result<Arc<ModelArtifact>, PipelineError> {
+        let (rec, store) = (self.recorder(), &*self.store);
+        let key = derive_model_key(self.salt, src, inputs, seed);
+        store.model.get_or_build(self.salt, store.cache_dir(), rec, key, || {
+            let program = {
+                let _span = xflow_obs::span(rec, "minilang.parse", &[]);
+                ml::parse(src)?
+            };
+            let (profile, ret) = profile(&program)?;
+            let translation = {
+                let _span = xflow_obs::span(rec, "minilang.translate", &[]);
+                ml::translate(&program, &profile).map_err(PipelineError::Translate)?
+            };
+            let env = ml::initial_env(&translation, inputs);
+            let bet = xflow_bet::build_observed(&translation.skeleton, &env, xflow_bet::BuildConfig::default(), rec)?;
+            let plan = {
+                let _span = xflow_obs::span(rec, "hotspot.plan", &[]);
+                ProjectionPlan::new(&bet, default_library())
+            };
+            Ok(ModelArtifact { program, profile, ret_bits: ret.to_bits(), translation, bet, plan })
         })
     }
 
@@ -420,13 +372,13 @@ impl Session {
     /// that [`Session::validate`], the oracle corpus, `simulate`, `compare`
     /// and the figures read.
     ///
-    /// Each simulation is a content-addressed `sim` stage of its own
-    /// (`sim-<salt>-<key>.json`), outside the five-stage model chain, so
-    /// ground truth is paid once per distinct query per cache directory.
-    /// One VM execution serves the query, and it simulates only the
-    /// machines whose sim stage holds no report: when the profile stage
-    /// misses, one run ([`xflow_sim::simulate_machines`], in a `sim.run`
-    /// span) yields the profile and those machines' reports; when only sim
+    /// Each simulation is a content-addressed `sim` artifact of its own
+    /// (`sim-<salt>-<key>.json`), next to the model, so ground truth is
+    /// paid once per distinct query per cache directory. One VM execution
+    /// serves the query, and it simulates only the machines whose sim stage
+    /// holds no report: when the model misses, its profiled run is one
+    /// fan-out run ([`xflow_sim::simulate_machines`], in a `sim.run` span)
+    /// that yields the profile and those machines' reports; when only sim
     /// stages miss, the first miss runs itself and the later misses.
     #[allow(clippy::type_complexity)]
     pub fn model_and_sims(
@@ -437,52 +389,76 @@ impl Session {
         machines: &[MachineModel],
         seed: u64,
     ) -> Result<(ModeledApp, Vec<(Projection, Arc<SimReport>)>), PipelineError> {
-        let keys = derive_keys(self.salt, src, inputs, seed);
-        let program = self.program(src, keys.parse)?;
-        let runs: Vec<(&MachineModel, SimConfig)> =
-            machines.iter().map(|m| (m, workload.map(|w| w.sim_config(&program, m)).unwrap_or_default())).collect();
-        let (rec, store) = (self.recorder(), &*self.store);
-        let sim_keys: Vec<u64> = runs
-            .iter()
-            .map(|(m, cfg)| derive_sim_key(self.salt, xflow_sim::schema_version(), src, inputs, m, cfg, seed))
-            .collect();
+        let (model, sims) = self.model_artifact_and_sims(src, inputs, workload, machines, seed)?;
+        Ok((ModeledApp::assemble(&model, inputs.clone()), sims))
+    }
+
+    /// [`Session::model_and_sims`] on the model artifact itself.
+    #[allow(clippy::type_complexity)]
+    fn model_artifact_and_sims(
+        &self,
+        src: &str,
+        inputs: &InputSpec,
+        workload: Option<&Workload>,
+        machines: &[MachineModel],
+        seed: u64,
+    ) -> Result<(Arc<ModelArtifact>, Vec<(Projection, Arc<SimReport>)>), PipelineError> {
+        let (rec, store, salt) = (self.recorder(), &*self.store, self.salt);
+        // each machine's sim config (the workload's overrides, resolved on
+        // `program`) and sim key
+        let sims_of = |program: &ml::Program| -> (Vec<SimConfig>, Vec<u64>) {
+            let configs: Vec<SimConfig> =
+                machines.iter().map(|m| workload.map(|w| w.sim_config(program, m)).unwrap_or_default()).collect();
+            let sim_schema = xflow_sim::schema_version();
+            let keys = machines.iter().zip(&configs);
+            let keys = keys.map(|(m, cfg)| derive_sim_key(salt, sim_schema, src, inputs, m, cfg, seed)).collect();
+            (configs, keys)
+        };
         // machines `from..` whose sim stage holds no report yet
-        let missing = |from: usize| -> Vec<usize> {
-            (from..runs.len()).filter(|&j| !store.sim.holds(self.salt, store.cache_dir(), sim_keys[j])).collect()
+        let missing = |keys: &[u64], from: usize| -> Vec<usize> {
+            (from..keys.len()).filter(|&j| !store.sim.holds(salt, store.cache_dir(), keys[j])).collect()
         };
-        // one run for the machines `which`, leaving their reports in `pending`
-        let run = |which: Vec<usize>, pending: &mut [Option<SimReport>]| {
-            let _span = xflow_obs::span(rec, "sim.run", &[("machines", (which.len() as u64).into())]);
-            let batch: Vec<(&MachineModel, SimConfig)> = which.iter().map(|&j| runs[j].clone()).collect();
-            let (profile, reports) = xflow_sim::simulate_machines(&program, inputs, &batch, seed)?;
-            for (j, report) in which.into_iter().zip(reports) {
-                pending[j] = Some(report);
-            }
-            Ok::<_, PipelineError>(profile)
-        };
-        let mut pending = vec![None; runs.len()];
-        let app = self.model_from(&program, &keys, inputs, || run(missing(0), &mut pending))?;
-        let mut out = Vec::with_capacity(runs.len());
-        for (i, &key) in sim_keys.iter().enumerate() {
-            let sim = store.sim.get_or_build(self.salt, store.cache_dir(), rec, key, || {
+        // one run of `program` for the machines `which`, leaving their
+        // reports in `pending`
+        let run =
+            |program: &ml::Program, configs: &[SimConfig], which: Vec<usize>, pending: &mut [Option<SimReport>]| {
+                let _span = xflow_obs::span(rec, "sim.run", &[("machines", (which.len() as u64).into())]);
+                let batch: Vec<(&MachineModel, SimConfig)> =
+                    which.iter().map(|&j| (&machines[j], configs[j].clone())).collect();
+                let (profile, reports, ret) = xflow_sim::simulate_machines(program, inputs, &batch, seed)?;
+                for (j, report) in which.into_iter().zip(reports) {
+                    pending[j] = Some(report);
+                }
+                Ok::<_, PipelineError>((profile, ret))
+            };
+        let mut pending = vec![None; machines.len()];
+        let model = self.model_artifact(src, inputs, seed, |program| {
+            let (configs, keys) = sims_of(program);
+            run(program, &configs, missing(&keys, 0), &mut pending)
+        })?;
+        let (configs, keys) = sims_of(&model.program);
+        let mut out = Vec::with_capacity(machines.len());
+        for (i, &key) in keys.iter().enumerate() {
+            let sim = store.sim.get_or_build(salt, store.cache_dir(), rec, key, || {
                 if pending[i].is_none() {
                     let mut which = vec![i];
-                    which.extend(missing(i + 1));
-                    run(which, &mut pending)?;
+                    which.extend(missing(&keys, i + 1));
+                    run(&model.program, &configs, which, &mut pending)?;
                 }
                 Ok(pending[i].take().expect("the run covered this machine"))
             })?;
-            out.push((app.plan().evaluate(runs[i].0, &Roofline), sim));
+            out.push((model.plan.evaluate(&machines[i], &Roofline), sim));
         }
-        Ok((app, out))
+        Ok((model, out))
     }
 
     /// Differential validation of the model this session serves on each of
     /// `machines`: the [`Session::model_and_sims`] artifacts under
-    /// `cfg.seed`, checked by [`xflow_validate::check`] against one run of
-    /// both execution engines ([`EngineCheck`]) that every report shares.
-    /// A workload's reports carry its name; bare source reports as
-    /// `<source>`.
+    /// `cfg.seed`, checked by [`xflow_validate::check`] against the
+    /// reference interpreter's run of the program ([`EngineCheck`]), which
+    /// every report shares. The VM side of that engine check is the model's
+    /// own profiled run. A workload's reports carry its name; bare source
+    /// reports as `<source>`.
     pub fn validate(
         &self,
         src: &str,
@@ -491,9 +467,9 @@ impl Session {
         machines: &[MachineModel],
         cfg: &ValidationConfig,
     ) -> Result<Vec<ValidationReport>, PipelineError> {
-        let (app, sims) = self.model_and_sims(src, inputs, workload, machines, cfg.seed)?;
-        let engines = EngineCheck::run(&app.program, inputs, cfg.seed)?;
-        let (prog, tr, bet) = (&app.program, &app.translation, &app.bet);
+        let (model, sims) = self.model_artifact_and_sims(src, inputs, workload, machines, cfg.seed)?;
+        let (prog, tr, bet) = (&model.program, &model.translation, &model.bet);
+        let engines = EngineCheck::against_vm(prog, inputs, cfg.seed, &model.profile, model.ret_bits)?;
         Ok(machines
             .iter()
             .zip(&sims)
@@ -515,8 +491,8 @@ impl Session {
 
 /// The process-wide default session backing [`ModeledApp::from_source`]:
 /// memory-only, so repeated modeling of the same source + inputs (test
-/// suites, benches, examples, sweeps) reuses the front half of the
-/// pipeline without any opt-in.
+/// suites, benches, examples, sweeps) reuses the cached model without any
+/// opt-in.
 pub fn default_session() -> &'static Session {
     static SESSION: OnceLock<Session> = OnceLock::new();
     SESSION.get_or_init(Session::new)
@@ -535,55 +511,53 @@ fn main() {
 }
 "#;
 
+    /// The model key of a default-seed query.
+    fn key(src: &str, inputs: &InputSpec) -> u64 {
+        derive_model_key(key_salt(), src, inputs, ml::DEFAULT_SEED)
+    }
+
     #[test]
     fn keys_are_stable_within_process() {
-        let s = Session::new();
         let i = InputSpec::from_pairs([("N", 128.0)]);
-        assert_eq!(s.keys(SRC, &i), s.keys(SRC, &i));
+        assert_eq!(key(SRC, &i), key(SRC, &i));
+        assert_eq!(Session::new().salt, Session::new().salt);
     }
 
     #[test]
     fn key_chain_distinguishes_stages_and_inputs() {
-        let s = Session::new();
-        let a = s.keys(SRC, &InputSpec::from_pairs([("N", 128.0)]));
-        let b = s.keys(SRC, &InputSpec::from_pairs([("N", 256.0)]));
-        // same source, different inputs: parse shared, downstream forked
-        assert_eq!(a.parse, b.parse);
-        assert_ne!(a.profile, b.profile);
-        assert_ne!(a.bet, b.bet);
-        // all five keys of one query are distinct
-        let ks = [a.parse, a.profile, a.translate, a.bet, a.plan];
-        for i in 0..ks.len() {
-            for j in i + 1..ks.len() {
-                assert_ne!(ks[i], ks[j]);
-            }
-        }
+        let (a, b) = (InputSpec::from_pairs([("N", 128.0)]), InputSpec::from_pairs([("N", 256.0)]));
+        let salt = key_salt();
+        let model = key(SRC, &a);
+        // the source, the inputs and the seed each reach the model key
+        assert_ne!(model, key(SRC, &b));
+        assert_ne!(model, key(&format!("{SRC} "), &a));
+        assert_ne!(model, derive_model_key(salt, SRC, &a, 7));
+        // a query's model and simulation are distinct artifacts
+        let sim = derive_sim_key(salt, 1, SRC, &a, &xflow_hw::bgq(), &SimConfig::default(), ml::DEFAULT_SEED);
+        assert_ne!(model, sim);
     }
 
     #[test]
     fn input_order_does_not_change_keys() {
-        let s = Session::new();
         let a = InputSpec::from_pairs([("N", 8.0), ("M", 9.0)]);
         let b = InputSpec::from_pairs([("M", 9.0), ("N", 8.0)]);
-        assert_eq!(s.keys(SRC, &a), s.keys(SRC, &b));
+        assert_eq!(key(SRC, &a), key(SRC, &b));
     }
 
     #[test]
-    fn a_seeded_model_shares_the_parse_and_misses_the_profile() {
+    fn a_seeded_model_is_an_artifact_of_its_own() {
         let s = Session::new();
         let i = InputSpec::from_pairs([("N", 16.0)]);
         let default = s.model(SRC, &i).unwrap();
         let seeded = s.model_seeded(SRC, &i, 7).unwrap();
         let stats = s.stats();
-        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 1), "the seed does not reach the parse key");
-        assert_eq!((stats.profile.misses, stats.profile.hits), (2, 0), "the seed is in the profile key");
-        assert_eq!(stats.plan.misses, 2);
+        assert_eq!((stats.model.misses, stats.model.hits), (2, 0), "the seed is in the model key");
         let agree = xflow_validate::profiles_agree;
         assert!(agree(&default.profile, &ml::profile(&default.program, &i).unwrap()));
         assert!(agree(&seeded.profile, &ml::profile_seeded(&seeded.program, &i, 7).unwrap()));
         // the default seed is the seed `model` profiles with
         s.model_seeded(SRC, &i, ml::DEFAULT_SEED).unwrap();
-        assert_eq!(s.stats().profile.hits, 1);
+        assert_eq!(s.stats().model.hits, 1);
     }
 
     #[test]
@@ -593,12 +567,12 @@ fn main() {
         s.model(SRC, &i).unwrap();
         s.model(SRC, &i).unwrap();
         let stats = s.stats();
-        assert_eq!(stats.misses(), 5, "cold run builds all five stages");
-        assert_eq!(stats.hits(), 5, "warm run hits all five stages");
+        assert_eq!(stats.misses(), 1, "the cold run builds the model");
+        assert_eq!(stats.hits(), 1, "the warm run hits it");
         // the Display line the CLI prints is backed by the same counters
-        assert_eq!(s.registry().get("session.parse.hits"), stats.parse.hits);
-        assert_eq!(s.registry().get("session.plan.misses"), stats.plan.misses);
-        assert_eq!(format!("{stats}"), "memory hits: 5, disk hits: 0, misses: 5");
+        assert_eq!(s.registry().get("session.model.hits"), stats.model.hits);
+        assert_eq!(s.registry().get("session.model.misses"), stats.model.misses);
+        assert_eq!(format!("{stats}"), "memory hits: 1, disk hits: 0, misses: 1");
     }
 
     #[test]
@@ -611,12 +585,12 @@ fn main() {
         assert!(Arc::ptr_eq(&a, &b), "warm lookup returns the cached artifact");
         let stats = s.stats();
         assert_eq!((stats.sim.misses, stats.sim.hits), (1, 1));
-        assert_eq!((stats.parse.misses, stats.parse.hits), (1, 1));
-        assert_eq!(stats.misses(), 6, "five model stages and one simulation");
-        // the model chain is shared, and a model query looks up no simulation
+        assert_eq!((stats.model.misses, stats.model.hits), (1, 1));
+        assert_eq!(stats.misses(), 2, "one model and one simulation");
+        // the model is shared, and a model query looks up no simulation
         s.model_seeded(SRC, &i, 42).unwrap();
         let stats = s.stats();
-        assert_eq!(stats.misses(), 6, "model_seeded() reuses every stage the simulation's query built");
+        assert_eq!(stats.misses(), 2, "model_seeded() reuses the model the simulation's query built");
         assert_eq!((stats.sim.misses, stats.sim.hits), (1, 1));
     }
 
@@ -630,7 +604,10 @@ fn main() {
         let (_, sims) = s.model_and_sims(SRC, &i, None, &machines, 3).unwrap();
         assert_eq!(sims.len(), 3);
         let runs = |rec: &CollectingRecorder| rec.snapshot().spans.iter().filter(|sp| sp.name == "sim.run").count();
-        assert_eq!(runs(&rec), 1, "one VM execution fills the profile and three sim stages");
+        assert_eq!(runs(&rec), 1, "one VM execution fills the model and three sim stages");
+        let snap = rec.snapshot();
+        assert_eq!(snap.spans.iter().filter(|sp| sp.name == "minilang.parse").count(), 1, "one parse per query");
+        assert!(snap.spans.iter().all(|sp| sp.name != "minilang.profile"), "the fan-out run is the profiled run");
         let prog = ml::parse(SRC).unwrap();
         for (m, (_, sim)) in machines.iter().zip(&sims) {
             let alone = xflow_sim::simulate_with_seed(&prog, &i, m, SimConfig::default(), 3).unwrap();
@@ -644,8 +621,9 @@ fn main() {
         let snap = rec.snapshot();
         let second = snap.spans.iter().filter(|sp| sp.name == "sim.run").nth(1).unwrap();
         assert!(second.attrs.contains(&("machines".to_string(), xflow_obs::OwnedAttr::U64(1))), "{:?}", second.attrs);
+        assert_eq!(snap.spans.iter().filter(|sp| sp.name == "minilang.parse").count(), 1, "a model hit parses nothing");
         let stats = s.stats();
-        assert_eq!((stats.profile.misses, stats.sim.misses, stats.sim.hits), (1, 4, 2));
+        assert_eq!((stats.model.misses, stats.sim.misses, stats.sim.hits), (1, 4, 2));
     }
 
     #[test]
@@ -680,8 +658,8 @@ fn main() {
         a.model(SRC, &i).unwrap();
         b.model(SRC, &i).unwrap();
         let stats = store.stats();
-        assert_eq!(stats.misses(), 5, "session b reuses session a's artifacts");
-        assert_eq!(stats.hits(), 5);
+        assert_eq!(stats.misses(), 1, "session b reuses session a's model");
+        assert_eq!(stats.hits(), 1);
         assert_eq!(a.stats(), b.stats(), "stats are store-wide, not per-session");
     }
 
@@ -694,21 +672,19 @@ fn main() {
         s.model(SRC, &i).unwrap();
         s.model(SRC, &i).unwrap();
         let snap = rec.snapshot();
-        for stage in ["parse", "profile", "translate", "bet", "plan"] {
-            let name = format!("session.{stage}");
-            let spans: Vec<_> = snap.spans.iter().filter(|sp| sp.name == name).collect();
-            assert_eq!(spans.len(), 2, "one span per lookup of {name}");
-            let outcomes: Vec<&OwnedAttr> =
-                spans.iter().flat_map(|sp| sp.attrs.iter().filter(|(k, _)| k == "outcome").map(|(_, v)| v)).collect();
-            assert!(outcomes.contains(&&OwnedAttr::Str("miss".into())), "{name}: {outcomes:?}");
-            assert!(outcomes.contains(&&OwnedAttr::Str("hit".into())), "{name}: {outcomes:?}");
-            assert!(spans.iter().all(|sp| sp.attrs.iter().any(|(k, _)| k == "key")));
-            assert_eq!(rec.counter_value(&format!("session.{stage}.lookup.miss")), 1);
-            assert_eq!(rec.counter_value(&format!("session.{stage}.lookup.hit")), 1);
+        let spans: Vec<_> = snap.spans.iter().filter(|sp| sp.name == "session.model").collect();
+        assert_eq!(spans.len(), 2, "one span per lookup");
+        let outcomes: Vec<&OwnedAttr> =
+            spans.iter().flat_map(|sp| sp.attrs.iter().filter(|(k, _)| k == "outcome").map(|(_, v)| v)).collect();
+        assert_eq!(outcomes, [&OwnedAttr::Str("miss".into()), &OwnedAttr::Str("hit".into())]);
+        assert!(spans.iter().all(|sp| sp.attrs.iter().any(|(k, _)| k == "key")));
+        assert_eq!(rec.counter_value("session.model.lookup.miss"), 1);
+        assert_eq!(rec.counter_value("session.model.lookup.hit"), 1);
+        // each step of the cold build is traced once, nested in its lookup
+        for step in ["minilang.parse", "minilang.profile", "minilang.translate", "bet.build", "hotspot.plan"] {
+            let steps: Vec<_> = snap.spans.iter().filter(|sp| sp.name == step).collect();
+            assert_eq!(steps.len(), 1, "one {step} span");
+            assert_eq!(steps[0].parent, Some(spans[0].id), "{step} runs inside the cold lookup");
         }
-        // the bet build itself is traced nested under the bet stage
-        let bet_build = snap.spans.iter().find(|sp| sp.name == "bet.build").unwrap();
-        let bet_stage = snap.spans.iter().find(|sp| sp.name == "session.bet").unwrap();
-        assert_eq!(bet_build.parent, Some(bet_stage.id));
     }
 }

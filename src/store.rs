@@ -1,20 +1,19 @@
 //! The concurrent artifact store: cache *policy* for the session layer's
-//! content-addressed stage artifacts, separated from pipeline *logic*.
+//! content-addressed artifacts, separated from pipeline *logic*.
 //!
-//! [`ArtifactStore`] owns one [`StageStore`] per stage: the five stages of
-//! the session's model chain (parse, profile, translate, bet, plan — keyed
-//! as described in [`crate::session`], the profile key covering the
-//! profiled run's seed since key-schema version 2) and the simulator
-//! oracle's `sim` stage. The SoA sweep kernel is derived from a plan on
-//! demand and never stored. Each stage store is a sharded concurrent map — artifacts are FNV-sharded by their
-//! content key into independently locked shards, each with its own LRU
-//! tick — layered over an optional on-disk tier, with **single-flight
-//! dedup** on cold keys:
+//! [`ArtifactStore`] owns two [`StageStore`]s: `model`, the whole analytic
+//! model of one (source, inputs, seed) query — program, profile, translation,
+//! BET and projection plan in one artifact, keyed as described in
+//! [`crate::session`] — and `sim`, the simulator oracle's ground-truth
+//! reports. The SoA sweep kernel is derived from a plan on demand and never
+//! stored. Each stage store is a sharded concurrent map — artifacts are
+//! FNV-sharded by their content key into independently locked shards, each
+//! with its own LRU tick — layered over an optional on-disk tier, with
+//! **single-flight dedup** on cold keys:
 //!
 //! * **memory tier** — `shards` × (`Mutex<HashMap>` + LRU stamp). A lookup
 //!   or insert locks exactly one shard, so concurrent requests for
-//!   different keys never contend on one global lock (the pre-refactor
-//!   `Session` held one mutex around all of its stages for the whole build).
+//!   different keys never contend on one global lock.
 //! * **disk tier** — the persisted `<stage>-<salt>-<key>.json` artifacts.
 //!   Reading and writing happen *outside* every lock; a corrupted or
 //!   stale-schema file is a silent miss.
@@ -26,22 +25,19 @@
 //!   thundering herd of N identical cold queries performs exactly one
 //!   build per stage (asserted by `tests/store_singleflight.rs`).
 //!
-//! Counters keep the historical `session.<stage>.*` names (the trace CI
-//! and the session tests grep for them); waiters additionally bump
-//! `session.<stage>.singleflight_waits`.
+//! Counters are named `session.<stage>.{hits,disk_hits,misses,evictions,
+//! singleflight_waits}` for `<stage>` in `model` and `sim` (the trace CI
+//! and the session tests grep for them).
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 
-use xflow_bet::Bet;
-use xflow_hotspot::ProjectionPlan;
-use xflow_minilang::{self as ml, Translation};
 use xflow_obs::{AttrValue, Counter, MetricsRegistry, Recorder, SpanId};
 
-use crate::pipeline::PipelineError;
+use crate::pipeline::{ModelArtifact, PipelineError};
 
 /// Default per-stage in-memory capacity (summed across shards).
 pub(crate) const DEFAULT_CAPACITY: usize = 64;
@@ -97,32 +93,21 @@ impl StageStats {
 /// Per-stage cache counters of an [`ArtifactStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    pub parse: StageStats,
-    pub profile: StageStats,
-    pub translate: StageStats,
-    pub bet: StageStats,
-    pub plan: StageStats,
-    /// The simulator oracle stage (fed by `xflow oracle`, not by
-    /// [`Session::model`](crate::Session::model)'s five-stage chain).
+    /// The model stage ([`Session::model`](crate::Session::model)).
+    pub model: StageStats,
+    /// The simulator oracle stage (fed by
+    /// [`Session::model_and_sims`](crate::Session::model_and_sims)).
     pub sim: StageStats,
 }
 
 impl CacheStats {
-    fn stages(&self) -> [&StageStats; 6] {
-        [&self.parse, &self.profile, &self.translate, &self.bet, &self.plan, &self.sim]
+    fn stages(&self) -> [&StageStats; 2] {
+        [&self.model, &self.sim]
     }
 
-    /// Named per-stage counters, in pipeline order (`xflow cache stats`
-    /// renders these as a table).
-    pub fn per_stage(&self) -> [(&'static str, &StageStats); 6] {
-        [
-            ("parse", &self.parse),
-            ("profile", &self.profile),
-            ("translate", &self.translate),
-            ("bet", &self.bet),
-            ("plan", &self.plan),
-            ("sim", &self.sim),
-        ]
+    /// Named per-stage counters, in pipeline order.
+    pub fn per_stage(&self) -> [(&'static str, &StageStats); 2] {
+        [("model", &self.model), ("sim", &self.sim)]
     }
 
     /// Fraction of lookups served without a cold build (memory + disk
@@ -448,19 +433,16 @@ impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
 // The store
 // ---------------------------------------------------------------------------
 
-/// A concurrent, content-addressed artifact store over the five model
-/// stages and the simulator oracle stage. `Send + Sync`: one store serves any number of
-/// [`Session`](crate::Session)s, sweep workers, and server threads.
+/// A concurrent, content-addressed artifact store over the model stage and
+/// the simulator oracle stage. `Send + Sync`: one store serves any number
+/// of [`Session`](crate::Session)s, sweep workers, and server threads.
 pub struct ArtifactStore {
     config: StoreConfig,
     registry: MetricsRegistry,
-    pub(crate) parse: StageStore<ml::Program>,
-    pub(crate) profile: StageStore<ml::Profile>,
-    pub(crate) translate: StageStore<Translation>,
-    pub(crate) bet: StageStore<Bet>,
-    pub(crate) plan: StageStore<ProjectionPlan>,
+    /// Whole models, keyed over source × inputs × seed × library.
+    pub(crate) model: StageStore<ModelArtifact>,
     /// Ground-truth simulator reports, keyed over
-    /// program × inputs × machine × seed × sim-config (`xflow oracle`).
+    /// program × inputs × machine × seed × sim-config.
     pub(crate) sim: StageStore<xflow_sim::SimReport>,
 }
 
@@ -477,11 +459,7 @@ impl ArtifactStore {
         let shards = config.shards.unwrap_or(DEFAULT_SHARDS);
         let registry = MetricsRegistry::new();
         ArtifactStore {
-            parse: StageStore::new("parse", capacity, shards, &registry),
-            profile: StageStore::new("profile", capacity, shards, &registry),
-            translate: StageStore::new("translate", capacity, shards, &registry),
-            bet: StageStore::new("bet", capacity, shards, &registry),
-            plan: StageStore::new("plan", capacity, shards, &registry),
+            model: StageStore::new("model", capacity, shards, &registry),
             sim: StageStore::new("sim", capacity, shards, &registry),
             config,
             registry,
@@ -512,14 +490,7 @@ impl ArtifactStore {
     /// (snapshots of the [`ArtifactStore::registry`] counters, summed
     /// over every session sharing the store).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            parse: self.parse.counters.snapshot(),
-            profile: self.profile.counters.snapshot(),
-            translate: self.translate.counters.snapshot(),
-            bet: self.bet.counters.snapshot(),
-            plan: self.plan.counters.snapshot(),
-            sim: self.sim.counters.snapshot(),
-        }
+        CacheStats { model: self.model.counters.snapshot(), sim: self.sim.counters.snapshot() }
     }
 
     /// Delete this store's persisted artifacts, returning how many files
@@ -530,26 +501,6 @@ impl ArtifactStore {
             None => Ok(0),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Process-wide store registration
-// ---------------------------------------------------------------------------
-
-static PROCESS_STORE: OnceLock<Mutex<Weak<ArtifactStore>>> = OnceLock::new();
-
-/// Register `store` as the process's primary store. The server installs
-/// its store on startup so `xflow cache stats` (and anything else
-/// in-process) reads live counters from the registry actually serving
-/// traffic instead of a fresh, empty session.
-pub fn install_process_store(store: &Arc<ArtifactStore>) {
-    let slot = PROCESS_STORE.get_or_init(|| Mutex::new(Weak::new()));
-    *slot.lock().unwrap() = Arc::downgrade(store);
-}
-
-/// The registered process store, if one is alive.
-pub fn process_store() -> Option<Arc<ArtifactStore>> {
-    PROCESS_STORE.get().and_then(|slot| slot.lock().unwrap().upgrade())
 }
 
 // ---------------------------------------------------------------------------
@@ -588,13 +539,14 @@ fn store_artifact<T: serde::Serialize>(dir: &Path, stage: &str, salt: u64, key: 
     }
 }
 
-/// Whether a file name matches the artifact naming scheme of any stage.
+/// Whether a file name matches the artifact naming scheme
+/// `<stage>-<salt>-<key>.json` (a lowercase stage name, two 16-digit hex
+/// hashes). Any stage name matches, so files of retired stages count too.
 fn is_artifact_file(name: &str) -> bool {
     let Some(rest) = name.strip_suffix(".json") else { return false };
-    let mut parts = rest.splitn(2, '-');
-    let stage = parts.next().unwrap_or("");
-    let Some(hashes) = parts.next() else { return false };
-    matches!(stage, "parse" | "profile" | "translate" | "bet" | "plan" | "sim")
+    let Some((stage, hashes)) = rest.split_once('-') else { return false };
+    !stage.is_empty()
+        && stage.bytes().all(|b| b.is_ascii_lowercase())
         && hashes.len() == 33
         && hashes.as_bytes()[16] == b'-'
         && hashes.chars().enumerate().all(|(i, c)| i == 16 || c.is_ascii_hexdigit())
@@ -604,8 +556,8 @@ fn is_artifact_file(name: &str) -> bool {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheReport {
     /// Artifact files per stage, in pipeline order.
-    pub per_stage: [usize; 6],
-    /// Total artifact files.
+    pub per_stage: [usize; 2],
+    /// Total artifact files, including those of retired stages.
     pub entries: usize,
     /// Total artifact bytes.
     pub bytes: u64,
@@ -613,7 +565,7 @@ pub struct DiskCacheReport {
 
 impl DiskCacheReport {
     /// Stage names matching `per_stage` order.
-    pub const STAGES: [&'static str; 6] = ["parse", "profile", "translate", "bet", "plan", "sim"];
+    pub const STAGES: [&'static str; 2] = ["model", "sim"];
 }
 
 /// Scan a cache directory (missing directory → empty report).
@@ -635,8 +587,9 @@ pub fn disk_cache_report(dir: &Path) -> DiskCacheReport {
     report
 }
 
-/// Delete all artifact files in a cache directory, returning the count.
-/// Non-artifact files are left alone; a missing directory removes nothing.
+/// Delete all artifact files in a cache directory, those of retired stages
+/// included, returning the count. Non-artifact files are left alone; a
+/// missing directory removes nothing.
 pub fn clear_cache_dir(dir: &Path) -> std::io::Result<usize> {
     let mut removed = 0;
     let entries = match fs::read_dir(dir) {
@@ -659,66 +612,70 @@ pub fn clear_cache_dir(dir: &Path) -> std::io::Result<usize> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use xflow_minilang as ml;
     use xflow_obs::NoopRecorder;
 
-    fn store_with(capacity: usize, shards: usize) -> ArtifactStore {
-        ArtifactStore::new(StoreConfig { capacity: Some(capacity), shards: Some(shards), ..StoreConfig::default() })
+    /// A stage store of parsed programs: cheap artifacts to exercise the
+    /// cache policy with.
+    fn stage_with(capacity: usize, shards: usize) -> StageStore<ml::Program> {
+        StageStore::new("test", capacity, shards, &MetricsRegistry::new())
     }
 
     #[test]
     fn per_stage_names_and_hit_ratio() {
         let mut stats = CacheStats::default();
         assert_eq!(stats.hit_ratio(), 0.0, "no lookups yet");
-        stats.parse = StageStats { hits: 3, disk_hits: 1, misses: 1, evictions: 0, singleflight_waits: 2 };
-        stats.plan = StageStats { hits: 0, disk_hits: 0, misses: 5, evictions: 0, singleflight_waits: 0 };
+        stats.model = StageStats { hits: 3, disk_hits: 1, misses: 1, evictions: 0, singleflight_waits: 2 };
+        stats.sim = StageStats { hits: 0, disk_hits: 0, misses: 5, evictions: 0, singleflight_waits: 0 };
         let names: Vec<&str> = stats.per_stage().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["parse", "profile", "translate", "bet", "plan", "sim"]);
+        assert_eq!(names, ["model", "sim"]);
         assert_eq!(stats.per_stage()[0].1.singleflight_waits, 2);
         // 4 hits of 10 lookups
         assert!((stats.hit_ratio() - 0.4).abs() < 1e-12, "{}", stats.hit_ratio());
+        let store = ArtifactStore::default();
+        assert_eq!(store.registry().get("session.model.misses"), 0, "counters are registered per stage");
+        assert_eq!(store.stats(), CacheStats::default());
     }
 
     #[test]
     fn single_shard_lru_evicts_least_recently_used() {
-        let s = store_with(2, 1);
+        let s = stage_with(2, 1);
         let get = |key: u64, val: u64| {
-            s.parse
-                .get_or_build(0, None, &NoopRecorder, key, || {
-                    Ok(ml::parse(&format!("fn main() {{ let x = {val}; print(x); }}")).unwrap())
-                })
-                .unwrap()
+            s.get_or_build(0, None, &NoopRecorder, key, || {
+                Ok(ml::parse(&format!("fn main() {{ let x = {val}; print(x); }}")).unwrap())
+            })
+            .unwrap()
         };
         get(1, 1);
         get(2, 2);
         get(1, 1); // refresh key 1
         get(3, 3); // evicts key 2
-        let st = s.stats().parse;
+        let st = s.counters.snapshot();
         assert_eq!(st.evictions, 1);
         assert_eq!(st.misses, 3);
         get(2, 2); // key 2 is gone → rebuild (and key 1, now oldest, is evicted)
-        assert_eq!(s.stats().parse.misses, 4);
+        assert_eq!(s.counters.snapshot().misses, 4);
         get(3, 3);
-        assert_eq!(s.stats().parse.misses, 4, "key 3 must still be resident");
-        assert_eq!(s.stats().parse.evictions, 2);
+        assert_eq!(s.counters.snapshot().misses, 4, "key 3 must still be resident");
+        assert_eq!(s.counters.snapshot().evictions, 2);
     }
 
     #[test]
     fn thundering_herd_builds_once() {
-        let s = store_with(8, 4);
+        let s = stage_with(8, 4);
         let builds = AtomicU64::new(0);
         let key = 0x5eed;
         let results: Vec<Arc<ml::Program>> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|_| {
-                        s.parse
-                            .get_or_build(0, None, &NoopRecorder, key, || {
-                                builds.fetch_add(1, Ordering::SeqCst);
-                                // a slow build widens the race window
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                                Ok(ml::parse("fn main() { let x = 1; print(x); }").unwrap())
-                            })
-                            .unwrap()
+                        s.get_or_build(0, None, &NoopRecorder, key, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            // a slow build widens the race window
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok(ml::parse("fn main() { let x = 1; print(x); }").unwrap())
+                        })
+                        .unwrap()
                     })
                 })
                 .collect();
@@ -726,7 +683,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(builds.load(Ordering::SeqCst), 1, "single-flight must dedup the herd");
-        let st = s.stats().parse;
+        let st = s.counters.snapshot();
         assert_eq!(st.misses, 1);
         assert_eq!(st.hits + st.misses, 8, "every request is served");
         assert!(st.singleflight_waits >= 1, "late arrivals must wait, not rebuild: {st:?}");
@@ -737,39 +694,34 @@ mod tests {
 
     #[test]
     fn build_errors_propagate_to_waiters_and_do_not_poison() {
-        let s = store_with(8, 4);
+        let s = stage_with(8, 4);
         let key = 0xdead;
         let err = s
-            .parse
             .get_or_build(0, None, &NoopRecorder, key, || Err(PipelineError::Parse(ml::parse("fn{").unwrap_err())))
             .unwrap_err();
         assert!(matches!(err, PipelineError::Parse(_)));
         // the failed flight is retired: the next request rebuilds
         let ok = s
-            .parse
             .get_or_build(0, None, &NoopRecorder, key, || Ok(ml::parse("fn main() { let x = 1; print(x); }").unwrap()));
         assert!(ok.is_ok());
-        assert_eq!(s.stats().parse.misses, 2);
+        assert_eq!(s.counters.snapshot().misses, 2);
     }
 
     #[test]
     fn artifact_file_name_filter() {
-        assert!(is_artifact_file("parse-0123456789abcdef-fedcba9876543210.json"));
-        assert!(is_artifact_file("plan-0000000000000000-0000000000000000.json"));
+        assert!(is_artifact_file("model-0123456789abcdef-fedcba9876543210.json"));
         assert!(is_artifact_file("sim-0000000000000000-0000000000000000.json"));
-        assert!(!is_artifact_file("kernel-0000000000000000-0000000000000000.json"), "no kernel stage");
-        assert!(!is_artifact_file("parse-0123-fedc.json"));
-        assert!(!is_artifact_file("notes.txt"));
-        assert!(!is_artifact_file("other-0123456789abcdef-fedcba9876543210.json"));
-    }
-
-    #[test]
-    fn process_store_registration_is_weak() {
-        {
-            let s = ArtifactStore::shared(StoreConfig::default());
-            install_process_store(&s);
-            assert!(process_store().is_some());
+        // files of retired stages keep the naming scheme, so `cache clear`
+        // still removes them
+        for retired in ["parse", "profile", "translate", "bet", "plan", "kernel"] {
+            assert!(is_artifact_file(&format!("{retired}-0123456789abcdef-fedcba9876543210.json")), "{retired}");
         }
-        assert!(process_store().is_none(), "a dropped store must not be resurrected");
+        assert!(!is_artifact_file("model-0123-fedc.json"));
+        assert!(!is_artifact_file("model-0123456789abcdef-fedcba987654321g.json"));
+        assert!(!is_artifact_file("Model-0123456789abcdef-fedcba9876543210.json"));
+        assert!(!is_artifact_file("-0123456789abcdef-fedcba9876543210.json"));
+        assert!(!is_artifact_file("model-0123456789abcdef-fedcba9876543210.tmp.7.fedcba9876543210"));
+        assert!(!is_artifact_file("notes.txt"));
+        assert!(!is_artifact_file("my-notes-0123456789abcdef-fedcba98765432.json"));
     }
 }

@@ -18,7 +18,7 @@ fn machines() -> [MachineModel; 4] {
 /// one-machine paths.
 fn assert_fan_out_matches(prog: &ml::Program, inputs: &InputSpec, runs: &[(&MachineModel, SimConfig)], ctx: &str) {
     let seed = ml::DEFAULT_SEED;
-    let (profile, reports) = simulate_machines(prog, inputs, runs, seed).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let (profile, reports, ret) = simulate_machines(prog, inputs, runs, seed).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert_eq!(reports.len(), runs.len(), "{ctx}: one report per machine");
     for ((m, cfg), report) in runs.iter().zip(&reports) {
         let alone = simulate_with_seed(prog, inputs, m, cfg.clone(), seed).unwrap();
@@ -26,6 +26,8 @@ fn assert_fan_out_matches(prog: &ml::Program, inputs: &InputSpec, runs: &[(&Mach
     }
     let profiled = ml::profile_seeded(prog, inputs, seed).unwrap();
     assert_eq!(serde_json::to_string(&profile).unwrap(), serde_json::to_string(&profiled).unwrap(), "{ctx}: profile");
+    let (_, _, vm_ret) = ml::compile(prog).unwrap().run(inputs, ml::NullTracer, ml::Limits::default(), seed).unwrap();
+    assert_eq!(ret.to_bits(), vm_ret.to_bits(), "{ctx}: main's return value");
 }
 
 #[test]
@@ -49,7 +51,7 @@ fn fan_out_matches_the_reference_engine() {
     let m = bgq();
     let cfg = w.sim_config(&prog, &m);
     let runs = [(&xeon(), SimConfig::default()), (&m, cfg.clone())];
-    let (_, reports) = simulate_machines(&prog, &inputs, &runs, ml::DEFAULT_SEED).expect("simulates");
+    let (_, reports, _) = simulate_machines(&prog, &inputs, &runs, ml::DEFAULT_SEED).expect("simulates");
     let reference = simulate_reference(&prog, &inputs, &m, cfg).expect("reference simulates");
     assert_reports_bit_equal(&reports[1], &reference, "CFD on BG/Q: fan-out vs reference");
 }

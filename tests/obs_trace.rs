@@ -69,13 +69,15 @@ fn chrome_trace_is_schema_valid_and_spans_nest() {
         }
     }
 
-    // all five session stages span the trace, plus the explain evaluation
+    // the model lookup and each step of its build span the trace, plus
+    // the explain evaluation
     let span_names: Vec<&str> = trace.traceEvents.iter().filter(|e| e.ph == "X").map(|e| e.name.as_str()).collect();
-    for stage in ["session.parse", "session.profile", "session.translate", "session.bet", "session.plan"] {
-        assert!(span_names.contains(&stage), "missing stage span {stage}: {span_names:?}");
+    for span in
+        ["session.model", "minilang.parse", "minilang.profile", "minilang.translate", "bet.build", "hotspot.plan"]
+    {
+        assert!(span_names.contains(&span), "missing span {span}: {span_names:?}");
     }
     assert!(span_names.contains(&"plan.evaluate"));
-    assert!(span_names.contains(&"bet.build"));
 
     // spans nest: every child interval lies inside its parent, same thread
     for span in &snap.spans {

@@ -89,8 +89,7 @@ fn one_program_on_two_machines_is_profiled_once() {
     let corpus = build_corpus(&session, &programs, &[bgq(), xeon()], &opts).unwrap();
     assert_eq!(corpus.combos, 2);
     let stats = session.stats();
-    assert_eq!((stats.profile.misses, stats.profile.hits), (1, 0), "both machines read one profile lookup");
-    assert_eq!((stats.plan.misses, stats.plan.hits), (1, 0), "and one plan");
+    assert_eq!((stats.model.misses, stats.model.hits), (1, 0), "both machines read one model lookup");
     assert_eq!(stats.sim.misses, 2, "each machine's report is its own artifact");
 }
 
@@ -172,15 +171,15 @@ fn one_vm_run_per_program_and_scale_fills_every_stage() {
         build_corpus(&session, &programs, &machines, &OracleOptions { jobs: 2, ..Default::default() }).unwrap();
     assert_eq!(corpus.combos, 18);
     let stats = session.stats();
-    assert_eq!(stats.parse.misses, 3);
-    assert_eq!(stats.profile.misses, 6);
+    assert_eq!(stats.model.misses, 6);
     assert_eq!(stats.sim.misses, 18);
     let snap = rec.snapshot();
     let runs: Vec<_> = snap.spans.iter().filter(|sp| sp.name == "sim.run").collect();
     assert_eq!(runs.len(), 6, "one VM execution per (program, scale)");
+    assert_eq!(snap.spans.iter().filter(|sp| sp.name == "minilang.parse").count(), 6, "one parse per model build");
     for run in runs {
         let parent = snap.spans.iter().find(|sp| Some(sp.id) == run.parent).expect("sim.run has a parent");
-        assert_eq!(parent.name, "session.profile", "the run fills the profile stage");
+        assert_eq!(parent.name, "session.model", "the run is the model build's profiled run");
         assert!(run.attrs.iter().any(|(k, v)| k == "machines" && *v == xflow::xflow_obs::OwnedAttr::U64(3)));
     }
     for jobs in [1, 4] {

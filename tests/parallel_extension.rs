@@ -91,7 +91,7 @@ fn parallel_loop_reduces_projected_total() {
     let total = |src: &str| {
         let prog = xflow_skeleton::parse(src).unwrap();
         let bet = xflow_bet::build(&prog, &env).unwrap();
-        xflow_hotspot::project(&bet, &m, &Roofline, &libs).total_time
+        xflow_hotspot::ProjectionPlan::new(&bet, &libs).evaluate(&m, &Roofline).total_time
     };
     let seq = total(seq_src);
     let par = total(par_src);

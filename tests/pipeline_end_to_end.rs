@@ -7,6 +7,7 @@ use xflow::{
     bgq, compare, default_session, xeon, Criteria, MachineModel, MachineProjection, Measured, ModeledApp, Scale,
     Workload, EVAL_CRITERIA,
 };
+use xflow_hotspot::ProjectionPlan;
 
 /// The model of a workload at test scale, its projection on `m` and its
 /// ground truth there: the session's one model-and-simulation step, the
@@ -148,8 +149,10 @@ fn cfd_divide_underprojection_and_ablation() {
     let (app, _, measured) = model_and_measure(&w, &m);
     let libs = xflow_sim::calibrate_library(256);
 
-    let base = app.project_with(&m, &xflow_hw::Roofline, &libs);
-    let divaware = app.project_with(&m, &xflow_hw::DivAwareRoofline, &libs);
+    let plan = ProjectionPlan::new(&app.bet, &libs);
+    let project = |model: &dyn xflow_hw::PerfModel| MachineProjection::new(&app.units, &m, plan.evaluate(&m, model));
+    let base = project(&xflow_hw::Roofline);
+    let divaware = project(&xflow_hw::DivAwareRoofline);
 
     let vel_stmt = app.translation.skeleton.stmt_by_label("velocity");
     // the labeled loop's body comp carries the cost; find the unit by name
@@ -239,7 +242,7 @@ fn miniapp_reproduces_selection_time() {
 
     let bet = xflow_bet::build(&mini, &Default::default()).unwrap();
     let libs = xflow_sim::calibrate_library(512);
-    let proj = xflow_hotspot::project(&bet, &machine, &xflow::Roofline, &libs);
+    let proj = ProjectionPlan::new(&bet, &libs).evaluate(&machine, &xflow::Roofline);
     let rel = (proj.total_time - selected_time).abs() / selected_time;
     assert!(rel < 0.05, "mini-app total {:.3e} vs selection {:.3e} (rel {rel:.3})", proj.total_time, selected_time);
     // and it is much smaller than the original application

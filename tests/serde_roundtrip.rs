@@ -83,8 +83,10 @@ fn deserialized_skeleton_projects_identically() {
     let env = xflow_skeleton::env_from([("n", 1000.0)]);
     let libs = xflow_sim::calibrate_library(64);
     let m = bgq();
-    let a = xflow_hotspot::project(&xflow_bet::build(&prog, &env).unwrap(), &m, &xflow::Roofline, &libs);
-    let b = xflow_hotspot::project(&xflow_bet::build(&back, &env).unwrap(), &m, &xflow::Roofline, &libs);
+    let project = |prog| {
+        xflow_hotspot::ProjectionPlan::new(&xflow_bet::build(prog, &env).unwrap(), &libs).evaluate(&m, &xflow::Roofline)
+    };
+    let (a, b) = (project(&prog), project(&back));
     assert_eq!(a.total_time, b.total_time);
 }
 

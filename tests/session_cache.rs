@@ -1,7 +1,8 @@
 //! Cache behavior of the incremental `Session` layer: hits on identical
-//! queries, precise invalidation (a source edit rebuilds everything, an
-//! input edit reuses the parse), disk warm-starts, and corrupted-artifact
-//! fallback.
+//! queries, precise invalidation (a source or input edit is a new model
+//! artifact), one file per model on disk, disk warm-starts,
+//! corrupted-artifact fallback, and `cache clear` on files that older
+//! versions wrote.
 
 use std::path::PathBuf;
 use xflow::{bgq, xeon, InputSpec, Session};
@@ -43,13 +44,10 @@ fn identical_query_hits_every_stage() {
     let second = s.model(SRC, &inputs).unwrap();
 
     let st = s.stats();
-    for (name, stage) in
-        [("parse", st.parse), ("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)]
-    {
-        assert_eq!(stage.misses, 1, "{name}: first query should build");
-        assert_eq!(stage.hits, 1, "{name}: second query should hit memory");
-        assert_eq!(stage.disk_hits, 0, "{name}: memory-only session");
-    }
+    assert_eq!(st.model.misses, 1, "first query should build");
+    assert_eq!(st.model.hits, 1, "second query should hit memory");
+    assert_eq!(st.model.disk_hits, 0, "memory-only session");
+    assert_eq!(st.sim.lookups(), 0, "a model query looks up no simulation");
     assert_bits_equal(&first.project_on(&bgq()), &second.project_on(&bgq()));
 }
 
@@ -62,27 +60,20 @@ fn one_byte_source_edit_misses_every_stage() {
     s.model(&edited, &inputs).unwrap();
 
     let st = s.stats();
-    for (name, stage) in
-        [("parse", st.parse), ("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)]
-    {
-        assert_eq!(stage.misses, 2, "{name}: a one-byte edit must rebuild this stage");
-        assert_eq!(stage.hits, 0, "{name}: nothing shared across the edit");
-    }
+    assert_eq!(st.model.misses, 2, "a one-byte edit must rebuild the model");
+    assert_eq!(st.model.hits, 0, "nothing shared across the edit");
 }
 
 #[test]
-fn input_change_reuses_parse_and_rebuilds_downstream() {
+fn input_change_misses_the_model() {
     let s = Session::new();
     s.model(SRC, &InputSpec::from_pairs([("N", 256.0)])).unwrap();
     s.model(SRC, &InputSpec::from_pairs([("N", 1024.0)])).unwrap();
+    s.model(SRC, &InputSpec::from_pairs([("N", 256.0)])).unwrap();
 
     let st = s.stats();
-    assert_eq!(st.parse.hits, 1, "parse is input-independent and must be reused");
-    assert_eq!(st.parse.misses, 1);
-    for (name, stage) in [("profile", st.profile), ("translate", st.translate), ("bet", st.bet), ("plan", st.plan)] {
-        assert_eq!(stage.misses, 2, "{name}: depends on inputs, must rebuild");
-        assert_eq!(stage.hits, 0, "{name}");
-    }
+    assert_eq!(st.model.misses, 2, "each input binding is a model of its own");
+    assert_eq!(st.model.hits, 1, "and the first binding's model is still resident");
 }
 
 #[test]
@@ -92,23 +83,27 @@ fn disk_cache_warm_starts_a_fresh_session() {
 
     let cold = Session::with_cache_dir(&dir);
     let app_cold = cold.model(SRC, &inputs).unwrap();
-    assert_eq!(cold.stats().misses(), 5);
+    assert_eq!((cold.stats().model.misses, cold.stats().misses()), (1, 1), "a cold query misses the model once");
     let report = xflow::session::disk_cache_report(&dir);
-    assert_eq!(report.entries, 5, "one artifact per stage");
-    assert_eq!(report.per_stage, [1, 1, 1, 1, 1, 0], "a model run leaves the sim stage untouched");
+    assert_eq!(report.entries, 1, "one artifact per model");
+    assert_eq!(report.per_stage, [1, 0], "a model run leaves the sim stage untouched");
     assert!(report.bytes > 0);
+    let files: Vec<String> =
+        std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect();
+    assert!(matches!(files.as_slice(), [f] if f.starts_with("model-") && f.ends_with(".json")), "{files:?}");
 
     let warm = Session::with_cache_dir(&dir);
     let app_warm = warm.model(SRC, &inputs).unwrap();
     let st = warm.stats();
-    assert_eq!(st.disk_hits(), 5, "every stage must warm-start from disk");
+    assert_eq!(st.model.disk_hits, 1, "the model must warm-start from disk");
+    assert_eq!(st.disk_hits(), 1);
     assert_eq!(st.misses(), 0);
 
     for m in [bgq(), xeon()] {
         assert_bits_equal(&app_cold.project_on(&m), &app_warm.project_on(&m));
     }
 
-    assert_eq!(warm.clear_disk().unwrap(), 5);
+    assert_eq!(warm.clear_disk().unwrap(), 1);
     assert_eq!(xflow::session::disk_cache_report(&dir).entries, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -120,34 +115,30 @@ fn corrupted_and_truncated_artifacts_fall_back_to_cold_builds() {
     let seed = Session::with_cache_dir(&dir);
     let reference = seed.model(SRC, &inputs).unwrap();
 
-    // corrupt every persisted artifact: truncate some, garbage the rest
-    let mut mangled = 0;
-    for (i, entry) in std::fs::read_dir(&dir).unwrap().flatten().enumerate() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path()).collect();
+    assert_eq!(files.len(), 1, "one model artifact: {files:?}");
+    let model = &files[0];
+    let good = std::fs::read_to_string(model).unwrap();
+
+    // a truncated file, then a garbage one: each is a silent cold rebuild
+    for mangled in [&good[..good.len() / 2], "{not json at all"] {
+        std::fs::write(model, mangled).unwrap();
+        let recover = Session::with_cache_dir(&dir);
+        let rebuilt = recover.model(SRC, &inputs).unwrap();
+        let st = recover.stats();
+        assert_eq!(st.disk_hits(), 0, "a corrupted artifact must not be served");
+        assert_eq!(st.misses(), 1, "the model silently rebuilds cold");
+        for m in [bgq(), xeon()] {
+            assert_bits_equal(&reference.project_on(&m), &rebuilt.project_on(&m));
         }
-        if i % 2 == 0 {
-            let text = std::fs::read_to_string(&path).unwrap();
-            std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        } else {
-            std::fs::write(&path, "{not json at all").unwrap();
-        }
-        mangled += 1;
+        // the rebuild re-persisted a good artifact
+        assert_eq!(std::fs::read_to_string(model).unwrap(), good);
     }
-    assert_eq!(mangled, 5);
 
-    let recover = Session::with_cache_dir(&dir);
-    let rebuilt = recover.model(SRC, &inputs).unwrap();
-    let st = recover.stats();
-    assert_eq!(st.disk_hits(), 0, "corrupted artifacts must not be served");
-    assert_eq!(st.misses(), 5, "every stage silently rebuilds cold");
-    assert_bits_equal(&reference.project_on(&bgq()), &rebuilt.project_on(&bgq()));
-
-    // the rebuild re-persisted good artifacts: a third session warm-starts
+    // so a further session warm-starts
     let warm = Session::with_cache_dir(&dir);
     warm.model(SRC, &inputs).unwrap();
-    assert_eq!(warm.stats().disk_hits(), 5);
+    assert_eq!(warm.stats().disk_hits(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -171,12 +162,24 @@ fn cli_cache_dir_round_trip_and_subcommands() {
     assert_eq!(first, cold);
 
     let stats = xflow::cli::run(&args(&["cache", "stats", "--cache-dir", cache.to_str().unwrap()])).unwrap();
-    assert!(stats.contains("entries: 5"), "{stats}");
+    assert!(stats.contains("entries: 1"), "{stats}");
+    assert!(stats.contains("  model      1\n  sim        0\n"), "{stats}");
+
+    // files that older versions wrote, one per retired stage, count as
+    // artifacts and `cache clear` removes them; other files stay
+    let retired = ["parse", "profile", "translate", "bet", "plan", "kernel"];
+    for stage in retired {
+        std::fs::write(cache.join(format!("{stage}-0123456789abcdef-fedcba9876543210.json")), "{}").unwrap();
+    }
+    std::fs::write(cache.join("notes.txt"), "kept").unwrap();
+    let stats = xflow::cli::run(&args(&["cache", "stats", "--cache-dir", cache.to_str().unwrap()])).unwrap();
+    assert!(stats.contains(&format!("entries: {}", 1 + retired.len())), "{stats}");
 
     let cleared = xflow::cli::run(&args(&["cache", "clear", "--cache-dir", cache.to_str().unwrap()])).unwrap();
-    assert!(cleared.contains("removed 5"), "{cleared}");
+    assert!(cleared.contains(&format!("removed {}", 1 + retired.len())), "{cleared}");
     let stats = xflow::cli::run(&args(&["cache", "stats", "--cache-dir", cache.to_str().unwrap()])).unwrap();
     assert!(stats.contains("entries: 0"), "{stats}");
+    assert!(cache.join("notes.txt").exists(), "non-artifact files are left alone");
 
     // bad invocations error cleanly
     assert!(xflow::cli::run(&args(&["cache", "stats"])).is_err());
@@ -198,9 +201,9 @@ fn cli_skeleton_warm_cache_dir_run_misses_nothing() {
         (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
     };
     let (cold, cold_err) = skeleton(&["--cache-dir", cache.to_str().unwrap()]);
-    assert!(!cold_err.contains("misses: 0"), "the first run builds every stage: {cold_err}");
+    assert!(!cold_err.contains("misses: 0"), "the first run builds the model: {cold_err}");
     let (warm, warm_err) = skeleton(&["--cache-dir", cache.to_str().unwrap()]);
-    assert!(warm_err.contains("misses: 0"), "the warm run must load every stage from disk: {warm_err}");
+    assert!(warm_err.contains("misses: 0"), "the warm run must load the model from disk: {warm_err}");
     assert_eq!(cold, warm, "warm run must print byte-identical output");
     assert_eq!(cold, skeleton(&["--no-cache"]).0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 //! build, for all five workloads × four machines. This is the correctness
 //! bar that makes `--cache-dir` warm-starts trustworthy.
 
-use xflow::{bgq, default_library, generic, knl, xeon, ModeledApp, Roofline, Scale, Session};
+use xflow::{bgq, default_library, explain, generic, knl, xeon, ModeledApp, Roofline, Scale, Session};
 use xflow_hotspot::{Projection, ProjectionPlan};
 use xflow_workloads::Workload;
 
@@ -12,13 +12,13 @@ fn machines() -> [xflow::MachineModel; 4] {
     [bgq(), xeon(), knl(), generic()]
 }
 
-/// The cold reference: a fresh memory-only session, so every stage is
-/// built from scratch — asserted by five misses and no hits.
+/// The cold reference: a fresh memory-only session, so the model is
+/// built from scratch — asserted by one miss and no hits.
 fn cold_build(w: &Workload) -> ModeledApp {
     let session = Session::new();
     let app = session.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
     let st = session.stats();
-    assert_eq!((st.misses(), st.hits()), (5, 0), "{}: the cold reference builds all five stages", w.name);
+    assert_eq!((st.misses(), st.hits()), (1, 0), "{}: the cold reference builds the model", w.name);
     app
 }
 
@@ -85,7 +85,7 @@ fn session_model_matches_cold_build_bit_for_bit() {
         }
     }
     let st = session.stats();
-    assert_eq!(st.hits(), 25, "second load of each workload hits all five stages");
+    assert_eq!(st.hits(), 5, "second load of each workload hits its model");
 }
 
 #[test]
@@ -99,11 +99,20 @@ fn disk_round_trip_matches_cold_build_bit_for_bit() {
     let warm = Session::with_cache_dir(&dir);
     for w in xflow_workloads::all() {
         let cold = cold_build(&w);
-        let disk = warm.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
+        // a fresh session on the directory: one disk hit per model
+        let fresh = Session::with_cache_dir(&dir);
+        let disk = fresh.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
+        let st = fresh.stats();
+        assert_eq!((st.disk_hits(), st.hits(), st.misses()), (1, 0, 0), "{}: one disk hit", w.name);
         for m in machines() {
             assert_unit_view_bits(&format!("{}/{} disk", w.name, m.name), &cold.project_on(&m), &disk.project_on(&m));
         }
+        for m in [bgq(), xeon()] {
+            let label = format!("{}/{} explain", w.name, m.name);
+            assert_eq!(explain(&cold, &m).to_json(), explain(&disk, &m).to_json(), "{label}");
+        }
+        warm.model(w.source, &w.inputs(Scale::Test)).expect(w.name);
     }
-    assert_eq!(warm.stats().disk_hits(), 25, "five workloads × five stages from disk");
+    assert_eq!(warm.stats().disk_hits(), 5, "five workloads, one model each, from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Concurrency contract of the shared [`ArtifactStore`]: a thundering
-//! herd of sessions on one cold workload builds each pipeline stage
-//! exactly once (single-flight dedup, proven via the store's obs
-//! counters), and concurrent mixed traffic — project, sweep, explain —
+//! herd of sessions on one cold workload builds the model exactly once
+//! (single-flight dedup, proven via the store's obs counters and the
+//! build's step spans), and concurrent mixed traffic — project, sweep, explain —
 //! is bit-identical to running the same requests serially.
 
 use proptest::prelude::*;
@@ -18,9 +18,10 @@ fn workload_source(name: &str) -> (String, InputSpec) {
 }
 
 /// M concurrent sessions over one store, all modeling the same cold
-/// workload: exactly one build per stage (5 misses total), every other
-/// lookup a hit or a single-flight wait, and every thread's projected
-/// total bit-identical to a cold single-threaded run.
+/// workload: exactly one model build (one miss, one traced parse and
+/// profiled run), every other lookup a hit or a single-flight wait, and
+/// every thread's projected total bit-identical to a cold single-threaded
+/// run.
 #[test]
 fn thundering_herd_builds_each_stage_exactly_once() {
     const THREADS: usize = 8;
@@ -32,14 +33,16 @@ fn thundering_herd_builds_each_stage_exactly_once() {
     };
 
     let store = ArtifactStore::shared(StoreConfig::default());
+    let rec = Arc::new(xflow::CollectingRecorder::new());
     let totals: Vec<u64> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let store = store.clone();
+                let rec: Arc<dyn xflow::xflow_obs::Recorder> = rec.clone();
                 let src = &src;
                 let inputs = &inputs;
                 scope.spawn(move |_| {
-                    let session = Session::with_store(store);
+                    let session = Session::with_store_and_recorder(store, Some(rec));
                     let app = session.model(src, inputs).expect("model");
                     app.project_on(&bgq()).total.to_bits()
                 })
@@ -54,20 +57,17 @@ fn thundering_herd_builds_each_stage_exactly_once() {
     }
 
     let stats = store.stats();
-    assert_eq!(stats.misses(), 5, "exactly one build per stage: {stats:?}");
+    assert_eq!(stats.misses(), 1, "exactly one model build: {stats:?}");
     assert_eq!(stats.disk_hits(), 0);
-    // every stage saw all THREADS lookups; the non-builders either hit
-    // warm memory or waited on the in-flight build
-    for (name, stage) in [
-        ("parse", &stats.parse),
-        ("profile", &stats.profile),
-        ("translate", &stats.translate),
-        ("bet", &stats.bet),
-        ("plan", &stats.plan),
-    ] {
-        assert_eq!(stage.misses, 1, "stage {name} must build once: {stage:?}");
-        assert_eq!(stage.hits + stage.misses, THREADS as u64, "stage {name} lookups: {stage:?}");
+    // the model saw all THREADS lookups; the non-builders either hit warm
+    // memory or waited on the in-flight build
+    assert_eq!(stats.model.misses, 1, "{:?}", stats.model);
+    assert_eq!(stats.model.hits + stats.model.misses, THREADS as u64, "{:?}", stats.model);
+    let snap = rec.snapshot();
+    for step in ["minilang.parse", "minilang.profile", "minilang.translate", "bet.build", "hotspot.plan"] {
+        assert_eq!(snap.spans.iter().filter(|sp| sp.name == step).count(), 1, "the herd runs {step} once");
     }
+    assert_eq!(snap.spans.iter().filter(|sp| sp.name == "session.model").count(), THREADS, "one lookup per thread");
 }
 
 /// Interleaved *different* workloads on one store still build once per
@@ -105,7 +105,7 @@ fn concurrent_distinct_workloads_share_the_store_without_interference() {
         assert_eq!(bits, reference[idx], "workload {} projected differently under concurrency", names[idx]);
     }
     let stats = store.stats();
-    assert_eq!(stats.misses(), 15, "3 workloads x 5 stages, each built once: {stats:?}");
+    assert_eq!(stats.misses(), 3, "3 workloads, each model built once: {stats:?}");
 }
 
 /// One mixed request against one app: the payload each traffic kind
@@ -180,7 +180,7 @@ proptest! {
         .expect("scope");
 
         prop_assert_eq!(&concurrent, &serial);
-        prop_assert_eq!(store.stats().misses(), 5, "one build per stage regardless of traffic mix");
+        prop_assert_eq!(store.stats().misses(), 1, "one model build regardless of traffic mix");
     }
 }
 

@@ -62,7 +62,7 @@ fn public_project_entry_point_uses_the_plan_but_matches_legacy() {
     let libs = xflow::default_library();
     let app = ModeledApp::from_workload(&xflow_workloads::sord(), Scale::Test).unwrap();
     let m = bgq();
-    let via_project = xflow_hotspot::project(&app.bet, &m, &Roofline, libs);
+    let via_project = ProjectionPlan::new(&app.bet, libs).evaluate(&m, &Roofline);
     let via_legacy = project_single_pass(&app.bet, &m, &Roofline, libs);
     assert_eq!(via_project.total_time.to_bits(), via_legacy.total_time.to_bits());
 }

@@ -112,7 +112,7 @@ fn validate_checks_the_model_the_session_serves() {
         |_, _, w| session.validate(w.source, &w.inputs(Scale::Test), Some(w), &machines, &cfg).unwrap(),
     );
     let stats = session.stats();
-    assert_eq!(stats.profile.misses, 5, "one profiled run per workload, not per combo");
+    assert_eq!(stats.model.misses, 5, "one profiled run per workload, not per combo");
     assert_eq!(stats.sim.misses, 10, "one simulation per combo");
     for (w, reps) in workloads.iter().zip(&reports) {
         let app = session.model_seeded(w.source, &w.inputs(Scale::Test), cfg.seed).unwrap();
