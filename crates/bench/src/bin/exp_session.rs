@@ -7,7 +7,7 @@
 //!   repetition: parse + profiled run + translation + BET build + plan
 //!   build, one model miss;
 //! * **warm (memory)** — `Session::model` with a primed in-memory cache:
-//!   one key derivation, one LRU hit, the artifact's clone;
+//!   one key derivation, one LRU hit, a handle on the shared artifact;
 //! * **warm (disk)** — a *fresh* `Session::with_cache_dir` per repetition,
 //!   so the model deserializes from its one persisted file (the CLI
 //!   warm-start shape).

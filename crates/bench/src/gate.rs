@@ -296,6 +296,28 @@ mod tests {
     }
 
     #[test]
+    fn session_bench_keys_classify_correctly() {
+        // pins the direction of every gated BENCH_session.json metric so a
+        // key rename can't silently demote a gate to informational
+        for key in [
+            "cold_seconds[0]",
+            "warm_memory_seconds[0]",
+            "warm_disk_seconds[0]",
+            "suite_cold_seconds",
+            "suite_warm_memory_seconds",
+            "suite_warm_disk_seconds",
+        ] {
+            assert_eq!(direction_of(key), Direction::LowerIsBetter, "{key}");
+        }
+        for key in ["suite_speedup_memory", "suite_speedup_disk"] {
+            assert_eq!(direction_of(key), Direction::HigherIsBetter, "{key}");
+        }
+        for key in ["scale", "workloads[0]"] {
+            assert_eq!(direction_of(key), Direction::Informational, "{key}");
+        }
+    }
+
+    #[test]
     fn slower_time_and_lower_speedup_regress() {
         let base = content(r#"{"run_seconds": 1.0, "speedup": 10.0, "grid_points": 25}"#);
         let cfg = GateConfig::default();

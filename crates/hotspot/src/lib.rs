@@ -28,7 +28,7 @@ pub use kernel::{lane_width, PlanKernel};
 pub use miniapp::build_miniapp;
 pub use plan::{PlanBlock, ProjectionPlan};
 pub use quality::{coverage_curve, quality_at, quality_curve, rank_units, top_k_overlap, unit_order, MeasuredTimes};
-pub use select::{select, Candidate, Criteria, Greedy, HotSpot, Selection};
+pub use select::{select, Candidate, Criteria, HotSpot, Selection};
 
 use xflow_skeleton::StmtId;
 

@@ -28,17 +28,6 @@ impl Default for Criteria {
     }
 }
 
-/// Greedy strategy variant (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Greedy {
-    /// Take blocks in descending time order, skipping any that would bust
-    /// the leanness budget (the paper's ranking view).
-    ByTime,
-    /// Take blocks in descending time-per-instruction density (classic
-    /// knapsack greedy).
-    ByDensity,
-}
-
 /// A candidate code block for selection.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate {
@@ -107,19 +96,13 @@ impl Selection {
     }
 }
 
-/// Select hot spots greedily under the criteria.
-pub fn select(candidates: &[Candidate], total_instr: f64, criteria: Criteria, strategy: Greedy) -> Selection {
+/// Select hot spots greedily under the criteria: take blocks in
+/// descending time order ([`unit_order`], the paper's ranking view),
+/// skipping any that would bust the leanness budget.
+pub fn select(candidates: &[Candidate], total_instr: f64, criteria: Criteria) -> Selection {
     let total_time: f64 = candidates.iter().map(|c| c.time).sum();
     let mut order: Vec<&Candidate> = candidates.iter().filter(|c| c.time > 0.0).collect();
-    match strategy {
-        Greedy::ByTime => {
-            order.sort_by(|a, b| unit_order((a.time, a.stmt), (b.time, b.stmt)));
-        }
-        Greedy::ByDensity => {
-            let density = |c: &Candidate| c.time / c.instr.max(1.0);
-            order.sort_by(|a, b| unit_order((density(a), a.stmt), (density(b), b.stmt)));
-        }
-    }
+    order.sort_by(|a, b| unit_order((a.time, a.stmt), (b.time, b.stmt)));
 
     let instr_budget = criteria.code_leanness * total_instr;
     let mut spots = Vec::new();
@@ -162,7 +145,7 @@ mod tests {
     #[test]
     fn picks_hottest_until_coverage() {
         let cands = vec![cand(0, 50.0, 1.0), cand(1, 30.0, 1.0), cand(2, 15.0, 1.0), cand(3, 5.0, 1.0)];
-        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.5 }, Greedy::ByTime);
+        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.5 });
         // 50 + 30 = 80% < 90%, +15 = 95% ≥ 90% → three spots
         assert_eq!(sel.stmt_ids(), vec![StmtId(0), StmtId(1), StmtId(2)]);
         assert!((sel.coverage() - 0.95).abs() < 1e-9);
@@ -172,7 +155,7 @@ mod tests {
     fn leanness_budget_skips_fat_blocks() {
         // block 1 is hot but huge; budget forces the selection to skip it
         let cands = vec![cand(0, 40.0, 2.0), cand(1, 35.0, 90.0), cand(2, 25.0, 2.0)];
-        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.1 }, Greedy::ByTime);
+        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.1 });
         assert_eq!(sel.stmt_ids(), vec![StmtId(0), StmtId(2)]);
         assert!(sel.leanness() <= 0.1 + 1e-9);
         // coverage maximized under the constraint, not reaching 90%
@@ -180,32 +163,23 @@ mod tests {
     }
 
     #[test]
-    fn density_strategy_prefers_lean_blocks() {
-        let cands = vec![cand(0, 50.0, 100.0), cand(1, 40.0, 2.0)];
-        let by_time = select(&cands, 200.0, Criteria { time_coverage: 0.99, code_leanness: 1.0 }, Greedy::ByTime);
-        let by_density = select(&cands, 200.0, Criteria { time_coverage: 0.99, code_leanness: 1.0 }, Greedy::ByDensity);
-        assert_eq!(by_time.stmt_ids()[0], StmtId(0));
-        assert_eq!(by_density.stmt_ids()[0], StmtId(1));
-    }
-
-    #[test]
     fn zero_time_candidates_ignored() {
         let cands = vec![cand(0, 0.0, 1.0), cand(1, 10.0, 1.0)];
-        let sel = select(&cands, 2.0, Criteria::default(), Greedy::ByTime);
+        let sel = select(&cands, 2.0, Criteria::default());
         assert_eq!(sel.stmt_ids(), vec![StmtId(1)]);
     }
 
     #[test]
     fn single_oversized_block_still_selected() {
         let cands = vec![cand(0, 10.0, 100.0)];
-        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.01 }, Greedy::ByTime);
+        let sel = select(&cands, 100.0, Criteria { time_coverage: 0.9, code_leanness: 0.01 });
         assert_eq!(sel.spots.len(), 1, "selection must not be empty");
     }
 
     #[test]
     fn coverage_curve_monotone() {
         let cands = vec![cand(0, 50.0, 1.0), cand(1, 30.0, 1.0), cand(2, 20.0, 1.0)];
-        let sel = select(&cands, 10.0, Criteria { time_coverage: 1.0, code_leanness: 1.0 }, Greedy::ByTime);
+        let sel = select(&cands, 10.0, Criteria { time_coverage: 1.0, code_leanness: 1.0 });
         let curve = sel.coverage_curve();
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[1] >= w[0]));
@@ -214,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_candidates_yield_empty_selection() {
-        let sel = select(&[], 0.0, Criteria::default(), Greedy::ByTime);
+        let sel = select(&[], 0.0, Criteria::default());
         assert!(sel.spots.is_empty());
         assert_eq!(sel.coverage(), 0.0);
         assert_eq!(sel.leanness(), 0.0);
@@ -223,7 +197,7 @@ mod tests {
     #[test]
     fn ranks_are_sequential() {
         let cands = vec![cand(0, 3.0, 1.0), cand(1, 2.0, 1.0), cand(2, 1.0, 1.0)];
-        let sel = select(&cands, 3.0, Criteria { time_coverage: 1.0, code_leanness: 1.0 }, Greedy::ByTime);
+        let sel = select(&cands, 3.0, Criteria { time_coverage: 1.0, code_leanness: 1.0 });
         let ranks: Vec<usize> = sel.spots.iter().map(|s| s.rank).collect();
         assert_eq!(ranks, vec![0, 1, 2]);
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xflow_hotspot::{coverage_curve, quality_at, select, top_k_overlap, Candidate, Criteria, Greedy, MeasuredTimes};
+use xflow_hotspot::{coverage_curve, quality_at, select, top_k_overlap, Candidate, Criteria, MeasuredTimes};
 use xflow_skeleton::StmtId;
 
 fn candidates() -> impl Strategy<Value = Vec<Candidate>> {
@@ -21,7 +21,7 @@ proptest! {
     #[test]
     fn leanness_respected_beyond_first_spot(cands in candidates(), crit in criteria()) {
         let total_instr: f64 = cands.iter().map(|c| c.instr).sum();
-        let sel = select(&cands, total_instr, crit, Greedy::ByTime);
+        let sel = select(&cands, total_instr, crit);
         if sel.spots.len() > 1 {
             prop_assert!(
                 sel.leanness() <= crit.code_leanness + 1e-9,
@@ -35,31 +35,27 @@ proptest! {
     #[test]
     fn selection_is_ranked_and_unique(cands in candidates(), crit in criteria()) {
         let total_instr: f64 = cands.iter().map(|c| c.instr).sum();
-        for strategy in [Greedy::ByTime, Greedy::ByDensity] {
-            let sel = select(&cands, total_instr, crit, strategy);
-            // ranks sequential
-            for (i, s) in sel.spots.iter().enumerate() {
-                prop_assert_eq!(s.rank, i);
-            }
-            // no duplicates
-            let mut ids = sel.stmt_ids();
-            ids.sort();
-            let before = ids.len();
-            ids.dedup();
-            prop_assert_eq!(before, ids.len());
-            // ByTime order is by descending time
-            if strategy == Greedy::ByTime {
-                for w in sel.spots.windows(2) {
-                    prop_assert!(w[0].time + 1e-12 >= w[1].time);
-                }
-            }
+        let sel = select(&cands, total_instr, crit);
+        // ranks sequential
+        for (i, s) in sel.spots.iter().enumerate() {
+            prop_assert_eq!(s.rank, i);
+        }
+        // no duplicates
+        let mut ids = sel.stmt_ids();
+        ids.sort();
+        let before = ids.len();
+        ids.dedup();
+        prop_assert_eq!(before, ids.len());
+        // the order is by descending time
+        for w in sel.spots.windows(2) {
+            prop_assert!(w[0].time + 1e-12 >= w[1].time);
         }
     }
 
     #[test]
     fn coverage_consistency(cands in candidates(), crit in criteria()) {
         let total_instr: f64 = cands.iter().map(|c| c.instr).sum();
-        let sel = select(&cands, total_instr, crit, Greedy::ByTime);
+        let sel = select(&cands, total_instr, crit);
         let curve = sel.coverage_curve();
         // monotone, ends at coverage(), all within [0, 1]
         prop_assert!(curve.windows(2).all(|w| w[1] + 1e-12 >= w[0]));
@@ -74,7 +70,7 @@ proptest! {
         // either the coverage target is met, or every unselected candidate
         // with nonzero time would bust the leanness budget
         let total_instr: f64 = cands.iter().map(|c| c.instr).sum();
-        let sel = select(&cands, total_instr, crit, Greedy::ByTime);
+        let sel = select(&cands, total_instr, crit);
         if sel.coverage() + 1e-9 < crit.time_coverage && !sel.spots.is_empty() {
             let used: f64 = sel.spots.iter().map(|s| s.instr).sum();
             let budget = crit.code_leanness * total_instr;

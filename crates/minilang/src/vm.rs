@@ -604,7 +604,7 @@ type ArmHead = (usize, MStmtId, usize);
 struct FnCompiler<'p> {
     prog: &'p Program,
     fn_ids: &'p HashMap<&'p str, usize>,
-    slots: HashMap<String, u16>,
+    slots: HashMap<&'p str, u16>,
     slot_names: Vec<String>,
     input_table: Vec<(String, f64)>,
     call_sites: Vec<Vec<bool>>,
@@ -624,11 +624,11 @@ struct LoopCtx {
     continue_patches: Vec<usize>,
 }
 
-fn compile_fn(
-    prog: &Program,
-    f: &Function,
-    fn_ids: &HashMap<&str, usize>,
-    shape: &mut Shape,
+fn compile_fn<'p>(
+    prog: &'p Program,
+    f: &'p Function,
+    fn_ids: &'p HashMap<&'p str, usize>,
+    shape: &'p mut Shape,
 ) -> Result<(VmFunc, usize, Vec<ArmHead>), RuntimeError> {
     let mut c = FnCompiler {
         prog,
@@ -666,30 +666,30 @@ fn compile_fn(
 }
 
 impl<'p> FnCompiler<'p> {
-    fn slot(&mut self, name: &str) -> u16 {
-        if let Some(&s) = self.slots.get(name) {
-            return s;
+    fn slot(&mut self, name: &'p str) -> u16 {
+        let next = self.slot_names.len() as u16;
+        let s = *self.slots.entry(name).or_insert(next);
+        if s == next {
+            self.slot_names.push(name.to_owned());
         }
-        let s = self.slot_names.len() as u16;
-        self.slots.insert(name.to_string(), s);
-        self.slot_names.push(name.to_string());
         s
     }
 
-    fn hidden_slot(&mut self, tag: &str) -> u16 {
-        let s = self.slot_names.len() as u16;
-        self.slot_names.push(format!("<{tag}{}>", s));
-        s
+    /// A compiler temporary that no variable names; `tag` (`"<cur>"`, …) is
+    /// its name.
+    fn hidden_slot(&mut self, tag: &'static str) -> u16 {
+        self.slot_names.push(tag.to_owned());
+        (self.slot_names.len() - 1) as u16
     }
 
-    fn block(&mut self, b: &Block) -> Result<(), RuntimeError> {
+    fn block(&mut self, b: &'p Block) -> Result<(), RuntimeError> {
         for s in &b.stmts {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), RuntimeError> {
+    fn stmt(&mut self, s: &'p Stmt) -> Result<(), RuntimeError> {
         self.n_stmts = self.n_stmts.max(s.id.0 as usize + 1);
         self.code.push(Op::StmtEnter(s.id));
         match &s.kind {
@@ -715,8 +715,8 @@ impl<'p> FnCompiler<'p> {
                 // Compile as: idx; value; idx2 = re-materialize? The
                 // reference evaluates the index expression ONCE — mirror by
                 // stashing it in a hidden slot.
-                let idx_slot = self.hidden_slot("idx");
-                let val_slot = self.hidden_slot("val");
+                let idx_slot = self.hidden_slot("<idx>");
+                let val_slot = self.hidden_slot("<val>");
                 self.expr(index, true)?;
                 self.code.push(Op::StoreSlot(idx_slot));
                 self.expr(value, false)?;
@@ -728,16 +728,16 @@ impl<'p> FnCompiler<'p> {
                 self.code.push(Op::LoadScalar(val_slot));
                 self.code.push(Op::Bin { op: *op, idx_ctx: false });
                 // store back: stack needs [idx, value]
-                let res_slot = self.hidden_slot("res");
+                let res_slot = self.hidden_slot("<res>");
                 self.code.push(Op::StoreSlot(res_slot));
                 self.code.push(Op::LoadScalar(idx_slot));
                 self.code.push(Op::LoadScalar(res_slot));
                 self.code.push(Op::StoreElem(arr));
             }
             StmtKind::For { var, lo, hi, step, parallel: _, body } => {
-                let cur = self.hidden_slot("cur");
-                let hi_s = self.hidden_slot("hi");
-                let step_s = self.hidden_slot("step");
+                let cur = self.hidden_slot("<cur>");
+                let hi_s = self.hidden_slot("<hi>");
+                let step_s = self.hidden_slot("<step>");
                 self.expr(lo, true)?;
                 self.code.push(Op::StoreSlot(cur));
                 self.expr(hi, true)?;
@@ -875,7 +875,7 @@ impl<'p> FnCompiler<'p> {
         }
     }
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), RuntimeError> {
+    fn call(&mut self, name: &str, args: &'p [Expr]) -> Result<(), RuntimeError> {
         // the reference evaluates the arguments before resolving the callee
         let mut by_ref = Vec::with_capacity(args.len());
         for a in args {
@@ -909,7 +909,7 @@ impl<'p> FnCompiler<'p> {
         Ok(())
     }
 
-    fn expr(&mut self, e: &Expr, idx_ctx: bool) -> Result<(), RuntimeError> {
+    fn expr(&mut self, e: &'p Expr, idx_ctx: bool) -> Result<(), RuntimeError> {
         match e {
             Expr::Num(n) => self.code.push(Op::Num(*n)),
             Expr::Var(v) => {

@@ -66,7 +66,7 @@ pub use oracle::{
     build_corpus, builtin_programs, dir_programs, generated_programs, Corpus, CorpusRecord, OracleOptions,
     OracleProgram,
 };
-pub use pipeline::{MachineProjection, Measured, ModeledApp, PipelineError};
+pub use pipeline::{MachineProjection, Measured, ModelArtifact, ModeledApp, PipelineError};
 pub use pool::run_chunked;
 pub use serve::{ServeConfig, Server};
 pub use session::{default_session, CacheStats, Session, SessionConfig, StageStats};
@@ -86,7 +86,7 @@ pub use xflow_validate;
 pub use xflow_workloads;
 
 // …and the most common types at the top level.
-pub use xflow_hotspot::{Criteria, Greedy, PlanKernel, Selection};
+pub use xflow_hotspot::{Criteria, PlanKernel, Selection};
 pub use xflow_hw::{bgq, generic, knl, xeon, MachineBuilder, MachineModel, MachineSpec, PerfModel, Roofline};
 pub use xflow_minilang::{initial_env, InputSpec};
 pub use xflow_obs::{CollectingRecorder, MetricsRegistry, NoopRecorder, Recorder, TraceSnapshot};

@@ -3,13 +3,18 @@
 //! `source → [profiled run] → code skeleton → BET → projection` on any
 //! number of target machines, plus the unit view ([`Measured`]) of the
 //! session's ground-truth simulation used to evaluate the projections.
+//!
+//! The machine-independent half is one [`ModelArtifact`] per query,
+//! cached by the [`Session`](crate::Session); a [`ModeledApp`] is a handle
+//! on it, so every app of one query shares one program, BET, unit table,
+//! plan and sweep kernel.
 
 use crate::units::{UnitCost, Units};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use xflow_bet::Bet;
-use xflow_hotspot::{rank_units, Criteria, Greedy, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
+use xflow_hotspot::{rank_units, Criteria, MeasuredTimes, PlanKernel, Projection, ProjectionPlan, Selection};
 use xflow_hw::{MachineModel, Roofline};
 use xflow_minilang::{self as ml, InputSpec, Translation};
 use xflow_sim::{SimReport, StmtSim};
@@ -71,49 +76,131 @@ impl From<xflow_bet::BuildError> for PipelineError {
 /// The session's one cached model artifact: everything the single local
 /// profiled run determines. The translation, BET and plan are deterministic
 /// functions of the program and the profile, so the session builds and
-/// persists them together (`model-<salt>-<key>.json`).
-#[derive(serde::Serialize, serde::Deserialize)]
-pub(crate) struct ModelArtifact {
-    pub(crate) program: ml::Program,
-    pub(crate) profile: ml::Profile,
-    /// `main`'s return value in the profiled run, as `f64::to_bits`: the
-    /// engine check of [`Session::validate`](crate::Session::validate)
-    /// compares the reference interpreter's against it.
-    pub(crate) ret_bits: u64,
-    pub(crate) translation: Translation,
-    pub(crate) bet: Bet,
-    pub(crate) plan: ProjectionPlan,
-}
-
-/// A fully modeled application: parsed source, one local profile, the
-/// generated skeleton, and the input-bound BET. Machine-independent —
-/// project it on as many machines as you like.
-pub struct ModeledApp {
+/// persists them together (`model-<salt>-<key>.json`). The unit table is
+/// derived once per artifact, after a build or a disk load, and the SoA
+/// sweep kernel on first use; neither is persisted. Every [`ModeledApp`]
+/// of the query shares this one copy.
+pub struct ModelArtifact {
     /// The minilang program.
     pub program: ml::Program,
     /// The local profiled run (branch/loop statistics).
     pub profile: ml::Profile,
+    /// `main`'s return value in the profiled run, as `f64::to_bits`: the
+    /// engine check of [`Session::validate`](crate::Session::validate)
+    /// compares the reference interpreter's against it.
+    pub(crate) ret_bits: u64,
     /// Skeleton + statement mapping + inputs.
     pub translation: Translation,
     /// The Bayesian Execution Tree for the bound inputs.
     pub bet: Bet,
     /// The comparable-unit table.
     pub units: Units,
-    /// The input binding used for profiling and BET construction.
-    pub inputs: InputSpec,
     /// The machine-independent projection plan (phase 1 of the two-phase
     /// engine), shared by every [`ModeledApp::project_on`] call.
     plan: ProjectionPlan,
     /// The SoA evaluation kernel, derived from the plan by the first
-    /// design-space sweep over this app and shared by every later one.
+    /// design-space sweep over this model and shared by every later one.
     kernel: OnceLock<PlanKernel>,
+}
+
+impl ModelArtifact {
+    /// The artifact of one profiled run, with its unit table.
+    ///
+    /// Code leanness is a *source-level* notion (fraction of the
+    /// application's statements), so every unit is weighted by the number
+    /// of source statements that map to it, not by its condensed op counts;
+    /// library units are opaque code with a nominal single-statement weight.
+    pub(crate) fn new(
+        program: ml::Program,
+        profile: ml::Profile,
+        ret_bits: u64,
+        translation: Translation,
+        bet: Bet,
+        plan: ProjectionPlan,
+    ) -> ModelArtifact {
+        let mut units = Units::from_skeleton(&translation.skeleton);
+        let mut per_unit: HashMap<StmtId, f64> = HashMap::new();
+        for skel in translation.map.values() {
+            *per_unit.entry(units.unit_of(*skel)).or_insert(0.0) += 1.0;
+        }
+        for (unit, w) in per_unit {
+            units.instr.insert(unit, w);
+        }
+        for unit in units.lib_units.values() {
+            units.instr.insert(*unit, 1.0);
+        }
+        units.total_instr = program.stmt_count() as f64;
+        ModelArtifact { program, profile, ret_bits, translation, bet, units, plan, kernel: OnceLock::new() }
+    }
+
+    /// The machine-independent projection plan (phase 1), reused by every
+    /// [`ModeledApp::project_on`] and design-space sweep.
+    pub fn plan(&self) -> &ProjectionPlan {
+        &self.plan
+    }
+
+    /// The SoA evaluation kernel compiled from [`ModelArtifact::plan`]:
+    /// built on first use, then reused by every design-space sweep over
+    /// this model.
+    pub fn kernel(&self) -> &PlanKernel {
+        self.kernel.get_or_init(|| self.plan.kernel())
+    }
+}
+
+/// The persisted form: a map of the six fields the profiled run
+/// determines, in declaration order.
+impl serde::Serialize for ModelArtifact {
+    fn serialize(&self) -> serde::Content {
+        let fields = [
+            ("program", self.program.serialize()),
+            ("profile", self.profile.serialize()),
+            ("ret_bits", self.ret_bits.serialize()),
+            ("translation", self.translation.serialize()),
+            ("bet", self.bet.serialize()),
+            ("plan", self.plan.serialize()),
+        ];
+        serde::Content::Map(fields.into_iter().map(|(k, v)| (serde::Content::Str(k.to_string()), v)).collect())
+    }
+}
+
+impl serde::Deserialize for ModelArtifact {
+    fn deserialize(c: &serde::Content) -> Result<Self, serde::Error> {
+        let serde::Content::Map(e) = c else { return Err(serde::Error::custom("expected map for ModelArtifact")) };
+        Ok(ModelArtifact::new(
+            serde::field(e, "program")?,
+            serde::field(e, "profile")?,
+            serde::field(e, "ret_bits")?,
+            serde::field(e, "translation")?,
+            serde::field(e, "bet")?,
+            serde::field(e, "plan")?,
+        ))
+    }
+}
+
+/// A fully modeled application: a handle on the session's
+/// [`ModelArtifact`] (parsed source, one local profile, the generated
+/// skeleton, the input-bound BET and the unit table, read through `Deref`)
+/// plus the input binding it was queried with. Machine-independent —
+/// project it on as many machines as you like.
+pub struct ModeledApp {
+    pub(crate) model: Arc<ModelArtifact>,
+    /// The input binding used for profiling and BET construction.
+    pub inputs: InputSpec,
+}
+
+impl std::ops::Deref for ModeledApp {
+    type Target = ModelArtifact;
+
+    fn deref(&self) -> &ModelArtifact {
+        &self.model
+    }
 }
 
 impl ModeledApp {
     /// Model an application from minilang source and an input binding.
     ///
     /// Routes through the process-wide default [`Session`](crate::Session),
-    /// so repeated calls with identical source + inputs reuse the cached
+    /// so repeated calls with identical source + inputs share the cached
     /// model artifact instead of re-running the profiled run.
     pub fn from_source(src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
         crate::session::default_session().model(src, inputs)
@@ -124,37 +211,11 @@ impl ModeledApp {
         Self::from_source(w.source, &w.inputs(scale))
     }
 
-    /// Assemble a modeled app from the session's model artifact.
-    pub(crate) fn assemble(model: &ModelArtifact, inputs: InputSpec) -> ModeledApp {
-        ModeledApp {
-            program: model.program.clone(),
-            profile: model.profile.clone(),
-            translation: model.translation.clone(),
-            bet: model.bet.clone(),
-            units: build_units(&model.program, &model.translation),
-            inputs,
-            plan: model.plan.clone(),
-            kernel: OnceLock::new(),
-        }
-    }
-
-    /// The machine-independent projection plan (phase 1), reused by every
-    /// [`ModeledApp::project_on`] and design-space sweep.
-    pub fn plan(&self) -> &ProjectionPlan {
-        &self.plan
-    }
-
-    /// The SoA evaluation kernel compiled from [`ModeledApp::plan`]: built
-    /// on first use, then reused by every design-space sweep over this app.
-    pub fn kernel(&self) -> &PlanKernel {
-        self.kernel.get_or_init(|| self.plan.kernel())
-    }
-
     /// Project the application on a target machine (extended roofline,
     /// empirically calibrated library mixes).
     ///
     /// Per-machine cost is one plan evaluation (phase 2): the BET walk and
-    /// library calibration are cached on the app and the process.
+    /// library calibration are cached on the model and the process.
     pub fn project_on(&self, machine: &MachineModel) -> MachineProjection {
         MachineProjection::new(&self.units, machine, self.plan().evaluate(machine, &Roofline))
     }
@@ -163,28 +224,6 @@ impl ModeledApp {
     pub fn bet_size_ratio(&self) -> f64 {
         self.bet.size_ratio(self.translation.skeleton.source_statement_count())
     }
-}
-
-/// Build the comparable-unit table for a translated program.
-///
-/// Code leanness is a *source-level* notion (fraction of the application's
-/// statements), so every unit is weighted by the number of source statements
-/// that map to it, not by its condensed op counts; library units are opaque
-/// code with a nominal single-statement weight.
-pub(crate) fn build_units(program: &ml::Program, translation: &Translation) -> Units {
-    let mut units = Units::from_skeleton(&translation.skeleton);
-    let mut per_unit: HashMap<StmtId, f64> = HashMap::new();
-    for skel in translation.map.values() {
-        *per_unit.entry(units.unit_of(*skel)).or_insert(0.0) += 1.0;
-    }
-    for (unit, w) in per_unit {
-        units.instr.insert(unit, w);
-    }
-    for unit in units.lib_units.values() {
-        units.instr.insert(*unit, 1.0);
-    }
-    units.total_instr = program.stmt_count() as f64;
-    units
 }
 
 /// A projection of one application on one machine, in unit view.
@@ -235,7 +274,7 @@ impl MachineProjection {
                 instr: units.instr.get(&unit).copied().unwrap_or(1.0),
             })
             .collect();
-        xflow_hotspot::select(&cands, units.total_instr, criteria, Greedy::ByTime)
+        xflow_hotspot::select(&cands, units.total_instr, criteria)
     }
 }
 

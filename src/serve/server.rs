@@ -61,7 +61,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads accepting and serving connections.
     pub threads: usize,
-    /// Artifact store configuration (cache dir, capacity, shards).
+    /// Artifact store configuration (cache dir, per-stage capacity).
     pub store: StoreConfig,
     /// Directory of declarative machine files; `None` loads `machines/`
     /// from the working directory when present.

@@ -16,10 +16,11 @@
 //! re-runs a query whose inputs are byte-identical to an earlier one. Each
 //! step of a cold build runs in a span of its own (named above) nested in
 //! the `session.model` lookup span, so a trace still shows where a cold
-//! query's time went. The SoA [`PlanKernel`](xflow_hotspot::PlanKernel)
-//! that design-space sweeps evaluate is not cached: it is a pure re-layout
-//! of the plan, derived by [`ModeledApp::kernel`] the first time a sweep
-//! needs it.
+//! query's time went. The artifact also holds the unit table, built once
+//! after a cold build or a disk load, and the SoA
+//! [`PlanKernel`](xflow_hotspot::PlanKernel) that design-space sweeps
+//! evaluate, derived by [`ModelArtifact::kernel`] the first time a sweep
+//! needs it; neither is persisted.
 //!
 //! ## Key derivation
 //!
@@ -45,17 +46,17 @@
 //!
 //! ## Storage and concurrency
 //!
-//! Cache *policy* lives in [`crate::store`]: artifacts sit in a sharded
-//! concurrent map with per-shard LRU, an optional disk tier
+//! Cache *policy* lives in [`crate::store`]: artifacts sit in one map per
+//! stage with exact LRU eviction, an optional disk tier
 //! (`<stage>-<salt>-<key>.json`, atomic writes, corrupted files = silent
 //! cold rebuild), and single-flight dedup so a thundering herd on one cold
 //! workload builds the model exactly once. `Session` itself is a thin
 //! `Send + Sync` coordinator: it derives keys, runs the model lookup (and
-//! the sim lookups of a ground-truth query), and assembles the artifact
-//! into a [`ModeledApp`]. Several sessions (CLI invocations, sweep workers,
-//! server request threads) can share one store via
-//! [`Session::with_store`]; [`Session::stats`] then reports counters
-//! accumulated across all of them.
+//! the sim lookups of a ground-truth query), and hands out the artifact as a
+//! [`ModeledApp`], a handle that shares the store's copy. Several sessions
+//! (CLI invocations, sweep workers, server request threads) can share one
+//! store via [`Session::with_store`]; [`Session::stats`] then reports
+//! counters accumulated across all of them.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -192,7 +193,8 @@ pub struct SessionConfig {
     /// Directory for persisted artifacts; `None` keeps the session
     /// memory-only.
     pub cache_dir: Option<PathBuf>,
-    /// Per-stage in-memory capacity (`None` → a small default).
+    /// Per-stage in-memory capacity: the artifacts each stage keeps before
+    /// it evicts the least recently used (`None` → 64).
     pub capacity: Option<usize>,
     /// Telemetry recorder observing the session's stages; `None` is the
     /// zero-overhead noop. Each stage lookup runs inside a
@@ -217,7 +219,7 @@ impl std::fmt::Debug for SessionConfig {
 /// and invalidation rules.
 ///
 /// Sessions are `Send + Sync` and internally lock-free on the hot path
-/// beyond the store's per-shard mutexes: one session (or many sessions
+/// beyond the store's per-stage map locks: one session (or many sessions
 /// sharing one store) can serve queries from any number of sweep or
 /// server threads, with single-flight dedup collapsing concurrent
 /// identical cold queries into one build.
@@ -251,8 +253,7 @@ impl Session {
 
     /// Session with explicit configuration, backed by a private store.
     pub fn with_config(config: SessionConfig) -> Self {
-        let store =
-            ArtifactStore::shared(StoreConfig { cache_dir: config.cache_dir, capacity: config.capacity, shards: None });
+        let store = ArtifactStore::shared(StoreConfig { cache_dir: config.cache_dir, capacity: config.capacity });
         Self::with_store_and_recorder(store, config.recorder)
     }
 
@@ -295,11 +296,12 @@ impl Session {
         self.store.stats()
     }
 
-    /// Model an application, reusing the model artifact whose content key
+    /// Model an application, sharing the model artifact whose content key
     /// matches a previous query (the store's memory, or the cache
-    /// directory). A fresh memory-only session is the cold path: every
-    /// step runs from scratch, and the round-trip tests assert warm and
-    /// disk loads project bit-identically to it.
+    /// directory); a warm lookup copies nothing. A fresh memory-only
+    /// session is the cold path: every step runs from scratch, and the
+    /// round-trip tests assert warm and disk loads project bit-identically
+    /// to it.
     pub fn model(&self, src: &str, inputs: &InputSpec) -> Result<ModeledApp, PipelineError> {
         self.model_seeded(src, inputs, ml::DEFAULT_SEED)
     }
@@ -309,29 +311,29 @@ impl Session {
     /// part of the model key, so each seed models its own artifact.
     pub fn model_seeded(&self, src: &str, inputs: &InputSpec, seed: u64) -> Result<ModeledApp, PipelineError> {
         let rec = self.recorder();
-        let model = self.model_artifact(src, inputs, seed, |program| {
+        self.model_artifact(src, inputs, seed, |program| {
             let _span = xflow_obs::span(rec, "minilang.profile", &[]);
             let (profile, _, ret) = ml::compile(program)?.run(inputs, ml::NullTracer, ml::Limits::default(), seed)?;
             Ok((profile, ret))
-        })?;
-        Ok(ModeledApp::assemble(&model, inputs.clone()))
+        })
     }
 
     /// The model stage: one lookup of the query's model artifact. On a
     /// miss the build parses `src`, hands the program to `profile` (the
     /// profiled run, returning the profile and `main`'s return value),
     /// translates, builds the BET and compiles the plan, each step in a
-    /// span of its own inside the `session.model` span.
+    /// span of its own inside the `session.model` span. The app is a
+    /// handle on the stored artifact.
     fn model_artifact(
         &self,
         src: &str,
         inputs: &InputSpec,
         seed: u64,
         profile: impl FnOnce(&ml::Program) -> Result<(ml::Profile, f64), PipelineError>,
-    ) -> Result<Arc<ModelArtifact>, PipelineError> {
+    ) -> Result<ModeledApp, PipelineError> {
         let (rec, store) = (self.recorder(), &*self.store);
         let key = derive_model_key(self.salt, src, inputs, seed);
-        store.model.get_or_build(self.salt, store.cache_dir(), rec, key, || {
+        let model = store.model.get_or_build(self.salt, store.cache_dir(), rec, key, || {
             let program = {
                 let _span = xflow_obs::span(rec, "minilang.parse", &[]);
                 ml::parse(src)?
@@ -347,8 +349,9 @@ impl Session {
                 let _span = xflow_obs::span(rec, "hotspot.plan", &[]);
                 ProjectionPlan::new(&bet, default_library())
             };
-            Ok(ModelArtifact { program, profile, ret_bits: ret.to_bits(), translation, bet, plan })
-        })
+            Ok(ModelArtifact::new(program, profile, ret.to_bits(), translation, bet, plan))
+        })?;
+        Ok(ModeledApp { model, inputs: inputs.clone() })
     }
 
     /// [`Session::model_and_sims`] on one machine.
@@ -389,20 +392,6 @@ impl Session {
         machines: &[MachineModel],
         seed: u64,
     ) -> Result<(ModeledApp, Vec<(Projection, Arc<SimReport>)>), PipelineError> {
-        let (model, sims) = self.model_artifact_and_sims(src, inputs, workload, machines, seed)?;
-        Ok((ModeledApp::assemble(&model, inputs.clone()), sims))
-    }
-
-    /// [`Session::model_and_sims`] on the model artifact itself.
-    #[allow(clippy::type_complexity)]
-    fn model_artifact_and_sims(
-        &self,
-        src: &str,
-        inputs: &InputSpec,
-        workload: Option<&Workload>,
-        machines: &[MachineModel],
-        seed: u64,
-    ) -> Result<(Arc<ModelArtifact>, Vec<(Projection, Arc<SimReport>)>), PipelineError> {
         let (rec, store, salt) = (self.recorder(), &*self.store, self.salt);
         // each machine's sim config (the workload's overrides, resolved on
         // `program`) and sim key
@@ -432,24 +421,24 @@ impl Session {
                 Ok::<_, PipelineError>((profile, ret))
             };
         let mut pending = vec![None; machines.len()];
-        let model = self.model_artifact(src, inputs, seed, |program| {
+        let app = self.model_artifact(src, inputs, seed, |program| {
             let (configs, keys) = sims_of(program);
             run(program, &configs, missing(&keys, 0), &mut pending)
         })?;
-        let (configs, keys) = sims_of(&model.program);
+        let (configs, keys) = sims_of(&app.program);
         let mut out = Vec::with_capacity(machines.len());
         for (i, &key) in keys.iter().enumerate() {
             let sim = store.sim.get_or_build(salt, store.cache_dir(), rec, key, || {
                 if pending[i].is_none() {
                     let mut which = vec![i];
                     which.extend(missing(&keys, i + 1));
-                    run(&model.program, &configs, which, &mut pending)?;
+                    run(&app.program, &configs, which, &mut pending)?;
                 }
                 Ok(pending[i].take().expect("the run covered this machine"))
             })?;
-            out.push((model.plan.evaluate(&machines[i], &Roofline), sim));
+            out.push((app.plan().evaluate(&machines[i], &Roofline), sim));
         }
-        Ok((model, out))
+        Ok((app, out))
     }
 
     /// Differential validation of the model this session serves on each of
@@ -467,9 +456,9 @@ impl Session {
         machines: &[MachineModel],
         cfg: &ValidationConfig,
     ) -> Result<Vec<ValidationReport>, PipelineError> {
-        let (model, sims) = self.model_artifact_and_sims(src, inputs, workload, machines, cfg.seed)?;
-        let (prog, tr, bet) = (&model.program, &model.translation, &model.bet);
-        let engines = EngineCheck::against_vm(prog, inputs, cfg.seed, &model.profile, model.ret_bits)?;
+        let (app, sims) = self.model_and_sims(src, inputs, workload, machines, cfg.seed)?;
+        let (prog, tr, bet) = (&app.program, &app.translation, &app.bet);
+        let engines = EngineCheck::against_vm(prog, inputs, cfg.seed, &app.profile, app.ret_bits)?;
         Ok(machines
             .iter()
             .zip(&sims)
@@ -647,6 +636,27 @@ fn main() {
         let key = |sim_schema| derive_sim_key(salt, sim_schema, SRC, &i, &m, &cfg, 1);
         assert_eq!(key(v), key(v));
         assert_ne!(key(v), key(v + 1), "a simulator change must miss every persisted report");
+    }
+
+    #[test]
+    fn a_store_of_capacity_n_keeps_n_models() {
+        let s = Session::new();
+        let n = crate::store::DEFAULT_CAPACITY;
+        let query = |i: usize| InputSpec::from_pairs([("N", i as f64)]);
+        for pass in 0..2 {
+            for i in 1..=n {
+                s.model(SRC, &query(i)).unwrap();
+            }
+            let stats = s.stats().model;
+            assert_eq!((stats.misses, stats.evictions), (n as u64, 0), "pass {pass}: all {n} models stay");
+        }
+        assert_eq!(s.stats().model.hits, n as u64);
+        // one more model evicts exactly the least recently used, the first
+        s.model(SRC, &query(n + 1)).unwrap();
+        assert_eq!(s.stats().model.evictions, 1);
+        let held = |i: usize| s.store.model.holds(s.salt, None, key(SRC, &query(i)));
+        assert!(!held(1), "the least recently used model is evicted");
+        assert!((2..=n + 1).all(held), "every other model stays");
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! model of one (source, inputs, seed) query — program, profile, translation,
 //! BET and projection plan in one artifact, keyed as described in
 //! [`crate::session`] — and `sim`, the simulator oracle's ground-truth
-//! reports. The SoA sweep kernel is derived from a plan on demand and never
-//! stored. Each stage store is a sharded concurrent map — artifacts are
-//! FNV-sharded by their content key into independently locked shards, each
-//! with its own LRU tick — layered over an optional on-disk tier, with
-//! **single-flight dedup** on cold keys:
+//! reports. A model artifact carries its unit table and its lazily derived
+//! SoA sweep kernel, neither of which is persisted, and every
+//! [`ModeledApp`](crate::ModeledApp) of the query shares it. Each stage
+//! store is one map with exact LRU eviction, layered over an optional
+//! on-disk tier, with **single-flight dedup** on cold keys:
 //!
-//! * **memory tier** — `shards` × (`Mutex<HashMap>` + LRU stamp). A lookup
-//!   or insert locks exactly one shard, so concurrent requests for
-//!   different keys never contend on one global lock.
+//! * **memory tier** — one `Mutex<HashMap>` whose entries carry an LRU
+//!   stamp. It holds up to `capacity` artifacts; inserting one more
+//!   evicts the least recently used (an O(capacity) scan). The lock
+//!   covers map operations only, never a build or a file.
 //! * **disk tier** — the persisted `<stage>-<salt>-<key>.json` artifacts.
 //!   Reading and writing happen *outside* every lock; a corrupted or
 //!   stale-schema file is a silent miss.
@@ -39,13 +40,8 @@ use xflow_obs::{AttrValue, Counter, MetricsRegistry, Recorder, SpanId};
 
 use crate::pipeline::{ModelArtifact, PipelineError};
 
-/// Default per-stage in-memory capacity (summed across shards).
+/// Default per-stage in-memory capacity.
 pub(crate) const DEFAULT_CAPACITY: usize = 64;
-
-/// Default shard count per stage. Sixteen keeps per-shard capacity useful
-/// at the default total capacity while letting that many threads touch one
-/// stage without contending.
-pub(crate) const DEFAULT_SHARDS: usize = 16;
 
 /// Configuration of an [`ArtifactStore`].
 #[derive(Debug, Clone, Default)]
@@ -53,12 +49,9 @@ pub struct StoreConfig {
     /// Directory for persisted artifacts; `None` keeps the store
     /// memory-only.
     pub cache_dir: Option<PathBuf>,
-    /// Per-stage in-memory capacity, summed over shards (`None` → a small
-    /// default).
+    /// Per-stage in-memory capacity: the artifacts each stage keeps
+    /// before it evicts the least recently used (`None` → 64).
     pub capacity: Option<usize>,
-    /// Shards per stage (`None` → 16). Tests pin this to 1
-    /// to make LRU eviction order deterministic.
-    pub shards: Option<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -149,7 +142,7 @@ impl std::fmt::Display for CacheStats {
 }
 
 // ---------------------------------------------------------------------------
-// One stage: sharded map + single-flight + disk tier
+// One stage: LRU map + single-flight + disk tier
 // ---------------------------------------------------------------------------
 
 /// Handles to one stage's counters in the store's [`MetricsRegistry`]
@@ -187,15 +180,15 @@ impl StageCounters {
     }
 }
 
-/// One shard of a stage's in-memory tier: an LRU-stamped map behind its
-/// own mutex. The tick is shard-local — LRU order only ever matters
-/// within the shard that evicts.
-struct Shard<T> {
+/// A stage's in-memory tier: every entry is stamped with the tick of its
+/// last use, so eviction removes the exact least recently used entry.
+struct Lru<T> {
     tick: u64,
+    capacity: usize,
     map: HashMap<u64, (u64, Arc<T>)>,
 }
 
-impl<T> Shard<T> {
+impl<T> Lru<T> {
     fn lookup(&mut self, key: u64) -> Option<Arc<T>> {
         self.tick += 1;
         let tick = self.tick;
@@ -204,12 +197,12 @@ impl<T> Shard<T> {
         Some(Arc::clone(v))
     }
 
-    /// Insert under the shard capacity, returning how many entries were
-    /// evicted (0 or 1).
-    fn insert(&mut self, key: u64, value: Arc<T>, capacity: usize) -> u64 {
+    /// Insert under the capacity, returning how many entries were evicted
+    /// (0 or 1).
+    fn insert(&mut self, key: u64, value: Arc<T>) -> u64 {
         self.tick += 1;
         let mut evicted = 0;
-        if self.map.len() >= capacity && !self.map.contains_key(&key) {
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(oldest) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(&k, _)| k) {
                 self.map.remove(&oldest);
                 evicted = 1;
@@ -246,12 +239,11 @@ impl<T> Flight<T> {
     }
 }
 
-/// The cache of one pipeline stage: sharded memory tier, optional disk
-/// tier, single-flight dedup, and obs counters.
+/// The cache of one pipeline stage: LRU memory tier, optional disk tier,
+/// single-flight dedup, and obs counters.
 pub struct StageStore<T> {
     name: &'static str,
-    shards: Vec<Mutex<Shard<T>>>,
-    shard_capacity: usize,
+    memory: Mutex<Lru<T>>,
     inflight: Mutex<HashMap<u64, Arc<Flight<T>>>>,
     counters: StageCounters,
 }
@@ -281,36 +273,29 @@ impl Outcome {
 }
 
 impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
-    fn new(name: &'static str, capacity: usize, shards: usize, registry: &MetricsRegistry) -> Self {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.div_ceil(shards).max(1);
+    fn new(name: &'static str, capacity: usize, registry: &MetricsRegistry) -> Self {
         StageStore {
             name,
-            shards: (0..shards).map(|_| Mutex::new(Shard { tick: 0, map: HashMap::new() })).collect(),
-            shard_capacity,
+            memory: Mutex::new(Lru { tick: 0, capacity: capacity.max(1), map: HashMap::new() }),
             inflight: Mutex::new(HashMap::new()),
             counters: StageCounters::for_stage(registry, name),
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard<T>> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
     fn memory_lookup(&self, key: u64) -> Option<Arc<T>> {
-        self.shard(key).lock().unwrap().lookup(key)
+        self.memory.lock().expect("no thread panics holding the map lock").lookup(key)
     }
 
     /// Whether `key` is held in memory or persisted under `dir`, without
     /// touching the LRU order or the counters. A persisted artifact that
     /// later fails to load still misses in [`StageStore::get_or_build`].
     pub(crate) fn holds(&self, salt: u64, dir: Option<&Path>, key: u64) -> bool {
-        self.shard(key).lock().unwrap().map.contains_key(&key)
+        self.memory.lock().expect("no thread panics holding the map lock").map.contains_key(&key)
             || dir.is_some_and(|d| artifact_path(d, self.name, salt, key).exists())
     }
 
     fn memory_insert(&self, key: u64, value: Arc<T>) {
-        let evicted = self.shard(key).lock().unwrap().insert(key, value, self.shard_capacity);
+        let evicted = self.memory.lock().expect("no thread panics holding the map lock").insert(key, value);
         if evicted > 0 {
             self.counters.evictions.add(evicted);
         }
@@ -320,7 +305,7 @@ impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
     /// concurrent cold herd) when every tier misses.
     ///
     /// No lock is held while building, persisting, loading from disk, or
-    /// waiting on another thread's build: the shard lock covers only map
+    /// waiting on another thread's build: the memory lock covers only map
     /// operations and the in-flight lock only latch bookkeeping, so
     /// requests for *different* keys proceed fully in parallel.
     ///
@@ -423,7 +408,7 @@ impl<T: serde::Serialize + serde::Deserialize> StageStore<T> {
 
     /// Drop the in-flight latch for `key`. The memory insert (when there
     /// is one) happens *before* retirement, so a thread that misses the
-    /// retired flight finds the artifact in the shard map instead.
+    /// retired flight finds the artifact in the memory map instead.
     fn retire(&self, key: u64) {
         self.inflight.lock().unwrap().remove(&key);
     }
@@ -456,11 +441,10 @@ impl ArtifactStore {
     /// Build a store from configuration.
     pub fn new(config: StoreConfig) -> Self {
         let capacity = config.capacity.unwrap_or(DEFAULT_CAPACITY);
-        let shards = config.shards.unwrap_or(DEFAULT_SHARDS);
         let registry = MetricsRegistry::new();
         ArtifactStore {
-            model: StageStore::new("model", capacity, shards, &registry),
-            sim: StageStore::new("sim", capacity, shards, &registry),
+            model: StageStore::new("model", capacity, &registry),
+            sim: StageStore::new("sim", capacity, &registry),
             config,
             registry,
         }
@@ -617,8 +601,8 @@ mod tests {
 
     /// A stage store of parsed programs: cheap artifacts to exercise the
     /// cache policy with.
-    fn stage_with(capacity: usize, shards: usize) -> StageStore<ml::Program> {
-        StageStore::new("test", capacity, shards, &MetricsRegistry::new())
+    fn stage_with(capacity: usize) -> StageStore<ml::Program> {
+        StageStore::new("test", capacity, &MetricsRegistry::new())
     }
 
     #[test]
@@ -638,8 +622,8 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_lru_evicts_least_recently_used() {
-        let s = stage_with(2, 1);
+    fn lru_evicts_least_recently_used() {
+        let s = stage_with(2);
         let get = |key: u64, val: u64| {
             s.get_or_build(0, None, &NoopRecorder, key, || {
                 Ok(ml::parse(&format!("fn main() {{ let x = {val}; print(x); }}")).unwrap())
@@ -662,7 +646,7 @@ mod tests {
 
     #[test]
     fn thundering_herd_builds_once() {
-        let s = stage_with(8, 4);
+        let s = stage_with(8);
         let builds = AtomicU64::new(0);
         let key = 0x5eed;
         let results: Vec<Arc<ml::Program>> = crossbeam::thread::scope(|scope| {
@@ -694,7 +678,7 @@ mod tests {
 
     #[test]
     fn build_errors_propagate_to_waiters_and_do_not_poison() {
-        let s = stage_with(8, 4);
+        let s = stage_with(8);
         let key = 0xdead;
         let err = s
             .get_or_build(0, None, &NoopRecorder, key, || Err(PipelineError::Parse(ml::parse("fn{").unwrap_err())))

@@ -21,7 +21,7 @@ use xflow_skeleton::{Program, StmtId, StmtKind};
 pub const LIB_UNIT_BASE: u32 = u32::MAX - 4096;
 
 /// The unit table of one application.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Units {
     /// Human-readable name per unit.
     pub names: HashMap<StmtId, String>,
@@ -66,7 +66,7 @@ impl UnitCost {
 /// per `comp` statement and per library function, in ascending unit id.
 /// Built once per application, so folding a projection or a sweep row
 /// indexes arrays and never hashes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitIndex {
     /// Unit id per position, ascending.
     ids: Vec<StmtId>,

@@ -116,3 +116,28 @@ fn disk_round_trip_matches_cold_build_bit_for_bit() {
     assert_eq!(warm.stats().disk_hits(), 5, "five workloads, one model each, from disk");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn apps_share_one_model_and_a_disk_load_rebuilds_its_units() {
+    let dir = std::env::temp_dir().join(format!("xflow-shared-model-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = xflow_workloads::cfd();
+    let inputs = w.inputs(Scale::Test);
+    let session = Session::with_cache_dir(&dir);
+    let a = session.model(w.source, &inputs).unwrap();
+    let b = session.model(w.source, &inputs).unwrap();
+    let (c, _) = session.model_and_sims(w.source, &inputs, Some(&w), &[bgq()], xflow_minilang::DEFAULT_SEED).unwrap();
+    for (label, app) in [("warm lookup", &b), ("model_and_sims", &c)] {
+        assert!(std::ptr::eq(&a.bet, &app.bet), "{label}: one BET");
+        assert!(std::ptr::eq(&a.units, &app.units), "{label}: one unit table");
+        assert!(std::ptr::eq(a.plan(), app.plan()), "{label}: one plan");
+    }
+    assert!(std::ptr::eq(a.kernel(), c.kernel()), "one sweep kernel per model");
+    // a fresh session on the directory loads the model and derives the
+    // unit table the build derived
+    let fresh = Session::with_cache_dir(&dir);
+    let disk = fresh.model(w.source, &inputs).unwrap();
+    assert_eq!(fresh.stats().disk_hits(), 1, "the model is loaded, not built");
+    assert_eq!(disk.units, a.units);
+    let _ = std::fs::remove_dir_all(&dir);
+}
