@@ -18,25 +18,25 @@
 //!
 //! Filling is chunked so the work-stealing sweep scheduler can evaluate
 //! disjoint point ranges concurrently: workers produce [`ColumnsChunk`]
-//! buffers via [`crate::PlanKernel::evaluate_columns_chunk`] (the lane
-//! fill) or [`ColumnsChunk::fill_point`] (the scalar row loop, one traced
-//! point at a time), and the merged arena installs them in index order,
-//! keeping the output independent of scheduling.
+//! buffers via [`crate::PlanKernel::evaluate_columns_chunk`] (a whole
+//! range) or [`ColumnsChunk::fill_point`] (one traced point at a time),
+//! both through the kernel's lane fill, and the merged arena installs them
+//! in index order, keeping the output independent of scheduling.
 
 use std::sync::Arc;
 
 use xflow_hw::MachineSpec;
-use xflow_obs::Recorder;
+use xflow_obs::{AttrValue, Recorder, SpanId};
 use xflow_skeleton::StmtId;
 
-use crate::kernel::PlanKernel;
+use crate::kernel::{LaneAcc, PlanKernel};
 
 /// Sentinel slot index for "block aggregates into no statement".
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Statement-slot maps of one kernel: which statements carry cost blocks,
 /// their dense column order, and per-block slot targets. Depends only on
-/// the kernel's statement column, so it is built once per kernel
+/// the plan's block statements, so it is built once per kernel
 /// (`PlanKernel::slot_layout`) and shared by every arena.
 #[derive(Debug, Default)]
 pub(crate) struct SlotLayout {
@@ -46,24 +46,20 @@ pub(crate) struct SlotLayout {
     /// Kernel block index → slot index ([`NO_SLOT`] for blocks that
     /// aggregate into no statement).
     pub(crate) block_slot: Vec<u32>,
-    /// Slot index of every predicted-participating statement, in
-    /// first-touch order — the rows a predicted lane writes back.
-    pub(crate) touched: Vec<u32>,
 }
 
 impl SlotLayout {
-    /// Build the maps from a kernel's statement column.
-    pub(crate) fn build(stmt_col: &[u32], stmt_bound: usize, pre_touched: &[u32]) -> Self {
+    /// Build the maps from the statement each plan block aggregates into.
+    pub(crate) fn build(block_stmts: &[Option<u32>], stmt_bound: usize) -> Self {
         let mut slot_of = vec![NO_SLOT; stmt_bound];
-        let mut slots: Vec<u32> = stmt_col.iter().copied().filter(|&s| s != u32::MAX).collect();
+        let mut slots: Vec<u32> = block_stmts.iter().flatten().copied().collect();
         slots.sort_unstable();
         slots.dedup();
         for (idx, &stmt) in slots.iter().enumerate() {
             slot_of[stmt as usize] = idx as u32;
         }
-        let block_slot = stmt_col.iter().map(|&s| if s == u32::MAX { NO_SLOT } else { slot_of[s as usize] }).collect();
-        let touched = pre_touched.iter().map(|&s| slot_of[s as usize]).collect();
-        Self { slots, block_slot, touched }
+        let block_slot = block_stmts.iter().map(|s| s.map_or(NO_SLOT, |s| slot_of[s as usize])).collect();
+        Self { slots, block_slot }
     }
 }
 
@@ -294,8 +290,6 @@ fn split_target<'a>(
     let (stmt_tm, stmt_overlap) = rest.split_at_mut(nk);
     let (memory_bound, stmt_present) = flags.split_at_mut(n);
     ColumnsTarget {
-        len: b - a,
-        slots: k,
         total: &mut total[a..b],
         tc: &mut tc[a..b],
         tm: &mut tm[a..b],
@@ -323,6 +317,10 @@ pub struct ColumnsChunk {
     pub(crate) data: Vec<f64>,
     /// Same section order as [`ProjectionColumns::flags`], sized by `len`.
     pub(crate) flags: Vec<bool>,
+    /// Per-slot accumulators of the one-lane fill behind
+    /// [`ColumnsChunk::fill_point`], built on its first call, so filling
+    /// the chunk one point at a time allocates once.
+    acc: Vec<LaneAcc<1>>,
 }
 
 impl ColumnsChunk {
@@ -335,15 +333,16 @@ impl ColumnsChunk {
             slots,
             data: vec![0.0; len * 5 + len * slots * 4],
             flags: vec![false; len + len * slots],
+            acc: Vec::new(),
         }
     }
 
     /// Evaluate point `i` of `cols` (inside this chunk's range) on
-    /// `kernel`, the kernel `cols` was built from, through the scalar row
-    /// loop — the route for rows filled one at a time under a telemetry
-    /// recorder. When `rec` is enabled the point emits a `kernel.evaluate`
-    /// span and the `plan.blocks` counter; the stored bits are those of
-    /// the lane fill.
+    /// `kernel`, the kernel `cols` was built from, as a one-lane group of
+    /// the lane fill — the route for rows filled one at a time under a
+    /// telemetry recorder. When `rec` is enabled the point emits a
+    /// `kernel.evaluate` span and the `plan.blocks` counter
+    /// [`crate::ProjectionPlan::evaluate_observed`] also bumps.
     pub fn fill_point<R: Recorder + ?Sized>(
         &mut self,
         kernel: &PlanKernel,
@@ -353,8 +352,22 @@ impl ColumnsChunk {
     ) {
         assert_eq!(kernel.fingerprint(), cols.fingerprint, "columns arena filled by a foreign kernel");
         assert!((self.start..self.start + self.len).contains(&i), "point {i} outside the chunk");
+        let enabled = rec.enabled();
+        let span = if enabled {
+            rec.span_start("kernel.evaluate", &[("blocks", AttrValue::U64(kernel.len() as u64))])
+        } else {
+            SpanId::NONE
+        };
         let r = i - self.start;
-        kernel.fill_row(&cols.specs[i], &cols.layout.block_slot, &mut self.target(), r, rec);
+        if self.acc.len() != self.slots {
+            self.acc = vec![LaneAcc::default(); self.slots];
+        }
+        let target = &mut split_target(&mut self.data, &mut self.flags, self.len, self.slots, 0, self.len);
+        kernel.fill_columns(self.start, &cols.layout(), target, r..r + 1, &mut self.acc);
+        if enabled {
+            rec.add("plan.blocks", kernel.len() as u64);
+            rec.span_end(span, &[("total_time", AttrValue::F64(self.total(r)))]);
+        }
     }
 
     /// First point index of the range this chunk covers.
@@ -420,8 +433,6 @@ pub(crate) struct ColumnsLayout<'a> {
 /// directly (serial path) or a [`ColumnsChunk`]'s buffers (parallel
 /// path). Rows are relative to the target's own range.
 pub(crate) struct ColumnsTarget<'a> {
-    pub(crate) len: usize,
-    pub(crate) slots: usize,
     pub(crate) total: &'a mut [f64],
     pub(crate) tc: &'a mut [f64],
     pub(crate) tm: &'a mut [f64],

@@ -10,41 +10,35 @@
 //! with no pointer chasing and no virtual dispatch, using the constants a
 //! [`MachineSpec`] pre-resolves per machine.
 //!
-//! The kernel only ever writes the [`ProjectionColumns`] arena, through
-//! two loops:
-//!
-//! * the **lane fill** ([`PlanKernel::evaluate_columns`],
-//!   [`PlanKernel::evaluate_columns_chunk`]) evaluates [`lane_width`]
-//!   machines per pass against a build-time prediction of which blocks
-//!   carry time;
-//! * the **scalar row loop** fills one point at a time. It replays the
-//!   lanes whose machine defeats the prediction (underflowed or infinite
-//!   block times), and it fills traced sweeps through
-//!   [`ColumnsChunk::fill_point`], one `kernel.evaluate` span per point.
+//! The kernel writes the [`ProjectionColumns`] arena through one loop, the
+//! **lane fill**, which evaluates [`lane_width`] machines per pass. Batches
+//! enter it through [`PlanKernel::evaluate_columns`] and
+//! [`PlanKernel::evaluate_columns_chunk`]; a traced sweep fills one point
+//! at a time through [`ColumnsChunk::fill_point`], as a one-lane group of
+//! the same fill inside a `kernel.evaluate` span.
 //!
 //! Single machines do not go through the kernel: a full [`crate::Projection`]
 //! (per-node costs, statement metrics, unknown libraries) comes from
 //! [`ProjectionPlan::evaluate`], the scalar reference.
 //!
-//! Bit-identity contract: each block time is computed by
-//! [`MachineSpec::block_time`] (itself bit-identical to
-//! `Roofline.project_block`) and accumulated in plan order, so every value
-//! stored in the arena matches the per-statement table and total of
-//! [`ProjectionPlan::evaluate`] to the bit. Models that cannot specialize
-//! have no kernel path; they evaluate through [`ProjectionPlan::evaluate`].
+//! Bit-identity contract: each lane's block time is computed by
+//! [`xflow_hw::SpecLanes::block_time`] (bit-identical per lane to
+//! `Roofline.project_block`) and accumulated in plan order under the rule
+//! [`ProjectionPlan::evaluate`] applies — a block lands in its statement
+//! only where its time is `> 0` — so every value stored in the arena
+//! matches the per-statement table and total of
+//! [`ProjectionPlan::evaluate`] to the bit, on every machine. Models that
+//! cannot specialize have no kernel path; they evaluate through
+//! [`ProjectionPlan::evaluate`].
 
 use std::sync::Arc;
 
-use xflow_hw::MachineSpec;
-use xflow_obs::{AttrValue, NoopRecorder, Recorder, SpanId};
+use xflow_hw::{MachineSpec, SpecLanes};
 
 use crate::columns::{
     achieved_delta, ColumnsChunk, ColumnsLayout, ColumnsTarget, ProjectionColumns, SlotLayout, NO_SLOT,
 };
 use crate::plan::ProjectionPlan;
-
-/// Column sentinel for "block aggregates into no statement".
-const NO_STMT: u32 = u32::MAX;
 
 /// Machines evaluated per pass by the columnar fill (f64x4 lanes).
 const LANES: usize = 4;
@@ -54,15 +48,31 @@ pub fn lane_width() -> usize {
     LANES
 }
 
+/// One statement slot's running sums over a group of `W` lanes, fused so
+/// one slot touch hits one contiguous struct instead of five scattered
+/// vectors. The lane fill assigns it on the slot's first block, so it
+/// never needs clearing between groups.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneAcc<const W: usize> {
+    total: [f64; W],
+    tc: [f64; W],
+    tm: [f64; W],
+    ov: [f64; W],
+    /// Whether any block of the slot has landed time in the lane.
+    present: [bool; W],
+}
+
+impl<const W: usize> Default for LaneAcc<W> {
+    fn default() -> Self {
+        Self { total: [0.0; W], tc: [0.0; W], tm: [0.0; W], ov: [0.0; W], present: [false; W] }
+    }
+}
+
 /// Structure-of-arrays compilation of a [`ProjectionPlan`], built once and
 /// evaluated per batch of machines into a [`ProjectionColumns`] arena via
 /// [`PlanKernel::evaluate_columns`] or [`PlanKernel::evaluate_columns_chunk`].
 #[derive(Debug, Clone)]
 pub struct PlanKernel {
-    /// BET arena index of each block (`PlanBlock::node`).
-    node: Vec<u32>,
-    /// Statement each block aggregates into, or [`NO_STMT`].
-    stmt: Vec<u32>,
     /// Per-invocation floating point operations.
     flops: Vec<f64>,
     /// Per-invocation fixed point operations.
@@ -79,27 +89,15 @@ pub struct PlanKernel {
     thread_cap: Vec<f64>,
     /// Precomputed overlap fraction δ = 1 − 1/max(1, flops).
     delta: Vec<f64>,
-    /// Predicted statement participation per block: `flops > 0 ∨ iops > 0 ∨
-    /// accesses > 0`, which is `time.total > 0` on every non-degenerate
-    /// machine. The lane fill checks the prediction per lane; a lane that
-    /// breaks it (underflow, infinite frequency, …) is replayed by the
-    /// scalar row loop.
-    stmt_participates: Vec<bool>,
-    /// Whether each block is the first (in plan order) predicted-active
-    /// block of its statement. The lane fill *assigns* a statement's lane
-    /// accumulators on first touch instead of accumulating, so they never
-    /// need clearing between lane groups.
+    /// Whether each block is the first (in plan order) of its statement
+    /// slot. The lane fill *assigns* a slot's accumulators there and adds
+    /// on every later block.
     first_touch: Vec<bool>,
-    /// Statement IDs in first-touch order: the statement slots a predicted
-    /// lane writes back.
-    pre_touched: Vec<u32>,
-    /// Upper bound on statement IDs.
-    stmt_bound: usize,
     /// Content fingerprint of the columns; a [`ProjectionColumns`] arena
     /// is only ever filled by the kernel whose fingerprint it carries.
     fingerprint: u64,
-    /// Statement-slot maps for columnar arenas, derived from `stmt` and
-    /// shared into every [`ProjectionColumns`] by reference count.
+    /// Statement-slot maps for columnar arenas, shared into every
+    /// [`ProjectionColumns`] by reference count.
     pub(crate) slot_layout: Arc<SlotLayout>,
 }
 
@@ -111,8 +109,6 @@ impl PlanKernel {
         let blocks = plan.blocks();
         let n = blocks.len();
         let mut kernel = Self {
-            node: Vec::with_capacity(n),
-            stmt: Vec::with_capacity(n),
             flops: Vec::with_capacity(n),
             iops: Vec::with_capacity(n),
             accesses: Vec::with_capacity(n),
@@ -120,17 +116,12 @@ impl PlanKernel {
             enr: Vec::with_capacity(n),
             thread_cap: Vec::with_capacity(n),
             delta: Vec::with_capacity(n),
-            stmt_participates: Vec::with_capacity(n),
             first_touch: Vec::with_capacity(n),
-            pre_touched: Vec::new(),
-            stmt_bound: plan.stmt_bound(),
             fingerprint: 0,
             slot_layout: Arc::default(),
         };
         for block in blocks {
             let m = &block.summary.metrics;
-            kernel.node.push(block.node);
-            kernel.stmt.push(block.stmt.map(|s| s.0).unwrap_or(NO_STMT));
             kernel.flops.push(m.flops);
             kernel.iops.push(m.iops);
             kernel.accesses.push(m.accesses());
@@ -139,31 +130,25 @@ impl PlanKernel {
             kernel.thread_cap.push(if block.summary.parallelizable { block.summary.avail_par } else { 1.0 });
             kernel.delta.push(MachineSpec::delta_of(m.flops));
         }
-        // Precompute the predicted participation, its first-touch flags and
-        // its presence set (the statement slots a predicted lane writes).
-        for i in 0..kernel.node.len() {
-            let p = kernel.flops[i] > 0.0 || kernel.iops[i] > 0.0 || kernel.accesses[i] > 0.0;
-            kernel.stmt_participates.push(p);
-            let stmt = kernel.stmt[i];
-            let first = stmt != NO_STMT && p && !kernel.pre_touched.contains(&stmt);
-            if first {
-                kernel.pre_touched.push(stmt);
-            }
-            kernel.first_touch.push(first);
+        let stmts: Vec<Option<u32>> = blocks.iter().map(|b| b.stmt.map(|s| s.0)).collect();
+        let layout = SlotLayout::build(&stmts, plan.stmt_bound());
+        let mut seen = vec![false; layout.slots.len()];
+        for &slot in &layout.block_slot {
+            kernel.first_touch.push(slot != NO_SLOT && !std::mem::replace(&mut seen[slot as usize], true));
         }
-        kernel.fingerprint = kernel.content_fingerprint();
-        kernel.slot_layout = Arc::new(SlotLayout::build(&kernel.stmt, kernel.stmt_bound, &kernel.pre_touched));
+        kernel.fingerprint = kernel.content_fingerprint(&layout);
+        kernel.slot_layout = Arc::new(layout);
         kernel
     }
 
     /// Number of cost-carrying blocks.
     pub fn len(&self) -> usize {
-        self.node.len()
+        self.flops.len()
     }
 
     /// True when the plan carries no cost blocks.
     pub fn is_empty(&self) -> bool {
-        self.node.is_empty()
+        self.flops.is_empty()
     }
 
     /// Content fingerprint of the columns (ties a [`ProjectionColumns`]
@@ -172,9 +157,9 @@ impl PlanKernel {
         self.fingerprint
     }
 
-    /// FNV-1a over every column, so two kernels compare equal iff every
-    /// evaluation-relevant bit matches.
-    fn content_fingerprint(&self) -> u64 {
+    /// FNV-1a over every column and the slot maps, so two kernels compare
+    /// equal iff every evaluation-relevant bit matches.
+    fn content_fingerprint(&self, layout: &SlotLayout) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -184,11 +169,8 @@ impl PlanKernel {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        eat(&(self.node.len() as u64).to_le_bytes());
-        for &v in &self.node {
-            eat(&v.to_le_bytes());
-        }
-        for &v in &self.stmt {
+        eat(&(self.len() as u64).to_le_bytes());
+        for &v in layout.block_slot.iter().chain(&layout.slots) {
             eat(&v.to_le_bytes());
         }
         for col in [&self.flops, &self.iops, &self.accesses, &self.bytes, &self.enr, &self.thread_cap, &self.delta] {
@@ -196,84 +178,7 @@ impl PlanKernel {
                 eat(&v.to_bits().to_le_bytes());
             }
         }
-        eat(&(self.stmt_bound as u64).to_le_bytes());
         h
-    }
-
-    /// The scalar row loop: evaluate one machine into target-relative row
-    /// `r`, overwriting it. No `Projection`, no per-node costs, no
-    /// allocation.
-    ///
-    /// Statement slots start from zero and accumulate with `+=` in block
-    /// order, gated on `time.total > 0` — the operation sequence of
-    /// [`ProjectionPlan::evaluate`]'s per-statement table, so every slot
-    /// is bit-identical to it on any machine, degenerate ones included.
-    /// The block-level aggregates accumulate in block order like the lane
-    /// fill. When `rec` is enabled, the loop runs inside a
-    /// `kernel.evaluate` span and bumps the `plan.blocks` counter as
-    /// [`ProjectionPlan::evaluate_observed`] does.
-    // out of line: inlined into the lane fill, the rarely taken replay
-    // branch measurably slowed the lane loop
-    #[inline(never)]
-    pub(crate) fn fill_row<R: Recorder + ?Sized>(
-        &self,
-        spec: &MachineSpec,
-        block_slot: &[u32],
-        target: &mut ColumnsTarget<'_>,
-        r: usize,
-        rec: &R,
-    ) {
-        let enabled = rec.enabled();
-        let span = if enabled {
-            rec.span_start("kernel.evaluate", &[("blocks", AttrValue::U64(self.len() as u64))])
-        } else {
-            SpanId::NONE
-        };
-        let k = target.slots;
-        let row = r * k..(r + 1) * k;
-        target.stmt_total[row.clone()].fill(0.0);
-        target.stmt_tc[row.clone()].fill(0.0);
-        target.stmt_tm[row.clone()].fill(0.0);
-        target.stmt_overlap[row.clone()].fill(0.0);
-        target.stmt_present[row].fill(false);
-
-        // hoist length-proven slices so the loop indexes without bounds
-        // checks — on small plans the checks cost more than the arithmetic
-        let n = self.node.len();
-        let block_slot = &block_slot[..n];
-        let (flops, iops) = (&self.flops[..n], &self.iops[..n]);
-        let (accesses, bytes) = (&self.accesses[..n], &self.bytes[..n]);
-        let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
-        let (mut total_time, mut tc, mut tm, mut ov) = (0.0, 0.0, 0.0, 0.0);
-
-        for i in 0..n {
-            let time = spec.block_time(flops[i], iops[i], accesses[i], bytes[i], thread_cap[i], delta[i]);
-            let e = enr[i];
-            let total = time.total * e;
-            total_time += total;
-            tc += time.tc * e;
-            tm += time.tm * e;
-            ov += time.overlap * e;
-            if block_slot[i] != NO_SLOT && time.total > 0.0 {
-                let s = r * k + block_slot[i] as usize;
-                target.stmt_total[s] += total;
-                target.stmt_tc[s] += time.tc * e;
-                target.stmt_tm[s] += time.tm * e;
-                target.stmt_overlap[s] += time.overlap * e;
-                target.stmt_present[s] = true;
-            }
-        }
-
-        target.total[r] = total_time;
-        target.tc[r] = tc;
-        target.tm[r] = tm;
-        target.overlap[r] = ov;
-        target.delta[r] = achieved_delta(tc, tm, ov);
-        target.memory_bound[r] = tm > tc;
-        if enabled {
-            rec.add("plan.blocks", self.len() as u64);
-            rec.span_end(span, &[("total_time", AttrValue::F64(total_time))]);
-        }
     }
 
     /// Columnar batch evaluation: evaluate every spec and return the dense
@@ -283,10 +188,11 @@ impl PlanKernel {
     pub fn evaluate_columns(&self, specs: &[MachineSpec]) -> ProjectionColumns {
         let mut cols = ProjectionColumns::new(self, specs.to_vec());
         let n = cols.points();
+        let mut acc = vec![LaneAcc::<LANES>::default(); cols.slot_count()];
         // fill the arena in place — no intermediate chunk buffer to
         // allocate, zero, and copy back
         let (layout, mut target) = cols.layout_and_target(0..n);
-        self.fill_columns(0, &layout, &mut target);
+        self.fill_columns(0, &layout, &mut target, 0..n, &mut acc);
         cols
     }
 
@@ -294,84 +200,71 @@ impl PlanKernel {
     /// a mergeable [`ColumnsChunk`] (install it with
     /// [`ProjectionColumns::install`]). This is the sweep scheduler's unit
     /// of work: workers share the read-only arena layout and each fills
-    /// disjoint ranges.
-    ///
-    /// Groups of [`lane_width`] machines run through the lane-packed
-    /// [`xflow_hw::SpecLanes`] loop; any lane whose machine turns out
-    /// degenerate (observed block participation diverging from the
-    /// prediction, e.g. underflowed or infinite times) is replayed by the
-    /// scalar row loop, which is bit-exact on every machine.
+    /// disjoint ranges through the lane fill.
     pub fn evaluate_columns_chunk(&self, cols: &ProjectionColumns, range: std::ops::Range<usize>) -> ColumnsChunk {
         let mut chunk = ColumnsChunk::new(cols, range.clone());
-        let layout = cols.layout();
-        let mut target = chunk.target();
-        self.fill_columns(range.start, &layout, &mut target);
+        let mut acc = vec![LaneAcc::<LANES>::default(); cols.slot_count()];
+        self.fill_columns(range.start, &cols.layout(), &mut chunk.target(), 0..range.len(), &mut acc);
         chunk
     }
 
-    /// The columnar fill engine behind [`PlanKernel::evaluate_columns`]
-    /// (arena-direct) and [`PlanKernel::evaluate_columns_chunk`]
-    /// (chunk-buffered): evaluates `layout.specs[start + r]` into target
-    /// row `r` for the whole target.
+    /// The lane fill behind every kernel entry point: evaluates
+    /// `layout.specs[start + r]` into target row `r` for each `r` in
+    /// `rows`, `W` machines per pass, overwriting the rows. Batches run
+    /// [`lane_width`] lanes; a traced point is a one-lane group.
+    ///
+    /// A group short of `W` machines pads its trailing lanes with copies
+    /// of its first spec: full lane arithmetic, writeback only of the real
+    /// lanes — no scalar remainder loop. `acc` holds one [`LaneAcc`] per
+    /// statement slot.
+    ///
+    /// Statement slots follow [`ProjectionPlan::evaluate`]'s rule per lane:
+    /// a block adds to its slot only where its time is `> 0`. The slot's
+    /// first block *assigns* instead (`+0.0` where that lane is inactive),
+    /// which is bit-identical to starting from zero because every addend is
+    /// `≥ +0.0`: `0.0 + x` is exactly `x`. A block on which all lanes land
+    /// time takes the straight-line lane branch; the rest (zero-cost blocks,
+    /// underflowed or NaN lanes) the per-lane one.
     // lane loops are written `for w in 0..W` even where an iterator would
     // do: the fixed-width indexed form matches `lanes.rs` and is what the
     // autovectorizer reliably lowers to packed ops
     #[allow(clippy::needless_range_loop)]
-    fn fill_columns(&self, start: usize, layout: &ColumnsLayout<'_>, target: &mut ColumnsTarget<'_>) {
+    pub(crate) fn fill_columns<const W: usize>(
+        &self,
+        start: usize,
+        layout: &ColumnsLayout<'_>,
+        target: &mut ColumnsTarget<'_>,
+        rows: std::ops::Range<usize>,
+        acc: &mut [LaneAcc<W>],
+    ) {
         assert_eq!(layout.fingerprint, self.fingerprint, "columns arena built from a foreign kernel");
-        let len = target.len;
-        let mut rel = 0usize;
-
-        const W: usize = LANES;
         let k = layout.slots;
-        /// Per-slot lane accumulator, fused so one slot touch hits one
-        /// contiguous struct instead of four scattered vectors.
-        #[derive(Clone, Copy)]
-        struct LaneAcc {
-            total: [f64; W],
-            tc: [f64; W],
-            tm: [f64; W],
-            ov: [f64; W],
-        }
-        // Lane accumulators. Never rezeroed between groups: the
-        // first-touch column assigns (not adds) each slot's first
-        // contribution — bit-identical because every accumulated term is
-        // `≥ +0.0`, so `0.0 + x` is exactly `x` — so stale
-        // lanes from the previous group are overwritten before they are
-        // read. Slots outside `pre_touched` are never written nor read.
-        let mut st = vec![LaneAcc { total: [0.0; W], tc: [0.0; W], tm: [0.0; W], ov: [0.0; W] }; k];
-        // slot index of every predicted-participating statement —
-        // writeback touches only these rows (the rest of the arena row
-        // is pre-zeroed)
-        let touched = &layout.maps.touched;
+        let st = &mut acc[..k];
 
-        let n = self.node.len();
-        let stmt_col = &self.stmt[..n];
+        // hoist length-proven slices so the loop indexes without bounds
+        // checks — on small plans the checks cost more than the arithmetic
+        let n = self.len();
         let (flops, iops) = (&self.flops[..n], &self.iops[..n]);
         let (accesses, bytes) = (&self.accesses[..n], &self.bytes[..n]);
         let (enr, thread_cap, delta) = (&self.enr[..n], &self.thread_cap[..n], &self.delta[..n]);
-        let participates = &self.stmt_participates[..n];
         let first_touch = &self.first_touch[..n];
         let block_slot = &layout.maps.block_slot[..n];
 
-        while rel < len {
-            // the tail group pads its trailing lanes with copies of the
-            // window's first spec: full lane arithmetic, writeback only
-            // of the `valid` real lanes — no scalar remainder loop
-            let valid = (len - rel).min(W);
+        let mut rel = rows.start;
+        while rel < rows.end {
+            let valid = (rows.end - rel).min(W);
             let window = &layout.specs[start + rel..start + rel + valid];
             let lanes = if valid == W {
-                xflow_hw::SpecLanes::<W>::pack(window)
+                SpecLanes::<W>::pack(window)
             } else {
                 let mut padded = [window[0]; W];
                 padded[..valid].copy_from_slice(window);
-                xflow_hw::SpecLanes::<W>::pack(&padded)
+                SpecLanes::<W>::pack(&padded)
             };
             let mut acc_total = [0.0f64; W];
             let mut acc_tc = [0.0f64; W];
             let mut acc_tm = [0.0f64; W];
             let mut acc_ov = [0.0f64; W];
-            let mut pred = [true; W];
 
             for i in 0..n {
                 let t = lanes.block_time(flops[i], iops[i], accesses[i], bytes[i], thread_cap[i], delta[i]);
@@ -388,67 +281,61 @@ impl PlanKernel {
                 for w in 0..W {
                     acc_ov[w] += t.overlap[w] * e;
                 }
-                if stmt_col[i] != NO_STMT {
-                    let p = participates[i];
-                    let mut uniform = true;
-                    let mut active = [false; W];
-                    for w in 0..W {
-                        active[w] = t.total[w] > 0.0;
-                        uniform &= active[w] == p;
-                    }
-                    if uniform {
-                        // every lane matches the prediction: one branch
-                        // for the whole group, branch-free lane writes
-                        if p {
-                            let a = &mut st[block_slot[i] as usize];
-                            if first_touch[i] {
-                                for w in 0..W {
-                                    a.total[w] = t.total[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.tc[w] = t.tc[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.tm[w] = t.tm[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.ov[w] = t.overlap[w] * e;
-                                }
-                            } else {
-                                for w in 0..W {
-                                    a.total[w] += t.total[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.tc[w] += t.tc[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.tm[w] += t.tm[w] * e;
-                                }
-                                for w in 0..W {
-                                    a.ov[w] += t.overlap[w] * e;
-                                }
-                            }
+                if block_slot[i] == NO_SLOT {
+                    continue;
+                }
+                let a = &mut st[block_slot[i] as usize];
+                let mut active = [false; W];
+                for w in 0..W {
+                    active[w] = t.total[w] > 0.0;
+                }
+                if active == [true; W] {
+                    // the common case: straight-line lane arithmetic
+                    if first_touch[i] {
+                        for w in 0..W {
+                            a.total[w] = t.total[w] * e;
+                        }
+                        for w in 0..W {
+                            a.tc[w] = t.tc[w] * e;
+                        }
+                        for w in 0..W {
+                            a.tm[w] = t.tm[w] * e;
+                        }
+                        for w in 0..W {
+                            a.ov[w] = t.overlap[w] * e;
                         }
                     } else {
-                        // some lane diverged from the prediction
-                        // (degenerate machine): fold the mismatch into
-                        // `pred` and keep the surviving lanes exact
-                        let a = &mut st[block_slot[i] as usize];
                         for w in 0..W {
-                            pred[w] &= active[w] == p;
-                            if active[w] {
-                                if first_touch[i] {
-                                    a.total[w] = t.total[w] * e;
-                                    a.tc[w] = t.tc[w] * e;
-                                    a.tm[w] = t.tm[w] * e;
-                                    a.ov[w] = t.overlap[w] * e;
-                                } else {
-                                    a.total[w] += t.total[w] * e;
-                                    a.tc[w] += t.tc[w] * e;
-                                    a.tm[w] += t.tm[w] * e;
-                                    a.ov[w] += t.overlap[w] * e;
-                                }
-                            }
+                            a.total[w] += t.total[w] * e;
+                        }
+                        for w in 0..W {
+                            a.tc[w] += t.tc[w] * e;
+                        }
+                        for w in 0..W {
+                            a.tm[w] += t.tm[w] * e;
+                        }
+                        for w in 0..W {
+                            a.ov[w] += t.overlap[w] * e;
+                        }
+                    }
+                    a.present = [true; W];
+                } else if first_touch[i] {
+                    for w in 0..W {
+                        let on = active[w];
+                        a.total[w] = if on { t.total[w] * e } else { 0.0 };
+                        a.tc[w] = if on { t.tc[w] * e } else { 0.0 };
+                        a.tm[w] = if on { t.tm[w] * e } else { 0.0 };
+                        a.ov[w] = if on { t.overlap[w] * e } else { 0.0 };
+                        a.present[w] = on;
+                    }
+                } else {
+                    for w in 0..W {
+                        if active[w] {
+                            a.total[w] += t.total[w] * e;
+                            a.tc[w] += t.tc[w] * e;
+                            a.tm[w] += t.tm[w] * e;
+                            a.ov[w] += t.overlap[w] * e;
+                            a.present[w] = true;
                         }
                     }
                 }
@@ -456,28 +343,19 @@ impl PlanKernel {
 
             for w in 0..valid {
                 let r = rel + w;
-                if pred[w] {
-                    target.total[r] = acc_total[w];
-                    target.tc[r] = acc_tc[w];
-                    target.tm[r] = acc_tm[w];
-                    target.overlap[r] = acc_ov[w];
-                    target.delta[r] = crate::columns::achieved_delta(acc_tc[w], acc_tm[w], acc_ov[w]);
-                    target.memory_bound[r] = acc_tm[w] > acc_tc[w];
-                    // predicted participation held: presence is the
-                    // precomputed first-touch set
-                    let base = r * k;
-                    for &slot in touched {
-                        let s = slot as usize;
-                        let a = &st[s];
-                        target.stmt_total[base + s] = a.total[w];
-                        target.stmt_tc[base + s] = a.tc[w];
-                        target.stmt_tm[base + s] = a.tm[w];
-                        target.stmt_overlap[base + s] = a.ov[w];
-                        target.stmt_present[base + s] = true;
-                    }
-                } else {
-                    // degenerate lane: replay through the scalar row loop
-                    self.fill_row(&layout.specs[start + r], &layout.maps.block_slot, target, r, &NoopRecorder);
+                target.total[r] = acc_total[w];
+                target.tc[r] = acc_tc[w];
+                target.tm[r] = acc_tm[w];
+                target.overlap[r] = acc_ov[w];
+                target.delta[r] = achieved_delta(acc_tc[w], acc_tm[w], acc_ov[w]);
+                target.memory_bound[r] = acc_tm[w] > acc_tc[w];
+                let base = r * k;
+                for (s, a) in st.iter().enumerate() {
+                    target.stmt_total[base + s] = a.total[w];
+                    target.stmt_tc[base + s] = a.tc[w];
+                    target.stmt_tm[base + s] = a.tm[w];
+                    target.stmt_overlap[base + s] = a.ov[w];
+                    target.stmt_present[base + s] = a.present[w];
                 }
             }
             rel += valid;
@@ -491,7 +369,7 @@ mod tests {
     use crate::analysis::Projection;
     use xflow_bet::{build, Bet};
     use xflow_hw::{bgq, generic, knl, xeon, ClassicRoofline, LibraryRegistry, Roofline};
-    use xflow_obs::CollectingRecorder;
+    use xflow_obs::{CollectingRecorder, NoopRecorder};
     use xflow_skeleton::expr::env_from;
     use xflow_skeleton::parse;
 
@@ -514,11 +392,19 @@ func main() {
     }
 
     /// An infinite-frequency machine: every cycle time underflows to zero,
-    /// so the compute-only `@pure` block lands no time — which defeats the
-    /// lane fill's participation prediction.
+    /// so the compute-only `@pure` block lands no time and its statement
+    /// drops out of the row.
     fn degenerate() -> xflow_hw::MachineModel {
         let mut m = generic();
         m.freq_ghz = f64::INFINITY;
+        m
+    }
+
+    /// A machine whose compute times are `∞·0 = NaN`: infinite frequency
+    /// and no scalar flop throughput. Only flop-free blocks land time.
+    fn nan_time() -> xflow_hw::MachineModel {
+        let mut m = degenerate();
+        m.scalar_flops_per_cycle = 0.0;
         m
     }
 
@@ -585,11 +471,11 @@ func main() {
     }
 
     #[test]
-    fn observed_row_fill_matches_scalar_observed() {
+    fn traced_point_fill_matches_scalar_observed() {
         let bet = bet_for(SRC);
         let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
         let kernel = plan.kernel();
-        let machines = [bgq(), degenerate()];
+        let machines = [bgq(), degenerate(), nan_time()];
         let mut cols = ProjectionColumns::new(&kernel, machines.iter().map(MachineSpec::resolve).collect());
         for (i, machine) in machines.iter().enumerate() {
             let rec_scalar = CollectingRecorder::new();
@@ -661,18 +547,47 @@ func main() {
     }
 
     #[test]
-    fn degenerate_machine_takes_the_replay_path_and_stays_exact() {
+    fn degenerate_lanes_inside_full_groups_stay_exact() {
         let bet = bet_for(SRC);
         let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
         let kernel = plan.kernel();
-        // the infinite-frequency lane fails the participation prediction
-        // and is replayed by the scalar row loop — inside a full lane
-        // group on purpose
-        let machines = [bgq(), degenerate(), xeon(), knl(), degenerate()];
+        // lanes whose blocks land no time or NaN sit next to real machines
+        // in a full lane group and alone in the remainder group
+        let machines = [bgq(), degenerate(), nan_time(), knl(), degenerate(), xeon(), nan_time()];
         let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
         let cols = kernel.evaluate_columns(&specs);
         for (i, machine) in machines.iter().enumerate() {
             assert_row_bits(&cols, i, &plan.evaluate(machine, &Roofline));
+        }
+    }
+
+    #[test]
+    fn nan_blocks_add_nothing_to_a_statement_that_lands_time() {
+        // one statement, four contexts: on the NaN-time machine the
+        // flop-free calls land time and the others are NaN, so that lane
+        // of the slot starts at +0.0, adds, skips, then adds again
+        let src = "func main() { call mix(8) call mix(0) call mix(8) call mix(0) } \
+                   func mix(n) { @mix: comp { flops: n, loads: 4 } }";
+        let bet = bet_for(src);
+        let plan = ProjectionPlan::new(&bet, &LibraryRegistry::with_defaults());
+        let kernel = plan.kernel();
+        assert_eq!(kernel.slot_layout.slots.len(), 1);
+        let scalar = plan.evaluate(&nan_time(), &Roofline);
+        assert!(scalar.total_time.is_nan());
+        assert_eq!(scalar.per_stmt.len(), 1, "the flop-free contexts land time");
+        let machines = [bgq(), nan_time(), xeon(), nan_time(), knl()];
+        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
+        let cols = kernel.evaluate_columns(&specs);
+        let mut traced = ProjectionColumns::new(&kernel, specs.clone());
+        for i in 0..specs.len() {
+            let mut chunk = ColumnsChunk::new(&traced, i..i + 1);
+            chunk.fill_point(&kernel, &traced, i, &NoopRecorder);
+            traced.install(chunk);
+        }
+        for (i, machine) in machines.iter().enumerate() {
+            let scalar = plan.evaluate(machine, &Roofline);
+            assert_row_bits(&cols, i, &scalar);
+            assert_row_bits(&traced, i, &scalar);
         }
     }
 

@@ -9,16 +9,15 @@
 //! (f64x4 with the default `W = 4`).
 //!
 //! Bit-identity contract: every lane of [`SpecLanes::block_time`] computes
-//! the exact expression [`MachineSpec::block_time`] computes for that
-//! lane's spec — same operands, same operation order, including the
+//! the exact expression `Roofline.project_block` computes for that lane's
+//! machine — same operands, same operation order, including the
 //! [`ExactDiv`] strength-reduction decision, which is packed per lane into
 //! [`DivLanes`]. When the `W` machines disagree on multiply-vs-divide for
 //! a parameter (e.g. a non-power-of-two bandwidth next to power-of-two
 //! ones), the lane loop takes the mixed path and branches per lane; the
-//! result is still bit-identical per lane, only slower. Degeneracy
-//! (underflowed or infinite times) is *not* handled here — callers detect
-//! it per lane exactly as the scalar kernel does and replay that lane
-//! through the scalar path.
+//! result is still bit-identical per lane, only slower. Degenerate
+//! machines (underflowed, infinite or NaN times) get their scalar bits
+//! too; deciding which lanes land time is the caller's job.
 
 use crate::spec::{exact_recip, ExactDiv, MachineSpec};
 
@@ -84,9 +83,8 @@ impl<const W: usize> DivLanes<W> {
 ///
 /// Built with [`SpecLanes::pack`] from a window of `W` specs; evaluate
 /// blocks with [`SpecLanes::block_time`], which returns one
-/// [`BlockTime`](crate::roofline::BlockTime)
-/// per lane, each bit-identical to the scalar [`MachineSpec::block_time`]
-/// of the corresponding spec.
+/// [`BlockTime`](crate::roofline::BlockTime) per lane, each bit-identical
+/// to `Roofline.project_block` on the corresponding machine.
 #[derive(Debug, Clone, Copy)]
 pub struct SpecLanes<const W: usize> {
     cycle_seconds: [f64; W],
@@ -111,8 +109,8 @@ pub struct SpecLanes<const W: usize> {
 impl<const W: usize> SpecLanes<W> {
     /// Transpose a window of exactly `W` specs into lane columns.
     ///
-    /// Panics when `specs.len() != W` — the remainder of a batch that does
-    /// not fill a full lane group goes through the scalar path instead.
+    /// Panics when `specs.len() != W` — callers pad a batch remainder
+    /// that does not fill a full lane group.
     pub fn pack(specs: &[MachineSpec]) -> Self {
         assert_eq!(specs.len(), W, "lane packing needs exactly W specs");
         let mut lanes = Self {
@@ -147,7 +145,8 @@ impl<const W: usize> SpecLanes<W> {
     /// Extended-roofline projection of one block invocation on all `W`
     /// machines at once. The block inputs are scalars (shared across
     /// lanes); lane `w` of the result is bit-identical to
-    /// `specs[w].block_time(...)` with the same arguments.
+    /// `Roofline.project_block` on machine `w` for the block these columns
+    /// digest.
     #[inline]
     pub fn block_time(
         &self,
@@ -261,7 +260,7 @@ impl<const W: usize> SpecLanes<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{bgq, generic, knl, xeon, MachineBuilder};
+    use crate::machine::{bgq, generic, knl, xeon, MachineBuilder, MachineModel};
     use crate::roofline::{BlockMetrics, BlockSummary, PerfModel, Roofline};
 
     fn summaries() -> Vec<BlockSummary> {
@@ -285,27 +284,29 @@ mod tests {
         v
     }
 
-    fn assert_lanes_match_scalar<const W: usize>(specs: &[MachineSpec]) {
-        let lanes = SpecLanes::<W>::pack(specs);
+    /// Every lane of every block equals `Roofline.project_block` on that
+    /// lane's machine, to the bit in every component.
+    fn assert_lanes_match_project_block<const W: usize>(machines: &[MachineModel]) {
+        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
+        let lanes = SpecLanes::<W>::pack(&specs);
         for s in summaries() {
             let m = &s.metrics;
             let cap = if s.parallelizable { s.avail_par } else { 1.0 };
-            let delta = MachineSpec::delta_of(m.flops);
-            let fast = lanes.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, delta);
-            for (w, spec) in specs.iter().enumerate() {
-                let reference = spec.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, delta);
-                assert_eq!(fast.tc[w].to_bits(), reference.tc.to_bits(), "tc lane {w}");
-                assert_eq!(fast.tm[w].to_bits(), reference.tm.to_bits(), "tm lane {w}");
-                assert_eq!(fast.overlap[w].to_bits(), reference.overlap.to_bits(), "overlap lane {w}");
-                assert_eq!(fast.total[w].to_bits(), reference.total.to_bits(), "total lane {w}");
+            let fast = lanes.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, MachineSpec::delta_of(m.flops));
+            for (w, machine) in machines.iter().enumerate() {
+                let reference = Roofline.project_block(machine, &s);
+                let ctx = format!("{} lane {w}", machine.name);
+                assert_eq!(fast.tc[w].to_bits(), reference.tc.to_bits(), "tc {ctx}");
+                assert_eq!(fast.tm[w].to_bits(), reference.tm.to_bits(), "tm {ctx}");
+                assert_eq!(fast.overlap[w].to_bits(), reference.overlap.to_bits(), "overlap {ctx}");
+                assert_eq!(fast.total[w].to_bits(), reference.total.to_bits(), "total {ctx}");
             }
         }
     }
 
     #[test]
-    fn lanes_match_scalar_block_time_on_presets() {
-        let specs: Vec<MachineSpec> = [bgq(), xeon(), knl(), generic()].iter().map(MachineSpec::resolve).collect();
-        assert_lanes_match_scalar::<4>(&specs);
+    fn lanes_match_project_block_on_presets() {
+        assert_lanes_match_project_block::<4>(&[bgq(), xeon(), knl(), generic()]);
     }
 
     #[test]
@@ -320,44 +321,24 @@ mod tests {
         odd.mlp = 6.0;
         odd.dram_bw_gbs = 3.3;
         let odd = MachineBuilder::from(odd).cores(12).build();
-        let machines = [bgq(), odd, xeon(), generic()];
-        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
-        assert_lanes_match_scalar::<4>(&specs);
+        assert_lanes_match_project_block::<4>(&[bgq(), odd, xeon(), generic()]);
     }
 
     #[test]
     fn degenerate_machines_produce_the_scalar_bits_too() {
-        // infinite frequency / zero cores: the lane arithmetic itself must
-        // still match the scalar spec bit-for-bit (callers detect the
-        // degenerate participation mismatch separately)
+        // infinite frequency (times underflow to zero), NaN compute times
+        // (∞ frequency, zero flop throughput) and zero cores: the lane
+        // arithmetic itself must still match the scalar model bit-for-bit
         let mut inf = generic();
         inf.freq_ghz = f64::INFINITY;
+        let mut nan = inf.clone();
+        nan.scalar_flops_per_cycle = 0.0;
         let zero_core = MachineBuilder::from(generic()).cores(0).build();
-        let machines = [inf, zero_core, knl(), bgq()];
-        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
-        assert_lanes_match_scalar::<4>(&specs);
+        assert_lanes_match_project_block::<4>(&[inf, zero_core, knl(), nan]);
     }
 
     #[test]
     fn width_eight_lanes_match_too() {
-        let machines = [bgq(), xeon(), knl(), generic(), bgq(), xeon(), knl(), generic()];
-        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
-        assert_lanes_match_scalar::<8>(&specs);
-    }
-
-    #[test]
-    fn lanes_agree_with_project_block_through_the_whole_model() {
-        let machines = [bgq(), xeon(), knl(), generic()];
-        let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
-        let lanes = SpecLanes::<4>::pack(&specs);
-        for s in summaries() {
-            let m = &s.metrics;
-            let cap = if s.parallelizable { s.avail_par } else { 1.0 };
-            let fast = lanes.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, MachineSpec::delta_of(m.flops));
-            for (w, machine) in machines.iter().enumerate() {
-                let reference = Roofline.project_block(machine, &s);
-                assert_eq!(fast.total[w].to_bits(), reference.total.to_bits(), "{} lane {w}", machine.name);
-            }
-        }
+        assert_lanes_match_project_block::<8>(&[bgq(), xeon(), knl(), generic(), bgq(), xeon(), knl(), generic()]);
     }
 }

@@ -11,18 +11,18 @@
 //!
 //! Bit-identity contract: every constant here is the exact same f64
 //! expression the scalar [`crate::Roofline`] paths compute per call (same
-//! operands, same operation order), so [`MachineSpec::block_time`] produces
-//! bit-identical [`BlockTime`]s to `Roofline::project` /
+//! operands, same operation order), so [`crate::SpecLanes::block_time`],
+//! which evaluates blocks from packed specs, produces bit-identical
+//! [`crate::BlockTime`]s per lane to `Roofline::project` /
 //! `Roofline::project_parallel` dispatched through `project_block`. The
-//! equivalence is enforced by `to_bits` tests here and in the hotspot and
-//! sweep layers.
+//! equivalence is enforced by `to_bits` tests here, in `lanes.rs` and in
+//! the hotspot and sweep layers.
 //!
 //! The spec describes the extended [`crate::Roofline`] only; other models
 //! (the ablation variants, custom [`crate::PerfModel`] impls) have no spec
 //! and evaluate through the virtual-dispatch path.
 
 use crate::machine::MachineModel;
-use crate::roofline::BlockTime;
 use serde::{Deserialize, Serialize};
 
 const SIGN_MASK: u64 = 1 << 63;
@@ -161,60 +161,6 @@ impl MachineSpec {
         }
     }
 
-    /// Extended-roofline projection of one block invocation, given the
-    /// block's pre-digested columns.
-    ///
-    /// `thread_cap` is the block's available parallelism (or 1.0 for
-    /// non-parallelizable blocks) and `delta` its precomputed overlap
-    /// fraction `1 − 1/max(1, flops)`. The operation order replicates
-    /// `Roofline::tc` / `Roofline::tm_parts` / `Roofline::project_parallel`
-    /// / `Roofline::assemble` exactly, so the result is bit-identical to
-    /// `Roofline.project_block(machine, summary)`.
-    #[inline]
-    pub fn block_time(
-        &self,
-        flops: f64,
-        iops: f64,
-        accesses: f64,
-        bytes: f64,
-        thread_cap: f64,
-        delta: f64,
-    ) -> BlockTime {
-        // Tc: vector-efficiency split, flop-pipe vs issue-width bound.
-        let eff_flops = flops * self.one_minus_veff + self.vector_lanes.apply(flops * self.veff);
-        let flop_cycles = self.scalar_flops_per_cycle.apply(eff_flops);
-        let issue_cycles = self.issue_width.apply(eff_flops + iops);
-        let tc_serial = flop_cycles.max(issue_cycles) * self.cycle_seconds;
-
-        // Tm: per-core port/latency bound and shared bandwidth bound.
-        let (per_core, shared) = if accesses == 0.0 {
-            (0.0, 0.0)
-        } else {
-            let port_cycles = self.load_store_per_cycle.apply(accesses);
-            let lat_cycles = self.mlp.apply(accesses * self.one_minus_l1 * self.miss_lat);
-            let post_l1_bytes = bytes * self.one_minus_l1;
-            (port_cycles.max(lat_cycles) * self.cycle_seconds, self.dram_bw_bytes.apply(post_l1_bytes))
-        };
-
-        // Concurrency: per-core resources scale with the thread count,
-        // the shared bandwidth term does not (same split as
-        // `Roofline::project_parallel`). The thread count varies per block,
-        // so its strength reduction is a runtime power-of-two check — one
-        // cheap integer test replacing two divisions.
-        let threads = thread_cap.min(self.cores).max(1.0);
-        let (tc, tm) = if threads > 1.0 {
-            match exact_recip(threads) {
-                Some(r) => (tc_serial * r, (per_core * r).max(shared)),
-                None => (tc_serial / threads, (per_core / threads).max(shared)),
-            }
-        } else {
-            (tc_serial, per_core.max(shared))
-        };
-
-        let overlap = tc.min(tm) * delta;
-        BlockTime { tc, tm, overlap, total: tc + tm - overlap }
-    }
-
     /// The overlap fraction δ = 1 − 1/max(1, N_flops) of a block, suitable
     /// for precomputation into a plan column (machine-independent).
     #[inline]
@@ -226,7 +172,8 @@ impl MachineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{bgq, generic, knl, xeon};
+    use crate::lanes::SpecLanes;
+    use crate::machine::{bgq, generic, knl, xeon, MachineBuilder};
     use crate::roofline::{BlockMetrics, BlockSummary, PerfModel, Roofline};
 
     fn summaries() -> Vec<BlockSummary> {
@@ -250,21 +197,27 @@ mod tests {
         v
     }
 
+    /// Every block of [`summaries`] evaluated from `machine`'s spec, as a
+    /// one-lane [`SpecLanes`] group, equals `Roofline.project_block` to the
+    /// bit in every component.
+    fn assert_spec_matches_project_block(machine: &MachineModel) {
+        let lanes = SpecLanes::<1>::pack(&[MachineSpec::resolve(machine)]);
+        for s in summaries() {
+            let reference = Roofline.project_block(machine, &s);
+            let m = &s.metrics;
+            let cap = if s.parallelizable { s.avail_par } else { 1.0 };
+            let fast = lanes.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, MachineSpec::delta_of(m.flops));
+            assert_eq!(fast.tc[0].to_bits(), reference.tc.to_bits(), "tc differs on {}", machine.name);
+            assert_eq!(fast.tm[0].to_bits(), reference.tm.to_bits(), "tm differs on {}", machine.name);
+            assert_eq!(fast.overlap[0].to_bits(), reference.overlap.to_bits(), "overlap differs on {}", machine.name);
+            assert_eq!(fast.total[0].to_bits(), reference.total.to_bits(), "total differs on {}", machine.name);
+        }
+    }
+
     #[test]
     fn specialized_block_time_is_bit_identical_to_project_block() {
         for machine in [bgq(), xeon(), knl(), generic()] {
-            let spec = MachineSpec::resolve(&machine);
-            for s in summaries() {
-                let reference = Roofline.project_block(&machine, &s);
-                let m = &s.metrics;
-                let cap = if s.parallelizable { s.avail_par } else { 1.0 };
-                let fast =
-                    spec.block_time(m.flops, m.iops, m.accesses(), m.bytes(), cap, MachineSpec::delta_of(m.flops));
-                assert_eq!(fast.tc.to_bits(), reference.tc.to_bits(), "tc differs on {}", machine.name);
-                assert_eq!(fast.tm.to_bits(), reference.tm.to_bits(), "tm differs on {}", machine.name);
-                assert_eq!(fast.overlap.to_bits(), reference.overlap.to_bits(), "overlap differs on {}", machine.name);
-                assert_eq!(fast.total.to_bits(), reference.total.to_bits(), "total differs on {}", machine.name);
-            }
+            assert_spec_matches_project_block(&machine);
         }
     }
 
@@ -305,7 +258,6 @@ mod tests {
 
     #[test]
     fn non_power_of_two_machine_still_specializes_bit_identically() {
-        use crate::machine::MachineBuilder;
         // every strength-reducible parameter set to an awkward non-pow2
         // value: the spec must fall back to real divisions everywhere
         let mut m = generic();
@@ -315,40 +267,11 @@ mod tests {
         m.load_store_per_cycle = 0.75;
         m.mlp = 6.0;
         m.dram_bw_gbs = 3.3;
-        let m = MachineBuilder::from(m).cores(12).build();
-        let spec = MachineSpec::resolve(&m);
-        for s in summaries() {
-            let reference = Roofline.project_block(&m, &s);
-            let metrics = &s.metrics;
-            let cap = if s.parallelizable { s.avail_par } else { 1.0 };
-            let fast = spec.block_time(
-                metrics.flops,
-                metrics.iops,
-                metrics.accesses(),
-                metrics.bytes(),
-                cap,
-                MachineSpec::delta_of(metrics.flops),
-            );
-            assert_eq!(fast.tc.to_bits(), reference.tc.to_bits());
-            assert_eq!(fast.tm.to_bits(), reference.tm.to_bits());
-            assert_eq!(fast.overlap.to_bits(), reference.overlap.to_bits());
-            assert_eq!(fast.total.to_bits(), reference.total.to_bits());
-        }
+        assert_spec_matches_project_block(&MachineBuilder::from(m).cores(12).build());
     }
 
     #[test]
     fn zero_core_machine_still_runs_serially() {
-        use crate::machine::MachineBuilder;
-        let m = MachineBuilder::from(generic()).cores(0).build();
-        let spec = MachineSpec::resolve(&m);
-        let s = BlockSummary {
-            metrics: BlockMetrics { flops: 8.0, iops: 0.0, loads: 4.0, stores: 0.0, divs: 0.0, elem_bytes: 8.0 },
-            enr: 1.0,
-            avail_par: 16.0,
-            parallelizable: true,
-        };
-        let reference = Roofline.project_block(&m, &s);
-        let fast = spec.block_time(8.0, 0.0, 4.0, 32.0, 16.0, MachineSpec::delta_of(8.0));
-        assert_eq!(fast.total.to_bits(), reference.total.to_bits());
+        assert_spec_matches_project_block(&MachineBuilder::from(generic()).cores(0).build());
     }
 }

@@ -21,10 +21,11 @@
 //! [`xflow_hotspot::PlanKernel::evaluate_columns_chunk`] — total time,
 //! block Tc/Tm/To, achieved δ, and the dense per-statement cost matrix as
 //! columns. Under an enabled telemetry recorder the rows are filled one
-//! at a time through the kernel's scalar row loop
-//! ([`xflow_hotspot::ColumnsChunk::fill_point`]) instead, which emits
-//! per-point spans; the arena's bits are the same either way. When a caller drills into one point, [`Sweep::hydrate`]
-//! projects the app on that machine with [`ModeledApp::project_on`].
+//! at a time ([`xflow_hotspot::ColumnsChunk::fill_point`]) instead, each
+//! a one-lane group of the same lane fill inside its own spans; the
+//! arena's bits are the same either way. When a caller drills into one
+//! point, [`Sweep::hydrate`] projects the app on that machine with
+//! [`ModeledApp::project_on`].
 //!
 //! A point is a total; a row is what gets printed. [`Sweep::row`] reads a
 //! point's arena row through the app's one unit fold ([`UnitIndex::fold`])
@@ -39,7 +40,7 @@
 //! (last axis fastest), so adjacent points within a chunk differ in one
 //! axis. Results are deterministic and independent of the thread count
 //! and the chunk size: chunks install into the arena at their point
-//! range, and both kernel loops are bit-identical to the scalar evaluator.
+//! range, and the lane fill is bit-identical to the scalar evaluator.
 //!
 //! ```
 //! use xflow::{bgq, Axis, DesignSpace, ModeledApp, Scale, SweepOptions};
@@ -835,8 +836,8 @@ mod tests {
     fn traced_sweep_with_degenerate_machines_matches_plain_and_the_plan() {
         use xflow_obs::CollectingRecorder;
         let app = cfd_app();
-        // infinite frequency underflows every cycle time: the lane fill
-        // replays those points, the traced fill runs them like any other
+        // infinite frequency underflows every cycle time; the traced fill
+        // runs those points one at a time like any other
         let space = DesignSpace::grid(
             bgq(),
             vec![
@@ -847,8 +848,8 @@ mod tests {
         );
         let n = space.len();
         let plain = space.sweep_opts(&app, SweepOptions::with_threads(1));
-        // the second half of the grid breaks the participation prediction:
-        // statements that carry time on a finite clock drop out
+        // on the second half of the grid, statements that carry time on a
+        // finite clock drop out
         for i in n / 2..n {
             let cols = plain.columns();
             assert!(cols.stmt_row(i).count() < cols.stmt_row(i - n / 2).count(), "point {i} is not degenerate");
@@ -879,7 +880,7 @@ mod tests {
                     };
                     assert_eq!(row(a), row(b), "{ctx} point {i}");
                 }
-                // every point, replayed or not, is one traced row fill
+                // every point, degenerate or not, is one traced point fill
                 let snap = rec.snapshot();
                 assert_eq!(snap.spans.iter().filter(|s| s.name == "sweep.point").count(), n, "{ctx}");
                 assert_eq!(snap.spans.iter().filter(|s| s.name == "kernel.evaluate").count(), n, "{ctx}");

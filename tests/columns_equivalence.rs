@@ -2,13 +2,13 @@
 //!
 //! [`xflow_hotspot::ProjectionColumns`] stores every sweep point as dense
 //! columns instead of a [`Projection`], and the arena is filled in machine
-//! lanes of [`xflow_hotspot::lane_width`], with a scalar row loop replaying
-//! degenerate lanes. Both are only sound if every stored value — total,
-//! block aggregates, δ, verdict and statement row — is `f64::to_bits`-
-//! identical to the scalar `ProjectionPlan::evaluate`, for *any* plan,
-//! *any* machine list (including lengths that are not lane multiples and
-//! degenerate machines that defeat the participation prediction), and
-//! *any* chunking of the fill.
+//! lanes of [`xflow_hotspot::lane_width`]. That is only sound if every
+//! stored value — total, block aggregates, δ, verdict and statement row —
+//! is `f64::to_bits`-identical to the scalar `ProjectionPlan::evaluate`,
+//! for *any* plan, *any* machine list (including lengths that are not lane
+//! multiples and degenerate machines whose blocks land no time or NaN
+//! next to real machines in one lane group), and *any* chunking of the
+//! fill.
 //!
 //! Plans come from the validation subsystem's seeded minilang generator
 //! (`xflow_validate::generate`), so the corpus is not limited to the five
@@ -39,8 +39,8 @@ fn bet_for_seed(seed: u64, escapes: bool) -> Option<xflow_bet::Bet> {
 /// A machine list of length `n`: the four presets cycled with per-index
 /// bandwidth/MLP perturbation (so no two specs are bit-equal), with the
 /// machines selected by `degenerate_mask` replaced by an infinite-
-/// frequency variant whose underflowed block times defeat the kernel's
-/// participation prediction and force the scalar replay path.
+/// frequency variant whose compute-only blocks underflow to zero time and
+/// drop out of the statement row.
 fn machine_list(n: usize, degenerate_mask: u32) -> Vec<MachineModel> {
     let presets = [bgq(), xeon(), knl(), generic()];
     (0..n)
@@ -132,7 +132,7 @@ proptest! {
 }
 
 #[test]
-fn degenerate_lanes_inside_full_groups_replay_exactly() {
+fn degenerate_lanes_inside_full_groups_stay_exact() {
     // deterministic companion to the proptest: a lane group whose middle
     // lanes are degenerate, plus a remainder group of one degenerate point
     let Some(bet) = bet_for_seed(7, false) else { panic!("seed 7 must survive the pipeline") };
@@ -146,5 +146,41 @@ fn degenerate_lanes_inside_full_groups_replay_exactly() {
     for (i, machine) in machines.iter().enumerate() {
         let scalar = plan.evaluate(machine, &Roofline);
         assert_point_matches_scalar(&cols, i, &scalar, &format!("point {i} on {}", machine.name));
+    }
+}
+
+#[test]
+fn nan_lanes_match_scalar_in_full_and_remainder_groups() {
+    // compute times of `∞·0 = NaN`: infinite frequency, no scalar flop
+    // throughput. Only flop-free blocks land time, so the NaN point keeps
+    // fewer statements than a real machine. `check_columns` is left out:
+    // its finite-cost invariant describes real machines.
+    let mut nan = generic();
+    nan.name = "nan-time".into();
+    nan.freq_ghz = f64::INFINITY;
+    nan.scalar_flops_per_cycle = 0.0;
+    let app = xflow::ModeledApp::from_workload(&xflow_workloads::cfd(), xflow::Scale::Test).unwrap();
+    let plan = ProjectionPlan::new(&app.bet, xflow::default_library());
+    let kernel = plan.kernel();
+    let (real, degenerate) = (plan.evaluate(&bgq(), &Roofline), plan.evaluate(&nan, &Roofline));
+    assert!(!degenerate.per_stmt.is_empty(), "some statement lands time");
+    assert!(degenerate.per_stmt.len() < real.per_stmt.len(), "NaN lanes drop statements");
+
+    // lane 1 of a full group, then a one-point remainder group
+    let machines = [bgq(), nan.clone(), xeon(), knl(), nan];
+    let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::resolve).collect();
+    let whole = kernel.evaluate_columns(&specs);
+    for chunk in [1, 2, 5] {
+        let mut chunked = ProjectionColumns::new(&kernel, specs.clone());
+        for start in (0..specs.len()).step_by(chunk) {
+            let part = kernel.evaluate_columns_chunk(&chunked, start..(start + chunk).min(specs.len()));
+            chunked.install(part);
+        }
+        for (i, machine) in machines.iter().enumerate() {
+            let scalar = plan.evaluate(machine, &Roofline);
+            assert_point_matches_scalar(&whole, i, &scalar, &format!("point {i} on {}", machine.name));
+            let ctx = format!("chunk {chunk}, point {i} on {}", machine.name);
+            assert_point_matches_scalar(&chunked, i, &scalar, &ctx);
+        }
     }
 }
