@@ -12,6 +12,9 @@
 
 use xflow_bench::gate::{compare_files, render_deltas, GateConfig};
 
+/// The reports gated by default. `BENCH_sim.json` is left out: its
+/// absolute timings and `--jobs` speedups miss the committed baseline by
+/// more than the tolerance on an unchanged tree.
 const DEFAULT_FILES: &str =
     "BENCH_sweep.json,BENCH_session.json,BENCH_obs.json,BENCH_kernel.json,BENCH_serve.json,BENCH_profile.json";
 

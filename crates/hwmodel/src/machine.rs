@@ -142,8 +142,13 @@ impl MachineModel {
         if self.l1.size_bytes == 0 || self.llc.size_bytes == 0 {
             errs.push("cache sizes must be nonzero".into());
         }
-        if self.l1.line_bytes == 0 || !self.l1.line_bytes.is_power_of_two() {
-            errs.push("l1 line size must be a nonzero power of two".into());
+        for (level, what) in [(&self.l1, "l1"), (&self.llc, "llc")] {
+            if !level.line_bytes.is_power_of_two() {
+                errs.push(format!("{what} line size must be a nonzero power of two"));
+            }
+            if level.assoc == 0 {
+                errs.push(format!("{what} associativity must be nonzero"));
+            }
         }
         errs
     }
@@ -420,6 +425,25 @@ mod tests {
         let errs = m.validate();
         assert!(errs.iter().any(|e| e.contains("freq_ghz")));
         assert!(errs.iter().any(|e| e.contains("l1_hit_rate")));
+    }
+
+    #[test]
+    fn validate_catches_cache_geometry_the_simulator_cannot_build() {
+        let errs_with = |f: fn(&mut MachineModel)| {
+            let mut m = generic();
+            f(&mut m);
+            m.validate()
+        };
+        assert!(errs_with(|m| m.l1.assoc = 0).iter().any(|e| e == "l1 associativity must be nonzero"));
+        assert!(errs_with(|m| m.llc.assoc = 0).iter().any(|e| e == "llc associativity must be nonzero"));
+        for bad in [0, 96] {
+            let mut m = generic();
+            m.llc.line_bytes = bad;
+            assert!(m.validate().iter().any(|e| e == "llc line size must be a nonzero power of two"), "{bad}");
+        }
+        for m in [bgq(), xeon(), knl(), generic()] {
+            assert!(m.validate().is_empty(), "{}", m.name);
+        }
     }
 
     #[test]

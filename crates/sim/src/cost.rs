@@ -10,9 +10,9 @@
 //!   vectorizing STASSUIJ's multiply loop),
 //! * floating point divides occupy the pipe for their full latency — the
 //!   effect behind the paper's CFD hot spot 6 under-projection,
-//! * every memory access is looked up in a real cache hierarchy; L1 hits
-//!   cost port throughput, misses pay the level's latency divided by the
-//!   machine's memory-level parallelism,
+//! * every memory access is looked up in a real cache hierarchy (exact LRU,
+//!   see [`crate::cache`]); L1 hits cost port throughput, misses pay the
+//!   level's latency divided by the machine's memory-level parallelism,
 //! * opaque library calls charge an input-dependent hardware instruction
 //!   mix (see [`crate::calibrate`]).
 

@@ -17,13 +17,19 @@
 //!   two tracers against each other on the same cache.
 //! * [`assert_reports_bit_equal`] — the bit-equality assertion both
 //!   checks use.
+//! * [`ReferenceCache`] and [`ReferenceHierarchy`] — an **independent
+//!   LRU oracle** for [`crate::CacheArray`] and [`Hierarchy`]: each set
+//!   is a `Vec` of lines in recency order and last touchers live in a
+//!   `HashMap<line, stmt>`, the semantics `ReferenceTracer` uses. The
+//!   tracers above both ride on the production cache, so only this
+//!   oracle can catch an LRU bug they share (`tests/proptest_cache.rs`).
 
 use crate::cache::{AccessLevel, Hierarchy};
 use crate::calibrate::hardware_lib_mix;
 use crate::cost::SimConfig;
 use crate::{finish_report, SimReport, SimTracer};
 use std::collections::HashMap;
-use xflow_hw::MachineModel;
+use xflow_hw::{CacheLevel, MachineModel};
 use xflow_minilang::{InputSpec, Limits, MStmtId, Program, RuntimeError, Tracer, DEFAULT_SEED};
 
 /// [`crate::simulate_with_seed`] under [`DEFAULT_SEED`] on the tree-walking
@@ -183,6 +189,165 @@ pub fn tracer_report(
         profile,
         freq_ghz: machine.freq_ghz,
     })
+}
+
+/// One LRU cache level kept the obvious way: per set, a `Vec` of resident
+/// lines with the most recent first, and a `HashMap` of each line's last
+/// toucher that outlives eviction (with reuse tracking on).
+#[derive(Debug, Clone)]
+pub struct ReferenceCache {
+    sets: u64,
+    assoc: usize,
+    line_bytes: u64,
+    track: bool,
+    resident: HashMap<u64, Vec<u64>>,
+    last_toucher: HashMap<u64, MStmtId>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ReferenceCache {
+    /// Build for `level`; `track` turns on last-toucher reuse tracking.
+    pub fn new(level: &CacheLevel, track: bool) -> Self {
+        ReferenceCache {
+            sets: level.sets(),
+            assoc: level.assoc.max(1) as usize,
+            line_bytes: level.line_bytes as u64,
+            track,
+            resident: HashMap::new(),
+            last_toucher: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Bring `line` to the front of its set, dropping the set's last line
+    /// when a miss finds it full. Returns whether `line` was resident.
+    fn touch(&mut self, line: u64) -> bool {
+        let set = self.resident.entry(line % self.sets).or_default();
+        let hit = match set.iter().position(|&l| l == line) {
+            Some(k) => {
+                set.remove(k);
+                true
+            }
+            None => {
+                if set.len() == self.assoc {
+                    set.pop();
+                }
+                false
+            }
+        };
+        set.insert(0, line);
+        hit
+    }
+
+    /// A demand access by `stmt`: hit/miss, and on a hit (with tracking)
+    /// the statement that touched the line before.
+    pub fn access_traced(&mut self, addr: u64, stmt: MStmtId) -> (bool, Option<MStmtId>) {
+        let line = addr / self.line_bytes;
+        let hit = self.access(addr);
+        if !self.track {
+            return (hit, None);
+        }
+        let prev = self.last_toucher.insert(line, stmt);
+        (hit, if hit { prev } else { None })
+    }
+
+    /// An access on no statement's behalf: hit/miss, touchers untouched.
+    pub fn access(&mut self, addr: u64) -> bool {
+        let hit = self.touch(addr / self.line_bytes);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// A prefetch fill: a resident line is left where it is, a missing one
+    /// is installed as most recent. Statistics do not move.
+    pub fn fill(&mut self, addr: u64) {
+        let line = addr / self.line_bytes;
+        let resident = self.resident.get(&(line % self.sets)).is_some_and(|s| s.contains(&line));
+        if !resident {
+            self.touch(line);
+        }
+    }
+
+    /// Hits so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Misses so far.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+/// [`Hierarchy`] rebuilt on two [`ReferenceCache`]s: an L1 miss probes the
+/// LLC, counts a DRAM fill on an LLC miss, and prefetches the next LLC line
+/// into both levels.
+#[derive(Debug, Clone)]
+pub struct ReferenceHierarchy {
+    pub l1: ReferenceCache,
+    pub llc: ReferenceCache,
+    line_bytes: u64,
+    dram_accesses: u64,
+}
+
+impl ReferenceHierarchy {
+    /// Build for a machine's cache parameters; `track` turns on reuse
+    /// tracking in the L1.
+    pub fn new(l1: &CacheLevel, llc: &CacheLevel, track: bool) -> Self {
+        ReferenceHierarchy {
+            l1: ReferenceCache::new(l1, track),
+            llc: ReferenceCache::new(llc, false),
+            line_bytes: llc.line_bytes as u64,
+            dram_accesses: 0,
+        }
+    }
+
+    /// An access on no statement's behalf: the level that satisfied it.
+    pub fn access(&mut self, addr: u64) -> AccessLevel {
+        if self.l1.access(addr) {
+            return AccessLevel::L1;
+        }
+        self.miss(addr)
+    }
+
+    /// A demand access by `stmt`: the level that satisfied it, and the
+    /// previous toucher on an L1 hit.
+    pub fn access_traced(&mut self, addr: u64, stmt: MStmtId) -> (AccessLevel, Option<MStmtId>) {
+        let (l1_hit, prev) = self.l1.access_traced(addr, stmt);
+        if l1_hit {
+            return (AccessLevel::L1, prev);
+        }
+        (self.miss(addr), None)
+    }
+
+    fn miss(&mut self, addr: u64) -> AccessLevel {
+        let level = if self.llc.access(addr) {
+            AccessLevel::Llc
+        } else {
+            self.dram_accesses += 1;
+            AccessLevel::Dram
+        };
+        let next = addr.wrapping_add(self.line_bytes);
+        self.l1.fill(next);
+        self.llc.fill(next);
+        level
+    }
+
+    /// Line fills that reached DRAM.
+    pub fn dram_accesses(&self) -> u64 {
+        self.dram_accesses
+    }
+
+    /// Bytes transferred from DRAM.
+    pub fn dram_bytes(&self) -> u64 {
+        self.dram_accesses * self.line_bytes
+    }
 }
 
 /// Assert two reports are bit-equal: cycle accounts compared by
